@@ -1,0 +1,26 @@
+"""Golden byte-identity: checked-in reports regenerate byte for byte.
+
+Each pair in ``docs/`` was produced by the CLI command listed here; any
+change to the numbers, their order or the report layout fails the gate.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from zygdist.cli import EXIT_OK, main
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+GOLDEN = [
+    ("golden-input.json", "golden-report.json", ["distance-ibmo", "--depths", "6,7,8"]),
+    ("golden-sobolev-input.json", "golden-sobolev-report.json", ["sobolev"]),
+]
+
+
+@pytest.mark.parametrize("source, expected, argv", GOLDEN, ids=[g[2][0] for g in GOLDEN])
+def test_golden_report_bytes(tmp_path, source, expected, argv):
+    out = tmp_path / "report.json"
+    code = main([*argv, "--in", str(DOCS / source), "--out", str(out)])
+    assert code == EXIT_OK
+    assert out.read_bytes() == (DOCS / expected).read_bytes()
