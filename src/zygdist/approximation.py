@@ -8,8 +8,8 @@ remainder has dyadic Zygmund seminorm at most twice the threshold.
 Dyadic truncation is grid-biased; averaging the small parts produced on a
 family of translated grids removes the bias.  ``translation_average``
 averages a family of unit-interval functions over midpoint-sampled shifts,
-and ``continuous_decompose`` runs the full pipeline: translate, truncate on
-an enlarged window, integrate back and average.
+and ``continuous_decompose`` runs the full pipeline for a whole level grid:
+translate, truncate on an enlarged window, integrate back and average.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from zygdist.functionals import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
-    _expand,
     average_growth,
     integrate,
     star_norm,
@@ -62,10 +61,22 @@ def truncate_jumps(S: DyadicMartingale, threshold: float) -> DyadicMartingale:
         raise ValueError("jump truncation is one-dimensional; see measure truncation")
     levels = [S.levels[0].copy()]
     for n in range(1, S.depth + 1):
-        dj = S.jumps(n)
-        keep = np.repeat(np.abs(dj[0::2]) > threshold, 2)
-        levels.append(_expand(levels[-1], S.dim) + keep * dj)
+        levels.append(_truncated_level(levels[-1], S.jumps(n), threshold))
     return DyadicMartingale(levels, root=S.root, dim=S.dim)
+
+
+def _truncated_level(parent: np.ndarray, dj: np.ndarray, threshold: float) -> np.ndarray:
+    """Next level of a truncated martingale: ``parent`` plus the kept jumps.
+
+    A sibling pair's jumps ``dj`` are kept when the left child's exceeds
+    ``threshold`` and zeroed otherwise.  Works along the last axis, so each
+    row of 2-D arrays is truncated on its own.
+    """
+    keep = np.abs(dj[..., 0::2]) > threshold
+    level = np.empty_like(dj)
+    np.add(parent, keep * dj[..., 0::2], out=level[..., 0::2])
+    np.add(parent, keep * dj[..., 1::2], out=level[..., 1::2])
+    return level
 
 
 def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMartingale:
@@ -134,11 +145,10 @@ def distance_report(
     """
     if eps_grid is None:
         eps_grid = default_eps_grid(f)
-    N = average_growth(f).depth
-    if depths is None:
-        depths = [max(1, N - 4), N]
-    eps_grid = [float(e) for e in eps_grid]
     S = average_growth(f)
+    if depths is None:
+        depths = [max(1, S.depth - 4), S.depth]
+    eps_grid = [float(e) for e in eps_grid]
     measured = []
     for eps in eps_grid:
         B = truncate_jumps(S, eps / 2.0)
@@ -236,27 +246,43 @@ def bmo_translation_average(family, R: int) -> tuple[np.ndarray, float]:
     return out, math.sqrt(max(best, 0.0))
 
 
+# Translates are truncated in chunks of about this many window samples
+# (128 KiB of float64).  A chunk works on about ten arrays of this size:
+# larger chunks cut per-call overhead further but raise peak memory.
+_CHUNK_SAMPLES = 1 << 14
+
+
 @dataclass
 class ContinuousDecomposition:
-    """Grid-translation-averaged splitting ``f = rough + small``."""
+    """Grid-translation-averaged splittings ``f = rough[j] + small[j]``.
 
-    rough: SampledFunction
-    small: SampledFunction
-    eps: float
+    Entry ``j`` of ``rough``, ``small`` and ``window_small_seminorms`` (shape
+    ``(len(eps), count)``) belongs to the level ``eps[j]``.
+    """
+
+    rough: list[SampledFunction]
+    small: list[SampledFunction]
+    eps: list[float]
     count: int
     window_small_seminorms: np.ndarray
 
 
 def continuous_decompose(
-    f: SampledFunction, eps: float, count: int | None = None
+    f: SampledFunction, eps_grid, count: int | None = None
 ) -> ContinuousDecomposition:
-    """Split ``f`` by averaging dyadic truncations over translated grids.
+    """Split ``f`` at every level of ``eps_grid`` by averaging dyadic truncations.
 
-    Each translate of ``f`` is placed on the enlarged window ``[-1, 3)``,
-    its slope martingale truncated at ``eps / 2`` and integrated back; the
-    rough parts are read off at the translated points and averaged.  The
-    small part is ``f - rough`` exactly; every windowed small part has
-    dyadic Zygmund seminorm at most ``eps``, recorded per translate.
+    ``count`` translates of ``f`` are placed on the enlarged window
+    ``[-1, 3)``; at each level ``eps`` their slope martingales are truncated
+    at ``eps / 2`` and integrated back, and the rough parts are read off at
+    the translated points and averaged.  The small part is ``f - rough``
+    exactly; every windowed small part has dyadic Zygmund seminorm at most
+    ``eps``, recorded per level and translate.
+
+    Translates go through in chunks of rows of a 2-D array; a chunk's window
+    martingale is built once and truncated at every level.  Rough parts are
+    summed one translate at a time in translate order, so the result does
+    not depend on the chunk size.
     """
     if f.span != RealInterval(0, 1):
         raise ValueError("decomposition expects a function on the unit interval")
@@ -271,29 +297,51 @@ def continuous_decompose(
     if stride & (stride - 1):
         raise ValueError("count must be a power of two")
 
+    eps_grid = [float(e) for e in eps_grid]
+    points = (1 << N) + 1
+    depth = N + 2  # the window [-1, 3) has 4 << N cells
     window_points = (4 << N) + 1
-    acc = np.zeros((1 << N) + 1)
-    seminorms = np.empty(count)
-    for i in range(count):
-        offset = stride * (2 * i + 1)
-        g_vals = np.zeros(window_points)
-        g_vals[offset : offset + (1 << N) + 1] = f.values
-        g = SampledFunction(g_vals, left=-1, log2_spacing=f.log2_spacing)
-        W = average_growth(g)
-        B = truncate_jumps(W, eps / 2.0)
-        resid = martingale_difference(W, B)
-        seminorms[i] = 2.0 * star_norm(resid)
-        b_window = integrate(B)
-        acc += b_window.values[offset : offset + (1 << N) + 1]
+    widths = [float(Fraction(4, 2**n)) for n in range(depth + 1)]
+    rows = max(1, _CHUNK_SAMPLES // window_points)
+    acc = np.zeros((len(eps_grid), points))
+    seminorms = np.empty((len(eps_grid), count))
+    for first in range(0, count, rows):
+        chunk = range(first, min(first + rows, count))
+        offsets = [stride * (2 * i + 1) for i in chunk]
+        g = np.zeros((len(chunk), window_points))
+        for row, offset in enumerate(offsets):
+            g[row, offset : offset + points] = f.values
+        # window slope martingale of every row, and its jumps, level by level
+        W = []
+        for n in range(depth + 1):
+            pts = g[:, :: 1 << (depth - n)]
+            W.append((pts[:, 1:] - pts[:, :-1]) / widths[n])
+        dW = [W[n] - np.repeat(W[n - 1], 2, axis=1) for n in range(1, depth + 1)]
+        for j, eps in enumerate(eps_grid):
+            # truncated martingale B and residual W - B, keeping one level
+            B = W[0].copy()
+            resid = np.zeros_like(B)
+            best = np.zeros(len(chunk))
+            for W_n, dW_n in zip(W[1:], dW):
+                B = _truncated_level(B, dW_n, eps / 2.0)
+                resid_n = W_n - B
+                jumps = np.abs(resid_n - np.repeat(resid, 2, axis=1))
+                best = np.maximum(best, jumps.max(axis=1))
+                resid = resid_n
+            seminorms[j, chunk.start : chunk.stop] = 2.0 * best
+            primitive = np.cumsum(B * widths[depth], axis=1)
+            for row, offset in enumerate(offsets):
+                acc[j] += primitive[row, offset - 1 : offset + points - 1]
     acc /= count
-    rough = SampledFunction(acc, left=f.left, log2_spacing=f.log2_spacing)
-    small = SampledFunction(
-        f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
-    )
+    rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
+    small = [
+        SampledFunction(f.values - r.values, left=f.left, log2_spacing=f.log2_spacing)
+        for r in rough
+    ]
     return ContinuousDecomposition(
         rough=rough,
         small=small,
-        eps=eps,
+        eps=eps_grid,
         count=count,
         window_small_seminorms=seminorms,
     )

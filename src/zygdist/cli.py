@@ -103,13 +103,18 @@ def read_input(path: str):
     return payload, digest
 
 
+def _is_int(value) -> bool:
+    """JSON integer check; ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_function(payload: dict) -> SampledFunction:
     _require(payload.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     _require(payload.get("kind") == "function", "kind must be 'function'")
     depth = payload.get("depth")
-    _require(isinstance(depth, int) and depth >= 1, "depth must be an integer >= 1")
+    _require(_is_int(depth) and depth >= 1, "depth must be an integer >= 1")
     left = payload.get("left", 0)
-    _require(isinstance(left, int), "left endpoint must be an integer")
+    _require(_is_int(left), "left endpoint must be an integer")
     values = payload.get("values")
     _require(isinstance(values, list) and values, "values must be a non-empty array")
     span, rem = divmod(len(values) - 1, 1 << depth)
@@ -117,6 +122,7 @@ def load_function(payload: dict) -> SampledFunction:
         rem == 0 and span >= 1,
         f"values length {len(values)} must be span*2^depth + 1",
     )
+    _require(span & (span - 1) == 0, f"span {span} must be a power of two")
     array = np.asarray(values, dtype=np.float64)
     _require(bool(np.all(np.isfinite(array))), "values must all be finite")
     return SampledFunction(array, left=left, log2_spacing=-depth)
@@ -127,8 +133,8 @@ def load_measure(payload: dict) -> GridMeasure:
     _require(payload.get("kind") == "measure", "kind must be 'measure'")
     dim = payload.get("dim")
     depth = payload.get("depth")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be an integer >= 1")
-    _require(isinstance(depth, int) and depth >= 1, "depth must be an integer >= 1")
+    _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
+    _require(_is_int(depth) and depth >= 1, "depth must be an integer >= 1")
     masses = payload.get("masses")
     _require(isinstance(masses, list) and masses, "masses must be a non-empty array")
     cells = 1 << (dim * depth)
@@ -234,7 +240,7 @@ def cmd_seminorm(args) -> tuple[dict, int]:
     f = load_function(payload)
     growth = average_growth(f)
     rows = [
-        ["dyadic_zygmund", dyadic_zygmund_seminorm(f)],
+        ["dyadic_zygmund", 2.0 * star_norm(growth)],
         ["grid_zygmund", zygmund_seminorm(f)],
         ["growth_star", star_norm(growth)],
         ["growth_bmo", bmo_norm(growth)],
@@ -375,25 +381,24 @@ def cmd_decompose(args) -> tuple[dict, int]:
 def cmd_sobolev(args) -> tuple[dict, int]:
     payload, digest = read_input(args.input)
     f = load_function(payload)
-    grid = _parse_eps_grid(args.eps_grid, default_eps_grid(f))
+    grid = [eps for eps in _parse_eps_grid(args.eps_grid, default_eps_grid(f)) if eps > 0.0]
     rows = []
-    for eps in grid:
-        if eps <= 0.0:
-            continue
+    if grid:
         try:
-            parts = continuous_decompose(f, eps)
+            parts = continuous_decompose(f, grid)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        window_max = max(parts.window_small_seminorms, default=0.0)
-        _require(
-            window_max <= eps,
-            f"window seminorm {window_max} exceeds requested level {eps}",
-        )
-        identity = bool(
-            np.array_equal(parts.rough.values + parts.small.values, f.values)
-        )
-        _require(identity, "decomposition failed to reproduce the input exactly")
-        rows.append([eps, window_max, zygmund_seminorm(parts.small)])
+        for eps, rough, small, seminorms in zip(
+            parts.eps, parts.rough, parts.small, parts.window_small_seminorms
+        ):
+            window_max = max(seminorms, default=0.0)
+            _require(
+                window_max <= eps,
+                f"window seminorm {window_max} exceeds requested level {eps}",
+            )
+            identity = bool(np.array_equal(rough.values + small.values, f.values))
+            _require(identity, "decomposition failed to reproduce the input exactly")
+            rows.append([eps, window_max, zygmund_seminorm(small)])
     body = {
         "input_sha256": digest,
         "tables": {

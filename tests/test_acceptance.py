@@ -202,11 +202,11 @@ def test_10_decomposition_pipeline():
         # in-regime levels, one octave inside the seminorm, descending
         grid = [norm * 2.0**j for j in range(-1, -8, -1)]
         ratios = []
-        for eps in grid:
-            parts = continuous_decompose(f, eps)
-            assert np.array_equal(parts.rough.values + parts.small.values, f.values)
-            assert max(parts.window_small_seminorms) <= eps
-            ratios.append(zygmund_seminorm(parts.small) / eps)
+        parts = continuous_decompose(f, grid)
+        for j, eps in enumerate(grid):
+            assert np.array_equal(parts.rough[j].values + parts.small[j].values, f.values)
+            assert max(parts.window_small_seminorms[j]) <= eps
+            ratios.append(zygmund_seminorm(parts.small[j]) / eps)
         for k in range(len(ratios) - 1):
             assert ratios[k + 1] <= 1.1 * ratios[k]
     consistency = verify_strichartz_consistency(depth=12, seed=0)

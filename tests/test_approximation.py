@@ -32,6 +32,8 @@ from zygdist.martingale import (
     star_norm,
 )
 
+from reference import continuous_decompose_loop
+
 # ---------------------------------------------------------------------------
 # jump truncation
 
@@ -204,43 +206,43 @@ def test_bmo_translation_average_single_bump():
 
 def test_continuous_decompose_exact_identity():
     f = integrate(random_jump_martingale(6, seed=8))
-    dec = continuous_decompose(f, eps=0.05, count=16)
-    assert np.array_equal(dec.rough.values + dec.small.values, f.values)
-    assert dec.window_small_seminorms.shape == (16,)
-    assert np.all(dec.window_small_seminorms <= 0.05)
+    dec = continuous_decompose(f, [0.05], count=16)
+    assert np.array_equal(dec.rough[0].values + dec.small[0].values, f.values)
+    assert dec.window_small_seminorms[0].shape == (16,)
+    assert np.all(dec.window_small_seminorms[0] <= 0.05)
 
 
 def test_continuous_decompose_full_count_bound():
     f = integrate(random_jump_martingale(5, delta=1 / 8, seed=3))
-    dec = continuous_decompose(f, eps=0.1)
+    dec = continuous_decompose(f, [0.1])
     assert dec.count == 32
-    assert np.all(dec.window_small_seminorms <= 0.1)
-    assert np.array_equal(dec.rough.values + dec.small.values, f.values)
+    assert np.all(dec.window_small_seminorms[0] <= 0.1)
+    assert np.array_equal(dec.rough[0].values + dec.small[0].values, f.values)
 
 
 def test_continuous_decompose_large_eps_keeps_nothing():
     # Above twice the sup jump nothing is kept: rough part is identically
     # zero (every window truncation drops all jumps, integrates to zero).
     f = integrate(random_jump_martingale(5, delta=1 / 16, seed=2))
-    dec = continuous_decompose(f, eps=1.0, count=8)
-    assert np.all(dec.rough.values == 0.0)
-    assert np.array_equal(dec.small.values, f.values)
+    dec = continuous_decompose(f, [1.0], count=8)
+    assert np.all(dec.rough[0].values == 0.0)
+    assert np.array_equal(dec.small[0].values, f.values)
 
 
 def test_continuous_decompose_small_eps_recovers_function():
     # Below the smallest nonzero jump scale everything is kept: each window
     # rough part reproduces the translate, so the average returns f.
     f = integrate(random_jump_martingale(5, delta=1 / 4, seed=7))
-    dec = continuous_decompose(f, eps=1e-9, count=8)
-    assert np.allclose(dec.rough.values, f.values, rtol=0, atol=1e-15)
-    assert np.all(np.abs(dec.small.values) <= 1e-15)
+    dec = continuous_decompose(f, [1e-9], count=8)
+    assert np.allclose(dec.rough[0].values, f.values, rtol=0, atol=1e-15)
+    assert np.all(np.abs(dec.small[0].values) <= 1e-15)
 
 
 def test_continuous_decompose_rejects_bad_input():
     with pytest.raises(ValueError):
-        continuous_decompose(hat_function(5), eps=0.1, count=3)
+        continuous_decompose(hat_function(5), [0.1], count=3)
     with pytest.raises(ValueError):
-        continuous_decompose(SampledFunction(np.arange(9.0)), eps=0.1)
+        continuous_decompose(SampledFunction(np.arange(9.0)), [0.1])
 
 
 @settings(max_examples=15)
@@ -252,8 +254,8 @@ def test_continuous_decompose_seminorm_never_worse_than_eps(seed):
     eps = 0.5 * dyadic_zygmund_seminorm(f)
     if eps == 0.0:
         return
-    dec = continuous_decompose(f, eps, count=8)
-    assert np.all(dec.window_small_seminorms <= eps)
+    dec = continuous_decompose(f, [eps], count=8)
+    assert np.all(dec.window_small_seminorms[0] <= eps)
 
 
 def test_lacunary_average_smoother_than_member():
@@ -261,5 +263,35 @@ def test_lacunary_average_smoother_than_member():
     # continuous seminorm of the small part by more than a bounded factor.
     f = lacunary_function(6)
     eps = 0.5
-    dec = continuous_decompose(f, eps, count=64)
-    assert zygmund_seminorm(dec.small) <= 4.0 * eps
+    dec = continuous_decompose(f, [eps], count=64)
+    assert zygmund_seminorm(dec.small[0]) <= 4.0 * eps
+
+
+@pytest.mark.parametrize(
+    "f, count",
+    [
+        (integrate(random_jump_martingale(6, seed=8)), 1),
+        (integrate(random_jump_martingale(6, seed=8)), 8),
+        # 64 translates in chunks of 63 rows, then 1
+        (integrate(random_jump_martingale(6, seed=8)), 64),
+        (lacunary_function(6), 64),
+        # 512 translates in chunks of 7 rows, the last one short; values off
+        # the binary lattice, so sums round and their order shows
+        (SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0), 512),
+    ],
+)
+def test_continuous_decompose_matches_loop_oracle(f, count):
+    # descending levels, with the seminorm itself (a threshold equal to the
+    # largest jumps) and the level 0 that keeps every nonzero jump
+    norm = dyadic_zygmund_seminorm(f)
+    grid = [norm * 2.0**j for j in range(1, -8, -1)] + [0.0]
+    if count == 512:
+        grid = grid[1::3]
+    dec = continuous_decompose(f, grid, count=count)
+    assert dec.eps == grid and dec.count == count
+    assert dec.window_small_seminorms.shape == (len(grid), count)
+    for j, eps in enumerate(grid):
+        rough, small, seminorms = continuous_decompose_loop(f, eps, count)
+        assert np.array_equal(dec.rough[j].values, rough)
+        assert np.array_equal(dec.small[j].values, small)
+        assert np.array_equal(dec.window_small_seminorms[j], seminorms)

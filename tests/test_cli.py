@@ -70,6 +70,25 @@ def test_function_file_invariants(mutate, message):
         load_function(payload)
 
 
+@pytest.mark.parametrize("command", ["seminorm", "sobolev", "distance-ibmo"])
+def test_span_not_power_of_two_rejected(tmp_path, capsys, command):
+    payload = function_payload(hat_function(2), {})
+    payload["values"] += [0.0] * 8  # span 3: 3 * 2^2 + 1 values
+    path = tmp_path / "span3.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--in", str(path)]) == EXIT_INPUT
+    assert "power of two" in capsys.readouterr().err
+
+
+def test_boolean_depth_rejected(tmp_path, capsys):
+    payload = function_payload(hat_function(1), {})
+    payload["depth"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    assert main(["seminorm", "--in", str(path)]) == EXIT_INPUT
+    assert "depth must be an integer" in capsys.readouterr().err
+
+
 def test_measure_file_invariants():
     payload = measure_payload(np.full(8, 0.125), 1, 3, {})
     bad = dict(payload, masses=payload["masses"][:-1])
