@@ -133,7 +133,7 @@ def load_measure(payload: dict) -> GridMeasure:
     _require(payload.get("kind") == "measure", "kind must be 'measure'")
     dim = payload.get("dim")
     depth = payload.get("depth")
-    _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
+    _require(_is_int(dim) and dim in (1, 2), "dim must be 1 or 2")
     _require(_is_int(depth) and depth >= 1, "depth must be an integer >= 1")
     masses = payload.get("masses")
     _require(isinstance(masses, list) and masses, "masses must be a non-empty array")
@@ -381,6 +381,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
 def cmd_sobolev(args) -> tuple[dict, int]:
     payload, digest = read_input(args.input)
     f = load_function(payload)
+    _require(f.compact, "decomposition expects a compactly supported function")
     grid = [eps for eps in _parse_eps_grid(args.eps_grid, default_eps_grid(f)) if eps > 0.0]
     rows = []
     if grid:
@@ -520,6 +521,7 @@ def cmd_generate(args) -> tuple[dict, int]:
     metadata: dict = {"generator": kind, "seed": args.seed, "depth": depth}
     metadata["classification"] = _CLASSIFICATIONS[kind]
     if kind == "cascade":
+        _require(args.dim in (1, 2), "dim must be 1 or 2")
         thetas = None
         if args.thetas is not None:
             thetas = [_fraction(part, "--thetas") for part in args.thetas.split(",")]
@@ -640,6 +642,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _require(args.tau >= 0.0, "--tau must be a non-negative number")
         body, code = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,16 +190,43 @@ def density_martingale(mu: GridMeasure) -> DyadicMartingale:
     )
 
 
+def _centred_box_masses(ext: np.ndarray, side: int, r: int) -> np.ndarray:
+    """Clipped masses of the cubes ``[c - r, c + r)`` for every grid point ``c``.
+
+    ``ext`` is the summed-area table read at the clipped indices
+    ``-side .. 2 side`` on every axis, so each corner of every box is one
+    slice (a view).  Corners are visited in the order and with the signs of
+    ``GridMeasure.box_mass_grid``, which gives the same sums up to the sign
+    of a zero.
+    """
+    lo = slice(side - r, 2 * side + 1 - r)
+    hi = slice(side + r, 2 * side + 1 + r)
+    dim = ext.ndim
+    total = None
+    for corner in itertools.product((0, 1), repeat=dim):
+        term = ext[tuple(hi if c else lo for c in corner)]
+        negative = (dim - sum(corner)) % 2
+        if total is None:
+            total = -term if negative else term.copy()
+        elif negative:
+            total -= term
+        else:
+            total += term
+    return total
+
+
 def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     """Largest second difference of box averages.
 
     ``dyadic`` mode maximises the child-parent deviation over all dyadic
     cells.  ``continuous`` mode sweeps centred cubes on all grid points with
     all even side lengths (clipped at side 1/2), comparing each cube with
-    its double, the double read with zero extension.
+    its double, the double read with zero extension.  It does
+    ``O(2^(dim*depth) * 2^depth)`` work on one extended summed-area table of
+    ``(3 * 2^depth + 1)^dim`` floats.
     """
-    S = density_martingale(mu)
     if mode == "dyadic":
+        S = density_martingale(mu)
         best = 0.0
         for n in range(1, mu.depth + 1):
             best = max(best, float(np.abs(S.jumps(n)).max()))
@@ -207,15 +234,13 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     if mode != "continuous":
         raise ValueError("mode must be 'dyadic' or 'continuous'")
     side = 1 << mu.depth
-    centers = np.arange(side + 1, dtype=np.int64)
+    dim = mu.dim
+    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
+    ext = mu._table[np.ix_(*[idx] * dim)]
     best = 0.0
     for u in range(1, (side >> 1) + 1):
-        inner = mu.box_mass_grid(
-            [centers - u] * mu.dim, [centers + u] * mu.dim
-        ) * (side / (2 * u)) ** mu.dim
-        outer = mu.box_mass_grid(
-            [centers - 2 * u] * mu.dim, [centers + 2 * u] * mu.dim
-        ) * (side / (4 * u)) ** mu.dim
+        inner = _centred_box_masses(ext, side, u) * (side / (2 * u)) ** dim
+        outer = _centred_box_masses(ext, side, 2 * u) * (side / (4 * u)) ** dim
         best = max(best, float(np.abs(inner - outer).max()))
     return best
 

@@ -138,6 +138,16 @@ def test_generate_cascade_measure(tmp_path):
     assert mu.total == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_measure_dim_outside_one_two_rejected(tmp_path, dim):
+    code = main(["generate", "--kind", "cascade", "--dim", str(dim), "--depth", "2",
+                 "--out", str(tmp_path / "mu.json")])
+    assert code == EXIT_INPUT
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(measure_payload(np.full(1 << (2 * dim), 0.5), dim, 2, {})))
+    assert main(["measure", "--in", str(path)]) == EXIT_INPUT
+
+
 def test_generate_rejects_bad_rational(tmp_path):
     code = main(["generate", "--kind", "lacunary", "--depth", "6",
                  "--coefficient", "abc", "--out", str(tmp_path / "x.json")])
@@ -296,6 +306,19 @@ def test_malformed_input_exit_code(tmp_path, capsys):
 def test_sobolev_rejects_noncompact_input(tmp_path):
     path = write_function(tmp_path, **{"--kind": "weierstrass", "--depth": "6"})
     assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
+    # a zero seminorm makes the default grid [0.0]: still rejected, not an empty table
+    path = write_function(tmp_path, "linear.json", **{"--kind": "linear", "--depth": "4"})
+    assert main(["sobolev", "--in", path]) == EXIT_INPUT
+    assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("tau", ["-0.1", "nan"])
+def test_tau_must_be_non_negative(tmp_path, tau):
+    path = write_function(tmp_path, **{"--kind": "hat", "--depth": "6"})
+    assert main(["distance-ibmo", "--in", path, "--tau", tau]) == EXIT_INPUT
+    assert main(["seminorm", "--in", path, "--tau", tau]) == EXIT_INPUT
+    code = main(["distance-ibmo", "--in", path, "--tau", "0", "--out", str(tmp_path / "r.json")])
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
 
 
 def test_depths_beyond_input_rejected(tmp_path):
