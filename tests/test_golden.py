@@ -2,7 +2,9 @@
 
 Each pair in ``docs/`` was produced by the CLI command listed here, the
 input by ``zygdist generate`` at seed 7; any change to the numbers, their
-order or the report layout fails the gate.
+order or the report layout fails the gate.  A case without an input file
+(``verify``, ``generate``) compares the command's output alone; the two
+``generate`` cases reproduce checked-in inputs of other cases.
 """
 
 from pathlib import Path
@@ -18,6 +20,22 @@ GOLDEN = [
     ("sobolev", "golden-sobolev-input.json", "golden-sobolev-report.json", ["sobolev"]),
     ("measure-1d", "golden-measure-1d-input.json", "golden-measure-1d-report.json", ["measure"]),
     ("measure-2d", "golden-measure-2d-input.json", "golden-measure-2d-report.json", ["measure"]),
+    ("seminorm", "golden-input.json", "golden-seminorm-report.json", ["seminorm"]),
+    ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"]),
+    ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"]),
+    ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"]),
+    (
+        "generate-random-jumps",
+        None,
+        "golden-sobolev-input.json",
+        ["generate", "--kind", "random-jumps", "--depth", "6", "--seed", "7"],
+    ),
+    (
+        "generate-cascade-2d",
+        None,
+        "golden-measure-2d-input.json",
+        ["generate", "--kind", "cascade", "--dim", "2", "--depth", "4", "--seed", "7"],
+    ),
 ]
 
 
@@ -26,6 +44,7 @@ GOLDEN = [
 )
 def test_golden_report_bytes(tmp_path, source, expected, argv):
     out = tmp_path / "report.json"
-    code = main([*argv, "--in", str(DOCS / source), "--out", str(out)])
+    inputs = [] if source is None else ["--in", str(DOCS / source)]
+    code = main([*argv, *inputs, "--out", str(out)])
     assert code == EXIT_OK
     assert out.read_bytes() == (DOCS / expected).read_bytes()
