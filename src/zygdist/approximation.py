@@ -95,7 +95,6 @@ class DyadicDecomposition:
     rough: SampledFunction
     small: SampledFunction
     kept: DyadicMartingale
-    dropped: DyadicMartingale
     eps: float
 
 
@@ -111,13 +110,7 @@ def dyadic_decompose(f: SampledFunction, eps: float) -> DyadicDecomposition:
     small = SampledFunction(
         f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
     )
-    return DyadicDecomposition(
-        rough=rough,
-        small=small,
-        kept=kept,
-        dropped=martingale_difference(S, kept),
-        eps=eps,
-    )
+    return DyadicDecomposition(rough=rough, small=small, kept=kept, eps=eps)
 
 
 @dataclass

@@ -29,6 +29,7 @@ from zygdist.approximation import (
     dyadic_decompose,
 )
 from zygdist.functionals import (
+    _geometric_grid,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -216,13 +217,6 @@ def _parse_eps_grid(text: str, auto: list[float]) -> list[float]:
     _require(bool(grid), "level grid must be non-empty")
     _require(all(e >= 0.0 for e in grid), "grid levels must be non-negative")
     return sorted(grid)
-
-
-def _measure_eps_grid(mu: GridMeasure) -> list[float]:
-    norm = measure_zygmund_norm(mu, mode="dyadic")
-    if norm == 0.0:
-        return [0.0]
-    return [norm * 2.0 ** (j / 2.0) for j in range(-20, 3)]
 
 
 def _parameters(args, **extra) -> dict:
@@ -421,7 +415,8 @@ def cmd_measure(args) -> tuple[dict, int]:
     mu = load_measure(payload)
     depths = _parse_depths(args.depths, [max(1, mu.depth - 2), mu.depth])
     _require(max(depths) <= mu.depth, "requested depth exceeds the grid depth")
-    grid = _parse_eps_grid(args.eps_grid, _measure_eps_grid(mu))
+    auto = _geometric_grid(measure_zygmund_norm(mu, mode="dyadic"), -20)
+    grid = _parse_eps_grid(args.eps_grid, auto)
     norm_rows = [
         ["dyadic_zygmund", measure_zygmund_norm(mu, mode="dyadic")],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
@@ -518,10 +513,16 @@ def cmd_generate(args) -> tuple[dict, int]:
     kind = args.kind
     depth = args.depth
     _require(depth >= 1, "depth must be a positive integer")
+    dim = args.dim if kind == "cascade" else 1
+    _require(dim in (1, 2), "dim must be 1 or 2")
+    # checked before anything is allocated: 2^24 cells is 128 MiB of float64
+    _require(
+        dim * depth <= 24,
+        f"size cap: a generated file holds at most 2^24 cells, not 2^{dim * depth}",
+    )
     metadata: dict = {"generator": kind, "seed": args.seed, "depth": depth}
     metadata["classification"] = _CLASSIFICATIONS[kind]
     if kind == "cascade":
-        _require(args.dim in (1, 2), "dim must be 1 or 2")
         thetas = None
         if args.thetas is not None:
             thetas = [_fraction(part, "--thetas") for part in args.thetas.split(",")]
@@ -585,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="'auto' or a comma-separated list of levels",
         )
         p.add_argument("--tau", type=float, default=0.1)
-        p.add_argument("--threads", type=int, default=0, help="accepted; reductions are deterministic regardless")
         p.add_argument("--interpolate", action="store_true")
         p.add_argument(
             "--timing",

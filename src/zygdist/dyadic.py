@@ -1,56 +1,16 @@
-"""Dyadic interval geometry with exact rational endpoints.
+"""Half-open real intervals with exact rational endpoints.
 
-Generation ``n >= 0`` uses the plain grid ``[k 2^-n, (k+1) 2^-n)``.  Cells of
-negative generation are translated left by ``t_n = (4^m - 1)/3`` with
-``m = ceil(-n/2)``, so that every bounded interval of the line is contained in
-some cell of the family while each cell still splits into exactly two cells of
-the next generation.  Predecessor/children moves reduce to integer shifts, and
-all endpoints are :class:`fractions.Fraction`, so the geometry is exact.
+Sampled functions and martingales record their spans and cell footprints as
+:class:`RealInterval` objects, so grid geometry (cell widths, midpoints,
+grid indices) is computed in :class:`fractions.Fraction` arithmetic and
+never rounds.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from fractions import Fraction
-from typing import Iterator
 
-__all__ = [
-    "DyadicInterval",
-    "RealInterval",
-    "ShiftedDyadicGrid",
-    "box_lattice",
-    "common_predecessor",
-    "containing_dyadic",
-    "dyadic_cover",
-    "dyadic_distance",
-    "interval_of",
-    "mesh_shift",
-    "paired_coverings",
-]
-
-_LN2 = math.log(2.0)
-_MAX_LIFTS = 4096
-
-
-def mesh_shift(generation: int) -> int:
-    """Left translation (an integer) applied to cells of a generation."""
-    if generation >= 0:
-        return 0
-    m = (-generation + 1) // 2
-    return (4**m - 1) // 3
-
-
-def _carry(generation: int) -> int:
-    """Offset correction ``(t_{n-1} - t_n) * 2^n`` used by predecessor moves.
-
-    Equals 1 when the grids of generations ``n`` and ``n - 1`` are staggered
-    (``n = 0`` or ``n`` even and negative) and 0 otherwise.
-    """
-    dt = mesh_shift(generation - 1) - mesh_shift(generation)
-    if generation >= 0:
-        return dt << generation
-    return dt >> (-generation)
+__all__ = ["RealInterval"]
 
 
 def _coerce(value) -> Fraction:
@@ -78,17 +38,6 @@ class RealInterval:
     def midpoint(self) -> Fraction:
         return (self.left + self.right) / 2
 
-    def shifted(self, delta) -> "RealInterval":
-        delta = _coerce(delta)
-        return RealInterval(self.left + delta, self.right + delta)
-
-    def contains(self, other: "RealInterval") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
-    def contains_point(self, x) -> bool:
-        x = _coerce(x)
-        return self.left <= x < self.right
-
     def __eq__(self, other):
         return (
             isinstance(other, RealInterval)
@@ -101,271 +50,3 @@ class RealInterval:
 
     def __repr__(self):
         return f"RealInterval({self.left}, {self.right})"
-
-
-class DyadicInterval:
-    """Cell ``[k 2^-n - t_n, (k+1) 2^-n - t_n)`` of the shifted dyadic grid."""
-
-    __slots__ = ("generation", "offset")
-
-    def __init__(self, generation: int, offset: int):
-        if not isinstance(generation, int) or not isinstance(offset, int):
-            raise TypeError("generation and offset must be integers")
-        self.generation = generation
-        self.offset = offset
-
-    @property
-    def length(self) -> Fraction:
-        n = self.generation
-        return Fraction(1, 1 << n) if n >= 0 else Fraction(1 << (-n))
-
-    @property
-    def left(self) -> Fraction:
-        n, k = self.generation, self.offset
-        if n >= 0:
-            return Fraction(k, 1 << n)
-        return Fraction(k * (1 << (-n)) - mesh_shift(n))
-
-    @property
-    def right(self) -> Fraction:
-        return self.left + self.length
-
-    @property
-    def midpoint(self) -> Fraction:
-        return self.left + self.length / 2
-
-    def as_real(self) -> RealInterval:
-        return RealInterval(self.left, self.right)
-
-    def predecessor(self) -> "DyadicInterval":
-        n = self.generation
-        return DyadicInterval(n - 1, (self.offset + _carry(n)) >> 1)
-
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        n = self.generation + 1
-        base = 2 * self.offset - _carry(n)
-        return DyadicInterval(n, base), DyadicInterval(n, base + 1)
-
-    def sibling(self) -> "DyadicInterval":
-        first, second = self.predecessor().children()
-        return second if self == first else first
-
-    def contains(self, other) -> bool:
-        if isinstance(other, DyadicInterval):
-            other = other.as_real()
-        return self.left <= other.left and other.right <= self.right
-
-    def contains_point(self, x) -> bool:
-        x = _coerce(x)
-        return self.left <= x < self.right
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DyadicInterval)
-            and self.generation == other.generation
-            and self.offset == other.offset
-        )
-
-    def __hash__(self):
-        return hash((self.generation, self.offset))
-
-    def __repr__(self):
-        return (
-            f"DyadicInterval({self.generation}, {self.offset})"
-            f" [{self.left}, {self.right})"
-        )
-
-
-def interval_of(generation: int, offset: int) -> DyadicInterval:
-    """Cell of the shifted dyadic grid addressed by generation and offset."""
-    return DyadicInterval(generation, offset)
-
-
-def _as_real(interval) -> RealInterval:
-    if isinstance(interval, DyadicInterval):
-        return interval.as_real()
-    if isinstance(interval, RealInterval):
-        return interval
-    raise TypeError(f"not an interval: {interval!r}")
-
-
-def containing_dyadic(interval) -> DyadicInterval:
-    """Minimal-length dyadic cell containing the interval.
-
-    The cell exists for every bounded interval because negative generations
-    are staggered; minimality makes it unique (cells of one generation tile
-    the line, and the nested predecessor chain of the cell containing the left
-    endpoint eventually swallows the right endpoint).
-    """
-    iv = _as_real(interval)
-    a, b = iv.left, iv.right
-    length = b - a
-
-    n, size = 0, Fraction(1)
-    while size < length:
-        n -= 1
-        size *= 2
-    while size / 2 >= length:
-        n += 1
-        size /= 2
-
-    for _ in range(_MAX_LIFTS):
-        t = mesh_shift(n)
-        scaled = (a + t) * (Fraction(1, 1 << (-n)) if n < 0 else Fraction(1 << n))
-        k = math.floor(scaled)
-        cell = DyadicInterval(n, k)
-        if b <= cell.right:
-            return cell
-        n -= 1
-    raise RuntimeError("containing cell not found")  # pragma: no cover
-
-
-def dyadic_cover(
-    interval, min_generation: int | None = None
-) -> tuple[list[DyadicInterval], Fraction]:
-    """Maximal dyadic cells inside the interval, with the uncovered residual.
-
-    Returns ``(cells, residual)``.  Cells are ordered by decreasing length and
-    then left to right; no returned cell's predecessor fits in the interval.
-    Cells finer than ``min_generation`` are not produced, and ``residual`` is
-    the length of the (boundary) part they would have tiled — strictly less
-    than ``2 * 2^-min_generation``.  With ``min_generation=None`` the walk
-    continues until the interval is tiled exactly, which requires endpoints
-    with power-of-two denominators.
-    """
-    iv = _as_real(interval)
-    if min_generation is None:
-        for end in (iv.left, iv.right):
-            d = end.denominator
-            if d & (d - 1):
-                raise ValueError(
-                    "min_generation is required for non-dyadic endpoints"
-                )
-
-    cells: list[DyadicInterval] = []
-    covered = Fraction(0)
-    stack = [containing_dyadic(iv)]
-    while stack:
-        cell = stack.pop()
-        left = max(cell.left, iv.left)
-        right = min(cell.right, iv.right)
-        if right <= left:
-            continue
-        if cell.left >= iv.left and cell.right <= iv.right:
-            cells.append(cell)
-            covered += cell.length
-            continue
-        if min_generation is not None and cell.generation >= min_generation:
-            continue
-        stack.extend(cell.children())
-
-    cells.sort(key=lambda c: (c.generation, c.left))
-    return cells, iv.length - covered
-
-
-def paired_coverings(
-    interval, shift=None
-) -> tuple[list[DyadicInterval], list[DyadicInterval]]:
-    """Size-matched maximal covers of an interval and its left translate.
-
-    For ``I`` with power-of-two-denominator endpoints, covers ``I`` and
-    ``I - |I|`` (or ``I + shift`` when a shift is given) by dyadic cells so
-    that the two lists tile their intervals and the j-th cells of both lists
-    have equal length.  Built by splitting the head of whichever maximal-cell
-    cover currently starts with the longer cell.
-    """
-    iv = _as_real(interval)
-    delta = -iv.length if shift is None else _coerce(shift)
-    cover_a, res_a = dyadic_cover(iv)
-    cover_b, res_b = dyadic_cover(iv.shifted(delta))
-    if res_a or res_b:  # pragma: no cover - exact covers by construction
-        raise ValueError("paired_coverings requires exactly tileable intervals")
-
-    queue_a, queue_b = deque(cover_a), deque(cover_b)
-    out_a: list[DyadicInterval] = []
-    out_b: list[DyadicInterval] = []
-    while queue_a and queue_b:
-        head_a, head_b = queue_a[0], queue_b[0]
-        if head_a.length == head_b.length:
-            out_a.append(queue_a.popleft())
-            out_b.append(queue_b.popleft())
-            continue
-        queue = queue_a if head_a.length > head_b.length else queue_b
-        first, second = queue.popleft().children()
-        queue.appendleft(second)
-        queue.appendleft(first)
-        if len(queue) > 1 and queue[0].length < queue[1].length:
-            raise RuntimeError("cover queue lost its size ordering")
-    if queue_a or queue_b:
-        raise RuntimeError("paired covers did not exhaust together")
-    return out_a, out_b
-
-
-def common_predecessor(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
-    """Smallest dyadic cell containing both cells (their closest common root)."""
-    while a.generation > b.generation:
-        a = a.predecessor()
-    while b.generation > a.generation:
-        b = b.predecessor()
-    for _ in range(_MAX_LIFTS):
-        if a == b:
-            return a
-        a = a.predecessor()
-        b = b.predecessor()
-    raise RuntimeError("common predecessor not found")  # pragma: no cover
-
-
-def dyadic_distance(a: DyadicInterval, b: DyadicInterval) -> int:
-    """Tree distance: generations from each cell up to the common root."""
-    root = common_predecessor(a, b)
-    return (a.generation - root.generation) + (b.generation - root.generation)
-
-
-def box_lattice(interval, depth: int) -> Iterator[tuple[Fraction, Fraction, float]]:
-    """Midpoint samples ``(x, h, weight)`` of the box ``I x (0, |I|]``.
-
-    Layer ``n`` (0-based) splits ``I`` into ``2^(n+1)`` cells and represents
-    the height band ``[|I| 2^-(n+1), |I| 2^-n)`` by its midpoint
-    ``h = 3 |I| 2^-(n+2)``; ``weight`` is the cell width times
-    ``log 2``, the exact ``dx dh/h`` mass of the (cell x band) box.  Summing
-    ``weight`` over ``depth`` layers gives ``|I| * depth * log 2`` exactly.
-    """
-    iv = _as_real(interval)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    for n in range(depth):
-        cells = 1 << (n + 1)
-        width = iv.length / cells
-        h = 3 * width / 2
-        weight = float(width) * _LN2
-        for j in range(cells):
-            x = iv.left + (2 * j + 1) * width / 2
-            yield x, h, weight
-
-
-class ShiftedDyadicGrid:
-    """The dyadic grid translated left by a fixed rational shift.
-
-    Cells keep their (generation, offset) addresses; :meth:`realize` maps an
-    address to its translated footprint, and queries on real intervals are
-    answered by shifting the query into base coordinates.
-    """
-
-    __slots__ = ("shift",)
-
-    def __init__(self, shift=0):
-        self.shift = _coerce(shift)
-
-    def realize(self, cell: DyadicInterval) -> RealInterval:
-        return cell.as_real().shifted(-self.shift)
-
-    def containing(self, interval) -> DyadicInterval:
-        return containing_dyadic(_as_real(interval).shifted(self.shift))
-
-    def cover(
-        self, interval, min_generation: int | None = None
-    ) -> tuple[list[DyadicInterval], Fraction]:
-        return dyadic_cover(_as_real(interval).shifted(self.shift), min_generation)
-
-    def __repr__(self):
-        return f"ShiftedDyadicGrid({self.shift})"

@@ -363,16 +363,18 @@ def lp_norm(leaf_field: np.ndarray, p: float, dim: int = 1) -> float:
     return float((np.abs(field) ** p).mean() ** (1.0 / p))
 
 
-def default_eps_grid(f: SampledFunction, points_per_octave: int = 2) -> list[float]:
+def _geometric_grid(norm: float, lowest: int) -> list[float]:
+    """Levels ``norm * 2^(j/2)`` for ``j = lowest .. 2``, or ``[0.0]`` if ``norm`` is 0."""
+    if norm == 0.0:
+        return [0.0]
+    return [norm * 2.0 ** (j / 2) for j in range(lowest, 3)]
+
+
+def default_eps_grid(f: SampledFunction) -> list[float]:
     """Ascending geometric level grid tied to the dyadic seminorm of ``f``.
 
     Runs from ``2^-10`` times to twice the seminorm in ``sqrt(2)`` steps (so
     the seminorm itself is a grid point).  A function with zero seminorm gets
     the single level 0, where every density already vanishes.
     """
-    norm = dyadic_zygmund_seminorm(f)
-    if norm == 0.0:
-        return [0.0]
-    steps = 10 * points_per_octave
-    top = points_per_octave
-    return [norm * 2.0 ** (j / points_per_octave) for j in range(-steps, top + 1)]
+    return _geometric_grid(dyadic_zygmund_seminorm(f), -20)

@@ -22,7 +22,6 @@ __all__ = [
     "hat_function",
     "lacunary_function",
     "linear_function",
-    "martingale_suite",
     "one_split_measure",
     "parabola_function",
     "random_jump_martingale",
@@ -177,11 +176,6 @@ def function_suite(depth: int, seed: int = 0) -> list[tuple[str, SampledFunction
         ("weierstrass", weierstrass_function(depth)),
         ("random-jumps", integrate(random_jump_martingale(depth, seed=seed))),
     ]
-
-
-def martingale_suite(depth: int, count: int, seed: int = 0) -> list[DyadicMartingale]:
-    """``count`` independent quantised random martingales."""
-    return [random_martingale(depth, seed=seed + i) for i in range(count)]
 
 
 def _interleave(blocks: np.ndarray, dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zygdist.dyadic import DyadicInterval, RealInterval
+from zygdist.dyadic import RealInterval, _coerce
 
 __all__ = [
     "DyadicMartingale",
@@ -33,10 +33,6 @@ __all__ = [
     "thresholded_jump_count",
     "window_parseval",
 ]
-
-
-def _coerce(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _log2_exact(fr: Fraction) -> int:
@@ -229,7 +225,7 @@ def integrate(S: DyadicMartingale) -> SampledFunction:
     return SampledFunction(values, left=S.root.left, log2_spacing=_log2_exact(leaf_width))
 
 
-def second_difference_dyadic(f: SampledFunction, cell) -> float:
+def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
     """Second difference of ``f`` centred on a cell, at half the cell length.
 
     For the cell ``[a, b)`` with midpoint ``m`` and ``h = (b - a)/2`` this is
@@ -237,8 +233,6 @@ def second_difference_dyadic(f: SampledFunction, cell) -> float:
     slopes so it matches the jump arithmetic bit for bit: it equals twice the
     jump of :func:`average_growth` on the right child (minus twice the left).
     """
-    if isinstance(cell, DyadicInterval):
-        cell = cell.as_real()
     a, b, m = cell.left, cell.right, cell.midpoint
     va = f.value_at_index(f.index_of(a))
     vm = f.value_at_index(f.index_of(m))

@@ -15,11 +15,11 @@ level.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 
+from zygdist.functionals import _LN2
 from zygdist.martingale import DyadicMartingale, _block_sum, _expand
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "measure_zygmund_norm",
 ]
 
-_LN2 = math.log(2.0)
-
 
 def _block_max(arr: np.ndarray, dim: int) -> np.ndarray:
     """Maximum over 2x...x2 blocks, halving every axis."""
@@ -47,6 +45,17 @@ def _block_max(arr: np.ndarray, dim: int) -> np.ndarray:
             shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
         ).max(axis=axis + 1)
     return arr
+
+
+def _summed_area(field: np.ndarray) -> np.ndarray:
+    """Prefix sums along every axis, with a leading row of zeros on each."""
+    table = field
+    for axis in range(field.ndim):
+        table = np.cumsum(table, axis=axis)
+        pad = [(0, 0)] * field.ndim
+        pad[axis] = (1, 0)
+        table = np.pad(table, pad)
+    return table
 
 
 class GridMeasure:
@@ -65,13 +74,7 @@ class GridMeasure:
         self.masses = masses
         self.dim = masses.ndim
         self.depth = depth
-        table = masses
-        for axis in range(self.dim):
-            table = np.cumsum(table, axis=axis)
-            pad = [(0, 0)] * self.dim
-            pad[axis] = (1, 0)
-            table = np.pad(table, pad)
-        self._table = table
+        self._table = _summed_area(masses)
 
     @property
     def total(self) -> float:
@@ -301,13 +304,7 @@ def _box_functional(mu: GridMeasure, depth: int, per_sample) -> float:
             p = N - g - n - 2
             if p not in layer_values:
                 field = per_sample(_box_layer_indicator(mu, 1 << p))
-                table = field
-                for axis in range(d):
-                    table = np.cumsum(table, axis=axis)
-                    pad = [(0, 0)] * d
-                    pad[axis] = (1, 0)
-                    table = np.pad(table, pad)
-                layer_values[p] = table
+                layer_values[p] = _summed_area(field)
             table = layer_values[p]
             edges = np.arange((1 << g) + 1, dtype=np.int64) * (1 << (n + 1))
             sums = np.zeros((1 << g,) * d)

@@ -17,13 +17,15 @@ import numpy as np
 
 from zygdist.functionals import (
     _gather,
+    _geometric_grid,
+    _growth_ratio,
     box_square_energy,
     cone_levelset_count,
     levelset_tree_density,
     lp_norm,
     zygmund_seminorm,
 )
-from zygdist.generators import function_suite, random_martingale
+from zygdist.generators import _rng, function_suite, random_martingale
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
@@ -69,12 +71,6 @@ def stability_factor(shallow: RatioReport, deep: RatioReport) -> float:
     if shallow.max_ratio == 0.0:
         return 1.0 if deep.max_ratio == 0.0 else math.inf
     return deep.max_ratio / shallow.max_ratio
-
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
-    )
 
 
 def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.ndarray:
@@ -531,17 +527,7 @@ def run_lemma_suite(seed: int = 0, samples: int = 10000) -> dict:
 
 
 def _bounded(shallow: float, deep: float, tau: float) -> bool:
-    if deep == 0.0:
-        return True
-    if shallow == 0.0:
-        return False
-    return deep / shallow <= 1.0 + tau
-
-
-def _consistency_grid(norm: float) -> list:
-    if norm == 0.0:
-        return [0.0]
-    return [norm * 2.0 ** (j / 2.0) for j in range(-12, 3)]
+    return _growth_ratio(shallow, deep) <= 1.0 + tau
 
 
 def verify_strichartz_consistency(
@@ -565,7 +551,7 @@ def verify_strichartz_consistency(
         if name == "weierstrass":
             continue  # not grid-quantised; excluded from exact suite checks
         norm = dyadic_zygmund_seminorm(f)
-        grid = _consistency_grid(norm)
+        grid = _geometric_grid(norm, -12)
         energy_ok = _bounded(
             box_square_energy(f, depth=d_shallow),
             box_square_energy(f, depth=d_deep),

@@ -75,7 +75,8 @@ def test_dyadic_decompose_identity_and_bound():
         dec = dyadic_decompose(f, eps)
         assert np.array_equal(dec.rough.values + dec.small.values, f.values)
         assert dyadic_zygmund_seminorm(dec.small) <= eps
-        assert 2.0 * star_norm(dec.dropped) <= eps
+        dropped = martingale_difference(average_growth(f), dec.kept)
+        assert 2.0 * star_norm(dropped) <= eps
 
 
 def test_truncation_consistent_with_tree_density():

@@ -148,6 +148,23 @@ def test_measure_dim_outside_one_two_rejected(tmp_path, dim):
     assert main(["measure", "--in", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--kind", "hat", "--depth", "25"], ["--kind", "cascade", "--dim", "2", "--depth", "13"]],
+    ids=["hat-25", "cascade-2d-13"],
+)
+def test_generate_size_cap(tmp_path, monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generator called past the size cap")
+
+    monkeypatch.setattr("zygdist.cli.hat_function", unreachable)
+    monkeypatch.setattr("zygdist.cli.cascade_measure", unreachable)
+    out = tmp_path / "big.json"
+    assert main(["generate", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert "size cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rejects_bad_rational(tmp_path):
     code = main(["generate", "--kind", "lacunary", "--depth", "6",
                  "--coefficient", "abc", "--out", str(tmp_path / "x.json")])
@@ -272,8 +289,11 @@ def test_reports_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["distance-ibmo", "--in", path, "--depths", "4,8"]
     assert main([*argv, "--out", str(out_a)]) == EXIT_OK
-    assert main([*argv, "--threads", "8", "--out", str(out_b)]) == EXIT_OK
+    assert main([*argv, "--out", str(out_b)]) == EXIT_OK
     assert out_a.read_bytes() == out_b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "8", "--out", str(out_b)])
+    assert exc.value.code == 2
 
 
 def test_timing_flag_adds_wall_time(tmp_path):

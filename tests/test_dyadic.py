@@ -1,4 +1,4 @@
-"""Geometry oracles and invariants for the shifted dyadic grid."""
+"""Exact interval bookkeeping, and the lattice and tree-distance oracles."""
 
 import math
 from fractions import Fraction
@@ -7,257 +7,56 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zygdist.dyadic import (
-    DyadicInterval,
-    RealInterval,
-    ShiftedDyadicGrid,
-    box_lattice,
-    common_predecessor,
-    containing_dyadic,
-    dyadic_cover,
-    dyadic_distance,
-    interval_of,
-    mesh_shift,
-    paired_coverings,
-)
+from reference import box_lattice, unit_tree_distance
+from zygdist.dyadic import RealInterval
 
-cells = st.builds(
-    DyadicInterval,
-    st.integers(min_value=-12, max_value=12),
-    st.integers(min_value=-(2**14), max_value=2**14),
+unit_cells = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
 )
 
 
-# -- frozen endpoint oracles -------------------------------------------------
+# -- real intervals ------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "generation,expected",
-    [(0, 0), (-1, 1), (-2, 1), (-3, 5), (-4, 5), (-5, 21), (-6, 21), (3, 0)],
-)
-def test_mesh_shift_values(generation, expected):
-    assert mesh_shift(generation) == expected
-
-
-@pytest.mark.parametrize(
-    "generation,offset,left,right",
-    [
-        (0, 0, 0, 1),
-        (0, -1, -1, 0),
-        (3, 5, Fraction(5, 8), Fraction(6, 8)),
-        (-1, 0, -1, 1),
-        (-2, 0, -1, 3),
-        (-3, 0, -5, 3),
-        (-4, 0, -5, 11),
-    ],
-)
-def test_interval_of_endpoints(generation, offset, left, right):
-    cell = interval_of(generation, offset)
-    assert cell.left == left
-    assert cell.right == right
-    assert cell.length == right - left
-
-
-def test_predecessor_chain_of_unit_cell():
-    cell = interval_of(0, 0)
-    spans = [(0, 1), (-1, 1), (-1, 3), (-5, 3), (-5, 11), (-21, 11)]
-    for left, right in spans:
-        assert (cell.left, cell.right) == (left, right)
-        cell = cell.predecessor()
-
-
-def test_children_oracles():
-    assert interval_of(-1, 0).children() == (interval_of(0, -1), interval_of(0, 0))
-    first, second = interval_of(-2, 0).children()
-    assert (first.left, first.right) == (-1, 1)
-    assert (second.left, second.right) == (1, 3)
-    assert interval_of(2, 1).children() == (interval_of(3, 2), interval_of(3, 3))
-
-
-# -- structural invariants ---------------------------------------------------
-
-
-@given(cells)
-def test_children_partition_parent(cell):
-    first, second = cell.children()
-    assert first.predecessor() == cell
-    assert second.predecessor() == cell
-    assert first.left == cell.left
-    assert first.right == second.left
-    assert second.right == cell.right
-
-
-@given(cells)
-def test_predecessor_contains_and_doubles(cell):
-    parent = cell.predecessor()
-    assert parent.contains(cell)
-    assert parent.length == 2 * cell.length
-    assert cell in parent.children()
-
-
-@given(cells)
-def test_sibling_is_disjoint_other_half(cell):
-    sib = cell.sibling()
-    assert sib != cell
-    assert sib.predecessor() == cell.predecessor()
-    assert sib.length == cell.length
-
-
-# -- containing cell ---------------------------------------------------------
-
-
-def test_containing_dyadic_oracles():
-    assert containing_dyadic(RealInterval(Fraction(1, 10), Fraction(2, 5))) == interval_of(1, 0)
-    assert containing_dyadic(RealInterval(Fraction(3, 5), Fraction(4, 5))) == interval_of(1, 1)
-    assert containing_dyadic(RealInterval(Fraction(-1, 2), Fraction(1, 2))) == interval_of(-1, 0)
-    assert containing_dyadic(RealInterval(0, 1)) == interval_of(0, 0)
-    assert containing_dyadic(interval_of(5, 11)) == interval_of(5, 11)
-
-
-fractions = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=2**12
-)
-
-
-@given(fractions, fractions)
-def test_containing_dyadic_is_minimal(a, b):
-    if a == b:
-        b = a + Fraction(1, 2**12)
-    iv = RealInterval(min(a, b), max(a, b))
-    cell = containing_dyadic(iv)
-    assert cell.contains(iv)
-    for child in cell.children():
-        assert not child.contains(iv)
-
-
-# -- covers -------------------------------------------------------------------
-
-
-def test_cover_oracles():
-    cover, residual = dyadic_cover(RealInterval(Fraction(1, 4), 1))
-    assert cover == [interval_of(1, 1), interval_of(2, 1)]
-    assert residual == 0
-
-    cover, residual = dyadic_cover(RealInterval(Fraction(1, 8), Fraction(5, 8)))
-    assert [c.length for c in cover] == [Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
-    assert cover[0] == interval_of(2, 1)
-    assert residual == 0
-
-
-def test_cover_truncation_reports_residual():
-    iv = RealInterval(Fraction(1, 10), Fraction(2, 5))
-    cover, residual = dyadic_cover(iv, min_generation=8)
-    assert 0 < residual < 2 * Fraction(1, 2**8)
-    assert sum(c.length for c in cover) + residual == iv.length
-    with pytest.raises(ValueError):
-        dyadic_cover(iv)
-
-
-@given(
-    st.integers(min_value=-300, max_value=300),
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=0, max_value=8),
-)
-def test_cover_properties(numerator, cells_count, scale):
-    denom = 2**scale
-    iv = RealInterval(Fraction(numerator, denom), Fraction(numerator + cells_count, denom))
-    cover, residual = dyadic_cover(iv)
-    assert residual == 0
-    # tiles the interval, in decreasing-length then left-to-right order
-    assert sum(c.length for c in cover) == iv.length
-    lengths = [c.length for c in cover]
-    assert lengths == sorted(lengths, reverse=True)
-    for first, second in zip(cover, cover[1:]):
-        if first.length == second.length:
-            assert first.left < second.left
-    # maximality: no cell's predecessor fits inside the interval
-    for cell in cover:
-        assert iv.contains(cell.as_real())
-        assert not iv.contains(cell.predecessor().as_real())
-    # two-apart halving
-    for j in range(len(lengths) - 2):
-        assert lengths[j + 2] <= lengths[j] / 2
-
-
-# -- paired covers ------------------------------------------------------------
-
-
-def test_paired_coverings_oracles():
-    left, right = paired_coverings(RealInterval(Fraction(1, 8), Fraction(5, 8)))
-    assert [c.length for c in left] == [Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
-    assert [c.length for c in right] == [c.length for c in left]
-
-    left, right = paired_coverings(RealInterval(Fraction(7, 8), 2))
-    assert [c.length for c in left] == [
-        Fraction(1, 2),
-        Fraction(1, 4),
-        Fraction(1, 4),
-        Fraction(1, 8),
-    ]
-    assert [c.length for c in right] == [c.length for c in left]
-
-
-@given(
-    st.integers(min_value=-200, max_value=200),
-    st.integers(min_value=1, max_value=150),
-    st.integers(min_value=0, max_value=7),
-)
-def test_paired_coverings_properties(numerator, cells_count, scale):
-    denom = 2**scale
-    iv = RealInterval(Fraction(numerator, denom), Fraction(numerator + cells_count, denom))
-    left, right = paired_coverings(iv)
-    shifted = iv.shifted(-iv.length)
-    assert [c.length for c in left] == [c.length for c in right]
-    assert sum(c.length for c in left) == iv.length
-    assert all(iv.contains(c.as_real()) for c in left)
-    assert all(shifted.contains(c.as_real()) for c in right)
-    lengths = [c.length for c in left]
-    for j in range(len(lengths) - 2):
-        assert lengths[j + 2] <= lengths[j] / 2
-
-
-def test_paired_coverings_translate_when_length_dyadic():
-    # when |I| = 2^-n the right cover is the left cover translated by -|I|
-    iv = RealInterval(Fraction(3, 16), Fraction(7, 16))
-    left, right = paired_coverings(iv)
-    for a, b in zip(left, right):
-        assert a.length == b.length
-        assert a.left - iv.length == b.left
+def test_real_interval_is_exact():
+    iv = RealInterval(0.1, Fraction(1, 2))
+    assert iv.left == Fraction(0.1)  # the float's exact binary value
+    assert iv.length == Fraction(1, 2) - Fraction(0.1)
+    assert RealInterval(-1, 3).midpoint == 1
+    assert RealInterval(0, 1) == RealInterval(Fraction(0), 1.0)
+    assert len({RealInterval(0, 1), RealInterval(0, 1), RealInterval(0, 2)}) == 2
+    for left, right in [(1, 1), (2, 1)]:
+        with pytest.raises(ValueError):
+            RealInterval(left, right)
 
 
 # -- tree metric ---------------------------------------------------------------
 
 
 def test_distance_oracles():
-    assert dyadic_distance(interval_of(3, 4), interval_of(3, 4)) == 0
-    assert dyadic_distance(interval_of(1, 0), interval_of(1, 1)) == 2
-    assert dyadic_distance(interval_of(2, 0), interval_of(2, 3)) == 4
-    assert dyadic_distance(interval_of(0, 0), interval_of(1, 1)) == 1
-    assert common_predecessor(interval_of(2, 0), interval_of(2, 3)) == interval_of(0, 0)
-    # crossing the unit cell boundary forces a climb into negative generations
-    assert common_predecessor(interval_of(0, 0), interval_of(0, -1)) == interval_of(-1, 0)
-    assert dyadic_distance(interval_of(0, 1), interval_of(0, 0)) == 4
+    assert unit_tree_distance((3, 4), (3, 4)) == 0
+    assert unit_tree_distance((1, 0), (1, 1)) == 2
+    assert unit_tree_distance((2, 0), (2, 3)) == 4
+    assert unit_tree_distance((0, 0), (1, 1)) == 1
+    assert unit_tree_distance((3, 7), (2, 3)) == 1
+    assert unit_tree_distance((3, 3), (3, 4)) == 6  # common ancestor: the root
 
 
-@given(cells, cells)
+@given(unit_cells, unit_cells)
 def test_distance_properties(a, b):
-    root = common_predecessor(a, b)
-    assert root.contains(a) and root.contains(b)
-    d = dyadic_distance(a, b)
-    assert d == dyadic_distance(b, a)
-    assert d >= 0
+    d = unit_tree_distance(a, b)
+    assert d == unit_tree_distance(b, a)
+    assert abs(a[0] - b[0]) <= d <= a[0] + b[0]
+    assert (d - a[0] - b[0]) % 2 == 0
     assert (d == 0) == (a == b)
-    # the common predecessor is minimal: its children fail to contain both
-    if root != a or root != b:
-        for child in root.children():
-            assert not (child.contains(a) and child.contains(b))
 
 
-@given(cells)
+@given(unit_cells)
 def test_distance_to_parent_is_one(cell):
-    assert dyadic_distance(cell, cell.predecessor()) == 1
-    first, second = cell.children()
-    assert dyadic_distance(first, second) == 2
+    n, j = cell
+    if n > 0:
+        assert unit_tree_distance(cell, (n - 1, j >> 1)) == 1
+    assert unit_tree_distance((n + 1, 2 * j), (n + 1, 2 * j + 1)) == 2
 
 
 # -- box lattice ---------------------------------------------------------------
@@ -271,7 +70,7 @@ def test_box_lattice_total_mass_and_bands():
     total = sum(w for _, _, w in samples)
     assert math.isclose(total, depth * math.log(2.0), rel_tol=1e-12)
     for x, h, _ in samples:
-        assert iv.contains_point(x)
+        assert iv.left <= x < iv.right
         # h sits in the dyadic band its layer represents
         band = h / Fraction(3, 2)
         assert iv.length / 2**depth <= band <= iv.length
@@ -284,23 +83,3 @@ def test_box_lattice_respects_interval_position():
         assert iv.left < x < iv.right
         assert 0 < h < iv.length
         assert w > 0
-
-
-# -- shifted grids --------------------------------------------------------------
-
-
-def test_shifted_grid_realize_and_containing():
-    grid = ShiftedDyadicGrid(Fraction(1, 4))
-    cell = grid.containing(RealInterval(0, Fraction(1, 2)))
-    footprint = grid.realize(cell)
-    assert footprint.contains(RealInterval(0, Fraction(1, 2)))
-    # the footprint is the base-grid cell shifted back
-    assert footprint.left == cell.left - Fraction(1, 4)
-
-
-@given(st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=64))
-def test_shifted_grid_consistency(shift):
-    grid = ShiftedDyadicGrid(shift)
-    target = RealInterval(Fraction(1, 3), Fraction(2, 3))
-    cell = grid.containing(target)
-    assert grid.realize(cell).contains(target)

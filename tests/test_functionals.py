@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zygdist.dyadic import RealInterval, box_lattice
+from reference import box_lattice
+from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
     DepthProfile,
     box_square_energy,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zygdist.dyadic import RealInterval, interval_of
+from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     hat_function,
     lacunary_function,
@@ -74,7 +74,7 @@ def test_second_difference_matches_twice_the_jump():
 
 
 def test_second_difference_dyadic_hat():
-    assert second_difference_dyadic(hat_function(5), interval_of(0, 0)) == -2.0
+    assert second_difference_dyadic(hat_function(5), RealInterval(0, 1)) == -2.0
 
 
 def test_averaging_property_validates():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zygdist.dyadic import DyadicInterval, dyadic_distance
+from reference import unit_tree_distance
 from zygdist.generators import (
+    _rng,
     cascade_measure,
     hat_function,
     lacunary_function,
@@ -21,8 +24,8 @@ from zygdist.martingale import integrate
 from zygdist.measures import GridMeasure
 from zygdist.verification import (
     RatioReport,
+    _bounded,
     _log_uniform,
-    _rng,
     _unit_tree_cells,
     _unit_tree_distance,
     check_equal_centre,
@@ -59,6 +62,21 @@ def test_stability_factor_rules():
     assert stability_factor(c, d) == 1.5
 
 
+sizes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+
+
+@given(sizes, sizes, st.floats(min_value=0.0, max_value=1e3))
+def test_bounded_is_the_three_case_rule(shallow, deep, tau):
+    # 0 -> 0 is bounded, growth from 0 is not, otherwise the ratio decides
+    if deep == 0.0:
+        expected = True
+    elif shallow == 0.0:
+        expected = False
+    else:
+        expected = deep / shallow <= 1.0 + tau
+    assert _bounded(shallow, deep, tau) is expected
+
+
 def test_log_uniform_range_and_coverage():
     rng = _rng(0, 99)
     values = _log_uniform(rng, 1, 64, 20000)
@@ -84,7 +102,7 @@ def test_unit_tree_distance_matches_interval_distance():
     dist = _unit_tree_distance(4)
     for a, (n, j) in enumerate(cells):
         for b, (m, k) in enumerate(cells):
-            expected = dyadic_distance(DyadicInterval(n, j), DyadicInterval(m, k))
+            expected = unit_tree_distance((n, j), (m, k))
             assert dist[a, b] == expected
 
 
