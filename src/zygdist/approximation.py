@@ -14,7 +14,6 @@ translate, truncate on an enlarged window, integrate back and average.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from zygdist.martingale import (
 __all__ = [
     "ContinuousDecomposition",
     "DistanceReport",
-    "bmo_translation_average",
+    "DyadicDecomposition",
     "continuous_decompose",
     "distance_report",
     "dyadic_decompose",
@@ -146,7 +145,7 @@ def distance_report(
     for eps in eps_grid:
         B = truncate_jumps(S, eps / 2.0)
         measured.append(2.0 * star_norm(martingale_difference(S, B)))
-    profile = density_profile(f, eps_grid, depths, kind="tree")
+    profile = density_profile(f, eps_grid, depths)
     return DistanceReport(
         eps=eps_grid,
         measured_distance=measured,
@@ -187,56 +186,6 @@ def translation_average(family, R: int, depth: int | None = None) -> SampledFunc
         acc[base : base + (1 << N) + 1] += member.values
     acc /= M
     return SampledFunction(acc, left=-R, log2_spacing=-N)
-
-
-def bmo_translation_average(family, R: int) -> tuple[np.ndarray, float]:
-    """Average mean-zero leaf fields over translated grids and measure BMO.
-
-    ``family`` is a sequence of per-cell fields on the unit interval, each
-    with mean zero (up to 1e-10).  Returns the averaged field on the cells
-    of ``[-R, 1 + R]`` and the largest root-mean-square oscillation over
-    dyadic windows of every generation that meets the support (the field is
-    extended by zero outside).
-    """
-    fields = [np.asarray(b, dtype=np.float64) for b in family]
-    cells = fields[0].size
-    N = cells.bit_length() - 1
-    if cells != 1 << N:
-        raise ValueError("fields must have a power-of-two number of cells")
-    M = R << N
-    if len(fields) != M:
-        raise ValueError(f"family must have R * 2^N = {M} members")
-    for b in fields:
-        if abs(float(b.mean())) > 1e-10:
-            raise ValueError("fields must have mean zero")
-    out = np.zeros((1 + 2 * R) << N)
-    for i, b in enumerate(fields):
-        base = (2 * R << N) - 2 * i - 1
-        out[base : base + cells] += b
-    out /= M
-
-    s1 = np.concatenate(([0.0], np.cumsum(out)))
-    s2 = np.concatenate(([0.0], np.cumsum(out * out)))
-    total = out.size  # cells spanning [-R, 1 + R], measure 2^-N each
-    best = 0.0
-    n = N
-    while True:
-        width = 1 << (N - n) if n >= 0 else (1 << N) << (-n)
-        lo_k = -(R << n) if n >= 0 else -math.ceil(R / (1 << (-n)))
-        hi_k = ((1 + R) << n) if n >= 0 else math.ceil((1 + R) / (1 << (-n)))
-        for k in range(lo_k, hi_k):
-            a = max(k * width + (R << N), 0)
-            b_idx = min(k * width + width + (R << N), total)
-            if b_idx <= a:
-                continue
-            mass = s1[b_idx] - s1[a]
-            energy = s2[b_idx] - s2[a]
-            osc = energy / width - (mass / width) ** 2
-            best = max(best, osc)
-        if width >= total:
-            break
-        n -= 1
-    return out, math.sqrt(max(best, 0.0))
 
 
 # Translates are truncated in chunks of about this many window samples

@@ -219,12 +219,6 @@ def _parse_eps_grid(text: str, auto: list[float]) -> list[float]:
     return sorted(grid)
 
 
-def _parameters(args, **extra) -> dict:
-    params = {"seed": args.seed}
-    params.update(extra)
-    return _jsonable(params)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -415,10 +409,10 @@ def cmd_measure(args) -> tuple[dict, int]:
     mu = load_measure(payload)
     depths = _parse_depths(args.depths, [max(1, mu.depth - 2), mu.depth])
     _require(max(depths) <= mu.depth, "requested depth exceeds the grid depth")
-    auto = _geometric_grid(measure_zygmund_norm(mu, mode="dyadic"), -20)
-    grid = _parse_eps_grid(args.eps_grid, auto)
+    dyadic_norm = measure_zygmund_norm(mu, mode="dyadic")
+    grid = _parse_eps_grid(args.eps_grid, _geometric_grid(dyadic_norm, -20))
     norm_rows = [
-        ["dyadic_zygmund", measure_zygmund_norm(mu, mode="dyadic")],
+        ["dyadic_zygmund", dyadic_norm],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
     ]
     density_rows = [
@@ -566,6 +560,39 @@ def cmd_generate(args) -> tuple[dict, int]:
 # argument surface
 
 
+# Every report prints these in ``parameters``; a command without the flag
+# prints the default.
+_REPORTED_DEFAULTS = {"seed": 0, "tau": 0.1, "interpolate": False}
+
+_FLAGS = {
+    "--seed": {"type": int, "default": _REPORTED_DEFAULTS["seed"]},
+    "--depths": {"help": "comma-separated depth list"},
+    "--eps-grid": {
+        "default": "auto",
+        "help": "'auto' or a comma-separated list of levels",
+    },
+    "--tau": {"type": float, "default": _REPORTED_DEFAULTS["tau"]},
+    "--interpolate": {"action": "store_true"},
+}
+
+# (name, handler, reads an input file, the flags it reads)
+_COMMANDS = [
+    ("seminorm", cmd_seminorm, True, ()),
+    ("strichartz", cmd_strichartz, True, ("--depths", "--eps-grid")),
+    (
+        "distance-ibmo",
+        cmd_distance,
+        True,
+        ("--depths", "--eps-grid", "--tau", "--interpolate"),
+    ),
+    ("decompose", cmd_decompose, True, ("--eps-grid",)),
+    ("sobolev", cmd_sobolev, True, ("--eps-grid",)),
+    ("measure", cmd_measure, True, ("--depths", "--eps-grid")),
+    ("verify", cmd_verify, False, ("--seed", "--tau")),
+    ("generate", cmd_generate, False, ("--seed",)),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zygdist",
@@ -573,49 +600,28 @@ def build_parser() -> argparse.ArgumentParser:
         "for dyadic regularity analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
+    commands = {}
+    for name, handler, needs_input, flags in _COMMANDS:
+        p = sub.add_parser(name)
         if needs_input:
             p.add_argument("--in", dest="input", required=True, help="input file")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--depths", help="comma-separated depth list")
-        p.add_argument(
-            "--eps-grid",
-            default="auto",
-            help="'auto' or a comma-separated list of levels",
-        )
-        p.add_argument("--tau", type=float, default=0.1)
-        p.add_argument("--interpolate", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument(
             "--timing",
             action="store_true",
             help="include wall time (makes reports differ between runs)",
         )
-
-    for name, handler in [
-        ("seminorm", cmd_seminorm),
-        ("strichartz", cmd_strichartz),
-        ("distance-ibmo", cmd_distance),
-        ("decompose", cmd_decompose),
-        ("sobolev", cmd_sobolev),
-        ("measure", cmd_measure),
-    ]:
-        p = sub.add_parser(name)
-        common(p)
         p.set_defaults(handler=handler)
+        commands[name] = p
 
-    p = sub.add_parser("verify")
-    common(p, needs_input=False)
-    p.add_argument(
+    commands["verify"].add_argument(
         "--suite",
         default="all",
         choices=["lemmas", "predecessor", "bdg", "consistency", "all"],
     )
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("generate")
-    common(p, needs_input=False)
+    p = commands["generate"]
     p.add_argument("--kind", required=True, choices=sorted(_CLASSIFICATIONS))
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dim", type=int, default=1)
@@ -624,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coefficient", default="1/2")
     p.add_argument("--ratio", default="1/2")
     p.add_argument("--thetas", help="comma-separated split sizes")
-    p.set_defaults(handler=cmd_generate)
     return parser
 
 
@@ -640,9 +645,13 @@ def _emit(report: dict, out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    parameters = {
+        name: getattr(args, name, default)
+        for name, default in _REPORTED_DEFAULTS.items()
+    }
     start = time.monotonic()
     try:
-        _require(args.tau >= 0.0, "--tau must be a non-negative number")
+        _require(parameters["tau"] >= 0.0, "--tau must be a non-negative number")
         body, code = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -650,15 +659,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "generate":
         report = body
     else:
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "parameters": _parameters(
-                args,
-                tau=args.tau,
-                interpolate=args.interpolate,
-            ),
-        }
+        report = {"schema": SCHEMA, "command": args.command, "parameters": parameters}
         report.update(body)
     if args.timing:
         report["wall_time_s"] = time.monotonic() - start

@@ -3,13 +3,13 @@
 Three families of quantities measure how far a sampled function is from the
 smooth subspace:
 
-* pointwise first/second differences and their grid supremum (the Zygmund
-  seminorm over resolvable configurations);
-* box functionals: weighted integrals over ``I x (0, |I|]`` of the squared
-  second difference (square energy) or of the indicator that it exceeds a
-  level ``eps`` (level-set density), maximised over dyadic windows;
-* tree functionals: the measure of cells whose dyadic second difference
-  exceeds ``eps``, again maximised over windows, plus per-point cone counts.
+* the grid supremum of second differences (the Zygmund seminorm over
+  resolvable configurations);
+* the box square energy: the weighted integral over ``I x (0, |I|]`` of the
+  squared second difference;
+* level-set functionals: the measure of cells whose dyadic second difference
+  exceeds ``eps``, maximised over dyadic windows (tree density), and the
+  per-point cone counts of the same level set.
 
 Limits in depth are replaced by depth profiles: a profile is judged bounded
 when its deepest value is within a factor ``1 + tau`` of its shallowest.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,54 +35,13 @@ __all__ = [
     "ThresholdEstimate",
     "box_square_energy",
     "cone_levelset_count",
-    "cone_square_energy",
     "default_eps_grid",
     "density_profile",
     "estimate_threshold",
-    "exceeds_level",
-    "first_difference",
-    "levelset_box_density",
     "levelset_tree_density",
     "lp_norm",
-    "second_difference",
     "zygmund_seminorm",
 ]
-
-_LN2 = math.log(2.0)
-
-
-def first_difference(f: SampledFunction, x, h) -> float:
-    """Forward slope ``(f(x + h) - f(x)) / h`` at exact grid points."""
-    i = f.index_of(x)
-    u = f.index_of(Fraction(x) + Fraction(h)) - i
-    if u == 0:
-        raise ValueError("h must be at least one grid step")
-    return (f.value_at_index(i + u) - f.value_at_index(i)) / float(Fraction(h))
-
-
-def second_difference(f: SampledFunction, x, h) -> float:
-    """Symmetric second difference ``(f(x+h) - 2 f(x) + f(x-h)) / h``.
-
-    ``x`` and ``h`` must be grid-resolvable.  Compact functions are extended
-    by zero beyond their support; for others, off-range samples raise.
-    """
-    i = f.index_of(x)
-    u = f.index_of(Fraction(x) + Fraction(h)) - i
-    if u <= 0:
-        raise ValueError("h must be at least one grid step")
-    try:
-        vl = f.value_at_index(i - u)
-        vc = f.value_at_index(i)
-        vr = f.value_at_index(i + u)
-    except IndexError as exc:
-        raise ValueError(str(exc)) from None
-    return ((vr - vc) - (vc - vl)) / float(Fraction(h))
-
-
-def exceeds_level(f: SampledFunction, x, h, eps: float) -> bool:
-    """Whether ``(x, h)`` lies in the level set ``|second difference| > eps``."""
-    return abs(second_difference(f, x, h)) > eps
-
 
 def zygmund_seminorm(f: SampledFunction) -> float:
     """Largest ``|second difference|`` over all interior grid pairs ``(x, h)``.
@@ -149,58 +107,9 @@ def box_square_energy(
         vc = v[centers]
         d2 = ((vr - vc) - (vc - vl)) / (3 * q * spacing)
         ok = okl & okr
-        weight = 2 * q * spacing * _LN2
+        weight = 2 * q * spacing * math.log(2.0)
         total += weight * float((d2 * d2 * ok).sum())
     return total / (cells * spacing)
-
-
-def _layer_indicators(f: SampledFunction, eps: float):
-    """Per-step-size prefix sums of ``|d2| > eps`` on the global box lattice.
-
-    For each ``q = 2^p`` the lattice evaluates the second difference at
-    ``x = (2i + 1) q`` grid units with ``h = 3 q`` grid units; every dyadic
-    window's layer needs a contiguous slice of exactly these samples.
-    """
-    v = f.values
-    M = v.size - 1
-    N = M.bit_length() - 1
-    spacing = float(f.spacing)
-    prefixes = []
-    for p in range(N - 1):
-        q = 1 << p
-        centers = (2 * np.arange(M >> (p + 1), dtype=np.int64) + 1) * q
-        vl, okl = _gather(v, centers - 3 * q, f.compact)
-        vr, okr = _gather(v, centers + 3 * q, f.compact)
-        vc = v[centers]
-        d2 = ((vr - vc) - (vc - vl)) / (3 * q * spacing)
-        hit = (np.abs(d2) > eps) & okl & okr
-        prefixes.append(np.concatenate(([0], np.cumsum(hit))))
-    return prefixes
-
-
-def levelset_box_density(f: SampledFunction, eps: float, depth: int) -> float:
-    """Largest windowed box mass of the level set ``|d2| > eps``.
-
-    For every dyadic window ``I`` of generation ``0..depth`` in the sampled
-    span, integrates the level-set indicator over the box lattice of ``I``
-    (down to ``depth`` layers or the grid floor) with ``dx dh/h`` weights and
-    divides by ``|I|``; returns the maximum over windows.
-    """
-    N = f.depth
-    spacing = float(f.spacing)
-    span_length = float(f.span.length)
-    prefixes = _layer_indicators(f, eps)
-    best = 0.0
-    for g in range(min(depth, N - 2) + 1):
-        acc = np.zeros(1 << g)
-        edges = np.arange((1 << g) + 1, dtype=np.int64)
-        for n in range(min(depth - 1, N - g - 2) + 1):
-            p = N - g - n - 2
-            cuts = edges * (1 << (n + 1))
-            counts = prefixes[p][cuts[1:]] - prefixes[p][cuts[:-1]]
-            acc += counts * (2.0 ** (p + 1) * spacing * _LN2)
-        best = max(best, float(acc.max()) * 2.0**g / span_length)
-    return best
 
 
 def levelset_tree_density(source, eps: float, depth: int | None = None) -> float:
@@ -252,25 +161,14 @@ class ThresholdEstimate:
     method: str = "depth-ratio"
 
 
-def density_profile(
-    f: SampledFunction,
-    eps_grid,
-    depths,
-    kind: str = "tree",
-) -> DepthProfile:
-    """Tabulate a level-set density over a level grid and several depths."""
+def density_profile(f: SampledFunction, eps_grid, depths) -> DepthProfile:
+    """Tabulate the tree level-set density over a level grid and several depths."""
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
-    S = average_growth(f) if kind == "tree" else None
+    S = average_growth(f)
     profile = DepthProfile(depths=depths, eps=eps_grid)
     for d in depths:
-        if kind == "tree":
-            row = [levelset_tree_density(S, e, depth=d) for e in eps_grid]
-        elif kind == "box":
-            row = [levelset_box_density(f, e, depth=d) for e in eps_grid]
-        else:
-            raise ValueError(f"unknown profile kind {kind!r}")
-        profile.values.append(row)
+        profile.values.append([levelset_tree_density(S, e, depth=d) for e in eps_grid])
     return profile
 
 
@@ -327,7 +225,8 @@ def _cone_samples(f: SampledFunction, depth: int):
         yield u, d2, okl & okr
 
 
-def _cone_accumulate(f: SampledFunction, depth: int, per_sample) -> np.ndarray:
+def cone_levelset_count(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
+    """Per-leaf sqrt of the cone mass of the level set ``|d2| > eps``."""
     N = f.depth
     acc = np.zeros(1 << N)
     apex = np.arange(1 << N, dtype=np.int64)
@@ -336,30 +235,16 @@ def _cone_accumulate(f: SampledFunction, depth: int, per_sample) -> np.ndarray:
             s = apex + offset
             inside = (s >= 0) & (s < d2.size)
             s = np.clip(s, 0, d2.size - 1)
-            val = per_sample(d2[s]) * ok[s] * inside
+            val = (np.abs(d2[s]) > eps).astype(np.float64) * ok[s] * inside
             acc += (4.0 / 9.0) * val
-    return acc
+    return np.sqrt(acc)
 
 
-def cone_levelset_count(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
-    """Per-leaf sqrt of the cone mass of the level set ``|d2| > eps``."""
-    counts = _cone_accumulate(f, depth, lambda d2: (np.abs(d2) > eps).astype(np.float64))
-    return np.sqrt(counts)
-
-
-def cone_square_energy(f: SampledFunction, depth: int) -> np.ndarray:
-    """Per-leaf sqrt of the cone integral of the squared second difference."""
-    energy = _cone_accumulate(f, depth, lambda d2: d2 * d2)
-    return np.sqrt(energy)
-
-
-def lp_norm(leaf_field: np.ndarray, p: float, dim: int = 1) -> float:
+def lp_norm(leaf_field: np.ndarray, p: float) -> float:
     """``L^p`` norm of a per-leaf field over the unit cell, ``1 < p < inf``."""
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
     field = np.asarray(leaf_field, dtype=np.float64)
-    if dim > 1 and field.shape != (field.shape[0],) * dim:
-        raise ValueError("field shape does not match dim")
     return float((np.abs(field) ** p).mean() ** (1.0 / p))
 
 

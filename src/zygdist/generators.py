@@ -22,7 +22,6 @@ __all__ = [
     "hat_function",
     "lacunary_function",
     "linear_function",
-    "one_split_measure",
     "parabola_function",
     "random_jump_martingale",
     "random_martingale",
@@ -220,20 +219,3 @@ def cascade_measure(
         masses = _interleave(blocks, dim)
     return masses
 
-
-def one_split_measure(dim: int, depth: int, theta=Fraction(1, 4)) -> np.ndarray:
-    """Mass field that splits unevenly at the root only, uniform below.
-
-    The first child of the root gets ``(1 + theta)/2^dim`` of the mass, the
-    last gets ``(1 - theta)/2^dim`` (other children, if any, stay even), and
-    every deeper split is uniform.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    theta = Fraction(theta)
-    children = np.full((2,) * dim, 1.0 / 2**dim)
-    children[(0,) * dim] = float(Fraction(1 + theta, 2**dim))
-    children[(1,) * dim] = float(Fraction(1 - theta, 2**dim))
-    sub = 2 ** (depth - 1)  # cells per axis below the first split
-    uniform = np.full((sub,) * dim, 1.0 / float(sub) ** dim)
-    return np.kron(children, uniform)

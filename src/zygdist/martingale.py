@@ -28,7 +28,6 @@ __all__ = [
     "integrate",
     "maximal_function",
     "quadratic_characteristic",
-    "second_difference_dyadic",
     "star_norm",
     "thresholded_jump_count",
     "window_parseval",
@@ -223,22 +222,6 @@ def integrate(S: DyadicMartingale) -> SampledFunction:
     increments = S.leaf * float(leaf_width)
     values = np.concatenate(([0.0], np.cumsum(increments)))
     return SampledFunction(values, left=S.root.left, log2_spacing=_log2_exact(leaf_width))
-
-
-def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
-    """Second difference of ``f`` centred on a cell, at half the cell length.
-
-    For the cell ``[a, b)`` with midpoint ``m`` and ``h = (b - a)/2`` this is
-    ``(f(b) - 2 f(m) + f(a)) / h``, evaluated as a difference of one-sided
-    slopes so it matches the jump arithmetic bit for bit: it equals twice the
-    jump of :func:`average_growth` on the right child (minus twice the left).
-    """
-    a, b, m = cell.left, cell.right, cell.midpoint
-    va = f.value_at_index(f.index_of(a))
-    vm = f.value_at_index(f.index_of(m))
-    vb = f.value_at_index(f.index_of(b))
-    h = float((b - a) / 2)
-    return ((vb - vm) - (vm - va)) / h
 
 
 def star_norm(S: DyadicMartingale) -> float:

@@ -25,10 +25,21 @@ from zygdist.functionals import (
     lp_norm,
     zygmund_seminorm,
 )
-from zygdist.generators import _rng, function_suite, random_martingale
+from zygdist.generators import (
+    _rng,
+    cascade_measure,
+    function_suite,
+    hat_function,
+    lacunary_function,
+    parabola_function,
+    random_jump_martingale,
+    random_martingale,
+)
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    dyadic_zygmund_seminorm,
+    integrate,
     maximal_function,
     quadratic_characteristic,
     star_norm,
@@ -449,14 +460,6 @@ def verify_bdg(count: int = 100, depth: int = 10, seed: int = 0) -> dict:
 def lemma_function_family(depth: int, seed: int = 0):
     """Grid-quantised functions spanning the regularity spectrum, used to
     sample the modulus estimates at a given depth."""
-    from zygdist.generators import (
-        hat_function,
-        lacunary_function,
-        parabola_function,
-        random_jump_martingale,
-    )
-    from zygdist.martingale import integrate
-
     walk = random_martingale(depth, seed=seed)
     recentred = DyadicMartingale(
         [lvl - walk.root_value for lvl in walk.levels], root=walk.root
@@ -473,8 +476,6 @@ def lemma_function_family(depth: int, seed: int = 0):
 def lemma_measure_family(seed: int = 0, doubled: bool = False):
     """Cascade measures (two one-dimensional, one planar) for the measure
     modulus; ``doubled`` selects grids twice as deep."""
-    from zygdist.generators import cascade_measure
-
     scale = 2 if doubled else 1
     return [
         ("cascade-1d-a", GridMeasure(cascade_measure(1, 5 * scale, seed=seed))),
@@ -542,8 +543,6 @@ def verify_strichartz_consistency(
     characterise the same smoothness class, so they must coincide function
     by function.
     """
-    from zygdist.martingale import dyadic_zygmund_seminorm
-
     d_shallow, d_deep = depth - 4, depth - 2
     results = {}
     mismatches = 0

@@ -1,13 +1,183 @@
-"""Loop oracles that the vectorised kernels are checked against."""
+"""Oracles that the vectorised kernels are checked against.
 
+Scalar evaluators (one second difference, one box average, one cell
+deviation at a time, on exact ``Fraction`` geometry), loop versions of the
+batched kernels, and the ``one_split_measure`` fixture.
+"""
+
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
+from zygdist.dyadic import RealInterval
 from zygdist.martingale import SampledFunction, average_growth, integrate, star_norm
 from zygdist.measures import GridMeasure
+
+# ---------------------------------------------------------------------------
+# scalar differences of sampled functions
+
+
+def first_difference(f: SampledFunction, x, h) -> float:
+    """Forward slope ``(f(x + h) - f(x)) / h`` at exact grid points."""
+    i = f.index_of(x)
+    u = f.index_of(Fraction(x) + Fraction(h)) - i
+    if u == 0:
+        raise ValueError("h must be at least one grid step")
+    return (f.value_at_index(i + u) - f.value_at_index(i)) / float(Fraction(h))
+
+
+def second_difference(f: SampledFunction, x, h) -> float:
+    """Symmetric second difference ``(f(x+h) - 2 f(x) + f(x-h)) / h``.
+
+    ``x`` and ``h`` must be grid-resolvable.  Compact functions are extended
+    by zero beyond their support; for others, off-range samples raise.
+    """
+    i = f.index_of(x)
+    u = f.index_of(Fraction(x) + Fraction(h)) - i
+    if u <= 0:
+        raise ValueError("h must be at least one grid step")
+    try:
+        vl = f.value_at_index(i - u)
+        vc = f.value_at_index(i)
+        vr = f.value_at_index(i + u)
+    except IndexError as exc:
+        raise ValueError(str(exc)) from None
+    return ((vr - vc) - (vc - vl)) / float(Fraction(h))
+
+
+def exceeds_level(f: SampledFunction, x, h, eps: float) -> bool:
+    """Whether ``(x, h)`` lies in the level set ``|second difference| > eps``."""
+    return abs(second_difference(f, x, h)) > eps
+
+
+def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
+    """Second difference of ``f`` centred on a cell, at half the cell length.
+
+    For the cell ``[a, b)`` with midpoint ``m`` and ``h = (b - a)/2`` this is
+    ``(f(b) - 2 f(m) + f(a)) / h``, evaluated as a difference of one-sided
+    slopes so it matches the jump arithmetic bit for bit: it equals twice the
+    jump of ``average_growth`` on the right child (minus twice the left).
+    """
+    a, b, m = cell.left, cell.right, cell.midpoint
+    va = f.value_at_index(f.index_of(a))
+    vm = f.value_at_index(f.index_of(m))
+    vb = f.value_at_index(f.index_of(b))
+    h = float((b - a) / 2)
+    return ((vb - vm) - (vm - va)) / h
+
+
+# ---------------------------------------------------------------------------
+# scalar box averages of grid measures
+
+
+def box_mass(mu: GridMeasure, lo, hi) -> float:
+    """Mass of the half-open index box ``[lo, hi)``, clipped to the cube."""
+    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, 1 << mu.depth)
+    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, 1 << mu.depth)
+    if np.any(hi <= lo):
+        return 0.0
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=mu.dim):
+        idx = tuple(hi[a] if corner[a] else lo[a] for a in range(mu.dim))
+        total += (-1) ** (mu.dim - sum(corner)) * mu._table[idx]
+    return float(total)
+
+
+def cell_mass(mu: GridMeasure, generation: int, index) -> float:
+    """Mass of the dyadic cell ``index`` at ``generation``."""
+    index = np.asarray(index, dtype=np.int64).reshape(mu.dim)
+    width = 1 << (mu.depth - generation)
+    return box_mass(mu, index * width, (index + 1) * width)
+
+
+def _as_point(mu: GridMeasure, x) -> np.ndarray:
+    pt = np.asarray(x, dtype=object).reshape(-1)
+    if pt.size == 1 and mu.dim > 1:
+        raise ValueError(f"point must have {mu.dim} coordinates")
+    return np.array([Fraction(c) for c in pt], dtype=object)
+
+
+def _corner_indices(mu: GridMeasure, x, h) -> tuple[np.ndarray, np.ndarray]:
+    scale = 1 << mu.depth
+    half = Fraction(h) / 2
+    pt = _as_point(mu, x)
+    lo, hi = [], []
+    for c in pt:
+        a = (c - half) * scale
+        b = (c + half) * scale
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError("cube corners must fall on the measure grid")
+        lo.append(int(a))
+        hi.append(int(b))
+    return np.array(lo), np.array(hi)
+
+
+def delta1(mu: GridMeasure, x, h) -> float:
+    """Box average ``mu(Q) / h^dim`` of the cube centred at ``x`` of side ``h``.
+
+    The cube is clipped to the unit cube (the measure is extended by zero);
+    its corners must be grid points.
+    """
+    lo, hi = _corner_indices(mu, x, h)
+    return box_mass(mu, lo, hi) / float(Fraction(h)) ** mu.dim
+
+
+def delta2(mu: GridMeasure, x, h) -> float:
+    """Second difference of box averages: ``delta1(x, h) - delta1(x, 2h)``."""
+    return delta1(mu, x, h) - delta1(mu, x, 2 * Fraction(h))
+
+
+def delta2_dyadic(mu: GridMeasure, generation: int, index) -> float:
+    """Deviation of a dyadic cell's box average from its parent's."""
+    if generation < 1:
+        raise ValueError("the root cell has no parent")
+    index = np.asarray(index, dtype=np.int64).reshape(mu.dim)
+    child = cell_mass(mu, generation, index) * 2.0 ** (generation * mu.dim)
+    parent = cell_mass(mu, generation - 1, index // 2) * 2.0 ** (
+        (generation - 1) * mu.dim
+    )
+    return child - parent
+
+
+def delta2_max(mu: GridMeasure, generation: int, index) -> float:
+    """Largest child box-average deviation over a dyadic cell's children."""
+    if generation >= mu.depth:
+        raise ValueError("cells at the leaf generation have no children")
+    index = np.asarray(index, dtype=np.int64).reshape(mu.dim)
+    best = 0.0
+    for corner in itertools.product((0, 1), repeat=mu.dim):
+        child = 2 * index + np.array(corner)
+        best = max(best, abs(delta2_dyadic(mu, generation + 1, child)))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# fixture
+
+
+def one_split_measure(dim: int, depth: int, theta=Fraction(1, 4)) -> np.ndarray:
+    """Mass field that splits unevenly at the root only, uniform below.
+
+    The first child of the root gets ``(1 + theta)/2^dim`` of the mass, the
+    last gets ``(1 - theta)/2^dim`` (other children, if any, stay even), and
+    every deeper split is uniform.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    theta = Fraction(theta)
+    children = np.full((2,) * dim, 1.0 / 2**dim)
+    children[(0,) * dim] = float(Fraction(1 + theta, 2**dim))
+    children[(1,) * dim] = float(Fraction(1 - theta, 2**dim))
+    sub = 2 ** (depth - 1)  # cells per axis below the first split
+    uniform = np.full((sub,) * dim, 1.0 / float(sub) ** dim)
+    return np.kron(children, uniform)
+
+
+# ---------------------------------------------------------------------------
+# loop versions of the batched kernels, and exact geometry
 
 
 def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import delta2_max
 from zygdist.approximation import (
     continuous_decompose,
     translation_average,
@@ -55,7 +56,6 @@ from zygdist.martingale import (
 from zygdist.measures import (
     GridMeasure,
     _parent_deviation,
-    delta2_max,
     density_martingale,
     measure_truncate,
     measure_zygmund_norm,
@@ -87,7 +87,7 @@ def test_01_constant_jump_profile_and_threshold():
         for eps in grid:
             density = levelset_tree_density(f, eps, depth=N)
             assert density == (float(N) if eps < 2 * delta else 0.0)
-        profile = density_profile(f, grid, depths=[N - 4, N], kind="tree")
+        profile = density_profile(f, grid, depths=[N - 4, N])
         estimate = estimate_threshold(profile)
         assert estimate.eps == 2 * delta  # exact grid point, within one step
     assert time.monotonic() - start <= 5.0
@@ -266,7 +266,7 @@ def test_12_measure_truncation_exhaustive():
                     # every cell at this generation (identity checked below)
                     deviations = _parent_deviation(S, generation)
                     assert float(deviations.max()) <= eps
-            # pin the vectorised field to the public per-cell evaluator
+            # pin the vectorised field to the per-cell reference evaluator
             residual = mu - measure_truncate(mu, norm * 0.5)
             S = density_martingale(residual)
             for generation in range(min(depth, 4)):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zygdist.approximation import (
-    bmo_translation_average,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
@@ -168,37 +167,6 @@ def test_translation_average_seminorm_stays_bounded():
         assert dyadic_zygmund_seminorm(m) == 1.0
     avg = translation_average(members, R)
     assert zygmund_seminorm(avg) < 8.0
-
-
-# ---------------------------------------------------------------------------
-# BMO field averaging
-
-
-def test_bmo_translation_average_zero_and_errors():
-    N, R = 3, 1
-    fields = [np.zeros(1 << N) for _ in range(R << N)]
-    out, norm = bmo_translation_average(fields, R)
-    assert norm == 0.0
-    assert out.size == (1 + 2 * R) << N
-    with pytest.raises(ValueError):
-        bmo_translation_average([np.ones(1 << N)] * (R << N), R)
-    with pytest.raises(ValueError):
-        bmo_translation_average(fields[:-1], R)
-
-
-def test_bmo_translation_average_single_bump():
-    # One member carries a +-1 split in its two halves, the rest are zero;
-    # the averaged field has a single +-1/M step pair whose best window is
-    # the one enclosing the step.
-    N, R = 3, 1
-    M = R << N
-    fields = [np.zeros(1 << N) for _ in range(M)]
-    fields[0][: 1 << (N - 1)] = 1.0
-    fields[0][1 << (N - 1) :] = -1.0
-    out, norm = bmo_translation_average(fields, R)
-    assert np.count_nonzero(out) == 1 << N
-    # The tight window sees half +1/M and half -1/M: rms oscillation 1/M.
-    assert norm == pytest.approx(1.0 / M, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

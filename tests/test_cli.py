@@ -11,6 +11,7 @@ from zygdist.cli import (
     EXIT_OK,
     SCHEMA,
     InputError,
+    build_parser,
     function_payload,
     load_function,
     load_measure,
@@ -336,9 +337,48 @@ def test_sobolev_rejects_noncompact_input(tmp_path):
 def test_tau_must_be_non_negative(tmp_path, tau):
     path = write_function(tmp_path, **{"--kind": "hat", "--depth": "6"})
     assert main(["distance-ibmo", "--in", path, "--tau", tau]) == EXIT_INPUT
-    assert main(["seminorm", "--in", path, "--tau", tau]) == EXIT_INPUT
+    assert main(["verify", "--suite", "bdg", "--tau", tau]) == EXIT_INPUT
+    with pytest.raises(SystemExit) as exc:
+        main(["seminorm", "--in", path, "--tau", tau])
+    assert exc.value.code == 2
     code = main(["distance-ibmo", "--in", path, "--tau", "0", "--out", str(tmp_path / "r.json")])
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+
+
+# argv that parses, per subcommand, and the flags it does not read (27 pairs)
+_ARGV = {
+    "seminorm": ["seminorm", "--in", "f.json"],
+    "strichartz": ["strichartz", "--in", "f.json"],
+    "distance-ibmo": ["distance-ibmo", "--in", "f.json"],
+    "decompose": ["decompose", "--in", "f.json"],
+    "sobolev": ["sobolev", "--in", "f.json"],
+    "measure": ["measure", "--in", "mu.json"],
+    "verify": ["verify"],
+    "generate": ["generate", "--kind", "hat", "--depth", "4"],
+}
+_UNREAD = {
+    "seminorm": ["--seed", "--depths", "--eps-grid", "--tau", "--interpolate"],
+    "strichartz": ["--seed", "--tau", "--interpolate"],
+    "distance-ibmo": ["--seed"],
+    "decompose": ["--seed", "--depths", "--tau", "--interpolate"],
+    "sobolev": ["--seed", "--depths", "--tau", "--interpolate"],
+    "measure": ["--seed", "--tau", "--interpolate"],
+    "verify": ["--depths", "--eps-grid", "--interpolate"],
+    "generate": ["--depths", "--eps-grid", "--tau", "--interpolate"],
+}
+_FLAG_VALUES = {"--seed": ["3"], "--depths": ["2,4"], "--eps-grid": ["0.5"], "--tau": ["0.2"]}
+_UNREAD_PAIRS = [(command, flag) for command, flags in _UNREAD.items() for flag in flags]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _UNREAD_PAIRS, ids=[f"{c}{f}" for c, f in _UNREAD_PAIRS]
+)
+def test_subcommand_rejects_flag_it_does_not_read(command, flag):
+    argv = _ARGV[command]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, flag, *_FLAG_VALUES.get(flag, [])])
+    assert exc.value.code == 2
 
 
 def test_depths_beyond_input_rejected(tmp_path):

@@ -7,22 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import box_lattice
+from reference import (
+    box_lattice,
+    exceeds_level,
+    first_difference,
+    second_difference,
+    second_difference_dyadic,
+)
 from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
     DepthProfile,
     box_square_energy,
     cone_levelset_count,
-    cone_square_energy,
     default_eps_grid,
     density_profile,
     estimate_threshold,
-    exceeds_level,
-    first_difference,
-    levelset_box_density,
     levelset_tree_density,
     lp_norm,
-    second_difference,
     zygmund_seminorm,
 )
 from zygdist.generators import (
@@ -34,14 +35,8 @@ from zygdist.generators import (
     random_jump_martingale,
     random_martingale,
     single_branch_martingale,
-    weierstrass_function,
 )
-from zygdist.martingale import (
-    average_growth,
-    dyadic_zygmund_seminorm,
-    integrate,
-    second_difference_dyadic,
-)
+from zygdist.martingale import average_growth, dyadic_zygmund_seminorm, integrate
 
 
 def _window(f, generation, index):
@@ -137,61 +132,6 @@ def test_box_energy_matches_lattice_reference():
 
 def test_box_energy_zero_for_linear():
     assert box_square_energy(linear_function(8, slope=1.0), depth=6) == 0.0
-
-
-def _brute_box_density(f, eps, depth):
-    N = f.depth
-    best = 0.0
-    for g in range(min(depth, N - 2) + 1):
-        for k in range(1 << g):
-            interval = _window(f, g, k)
-            total = 0.0
-            for n in range(min(depth - 1, N - g - 2) + 1):
-                cellw = interval.length / (1 << (n + 1))
-                h = 3 * cellw / 2
-                for j in range(1 << (n + 1)):
-                    x = interval.left + (2 * j + 1) * cellw / 2
-                    try:
-                        hit = abs(second_difference(f, x, h)) > eps
-                    except ValueError:
-                        continue
-                    total += float(cellw) * np.log(2.0) * hit
-            best = max(best, total / float(interval.length))
-    return best
-
-
-def test_box_density_matches_brute_force():
-    for _, f in function_suite(6, seed=4):
-        norm = max(dyadic_zygmund_seminorm(f), 0.25)
-        for eps in (0.3 * norm, 0.9 * norm):
-            fast = levelset_box_density(f, eps, depth=4)
-            brute = _brute_box_density(f, eps, depth=4)
-            assert fast == pytest.approx(brute, rel=1e-12, abs=1e-15)
-
-
-def test_box_density_chebyshev():
-    depth = 5
-    for _, f in function_suite(7, seed=9):
-        norm = max(dyadic_zygmund_seminorm(f), 0.25)
-        for eps in (0.25 * norm, 0.75 * norm):
-            density = levelset_box_density(f, eps, depth)
-            energy = max(
-                box_square_energy(f, _window(f, g, k), depth)
-                for g in range(min(depth, f.depth - 2) + 1)
-                for k in range(1 << g)
-            )
-            assert eps * eps * density <= energy * (1 + 1e-9) + 1e-15
-
-
-@settings(max_examples=20)
-@given(seed=st.integers(0, 500), shift=st.integers(0, 3))
-def test_box_density_monotone(seed, shift):
-    f = integrate(random_martingale(6, seed=seed))
-    norm = dyadic_zygmund_seminorm(f)
-    e1, e2 = 0.2 * norm * 2.0**-shift, 0.6 * norm
-    lo, hi = min(e1, e2), max(e1, e2)
-    assert levelset_box_density(f, lo, 4) >= levelset_box_density(f, hi, 4)
-    assert levelset_box_density(f, lo, 4) >= levelset_box_density(f, lo, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +243,6 @@ def test_density_profile_random_jumps_threshold():
 def test_cone_zero_for_linear():
     f = linear_function(7, slope=2.0)
     assert np.all(cone_levelset_count(f, 0.0, 5) == 0.0)
-    assert np.all(cone_square_energy(f, 5) == 0.0)
 
 
 def test_cone_count_bound_and_chebyshev():
@@ -312,10 +251,8 @@ def test_cone_count_bound_and_chebyshev():
         norm = max(dyadic_zygmund_seminorm(f), 0.25)
         eps = 0.4 * norm
         counts = cone_levelset_count(f, eps, depth)
-        energy = cone_square_energy(f, depth)
         assert counts.shape == (2**7,)
         assert np.all(counts**2 <= (4.0 / 3.0) * depth + 1e-12)
-        assert np.all(eps * counts <= energy * (1 + 1e-12) + 1e-15)
 
 
 def test_cone_count_single_sample_weight():
@@ -336,12 +273,6 @@ def test_lp_norm_constant_and_errors():
         assert lp_norm(field, p) == pytest.approx(0.75, rel=1e-12)
     with pytest.raises(ValueError):
         lp_norm(field, 1.0)
-
-
-def test_lp_norm_two_dimensional():
-    field = np.zeros((4, 4))
-    field[0, 0] = 2.0
-    assert lp_norm(field, 2.0, dim=2) == pytest.approx(2.0 / 4.0, rel=1e-12)
 
 
 def test_default_eps_grid_contains_seminorm():

