@@ -14,6 +14,7 @@ translate, truncate on an enlarged window, integrate back and average.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,19 +98,29 @@ class DyadicDecomposition:
     eps: float
 
 
-def dyadic_decompose(f: SampledFunction, eps: float) -> DyadicDecomposition:
-    """Split ``f`` so the small part has dyadic Zygmund seminorm <= ``eps``.
+def dyadic_decompose(
+    f: SampledFunction, eps_grid=None
+) -> Iterator[DyadicDecomposition]:
+    """Split ``f`` at every level of ``eps_grid``, one splitting per level.
 
-    Jumps above ``eps / 2`` go to the rough part; the seminorm of the small
-    part is twice the largest surviving jump, hence at most ``eps``.
+    At level ``eps`` jumps above ``eps / 2`` go to the rough part; the
+    seminorm of the small part is twice the largest surviving jump, hence at
+    most ``eps``.  The slope martingale is built once for the whole grid,
+    which defaults to ``default_eps_grid``.  Splittings are made as they are
+    consumed, so a caller holding one level at a time holds one level's
+    arrays.
     """
     S = average_growth(f)
-    kept = truncate_jumps(S, eps / 2.0)
-    rough = integrate(kept)
-    small = SampledFunction(
-        f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
-    )
-    return DyadicDecomposition(rough=rough, small=small, kept=kept, eps=eps)
+    if eps_grid is None:
+        eps_grid = default_eps_grid(S)
+    for eps in eps_grid:
+        eps = float(eps)
+        kept = truncate_jumps(S, eps / 2.0)
+        rough = integrate(kept)
+        small = SampledFunction(
+            f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
+        )
+        yield DyadicDecomposition(rough=rough, small=small, kept=kept, eps=eps)
 
 
 @dataclass
@@ -133,11 +144,11 @@ def distance_report(
     For each level the measured distance is the dyadic seminorm of the small
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
-    estimated.
+    estimated.  The slope martingale is built once and shared by all three.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid(f)
     S = average_growth(f)
+    if eps_grid is None:
+        eps_grid = default_eps_grid(S)
     if depths is None:
         depths = [max(1, S.depth - 4), S.depth]
     eps_grid = [float(e) for e in eps_grid]
@@ -145,7 +156,7 @@ def distance_report(
     for eps in eps_grid:
         B = truncate_jumps(S, eps / 2.0)
         measured.append(2.0 * star_norm(martingale_difference(S, B)))
-    profile = density_profile(f, eps_grid, depths)
+    profile = density_profile(S, eps_grid, depths)
     return DistanceReport(
         eps=eps_grid,
         measured_distance=measured,
@@ -221,10 +232,11 @@ def continuous_decompose(
     exactly; every windowed small part has dyadic Zygmund seminorm at most
     ``eps``, recorded per level and translate.
 
-    Translates go through in chunks of rows of a 2-D array; a chunk's window
-    martingale is built once and truncated at every level.  Rough parts are
-    summed one translate at a time in translate order, so the result does
-    not depend on the chunk size.
+    When ``_lattice_exact`` certifies that every sum is exact in float64, the
+    translates are handled a residue class at a time (``_class_kernel``);
+    otherwise one by one (``_chunked_kernel``).  Both give the bits of
+    truncating and integrating each translate on its own and summing the
+    rough parts in translate order.
     """
     if f.span != RealInterval(0, 1):
         raise ValueError("decomposition expects a function on the unit interval")
@@ -240,19 +252,161 @@ def continuous_decompose(
         raise ValueError("count must be a power of two")
 
     eps_grid = [float(e) for e in eps_grid]
-    points = (1 << N) + 1
+    offsets = stride * (2 * np.arange(count) + 1)
+    kernel = _class_kernel if _lattice_exact(f.values, count) else _chunked_kernel
+    acc, seminorms = kernel(f.values, offsets, eps_grid)
+    acc /= count
+    rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
+    small = [
+        SampledFunction(f.values - r.values, left=f.left, log2_spacing=f.log2_spacing)
+        for r in rough
+    ]
+    return ContinuousDecomposition(
+        rough=rough,
+        small=small,
+        eps=eps_grid,
+        count=count,
+        window_small_seminorms=seminorms,
+    )
+
+
+def _window_widths(N: int) -> list[float]:
+    """Cell widths of the window ``[-1, 3)`` at generations ``0 .. N + 2``."""
+    return [float(Fraction(4, 2**n)) for n in range(N + 3)]
+
+
+def _lattice_exact(values: np.ndarray, count: int) -> bool:
+    """Whether both kernels compute every intermediate exactly in float64.
+
+    Let ``values`` (``M + 1 = 2^N + 1`` samples) be integer multiples of
+    ``2^-q`` with ``max|f| = A 2^-q`` and ``A < 2^a``.  The window cell width
+    at generation ``n`` is ``w_n = 2^(2 - n)`` and ``h = w_(N+2) = 2^-N``.
+    Real-number bounds, ``n <= N + 2``:
+
+    * slopes ``|W_n| <= 2A 2^-q / w_n``, jumps ``|a_n| <= 3A 2^-q / w_n``;
+      a sibling pair's right jump is ``-a_n``, and ``W_0 = 0`` as ``f``
+      vanishes at both ends of the window;
+    * truncated values ``|B_n| <= sum_m |a_m| < 3A 2^-q 2^(N+1)``, residuals
+      ``|W_n - B_n| <= A 2^-q 2^(N+3)`` and their jumps ``<= 3A 2^-q 2^(N+2)``;
+    * class kernel: a difference-array entry gathers at most
+      ``2 count |a_n|`` per generation, ``< count 3A 2^-q 2^(N+2)`` in all,
+      and its running sums are slopes of summed tents, ``< count 3A 2^-q
+      2^(N+1)``.
+
+    All of these are multiples of ``Q_s = 2^-(q+2)`` and below ``U_s = count
+    3A 2^(N+5)`` of them.  The primitive values (leaf slope times ``h``,
+    running sums of the primitive, of the translate sum and of the class
+    kernel's second cumulative sum) are multiples of ``Q_v = 2^-(q+N+2)``.
+    Each running sum equals, exactly, a sum of at most ``count`` truncated
+    primitives; each primitive is a sum of one tent per generation, of
+    height ``|a_n| w_n <= 3A 2^-q``; so they stay below ``U_v = count
+    3 (N+2) A 2^(N+2)`` quanta.  Sums and differences of multiples of a
+    quantum ``Q >= 2^-1074`` below ``2^53 Q`` are exact, and so is scaling
+    by a power of two that stays on such a quantum.  So both kernels work
+    exactly (whatever their summation order) when ``U_s, U_v <= 2^53``,
+    ``Q_v >= 2^-1074`` and ``U_s Q_s < 2^1023`` (no overflow).  ``q`` and
+    ``a`` come from ``np.frexp`` and integer arithmetic, as ``q`` may exceed
+    1023.
+    """
+    if not np.isfinite(values).all():
+        return False
+    nonzero = values[values != 0.0]
+    if not nonzero.size:
+        return True
+    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
+    digits = np.abs(mantissa * 2.0**53).astype(np.int64)  # v = digits 2^(exponent-53)
+    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
+    q = int((53 - exponent - trailing).max())
+    a = int(exponent.max()) + q
+    N = (values.size - 1).bit_length() - 1
+    k = count.bit_length() - 1  # count = 2^k; 3 < 2^2
+    bits_slope = k + 2 + a + N + 5
+    bits_value = k + 2 + (N + 2).bit_length() + a + N + 2
+    return (
+        max(bits_slope, bits_value) <= 53
+        and q + N + 2 <= 1074
+        and bits_slope - (q + 2) <= 1023
+    )
+
+
+def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):
+    """Summed rough parts and window seminorms, one residue class at a time.
+
+    A window parent cell of width ``2c`` grid cells starting at window point
+    ``s`` starts at ``t = s - offset`` in the coordinates of ``f``, so its
+    jumps depend only on ``t``, and ``t`` is fixed modulo ``2c`` by the
+    translate's class ``offset mod 2c``.  Its left jump ``a`` is computed
+    with the chunked kernel's expression, so keep decisions agree bit for
+    bit.  A kept pair integrates to a tent: slope ``a`` on ``[t, t + c)`` and ``-a``
+    on ``[t + c, t + 2c)``.  The rough parts' sum is therefore one
+    difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2 mult *
+    a`` at ``t + c``, cumulated twice; a translate's seminorm is twice the
+    largest dropped jump of its class at any generation.  Exact only where
+    ``_lattice_exact`` holds (the right jump is then exactly ``-a``).
+    Work O(|eps| (N 2^N + N count)).
+    """
+    M = values.size - 1
+    N = M.bit_length() - 1
+    depth = N + 2
+    widths = _window_widths(N)
+    # f extended by zero over [-4M, 8M]; point x sits at index x + 4M
+    F = np.zeros(12 * M + 1)
+    F[4 * M : 5 * M + 1] = values
+    levels = []
+    for n in range(1, depth + 1):
+        c = 1 << (depth - n)
+        P = 2 * c
+        end = max(M, P)  # parents start at t in [-P, end), a whole number of periods
+        F0 = F[4 * M - P : 4 * M + end]
+        F1 = F[4 * M - P + c : 4 * M + end + c]
+        F2 = F[4 * M - P + 2 * c : 4 * M + end + 2 * c]
+        left = ((F1 - F0) / widths[n] - (F2 - F0) / widths[n - 1]).reshape(-1, P)
+        # column r holds the parents t = r mod P, met by offsets = -r mod P
+        mult = np.bincount(offsets % P, minlength=P)[(-np.arange(P)) % P]
+        levels.append((c, P, end, np.abs(left), (left * mult).ravel(), (-offsets) % P))
+
+    L = 4 * M  # the difference array covers points x in [-4M, M)
+    acc = np.empty((len(eps_grid), M + 1))
+    seminorms = np.empty((len(eps_grid), offsets.size))
+    for j, eps in enumerate(eps_grid):
+        D = np.zeros(5 * M)
+        best = np.zeros(offsets.size)
+        for c, P, end, size, weighted, classes in levels:
+            keep = size > eps / 2.0
+            dropped = np.where(keep, 0.0, size).max(axis=0)
+            best = np.maximum(best, dropped[classes])
+            kept = weighted * keep.ravel()
+            for shift, coef in ((0, kept), (c, -2.0 * kept), (2 * c, kept)):
+                stop = min(end, M - shift)  # changes at x >= M are never read
+                if stop > -P:
+                    D[L - P + shift : L + stop + shift] += coef[: stop + P]
+        seminorms[j] = 2.0 * best
+        primitive = np.cumsum(np.cumsum(D) * widths[depth])
+        acc[j] = primitive[L - 1 :]
+    return acc, seminorms
+
+
+def _chunked_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):
+    """Summed rough parts and window seminorms, translate by translate.
+
+    Translates go through in chunks of rows of a 2-D array; a chunk's window
+    martingale is built once and truncated at every level.  Rough parts are
+    summed one translate at a time in translate order, so the result does
+    not depend on the chunk size.  Work O(|eps| count 2^(N+3)).
+    """
+    points = values.size
+    N = (points - 1).bit_length() - 1
     depth = N + 2  # the window [-1, 3) has 4 << N cells
     window_points = (4 << N) + 1
-    widths = [float(Fraction(4, 2**n)) for n in range(depth + 1)]
+    widths = _window_widths(N)
     rows = max(1, _CHUNK_SAMPLES // window_points)
     acc = np.zeros((len(eps_grid), points))
-    seminorms = np.empty((len(eps_grid), count))
-    for first in range(0, count, rows):
-        chunk = range(first, min(first + rows, count))
-        offsets = [stride * (2 * i + 1) for i in chunk]
+    seminorms = np.empty((len(eps_grid), offsets.size))
+    for first in range(0, offsets.size, rows):
+        chunk = offsets[first : first + rows]
         g = np.zeros((len(chunk), window_points))
-        for row, offset in enumerate(offsets):
-            g[row, offset : offset + points] = f.values
+        for row, offset in enumerate(chunk):
+            g[row, offset : offset + points] = values
         # window slope martingale of every row, and its jumps, level by level
         W = []
         for n in range(depth + 1):
@@ -270,20 +424,8 @@ def continuous_decompose(
                 jumps = np.abs(resid_n - np.repeat(resid, 2, axis=1))
                 best = np.maximum(best, jumps.max(axis=1))
                 resid = resid_n
-            seminorms[j, chunk.start : chunk.stop] = 2.0 * best
+            seminorms[j, first : first + len(chunk)] = 2.0 * best
             primitive = np.cumsum(B * widths[depth], axis=1)
-            for row, offset in enumerate(offsets):
+            for row, offset in enumerate(chunk):
                 acc[j] += primitive[row, offset - 1 : offset + points - 1]
-    acc /= count
-    rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
-    small = [
-        SampledFunction(f.values - r.values, left=f.left, log2_spacing=f.log2_spacing)
-        for r in rough
-    ]
-    return ContinuousDecomposition(
-        rough=rough,
-        small=small,
-        eps=eps_grid,
-        count=count,
-        window_small_seminorms=seminorms,
-    )
+    return acc, seminorms

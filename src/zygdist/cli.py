@@ -335,12 +335,12 @@ def cmd_distance(args) -> tuple[dict, int]:
 def cmd_decompose(args) -> tuple[dict, int]:
     payload, digest = read_input(args.input)
     f = load_function(payload)
-    grid = _parse_eps_grid(args.eps_grid, default_eps_grid(f))
+    grid = None if args.eps_grid == "auto" else _parse_eps_grid(args.eps_grid, [])
     rows = []
-    for eps in grid:
+    for parts in dyadic_decompose(f, grid):
+        eps = parts.eps
         if eps <= 0.0:
             continue
-        parts = dyadic_decompose(f, eps)
         identity = bool(
             np.array_equal(parts.rough.values + parts.small.values, f.values)
         )

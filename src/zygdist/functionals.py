@@ -27,7 +27,7 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     average_growth,
-    dyadic_zygmund_seminorm,
+    star_norm,
 )
 
 __all__ = [
@@ -161,11 +161,14 @@ class ThresholdEstimate:
     method: str = "depth-ratio"
 
 
-def density_profile(f: SampledFunction, eps_grid, depths) -> DepthProfile:
-    """Tabulate the tree level-set density over a level grid and several depths."""
+def density_profile(source, eps_grid, depths) -> DepthProfile:
+    """Tabulate the tree level-set density over a level grid and several depths.
+
+    ``source`` is a sampled function or its prebuilt slope martingale.
+    """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
-    S = average_growth(f)
+    S = source if isinstance(source, DyadicMartingale) else average_growth(source)
     profile = DepthProfile(depths=depths, eps=eps_grid)
     for d in depths:
         profile.values.append([levelset_tree_density(S, e, depth=d) for e in eps_grid])
@@ -255,11 +258,14 @@ def _geometric_grid(norm: float, lowest: int) -> list[float]:
     return [norm * 2.0 ** (j / 2) for j in range(lowest, 3)]
 
 
-def default_eps_grid(f: SampledFunction) -> list[float]:
-    """Ascending geometric level grid tied to the dyadic seminorm of ``f``.
+def default_eps_grid(source) -> list[float]:
+    """Ascending geometric level grid tied to the dyadic seminorm of a function.
 
     Runs from ``2^-10`` times to twice the seminorm in ``sqrt(2)`` steps (so
     the seminorm itself is a grid point).  A function with zero seminorm gets
-    the single level 0, where every density already vanishes.
+    the single level 0, where every density already vanishes.  ``source`` is
+    the sampled function or its prebuilt slope martingale; the seminorm is
+    twice the martingale's star norm either way.
     """
-    return _geometric_grid(dyadic_zygmund_seminorm(f), -20)
+    S = source if isinstance(source, DyadicMartingale) else average_growth(source)
+    return _geometric_grid(2.0 * star_norm(S), -20)

@@ -81,13 +81,13 @@ def test_01_constant_jump_profile_and_threshold():
     start = time.monotonic()
     delta = 0.0625
     for N in (8, 10, 12):
-        f = integrate(random_jump_martingale(N, delta=Fraction(1, 16), seed=11))
-        grid = default_eps_grid(f)
+        S = average_growth(integrate(random_jump_martingale(N, delta=Fraction(1, 16), seed=11)))
+        grid = default_eps_grid(S)
         assert 2 * delta in grid
         for eps in grid:
-            density = levelset_tree_density(f, eps, depth=N)
+            density = levelset_tree_density(S, eps, depth=N)
             assert density == (float(N) if eps < 2 * delta else 0.0)
-        profile = density_profile(f, grid, depths=[N - 4, N])
+        profile = density_profile(S, grid, depths=[N - 4, N])
         estimate = estimate_threshold(profile)
         assert estimate.eps == 2 * delta  # exact grid point, within one step
     assert time.monotonic() - start <= 5.0

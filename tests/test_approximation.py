@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zygdist import approximation, functionals
 from zygdist.approximation import (
+    _chunked_kernel,
+    _class_kernel,
+    _lattice_exact,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
@@ -15,7 +19,11 @@ from zygdist.approximation import (
     translation_average,
     truncate_jumps,
 )
-from zygdist.functionals import levelset_tree_density, zygmund_seminorm
+from zygdist.functionals import (
+    default_eps_grid,
+    levelset_tree_density,
+    zygmund_seminorm,
+)
 from zygdist.generators import (
     hat_function,
     lacunary_function,
@@ -70,8 +78,9 @@ def test_truncate_extremes():
 
 def test_dyadic_decompose_identity_and_bound():
     f = integrate(random_martingale(8, seed=9))
-    for eps in (0.05, 0.2, 1.0):
-        dec = dyadic_decompose(f, eps)
+    grid = (0.05, 0.2, 1.0)
+    for eps, dec in zip(grid, dyadic_decompose(f, grid), strict=True):
+        assert dec.eps == eps
         assert np.array_equal(dec.rough.values + dec.small.values, f.values)
         assert dyadic_zygmund_seminorm(dec.small) <= eps
         dropped = martingale_difference(average_growth(f), dec.kept)
@@ -94,6 +103,23 @@ def test_truncation_consistent_with_tree_density():
 
 # ---------------------------------------------------------------------------
 # distance report
+
+
+def test_grid_pipelines_build_the_slope_martingale_once(monkeypatch):
+    f = integrate(random_jump_martingale(7, delta=1 / 16, seed=4))
+    grid = default_eps_grid(f)
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return average_growth(g)
+
+    for module in (approximation, functionals):
+        monkeypatch.setattr(module, "average_growth", counted)
+    assert [part.eps for part in dyadic_decompose(f)] == grid
+    assert len(builds) == 1
+    assert distance_report(f).eps == grid
+    assert len(builds) == 2
 
 
 def test_distance_report_bounds_and_estimate():
@@ -264,3 +290,151 @@ def test_continuous_decompose_matches_loop_oracle(f, count):
         assert np.array_equal(dec.rough[j].values, rough)
         assert np.array_equal(dec.small[j].values, small)
         assert np.array_equal(dec.window_small_seminorms[j], seminorms)
+
+
+# ---------------------------------------------------------------------------
+# class kernel and its exactness certificate
+
+
+def _oracle_grid(f):
+    norm = dyadic_zygmund_seminorm(f)
+    return [norm * 2.0**j for j in range(1, -8, -1)] + [0.0]
+
+
+def _offsets(f, count):
+    return ((1 << f.depth) // count) * (2 * np.arange(count) + 1)
+
+
+def _lattice_cases(depth):
+    return [
+        integrate(random_jump_martingale(depth, delta=1 / 16, seed=7)),
+        lacunary_function(depth),
+        hat_function(depth),
+    ]
+
+
+@pytest.mark.parametrize("count", [None, 1, 8])
+@pytest.mark.parametrize("depth", [4, 8])
+def test_class_kernel_matches_loop_oracle(depth, count):
+    for f in _lattice_cases(depth):
+        grid = _oracle_grid(f)
+        if depth == 8 and count is None:
+            grid = grid[::3]
+        dec = continuous_decompose(f, grid, count=count)
+        assert _lattice_exact(f.values, dec.count)
+        for j, eps in enumerate(grid):
+            rough, small, seminorms = continuous_decompose_loop(f, eps, dec.count)
+            assert np.array_equal(dec.rough[j].values, rough)
+            assert np.array_equal(dec.small[j].values, small)
+            assert np.array_equal(dec.window_small_seminorms[j], seminorms)
+
+
+@pytest.mark.parametrize("count", [1024, 1, 8])
+def test_class_kernel_matches_chunked_kernel_at_depth_10(count):
+    for f in _lattice_cases(10):
+        grid = _oracle_grid(f)[:: 3 if count == 1024 else 1]
+        assert _lattice_exact(f.values, count)
+        rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
+        rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
+        assert np.array_equal(rough, rough_ref)
+        assert np.array_equal(seminorms, seminorms_ref)
+
+
+@st.composite
+def _lattice_payloads(draw):
+    depth = draw(st.integers(1, 7))
+    q = draw(st.integers(-40, 60))
+    bound = 1 << draw(st.integers(0, 40))
+    interior = (1 << depth) - 1
+    numerators = draw(
+        st.lists(st.integers(-bound, bound), min_size=interior, max_size=interior)
+    )
+    values = np.array([0.0] + [float(n) * 2.0**-q for n in numerators] + [0.0])
+    count = 1 << draw(st.integers(0, depth))
+    return SampledFunction(values), count
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_lattice_payloads(), exponents=st.lists(st.integers(-12, 3), max_size=4))
+def test_class_kernel_equals_chunked_kernel_on_lattice_payloads(case, exponents):
+    f, count = case
+    if not _lattice_exact(f.values, count):
+        return
+    scale = float(np.abs(f.values).max())
+    grid = [scale * 2.0**e for e in exponents] + [0.0]
+    rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
+    rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
+    assert np.array_equal(rough, rough_ref)
+    assert np.array_equal(seminorms, seminorms_ref)
+
+
+def test_off_lattice_input_takes_the_chunked_kernel(monkeypatch):
+    f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
+    assert not _lattice_exact(f.values, 512)
+
+    def refuse(*args):
+        raise AssertionError("class kernel used off the lattice")
+
+    monkeypatch.setattr(approximation, "_class_kernel", refuse)
+    grid = [dyadic_zygmund_seminorm(f) / 8]
+    dec = continuous_decompose(f, grid, count=512)
+    rough, seminorms = _chunked_kernel(f.values, _offsets(f, 512), grid)
+    assert np.array_equal(dec.rough[0].values, rough[0] / 512)
+    assert np.array_equal(dec.window_small_seminorms, seminorms)
+
+
+def test_class_kernel_exact_at_the_certificate_edge():
+    # Scale the numerators (not the quantum: the odd +1 pins it) up by powers
+    # of two until one more doubling would break the certificate.
+    depth, count = 6, 64
+    base = integrate(random_jump_martingale(depth, delta=1 / 16, seed=3)).values
+    quantum = 2.0 ** -(depth + 4)
+    numerators = np.round(base / quantum)
+    assert np.array_equal(numerators * quantum, base)
+    interior = np.zeros_like(base, dtype=bool)
+    interior[1:-1] = True
+
+    def scaled(shift):
+        values = np.where(interior, numerators * 2.0**shift + 1.0, 0.0) * quantum
+        return SampledFunction(values)
+
+    shift = 0
+    while _lattice_exact(scaled(shift + 1).values, count):
+        shift += 1
+    assert shift > 10
+    f = scaled(shift)
+    assert _lattice_exact(f.values, count)
+    grid = _oracle_grid(f)
+    rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
+    rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
+    assert np.array_equal(rough, rough_ref)
+    assert np.array_equal(seminorms, seminorms_ref)
+
+
+def test_certificate_refuses_a_lattice_input_the_class_kernel_rounds():
+    # 43-bit odd numerators at depth 5: the sums need about 60 bits, so the
+    # summation order shows and the certificate has to refuse the input.
+    numerators = np.random.default_rng(0).integers(-(1 << 43), 1 << 43, size=31) | 1
+    f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
+    grid = [float(np.abs(f.values).max()) * 2.0**j for j in range(0, -12, -1)]
+    rough, _ = _class_kernel(f.values, _offsets(f, 32), grid)
+    rough_ref, _ = _chunked_kernel(f.values, _offsets(f, 32), grid)
+    assert not np.array_equal(rough, rough_ref)
+    assert not _lattice_exact(f.values, 32)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 1e308, -1e308, 1e308, 0.0],  # overflow
+        [0.0, 2.0**1020, 0.0, 0.0, 0.0],  # few digits, but slopes overflow
+        [0.0, 5e-324, 0.0, -5e-324, 0.0],  # subnormal quantum
+        [0.0, 1e300, 5e-324, 1.0, 0.0],  # both ends of the range
+        [0.0, float("inf"), 0.0],
+    ],
+)
+def test_certificate_refuses_extreme_magnitudes(values):
+    values = np.array(values)
+    for count in (1, 2, 4):
+        if (values.size - 1) % count == 0:
+            assert not _lattice_exact(values, count)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from zygdist import approximation
 from zygdist.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -331,6 +332,32 @@ def test_sobolev_rejects_noncompact_input(tmp_path):
     path = write_function(tmp_path, "linear.json", **{"--kind": "linear", "--depth": "4"})
     assert main(["sobolev", "--in", path]) == EXIT_INPUT
     assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0, 1e308, -1e308, 1e308, 0], "window seminorm nan exceeds requested level inf"),
+        ([0, 5e-324, 0, -5e-324, 0], "window seminorm 1e-323 exceeds requested level 5e-324"),
+        ([0, 1e300, 5e-324, 1, 0], "decomposition failed to reproduce the input exactly"),
+    ],
+)
+def test_sobolev_extreme_magnitudes_take_the_chunked_kernel(
+    tmp_path, capsys, monkeypatch, values, message
+):
+    # Overflow and subnormal quanta fail the exactness certificate, so these
+    # run on the translate-by-translate kernel and keep its exit and message.
+    def refuse(*args):
+        raise AssertionError("class kernel used outside its certificate")
+
+    monkeypatch.setattr(approximation, "_class_kernel", refuse)
+    path = tmp_path / "extreme.json"
+    payload = {"schema": SCHEMA, "kind": "function", "depth": 2, "values": values}
+    path.write_text(json.dumps(payload))
+    with np.errstate(all="ignore"):
+        assert main(["sobolev", "--in", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("tau", ["-0.1", "nan"])

@@ -234,6 +234,10 @@ def test_density_profile_random_jumps_threshold():
     profile = density_profile(f, grid, depths=[6, 8])
     est = estimate_threshold(profile)
     assert est.eps == 2 * delta
+    # a prebuilt slope martingale gives the same grid and the same profile
+    S = average_growth(f)
+    assert default_eps_grid(S) == grid
+    assert density_profile(S, grid, depths=[6, 8]).values == profile.values
 
 
 # ---------------------------------------------------------------------------
