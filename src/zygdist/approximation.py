@@ -314,7 +314,8 @@ def _lattice_exact(values: np.ndarray, count: int) -> bool:
     if not nonzero.size:
         return True
     mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
-    digits = np.abs(mantissa * 2.0**53).astype(np.int64)  # v = digits 2^(exponent-53)
+    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
+    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
     trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
     q = int((53 - exponent - trailing).max())
     a = int(exponent.max()) + q
@@ -337,12 +338,13 @@ def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]
     jumps depend only on ``t``, and ``t`` is fixed modulo ``2c`` by the
     translate's class ``offset mod 2c``.  Its left jump ``a`` is computed
     with the chunked kernel's expression, so keep decisions agree bit for
-    bit.  A kept pair integrates to a tent: slope ``a`` on ``[t, t + c)`` and ``-a``
-    on ``[t + c, t + 2c)``.  The rough parts' sum is therefore one
-    difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2 mult *
-    a`` at ``t + c``, cumulated twice; a translate's seminorm is twice the
-    largest dropped jump of its class at any generation.  Exact only where
-    ``_lattice_exact`` holds (the right jump is then exactly ``-a``).
+    bit.  A kept pair integrates to a tent: slope ``a`` on ``[t, t + c)``
+    and ``-a`` on ``[t + c, t + 2c)``.  The rough parts' sum is therefore
+    one difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2
+    mult * a`` at ``t + c``, cumulated twice; a translate's seminorm is
+    twice the largest dropped jump of its class at any generation.  Exact
+    only where ``_lattice_exact`` holds (the right jump is then exactly
+    ``-a``).
     Work O(|eps| (N 2^N + N count)).
     """
     M = values.size - 1
@@ -363,7 +365,8 @@ def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]
         left = ((F1 - F0) / widths[n] - (F2 - F0) / widths[n - 1]).reshape(-1, P)
         # column r holds the parents t = r mod P, met by offsets = -r mod P
         mult = np.bincount(offsets % P, minlength=P)[(-np.arange(P)) % P]
-        levels.append((c, P, end, np.abs(left), (left * mult).ravel(), (-offsets) % P))
+        classes = (-offsets) % P
+        levels.append((c, P, end, np.abs(left), (left * mult).ravel(), classes))
 
     L = 4 * M  # the difference array covers points x in [-4M, M)
     acc = np.empty((len(eps_grid), M + 1))

@@ -353,6 +353,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
         rows.append(
             [eps, small_norm, star_norm(parts.kept), bmo_norm(parts.kept)]
         )
+        del parts  # free this level before the next one is built
     body = {
         "input_sha256": digest,
         "tables": {
