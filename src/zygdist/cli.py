@@ -34,7 +34,6 @@ from zygdist.functionals import (
     cone_levelset_count,
     default_eps_grid,
     levelset_tree_density,
-    lp_norm,
     zygmund_seminorm,
 )
 from zygdist.generators import (
@@ -57,6 +56,7 @@ from zygdist.martingale import (
 )
 from zygdist.measures import (
     GridMeasure,
+    density_martingale,
     measure_tree_levelset_density,
     measure_truncate,
     measure_zygmund_norm,
@@ -254,14 +254,17 @@ def cmd_strichartz(args) -> tuple[dict, int]:
     f = load_function(payload)
     depths = _parse_depths(args.depths, [max(1, f.depth - 4), f.depth])
     _require(max(depths) <= f.depth, "requested depth exceeds the sample depth")
-    grid = _parse_eps_grid(args.eps_grid, default_eps_grid(f))
+    S = average_growth(f)
+    grid = _parse_eps_grid(args.eps_grid, default_eps_grid(S))
     tree_rows = [
-        [e, d, levelset_tree_density(f, e, depth=d)] for e in grid for d in depths
+        [e, d, levelset_tree_density(S, e, depth=d)] for e in grid for d in depths
     ]
+    del S  # the cone counts read the samples; free the martingale first
+    cones = cone_levelset_count(f, grid, depths)
     cone_rows = [
-        [e, d, lp_norm(cone_levelset_count(f, e, d), 2.0)]
-        for e in grid
-        for d in depths
+        [e, d, cones.values[i][j]]
+        for j, e in enumerate(grid)
+        for i, d in enumerate(depths)
     ]
     energy_rows = [[d, box_square_energy(f, depth=d)] for d in depths]
     method = {"depths": depths, "eps_grid": args.eps_grid}
@@ -416,8 +419,9 @@ def cmd_measure(args) -> tuple[dict, int]:
         ["dyadic_zygmund", dyadic_norm],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
     ]
+    S = density_martingale(mu)
     density_rows = [
-        [e, d, measure_tree_levelset_density(mu, e, depth=d)]
+        [e, d, measure_tree_levelset_density(S, e, depth=d)]
         for e in grid
         for d in depths
     ]

@@ -53,9 +53,9 @@ def zygmund_seminorm(f: SampledFunction) -> float:
     spacing = float(f.spacing)
     best = 0.0
     for u in range(1, (v.size - 1) // 2 + 1):
-        d2 = (v[2 * u :] - v[u:-u]) - (v[u:-u] - v[: -2 * u])
-        if d2.size:
-            best = max(best, float(np.abs(d2).max()) / (u * spacing))
+        d1 = v[u:] - v[:-u]
+        d2 = d1[u:] - d1[:-u]
+        best = max(best, float(np.abs(d2).max()) / (u * spacing))
     return best
 
 
@@ -213,34 +213,66 @@ def _cone_samples(f: SampledFunction, depth: int):
     ``t = 3u`` grid units with ``u = 2^(N-n-2)``; for an apex at grid index
     ``a`` the slab ``|x - s| < t`` is covered by three cells of width ``2u``
     centred at ``a - 2u, a, a + 2u``, each carrying ``ds dt/t^2`` mass 4/9.
+    Layers stop at ``N - 2``, the last one with ``u >= 1``.
     """
     N = f.depth
     v = f.values
     spacing = float(f.spacing)
+    s = np.arange(v.size, dtype=np.int64)
     for n in range(min(depth, N - 1)):
-        u = 1 << (N - n - 2) if N - n - 2 >= 0 else 0
-        if u == 0:
-            return
-        s = np.arange(v.size, dtype=np.int64)
+        u = 1 << (N - n - 2)
         vl, okl = _gather(v, s - 3 * u, f.compact)
         vr, okr = _gather(v, s + 3 * u, f.compact)
         d2 = ((vr - v) - (v - vl)) / (3 * u * spacing)
         yield u, d2, okl & okr
 
 
-def cone_levelset_count(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
-    """Per-leaf sqrt of the cone mass of the level set ``|d2| > eps``."""
-    N = f.depth
-    acc = np.zeros(1 << N)
-    apex = np.arange(1 << N, dtype=np.int64)
-    for u, d2, ok in _cone_samples(f, depth):
-        for offset in (-2 * u, 0, 2 * u):
-            s = apex + offset
-            inside = (s >= 0) & (s < d2.size)
-            s = np.clip(s, 0, d2.size - 1)
-            val = (np.abs(d2[s]) > eps).astype(np.float64) * ok[s] * inside
-            acc += (4.0 / 9.0) * val
-    return np.sqrt(acc)
+def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
+    """L2 size of the cone count field of ``|d2| > eps`` at every (depth, level).
+
+    Leaf ``a`` collects mass 4/9 from each (layer, offset) sample of its cone
+    (``_cone_samples``, first ``depth`` layers) whose ``|d2|`` exceeds
+    ``eps``; its field value is the square root of that mass, and the table
+    holds ``lp_norm(field, 2)``.  Summed sample by sample in a fixed order,
+    with 0.0 for a sample that does not qualify (which changes nothing), the
+    mass depends only on the number ``k`` of qualifying samples: it is
+    ``mass[k]``, the sequential sum of ``k`` copies of 4/9.  So the layers
+    are formed once, for the deepest depth, and each adds its qualifying
+    samples into one ``uint8`` counter per (level, leaf).
+
+    Cost: O(N 2^N) gathers plus O(|eps| N 2^N) byte compares, with
+    ``2 |eps| 2^N`` bytes of counters and compare mask.
+    """
+    eps_grid = [float(e) for e in eps_grid]
+    depths = list(depths)
+    layers = [max(0, min(d, f.depth - 1)) for d in depths]
+    deepest = max(layers, default=0)
+    M = 1 << f.depth
+    eps = np.array(eps_grid)[:, None]
+    counts = np.zeros((len(eps_grid), M), dtype=np.uint8)
+    hit = np.empty(counts.shape, dtype=bool)
+    mass = np.cumsum(np.r_[0.0, np.full(3 * deepest, 4.0 / 9.0)])  # sequential
+    root = np.sqrt(mass)
+    norms = {}
+    if 0 in layers:
+        norms[0] = [lp_norm(root[c], 2.0) for c in counts]
+    for n, (u, d2, ok) in enumerate(_cone_samples(f, deepest), start=1):
+        mag = np.abs(d2, out=d2)
+        mag[~ok] = -np.inf  # an invalid sample never qualifies
+        # apex a reads sample a + offset; off the grid it reads nothing
+        for apexes, samples in (
+            (slice(2 * u, M), slice(0, M - 2 * u)),  # offset -2u
+            (slice(0, M), slice(0, M)),  # offset 0
+            (slice(0, M - 2 * u + 1), slice(2 * u, M + 1)),  # offset 2u
+        ):
+            counted, qualifies = counts[:, apexes], hit[:, apexes]
+            np.greater(mag[samples], eps, out=qualifies)
+            counted += qualifies
+        if n in layers:
+            norms[n] = [lp_norm(root[c], 2.0) for c in counts]
+    return DepthProfile(
+        depths=depths, eps=eps_grid, values=[norms[n] for n in layers]
+    )
 
 
 def lp_norm(leaf_field: np.ndarray, p: float) -> float:

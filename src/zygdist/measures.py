@@ -163,19 +163,20 @@ def _parent_deviation(S: DyadicMartingale, generation: int) -> np.ndarray:
     return _block_max(np.abs(S.jumps(generation + 1)), S.dim)
 
 
-def measure_tree_levelset_density(mu: GridMeasure, eps: float, depth: int) -> float:
+def measure_tree_levelset_density(source, eps: float, depth: int) -> float:
     """Largest windowed measure of cells with a large child deviation.
 
     A cell ``P`` qualifies when the box average of one of its children
     deviates from that of ``P`` by more than ``eps``.  For every
     dyadic window ``Q`` of generation ``0..depth``, the volumes of
     qualifying ``P`` inside ``Q`` with ``generation(P) < depth`` are summed
-    and divided by ``|Q|``; returns the maximum over windows.
+    and divided by ``|Q|``; returns the maximum over windows.  ``source`` is
+    the measure or its prebuilt ``density_martingale``.
     """
-    if not 1 <= depth <= mu.depth:
-        raise ValueError(f"depth must be in [1, {mu.depth}]")
-    S = density_martingale(mu)
-    d = mu.dim
+    S = source if isinstance(source, DyadicMartingale) else density_martingale(source)
+    if not 1 <= depth <= S.depth:
+        raise ValueError(f"depth must be in [1, {S.depth}]")
+    d = S.dim
     best = 0.0
     acc = np.zeros((1 << depth,) * d)
     for m in range(depth - 1, -1, -1):

@@ -21,7 +21,7 @@ from zygdist.functionals import (
     _growth_ratio,
     box_square_energy,
     cone_levelset_count,
-    levelset_tree_density,
+    density_profile,
     lp_norm,
     zygmund_seminorm,
 )
@@ -38,7 +38,7 @@ from zygdist.generators import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
-    dyadic_zygmund_seminorm,
+    average_growth,
     integrate,
     maximal_function,
     quadratic_characteristic,
@@ -117,18 +117,18 @@ def _report(name, ratios, ok, config, samples, seed) -> RatioReport:
 
 
 def check_second_difference_modulus(
-    f: SampledFunction, samples: int = 10000, seed: int = 0
+    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
 ) -> RatioReport:
     """Joint modulus: moving both the centre and the step of a second
     difference changes it by at most the seminorm times
 
     ``((h'-h)/h') (1 + log(h'/(h'-h))) + (|x-t|/h') log(h'/|x-t| + 1)``
 
-    for ``0 < h < h'`` and ``|x - t| < h'/2``.
+    for ``0 < h < h'`` and ``|x - t| < h'/2``.  ``norm`` is
+    ``zygmund_seminorm(f)``, as in the three checks below.
     """
     rng = _rng(seed, 11)
     M = f.values.size - 1
-    norm = zygmund_seminorm(f)
     u = _log_uniform(rng, 1, M // 4, samples)
     g = _log_uniform(rng, 1, M // 4, samples)
     up = u + g
@@ -152,7 +152,7 @@ def check_second_difference_modulus(
 
 
 def check_equal_step(
-    f: SampledFunction, samples: int = 10000, seed: int = 0
+    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
 ) -> RatioReport:
     """Centre-translation modulus at a fixed step:
     ``|d2(x, h) - d2(t, h)| <= norm (|x-t|/h) log(h/|x-t| + 1)`` for
@@ -160,7 +160,6 @@ def check_equal_step(
     """
     rng = _rng(seed, 12)
     M = f.values.size - 1
-    norm = zygmund_seminorm(f)
     u = _log_uniform(rng, 3, M // 2, samples)
     s = _log_uniform(rng, 1, M // 2, samples)
     ok_geom = 2 * s < u
@@ -179,7 +178,7 @@ def check_equal_step(
 
 
 def check_equal_centre(
-    f: SampledFunction, samples: int = 10000, seed: int = 0
+    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
 ) -> RatioReport:
     """Step-change modulus at a fixed centre:
     ``|d2(x, h) - d2(x, h')| <= norm ((h'-h)/h') (1 + log(h'/(h'-h)))`` for
@@ -187,7 +186,6 @@ def check_equal_centre(
     """
     rng = _rng(seed, 13)
     M = f.values.size - 1
-    norm = zygmund_seminorm(f)
     u = _log_uniform(rng, 1, M // 4, samples)
     g = _log_uniform(rng, 1, M // 4, samples)
     up = u + g
@@ -204,14 +202,13 @@ def check_equal_centre(
 
 
 def check_first_difference(
-    f: SampledFunction, samples: int = 10000, seed: int = 0
+    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
 ) -> RatioReport:
     """Distant-translation bound for slopes:
     ``|d1(x, h) - d1(t, h)| <= norm log(|x-t|/h + 1)`` for ``|x - t| > h/2``.
     """
     rng = _rng(seed, 14)
     M = f.values.size - 1
-    norm = zygmund_seminorm(f)
     u = _log_uniform(rng, 1, M // 4, samples)
     s = _log_uniform(rng, 1, M // 2, samples)
     ok_geom = 2 * s > u
@@ -497,12 +494,18 @@ def run_lemma_suite(seed: int = 0, samples: int = 10000) -> dict:
     depths and collect max ratios with their depth-doubling factors."""
     reports = []
     passed = True
-    shallow_fns = lemma_function_family(6, seed=seed)
-    deep_fns = dict(lemma_function_family(12, seed=seed))
+    shallow_fns = [
+        (name, f, zygmund_seminorm(f))
+        for name, f in lemma_function_family(6, seed=seed)
+    ]
+    deep_fns = {
+        name: (f, zygmund_seminorm(f))
+        for name, f in lemma_function_family(12, seed=seed)
+    }
     for check in _FUNCTION_CHECKS:
-        for name, f in shallow_fns:
-            low = check(f, samples=samples, seed=seed + 1)
-            high = check(deep_fns[name], samples=samples, seed=seed + 2)
+        for name, f, norm in shallow_fns:
+            low = check(f, norm, samples=samples, seed=seed + 1)
+            high = check(*deep_fns[name], samples=samples, seed=seed + 2)
             factor = stability_factor(low, high)
             high.name = f"{low.name}[{name}]"
             high.stability_factor = factor
@@ -549,29 +552,17 @@ def verify_strichartz_consistency(
     for name, f in function_suite(depth, seed=seed):
         if name == "weierstrass":
             continue  # not grid-quantised; excluded from exact suite checks
-        norm = dyadic_zygmund_seminorm(f)
-        grid = _geometric_grid(norm, -12)
+        S = average_growth(f)
+        grid = _geometric_grid(2.0 * star_norm(S), -12)
         energy_ok = _bounded(
             box_square_energy(f, depth=d_shallow),
             box_square_energy(f, depth=d_deep),
             tau,
         )
-        cone_ok = all(
-            _bounded(
-                lp_norm(cone_levelset_count(f, e, d_shallow), 2.0),
-                lp_norm(cone_levelset_count(f, e, d_deep), 2.0),
-                tau,
-            )
-            for e in grid
-        )
-        tree_ok = all(
-            _bounded(
-                levelset_tree_density(f, e, depth=d_shallow),
-                levelset_tree_density(f, e, depth=d_deep),
-                tau,
-            )
-            for e in grid
-        )
+        cone = cone_levelset_count(f, grid, [d_shallow, d_deep]).values
+        tree = density_profile(S, grid, [d_shallow, d_deep]).values
+        cone_ok = all(_bounded(a, b, tau) for a, b in zip(*cone))
+        tree_ok = all(_bounded(a, b, tau) for a, b in zip(*tree))
         results[name] = {
             "energy_bounded": energy_ok,
             "cone_bounded": cone_ok,

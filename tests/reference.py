@@ -13,6 +13,7 @@ import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
 from zygdist.dyadic import RealInterval
+from zygdist.functionals import _cone_samples
 from zygdist.martingale import SampledFunction, average_growth, integrate, star_norm
 from zygdist.measures import GridMeasure
 
@@ -178,6 +179,39 @@ def one_split_measure(dim: int, depth: int, theta=Fraction(1, 4)) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # loop versions of the batched kernels, and exact geometry
+
+
+def zygmund_seminorm_slices(f: SampledFunction) -> float:
+    """``zygmund_seminorm`` with each second difference taken from three
+    slices of the samples, ``(v[x+u] - v[x]) - (v[x] - v[x-u])``."""
+    v = f.values
+    spacing = float(f.spacing)
+    best = 0.0
+    for u in range(1, (v.size - 1) // 2 + 1):
+        d2 = (v[2 * u :] - v[u:-u]) - (v[u:-u] - v[: -2 * u])
+        best = max(best, float(np.abs(d2).max()) / (u * spacing))
+    return best
+
+
+def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
+    """Per-leaf sqrt of the cone mass of ``|d2| > eps``, one level at a time.
+
+    Every (layer, offset) sample of a leaf's cone adds ``(4/9) * val`` to its
+    mass, ``val`` being 1.0 when the sample is inside the grid, valid and
+    above ``eps``, else 0.0; ``lp_norm(cone_field(f, eps, d), 2)`` is the
+    ``cone_levelset_count`` table entry at ``(d, eps)``.
+    """
+    N = f.depth
+    acc = np.zeros(1 << N)
+    apex = np.arange(1 << N, dtype=np.int64)
+    for u, d2, ok in _cone_samples(f, depth):
+        for offset in (-2 * u, 0, 2 * u):
+            s = apex + offset
+            inside = (s >= 0) & (s < d2.size)
+            s = np.clip(s, 0, d2.size - 1)
+            val = (np.abs(d2[s]) > eps).astype(np.float64) * ok[s] * inside
+            acc += (4.0 / 9.0) * val
+    return np.sqrt(acc)
 
 
 def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):

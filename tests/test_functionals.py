@@ -1,5 +1,6 @@
 """Oracle and property tests for second-difference functionals."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from reference import (
     box_lattice,
+    cone_field,
     exceeds_level,
     first_difference,
     second_difference,
     second_difference_dyadic,
+    zygmund_seminorm_slices,
 )
 from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
@@ -36,7 +39,12 @@ from zygdist.generators import (
     random_martingale,
     single_branch_martingale,
 )
-from zygdist.martingale import average_growth, dyadic_zygmund_seminorm, integrate
+from zygdist.martingale import (
+    SampledFunction,
+    average_growth,
+    dyadic_zygmund_seminorm,
+    integrate,
+)
 
 
 def _window(f, generation, index):
@@ -100,6 +108,24 @@ def test_zygmund_seminorm_scaling():
     f = integrate(random_martingale(7, seed=11))
     g = type(f)(4.0 * f.values, left=f.left, log2_spacing=f.log2_spacing)
     assert zygmund_seminorm(g) == 4.0 * zygmund_seminorm(f)
+
+
+@pytest.mark.parametrize("cells", range(1, 10))
+def test_zygmund_seminorm_equals_three_slice_form(cells):
+    rng = np.random.default_rng(cells)
+    for values in (rng.standard_normal(cells + 1), rng.integers(-8, 9, cells + 1) / 16):
+        f = SampledFunction(values, log2_spacing=-3)
+        assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=80),
+    st.integers(-12, 4),
+)
+def test_zygmund_seminorm_equals_three_slice_form_on_random_arrays(values, log2_spacing):
+    f = SampledFunction(values, log2_spacing=log2_spacing)
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
 
 
 def test_dyadic_seminorm_below_full_sweep():
@@ -246,7 +272,7 @@ def test_density_profile_random_jumps_threshold():
 
 def test_cone_zero_for_linear():
     f = linear_function(7, slope=2.0)
-    assert np.all(cone_levelset_count(f, 0.0, 5) == 0.0)
+    assert cone_levelset_count(f, [0.0], [5]).values == [[0.0]]
 
 
 def test_cone_count_bound_and_chebyshev():
@@ -254,17 +280,58 @@ def test_cone_count_bound_and_chebyshev():
     for _, f in function_suite(7, seed=13):
         norm = max(dyadic_zygmund_seminorm(f), 0.25)
         eps = 0.4 * norm
-        counts = cone_levelset_count(f, eps, depth)
-        assert counts.shape == (2**7,)
-        assert np.all(counts**2 <= (4.0 / 3.0) * depth + 1e-12)
+        profile = cone_levelset_count(f, [eps], [depth])
+        assert profile.depths == [depth] and profile.eps == [eps]
+        # each leaf counts at most 3 samples per layer, each of mass 4/9
+        assert profile.values[0][0] ** 2 <= (4.0 / 3.0) * depth + 1e-12
 
 
 def test_cone_count_single_sample_weight():
-    # A pure hat has |d2| = 2 at configurations straddling the peak only;
-    # each qualifying lattice cell contributes exactly 4/9.
+    # A pure hat has |d2| > 1.9 only at configurations centred next to its
+    # peak: none on layer 0, three samples on layer 1, each seen by three
+    # apexes.  Each qualifying sample contributes exactly 4/9.
     f = hat_function(6)
-    counts = cone_levelset_count(f, 1.9, depth=1)
-    assert set(np.round(counts**2 * 9 / 4).astype(int)) <= {0, 1, 2, 3}
+    (layer0,), (layer1,) = cone_levelset_count(f, [1.9], [1, 2]).values
+    assert layer0 == 0.0
+    assert layer1**2 * 9 / 4 * 2**6 == pytest.approx(9, rel=1e-12)
+
+
+def _cone_table(f, grid, depths):
+    return [[lp_norm(cone_field(f, e, d), 2.0) for e in grid] for d in depths]
+
+
+def _third(f):
+    return SampledFunction(f.values / 3.0, left=f.left, log2_spacing=f.log2_spacing)
+
+
+@pytest.mark.parametrize("depth", range(3, 13))
+def test_cone_count_equals_per_level_oracle(depth):
+    # grids with 0, a duplicate, inf and a level below every |d2|; depths
+    # 1, N - 1 and N (N - 1 and N share the deepest layer); weierstrass
+    # and the / 3 inputs are off the binary lattice
+    for _, f in function_suite(depth, seed=depth):
+        for g in (f, _third(f)):
+            grid = default_eps_grid(g)[::4] + [0.0, 0.0, math.inf, -1.0]
+            depths = [1, depth - 1, depth]
+            table = cone_levelset_count(g, grid, depths).values
+            assert table == _cone_table(g, grid, depths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    which=st.integers(0, 5),
+    third=st.booleans(),
+    exponents=st.lists(st.integers(-24, 4), max_size=6),
+    extra=st.lists(st.sampled_from([0.0, math.inf]), max_size=2),
+    depths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+)
+def test_cone_count_oracle_property(depth, seed, which, third, exponents, extra, depths):
+    _, f = function_suite(depth, seed=seed)[which]
+    g = _third(f) if third else f
+    grid = [dyadic_zygmund_seminorm(g) * 2.0 ** (j / 2) for j in exponents] + extra
+    assert cone_levelset_count(g, grid, depths).values == _cone_table(g, grid, depths)
 
 
 # ---------------------------------------------------------------------------

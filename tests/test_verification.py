@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import one_split_measure, unit_tree_distance
+from zygdist.functionals import zygmund_seminorm
 from zygdist.generators import (
     _rng,
     cascade_measure,
@@ -44,6 +45,11 @@ ALL_CHECKS = [
     check_equal_centre,
     check_first_difference,
 ]
+
+
+def _run(check, f, **kwargs):
+    """A function check, measured against the function's own seminorm."""
+    return check(f, zygmund_seminorm(f), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,7 @@ def test_modulus_ratios_finite(check):
         lacunary_function(8),
         integrate(random_jump_martingale(8, seed=1)),
     ]:
-        report = check(f, samples=4000, seed=0)
+        report = _run(check, f, samples=4000, seed=0)
         assert math.isfinite(report.max_ratio)
         assert report.max_ratio >= 0.0
         assert report.samples > 0
@@ -139,8 +145,8 @@ def test_modulus_ratios_finite(check):
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_deterministic(check):
     f = lacunary_function(8)
-    a = check(f, samples=2000, seed=7)
-    b = check(f, samples=2000, seed=7)
+    a = _run(check, f, samples=2000, seed=7)
+    b = _run(check, f, samples=2000, seed=7)
     assert a.max_ratio == b.max_ratio and a.argmax == b.argmax
 
 
@@ -148,46 +154,47 @@ def test_modulus_deterministic(check):
 def test_modulus_scale_invariant(check):
     f = lacunary_function(8)
     g = type(f)(4.0 * f.values, left=f.left, log2_spacing=f.log2_spacing)
-    a = check(f, samples=3000, seed=5)
-    b = check(g, samples=3000, seed=5)
+    a = _run(check, f, samples=3000, seed=5)
+    b = _run(check, g, samples=3000, seed=5)
     assert a.max_ratio == pytest.approx(b.max_ratio, rel=1e-12)
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_zero_function(check):
-    report = check(linear_function(8), samples=1000, seed=0)
+    report = _run(check, linear_function(8), samples=1000, seed=0)
     assert report.max_ratio == 0.0
 
 
 def test_modulus_noncompact_drops_outside_samples():
     f = weierstrass_function(8)
-    report = check_second_difference_modulus(f, samples=5000, seed=0)
+    report = _run(check_second_difference_modulus, f, samples=5000, seed=0)
     assert 0 < report.samples < 5000
     assert math.isfinite(report.max_ratio)
 
 
 def test_equal_step_is_exact_zero_for_parabola():
     # the second difference of x^2 depends only on the step, never the centre
-    report = check_equal_step(parabola_function(8), samples=4000, seed=2)
+    report = _run(check_equal_step, parabola_function(8), samples=4000, seed=2)
     assert report.max_ratio == 0.0
 
 
 def test_argmax_config_satisfies_constraints():
     f = lacunary_function(8)
-    report = check_second_difference_modulus(f, samples=5000, seed=1)
+    report = _run(check_second_difference_modulus, f, samples=5000, seed=1)
     assert 0.0 < report.argmax["h"] < report.argmax["hp"]
     assert abs(report.argmax["x"] - report.argmax["t"]) < report.argmax["hp"] / 2
-    report = check_equal_step(f, samples=5000, seed=1)
+    report = _run(check_equal_step, f, samples=5000, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert 0.0 < gap < report.argmax["h"] / 2
-    report = check_first_difference(f, samples=5000, seed=1)
+    report = _run(check_first_difference, f, samples=5000, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert gap > report.argmax["h"] / 2
 
 
 def test_function_depth_doubling_stable():
-    shallow = check_second_difference_modulus(lacunary_function(5), samples=8000, seed=1)
-    deep = check_second_difference_modulus(lacunary_function(10), samples=8000, seed=2)
+    check = check_second_difference_modulus
+    shallow = _run(check, lacunary_function(5), samples=8000, seed=1)
+    deep = _run(check, lacunary_function(10), samples=8000, seed=2)
     assert stability_factor(shallow, deep) <= 1.5
 
 
