@@ -413,13 +413,13 @@ def cmd_measure(args) -> tuple[dict, int]:
     mu = load_measure(payload)
     depths = _parse_depths(args.depths, [max(1, mu.depth - 2), mu.depth])
     _require(max(depths) <= mu.depth, "requested depth exceeds the grid depth")
-    dyadic_norm = measure_zygmund_norm(mu, mode="dyadic")
+    S = density_martingale(mu)
+    dyadic_norm = star_norm(S)
     grid = _parse_eps_grid(args.eps_grid, _geometric_grid(dyadic_norm, -20))
     norm_rows = [
         ["dyadic_zygmund", dyadic_norm],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
     ]
-    S = density_martingale(mu)
     density_rows = [
         [e, d, measure_tree_levelset_density(S, e, depth=d)]
         for e in grid
@@ -429,7 +429,7 @@ def cmd_measure(args) -> tuple[dict, int]:
     for eps in grid:
         if eps <= 0.0:
             continue
-        kept = measure_truncate(mu, eps)
+        kept = measure_truncate(S, eps)
         residual_norm = measure_zygmund_norm(mu - kept, mode="dyadic")
         _require(
             residual_norm <= eps,

@@ -26,6 +26,7 @@ from zygdist.dyadic import RealInterval
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _windowed_density,
     average_growth,
     star_norm,
 )
@@ -120,22 +121,16 @@ def levelset_tree_density(source, eps: float, depth: int | None = None) -> float
     cell ``I`` of generation ``0..depth``, the lengths of qualifying parents
     ``P`` with ``P`` inside ``I`` and ``generation(P) < depth`` are summed
     and divided by ``|I|``; returns the maximum over windows, computed
-    bottom-up in one pass.
+    bottom-up in one pass (``martingale._windowed_density``).
     """
     S = source if isinstance(source, DyadicMartingale) else average_growth(source)
     if depth is None:
         depth = S.depth
     if not 1 <= depth <= S.depth:
         raise ValueError(f"depth must be in [1, {S.depth}]")
-    best = 0.0
-    acc = np.zeros(1 << depth)
-    for m in range(depth - 1, -1, -1):
-        child_sum = acc[0::2] + acc[1::2]
-        left_jumps = S.jumps(m + 1)[0::2]
-        qualifies = 2.0 * np.abs(left_jumps) > eps
-        acc = child_sum + qualifies * 2.0 ** (-m)
-        best = max(best, float(acc.max()) * 2.0**m)
-    return best
+    return _windowed_density(
+        lambda m: 2.0 * np.abs(S.jumps(m + 1)[0::2]) > eps, depth, 1
+    )
 
 
 @dataclass

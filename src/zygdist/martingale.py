@@ -118,14 +118,28 @@ def _expand(arr: np.ndarray, dim: int, factor: int = 2) -> np.ndarray:
     return arr
 
 
-def _block_sum(arr: np.ndarray, dim: int) -> np.ndarray:
-    """Sum over 2x...x2 blocks, halving every axis."""
+def _block_reduce(arr: np.ndarray, dim: int, op=np.add) -> np.ndarray:
+    """Reduce 2x...x2 blocks with the binary ``op``, halving every axis."""
     for axis in range(dim):
-        shape = arr.shape
-        arr = arr.reshape(
-            shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
-        ).sum(axis=axis + 1)
+        head = (slice(None),) * axis
+        arr = op(arr[head + (slice(0, None, 2),)], arr[head + (slice(1, None, 2),)])
     return arr
+
+
+def _windowed_density(qualifies, depth: int, dim: int) -> float:
+    """Largest windowed volume of qualifying cells, computed bottom-up.
+
+    ``qualifies(m)`` is the boolean field over generation-``m`` cells.  For
+    each window cell ``Q`` of generation ``0..depth``, the volumes of the
+    qualifying cells ``P`` inside ``Q`` with ``generation(P) < depth`` are
+    summed and divided by ``|Q|``; returns the maximum over windows.
+    """
+    best = 0.0
+    acc = np.zeros((1 << depth,) * dim)
+    for m in range(depth - 1, -1, -1):
+        acc = _block_reduce(acc, dim) + qualifies(m) * 2.0 ** (-dim * m)
+        best = max(best, float(acc.max()) * 2.0 ** (dim * m))
+    return best
 
 
 class DyadicMartingale:
@@ -157,7 +171,7 @@ class DyadicMartingale:
         levels = [leaf]
         scale = float(2**dim)
         while levels[0].size > 1:
-            levels.insert(0, _block_sum(levels[0], dim) / scale)
+            levels.insert(0, _block_reduce(levels[0], dim) / scale)
         return cls(levels, root=root, dim=dim)
 
     @property
@@ -182,7 +196,7 @@ class DyadicMartingale:
         """Check the averaging property on every generation."""
         scale = float(2**self.dim)
         for n in range(1, self.depth + 1):
-            mean = _block_sum(self.levels[n], self.dim) / scale
+            mean = _block_reduce(self.levels[n], self.dim) / scale
             if not np.allclose(mean, self.levels[n - 1], rtol=rtol, atol=atol):
                 raise ValueError(f"averaging property fails at generation {n}")
 
@@ -250,7 +264,7 @@ def bmo_norm(S: DyadicMartingale, squared: bool = False) -> float:
     U = np.zeros_like(S.levels[-1])
     for n in range(S.depth, 0, -1):
         dj = S.jumps(n)
-        U = _block_sum(U + dj * dj * 2.0 ** (-dim * n), dim)
+        U = _block_reduce(U + dj * dj * 2.0 ** (-dim * n), dim)
         best = max(best, float(U.max()) * 2.0 ** (dim * (n - 1)))
     return best if squared else math.sqrt(best)
 

@@ -18,7 +18,13 @@ import itertools
 
 import numpy as np
 
-from zygdist.martingale import DyadicMartingale, _block_sum, _expand
+from zygdist.martingale import (
+    DyadicMartingale,
+    _block_reduce,
+    _expand,
+    _windowed_density,
+    star_norm,
+)
 
 __all__ = [
     "GridMeasure",
@@ -29,14 +35,25 @@ __all__ = [
 ]
 
 
-def _block_max(arr: np.ndarray, dim: int) -> np.ndarray:
-    """Maximum over 2x...x2 blocks, halving every axis."""
-    for axis in range(dim):
-        shape = arr.shape
-        arr = arr.reshape(
-            shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
-        ).max(axis=axis + 1)
-    return arr
+def _corner_sum(pick, dim: int) -> np.ndarray:
+    """Inclusion-exclusion over the ``2^dim`` corners of a summed-area table.
+
+    ``pick(corner)`` reads the table at one corner, given as a tuple with 0
+    (low end) or 1 (high end) per axis.  Corners are visited in
+    ``itertools.product`` order, each signed ``(-1)^(number of low ends)``;
+    the total is seeded with the first term.
+    """
+    total = None
+    for corner in itertools.product((0, 1), repeat=dim):
+        term = pick(corner)
+        negative = (dim - sum(corner)) % 2
+        if total is None:
+            total = -term if negative else term.copy()
+        elif negative:
+            total -= term
+        else:
+            total += term
+    return total
 
 
 class GridMeasure:
@@ -76,16 +93,14 @@ class GridMeasure:
         has shape ``(len(lo_axes[0]), ..., len(lo_axes[dim-1]))``.
         """
         side = 1 << self.depth
-        lo_axes = [np.clip(np.asarray(lo, dtype=np.int64), 0, side) for lo in lo_axes]
-        hi_axes = [np.clip(np.asarray(hi, dtype=np.int64), 0, side) for hi in hi_axes]
-        total = np.zeros(tuple(lo.size for lo in lo_axes))
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            picks = [
-                hi_axes[a] if corner[a] else lo_axes[a] for a in range(self.dim)
-            ]
-            grids = np.ix_(*picks)
-            total += (-1) ** (self.dim - sum(corner)) * self._table[grids]
-        return total
+        ends = [
+            [np.clip(np.asarray(i, dtype=np.int64), 0, side) for i in pair]
+            for pair in zip(lo_axes, hi_axes)
+        ]
+        return _corner_sum(
+            lambda corner: self._table[np.ix_(*[e[c] for e, c in zip(ends, corner)])],
+            self.dim,
+        )
 
     def __sub__(self, other: "GridMeasure") -> "GridMeasure":
         if self.masses.shape != other.masses.shape:
@@ -108,24 +123,10 @@ def _centred_box_masses(ext: np.ndarray, side: int, r: int) -> np.ndarray:
 
     ``ext`` is the summed-area table read at the clipped indices
     ``-side .. 2 side`` on every axis, so each corner of every box is one
-    slice (a view).  Corners are visited in the order and with the signs of
-    ``GridMeasure.box_mass_grid``, which gives the same sums up to the sign
-    of a zero.
+    slice (a view).
     """
-    lo = slice(side - r, 2 * side + 1 - r)
-    hi = slice(side + r, 2 * side + 1 + r)
-    dim = ext.ndim
-    total = None
-    for corner in itertools.product((0, 1), repeat=dim):
-        term = ext[tuple(hi if c else lo for c in corner)]
-        negative = (dim - sum(corner)) % 2
-        if total is None:
-            total = -term if negative else term.copy()
-        elif negative:
-            total -= term
-        else:
-            total += term
-    return total
+    ends = (slice(side - r, 2 * side + 1 - r), slice(side + r, 2 * side + 1 + r))
+    return _corner_sum(lambda corner: ext[tuple(ends[c] for c in corner)], ext.ndim)
 
 
 def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
@@ -139,11 +140,7 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     ``(3 * 2^depth + 1)^dim`` floats.
     """
     if mode == "dyadic":
-        S = density_martingale(mu)
-        best = 0.0
-        for n in range(1, mu.depth + 1):
-            best = max(best, float(np.abs(S.jumps(n)).max()))
-        return best
+        return star_norm(density_martingale(mu))
     if mode != "continuous":
         raise ValueError("mode must be 'dyadic' or 'continuous'")
     side = 1 << mu.depth
@@ -160,7 +157,7 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
 
 def _parent_deviation(S: DyadicMartingale, generation: int) -> np.ndarray:
     """Per-parent largest child jump magnitude at ``generation + 1``."""
-    return _block_max(np.abs(S.jumps(generation + 1)), S.dim)
+    return _block_reduce(np.abs(S.jumps(generation + 1)), S.dim, np.maximum)
 
 
 def measure_tree_levelset_density(source, eps: float, depth: int) -> float:
@@ -176,29 +173,23 @@ def measure_tree_levelset_density(source, eps: float, depth: int) -> float:
     S = source if isinstance(source, DyadicMartingale) else density_martingale(source)
     if not 1 <= depth <= S.depth:
         raise ValueError(f"depth must be in [1, {S.depth}]")
-    d = S.dim
-    best = 0.0
-    acc = np.zeros((1 << depth,) * d)
-    for m in range(depth - 1, -1, -1):
-        qual = _parent_deviation(S, m) > eps
-        acc = _block_sum(acc, d) + qual * 2.0 ** (-d * m)
-        best = max(best, float(acc.max()) * 2.0 ** (d * m))
-    return best
+    return _windowed_density(lambda m: _parent_deviation(S, m) > eps, depth, S.dim)
 
 
-def measure_truncate(mu: GridMeasure, eps: float) -> GridMeasure:
+def measure_truncate(source, eps: float) -> GridMeasure:
     """Nearby measure keeping exactly the large-deviation refinements.
 
     For each parent cell, the child fluctuations are kept in full when the
     largest child deviation exceeds ``eps`` and dropped in full otherwise
     (keeping all or none preserves the averaging structure).  Every dyadic
-    second difference of ``mu - result`` is then at most ``eps``.
+    second difference of ``mu - result`` is then at most ``eps``.  ``source``
+    is the measure ``mu`` or its prebuilt ``density_martingale``.
     """
-    S = density_martingale(mu)
-    d = mu.dim
+    S = source if isinstance(source, DyadicMartingale) else density_martingale(source)
+    d = S.dim
     level = S.levels[0].copy()
-    for n in range(1, mu.depth + 1):
+    for n in range(1, S.depth + 1):
         dj = S.jumps(n)
-        keep = _expand(_block_max(np.abs(dj), d) > eps, d)
+        keep = _expand(_block_reduce(np.abs(dj), d, np.maximum) > eps, d)
         level = _expand(level, d) + keep * dj
-    return GridMeasure(level * 2.0 ** (-d * mu.depth))
+    return GridMeasure(level * 2.0 ** (-d * S.depth))

@@ -44,7 +44,7 @@ from zygdist.martingale import (
     quadratic_characteristic,
     star_norm,
 )
-from zygdist.measures import GridMeasure, measure_zygmund_norm
+from zygdist.measures import GridMeasure, _corner_sum, measure_zygmund_norm
 
 __all__ = [
     "PredecessorReport",
@@ -79,9 +79,7 @@ class RatioReport:
 
 def stability_factor(shallow: RatioReport, deep: RatioReport) -> float:
     """Growth of the maximum ratio when the grid depth doubles."""
-    if shallow.max_ratio == 0.0:
-        return 1.0 if deep.max_ratio == 0.0 else math.inf
-    return deep.max_ratio / shallow.max_ratio
+    return _growth_ratio(shallow.max_ratio, deep.max_ratio)
 
 
 def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.ndarray:
@@ -234,18 +232,11 @@ def check_first_difference(
 def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
     """Vectorised clipped box averages; ``centers`` is (n, dim) in grid units."""
     side = 1 << mu.depth
-    n = centers.shape[0]
-    total = np.zeros(n)
-    for corner in range(1 << mu.dim):
-        idx = []
-        parity = 0
-        for a in range(mu.dim):
-            if corner >> a & 1:
-                parity += 1
-                idx.append(np.clip(centers[:, a] + half, 0, side))
-            else:
-                idx.append(np.clip(centers[:, a] - half, 0, side))
-        total += (-1) ** (mu.dim - parity) * mu._table[tuple(idx)]
+    ends = [np.clip(centers + s * half[:, None], 0, side) for s in (-1, 1)]
+    total = _corner_sum(
+        lambda corner: mu._table[tuple(ends[c][:, a] for a, c in enumerate(corner))],
+        mu.dim,
+    )
     vol = (2.0 * half / side) ** mu.dim
     return total / vol
 

@@ -2,7 +2,9 @@
 
 Scalar evaluators (one second difference, one box average, one cell
 deviation at a time, on exact ``Fraction`` geometry), loop versions of the
-batched kernels, and the ``one_split_measure`` fixture.
+batched kernels, reshape block reductions and a bit-order corner sum that
+the shared kernels must match bit for bit, and the ``one_split_measure``
+fixture.
 """
 
 import itertools
@@ -68,6 +70,30 @@ def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
     vb = f.value_at_index(f.index_of(b))
     h = float((b - a) / 2)
     return ((vb - vm) - (vm - va)) / h
+
+
+# ---------------------------------------------------------------------------
+# block reductions by reshape
+
+
+def block_sum(arr: np.ndarray, dim: int) -> np.ndarray:
+    """Sum over 2x...x2 blocks, halving every axis, by reshape."""
+    for axis in range(dim):
+        shape = arr.shape
+        arr = arr.reshape(
+            shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
+        ).sum(axis=axis + 1)
+    return arr
+
+
+def block_max(arr: np.ndarray, dim: int) -> np.ndarray:
+    """Maximum over 2x...x2 blocks, halving every axis, by reshape."""
+    for axis in range(dim):
+        shape = arr.shape
+        arr = arr.reshape(
+            shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
+        ).max(axis=axis + 1)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +264,27 @@ def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
         acc += integrate(B).values[offset : offset + (1 << N) + 1]
     acc /= count
     return acc, f.values - acc, seminorms
+
+
+def delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
+    """``verification._delta1_samples`` with corners in bit order.
+
+    Corner ``k`` takes the high end on axis ``a`` when bit ``a`` of ``k`` is
+    set, and the total starts from zeros.
+    """
+    side = 1 << mu.depth
+    total = np.zeros(centers.shape[0])
+    for corner in range(1 << mu.dim):
+        idx = []
+        parity = 0
+        for a in range(mu.dim):
+            if corner >> a & 1:
+                parity += 1
+                idx.append(np.clip(centers[:, a] + half, 0, side))
+            else:
+                idx.append(np.clip(centers[:, a] - half, 0, side))
+        total += (-1) ** (mu.dim - parity) * mu._table[tuple(idx)]
+    return total / (2.0 * half / side) ** mu.dim
 
 
 def measure_zygmund_norm_loop(mu: GridMeasure) -> float:

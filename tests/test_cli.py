@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from zygdist import approximation
+from zygdist import approximation, cli, measures
 from zygdist.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -266,6 +266,28 @@ def test_measure_command(tmp_path):
     assert norms["dyadic_zygmund"] > 0.0
 
 
+def test_measure_builds_one_density_martingale(tmp_path, monkeypatch):
+    mu_path = tmp_path / "mu.json"
+    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "8",
+                 "--seed", "2", "--out", str(mu_path)]) == EXIT_OK
+    build = measures.density_martingale
+    builds = []
+
+    def counted(mu):
+        builds.append(mu)
+        return build(mu)
+
+    for module in (cli, measures):
+        monkeypatch.setattr(module, "density_martingale", counted)
+    code, report = run(tmp_path, "measure", "--in", str(mu_path))
+    assert code == EXIT_OK
+    truncations = len(report["tables"]["truncation"]["rows"])
+    assert truncations > 1
+    # one for the norm, tree densities and truncations, plus one per
+    # residual norm
+    assert len(builds) == 1 + truncations
+
+
 def test_verify_suites(tmp_path):
     for suite in ["bdg", "predecessor", "consistency"]:
         code, report = run(tmp_path, "verify", "--suite", suite, "--seed", "3")
@@ -332,6 +354,30 @@ def test_sobolev_rejects_noncompact_input(tmp_path):
     path = write_function(tmp_path, "linear.json", **{"--kind": "linear", "--depth": "4"})
     assert main(["sobolev", "--in", path]) == EXIT_INPUT
     assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [
+        (6, "window seminorm 0.010416666666666689 exceeds requested level "
+            "0.010416666666666685"),
+        (9, "decomposition failed to reproduce the input exactly"),
+    ],
+)
+def test_sobolev_exits_on_inputs_off_the_binary_lattice(tmp_path, capsys, depth, message):
+    # random-jumps values divided by 3 are off the binary lattice; the two
+    # per-level checks of `sobolev` hold only where the arithmetic is exact.
+    path = write_function(
+        tmp_path, **{"--kind": "random-jumps", "--depth": str(depth), "--seed": "0"}
+    )
+    payload = json.loads((tmp_path / "f.json").read_text())
+    payload["values"] = [v / 3 for v in payload["values"]]
+    (tmp_path / "f.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sobolev", "--in", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in ("decompose", "distance-ibmo"):
+        assert run(tmp_path, command, "--in", path)[0] == EXIT_OK
 
 
 @pytest.mark.parametrize(

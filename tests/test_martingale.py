@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import second_difference_dyadic
+from reference import block_max, block_sum, second_difference_dyadic
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     hat_function,
@@ -22,6 +22,7 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     DyadicMartingale,
+    _block_reduce,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -32,6 +33,15 @@ from zygdist.martingale import (
     thresholded_jump_count,
     window_parseval,
 )
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 1), (1, 11), (2, 1), (2, 6)])
+def test_block_reduce_matches_the_reshape_reductions(dim, depth):
+    arr = np.random.default_rng(depth).standard_normal((1 << depth,) * dim)
+    assert _block_reduce(arr, dim).tobytes() == block_sum(arr, dim).tobytes()
+    assert (
+        _block_reduce(arr, dim, np.maximum).tobytes() == block_max(arr, dim).tobytes()
+    )
 
 
 def test_average_growth_hat_oracle():

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import one_split_measure, unit_tree_distance
+from reference import (
+    block_max,
+    block_sum,
+    delta1_samples,
+    one_split_measure,
+    unit_tree_distance,
+)
 from zygdist.functionals import zygmund_seminorm
 from zygdist.generators import (
     _rng,
@@ -19,11 +25,12 @@ from zygdist.generators import (
     random_jump_martingale,
     weierstrass_function,
 )
-from zygdist.martingale import integrate
-from zygdist.measures import GridMeasure
+from zygdist.martingale import _block_reduce, integrate
+from zygdist.measures import GridMeasure, density_martingale
 from zygdist.verification import (
     RatioReport,
     _bounded,
+    _delta1_samples,
     _log_uniform,
     _unit_tree_cells,
     _unit_tree_distance,
@@ -32,6 +39,7 @@ from zygdist.verification import (
     check_first_difference,
     check_measure_modulus,
     check_second_difference_modulus,
+    lemma_measure_family,
     stability_factor,
     verify_bdg,
     verify_dyadic_distance_bound,
@@ -64,6 +72,29 @@ def test_stability_factor_rules():
     assert stability_factor(a, b) == 1.0
     assert stability_factor(a, c) == math.inf
     assert stability_factor(c, d) == 1.5
+    # a maximum that falls to zero at the deeper grid does not grow
+    assert stability_factor(c, a) == 1.0
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_shared_kernels_match_the_oracles_on_lemma_cascades(seed, doubled):
+    rng = np.random.default_rng(seed)
+    for _, mu in lemma_measure_family(seed=seed, doubled=doubled):
+        d, side = mu.dim, 1 << mu.depth
+        S = density_martingale(mu)
+        for n in range(1, S.depth + 1):
+            level, dev = S.levels[n], np.abs(S.jumps(n))
+            assert _block_reduce(level, d).tobytes() == block_sum(level, d).tobytes()
+            assert (
+                _block_reduce(dev, d, np.maximum).tobytes()
+                == block_max(dev, d).tobytes()
+            )
+        centers = rng.integers(0, side + 1, size=(1000, d))
+        half = rng.integers(1, side // 2 + 1, 1000)
+        assert np.array_equal(
+            _delta1_samples(mu, centers, half), delta1_samples(mu, centers, half)
+        )
 
 
 sizes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
