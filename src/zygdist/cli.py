@@ -33,7 +33,7 @@ from zygdist.functionals import (
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
-    levelset_tree_density,
+    density_profile,
     zygmund_seminorm,
 )
 from zygdist.generators import (
@@ -196,20 +196,23 @@ def _table(columns: list[str], rows: list, method: dict) -> dict:
     return {"columns": columns, "rows": _jsonable(rows), "method": _jsonable(method)}
 
 
-def _parse_depths(text: str | None, fallback: list[int]) -> list[int]:
+def _parse_depths(text: str | None, depth: int, back: int) -> list[int]:
+    """Depths from ``--depths``, or ``[max(1, depth - back), depth]`` without it."""
     if text is None:
-        return fallback
+        return [max(1, depth - back), depth]
     try:
         depths = sorted({int(part) for part in text.split(",") if part.strip()})
     except ValueError:
         raise InputError(f"cannot parse depth list {text!r}") from None
     _require(bool(depths) and depths[0] >= 1, "depths must be positive integers")
+    _require(depths[-1] <= depth, "requested depth exceeds the input depth")
     return depths
 
 
-def _parse_eps_grid(text: str, auto: list[float]) -> list[float]:
+def _parse_eps_grid(text: str) -> list[float] | None:
+    """Levels from ``--eps-grid``, or ``None`` for ``auto`` (the command's default)."""
     if text == "auto":
-        return auto
+        return None
     try:
         grid = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -219,13 +222,21 @@ def _parse_eps_grid(text: str, auto: list[float]) -> list[float]:
     return sorted(grid)
 
 
+def _profile_rows(profile) -> list:
+    """``[eps, depth, value]`` rows of a depth profile, eps outer, depth inner."""
+    return [
+        [e, d, row[j]]
+        for j, e in enumerate(profile.eps)
+        for d, row in zip(profile.depths, profile.values)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes its loaded input (or None) and the parsed arguments,
+# and returns the report body and exit code
 
 
-def cmd_seminorm(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    f = load_function(payload)
+def cmd_seminorm(f: SampledFunction, args) -> tuple[dict, int]:
     growth = average_growth(f)
     rows = [
         ["dyadic_zygmund", 2.0 * star_norm(growth)],
@@ -234,7 +245,6 @@ def cmd_seminorm(args) -> tuple[dict, int]:
         ["growth_bmo", bmo_norm(growth)],
     ]
     body = {
-        "input_sha256": digest,
         "tables": {
             "seminorms": _table(
                 ["name", "value"],
@@ -249,55 +259,37 @@ def cmd_seminorm(args) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
-def cmd_strichartz(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    f = load_function(payload)
-    depths = _parse_depths(args.depths, [max(1, f.depth - 4), f.depth])
-    _require(max(depths) <= f.depth, "requested depth exceeds the sample depth")
+def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
+    depths = _parse_depths(args.depths, f.depth, 4)
     S = average_growth(f)
-    grid = _parse_eps_grid(args.eps_grid, default_eps_grid(S))
-    tree_rows = [
-        [e, d, levelset_tree_density(S, e, depth=d)] for e in grid for d in depths
-    ]
+    grid = _parse_eps_grid(args.eps_grid) or default_eps_grid(S)
+    tree = density_profile(S, grid, depths)
     del S  # the cone counts read the samples; free the martingale first
     cones = cone_levelset_count(f, grid, depths)
-    cone_rows = [
-        [e, d, cones.values[i][j]]
-        for j, e in enumerate(grid)
-        for i, d in enumerate(depths)
-    ]
     energy_rows = [[d, box_square_energy(f, depth=d)] for d in depths]
     method = {"depths": depths, "eps_grid": args.eps_grid}
+    columns = ["eps", "depth", "value"]
     body = {
-        "input_sha256": digest,
         "tables": {
-            "tree_density": _table(["eps", "depth", "value"], tree_rows, method),
-            "cone_count_l2": _table(["eps", "depth", "value"], cone_rows, method),
+            "tree_density": _table(columns, _profile_rows(tree), method),
+            "cone_count_l2": _table(columns, _profile_rows(cones), method),
             "box_energy": _table(["depth", "value"], energy_rows, method),
         },
     }
     return body, EXIT_OK
 
 
-def cmd_distance(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    f = load_function(payload)
-    depths = _parse_depths(args.depths, None) if args.depths else None
-    if depths is not None:
-        _require(max(depths) <= f.depth, "requested depth exceeds the sample depth")
-    grid = None
-    if args.eps_grid != "auto":
-        grid = _parse_eps_grid(args.eps_grid, [])
+def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
+    depths = _parse_depths(args.depths, f.depth, 4)
+    grid = _parse_eps_grid(args.eps_grid)  # None: the report's own default grid
     report = distance_report(f, eps_grid=grid, depths=depths, tau=args.tau)
     profile = report.profile
     profile_rows = [
-        [profile.eps[j], profile.depths[i], profile.values[i][j]]
-        for i in range(len(profile.depths))
-        for j in range(len(profile.eps))
+        [e, d, value]
+        for d, row in zip(profile.depths, profile.values)
+        for e, value in zip(profile.eps, row)
     ]
-    distance_rows = [
-        [report.eps[j], report.measured_distance[j]] for j in range(len(report.eps))
-    ]
+    distance_rows = list(zip(report.eps, report.measured_distance))
     estimate = report.estimate
     value = estimate.eps
     rule = estimate.method
@@ -313,7 +305,6 @@ def cmd_distance(args) -> tuple[dict, int]:
         "rule": rule,
     }
     body = {
-        "input_sha256": digest,
         "tables": {
             "density_profile": _table(["eps", "depth", "value"], profile_rows, method),
             "measured_distance": _table(
@@ -323,10 +314,7 @@ def cmd_distance(args) -> tuple[dict, int]:
             ),
             "stability": _table(
                 ["eps", "ratio", "stable"],
-                [
-                    [profile.eps[j], estimate.ratios[j], estimate.stable[j]]
-                    for j in range(len(profile.eps))
-                ],
+                list(zip(profile.eps, estimate.ratios, estimate.stable)),
                 method,
             ),
         },
@@ -335,30 +323,22 @@ def cmd_distance(args) -> tuple[dict, int]:
     return body, EXIT_OK if value is not None else EXIT_INCONCLUSIVE
 
 
-def cmd_decompose(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    f = load_function(payload)
-    grid = None if args.eps_grid == "auto" else _parse_eps_grid(args.eps_grid, [])
+def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
     rows = []
-    for parts in dyadic_decompose(f, grid):
+    for parts in dyadic_decompose(f, _parse_eps_grid(args.eps_grid)):
         eps = parts.eps
         if eps <= 0.0:
             continue
-        identity = bool(
-            np.array_equal(parts.rough.values + parts.small.values, f.values)
-        )
+        identity = np.array_equal(parts.rough.values + parts.small.values, f.values)
         small_norm = dyadic_zygmund_seminorm(parts.small)
         _require(identity, "decomposition failed to reproduce the input exactly")
         _require(
             small_norm <= eps,
             f"small-part seminorm {small_norm} exceeds requested level {eps}",
         )
-        rows.append(
-            [eps, small_norm, star_norm(parts.kept), bmo_norm(parts.kept)]
-        )
+        rows.append([eps, small_norm, star_norm(parts.kept), bmo_norm(parts.kept)])
         del parts  # free this level before the next one is built
     body = {
-        "input_sha256": digest,
         "tables": {
             "decomposition": _table(
                 ["eps", "small_seminorm", "rough_star", "rough_bmo"],
@@ -370,11 +350,10 @@ def cmd_decompose(args) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
-def cmd_sobolev(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    f = load_function(payload)
+def cmd_sobolev(f: SampledFunction, args) -> tuple[dict, int]:
     _require(f.compact, "decomposition expects a compactly supported function")
-    grid = [eps for eps in _parse_eps_grid(args.eps_grid, default_eps_grid(f)) if eps > 0.0]
+    grid = _parse_eps_grid(args.eps_grid) or default_eps_grid(f)
+    grid = [eps for eps in grid if eps > 0.0]
     rows = []
     if grid:
         try:
@@ -393,7 +372,6 @@ def cmd_sobolev(args) -> tuple[dict, int]:
             _require(identity, "decomposition failed to reproduce the input exactly")
             rows.append([eps, window_max, zygmund_seminorm(small)])
     body = {
-        "input_sha256": digest,
         "tables": {
             "window_decomposition": _table(
                 ["eps", "window_max_seminorm", "small_grid_seminorm"],
@@ -408,14 +386,11 @@ def cmd_sobolev(args) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
-def cmd_measure(args) -> tuple[dict, int]:
-    payload, digest = read_input(args.input)
-    mu = load_measure(payload)
-    depths = _parse_depths(args.depths, [max(1, mu.depth - 2), mu.depth])
-    _require(max(depths) <= mu.depth, "requested depth exceeds the grid depth")
+def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
+    depths = _parse_depths(args.depths, mu.depth, 2)
     S = density_martingale(mu)
     dyadic_norm = star_norm(S)
-    grid = _parse_eps_grid(args.eps_grid, _geometric_grid(dyadic_norm, -20))
+    grid = _parse_eps_grid(args.eps_grid) or _geometric_grid(dyadic_norm, -20)
     norm_rows = [
         ["dyadic_zygmund", dyadic_norm],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
@@ -438,7 +413,6 @@ def cmd_measure(args) -> tuple[dict, int]:
         truncation_rows.append([eps, residual_norm])
     method = {"depths": depths, "eps_grid": args.eps_grid}
     body = {
-        "input_sha256": digest,
         "tables": {
             "norms": _table(
                 ["name", "value"],
@@ -456,7 +430,7 @@ def cmd_measure(args) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(_, args) -> tuple[dict, int]:
     suites = (
         ["lemmas", "predecessor", "bdg", "consistency"]
         if args.suite == "all"
@@ -464,25 +438,28 @@ def cmd_verify(args) -> tuple[dict, int]:
     )
     body: dict = {"suites": suites}
     passed = True
-    if "lemmas" in suites:
-        suite = run_lemma_suite(seed=args.seed)
-        body["ratio_reports"] = _jsonable(suite["reports"])
-        passed &= suite["passed"]
-    if "predecessor" in suites:
-        rows = []
-        for R in (1, 2, 4):
-            report = verify_predecessor_measure(R, seed=args.seed)
-            rows.append(report)
-            passed &= all(report.level_ok) and report.total_ok
-        body["predecessor"] = _jsonable(rows)
-    if "bdg" in suites:
-        report = verify_bdg(count=100, depth=10, seed=args.seed)
-        body["bdg"] = _jsonable(report)
-        passed &= report["in_range"]
-    if "consistency" in suites:
-        report = verify_strichartz_consistency(depth=12, seed=args.seed, tau=args.tau)
-        body["consistency"] = _jsonable(report)
-        passed &= report["mismatches"] == 0
+    try:
+        if "lemmas" in suites:
+            suite = run_lemma_suite(seed=args.seed)
+            body["ratio_reports"] = _jsonable(suite["reports"])
+            passed &= suite["passed"]
+        if "predecessor" in suites:
+            rows = []
+            for R in (1, 2, 4):
+                report = verify_predecessor_measure(R, seed=args.seed)
+                rows.append(report)
+                passed &= all(report.level_ok) and report.total_ok
+            body["predecessor"] = _jsonable(rows)
+        if "bdg" in suites:
+            report = verify_bdg(count=100, depth=10, seed=args.seed)
+            body["bdg"] = _jsonable(report)
+            passed &= report["in_range"]
+        if "consistency" in suites:
+            report = verify_strichartz_consistency(depth=12, seed=args.seed, tau=args.tau)
+            body["consistency"] = _jsonable(report)
+            passed &= report["mismatches"] == 0
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     body["passed"] = bool(passed)
     if not passed:
         raise InputError("verification suite found a violated estimate")
@@ -508,7 +485,7 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise InputError(f"cannot parse {flag} value {text!r} as a rational") from None
 
 
-def cmd_generate(args) -> tuple[dict, int]:
+def cmd_generate(_, args) -> tuple[dict, int]:
     kind = args.kind
     depth = args.depth
     _require(depth >= 1, "depth must be a positive integer")
@@ -521,44 +498,46 @@ def cmd_generate(args) -> tuple[dict, int]:
     )
     metadata: dict = {"generator": kind, "seed": args.seed, "depth": depth}
     metadata["classification"] = _CLASSIFICATIONS[kind]
-    if kind == "cascade":
-        thetas = None
-        if args.thetas is not None:
-            thetas = [_fraction(part, "--thetas") for part in args.thetas.split(",")]
-            metadata["thetas"] = [float(t) for t in thetas]
-        masses = cascade_measure(args.dim, depth, thetas=thetas, seed=args.seed)
-        metadata["dim"] = args.dim
-        return measure_payload(np.asarray(masses), args.dim, depth, metadata), EXIT_OK
-    if kind == "linear":
-        f = linear_function(depth)
-    elif kind == "hat":
-        f = hat_function(depth)
-    elif kind == "square":
-        f = parabola_function(depth)
-    elif kind == "weierstrass":
-        f = weierstrass_function(depth, levels=args.levels)
-        if args.levels is not None:
-            metadata["levels"] = args.levels
-    elif kind == "lacunary":
-        coefficient = _fraction(args.coefficient, "--coefficient")
-        ratio = _fraction(args.ratio, "--ratio")
-        f = lacunary_function(depth, coefficient=coefficient, ratio=ratio)
-        metadata["coefficient"] = float(coefficient)
-        metadata["ratio"] = float(ratio)
-    elif kind == "random-jumps":
-        delta = _fraction(args.delta or "1/16", "--delta")
-        f = integrate(random_jump_martingale(depth, delta=delta, seed=args.seed))
-        metadata["delta"] = float(delta)
-        metadata["expected_distance_threshold"] = float(2 * delta)
-    elif kind == "single-branch":
-        delta = _fraction(args.delta or "1/2", "--delta")
-        f = integrate(single_branch_martingale(depth, delta=delta))
-        metadata["delta"] = float(delta)
-        metadata["expected_distance_threshold"] = float(2 * delta)
-    else:
-        raise InputError(f"unknown generator kind {kind!r}")
-    metadata["dyadic_seminorm"] = float(dyadic_zygmund_seminorm(f))
-    return function_payload(f, metadata), EXIT_OK
+    # a parameter the generator refuses (or cannot represent) is bad input
+    try:
+        if kind == "cascade":
+            thetas = None
+            if args.thetas is not None:
+                thetas = [_fraction(part, "--thetas") for part in args.thetas.split(",")]
+                metadata["thetas"] = [float(t) for t in thetas]
+            masses = cascade_measure(args.dim, depth, thetas=thetas, seed=args.seed)
+            metadata["dim"] = args.dim
+            return measure_payload(np.asarray(masses), args.dim, depth, metadata), EXIT_OK
+        if kind == "linear":
+            f = linear_function(depth)
+        elif kind == "hat":
+            f = hat_function(depth)
+        elif kind == "square":
+            f = parabola_function(depth)
+        elif kind == "weierstrass":
+            f = weierstrass_function(depth, levels=args.levels)
+            if args.levels is not None:
+                metadata["levels"] = args.levels
+        elif kind == "lacunary":
+            coefficient = _fraction(args.coefficient, "--coefficient")
+            ratio = _fraction(args.ratio, "--ratio")
+            f = lacunary_function(depth, coefficient=coefficient, ratio=ratio)
+            metadata["coefficient"] = float(coefficient)
+            metadata["ratio"] = float(ratio)
+        elif kind == "random-jumps":
+            delta = _fraction(args.delta or "1/16", "--delta")
+            f = integrate(random_jump_martingale(depth, delta=delta, seed=args.seed))
+            metadata["delta"] = float(delta)
+            metadata["expected_distance_threshold"] = float(2 * delta)
+        else:  # single-branch; argparse admits no other kind
+            delta = _fraction(args.delta or "1/2", "--delta")
+            f = integrate(single_branch_martingale(depth, delta=delta))
+            metadata["delta"] = float(delta)
+            metadata["expected_distance_threshold"] = float(2 * delta)
+        metadata["dyadic_seminorm"] = float(dyadic_zygmund_seminorm(f))
+        return function_payload(f, metadata), EXIT_OK
+    except (ValueError, OverflowError) as exc:
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +559,22 @@ _FLAGS = {
     "--interpolate": {"action": "store_true"},
 }
 
-# (name, handler, reads an input file, the flags it reads)
+# (name, handler, the input it loads: "function", "measure" or None, the flags
+# it reads)
 _COMMANDS = [
-    ("seminorm", cmd_seminorm, True, ()),
-    ("strichartz", cmd_strichartz, True, ("--depths", "--eps-grid")),
+    ("seminorm", cmd_seminorm, "function", ()),
+    ("strichartz", cmd_strichartz, "function", ("--depths", "--eps-grid")),
     (
         "distance-ibmo",
         cmd_distance,
-        True,
+        "function",
         ("--depths", "--eps-grid", "--tau", "--interpolate"),
     ),
-    ("decompose", cmd_decompose, True, ("--eps-grid",)),
-    ("sobolev", cmd_sobolev, True, ("--eps-grid",)),
-    ("measure", cmd_measure, True, ("--depths", "--eps-grid")),
-    ("verify", cmd_verify, False, ("--seed", "--tau")),
-    ("generate", cmd_generate, False, ("--seed",)),
+    ("decompose", cmd_decompose, "function", ("--eps-grid",)),
+    ("sobolev", cmd_sobolev, "function", ("--eps-grid",)),
+    ("measure", cmd_measure, "measure", ("--depths", "--eps-grid")),
+    ("verify", cmd_verify, None, ("--seed", "--tau")),
+    ("generate", cmd_generate, None, ("--seed",)),
 ]
 
 
@@ -606,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, handler, needs_input, flags in _COMMANDS:
+    for name, handler, loads, flags in _COMMANDS:
         p = sub.add_parser(name)
-        if needs_input:
+        if loads:
             p.add_argument("--in", dest="input", required=True, help="input file")
         p.add_argument("--out", help="write the report here instead of stdout")
         for flag in flags:
@@ -618,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="include wall time (makes reports differ between runs)",
         )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, loads=loads)
         commands[name] = p
 
     commands["verify"].add_argument(
@@ -655,16 +635,23 @@ def main(argv: list[str] | None = None) -> int:
         for name, default in _REPORTED_DEFAULTS.items()
     }
     start = time.monotonic()
+    report = {"schema": SCHEMA, "command": args.command, "parameters": parameters}
     try:
         _require(parameters["tau"] >= 0.0, "--tau must be a non-negative number")
-        body, code = args.handler(args)
+        loaded = None
+        if args.loads is not None:
+            payload, report["input_sha256"] = read_input(args.input)
+            # looked up here, not stored in _COMMANDS, so a wrapped loader is seen
+            load = load_function if args.loads == "function" else load_measure
+            loaded = load(payload)
+            del payload  # the command needs the loaded arrays, not the parsed JSON
+        body, code = args.handler(loaded, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.command == "generate":
         report = body
     else:
-        report = {"schema": SCHEMA, "command": args.command, "parameters": parameters}
         report.update(body)
     if args.timing:
         report["wall_time_s"] = time.monotonic() - start

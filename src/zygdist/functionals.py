@@ -69,6 +69,15 @@ def _gather(values: np.ndarray, idx: np.ndarray, compact: bool):
     return np.where(valid, out, 0.0), valid
 
 
+def _second_difference(f: SampledFunction, x: np.ndarray, u):
+    """Second differences at grid indices ``x`` with steps ``u`` (grid units),
+    divided by the step, and the mask of those whose samples all exist."""
+    c, okc = _gather(f.values, x, f.compact)
+    l, okl = _gather(f.values, x - u, f.compact)
+    r, okr = _gather(f.values, x + u, f.compact)
+    return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
+
+
 def _window_cells(f: SampledFunction, interval) -> tuple[int, int]:
     """(left index, cell count) of a grid-aligned window, cells a power of two."""
     iv = f.span if interval is None else interval
@@ -96,18 +105,13 @@ def box_square_energy(
     if depth is None:
         depth = max(cells.bit_length() - 2, 1)
     spacing = float(f.spacing)
-    v = f.values
     total = 0.0
     for n in range(depth):
         if cells >> (n + 2) == 0 or cells % (1 << (n + 2)):
             break
         q = cells >> (n + 2)
         centers = left + (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
-        vl, okl = _gather(v, centers - 3 * q, f.compact)
-        vr, okr = _gather(v, centers + 3 * q, f.compact)
-        vc = v[centers]
-        d2 = ((vr - vc) - (vc - vl)) / (3 * q * spacing)
-        ok = okl & okr
+        d2, ok = _second_difference(f, centers, 3 * q)
         weight = 2 * q * spacing * math.log(2.0)
         total += weight * float((d2 * d2 * ok).sum())
     return total / (cells * spacing)
@@ -211,15 +215,10 @@ def _cone_samples(f: SampledFunction, depth: int):
     Layers stop at ``N - 2``, the last one with ``u >= 1``.
     """
     N = f.depth
-    v = f.values
-    spacing = float(f.spacing)
-    s = np.arange(v.size, dtype=np.int64)
+    s = np.arange(f.values.size, dtype=np.int64)
     for n in range(min(depth, N - 1)):
         u = 1 << (N - n - 2)
-        vl, okl = _gather(v, s - 3 * u, f.compact)
-        vr, okr = _gather(v, s + 3 * u, f.compact)
-        d2 = ((vr - v) - (v - vl)) / (3 * u * spacing)
-        yield u, d2, okl & okr
+        yield (u, *_second_difference(f, s, 3 * u))
 
 
 def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:

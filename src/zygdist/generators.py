@@ -33,9 +33,12 @@ _TAG_JUMP_SIGNS = 1
 _TAG_JUMP_SIZES = 2
 _TAG_CASCADE_SIGNS = 3
 _TAG_CASCADE_THETAS = 4
+_JUMP_STEPS = 4096  # random_martingale jumps reach 4096 * 2^-14 = 1/4
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} must lie in [0, 2^64)")
     return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
 
 
@@ -121,22 +124,19 @@ def random_jump_martingale(depth: int, delta=Fraction(1, 16), seed: int = 0) -> 
     return DyadicMartingale(levels)
 
 
-def random_martingale(depth: int, seed: int = 0, max_jump=Fraction(1, 4)) -> DyadicMartingale:
+def random_martingale(depth: int, seed: int = 0) -> DyadicMartingale:
     """Martingale with quantised random jump sizes (multiples of 2^-14).
 
     Each parent draws one magnitude uniformly from the lattice
-    ``{0, 2^-14, ..., max_jump}`` and a sign; the two children move by
-    opposite amounts, preserving the averaging property exactly.
+    ``{0, 2^-14, ..., 1/4}`` and a sign; the two children move by opposite
+    amounts, preserving the averaging property exactly.
     """
-    max_jump = Fraction(max_jump)
-    steps = int(max_jump * 2**14)
-    if steps < 1 or (max_jump * 2**14).denominator != 1:
-        raise ValueError("max_jump must be a positive multiple of 2^-14")
     rng = _rng(seed, _TAG_JUMP_SIZES)
     root = float(rng.integers(-(2**8), 2**8 + 1) * Fraction(1, 256))
     levels = [np.full(1, root)]
     for n in range(depth):
-        magnitude = rng.integers(0, steps + 1, size=2**n).astype(np.float64) * 2.0**-14
+        steps = rng.integers(0, _JUMP_STEPS + 1, size=2**n)
+        magnitude = steps.astype(np.float64) * 2.0**-14
         signs = rng.integers(0, 2, size=2**n).astype(np.float64) * 2.0 - 1.0
         jump = magnitude * signs
         parent = levels[-1]

@@ -19,6 +19,7 @@ from zygdist.functionals import (
     _gather,
     _geometric_grid,
     _growth_ratio,
+    _second_difference,
     box_square_energy,
     cone_levelset_count,
     density_profile,
@@ -90,16 +91,6 @@ def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.nd
     return np.minimum(np.floor(np.exp(a)).astype(np.int64), hi)
 
 
-def _d2_field(f: SampledFunction, ix: np.ndarray, u: np.ndarray):
-    """Vectorised second differences ``(x, h) = (ix, u)`` in grid units."""
-    v = f.values
-    sp = float(f.spacing)
-    c, okc = _gather(v, ix, f.compact)
-    l, okl = _gather(v, ix - u, f.compact)
-    r, okr = _gather(v, ix + u, f.compact)
-    return ((r - c) - (c - l)) / (u * sp), okc & okl & okr
-
-
 def _report(name, ratios, ok, config, samples, seed) -> RatioReport:
     ratios = np.where(ok, ratios, -np.inf)
     j = int(np.argmax(ratios))
@@ -135,8 +126,8 @@ def check_second_difference_modulus(
     sign = rng.integers(0, 2, samples) * 2 - 1
     ix = rng.integers(0, M + 1, samples)
     it = ix + sign * s
-    d2a, oka = _d2_field(f, ix, u)
-    d2b, okb = _d2_field(f, it, up)
+    d2a, oka = _second_difference(f, ix, u)
+    d2b, okb = _second_difference(f, it, up)
     ok = oka & okb & (up * 2 <= M)
     if norm == 0.0:
         return RatioReport("second-difference-modulus", 0.0, {}, samples, seed)
@@ -164,8 +155,8 @@ def check_equal_step(
     sign = rng.integers(0, 2, samples) * 2 - 1
     ix = rng.integers(0, M + 1, samples)
     it = ix + sign * s
-    d2a, oka = _d2_field(f, ix, u)
-    d2b, okb = _d2_field(f, it, u)
+    d2a, oka = _second_difference(f, ix, u)
+    d2b, okb = _second_difference(f, it, u)
     ok = oka & okb & ok_geom
     if norm == 0.0:
         return RatioReport("equal-step-modulus", 0.0, {}, samples, seed)
@@ -188,8 +179,8 @@ def check_equal_centre(
     g = _log_uniform(rng, 1, M // 4, samples)
     up = u + g
     ix = rng.integers(0, M + 1, samples)
-    d2a, oka = _d2_field(f, ix, u)
-    d2b, okb = _d2_field(f, ix, up)
+    d2a, oka = _second_difference(f, ix, u)
+    d2b, okb = _second_difference(f, ix, up)
     ok = oka & okb & (up * 2 <= M)
     if norm == 0.0:
         return RatioReport("equal-centre-modulus", 0.0, {}, samples, seed)
@@ -295,18 +286,16 @@ def _unit_tree_distance(max_generation: int) -> np.ndarray:
     """Tree distances between all dyadic cells of [0, 1) up to a generation.
 
     The distance counts refinement steps from each cell up to the pair's
-    finest common ancestor inside the unit interval.
+    finest common ancestor inside the unit interval.  Cells ``(n, j)`` and
+    ``(m, k)`` have ancestors ``a``, ``b`` at generation ``p = min(n, m)``;
+    their common ancestor lies ``bit_length(a ^ b)`` generations above that.
     """
-    cells = _unit_tree_cells(max_generation)
-    count = len(cells)
-    dist = np.zeros((count, count), dtype=np.int64)
-    for a, (n, j) in enumerate(cells):
-        for b, (m, k) in enumerate(cells):
-            p = min(n, m)
-            while j >> (n - p) != k >> (m - p):
-                p -= 1
-            dist[a, b] = (n - p) + (m - p)
-    return dist
+    cells = np.array(_unit_tree_cells(max_generation), dtype=np.int64)
+    n, j = cells[:, :1], cells[:, 1:]  # one cell per row
+    m, k = cells[:, 0], cells[:, 1]  # one cell per column
+    p = np.minimum(n, m)
+    split = np.frexp((j >> (n - p)) ^ (k >> (m - p)))[1]  # bit length
+    return n + m - 2 * (p - split)
 
 
 def verify_dyadic_distance_bound(
@@ -483,29 +472,24 @@ _FUNCTION_CHECKS = (
 def run_lemma_suite(seed: int = 0, samples: int = 10000) -> dict:
     """Sample every modulus estimate on the standard families at two grid
     depths and collect max ratios with their depth-doubling factors."""
+    functions = [
+        (name, (f, zygmund_seminorm(f)), (g, zygmund_seminorm(g)))
+        for (name, f), (_, g) in zip(
+            lemma_function_family(6, seed=seed), lemma_function_family(12, seed=seed)
+        )
+    ]
+    cases = [(check, *function) for check in _FUNCTION_CHECKS for function in functions]
+    cases += [
+        (check_measure_modulus, name, (mu,), (nu,))
+        for (name, mu), (_, nu) in zip(
+            lemma_measure_family(seed=seed), lemma_measure_family(seed=seed, doubled=True)
+        )
+    ]
     reports = []
     passed = True
-    shallow_fns = [
-        (name, f, zygmund_seminorm(f))
-        for name, f in lemma_function_family(6, seed=seed)
-    ]
-    deep_fns = {
-        name: (f, zygmund_seminorm(f))
-        for name, f in lemma_function_family(12, seed=seed)
-    }
-    for check in _FUNCTION_CHECKS:
-        for name, f, norm in shallow_fns:
-            low = check(f, norm, samples=samples, seed=seed + 1)
-            high = check(*deep_fns[name], samples=samples, seed=seed + 2)
-            factor = stability_factor(low, high)
-            high.name = f"{low.name}[{name}]"
-            high.stability_factor = factor
-            reports.append(high)
-            passed &= math.isfinite(high.max_ratio) and factor <= 1.5
-    deep_mus = dict(lemma_measure_family(seed=seed, doubled=True))
-    for name, mu in lemma_measure_family(seed=seed):
-        low = check_measure_modulus(mu, samples=samples, seed=seed + 1)
-        high = check_measure_modulus(deep_mus[name], samples=samples, seed=seed + 2)
+    for check, name, shallow, deep in cases:
+        low = check(*shallow, samples=samples, seed=seed + 1)
+        high = check(*deep, samples=samples, seed=seed + 2)
         factor = stability_factor(low, high)
         high.name = f"{low.name}[{name}]"
         high.stability_factor = factor

@@ -1,9 +1,12 @@
 """Tests for the command surface, file schemas and report determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zygdist import approximation, cli, measures
 from zygdist.cli import (
@@ -176,6 +179,71 @@ def test_generate_rejects_bad_rational(tmp_path):
 def test_unknown_kind_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["generate", "--kind", "mystery", "--depth", "6"])
+
+
+# parameters a generator refuses, or cannot represent as a float, exit 2
+_BAD_PARAMETERS = {
+    "delta-off-lattice": ["generate", "--kind", "random-jumps", "--delta", "1/3"],
+    "ratio-not-dyadic": ["generate", "--kind", "lacunary", "--ratio", "1/3"],
+    "thetas-out-of-range": ["generate", "--kind", "cascade", "--thetas", "1,1/2"],
+    "thetas-wrong-length": ["generate", "--kind", "cascade", "--thetas", "1/2"],
+    "delta-too-large": ["generate", "--kind", "random-jumps", "--delta", "1" + "0" * 400],
+    "levels-overflow": ["generate", "--kind", "weierstrass", "--levels", "1100"],
+    "generate-seed-negative": ["generate", "--kind", "random-jumps", "--seed", "-1"],
+    "generate-seed-2^64": ["generate", "--kind", "cascade", "--seed", str(2**64)],
+    "verify-seed-negative": ["verify", "--suite", "bdg", "--seed", "-1"],
+    "verify-seed-past-2^64": ["verify", "--suite", "bdg", "--seed", str(2**64 - 16)],
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_PARAMETERS.values(), ids=_BAD_PARAMETERS)
+def test_bad_generator_parameter_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    depth = ["--depth", "3"] if argv[0] == "generate" else []
+    assert main([*argv, *depth, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 - 1)])
+def test_seedless_kind_takes_any_seed(tmp_path, seed):
+    code, payload = run(tmp_path, "generate", "--kind", "hat", "--depth", "4", "--seed", seed)
+    assert code == EXIT_OK
+    assert payload["metadata"]["seed"] == int(seed)
+    assert payload["values"] == [float(v) for v in hat_function(4).values]
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.fractions().map(str), st.integers().map(str), st.text(max_size=6)
+)
+_GENERATOR_FLAGS = {
+    "--delta": _RATIONAL_TEXT,
+    "--ratio": _RATIONAL_TEXT,
+    "--coefficient": _RATIONAL_TEXT,
+    "--thetas": st.one_of(
+        st.lists(st.fractions(), max_size=5).map(lambda ts: ",".join(map(str, ts))),
+        st.text(max_size=6),
+    ),
+    "--seed": st.one_of(st.integers().map(str), st.text(max_size=4)),
+    "--levels": st.one_of(st.integers(-4, 2000).map(str), st.integers().map(str)),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(cli._CLASSIFICATIONS)),
+    depth=st.integers(1, 5),
+    flags=st.fixed_dictionaries(
+        {}, optional={flag: values for flag, values in _GENERATOR_FLAGS.items()}
+    ),
+)
+def test_generate_flags_exit_0_or_2(kind, depth, flags):
+    argv = ["generate", "--kind", kind, "--depth", str(depth), "--out", os.devnull]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a value its type cannot parse
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_INPUT)
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +525,41 @@ def test_subcommand_rejects_flag_it_does_not_read(command, flag):
 def test_depths_beyond_input_rejected(tmp_path):
     path = write_function(tmp_path, **{"--kind": "hat", "--depth": "6"})
     assert main(["strichartz", "--in", path, "--depths", "4,12"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["strichartz", "distance-ibmo", "measure"])
+@pytest.mark.parametrize(
+    "depths, message",
+    [
+        ("", "depths must be positive integers"),
+        ("0,2", "depths must be positive integers"),
+        ("2,7", "requested depth exceeds the input depth"),
+    ],
+    ids=["empty", "zero", "too-deep"],
+)
+def test_one_depth_rule(tmp_path, capsys, command, depths, message):
+    kind = "cascade" if command == "measure" else "hat"
+    path = write_function(tmp_path, **{"--kind": kind, "--depth": "6"})
+    assert main([command, "--in", path, f"--depths={depths}"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, kind", [("seminorm", "function"), ("measure", "measure")]
+)
+def test_main_resolves_the_loader_when_called(tmp_path, monkeypatch, command, kind):
+    # the benchmark's span tracer swaps the loaders in this module's namespace
+    path = write_function(
+        tmp_path, **{"--kind": "cascade" if kind == "measure" else "hat", "--depth": "4"}
+    )
+    original = getattr(cli, f"load_{kind}")
+    seen = []
+
+    def loader(payload):
+        seen.append(payload["kind"])
+        return original(payload)
+
+    monkeypatch.setattr(cli, f"load_{kind}", loader)
+    code, _ = run(tmp_path, command, "--in", path)
+    assert code == EXIT_OK
+    assert seen == [kind]
