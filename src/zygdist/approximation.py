@@ -90,12 +90,16 @@ def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMar
 
 @dataclass
 class DyadicDecomposition:
-    """Splitting ``f = rough + small`` on the function's own dyadic grid."""
+    """Splitting ``f = rough + small`` on the function's own dyadic grid.
+
+    ``rough_star`` is ``star_norm(kept)``, the largest kept jump.
+    """
 
     rough: SampledFunction
     small: SampledFunction
     kept: DyadicMartingale
     eps: float
+    rough_star: float
 
 
 def dyadic_decompose(
@@ -108,19 +112,25 @@ def dyadic_decompose(
     most ``eps``.  The slope martingale is built once for the whole grid,
     which defaults to ``default_eps_grid``.  Splittings are made as they are
     consumed, so a caller holding one level at a time holds one level's
-    arrays.
+    arrays.  Where ``_tree_exact`` holds, every level's ``rough_star`` comes
+    from one ``_truncation_maxima`` table; otherwise from ``star_norm``.
     """
     S = average_growth(f)
     if eps_grid is None:
         eps_grid = default_eps_grid(S)
-    for eps in eps_grid:
-        eps = float(eps)
-        kept = truncate_jumps(S, eps / 2.0)
+    eps_grid = [float(eps) for eps in eps_grid]
+    thresholds = [eps / 2.0 for eps in eps_grid]
+    stars = _truncation_maxima(S, thresholds)[1] if _tree_exact(f) else None
+    for j, eps in enumerate(eps_grid):
+        kept = truncate_jumps(S, thresholds[j])
         rough = integrate(kept)
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )
-        yield DyadicDecomposition(rough=rough, small=small, kept=kept, eps=eps)
+        rough_star = star_norm(kept) if stars is None else stars[j]
+        yield DyadicDecomposition(
+            rough=rough, small=small, kept=kept, eps=eps, rough_star=rough_star
+        )
 
 
 @dataclass
@@ -145,6 +155,10 @@ def distance_report(
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
     estimated.  The slope martingale is built once and shared by all three.
+    Where ``_tree_exact`` holds, the measured distances are read off one
+    ``_truncation_maxima`` table, O(2^N log 2^N) once plus O(log 2^N) per
+    level; otherwise each level truncates and differences the martingale,
+    O(2^N) per level.
     """
     S = average_growth(f)
     if eps_grid is None:
@@ -152,17 +166,55 @@ def distance_report(
     if depths is None:
         depths = [max(1, S.depth - 4), S.depth]
     eps_grid = [float(e) for e in eps_grid]
-    measured = []
-    for eps in eps_grid:
-        B = truncate_jumps(S, eps / 2.0)
-        measured.append(2.0 * star_norm(martingale_difference(S, B)))
+    thresholds = [eps / 2.0 for eps in eps_grid]
+    if _tree_exact(f):
+        dropped = _truncation_maxima(S, thresholds)[0]
+    else:
+        dropped = [
+            star_norm(martingale_difference(S, truncate_jumps(S, t)))
+            for t in thresholds
+        ]
     profile = density_profile(S, eps_grid, depths)
     return DistanceReport(
         eps=eps_grid,
-        measured_distance=measured,
+        measured_distance=[2.0 * d for d in dropped],
         profile=profile,
         estimate=estimate_threshold(profile, tau=tau),
     )
+
+
+def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
+    """Largest dropped and largest kept jump of truncation at each threshold.
+
+    A sibling pair with left jump ``a`` and right jump ``b`` is dropped at
+    threshold ``t`` when ``|a| <= t`` (``truncate_jumps``), and its largest
+    jump is ``max(|a|, |b|)``.  One stable sort of all pairs by ``|a|``, a
+    prefix maximum and a suffix maximum of the largest jumps then answer
+    every threshold by one ``searchsorted``; a threshold dropping no pair
+    (keeping none) reads 0.0.  In exact arithmetic the jumps of ``S - B``
+    are the dropped jumps and those of ``B`` the kept ones, so these are
+    ``star_norm(S - B)`` and ``star_norm(B)`` for ``B = truncate_jumps(S,
+    t)``, bit for bit where ``_tree_exact`` certifies that truncation rounds
+    nothing.  Work O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P)
+    per threshold.
+    """
+    pairs = (1 << S.depth) - 1
+    keys = np.empty(pairs)
+    largest = np.empty(pairs)
+    for n in range(1, S.depth + 1):
+        dj = np.abs(S.jumps(n))
+        block = slice((1 << (n - 1)) - 1, (1 << n) - 1)
+        keys[block] = dj[0::2]
+        np.maximum(dj[0::2], dj[1::2], out=largest[block])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    largest = largest[order]
+    dropped = np.zeros(pairs + 1)
+    np.maximum.accumulate(largest, out=dropped[1:])
+    kept = np.zeros(pairs + 1)
+    np.maximum.accumulate(largest[::-1], out=kept[-2::-1])
+    count = np.searchsorted(keys, thresholds, side="right")
+    return dropped[count].tolist(), kept[count].tolist()
 
 
 def _family_member(family, i: int, alpha: Fraction) -> SampledFunction:
@@ -305,20 +357,14 @@ def _lattice_exact(values: np.ndarray, count: int) -> bool:
     by a power of two that stays on such a quantum.  So both kernels work
     exactly (whatever their summation order) when ``U_s, U_v <= 2^53``,
     ``Q_v >= 2^-1074`` and ``U_s Q_s < 2^1023`` (no overflow).  ``q`` and
-    ``a`` come from ``np.frexp`` and integer arithmetic, as ``q`` may exceed
-    1023.
+    ``a`` come from ``_lattice_exponents``, shared with ``_tree_exact``.
     """
     if not np.isfinite(values).all():
         return False
-    nonzero = values[values != 0.0]
-    if not nonzero.size:
+    lattice = _lattice_exponents(values)
+    if lattice is None:
         return True
-    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
-    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
-    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
-    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
-    q = int((53 - exponent - trailing).max())
-    a = int(exponent.max()) + q
+    q, a = lattice
     N = (values.size - 1).bit_length() - 1
     k = count.bit_length() - 1  # count = 2^k; 3 < 2^2
     bits_slope = k + 2 + a + N + 5
@@ -328,6 +374,62 @@ def _lattice_exact(values: np.ndarray, count: int) -> bool:
         and q + N + 2 <= 1074
         and bits_slope - (q + 2) <= 1023
     )
+
+
+def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
+    """The binary lattice of finite ``values``, or None when all are 0.
+
+    Returns ``(q, a)``: every value is an integer multiple of ``2^-q``, and
+    ``max|v| = A 2^-q`` with ``A < 2^a``.  Found with ``np.frexp`` and
+    integer arithmetic, as ``q`` may exceed 1023.
+    """
+    nonzero = values[values != 0.0]
+    if not nonzero.size:
+        return None
+    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
+    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
+    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
+    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
+    q = int((53 - exponent - trailing).max())
+    return q, int(exponent.max()) + q
+
+
+def _tree_exact(f: SampledFunction) -> bool:
+    """Whether truncating the slope martingale of ``f`` rounds nothing.
+
+    Let the ``2^N + 1`` values of ``f`` be integer multiples of ``2^-q``
+    with ``max|f| = A 2^-q`` and ``A < 2^a`` (``_lattice_exponents``), and
+    let the span have length ``2^s``, so the generation-``n`` cell width is
+    ``w_n = 2^(s - n)``.  Take the quantum ``Q = 2^-(q + s)``.  Real-number
+    bounds, ``n <= N``:
+
+    * slopes ``S_n`` are sample differences (below ``2^(a+1)`` multiples of
+      ``2^-q``) divided by ``w_n``: multiples of ``2^n Q``, ``|S_n| <
+      2^(a+n+1) Q``;
+    * jumps ``|a_n| <= |S_n| + |S_(n-1)| < 3 2^(a+n) Q``;
+    * truncated values ``|B_n| <= |S_0| + sum_m |a_m| < 2^(a+n+3) Q``;
+    * residuals ``|S_n - B_n| < 2^(a+n+4) Q`` and their jumps
+      ``< 2^(a+n+5) Q``; the jumps of ``B`` are at most those of ``S``.
+
+    Every quantity is a multiple of ``Q`` below ``2^(a+N+5)`` quanta.  Sums
+    and differences of multiples of a quantum ``Q >= 2^-1074`` below ``2^53
+    Q`` are exact, and so is division by a power of two that stays on such
+    a quantum.  So ``truncate_jumps``, ``martingale_difference`` and their
+    jumps are exact when ``a + N + 5 <= 53``, ``Q >= 2^-1074`` (no
+    underflow) and ``2^(a+N+5) Q <= 2^1023`` (no overflow).  Then a dropped
+    pair's residual jumps are its own jumps, a kept pair's are 0, and
+    ``_truncation_maxima`` equals the truncation loop bit for bit.
+    """
+    if not np.isfinite(f.values).all():
+        return False
+    lattice = _lattice_exponents(f.values)
+    if lattice is None:
+        return True
+    q, a = lattice
+    N = f.depth
+    s = N + f.log2_spacing
+    bits = a + N + 5
+    return bits <= 53 and q + s <= 1074 and bits - (q + s) <= 1023
 
 
 def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):

@@ -154,7 +154,7 @@ def function_payload(f: SampledFunction, metadata: dict) -> dict:
         "kind": "function",
         "depth": f.depth,
         "left": int(f.left),
-        "values": [float(v) for v in f.values],
+        "values": f.values.tolist(),
         "metadata": metadata,
     }
 
@@ -165,7 +165,7 @@ def measure_payload(masses: np.ndarray, dim: int, depth: int, metadata: dict) ->
         "kind": "measure",
         "dim": dim,
         "depth": depth,
-        "masses": [float(v) for v in masses.reshape(-1)],
+        "masses": np.asarray(masses, dtype=np.float64).reshape(-1).tolist(),
         "metadata": metadata,
     }
 
@@ -336,7 +336,7 @@ def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
             small_norm <= eps,
             f"small-part seminorm {small_norm} exceeds requested level {eps}",
         )
-        rows.append([eps, small_norm, star_norm(parts.kept), bmo_norm(parts.kept)])
+        rows.append([eps, small_norm, parts.rough_star, bmo_norm(parts.kept)])
         del parts  # free this level before the next one is built
     body = {
         "tables": {
@@ -507,7 +507,9 @@ def cmd_generate(_, args) -> tuple[dict, int]:
                 metadata["thetas"] = [float(t) for t in thetas]
             masses = cascade_measure(args.dim, depth, thetas=thetas, seed=args.seed)
             metadata["dim"] = args.dim
-            return measure_payload(np.asarray(masses), args.dim, depth, metadata), EXIT_OK
+            payload = measure_payload(np.asarray(masses), args.dim, depth, metadata)
+            load_measure(payload)  # never write a file that every command rejects
+            return payload, EXIT_OK
         if kind == "linear":
             f = linear_function(depth)
         elif kind == "hat":
@@ -535,7 +537,9 @@ def cmd_generate(_, args) -> tuple[dict, int]:
             metadata["delta"] = float(delta)
             metadata["expected_distance_threshold"] = float(2 * delta)
         metadata["dyadic_seminorm"] = float(dyadic_zygmund_seminorm(f))
-        return function_payload(f, metadata), EXIT_OK
+        payload = function_payload(f, metadata)
+        load_function(payload)  # never write a file that every command rejects
+        return payload, EXIT_OK
     except (ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from None
 

@@ -125,16 +125,11 @@ def levelset_tree_density(source, eps: float, depth: int | None = None) -> float
     cell ``I`` of generation ``0..depth``, the lengths of qualifying parents
     ``P`` with ``P`` inside ``I`` and ``generation(P) < depth`` are summed
     and divided by ``|I|``; returns the maximum over windows, computed
-    bottom-up in one pass (``martingale._windowed_density``).
+    bottom-up in one pass.  This is the one-entry ``density_profile``.
     """
     S = source if isinstance(source, DyadicMartingale) else average_growth(source)
-    if depth is None:
-        depth = S.depth
-    if not 1 <= depth <= S.depth:
-        raise ValueError(f"depth must be in [1, {S.depth}]")
-    return _windowed_density(
-        lambda m: 2.0 * np.abs(S.jumps(m + 1)[0::2]) > eps, depth, 1
-    )
+    depth = S.depth if depth is None else depth
+    return density_profile(S, [eps], [depth]).values[0][0]
 
 
 @dataclass
@@ -163,15 +158,24 @@ class ThresholdEstimate:
 def density_profile(source, eps_grid, depths) -> DepthProfile:
     """Tabulate the tree level-set density over a level grid and several depths.
 
-    ``source`` is a sampled function or its prebuilt slope martingale.
+    ``source`` is a sampled function or its prebuilt slope martingale.  The
+    parent sizes ``2 |left jump|`` are formed once per generation, down to
+    the deepest depth, and each (depth, level) entry is one bottom-up
+    ``martingale._windowed_density`` pass over them: O(2^N) for the sizes
+    plus O(2^depth) per entry, with ``2^depth`` floats of sizes held.
     """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
     S = source if isinstance(source, DyadicMartingale) else average_growth(source)
-    profile = DepthProfile(depths=depths, eps=eps_grid)
     for d in depths:
-        profile.values.append([levelset_tree_density(S, e, depth=d) for e in eps_grid])
-    return profile
+        if not 1 <= d <= S.depth:
+            raise ValueError(f"depth must be in [1, {S.depth}]")
+    sizes = [2.0 * np.abs(S.jumps(m + 1)[0::2]) for m in range(max(depths, default=0))]
+    values = [
+        [_windowed_density(lambda m: sizes[m] > e, d, 1) for e in eps_grid]
+        for d in depths
+    ]
+    return DepthProfile(depths=depths, eps=eps_grid, values=values)
 
 
 def _growth_ratio(shallow: float, deep: float) -> float:

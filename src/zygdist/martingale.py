@@ -187,10 +187,22 @@ class DyadicMartingale:
         return self.levels[-1]
 
     def jumps(self, n: int) -> np.ndarray:
-        """Jump field at generation ``n >= 1``: value minus parent value."""
+        """Jump field at generation ``n >= 1``: value minus parent value.
+
+        In 1-d the left and right children are subtracted from the parent
+        level in two strided passes into one output, so no expanded copy of
+        the parent is built; d-dim fields subtract the expanded parent.
+        Either way each entry is the one subtraction ``child - parent``.
+        """
         if not 1 <= n <= self.depth:
             raise ValueError(f"no jumps at generation {n}")
-        return self.levels[n] - _expand(self.levels[n - 1], self.dim)
+        child, parent = self.levels[n], self.levels[n - 1]
+        if self.dim != 1:
+            return child - _expand(parent, self.dim)
+        out = np.empty_like(child)
+        np.subtract(child[0::2], parent, out=out[0::2])
+        np.subtract(child[1::2], parent, out=out[1::2])
+        return out
 
     def validate(self, rtol: float = 1e-9, atol: float = 1e-12) -> None:
         """Check the averaging property on every generation."""

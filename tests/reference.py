@@ -266,6 +266,22 @@ def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
     return acc, f.values - acc, seminorms
 
 
+def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
+    """Measured distance and rough star norm at every level, by truncation.
+
+    Each level truncates ``S`` at ``eps / 2`` and takes twice the star norm
+    of ``S - B`` and the star norm of ``B``: the loop that
+    ``approximation._truncation_maxima`` must equal where
+    ``approximation._tree_exact`` holds, and the path taken where it does not.
+    """
+    measured, stars = [], []
+    for eps in eps_grid:
+        B = truncate_jumps(S, eps / 2.0)
+        measured.append(2.0 * star_norm(martingale_difference(S, B)))
+        stars.append(star_norm(B))
+    return measured, stars
+
+
 def delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
     """``verification._delta1_samples`` with corners in bit order.
 

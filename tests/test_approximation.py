@@ -1,5 +1,6 @@
 """Oracle and property tests for truncation and translation averaging."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from zygdist.approximation import (
     _chunked_kernel,
     _class_kernel,
     _lattice_exact,
+    _tree_exact,
+    _truncation_maxima,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
@@ -24,9 +27,11 @@ from zygdist.functionals import (
     levelset_tree_density,
     zygmund_seminorm,
 )
+from zygdist.cli import load_function, main
 from zygdist.generators import (
     hat_function,
     lacunary_function,
+    parabola_function,
     random_jump_martingale,
     random_martingale,
 )
@@ -39,7 +44,7 @@ from zygdist.martingale import (
     star_norm,
 )
 
-from reference import continuous_decompose_loop
+from reference import continuous_decompose_loop, truncation_maxima_loop
 
 # ---------------------------------------------------------------------------
 # jump truncation
@@ -130,6 +135,92 @@ def test_distance_report_bounds_and_estimate():
         assert dist <= eps
     assert rep.estimate.eps == 2 * delta
     assert rep.estimate.method == "depth-ratio"
+
+
+# ---------------------------------------------------------------------------
+# sorted truncation maxima against the truncation loop
+
+
+def _generated(tmp_path, kind, depth, seed):
+    path = tmp_path / "f.json"
+    argv = ["generate", "--kind", kind, "--depth", str(depth), "--seed", str(seed)]
+    assert main([*argv, "--out", str(path)]) == 0
+    return load_function(json.loads(path.read_text()))
+
+
+def _tie_levels(S):
+    """Levels whose half is exactly some left jump size, at every generation."""
+    return sorted({2.0 * float(a) for n in range(1, S.depth + 1)
+                   for a in np.abs(S.jumps(n)[0:8:2])})
+
+
+@pytest.mark.parametrize(
+    "kind", ["linear", "hat", "square", "lacunary", "random-jumps", "single-branch"]
+)
+def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
+    # every lattice kind of `generate`; only random-jumps reads the seed
+    for depth in range(2, 11):
+        for seed in range(5) if kind == "random-jumps" else [0]:
+            f = _generated(tmp_path, kind, depth, seed)
+            assert _tree_exact(f)
+            S = average_growth(f)
+            grid = default_eps_grid(S) + _tie_levels(S)
+            measured, stars = truncation_maxima_loop(S, grid)
+            report = distance_report(f, eps_grid=grid, depths=[depth])
+            assert report.measured_distance == measured
+            assert [part.rough_star for part in dyadic_decompose(f, grid)] == stars
+
+
+def test_refused_input_takes_the_truncation_loop(monkeypatch):
+    f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
+    assert not _tree_exact(f)
+
+    def refuse(*args):
+        raise AssertionError("sorted table used outside its certificate")
+
+    monkeypatch.setattr(approximation, "_truncation_maxima", refuse)
+    S = average_growth(f)
+    grid = default_eps_grid(S)
+    measured, stars = truncation_maxima_loop(S, grid)
+    assert distance_report(f).measured_distance == measured
+    assert [part.rough_star for part in dyadic_decompose(f)] == stars
+
+
+def test_tree_certificate_at_depth_18():
+    assert _tree_exact(integrate(random_jump_martingale(18, delta=1 / 16, seed=7)))
+    assert not _tree_exact(parabola_function(18))
+
+
+def test_sorted_maxima_exact_at_the_certificate_edge():
+    # Scale the numerators (not the quantum: the odd +1 pins it) up by powers
+    # of two until one more doubling would break the certificate; the table
+    # still equals the loop there.
+    numerators = np.random.default_rng(0).integers(-16, 16, size=31)
+
+    def scaled(shift):
+        values = (numerators * 2.0**shift + 1.0) * 2.0**-30
+        return SampledFunction(np.concatenate(([0.0], values, [0.0])))
+
+    shift = 0
+    while _tree_exact(scaled(shift + 1)):
+        shift += 1
+    assert shift > 10
+    S = average_growth(scaled(shift))
+    grid = default_eps_grid(S) + _tie_levels(S)
+    dropped, kept = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    assert ([2.0 * d for d in dropped], kept) == truncation_maxima_loop(S, grid)
+
+
+def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
+    # 52-bit odd numerators at depth 5: truncation rounds, the residual's
+    # jumps are no longer the dropped jumps, and the certificate refuses.
+    numerators = np.random.default_rng(0).integers(-(1 << 52), 1 << 52, size=31) | 1
+    f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
+    S = average_growth(f)
+    grid = default_eps_grid(S)
+    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    assert [2.0 * d for d in dropped] != truncation_maxima_loop(S, grid)[0]
+    assert not _tree_exact(f)
 
 
 # ---------------------------------------------------------------------------

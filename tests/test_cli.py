@@ -22,7 +22,9 @@ from zygdist.cli import (
     main,
     measure_payload,
 )
+from zygdist.functionals import default_eps_grid, density_profile
 from zygdist.generators import hat_function
+from zygdist.martingale import DyadicMartingale, average_growth
 
 
 def run(tmp_path, *argv):
@@ -189,6 +191,9 @@ _BAD_PARAMETERS = {
     "thetas-wrong-length": ["generate", "--kind", "cascade", "--thetas", "1/2"],
     "delta-too-large": ["generate", "--kind", "random-jumps", "--delta", "1" + "0" * 400],
     "levels-overflow": ["generate", "--kind", "weierstrass", "--levels", "1100"],
+    # 2^n overflows to inf and inf * 0 is NaN at x = 0: no file is written
+    "levels-nan-1022": ["generate", "--kind", "weierstrass", "--levels", "1022"],
+    "levels-nan-1023": ["generate", "--kind", "weierstrass", "--levels", "1023"],
     "generate-seed-negative": ["generate", "--kind", "random-jumps", "--seed", "-1"],
     "generate-seed-2^64": ["generate", "--kind", "cascade", "--seed", str(2**64)],
     "verify-seed-negative": ["verify", "--suite", "bdg", "--seed", "-1"],
@@ -356,6 +361,39 @@ def test_measure_builds_one_density_martingale(tmp_path, monkeypatch):
     assert len(builds) == 1 + truncations
 
 
+def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
+    # On a certified input the measured distances come from one sorted table
+    # of sibling pairs: no truncation, and each generation's jumps are taken
+    # three times (default grid, table, tree densities).
+    N = 10
+    path = write_function(tmp_path, **{"--kind": "random-jumps", "--depth": str(N)})
+    jumps = DyadicMartingale.jumps
+    calls = []
+
+    def counted(S, n):
+        calls.append(n)
+        return jumps(S, n)
+
+    def refuse(*args):
+        raise AssertionError("truncation on a certified input")
+
+    monkeypatch.setattr(DyadicMartingale, "jumps", counted)
+    monkeypatch.setattr(approximation, "truncate_jumps", refuse)
+    code, report = run(tmp_path, "distance-ibmo", "--in", path)
+    assert code == EXIT_OK
+    assert len(report["tables"]["measured_distance"]["rows"]) > 1
+    assert len(calls) <= 3 * N
+
+    # the tree densities take each generation's jumps once, not once per
+    # (eps, depth)
+    S = average_growth(load_function(json.loads(open(path).read())))
+    grid = default_eps_grid(S)
+    calls.clear()
+    profile = density_profile(S, grid, [6, 8])
+    assert len(profile.values) == 2 and len(profile.values[0]) == len(grid) > 1
+    assert sorted(calls) == list(range(1, 9))
+
+
 def test_verify_suites(tmp_path):
     for suite in ["bdg", "predecessor", "consistency"]:
         code, report = run(tmp_path, "verify", "--suite", suite, "--seed", "3")
@@ -446,6 +484,21 @@ def test_sobolev_exits_on_inputs_off_the_binary_lattice(tmp_path, capsys, depth,
     assert capsys.readouterr().err == f"error: {message}\n"
     for command in ("decompose", "distance-ibmo"):
         assert run(tmp_path, command, "--in", path)[0] == EXIT_OK
+
+
+def test_decompose_exits_on_weierstrass_files(tmp_path, capsys):
+    # Weierstrass samples are off the binary lattice: from depth 3 on,
+    # `rough + small` misses the input by rounding and the exact identity
+    # check of `decompose` exits 2, while `distance-ibmo` reports.
+    for depth in range(3, 15):
+        path = write_function(
+            tmp_path, **{"--kind": "weierstrass", "--depth": str(depth), "--seed": "7"}
+        )
+        capsys.readouterr()
+        assert main(["decompose", "--in", path]) == EXIT_INPUT
+        message = "decomposition failed to reproduce the input exactly"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(tmp_path, "distance-ibmo", "--in", path)[0] == EXIT_OK
 
 
 @pytest.mark.parametrize(
