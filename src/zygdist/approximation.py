@@ -131,6 +131,9 @@ def dyadic_decompose(
         yield DyadicDecomposition(
             rough=rough, small=small, kept=kept, eps=eps, rough_star=rough_star
         )
+        # drop this frame's references too, or two levels live while the
+        # next one is built
+        del kept, rough, small
 
 
 @dataclass
@@ -207,13 +210,13 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
         keys[block] = dj[0::2]
         np.maximum(dj[0::2], dj[1::2], out=largest[block])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    count = np.searchsorted(keys[order], thresholds, side="right")
     largest = largest[order]
+    del keys, order
     dropped = np.zeros(pairs + 1)
     np.maximum.accumulate(largest, out=dropped[1:])
     kept = np.zeros(pairs + 1)
     np.maximum.accumulate(largest[::-1], out=kept[-2::-1])
-    count = np.searchsorted(keys, thresholds, side="right")
     return dropped[count].tolist(), kept[count].tolist()
 
 
