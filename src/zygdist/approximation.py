@@ -131,9 +131,6 @@ def dyadic_decompose(
         yield DyadicDecomposition(
             rough=rough, small=small, kept=kept, eps=eps, rough_star=rough_star
         )
-        # drop this frame's references too, or two levels live while the
-        # next one is built
-        del kept, rough, small
 
 
 @dataclass

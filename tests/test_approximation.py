@@ -1,7 +1,6 @@
 """Oracle and property tests for truncation and translation averaging."""
 
 import json
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -91,21 +90,6 @@ def test_dyadic_decompose_identity_and_bound():
         assert dyadic_zygmund_seminorm(dec.small) <= eps
         dropped = martingale_difference(average_growth(f), dec.kept)
         assert 2.0 * star_norm(dropped) <= eps
-
-
-def test_dyadic_decompose_frees_a_level_before_building_the_next(monkeypatch):
-    f = integrate(random_martingale(8, seed=9))
-    refs = []
-    truncate = approximation.truncate_jumps
-
-    def checked(S, threshold):
-        assert all(ref() is None for ref in refs)
-        return truncate(S, threshold)
-
-    monkeypatch.setattr(approximation, "truncate_jumps", checked)
-    for part in dyadic_decompose(f, (0.05, 0.2, 1.0)):
-        refs += [weakref.ref(a) for a in (part.rough.values, part.small.values, part.kept.leaf)]
-        del part
 
 
 def test_truncation_consistent_with_tree_density():
