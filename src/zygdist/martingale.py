@@ -245,8 +245,10 @@ def integrate(S: DyadicMartingale) -> SampledFunction:
     if S.dim != 1 or S.root is None:
         raise ValueError("integrate needs a rooted 1-d martingale")
     leaf_width = S.root.length / (1 << S.depth)
-    increments = S.leaf * float(leaf_width)
-    values = np.concatenate(([0.0], np.cumsum(increments)))
+    values = np.empty(S.leaf.size + 1)
+    values[0] = 0.0
+    np.multiply(S.leaf, float(leaf_width), out=values[1:])
+    np.cumsum(values[1:], out=values[1:])  # in place: one leaf-sized array
     return SampledFunction(values, left=S.root.left, log2_spacing=_log2_exact(leaf_width))
 
 
