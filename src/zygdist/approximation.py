@@ -186,35 +186,26 @@ def distance_report(
 def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     """Largest dropped and largest kept jump of truncation at each threshold.
 
-    A sibling pair with left jump ``a`` and right jump ``b`` is dropped at
-    threshold ``t`` when ``|a| <= t`` (``truncate_jumps``), and its largest
-    jump is ``max(|a|, |b|)``.  One stable sort of all pairs by ``|a|``, a
-    prefix maximum and a suffix maximum of the largest jumps then answer
-    every threshold by one ``searchsorted``; a threshold dropping no pair
-    (keeping none) reads 0.0.  In exact arithmetic the jumps of ``S - B``
-    are the dropped jumps and those of ``B`` the kept ones, so these are
-    ``star_norm(S - B)`` and ``star_norm(B)`` for ``B = truncate_jumps(S,
-    t)``, bit for bit where ``_tree_exact`` certifies that truncation rounds
-    nothing.  Work O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P)
-    per threshold.
+    A sibling pair is dropped at threshold ``t`` when its left jump has
+    ``|a| <= t`` (``truncate_jumps``).  Where ``_tree_exact`` holds, each
+    parent slope is exactly the mean of its two children's, so the right
+    jump is exactly ``-a``; the jumps of ``S - B`` are then the dropped
+    pairs' ``±a`` and those of ``B`` the kept pairs' ``±a``.  After one sort
+    of every pair's ``|a|``, the largest dropped jump at ``t`` is the last
+    size ``<= t`` and the largest kept jump is the largest size, if it
+    exceeds ``t``; a threshold dropping (keeping) no pair reads 0.0.  These
+    are ``star_norm(S - B)`` and ``star_norm(B)`` for ``B = truncate_jumps(S,
+    t)``, bit for bit where ``_tree_exact`` holds, and not otherwise.  Work
+    O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P) per threshold.
     """
-    pairs = (1 << S.depth) - 1
-    keys = np.empty(pairs)
-    largest = np.empty(pairs)
+    sizes = np.empty((1 << S.depth) - 1)
     for n in range(1, S.depth + 1):
-        dj = np.abs(S.jumps(n))
-        block = slice((1 << (n - 1)) - 1, (1 << n) - 1)
-        keys[block] = dj[0::2]
-        np.maximum(dj[0::2], dj[1::2], out=largest[block])
-    order = np.argsort(keys, kind="stable")
-    count = np.searchsorted(keys[order], thresholds, side="right")
-    largest = largest[order]
-    del keys, order
-    dropped = np.zeros(pairs + 1)
-    np.maximum.accumulate(largest, out=dropped[1:])
-    kept = np.zeros(pairs + 1)
-    np.maximum.accumulate(largest[::-1], out=kept[-2::-1])
-    return dropped[count].tolist(), kept[count].tolist()
+        np.abs(S.jumps(n)[0::2], out=sizes[(1 << (n - 1)) - 1 : (1 << n) - 1])
+    sizes.sort()
+    dropped = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
+    count = np.searchsorted(sizes, thresholds, side="right")
+    kept = np.where(count < sizes.size, dropped[-1], 0.0)
+    return dropped[count].tolist(), kept.tolist()
 
 
 def _family_member(family, i: int, alpha: Fraction) -> SampledFunction:
@@ -416,9 +407,11 @@ def _tree_exact(f: SampledFunction) -> bool:
     Q`` are exact, and so is division by a power of two that stays on such
     a quantum.  So ``truncate_jumps``, ``martingale_difference`` and their
     jumps are exact when ``a + N + 5 <= 53``, ``Q >= 2^-1074`` (no
-    underflow) and ``2^(a+N+5) Q <= 2^1023`` (no overflow).  Then a dropped
-    pair's residual jumps are its own jumps, a kept pair's are 0, and
-    ``_truncation_maxima`` equals the truncation loop bit for bit.
+    underflow) and ``2^(a+N+5) Q <= 2^1023`` (no overflow).  Then a parent
+    slope is exactly the mean of its children's, so a pair's right jump is
+    exactly minus its left one; a dropped pair's residual jumps are its own
+    jumps, a kept pair's are 0; and ``_truncation_maxima`` equals the
+    truncation loop bit for bit.
     """
     if not np.isfinite(f.values).all():
         return False

@@ -164,6 +164,9 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
             f = _generated(tmp_path, kind, depth, seed)
             assert _tree_exact(f)
             S = average_growth(f)
+            # the table's premise: sibling jumps cancel exactly
+            for n in range(1, depth + 1):
+                assert np.array_equal(S.jumps(n)[1::2], -S.jumps(n)[0::2])
             grid = default_eps_grid(S) + _tie_levels(S)
             measured, stars = truncation_maxima_loop(S, grid)
             report = distance_report(f, eps_grid=grid, depths=[depth])
