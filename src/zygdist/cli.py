@@ -109,6 +109,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number_array(entries: list, name: str) -> np.ndarray:
+    """The JSON array ``entries`` as a flat float64 array of finite numbers.
+
+    One conversion for the whole array, no per-entry scan: strings, nested
+    or ragged lists and integers beyond float range fail it (exit 2).
+    """
+    try:
+        array = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    _require(array is not None and array.ndim == 1, f"{name} must be an array of numbers")
+    _require(bool(np.all(np.isfinite(array))), f"{name} must all be finite")
+    return array
+
+
 def load_function(payload: dict) -> SampledFunction:
     _require(payload.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     _require(payload.get("kind") == "function", "kind must be 'function'")
@@ -124,8 +139,7 @@ def load_function(payload: dict) -> SampledFunction:
         f"values length {len(values)} must be span*2^depth + 1",
     )
     _require(span & (span - 1) == 0, f"span {span} must be a power of two")
-    array = np.asarray(values, dtype=np.float64)
-    _require(bool(np.all(np.isfinite(array))), "values must all be finite")
+    array = _number_array(values, "values")
     return SampledFunction(array, left=left, log2_spacing=-depth)
 
 
@@ -143,8 +157,8 @@ def load_measure(payload: dict) -> GridMeasure:
         len(masses) == cells,
         f"masses length {len(masses)} must equal 2^(dim*depth) = {cells}",
     )
-    array = np.asarray(masses, dtype=np.float64)
-    _require(bool(np.all(np.isfinite(array))), "masses must all be finite")
+    array = _number_array(masses, "masses")
+    _require(bool(np.all(array >= 0.0)), "masses must be non-negative")
     return GridMeasure(array.reshape((1 << depth,) * dim))
 
 
@@ -291,6 +305,8 @@ def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
     ]
     distance_rows = list(zip(report.eps, report.measured_distance))
     estimate = report.estimate
+    # growth from zero has no finite ratio, and JSON no infinity: write null
+    ratios = [r if math.isfinite(r) else None for r in estimate.ratios]
     value = estimate.eps
     rule = estimate.method
     if args.interpolate and value is not None:
@@ -314,7 +330,7 @@ def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
             ),
             "stability": _table(
                 ["eps", "ratio", "stable"],
-                list(zip(profile.eps, estimate.ratios, estimate.stable)),
+                list(zip(profile.eps, ratios, estimate.stable)),
                 method,
             ),
         },
@@ -622,8 +638,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _serialise(report: dict) -> str:
+    """The report as sorted, indented JSON; exit 2 on a non-finite number,
+    which JSON cannot carry."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise InputError("a report value is not finite") from None
+
+
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as handle:
             handle.write(text)
@@ -650,16 +674,17 @@ def main(argv: list[str] | None = None) -> int:
             loaded = load(payload)
             del payload  # the command needs the loaded arrays, not the parsed JSON
         body, code = args.handler(loaded, args)
+        if args.command == "generate":
+            report = body
+        else:
+            report.update(body)
+        if args.timing:
+            report["wall_time_s"] = time.monotonic() - start
+        text = _serialise(report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.command == "generate":
-        report = body
-    else:
-        report.update(body)
-    if args.timing:
-        report["wall_time_s"] = time.monotonic() - start
-    _emit(report, args.out)
+    _emit(text, args.out)
     return code
 
 

@@ -14,6 +14,7 @@ level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -35,24 +36,35 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _corners(dim: int) -> tuple:
+    """The ``2^dim`` corners in ``itertools.product`` order, each with the
+    ufunc that accumulates its term: ``np.subtract`` for an odd number of
+    low ends, ``np.add`` otherwise."""
+    return tuple(
+        (corner, np.subtract if (dim - sum(corner)) % 2 else np.add)
+        for corner in itertools.product((0, 1), repeat=dim)
+    )
+
+
 def _corner_sum(pick, dim: int) -> np.ndarray:
     """Inclusion-exclusion over the ``2^dim`` corners of a summed-area table.
 
     ``pick(corner)`` reads the table at one corner, given as a tuple with 0
     (low end) or 1 (high end) per axis.  Corners are visited in
-    ``itertools.product`` order, each signed ``(-1)^(number of low ends)``;
-    the total is seeded with the first term.
+    ``itertools.product`` order, each signed ``(-1)^(number of low ends)``.
+    The first two corners, which carry opposite signs, seed the total in one
+    ``np.subtract``; the rest accumulate in place.  Since ``-a + b == b - a``
+    and ``a.copy() - b == a - b`` in IEEE arithmetic, the bits are those of
+    negating or copying the first term and adding the second.
     """
-    total = None
-    for corner in itertools.product((0, 1), repeat=dim):
-        term = pick(corner)
-        negative = (dim - sum(corner)) % 2
-        if total is None:
-            total = -term if negative else term.copy()
-        elif negative:
-            total -= term
-        else:
-            total += term
+    (first, _), (second, _), *rest = _corners(dim)
+    if dim % 2:  # the first corner, all low ends, is subtracted
+        total = np.subtract(pick(second), pick(first))
+    else:
+        total = np.subtract(pick(first), pick(second))
+    for corner, accumulate in rest:
+        accumulate(total, pick(corner), out=total)
     return total
 
 
@@ -72,19 +84,28 @@ class GridMeasure:
         self.masses = masses
         self.dim = masses.ndim
         self.depth = depth
-        # summed-area table: prefix sums along every axis, each with a
-        # leading row of zeros
-        table = masses
-        for axis in range(self.dim):
-            table = np.cumsum(table, axis=axis)
-            pad = [(0, 0)] * self.dim
-            pad[axis] = (1, 0)
-            table = np.pad(table, pad)
-        self._table = table
+        self._table = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """Summed-area table, built on first read and kept.
+
+        Prefix sums along every axis, each with a leading row of zeros, so
+        ``table[i_1, ..., i_d]`` is the mass of ``[0, i_1) x ... x [0, i_d)``.
+        """
+        if self._table is None:
+            table = self.masses
+            for axis in range(self.dim):
+                table = np.cumsum(table, axis=axis)
+                pad = [(0, 0)] * self.dim
+                pad[axis] = (1, 0)
+                table = np.pad(table, pad)
+            self._table = table
+        return self._table
 
     @property
     def total(self) -> float:
-        return float(self._table[(-1,) * self.dim])
+        return float(self.table[(-1,) * self.dim])
 
     def box_mass_grid(self, lo_axes, hi_axes) -> np.ndarray:
         """Masses of the product boxes ``[lo, hi)`` per axis, clipped.
@@ -98,7 +119,7 @@ class GridMeasure:
             for pair in zip(lo_axes, hi_axes)
         ]
         return _corner_sum(
-            lambda corner: self._table[np.ix_(*[e[c] for e, c in zip(ends, corner)])],
+            lambda corner: self.table[np.ix_(*[e[c] for e, c in zip(ends, corner)])],
             self.dim,
         )
 
@@ -118,15 +139,18 @@ def density_martingale(mu: GridMeasure) -> DyadicMartingale:
     )
 
 
-def _centred_box_masses(ext: np.ndarray, side: int, r: int) -> np.ndarray:
-    """Clipped masses of the cubes ``[c - r, c + r)`` for every grid point ``c``.
+def _centred_box_averages(ext: np.ndarray, side: int, r: int) -> np.ndarray:
+    """Clipped masses of the cubes ``[c - r, c + r)`` for every grid point
+    ``c``, each divided by the cube's volume ``(2r / side)^dim``.
 
     ``ext`` is the summed-area table read at the clipped indices
     ``-side .. 2 side`` on every axis, so each corner of every box is one
     slice (a view).
     """
     ends = (slice(side - r, 2 * side + 1 - r), slice(side + r, 2 * side + 1 + r))
-    return _corner_sum(lambda corner: ext[tuple(ends[c] for c in corner)], ext.ndim)
+    boxes = _corner_sum(lambda corner: ext[tuple(ends[c] for c in corner)], ext.ndim)
+    boxes *= (side / (2 * r)) ** ext.ndim
+    return boxes
 
 
 def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
@@ -134,24 +158,35 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
 
     ``dyadic`` mode maximises the child-parent deviation over all dyadic
     cells.  ``continuous`` mode sweeps centred cubes on all grid points with
-    all even side lengths (clipped at side 1/2), comparing each cube with
-    its double, the double read with zero extension.  It does
-    ``O(2^(dim*depth) * 2^depth)`` work on one extended summed-area table of
-    ``(3 * 2^depth + 1)^dim`` floats.
+    all half-widths ``u = 1 .. side/2`` (clipped at side 1/2), comparing each
+    cube with its double, the double read with zero extension.
+
+    The double at half-width ``u`` is the cube at ``2u``, with the same
+    slices and the same scale, so the sweep walks doubling chains
+    ``u = o, 2o, 4o, ...`` for each odd ``o`` and carries each box-average
+    array forward as the next step's inner array.  That forms ``3 side / 4``
+    box arrays instead of ``side``; the maximum of the same differences is
+    order-free, so the result equals the step-by-step sweep bit for bit.
+    It does ``O(2^(dim*depth) * 2^depth)`` work on one extended summed-area
+    table of ``(3 * 2^depth + 1)^dim`` floats.
     """
     if mode == "dyadic":
         return star_norm(density_martingale(mu))
     if mode != "continuous":
         raise ValueError("mode must be 'dyadic' or 'continuous'")
     side = 1 << mu.depth
-    dim = mu.dim
+    half = side >> 1
     idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
-    ext = mu._table[np.ix_(*[idx] * dim)]
+    ext = mu.table[np.ix_(*[idx] * mu.dim)]
     best = 0.0
-    for u in range(1, (side >> 1) + 1):
-        inner = _centred_box_masses(ext, side, u) * (side / (2 * u)) ** dim
-        outer = _centred_box_masses(ext, side, 2 * u) * (side / (4 * u)) ** dim
-        best = max(best, float(np.abs(inner - outer).max()))
+    for odd in range(1, half + 1, 2):
+        u = odd
+        inner = _centred_box_averages(ext, side, u)
+        while u <= half:
+            outer = _centred_box_averages(ext, side, 2 * u)
+            np.subtract(inner, outer, out=inner)
+            best = max(best, float(np.abs(inner, out=inner).max()))
+            inner, u = outer, 2 * u
     return best
 
 

@@ -225,7 +225,7 @@ def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
     side = 1 << mu.depth
     ends = [np.clip(centers + s * half[:, None], 0, side) for s in (-1, 1)]
     total = _corner_sum(
-        lambda corner: mu._table[tuple(ends[c][:, a] for a, c in enumerate(corner))],
+        lambda corner: mu.table[tuple(ends[c][:, a] for a, c in enumerate(corner))],
         mu.dim,
     )
     vol = (2.0 * half / side) ** mu.dim

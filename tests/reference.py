@@ -2,8 +2,9 @@
 
 Scalar evaluators (one second difference, one box average, one cell
 deviation at a time, on exact ``Fraction`` geometry), loop versions of the
-batched kernels, reshape block reductions and a bit-order corner sum that
-the shared kernels must match bit for bit, and the ``one_split_measure``
+batched kernels, reshape block reductions and two corner sums (bit order,
+and ``itertools.product`` order seeded by the first term) that the shared
+kernels must match bit for bit, and the ``one_split_measure``
 fixture.
 """
 
@@ -109,7 +110,7 @@ def box_mass(mu: GridMeasure, lo, hi) -> float:
     total = 0.0
     for corner in itertools.product((0, 1), repeat=mu.dim):
         idx = tuple(hi[a] if corner[a] else lo[a] for a in range(mu.dim))
-        total += (-1) ** (mu.dim - sum(corner)) * mu._table[idx]
+        total += (-1) ** (mu.dim - sum(corner)) * mu.table[idx]
     return float(total)
 
 
@@ -299,27 +300,55 @@ def delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
                 idx.append(np.clip(centers[:, a] + half, 0, side))
             else:
                 idx.append(np.clip(centers[:, a] - half, 0, side))
-        total += (-1) ** (mu.dim - parity) * mu._table[tuple(idx)]
+        total += (-1) ** (mu.dim - parity) * mu.table[tuple(idx)]
     return total / (2.0 * half / side) ** mu.dim
+
+
+def corner_sum(pick, dim: int) -> np.ndarray:
+    """Inclusion-exclusion over the corners of a summed-area table, the
+    reference for ``measures._corner_sum``.
+
+    Corners come in ``itertools.product`` order, each signed
+    ``(-1)^(number of low ends)``: the first term is negated or copied, and
+    every later one is added or subtracted in place.
+    """
+    total = None
+    for corner in itertools.product((0, 1), repeat=dim):
+        term = pick(corner)
+        negative = (dim - sum(corner)) % 2
+        if total is None:
+            total = -term if negative else term.copy()
+        elif negative:
+            total -= term
+        else:
+            total += term
+    return total
+
+
+def box_mass_grid(mu: GridMeasure, lo, hi) -> np.ndarray:
+    """Clipped masses of the cubes ``[lo, hi)^dim`` for all index pairs."""
+    side = 1 << mu.depth
+    ends = (np.clip(lo, 0, side), np.clip(hi, 0, side))
+    return corner_sum(
+        lambda corner: mu.table[np.ix_(*[ends[c] for c in corner])], mu.dim
+    )
 
 
 def measure_zygmund_norm_loop(mu: GridMeasure) -> float:
     """``measure_zygmund_norm(mu, mode="continuous")``, one half-width at a time.
 
     Every half-width ``u`` gathers the clipped inner (side ``2u``) and outer
-    (side ``4u``) cube masses around all grid points with
-    ``GridMeasure.box_mass_grid``.
+    (side ``4u``) cube masses around all grid points with ``box_mass_grid``,
+    so both box arrays are formed afresh at every step.
     """
     side = 1 << mu.depth
     centers = np.arange(side + 1, dtype=np.int64)
     best = 0.0
     for u in range(1, (side >> 1) + 1):
-        inner = mu.box_mass_grid(
-            [centers - u] * mu.dim, [centers + u] * mu.dim
-        ) * (side / (2 * u)) ** mu.dim
-        outer = mu.box_mass_grid(
-            [centers - 2 * u] * mu.dim, [centers + 2 * u] * mu.dim
-        ) * (side / (4 * u)) ** mu.dim
+        inner = box_mass_grid(mu, centers - u, centers + u) * (side / (2 * u)) ** mu.dim
+        outer = box_mass_grid(mu, centers - 2 * u, centers + 2 * u) * (
+            side / (4 * u)
+        ) ** mu.dim
         best = max(best, float(np.abs(inner - outer).max()))
     return best
 

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zygdist import approximation, cli, measures
@@ -501,6 +501,17 @@ def test_decompose_exits_on_weierstrass_files(tmp_path, capsys):
         assert run(tmp_path, "distance-ibmo", "--in", path)[0] == EXIT_OK
 
 
+def test_stability_ratio_growing_from_zero_is_null(tmp_path):
+    # at depth 3 the shallow Weierstrass profile is 0 where the deep one is
+    # not: the ratio is infinite, which the report writes as null
+    path = write_function(tmp_path, **{"--kind": "weierstrass", "--depth": "3", "--seed": "7"})
+    code, report = run(tmp_path, "distance-ibmo", "--in", path)
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    rows = report["tables"]["stability"]["rows"]
+    assert [stable for _, ratio, stable in rows if ratio is None]
+    assert not any(stable for _, ratio, stable in rows if ratio is None)
+
+
 @pytest.mark.parametrize(
     "values, message",
     [
@@ -616,3 +627,115 @@ def test_main_resolves_the_loader_when_called(tmp_path, monkeypatch, command, ki
     code, _ = run(tmp_path, command, "--in", path)
     assert code == EXIT_OK
     assert seen == [kind]
+
+
+# ---------------------------------------------------------------------------
+# hostile input files
+
+_FUNCTION = {"schema": SCHEMA, "kind": "function", "depth": 1}
+_MEASURE = {"schema": SCHEMA, "kind": "measure", "dim": 1, "depth": 1}
+_STRING_VALUES = dict(_FUNCTION, values=[0, "x", 0])
+_NESTED_VALUES = dict(_FUNCTION, values=[[0.0], [0.5], [0.0]])
+_NESTED_MASSES = dict(_MEASURE, masses=[[0.5, 0.1], [0.5]])
+_HUGE_VALUES = dict(_FUNCTION, values=[0, 1e308, -1e308])
+_NEGATIVE_MASSES = dict(_MEASURE, depth=2, masses=[0.5, -0.25, 0.5, 0.25])
+
+
+def _write_payload(tmp_path, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("seminorm", _STRING_VALUES, "values must be an array of numbers"),
+        ("decompose", _STRING_VALUES, "values must be an array of numbers"),
+        ("seminorm", _NESTED_VALUES, "values must be an array of numbers"),
+        ("seminorm", dict(_FUNCTION, values=[0, 10**400, 0]), "values must be an array"),
+        ("measure", _NESTED_MASSES, "masses must be an array of numbers"),
+        ("measure", dict(_MEASURE, masses=[0.5, "0.5x"]), "masses must be an array"),
+        ("measure", _NEGATIVE_MASSES, "masses must be non-negative"),
+    ],
+    ids=["string", "string-decompose", "nested", "int-overflow", "ragged-masses",
+         "string-masses", "negative-masses"],
+)
+def test_loader_rejects_entries_that_are_not_numbers(tmp_path, capsys, command, payload, message):
+    assert main([command, "--in", _write_payload(tmp_path, payload)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["seminorm", "strichartz", "distance-ibmo"])
+def test_report_that_overflows_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # finite samples whose differences overflow to inf, which JSON cannot carry
+    out = tmp_path / "report.json"
+    argv = [command, "--in", _write_payload(tmp_path, _HUGE_VALUES), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "report value is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+    st.text(max_size=3),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.booleans(),
+    st.none(),
+)
+_COMMAND_KIND = {"seminorm": "function", "decompose": "function", "measure": "measure"}
+
+
+def _mostly(good, hostile):
+    """``good`` four draws in five, so most files get past the first check."""
+    return st.integers(0, 4).flatmap(lambda i: good if i else hostile)
+
+
+@st.composite
+def _input_files(draw):
+    """(command, payload): small files whose every field may be a wrong type,
+    a wrong length or hold a hostile entry."""
+    command = draw(st.sampled_from(sorted(_COMMAND_KIND)))
+    kind = draw(_mostly(st.just(_COMMAND_KIND[command]), st.sampled_from(["function", "x"])))
+    depth = draw(_mostly(st.integers(1, 3), st.one_of(st.integers(-1, 5), st.just(True))))
+    size = depth if cli._is_int(depth) and 1 <= depth <= 3 else 2
+    payload = {"schema": SCHEMA, "kind": kind, "depth": depth}
+    if kind == "measure":
+        dim = draw(_mostly(st.sampled_from([1, 2]), st.sampled_from([0, 3, "1", 1.0])))
+        payload["dim"] = dim
+        length = 1 << ((dim if cli._is_int(dim) and dim in (1, 2) else 1) * size)
+        number = st.floats(0.0, 1e300)
+    else:
+        length = (1 << size) + 1
+        number = st.floats(-1e300, 1e300)
+        payload["left"] = draw(_mostly(st.integers(-3, 3), st.one_of(st.integers(), st.floats())))
+    length = draw(_mostly(st.just(length), st.integers(0, 9)))
+    entries = _mostly(number, _ENTRY)
+    payload["values" if kind == "function" else "masses"] = draw(
+        _mostly(
+            st.lists(number, min_size=length, max_size=length),
+            st.lists(entries, min_size=length, max_size=length),
+        )
+    )
+    return command, payload
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_input_files())
+@example(case=("seminorm", _STRING_VALUES))
+@example(case=("measure", _NESTED_MASSES))
+@example(case=("seminorm", _HUGE_VALUES))
+@example(case=("measure", _NEGATIVE_MASSES))
+def test_input_files_exit_0_2_or_3(tmp_path, case):
+    command, payload = case
+    for load in (load_function, load_measure):
+        try:
+            load(payload)
+        except InputError:
+            pass
+    code = main([command, "--in", _write_payload(tmp_path, payload), "--out", os.devnull])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_INCONCLUSIVE)

@@ -18,6 +18,7 @@ from reference import (
     measure_zygmund_norm_loop,
     one_split_measure,
 )
+from zygdist.cli import main
 from zygdist.generators import cascade_measure
 from zygdist.martingale import SampledFunction, average_growth, bmo_norm, star_norm
 from zygdist.measures import (
@@ -27,6 +28,7 @@ from zygdist.measures import (
     measure_truncate,
     measure_zygmund_norm,
 )
+from zygdist.verification import _delta1_samples
 
 
 def _cascade(dim, depth, seed):
@@ -161,17 +163,25 @@ def test_measure_zygmund_continuous_brute_force_2d():
     )
 
 
+# 1-d depths 2, 3 and 11 and 2-d depths 2 and 5 give doubling chains of
+# length 1 and 2 next to long ones; depth 1 has the odd top half-width 1
+_CHAIN_DEPTHS = [(1, 2), (1, 3), (1, 11), (2, 2), (2, 5)]
+
+
 @pytest.mark.parametrize(
-    "dim, depth", [(1, 1), (1, 5), (1, 10), (2, 1), (2, 3), (2, 6)]
+    "dim, depth", [(1, 1), (1, 5), (1, 10), (2, 1), (2, 3), (2, 6)] + _CHAIN_DEPTHS
 )
 def test_measure_zygmund_continuous_matches_loop_oracle(dim, depth):
     mu = _cascade(dim, depth, seed=7)
     assert measure_zygmund_norm(mu, mode="continuous") == measure_zygmund_norm_loop(mu)
 
 
-@pytest.mark.parametrize("dim, depth", [(1, 8), (2, 4)])
-def test_measure_zygmund_continuous_matches_loop_oracle_signed(dim, depth):
-    mu = _cascade(dim, depth, seed=7)
+@pytest.mark.parametrize(
+    "dim, depth, seed",
+    [(1, 8, 7), (2, 4, 7), (1, 2, 5), (1, 3, 7), (1, 11, 7), (2, 2, 5), (2, 5, 7)],
+)
+def test_measure_zygmund_continuous_matches_loop_oracle_signed(dim, depth, seed):
+    mu = _cascade(dim, depth, seed)
     signed = mu - measure_truncate(mu, measure_zygmund_norm(mu) / 4)
     assert signed.masses.min() < 0.0 < signed.masses.max()
     assert measure_zygmund_norm(signed, mode="continuous") == measure_zygmund_norm_loop(
@@ -179,14 +189,47 @@ def test_measure_zygmund_continuous_matches_loop_oracle_signed(dim, depth):
     )
 
 
-@pytest.mark.parametrize("dim, depth, seed", [(1, 8, 7), (2, 4, 3), (2, 4, 6)])
+@pytest.mark.parametrize(
+    "dim, depth, seed",
+    [(1, 8, 7), (2, 4, 3), (2, 4, 6), (1, 2, 7), (1, 3, 7), (1, 11, 7), (2, 2, 3), (2, 5, 5)],
+)
 def test_measure_zygmund_continuous_matches_loop_oracle_off_lattice(dim, depth, seed):
-    # thirds round in every cell, so the corner sums are inexact: at these
-    # 2-d seeds a reversed or regrouped corner order changes the norm
+    # thirds round in every cell, so the corner sums are inexact: at the 2-d
+    # seeds of depths 4 and 5 a reversed or regrouped corner order changes
+    # the norm
     third = GridMeasure(_cascade(dim, depth, seed).masses / 3.0)
     assert measure_zygmund_norm(third, mode="continuous") == measure_zygmund_norm_loop(
         third
     )
+
+
+def test_summed_area_table_built_on_first_read(tmp_path, monkeypatch):
+    mu = _cascade(2, 3, seed=7)
+    assert mu._table is None
+    measure_zygmund_norm(mu, mode="continuous")
+    assert mu._table is not None
+    nu = _cascade(1, 4, seed=7)
+    centers, half = np.array([[3], [8]]), np.array([2, 5])
+    assert nu._table is None
+    _delta1_samples(nu, centers, half)
+    assert nu._table is not None
+
+    # one `measure` call reads the input's table for the continuous norm;
+    # the truncations and residuals it builds never read theirs
+    path = tmp_path / "mu.json"
+    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "6",
+                 "--seed", "2", "--out", str(path)]) == 0
+    made = []
+    init = GridMeasure.__init__
+
+    def recorded(self, masses):
+        init(self, masses)
+        made.append(self)
+
+    monkeypatch.setattr(GridMeasure, "__init__", recorded)
+    assert main(["measure", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(made) > 2
+    assert sum(m._table is not None for m in made) == 1
 
 
 # ---------------------------------------------------------------------------
