@@ -31,6 +31,7 @@ from zygdist.functionals import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _lattice_exponents,
     average_growth,
     integrate,
     star_norm,
@@ -365,24 +366,6 @@ def _lattice_exact(values: np.ndarray, count: int) -> bool:
         and q + N + 2 <= 1074
         and bits_slope - (q + 2) <= 1023
     )
-
-
-def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
-    """The binary lattice of finite ``values``, or None when all are 0.
-
-    Returns ``(q, a)``: every value is an integer multiple of ``2^-q``, and
-    ``max|v| = A 2^-q`` with ``A < 2^a``.  Found with ``np.frexp`` and
-    integer arithmetic, as ``q`` may exceed 1023.
-    """
-    nonzero = values[values != 0.0]
-    if not nonzero.size:
-        return None
-    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
-    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
-    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
-    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
-    q = int((53 - exponent - trailing).max())
-    return q, int(exponent.max()) + q
 
 
 def _tree_exact(f: SampledFunction) -> bool:

@@ -26,6 +26,7 @@ from zygdist.dyadic import RealInterval
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _lattice_exponents,
     _windowed_density,
     average_growth,
     star_norm,
@@ -48,15 +49,37 @@ def zygmund_seminorm(f: SampledFunction) -> float:
     """Largest ``|second difference|`` over all interior grid pairs ``(x, h)``.
 
     The sweep runs over every grid point ``x`` and step ``h = u * spacing``
-    with both ``x - h`` and ``x + h`` inside the sampled span.
+    with both ``x - h`` and ``x + h`` inside the sampled span: O(M^2) pairs
+    for ``M`` cells.
+
+    On a small binary lattice it sweeps int32 numerators, with the same
+    bits as the float64 sweep.  Let the finite values be integer multiples
+    ``k 2^-q`` with ``|k| < 2^a`` (``_lattice_exponents``).  Real-number
+    bounds: first differences ``d1`` are multiples of ``2^-q`` below
+    ``2^(a+1)`` quanta, second differences ``d2`` below ``2^(a+2)``.  Sums
+    and differences of multiples of a quantum ``Q >= 2^-1074`` below ``2^53
+    Q`` are exact, so when ``a + 2 <= 31`` and ``2^(a+2-q) <= 2^1023`` (no
+    overflow), every float64 ``d1`` and ``d2`` is exact and equals ``2^-q``
+    times the int32 difference of the numerators, which stays below
+    ``2^31``.  A row's largest ``|d2|`` is then its numerator maximum (exact
+    as a float, below ``2^31``) times ``2^-q``, a representable value, so
+    the product rounds nothing.  Every other input (off the lattice, ``a >
+    29``, non-finite or all zero) sweeps the float64 values with scale 1.
     """
     v = f.values
+    scale = 1.0
+    lattice = _lattice_exponents(v) if np.isfinite(v).all() else None
+    if lattice is not None:
+        q, a = lattice
+        if a + 2 <= 31 and a + 2 - q <= 1023:
+            v = np.ldexp(v, q).astype(np.int32)
+            scale = math.ldexp(1.0, -q)
     spacing = float(f.spacing)
     best = 0.0
     for u in range(1, (v.size - 1) // 2 + 1):
         d1 = v[u:] - v[:-u]
         d2 = d1[u:] - d1[:-u]
-        best = max(best, float(np.abs(d2).max()) / (u * spacing))
+        best = max(best, float(np.abs(d2).max()) * scale / (u * spacing))
     return best
 
 

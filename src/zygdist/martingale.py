@@ -42,6 +42,24 @@ def _log2_exact(fr: Fraction) -> int:
     return num.bit_length() - den.bit_length()
 
 
+def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
+    """The binary lattice of finite ``values``, or None when all are 0.
+
+    Returns ``(q, a)``: every value is an integer multiple of ``2^-q``, and
+    ``max|v| = A 2^-q`` with ``A < 2^a``.  Found with ``np.frexp`` and
+    integer arithmetic, as ``q`` may exceed 1023.
+    """
+    nonzero = values[values != 0.0]
+    if not nonzero.size:
+        return None
+    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
+    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
+    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
+    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
+    q = int((53 - exponent - trailing).max())
+    return q, int(exponent.max()) + q
+
+
 class SampledFunction:
     """Uniform samples of a continuous function, with exact grid geometry.
 
