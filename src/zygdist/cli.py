@@ -664,26 +664,30 @@ def main(argv: list[str] | None = None) -> int:
     }
     start = time.monotonic()
     report = {"schema": SCHEMA, "command": args.command, "parameters": parameters}
-    try:
-        _require(parameters["tau"] >= 0.0, "--tau must be a non-negative number")
-        loaded = None
-        if args.loads is not None:
-            payload, report["input_sha256"] = read_input(args.input)
-            # looked up here, not stored in _COMMANDS, so a wrapped loader is seen
-            load = load_function if args.loads == "function" else load_measure
-            loaded = load(payload)
-            del payload  # the command needs the loaded arrays, not the parsed JSON
-        body, code = args.handler(loaded, args)
-        if args.command == "generate":
-            report = body
-        else:
-            report.update(body)
-        if args.timing:
-            report["wall_time_s"] = time.monotonic() - start
-        text = _serialise(report)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # Huge finite samples overflow inside the kernels; the non-finite report
+    # check or the command's own check turns that into one exit-2 message,
+    # without NumPy's warnings on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            _require(parameters["tau"] >= 0.0, "--tau must be a non-negative number")
+            loaded = None
+            if args.loads is not None:
+                payload, report["input_sha256"] = read_input(args.input)
+                # looked up here, not stored in _COMMANDS, so a wrapped loader is seen
+                load = load_function if args.loads == "function" else load_measure
+                loaded = load(payload)
+                del payload  # the command needs the loaded arrays, not the parsed JSON
+            body, code = args.handler(loaded, args)
+            if args.command == "generate":
+                report = body
+            else:
+                report.update(body)
+            if args.timing:
+                report["wall_time_s"] = time.monotonic() - start
+            text = _serialise(report)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     _emit(text, args.out)
     return code
 
