@@ -50,30 +50,11 @@ def zygmund_seminorm(f: SampledFunction) -> float:
 
     The sweep runs over every grid point ``x`` and step ``h = u * spacing``
     with both ``x - h`` and ``x + h`` inside the sampled span: O(M^2) pairs
-    for ``M`` cells.
-
-    On a small binary lattice it sweeps int32 numerators, with the same
-    bits as the float64 sweep.  Let the finite values be integer multiples
-    ``k 2^-q`` with ``|k| < 2^a`` (``_lattice_exponents``).  Real-number
-    bounds: first differences ``d1`` are multiples of ``2^-q`` below
-    ``2^(a+1)`` quanta, second differences ``d2`` below ``2^(a+2)``.  Sums
-    and differences of multiples of a quantum ``Q >= 2^-1074`` below ``2^53
-    Q`` are exact, so when ``a + 2 <= 31`` and ``2^(a+2-q) <= 2^1023`` (no
-    overflow), every float64 ``d1`` and ``d2`` is exact and equals ``2^-q``
-    times the int32 difference of the numerators, which stays below
-    ``2^31``.  A row's largest ``|d2|`` is then its numerator maximum (exact
-    as a float, below ``2^31``) times ``2^-q``, a representable value, so
-    the product rounds nothing.  Every other input (off the lattice, ``a >
-    29``, non-finite or all zero) sweeps the float64 values with scale 1.
+    for ``M`` cells.  It sweeps the array of ``_sweep_values``, int32
+    numerators on a small binary lattice, and scales each step's maximum
+    back; the bits are those of the float64 sweep.
     """
-    v = f.values
-    scale = 1.0
-    lattice = _lattice_exponents(v) if np.isfinite(v).all() else None
-    if lattice is not None:
-        q, a = lattice
-        if a + 2 <= 31 and a + 2 - q <= 1023:
-            v = np.ldexp(v, q).astype(np.int32)
-            scale = math.ldexp(1.0, -q)
+    v, scale = _sweep_values(f.values)
     spacing = float(f.spacing)
     best = 0.0
     for u in range(1, (v.size - 1) // 2 + 1):
@@ -81,6 +62,32 @@ def zygmund_seminorm(f: SampledFunction) -> float:
         d2 = d1[u:] - d1[:-u]
         best = max(best, float(np.abs(d2).max()) * scale / (u * spacing))
     return best
+
+
+def _sweep_values(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The array ``zygmund_seminorm`` sweeps, and the scale back to values.
+
+    Let the finite values be integer multiples ``k 2^-q`` with ``|k| <
+    2^a`` (``_lattice_exponents``).  Real-number bounds: first differences
+    ``d1`` are multiples of ``2^-q`` below ``2^(a+1)`` quanta, second
+    differences ``d2`` below ``2^(a+2)``.  Sums and differences of multiples
+    of a quantum ``Q >= 2^-1074`` below ``2^53 Q`` are exact.  So when ``a +
+    2 <= 31`` and ``2^(a+2-q) <= 2^1023`` (no overflow), every float64 ``d1``
+    and ``d2`` is exact, and is ``2^-q`` times the same difference of the
+    int32 numerators ``k``, which stays below ``2^31``.  A step's largest
+    ``|d2|`` is then its numerator maximum (an integer below ``2^31``, exact
+    as a float) times the power of two ``2^-q``; the product is that float64
+    maximum, a representable number, so it rounds nothing.  Then the
+    numerators are swept at scale ``2^-q``: 4 bytes per sample instead of 8.
+    Every other input (``a > 29``, near overflow, non-finite or all zero) is
+    swept as is, at scale 1.
+    """
+    lattice = _lattice_exponents(values) if np.isfinite(values).all() else None
+    if lattice is not None:
+        q, a = lattice
+        if a + 2 <= 31 and a + 2 - q <= 1023:
+            return np.ldexp(values, q).astype(np.int32), math.ldexp(1.0, -q)
+    return values, 1.0
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, compact: bool):
