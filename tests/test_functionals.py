@@ -17,9 +17,11 @@ from reference import (
     second_difference_dyadic,
     zygmund_seminorm_slices,
 )
+from zygdist import cli
 from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
     DepthProfile,
+    _sweep_values,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -110,11 +112,31 @@ def test_zygmund_seminorm_scaling():
     assert zygmund_seminorm(g) == 4.0 * zygmund_seminorm(f)
 
 
-@pytest.mark.parametrize("cells", range(1, 10))
-def test_zygmund_seminorm_equals_three_slice_form(cells):
-    rng = np.random.default_rng(cells)
-    for values in (rng.standard_normal(cells + 1), rng.integers(-8, 9, cells + 1) / 16):
-        f = SampledFunction(values, log2_spacing=-3)
+def _generated(kind, seed=0, *flags, depth=10):
+    """The function ``zygdist generate`` writes for these arguments."""
+    argv = ["generate", "--kind", kind, "--depth", str(depth), "--seed", str(seed), *flags]
+    payload, _ = cli.cmd_generate(None, cli.build_parser().parse_args(argv))
+    return cli.load_function(payload)
+
+
+_FUNCTION_KINDS = sorted(set(cli._CLASSIFICATIONS) - {"cascade"})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*range(1, 10), *((kind, seed) for kind in _FUNCTION_KINDS for seed in range(3))],
+    ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple) else str(case),
+)
+def test_zygmund_seminorm_equals_three_slice_form(case):
+    if isinstance(case, tuple):  # a generated file at depth 10
+        functions = [_generated(*case)]
+    else:  # random arrays with `case` cells
+        rng = np.random.default_rng(case)
+        functions = [
+            SampledFunction(values, log2_spacing=-3)
+            for values in (rng.standard_normal(case + 1), rng.integers(-8, 9, case + 1) / 16)
+        ]
+    for f in functions:
         assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
 
 
@@ -126,6 +148,83 @@ def test_zygmund_seminorm_equals_three_slice_form(cells):
 def test_zygmund_seminorm_equals_three_slice_form_on_random_arrays(values, log2_spacing):
     f = SampledFunction(values, log2_spacing=log2_spacing)
     assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
+
+
+_SMALL = 2**29  # numerators below this are swept as int32
+
+
+@st.composite
+def _lattice_samples(draw, small: bool):
+    """Samples ``k 2^-q`` with ``|k| < 2^29`` when ``small``,
+    else ``2^29 <= |k| < 2^31`` with one odd ``k``, so the lattice is exactly
+    ``2^-q``; quanta from ``2^990`` down to subnormal ``2^-1074``."""
+    size = draw(st.integers(2, 40))
+    if small:
+        k = st.integers(-(_SMALL - 1), _SMALL - 1)
+    else:
+        k = st.builds(lambda m, sign: sign * m, st.integers(_SMALL, 2**31 - 1), st.sampled_from([1, -1]))
+    ks = draw(st.lists(k, min_size=size, max_size=size))
+    if not small:
+        ks[draw(st.integers(0, size - 1))] |= 1
+    q = draw(st.integers(-990, 1074))
+    return np.ldexp(np.array(ks, dtype=np.float64), -q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda small: st.tuples(st.just(small), _lattice_samples(small))),
+       st.integers(-12, 4))
+def test_zygmund_seminorm_on_lattice_inputs_equals_three_slice_form(drawn, log2_spacing):
+    # the int32 sweep for small numerators, the float64 sweep for the rest,
+    # over the whole exponent range
+    small, values = drawn
+    f = SampledFunction(values, log2_spacing=log2_spacing)
+    swept, _ = _sweep_values(f.values)
+    assert swept.dtype == (np.int32 if small and values.any() else np.float64)
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
+
+
+@pytest.mark.parametrize("A, dtype", [(2**29 - 1, np.int32), (2**30 - 1, np.float64)])
+@pytest.mark.parametrize("q", [-990, 0, 1074])
+def test_zygmund_seminorm_extreme_numerators(A, dtype, q):
+    # |d2| = 4A: 2^31 - 4 fits in int32; 2^32 - 4 would not
+    f = SampledFunction(np.ldexp(np.array([A, -A, A], dtype=np.float64), -q))
+    assert _sweep_values(f.values)[0].dtype == dtype
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f) == math.ldexp(4 * A, -q) / 0.5
+
+
+def test_zygmund_seminorm_near_overflow_sweeps_float64():
+    # 29-bit numerators at quantum 2^995: the first float64 difference
+    # overflows to inf, while the exact numerator sweep would give a finite
+    # 2^1023 + 2^995; the overflow bound keeps the float64 sweep
+    f = SampledFunction(np.ldexp([-(2.0**28), 2.0**28, 2.0**29 - 1], 995))
+    assert _sweep_values(f.values)[0].dtype == np.float64
+    with np.errstate(over="ignore"):
+        assert zygmund_seminorm(f) == zygmund_seminorm_slices(f) == math.inf
+
+
+@pytest.mark.parametrize("values", [[0.0, math.inf, 0.0, 1.0], [0.0, 0.0, 0.0]])
+def test_zygmund_seminorm_non_finite_or_zero_sweeps_float64(values):
+    f = SampledFunction(values, log2_spacing=-2)
+    swept, scale = _sweep_values(f.values)
+    assert swept is f.values and scale == 1.0
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
+
+
+@pytest.mark.parametrize(
+    "kind, flags, dtype",
+    [
+        ("random-jumps", [], np.int32),
+        ("hat", [], np.int32),
+        ("square", [], np.int32),
+        ("lacunary", [], np.int32),  # c = r = 1/2: 9-bit numerators at depth 10
+        ("lacunary", ["--ratio", "1/16"], np.float64),
+        ("weierstrass", [], np.float64),
+    ],
+)
+def test_zygmund_seminorm_sweeps_int32_numerators_on_small_lattices(kind, flags, dtype):
+    swept, scale = _sweep_values(_generated(kind, 0, *flags).values)
+    assert swept.dtype == dtype
+    assert (scale == 1.0) == (dtype == np.float64)
 
 
 def test_dyadic_seminorm_below_full_sweep():
