@@ -16,7 +16,6 @@ from zygdist.approximation import (
     distance_report,
     dyadic_decompose,
     martingale_difference,
-    translation_average,
     truncate_jumps,
 )
 from zygdist.dyadic import RealInterval
@@ -54,8 +53,6 @@ from zygdist.martingale import (
     maximal_function,
     quadratic_characteristic,
     star_norm,
-    thresholded_jump_count,
-    window_parseval,
 )
 from zygdist.measures import (
     GridMeasure,
@@ -134,15 +131,12 @@ __all__ = [
     "single_branch_martingale",
     "stability_factor",
     "star_norm",
-    "thresholded_jump_count",
-    "translation_average",
     "truncate_jumps",
     "weierstrass_function",
     "verify_bdg",
     "verify_dyadic_distance_bound",
     "verify_predecessor_measure",
     "verify_strichartz_consistency",
-    "window_parseval",
     "zygmund_seminorm",
 ]
 

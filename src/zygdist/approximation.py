@@ -6,10 +6,9 @@ the rough part, of bounded mean oscillation), the rest are dropped, so the
 remainder has dyadic Zygmund seminorm at most twice the threshold.
 
 Dyadic truncation is grid-biased; averaging the small parts produced on a
-family of translated grids removes the bias.  ``translation_average``
-averages a family of unit-interval functions over midpoint-sampled shifts,
-and ``continuous_decompose`` runs the full pipeline for a whole level grid:
-translate, truncate on an enlarged window, integrate back and average.
+family of translated grids removes the bias.  ``continuous_decompose`` runs
+that pipeline for a whole level grid: translate, truncate on an enlarged
+window, integrate back and average.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from zygdist.functionals import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
-    _lattice_exponents,
+    _lattice_quantum,
     average_growth,
     integrate,
     star_norm,
@@ -45,7 +44,6 @@ __all__ = [
     "distance_report",
     "dyadic_decompose",
     "martingale_difference",
-    "translation_average",
     "truncate_jumps",
 ]
 
@@ -209,40 +207,6 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     return dropped[count].tolist(), kept.tolist()
 
 
-def _family_member(family, i: int, alpha: Fraction) -> SampledFunction:
-    if callable(family):
-        return family(i, alpha)
-    return family[i]
-
-
-def translation_average(family, R: int, depth: int | None = None) -> SampledFunction:
-    """Average of translated unit-interval functions over shifts in [-R, R).
-
-    The shift range is split into midpoint bins two grid cells wide; member
-    ``i`` is evaluated at ``x + alpha_i`` (zero off its support) and the
-    results averaged, giving a function sampled on ``[-R, 1 + R]`` at the
-    members' spacing.
-    """
-    if R < 1:
-        raise ValueError("R must be a positive integer")
-    probe = _family_member(family, 0, Fraction(0))
-    N = probe.depth if depth is None else depth
-    if probe.span != RealInterval(0, 1):
-        raise ValueError("family members must live on the unit interval")
-    M = R << N
-    points = ((1 + 2 * R) << N) + 1
-    acc = np.zeros(points)
-    for i in range(M):
-        alpha = Fraction(-R) + Fraction(2 * i + 1, 1 << N)
-        member = _family_member(family, i, alpha)
-        if member.values.size != (1 << N) + 1 or member.span != RealInterval(0, 1):
-            raise ValueError("family members must share the unit-interval grid")
-        base = (2 * R << N) - 2 * i - 1
-        acc[base : base + (1 << N) + 1] += member.values
-    acc /= M
-    return SampledFunction(acc, left=-R, log2_spacing=-N)
-
-
 # Translates are truncated in chunks of about this many window samples
 # (128 KiB of float64).  A chunk works on about ten arrays of this size:
 # larger chunks cut per-call overhead further but raise peak memory.
@@ -337,45 +301,32 @@ def _lattice_exact(values: np.ndarray, count: int) -> bool:
       and its running sums are slopes of summed tents, ``< count 3A 2^-q
       2^(N+1)``.
 
-    All of these are multiples of ``Q_s = 2^-(q+2)`` and below ``U_s = count
-    3A 2^(N+5)`` of them.  The primitive values (leaf slope times ``h``,
+    All of these are multiples of ``Q_s = 2^-(q+2)`` and below ``count 3A
+    2^(N+5)`` of them: with ``count = 2^k`` and ``3 < 2^2``, the family
+    ``(k + N + 7, 2)``.  The primitive values (leaf slope times ``h``,
     running sums of the primitive, of the translate sum and of the class
     kernel's second cumulative sum) are multiples of ``Q_v = 2^-(q+N+2)``.
     Each running sum equals, exactly, a sum of at most ``count`` truncated
     primitives; each primitive is a sum of one tent per generation, of
-    height ``|a_n| w_n <= 3A 2^-q``; so they stay below ``U_v = count
-    3 (N+2) A 2^(N+2)`` quanta.  Sums and differences of multiples of a
-    quantum ``Q >= 2^-1074`` below ``2^53 Q`` are exact, and so is scaling
-    by a power of two that stays on such a quantum.  So both kernels work
-    exactly (whatever their summation order) when ``U_s, U_v <= 2^53``,
-    ``Q_v >= 2^-1074`` and ``U_s Q_s < 2^1023`` (no overflow).  ``q`` and
-    ``a`` come from ``_lattice_exponents``, shared with ``_tree_exact``.
+    height ``|a_n| w_n <= 3A 2^-q``; so they stay below ``count 3 (N+2) A
+    2^(N+2)`` quanta: the family ``(k + bitlen(N+2) + N + 4, N + 2)``.
+    Where ``martingale._lattice_quantum`` accepts both families at 53 bits,
+    both kernels work exactly, whatever their summation order.
     """
-    if not np.isfinite(values).all():
-        return False
-    lattice = _lattice_exponents(values)
-    if lattice is None:
-        return True
-    q, a = lattice
     N = (values.size - 1).bit_length() - 1
-    k = count.bit_length() - 1  # count = 2^k; 3 < 2^2
-    bits_slope = k + 2 + a + N + 5
-    bits_value = k + 2 + (N + 2).bit_length() + a + N + 2
-    return (
-        max(bits_slope, bits_value) <= 53
-        and q + N + 2 <= 1074
-        and bits_slope - (q + 2) <= 1023
-    )
+    k = count.bit_length() - 1
+    slopes = (k + N + 7, 2)
+    primitives = (k + (N + 2).bit_length() + N + 4, N + 2)
+    return _lattice_quantum(values, 53, slopes, primitives) is not None
 
 
 def _tree_exact(f: SampledFunction) -> bool:
     """Whether truncating the slope martingale of ``f`` rounds nothing.
 
     Let the ``2^N + 1`` values of ``f`` be integer multiples of ``2^-q``
-    with ``max|f| = A 2^-q`` and ``A < 2^a`` (``_lattice_exponents``), and
-    let the span have length ``2^s``, so the generation-``n`` cell width is
-    ``w_n = 2^(s - n)``.  Take the quantum ``Q = 2^-(q + s)``.  Real-number
-    bounds, ``n <= N``:
+    with ``max|f| = A 2^-q`` and ``A < 2^a``, and let the span have length
+    ``2^s``, so the generation-``n`` cell width is ``w_n = 2^(s - n)``.
+    Take the quantum ``Q = 2^-(q + s)``.  Real-number bounds, ``n <= N``:
 
     * slopes ``S_n`` are sample differences (below ``2^(a+1)`` multiples of
       ``2^-q``) divided by ``w_n``: multiples of ``2^n Q``, ``|S_n| <
@@ -385,27 +336,16 @@ def _tree_exact(f: SampledFunction) -> bool:
     * residuals ``|S_n - B_n| < 2^(a+n+4) Q`` and their jumps
       ``< 2^(a+n+5) Q``; the jumps of ``B`` are at most those of ``S``.
 
-    Every quantity is a multiple of ``Q`` below ``2^(a+N+5)`` quanta.  Sums
-    and differences of multiples of a quantum ``Q >= 2^-1074`` below ``2^53
-    Q`` are exact, and so is division by a power of two that stays on such
-    a quantum.  So ``truncate_jumps``, ``martingale_difference`` and their
-    jumps are exact when ``a + N + 5 <= 53``, ``Q >= 2^-1074`` (no
-    underflow) and ``2^(a+N+5) Q <= 2^1023`` (no overflow).  Then a parent
-    slope is exactly the mean of its children's, so a pair's right jump is
-    exactly minus its left one; a dropped pair's residual jumps are its own
-    jumps, a kept pair's are 0; and ``_truncation_maxima`` equals the
-    truncation loop bit for bit.
+    Every quantity is a multiple of ``Q`` below ``2^(a+N+5)`` quanta: the
+    family ``(N + 5, s)``.  Where ``martingale._lattice_quantum`` accepts it
+    at 53 bits, ``truncate_jumps``, ``martingale_difference`` and their
+    jumps are exact.  Then a parent slope is exactly the mean of its
+    children's, so a pair's right jump is exactly minus its left one; a
+    dropped pair's residual jumps are its own jumps, a kept pair's are 0;
+    and ``_truncation_maxima`` equals the truncation loop bit for bit.
     """
-    if not np.isfinite(f.values).all():
-        return False
-    lattice = _lattice_exponents(f.values)
-    if lattice is None:
-        return True
-    q, a = lattice
     N = f.depth
-    s = N + f.log2_spacing
-    bits = a + N + 5
-    return bits <= 53 and q + s <= 1074 and bits - (q + s) <= 1023
+    return _lattice_quantum(f.values, 53, (N + 5, N + f.log2_spacing)) is not None
 
 
 def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):

@@ -112,14 +112,16 @@ def _is_int(value) -> bool:
 def _number_array(entries: list, name: str) -> np.ndarray:
     """The JSON array ``entries`` as a flat float64 array of finite numbers.
 
-    One conversion for the whole array, no per-entry scan: strings, nested
-    or ragged lists and integers beyond float range fail it (exit 2).
+    Every entry must be a JSON number (``int`` or ``float``): strings,
+    booleans, nulls and lists fail one scan of the entry types, and integers
+    beyond float range the one conversion (exit 2).
     """
+    numbers = set(map(type, entries)) <= {int, float}
     try:
-        array = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        array = np.asarray(entries, dtype=np.float64) if numbers else None
+    except OverflowError:
         array = None
-    _require(array is not None and array.ndim == 1, f"{name} must be an array of numbers")
+    _require(array is not None, f"{name} must be an array of numbers")
     _require(bool(np.all(np.isfinite(array))), f"{name} must all be finite")
     return array
 

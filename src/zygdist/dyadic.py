@@ -1,9 +1,8 @@
 """Half-open real intervals with exact rational endpoints.
 
-Sampled functions and martingales record their spans and cell footprints as
-:class:`RealInterval` objects, so grid geometry (cell widths, midpoints,
-grid indices) is computed in :class:`fractions.Fraction` arithmetic and
-never rounds.
+Sampled functions and martingales record their spans as :class:`RealInterval`
+objects, so grid geometry (lengths and cell widths) is computed in
+:class:`fractions.Fraction` arithmetic and never rounds.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ class RealInterval:
     @property
     def length(self) -> Fraction:
         return self.right - self.left
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.left + self.right) / 2
 
     def __eq__(self, other):
         return (

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from zygdist.dyadic import RealInterval
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
-    _lattice_exponents,
+    _lattice_quantum,
     _windowed_density,
     average_growth,
     star_norm,
@@ -67,27 +66,23 @@ def zygmund_seminorm(f: SampledFunction) -> float:
 def _sweep_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     """The array ``zygmund_seminorm`` sweeps, and the scale back to values.
 
-    Let the finite values be integer multiples ``k 2^-q`` with ``|k| <
-    2^a`` (``_lattice_exponents``).  Real-number bounds: first differences
-    ``d1`` are multiples of ``2^-q`` below ``2^(a+1)`` quanta, second
-    differences ``d2`` below ``2^(a+2)``.  Sums and differences of multiples
-    of a quantum ``Q >= 2^-1074`` below ``2^53 Q`` are exact.  So when ``a +
-    2 <= 31`` and ``2^(a+2-q) <= 2^1023`` (no overflow), every float64 ``d1``
-    and ``d2`` is exact, and is ``2^-q`` times the same difference of the
-    int32 numerators ``k``, which stays below ``2^31``.  A step's largest
-    ``|d2|`` is then its numerator maximum (an integer below ``2^31``, exact
-    as a float) times the power of two ``2^-q``; the product is that float64
-    maximum, a representable number, so it rounds nothing.  Then the
-    numerators are swept at scale ``2^-q``: 4 bytes per sample instead of 8.
-    Every other input (``a > 29``, near overflow, non-finite or all zero) is
-    swept as is, at scale 1.
+    With the values ``k 2^-q`` and ``|k| < 2^a``, first differences ``d1``
+    are multiples of ``2^-q`` below ``2^(a+1)`` quanta, second differences
+    ``d2`` below ``2^(a+2)``: one family ``(2, 0)`` for
+    ``martingale._lattice_quantum`` with the int32 budget of 31 bits.
+    Where that rule gives ``q``, every float64 ``d1`` and ``d2`` is exact,
+    and is ``2^-q`` times the same difference of the int32 numerators ``k``.
+    A step's largest ``|d2|`` is then its numerator maximum (an integer
+    below ``2^31``, exact as a float) times the power of two ``2^-q``; the
+    product is that float64 maximum, a representable number, so it rounds
+    nothing.  Then the numerators are swept at scale ``2^-q``: 4 bytes per
+    sample instead of 8.  Every other input (``a > 29``, near overflow or
+    non-finite) is swept as is, at scale 1.
     """
-    lattice = _lattice_exponents(values) if np.isfinite(values).all() else None
-    if lattice is not None:
-        q, a = lattice
-        if a + 2 <= 31 and a + 2 - q <= 1023:
-            return np.ldexp(values, q).astype(np.int32), math.ldexp(1.0, -q)
-    return values, 1.0
+    q = _lattice_quantum(values, 31, (2, 0))
+    if q is None:
+        return values, 1.0
+    return np.ldexp(values, q).astype(np.int32), math.ldexp(1.0, -q)
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, compact: bool):
@@ -108,39 +103,25 @@ def _second_difference(f: SampledFunction, x: np.ndarray, u):
     return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
 
 
-def _window_cells(f: SampledFunction, interval) -> tuple[int, int]:
-    """(left index, cell count) of a grid-aligned window, cells a power of two."""
-    iv = f.span if interval is None else interval
-    if isinstance(iv, RealInterval):
-        left = f.index_of(iv.left)
-        cells = f.index_of(iv.right) - left
-    else:
-        raise TypeError("interval must be a RealInterval or None")
-    if cells <= 0 or cells & (cells - 1):
-        raise ValueError("window must span a power-of-two number of grid cells")
-    return left, cells
-
-
-def box_square_energy(
-    f: SampledFunction, interval: RealInterval | None = None, depth: int | None = None
-) -> float:
+def box_square_energy(f: SampledFunction, depth: int | None = None) -> float:
     """Normalised square energy of second differences over a box lattice.
 
     Sums ``weight * d2(x, h)^2`` over the midpoint lattice of
-    ``I x (0, |I|]`` down to ``depth`` layers and divides by ``|I|``.  Layers
-    whose sample step falls under the grid resolution are not representable
-    and stop the sum (profiles deeper than the grid saturate).
+    ``I x (0, |I|]``, ``I`` the sampled span, down to ``depth`` layers and
+    divides by ``|I|``.  Layers whose sample step falls under the grid
+    resolution are not representable and stop the sum (profiles deeper than
+    the grid saturate).
     """
-    left, cells = _window_cells(f, interval)
+    cells = 1 << f.depth
     if depth is None:
         depth = max(cells.bit_length() - 2, 1)
     spacing = float(f.spacing)
     total = 0.0
     for n in range(depth):
-        if cells >> (n + 2) == 0 or cells % (1 << (n + 2)):
+        if cells >> (n + 2) == 0:
             break
         q = cells >> (n + 2)
-        centers = left + (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
+        centers = (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
         d2, ok = _second_difference(f, centers, 3 * q)
         weight = 2 * q * spacing * math.log(2.0)
         total += weight * float((d2 * d2 * ok).sum())
@@ -169,9 +150,6 @@ class DepthProfile:
     depths: list[int]
     eps: list[float]
     values: list[list[float]] = field(default_factory=list)
-
-    def column(self, j: int) -> list[float]:
-        return [row[j] for row in self.values]
 
 
 @dataclass

@@ -6,8 +6,7 @@ interval induces a martingale whose value on a cell is the average growth
 differences of the function: the second difference across a parent cell
 equals twice the jump picked up by either child, with opposite signs on the
 two siblings.  The functionals below (star norm, dyadic BMO norm, quadratic
-characteristic, maximal function, thresholded jump counts) are all read off
-the jump field.
+characteristic, maximal function) are all read off the jump field.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "maximal_function",
     "quadratic_characteristic",
     "star_norm",
-    "thresholded_jump_count",
-    "window_parseval",
 ]
 
 
@@ -42,22 +39,49 @@ def _log2_exact(fr: Fraction) -> int:
     return num.bit_length() - den.bit_length()
 
 
-def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
-    """The binary lattice of finite ``values``, or None when all are 0.
+def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
+    """The one lattice-exactness rule: ``q`` when every intermediate is exact.
 
-    Returns ``(q, a)``: every value is an integer multiple of ``2^-q``, and
-    ``max|v| = A 2^-q`` with ``A < 2^a``.  Found with ``np.frexp`` and
-    integer arithmetic, as ``q`` may exceed 1023.
+    Every finite ``values`` entry is an integer multiple of ``2^-q``, and
+    ``max|v| < 2^(a - q)`` with the smallest such ``q`` and ``a``.  A caller
+    describes each family of intermediates it computes from ``values`` by a
+    pair ``(growth, shift)``: its members are multiples of the quantum ``Q =
+    2^-(q + shift)`` below ``2^(a + growth)`` quanta.  Sums and differences
+    of multiples of ``Q >= 2^-1074`` below ``2^digits Q`` are exact in a type
+    with ``digits`` significant bits (53 for float64, 31 for int32 beside a
+    float64 scale), and so is scaling by a power of two that stays on such a
+    quantum.  So ``q`` is returned when, for every family, ``a + growth <=
+    digits`` (no rounding), ``q + shift <= 1074`` (no underflow) and ``a +
+    growth - (q + shift) <= 1023`` (no overflow); ``None`` when one of these
+    fails or a value is not finite.  All-zero values are exact, with ``q =
+    0``.  ``q`` may exceed 1023, so it is found with ``np.frexp`` and integer
+    arithmetic, one scan with the temporaries freed as it goes.
     """
+    if not np.isfinite(values).all():
+        return None
     nonzero = values[values != 0.0]
     if not nonzero.size:
-        return None
+        return 0
     mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
-    # |v| = digits 2^(exponent - 53), with digits an integer below 2^53
-    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
-    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
-    q = int((53 - exponent - trailing).max())
-    return q, int(exponent.max()) + q
+    del nonzero
+    top = int(exponent.max())
+    # |v| = k 2^(exponent - 53), with k an integer below 2^53
+    np.abs(mantissa, out=mantissa)
+    mantissa *= 2.0**53
+    k = mantissa.astype(np.int64)
+    del mantissa
+    lowest = np.negative(k)
+    lowest &= k  # 2^t for the t trailing zero bits of k, whose frexp exponent is t + 1
+    del k
+    exponent += np.frexp(lowest)[1]
+    del lowest
+    q = 54 - int(exponent.min())  # the largest 53 - exponent - t
+    a = top + q
+    for growth, shift in families:
+        bits = a + growth
+        if bits > digits or q + shift > 1074 or bits - (q + shift) > 1023:
+            return None
+    return q
 
 
 class SampledFunction:
@@ -105,20 +129,6 @@ class SampledFunction:
         if cells & (cells - 1):
             raise ValueError("span is not a power-of-two number of cells")
         return cells.bit_length() - 1
-
-    def index_of(self, x) -> int:
-        """Exact grid index of a point (raises if off-grid)."""
-        ratio = (_coerce(x) - self.left) / self.spacing
-        if ratio.denominator != 1:
-            raise ValueError(f"{x} is not on the sample grid")
-        return int(ratio)
-
-    def value_at_index(self, i: int) -> float:
-        if 0 <= i < self.values.size:
-            return float(self.values[i])
-        if self.compact:
-            return 0.0
-        raise IndexError(f"sample {i} outside range and function not compact")
 
     def __repr__(self):
         return (
@@ -222,21 +232,6 @@ class DyadicMartingale:
         np.subtract(child[1::2], parent, out=out[1::2])
         return out
 
-    def validate(self, rtol: float = 1e-9, atol: float = 1e-12) -> None:
-        """Check the averaging property on every generation."""
-        scale = float(2**self.dim)
-        for n in range(1, self.depth + 1):
-            mean = _block_reduce(self.levels[n], self.dim) / scale
-            if not np.allclose(mean, self.levels[n - 1], rtol=rtol, atol=atol):
-                raise ValueError(f"averaging property fails at generation {n}")
-
-    def cell_interval(self, n: int, j: int) -> RealInterval:
-        """Real footprint of 1-d cell ``j`` at generation ``n``."""
-        if self.dim != 1 or self.root is None:
-            raise ValueError("cell_interval is for rooted 1-d martingales")
-        width = self.root.length / (1 << n)
-        return RealInterval(self.root.left + j * width, self.root.left + (j + 1) * width)
-
     def __repr__(self):
         return f"DyadicMartingale(depth={self.depth}, dim={self.dim})"
 
@@ -317,39 +312,3 @@ def maximal_function(S: DyadicMartingale) -> np.ndarray:
         dev = np.abs(S.levels[n] - S.root_value)
         np.maximum(acc, _expand(dev, S.dim, 1 << (S.depth - n)), out=acc)
     return acc
-
-
-def thresholded_jump_count(S: DyadicMartingale, eps: float) -> np.ndarray:
-    """Per-leaf sqrt of the number of generations whose jump exceeds ``eps``."""
-    counts = np.zeros(S.levels[-1].shape, dtype=np.int64)
-    for n in range(1, S.depth + 1):
-        counts += _expand(
-            (np.abs(S.jumps(n)) > eps).astype(np.int64), S.dim, 1 << (S.depth - n)
-        )
-    return np.sqrt(counts.astype(np.float64))
-
-
-def window_parseval(S: DyadicMartingale, generation: int, index) -> tuple[float, float]:
-    """Orthogonality check data for one window cell.
-
-    Returns ``(jump_energy, oscillation)`` where ``jump_energy`` sums
-    ``jump^2 * |J|`` over cells strictly inside the window and
-    ``oscillation`` is the integral over the window of the squared deviation
-    of the leaf field from the window value.  The two agree exactly in
-    arithmetic without rounding.
-    """
-    dim = S.dim
-    if isinstance(index, int):
-        index = (index,) * dim
-    depth = S.depth
-    energy = 0.0
-    for n in range(generation + 1, depth + 1):
-        factor = 1 << (n - generation)
-        sl = tuple(slice(k * factor, (k + 1) * factor) for k in index)
-        dj = S.jumps(n)[sl]
-        energy += float((dj * dj).sum()) * 2.0 ** (-dim * n)
-    factor = 1 << (depth - generation)
-    sl = tuple(slice(k * factor, (k + 1) * factor) for k in index)
-    dev = S.leaf[sl] - S.levels[generation][index]
-    oscillation = float((dev * dev).sum()) * 2.0 ** (-dim * depth)
-    return energy, oscillation

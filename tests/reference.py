@@ -1,11 +1,14 @@
-"""Oracles that the vectorised kernels are checked against.
+"""Oracles that the vectorised kernels are checked against, and the
+test-only helpers that the paper-claim tests call.
 
 Scalar evaluators (one second difference, one box average, one cell
 deviation at a time, on exact ``Fraction`` geometry), loop versions of the
 batched kernels, reshape block reductions and two corner sums (bit order,
 and ``itertools.product`` order seeded by the first term) that the shared
-kernels must match bit for bit, and the ``one_split_measure``
-fixture.
+kernels must match bit for bit, the lattice-exactness formulas that each
+certificate used before they shared one rule, the paper-claim helpers
+(translation averaging, thresholded jump counts, window Parseval data, the
+averaging property) and the ``one_split_measure`` fixture.
 """
 
 import itertools
@@ -15,22 +18,45 @@ from fractions import Fraction
 import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
-from zygdist.dyadic import RealInterval
+from zygdist.dyadic import RealInterval, _coerce
 from zygdist.functionals import _cone_samples
-from zygdist.martingale import SampledFunction, average_growth, integrate, star_norm
+from zygdist.martingale import (
+    DyadicMartingale,
+    SampledFunction,
+    average_growth,
+    integrate,
+    star_norm,
+)
 from zygdist.measures import GridMeasure
 
 # ---------------------------------------------------------------------------
 # scalar differences of sampled functions
 
 
+def index_of(f: SampledFunction, x) -> int:
+    """Exact grid index of a point (raises if off-grid)."""
+    ratio = (_coerce(x) - f.left) / f.spacing
+    if ratio.denominator != 1:
+        raise ValueError(f"{x} is not on the sample grid")
+    return int(ratio)
+
+
+def value_at_index(f: SampledFunction, i: int) -> float:
+    """Sample ``i``; 0 beyond the ends of a compact function."""
+    if 0 <= i < f.values.size:
+        return float(f.values[i])
+    if f.compact:
+        return 0.0
+    raise IndexError(f"sample {i} outside range and function not compact")
+
+
 def first_difference(f: SampledFunction, x, h) -> float:
     """Forward slope ``(f(x + h) - f(x)) / h`` at exact grid points."""
-    i = f.index_of(x)
-    u = f.index_of(Fraction(x) + Fraction(h)) - i
+    i = index_of(f, x)
+    u = index_of(f, Fraction(x) + Fraction(h)) - i
     if u == 0:
         raise ValueError("h must be at least one grid step")
-    return (f.value_at_index(i + u) - f.value_at_index(i)) / float(Fraction(h))
+    return (value_at_index(f, i + u) - value_at_index(f, i)) / float(Fraction(h))
 
 
 def second_difference(f: SampledFunction, x, h) -> float:
@@ -39,14 +65,14 @@ def second_difference(f: SampledFunction, x, h) -> float:
     ``x`` and ``h`` must be grid-resolvable.  Compact functions are extended
     by zero beyond their support; for others, off-range samples raise.
     """
-    i = f.index_of(x)
-    u = f.index_of(Fraction(x) + Fraction(h)) - i
+    i = index_of(f, x)
+    u = index_of(f, Fraction(x) + Fraction(h)) - i
     if u <= 0:
         raise ValueError("h must be at least one grid step")
     try:
-        vl = f.value_at_index(i - u)
-        vc = f.value_at_index(i)
-        vr = f.value_at_index(i + u)
+        vl = value_at_index(f, i - u)
+        vc = value_at_index(f, i)
+        vr = value_at_index(f, i + u)
     except IndexError as exc:
         raise ValueError(str(exc)) from None
     return ((vr - vc) - (vc - vl)) / float(Fraction(h))
@@ -65,10 +91,11 @@ def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
     slopes so it matches the jump arithmetic bit for bit: it equals twice the
     jump of ``average_growth`` on the right child (minus twice the left).
     """
-    a, b, m = cell.left, cell.right, cell.midpoint
-    va = f.value_at_index(f.index_of(a))
-    vm = f.value_at_index(f.index_of(m))
-    vb = f.value_at_index(f.index_of(b))
+    a, b = cell.left, cell.right
+    m = (a + b) / 2
+    va = value_at_index(f, index_of(f, a))
+    vm = value_at_index(f, index_of(f, m))
+    vb = value_at_index(f, index_of(f, b))
     h = float((b - a) / 2)
     return ((vb - vm) - (vm - va)) / h
 
@@ -95,6 +122,19 @@ def block_max(arr: np.ndarray, dim: int) -> np.ndarray:
             shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1 :]
         ).max(axis=axis + 1)
     return arr
+
+
+def is_martingale(S: DyadicMartingale) -> bool:
+    """Whether every level is, up to rounding, the block mean of the next."""
+    return all(
+        np.allclose(
+            block_sum(S.levels[n], S.dim) / 2**S.dim,
+            S.levels[n - 1],
+            rtol=1e-9,
+            atol=1e-12,
+        )
+        for n in range(1, S.depth + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +429,124 @@ def unit_tree_distance(a, b) -> int:
         if left <= b_left and b_right <= left + width:
             return (n - p) + (m - p)
     raise ValueError("cells must lie in [0, 1)")
+
+
+# ---------------------------------------------------------------------------
+# paper-claim helpers
+
+
+def translation_average(members, R: int) -> SampledFunction:
+    """Average of ``R 2^N`` translated unit-interval functions over [-R, R).
+
+    The shift range is split into midpoint bins two grid cells wide; member
+    ``i`` is evaluated at ``x + alpha_i`` (zero off its support) and the
+    results averaged, giving a function sampled on ``[-R, 1 + R]`` at the
+    members' spacing.
+    """
+    if R < 1:
+        raise ValueError("R must be a positive integer")
+    N = members[0].depth
+    M = R << N
+    acc = np.zeros(((1 + 2 * R) << N) + 1)
+    for i in range(M):
+        member = members[i]
+        if member.values.size != (1 << N) + 1 or member.span != RealInterval(0, 1):
+            raise ValueError("family members must share the unit-interval grid")
+        base = (2 * R << N) - 2 * i - 1
+        acc[base : base + (1 << N) + 1] += member.values
+    acc /= M
+    return SampledFunction(acc, left=-R, log2_spacing=-N)
+
+
+def thresholded_jump_count(S: DyadicMartingale, eps: float) -> np.ndarray:
+    """Per-leaf sqrt of the number of generations whose jump exceeds ``eps``
+    (1-d martingales)."""
+    counts = np.zeros(S.leaf.size, dtype=np.int64)
+    for n in range(1, S.depth + 1):
+        counts += np.repeat(np.abs(S.jumps(n)) > eps, 1 << (S.depth - n))
+    return np.sqrt(counts.astype(np.float64))
+
+
+def window_parseval(S: DyadicMartingale, generation: int, index) -> tuple[float, float]:
+    """Orthogonality check data for one window cell.
+
+    Returns ``(jump_energy, oscillation)`` where ``jump_energy`` sums
+    ``jump^2 * |J|`` over cells strictly inside the window and
+    ``oscillation`` is the integral over the window of the squared deviation
+    of the leaf field from the window value.  The two agree exactly in
+    arithmetic without rounding.
+    """
+    dim = S.dim
+    if isinstance(index, int):
+        index = (index,) * dim
+    depth = S.depth
+    energy = 0.0
+    for n in range(generation + 1, depth + 1):
+        factor = 1 << (n - generation)
+        sl = tuple(slice(k * factor, (k + 1) * factor) for k in index)
+        dj = S.jumps(n)[sl]
+        energy += float((dj * dj).sum()) * 2.0 ** (-dim * n)
+    factor = 1 << (depth - generation)
+    sl = tuple(slice(k * factor, (k + 1) * factor) for k in index)
+    dev = S.leaf[sl] - S.levels[generation][index]
+    oscillation = float((dev * dev).sum()) * 2.0 ** (-dim * depth)
+    return energy, oscillation
+
+
+# ---------------------------------------------------------------------------
+# the lattice-exactness formulas of each certificate before the shared rule
+
+
+def lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
+    """``(q, a)`` of finite ``values``, or None when all are 0: every value
+    is a multiple of ``2^-q`` and ``max|v| < 2^(a - q)``."""
+    nonzero = values[values != 0.0]
+    if not nonzero.size:
+        return None
+    mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
+    digits = np.abs(mantissa * 2.0**53).astype(np.int64)
+    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
+    q = int((53 - exponent - trailing).max())
+    return q, int(exponent.max()) + q
+
+
+def sweep_takes_int32(values: np.ndarray) -> bool:
+    """``functionals._sweep_values``: int32 numerators, or float64."""
+    lattice = lattice_exponents(values) if np.isfinite(values).all() else None
+    if lattice is None:
+        return False
+    q, a = lattice
+    return a + 2 <= 31 and a + 2 - q <= 1023
+
+
+def tree_exact(f: SampledFunction) -> bool:
+    """``approximation._tree_exact``."""
+    if not np.isfinite(f.values).all():
+        return False
+    lattice = lattice_exponents(f.values)
+    if lattice is None:
+        return True
+    q, a = lattice
+    N = f.depth
+    s = N + f.log2_spacing
+    bits = a + N + 5
+    return bits <= 53 and q + s <= 1074 and bits - (q + s) <= 1023
+
+
+def lattice_exact(values: np.ndarray, count: int) -> bool:
+    """``approximation._lattice_exact``."""
+    if not np.isfinite(values).all():
+        return False
+    lattice = lattice_exponents(values)
+    if lattice is None:
+        return True
+    q, a = lattice
+    N = (values.size - 1).bit_length() - 1
+    k = count.bit_length() - 1
+    bits_slope = k + 2 + a + N + 5
+    bits_value = k + 2 + (N + 2).bit_length() + a + N + 2
+    return (
+        max(bits_slope, bits_value) <= 53
+        and q + N + 2 <= 1074
+        and bits_slope - (q + 2) <= 1023
+    )

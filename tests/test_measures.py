@@ -15,6 +15,7 @@ from reference import (
     delta2,
     delta2_dyadic,
     delta2_max,
+    is_martingale,
     measure_zygmund_norm_loop,
     one_split_measure,
 )
@@ -132,7 +133,7 @@ def test_delta2_dyadic_matches_primitive_function():
 def test_density_martingale_validates():
     for dim in (1, 2):
         mu = _cascade(dim, 4, seed=5)
-        density_martingale(mu).validate()
+        assert is_martingale(density_martingale(mu))
 
 
 def test_measure_zygmund_continuous_brute_force():
