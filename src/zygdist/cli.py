@@ -161,6 +161,13 @@ def load_measure(payload: dict) -> GridMeasure:
     )
     array = _number_array(masses, "masses")
     _require(bool(np.all(array >= 0.0)), "masses must be non-negative")
+    # the largest density a cell can carry; past it the density martingale overflows
+    with np.errstate(over="ignore"):
+        total = float(array.sum())
+    _require(
+        math.isfinite(total * 2.0 ** (dim * depth)),
+        "masses overflow: their total times 2^(dim*depth) must be finite",
+    )
     return GridMeasure(array.reshape((1 << depth,) * dim))
 
 

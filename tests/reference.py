@@ -374,22 +374,33 @@ def box_mass_grid(mu: GridMeasure, lo, hi) -> np.ndarray:
     )
 
 
-def measure_zygmund_norm_loop(mu: GridMeasure) -> float:
-    """``measure_zygmund_norm(mu, mode="continuous")``, one half-width at a time.
+def measure_zygmund_steps(mu: GridMeasure) -> list:
+    """Each step ``u = 1 .. side/2`` of ``measure_zygmund_norm(mu,
+    mode="continuous")``: the largest difference of the box averages at
+    half-widths ``u`` and ``2u``.
 
-    Every half-width ``u`` gathers the clipped inner (side ``2u``) and outer
-    (side ``4u``) cube masses around all grid points with ``box_mass_grid``,
-    so both box arrays are formed afresh at every step.
+    Every half-width gathers the clipped inner (side ``2u``) and outer (side
+    ``4u``) cube masses around all grid points with ``box_mass_grid``, so
+    both box arrays are formed afresh at every step.
     """
     side = 1 << mu.depth
     centers = np.arange(side + 1, dtype=np.int64)
-    best = 0.0
+    steps = []
     for u in range(1, (side >> 1) + 1):
         inner = box_mass_grid(mu, centers - u, centers + u) * (side / (2 * u)) ** mu.dim
         outer = box_mass_grid(mu, centers - 2 * u, centers + 2 * u) * (
             side / (4 * u)
         ) ** mu.dim
-        best = max(best, float(np.abs(inner - outer).max()))
+        steps.append(float(np.abs(inner - outer).max()))
+    return steps
+
+
+def measure_zygmund_norm_loop(mu: GridMeasure) -> float:
+    """``measure_zygmund_norm(mu, mode="continuous")``, one half-width at a
+    time, every step formed."""
+    best = 0.0
+    for value in measure_zygmund_steps(mu):
+        best = max(best, value)
     return best
 
 

@@ -673,6 +673,10 @@ _STRING_VALUES = dict(_FUNCTION, values=[0, "x", 0])
 _NESTED_MASSES = dict(_MEASURE, masses=[[0.5, 0.1], [0.5]])
 _HUGE_VALUES = dict(_FUNCTION, values=[0, 1e308, -1e308])
 _NEGATIVE_MASSES = dict(_MEASURE, depth=2, masses=[0.5, -0.25, 0.5, 0.25])
+# finite masses whose densities (mass times 2^(dim*depth)) overflow to inf
+_HUGE_MASSES = dict(
+    _MEASURE, depth=6, masses=[1e308 if i in (3, 40) else 0.0 for i in range(64)]
+)
 
 
 def _write_payload(tmp_path, payload):
@@ -700,6 +704,33 @@ def test_overflowing_input_prints_one_error_line(tmp_path, capsys, command):
         assert main([command, "--in", _write_payload(tmp_path, _HUGE_VALUES)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_HUGE_MASSES, "masses overflow"),
+        # one finite mass whose density alone overflows
+        (dict(_MEASURE, depth=2, masses=[0.0, 1e308, 0.0, 0.0]), "masses overflow"),
+    ],
+)
+def test_measure_whose_density_overflows_exits_2(tmp_path, capsys, payload, message):
+    # inf - inf in the density jumps would be NaN, which the norms' maxima
+    # drop: the report would read norms of 0.0
+    with pytest.raises(InputError, match=message):
+        load_measure(payload)
+    out = tmp_path / "report.json"
+    argv = ["measure", "--in", _write_payload(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: masses overflow") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_measure_just_below_the_density_limit_loads():
+    # total * 2^(dim*depth) is finite: the file loads and `measure` may run it
+    masses = [0.0, 1e308 / 4, 0.0, 0.0]
+    assert load_measure(dict(_MEASURE, depth=2, masses=masses)).total == 1e308 / 4
 
 
 _ENTRY = st.one_of(
@@ -756,6 +787,7 @@ def _input_files(draw):
 @example(case=("measure", _NESTED_MASSES))
 @example(case=("seminorm", _HUGE_VALUES))
 @example(case=("measure", _NEGATIVE_MASSES))
+@example(case=("measure", _HUGE_MASSES))
 def test_input_files_exit_0_2_or_3(tmp_path, case):
     command, payload = case
     for load in (load_function, load_measure):

@@ -16,14 +16,18 @@ from reference import (
     delta2_dyadic,
     delta2_max,
     is_martingale,
+    box_mass_grid,
     measure_zygmund_norm_loop,
+    measure_zygmund_steps,
     one_split_measure,
 )
 from zygdist.cli import main
 from zygdist.generators import cascade_measure
 from zygdist.martingale import SampledFunction, average_growth, bmo_norm, star_norm
+from zygdist import measures
 from zygdist.measures import (
     GridMeasure,
+    _monotone_boxes,
     density_martingale,
     measure_tree_levelset_density,
     measure_truncate,
@@ -200,6 +204,186 @@ def test_measure_zygmund_continuous_matches_loop_oracle_off_lattice(dim, depth, 
     assert measure_zygmund_norm(third, mode="continuous") == measure_zygmund_norm_loop(
         third
     )
+
+
+def _point_mass(dim, depth, cell):
+    masses = np.zeros((1 << depth,) * dim)
+    masses[(cell,) * dim] = 1.0
+    return masses
+
+
+# measures the monotone bound certifies: every skipped step must be one the
+# loop finds no larger than the maximum
+_BOUNDED_CASES = {
+    "zero-1d": np.zeros(64),
+    "zero-2d": np.zeros((16, 16)),
+    "centre-1d": _point_mass(1, 7, 64),
+    "centre-2d": _point_mass(2, 4, 8),
+    "edge-1d": _point_mass(1, 7, 127),
+    "edge-2d": _point_mass(2, 4, 0),
+    "uniform-1d": np.full(128, 1 / 128),
+    "uniform-2d": np.full((16, 16), 1 / 256),
+    "subnormal-1d": np.full(64, 5e-324),
+    "subnormal-2d": np.full((8, 8), 5e-324),
+    "huge-1d": np.linspace(0.0, 1e300, 64),
+    "huge-2d": _point_mass(2, 3, 5) * 2.0**996,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDED_CASES))
+def test_bounded_sweep_matches_loop_oracle(name):
+    mu = GridMeasure(_BOUNDED_CASES[name])
+    assert _monotone_boxes(mu)
+    with np.errstate(over="ignore"):  # near 1e300 the box averages reach inf
+        assert measure_zygmund_norm(mu, mode="continuous") == measure_zygmund_norm_loop(
+            GridMeasure(mu.masses)
+        )
+
+
+def test_bounded_sweep_refuses_an_overflowing_total():
+    masses = np.zeros(64)
+    masses[[3, 40]] = 1e308
+    mu = GridMeasure(masses)
+    with np.errstate(over="ignore", invalid="ignore"):  # the table's total is inf
+        assert not _monotone_boxes(mu)
+        assert measure_zygmund_norm(mu, mode="continuous") == measure_zygmund_norm_loop(
+            GridMeasure(masses)
+        )
+
+
+_MASS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 1.0, 3.0]),
+    st.integers(0, 1 << 20).map(float),
+    st.floats(0.0, 1e6),
+)
+
+
+@st.composite
+def _non_negative_measures(draw):
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 7 if dim == 1 else 4))
+    cells = 1 << (dim * depth)
+    masses = draw(st.lists(_MASS, min_size=cells, max_size=cells))
+    return np.array(masses).reshape((1 << depth,) * dim)
+
+
+@given(masses=_non_negative_measures())
+def test_bounded_sweep_matches_loop_oracle_on_random_masses(masses):
+    mu = GridMeasure(masses)
+    assert measure_zygmund_norm(mu, mode="continuous") == measure_zygmund_norm_loop(
+        GridMeasure(masses)
+    )
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        cascade_measure(1, 9, seed=3),
+        cascade_measure(2, 5, seed=7),
+        _BOUNDED_CASES["centre-2d"],
+        _BOUNDED_CASES["uniform-1d"],
+        np.arange(64.0),
+    ],
+)
+def test_step_bounds_are_their_definition_and_hold(masses):
+    mu = GridMeasure(masses)
+    side, dim = 1 << mu.depth, mu.dim
+    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
+    scales = [0.0] + [(side / (2 * r)) ** dim for r in range(1, side + 1)]
+    bounds = measures._step_bounds(mu, mu.table[np.ix_(*[idx] * dim)], scales)
+    centers = np.arange(side + 1)
+    peak = {
+        v: float(box_mass_grid(mu, centers - v, centers + v).max())
+        for v in (1 << j for j in range(mu.depth + 1))
+    }
+
+    def cap(r):  # D*(p(r)) s_r, with p(r) the smallest power of two >= r
+        return peak[1 << (r - 1).bit_length()] * scales[r]
+
+    assert bounds == [max(cap(u), cap(2 * u)) for u in range(1, side // 2 + 1)]
+    steps = measure_zygmund_steps(mu)
+    assert all(value <= bound for value, bound in zip(steps, bounds))
+
+
+def test_step_bounds_are_infinite_without_the_certificate():
+    mu = _cascade(1, 6, seed=7)
+    signed = mu - measure_truncate(mu, measure_zygmund_norm(mu) / 4)
+    side = 64
+    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
+    scales = [0.0] + [side / (2 * r) for r in range(1, side + 1)]
+    bounds = measures._step_bounds(signed, signed.table[idx], scales)
+    assert bounds == [np.inf] * (side // 2)
+
+
+def _count_box_arrays(monkeypatch):
+    made = []
+    former = measures._centred_box_averages
+
+    def counted(ext, side, r, scale):
+        made.append(r)
+        return former(ext, side, r, scale)
+
+    monkeypatch.setattr(measures, "_centred_box_averages", counted)
+    return made
+
+
+def _bounds(mu):
+    side = 1 << mu.depth
+    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
+    scales = [0.0] + [(side / (2 * r)) ** mu.dim for r in range(1, side + 1)]
+    return measures._step_bounds(mu, mu.table[np.ix_(*[idx] * mu.dim)], scales)
+
+
+def _walk(bounds, steps):
+    """Half-widths of the box arrays the chain walk forms, in order: a step
+    runs unless its bound is at most the best step so far, and forms its
+    inner array unless the step before it in the chain ran."""
+    made, best = [], 0.0
+    half = len(bounds)
+    for odd in range(1, half + 1, 2):
+        u, carried = odd, False
+        while u <= half:
+            if bounds[u - 1] <= best:
+                carried = False
+            else:
+                made += [2 * u] if carried else [u, 2 * u]
+                best, carried = max(best, steps[u - 1]), True
+            u *= 2
+    return made
+
+
+def test_bound_skips_almost_every_box_array(monkeypatch):
+    made = _count_box_arrays(monkeypatch)
+    mu = _cascade(1, 12, seed=7)  # generate --kind cascade --dim 1 --depth 12 --seed 7
+    measure_zygmund_norm(mu, mode="continuous")
+    assert made == _walk(_bounds(mu), measure_zygmund_steps(mu))
+    unbounded = _walk([np.inf] * 2048, measure_zygmund_steps(mu))
+    assert len(unbounded) == 3072
+    assert 0 < len(made) <= 64
+    # the 2-d lattice certificate prunes too
+    made.clear()
+    measure_zygmund_norm(_cascade(2, 8, seed=7), mode="continuous")
+    assert 0 < len(made) < 3 * 256 // 4 // 2
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        # a signed residual
+        _cascade(1, 8, seed=7) - measure_truncate(_cascade(1, 8, seed=7), 1.0),
+        # a 2-d measure off the lattice
+        GridMeasure(_cascade(2, 4, seed=3).masses / 3.0),
+    ],
+    ids=["signed", "off-lattice-2d"],
+)
+def test_uncertified_measures_form_every_box_array(monkeypatch, mu):
+    made = _count_box_arrays(monkeypatch)
+    assert not _monotone_boxes(mu)
+    measure_zygmund_norm(mu, mode="continuous")
+    half = 1 << (mu.depth - 1)
+    assert made == _walk([np.inf] * half, [0.0] * half)
+    assert len(made) == 3 * half // 2
 
 
 def test_summed_area_table_built_on_first_read(tmp_path, monkeypatch):
