@@ -228,8 +228,8 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     the result equals the step-by-step sweep bit for bit.  Without the
     bound's certificate the sweep forms ``3 side / 4`` box arrays, with
     ``O(2^(dim*depth) * 2^depth)`` work, on one extended summed-area table of
-    ``(3 * 2^depth + 1)^dim`` floats; with it, on the 1-d depth-14 cascades
-    of ``generate``, some 40 to 1,000.
+    ``(3 * 2^depth + 1)^dim`` floats; with it, it formed 44 to 952 of the
+    12,288 on the 1-d depth-14 cascades of ``generate`` at seeds 0, 3, 7, 11.
     """
     if mode == "dyadic":
         return star_norm(density_martingale(mu))

@@ -276,6 +276,18 @@ def test_bounded_sweep_matches_loop_oracle_on_random_masses(masses):
     )
 
 
+def _scales(mu):
+    """The box scales ``(side / (2r))^dim``, indexed by ``r = 1 .. side``."""
+    side = 1 << mu.depth
+    return [0.0] + [(side / (2 * r)) ** mu.dim for r in range(1, side + 1)]
+
+
+def _bounds(mu):
+    side = 1 << mu.depth
+    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
+    return measures._step_bounds(mu, mu.table[np.ix_(*[idx] * mu.dim)], _scales(mu))
+
+
 @pytest.mark.parametrize(
     "masses",
     [
@@ -288,10 +300,7 @@ def test_bounded_sweep_matches_loop_oracle_on_random_masses(masses):
 )
 def test_step_bounds_are_their_definition_and_hold(masses):
     mu = GridMeasure(masses)
-    side, dim = 1 << mu.depth, mu.dim
-    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
-    scales = [0.0] + [(side / (2 * r)) ** dim for r in range(1, side + 1)]
-    bounds = measures._step_bounds(mu, mu.table[np.ix_(*[idx] * dim)], scales)
+    side, scales = 1 << mu.depth, _scales(mu)
     centers = np.arange(side + 1)
     peak = {
         v: float(box_mass_grid(mu, centers - v, centers + v).max())
@@ -301,6 +310,7 @@ def test_step_bounds_are_their_definition_and_hold(masses):
     def cap(r):  # D*(p(r)) s_r, with p(r) the smallest power of two >= r
         return peak[1 << (r - 1).bit_length()] * scales[r]
 
+    bounds = _bounds(mu)
     assert bounds == [max(cap(u), cap(2 * u)) for u in range(1, side // 2 + 1)]
     steps = measure_zygmund_steps(mu)
     assert all(value <= bound for value, bound in zip(steps, bounds))
@@ -309,11 +319,7 @@ def test_step_bounds_are_their_definition_and_hold(masses):
 def test_step_bounds_are_infinite_without_the_certificate():
     mu = _cascade(1, 6, seed=7)
     signed = mu - measure_truncate(mu, measure_zygmund_norm(mu) / 4)
-    side = 64
-    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
-    scales = [0.0] + [side / (2 * r) for r in range(1, side + 1)]
-    bounds = measures._step_bounds(signed, signed.table[idx], scales)
-    assert bounds == [np.inf] * (side // 2)
+    assert _bounds(signed) == [np.inf] * 32
 
 
 def _count_box_arrays(monkeypatch):
@@ -326,13 +332,6 @@ def _count_box_arrays(monkeypatch):
 
     monkeypatch.setattr(measures, "_centred_box_averages", counted)
     return made
-
-
-def _bounds(mu):
-    side = 1 << mu.depth
-    idx = np.clip(np.arange(-side, 2 * side + 1), 0, side)
-    scales = [0.0] + [(side / (2 * r)) ** mu.dim for r in range(1, side + 1)]
-    return measures._step_bounds(mu, mu.table[np.ix_(*[idx] * mu.dim)], scales)
 
 
 def _walk(bounds, steps):
@@ -357,9 +356,9 @@ def test_bound_skips_almost_every_box_array(monkeypatch):
     made = _count_box_arrays(monkeypatch)
     mu = _cascade(1, 12, seed=7)  # generate --kind cascade --dim 1 --depth 12 --seed 7
     measure_zygmund_norm(mu, mode="continuous")
-    assert made == _walk(_bounds(mu), measure_zygmund_steps(mu))
-    unbounded = _walk([np.inf] * 2048, measure_zygmund_steps(mu))
-    assert len(unbounded) == 3072
+    steps = measure_zygmund_steps(mu)
+    assert made == _walk(_bounds(mu), steps)
+    assert len(_walk([np.inf] * 2048, steps)) == 3072
     assert 0 < len(made) <= 64
     # the 2-d lattice certificate prunes too
     made.clear()
