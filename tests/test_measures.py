@@ -316,12 +316,6 @@ def test_step_bounds_are_their_definition_and_hold(masses):
     assert all(value <= bound for value, bound in zip(steps, bounds))
 
 
-def test_step_bounds_are_infinite_without_the_certificate():
-    mu = _cascade(1, 6, seed=7)
-    signed = mu - measure_truncate(mu, measure_zygmund_norm(mu) / 4)
-    assert _bounds(signed) == [np.inf] * 32
-
-
 def _count_box_arrays(monkeypatch):
     made = []
     former = measures._centred_box_averages
