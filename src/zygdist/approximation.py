@@ -30,6 +30,7 @@ from zygdist.functionals import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _lattice_exponents,
     _lattice_quantum,
     average_growth,
     integrate,
@@ -207,12 +208,6 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     return dropped[count].tolist(), kept.tolist()
 
 
-# Translates are truncated in chunks of about this many window samples
-# (128 KiB of float64).  A chunk works on about ten arrays of this size:
-# larger chunks cut per-call overhead further but raise peak memory.
-_CHUNK_SAMPLES = 1 << 14
-
-
 @dataclass
 class ContinuousDecomposition:
     """Grid-translation-averaged splittings ``f = rough[j] + small[j]``.
@@ -240,11 +235,12 @@ def continuous_decompose(
     exactly; every windowed small part has dyadic Zygmund seminorm at most
     ``eps``, recorded per level and translate.
 
-    When ``_lattice_exact`` certifies that every sum is exact in float64, the
-    translates are handled a residue class at a time (``_class_kernel``);
-    otherwise one by one (``_chunked_kernel``).  Both give the bits of
-    truncating and integrating each translate on its own and summing the
-    rough parts in translate order.
+    ``_class_kernel`` handles the translates a residue class at a time, with
+    the bits of truncating and integrating each one on its own and summing
+    the rough parts in translate order.  It runs only where
+    ``_lattice_exact`` certifies from the window jumps that every sum is
+    exact in float64; elsewhere ``ValueError`` names the bits the input
+    needs, before any level is worked.
     """
     if f.span != RealInterval(0, 1):
         raise ValueError("decomposition expects a function on the unit interval")
@@ -259,23 +255,21 @@ def continuous_decompose(
     if stride & (stride - 1):
         raise ValueError("count must be a power of two")
 
+    jumps = _window_jumps(f.values)
+    bits = _lattice_exact(f.values, jumps, count)
+    if bits is not None:
+        why = f"need {bits} bits, float64 has 53" if bits > 53 else "leave float64's exponent range"
+        raise ValueError(f"input outside the class kernel's exactness certificate: its sums {why}")
     eps_grid = [float(e) for e in eps_grid]
     offsets = stride * (2 * np.arange(count) + 1)
-    kernel = _class_kernel if _lattice_exact(f.values, count) else _chunked_kernel
-    acc, seminorms = kernel(f.values, offsets, eps_grid)
+    acc, seminorms = _class_kernel(1 << N, jumps, offsets, eps_grid)
     acc /= count
     rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
     small = [
         SampledFunction(f.values - r.values, left=f.left, log2_spacing=f.log2_spacing)
         for r in rough
     ]
-    return ContinuousDecomposition(
-        rough=rough,
-        small=small,
-        eps=eps_grid,
-        count=count,
-        window_small_seminorms=seminorms,
-    )
+    return ContinuousDecomposition(rough, small, eps_grid, count, seminorms)
 
 
 def _window_widths(N: int) -> list[float]:
@@ -283,41 +277,96 @@ def _window_widths(N: int) -> list[float]:
     return [float(Fraction(4, 2**n)) for n in range(N + 3)]
 
 
-def _lattice_exact(values: np.ndarray, count: int) -> bool:
-    """Whether both kernels compute every intermediate exactly in float64.
+def _window_jumps(values: np.ndarray) -> list[np.ndarray]:
+    """Left jumps of the window parent cells, one array per generation.
 
-    Let ``values`` (``M + 1 = 2^N + 1`` samples) be integer multiples of
-    ``2^-q`` with ``max|f| = A 2^-q`` and ``A < 2^a``.  The window cell width
-    at generation ``n`` is ``w_n = 2^(2 - n)`` and ``h = w_(N+2) = 2^-N``.
-    Real-number bounds, ``n <= N + 2``:
-
-    * slopes ``|W_n| <= 2A 2^-q / w_n``, jumps ``|a_n| <= 3A 2^-q / w_n``;
-      a sibling pair's right jump is ``-a_n``, and ``W_0 = 0`` as ``f``
-      vanishes at both ends of the window;
-    * truncated values ``|B_n| <= sum_m |a_m| < 3A 2^-q 2^(N+1)``, residuals
-      ``|W_n - B_n| <= A 2^-q 2^(N+3)`` and their jumps ``<= 3A 2^-q 2^(N+2)``;
-    * class kernel: a difference-array entry gathers at most
-      ``2 count |a_n|`` per generation, ``< count 3A 2^-q 2^(N+2)`` in all,
-      and its running sums are slopes of summed tents, ``< count 3A 2^-q
-      2^(N+1)``.
-
-    All of these are multiples of ``Q_s = 2^-(q+2)`` and below ``count 3A
-    2^(N+5)`` of them: with ``count = 2^k`` and ``3 < 2^2``, the family
-    ``(k + N + 7, 2)``.  The primitive values (leaf slope times ``h``,
-    running sums of the primitive, of the translate sum and of the class
-    kernel's second cumulative sum) are multiples of ``Q_v = 2^-(q+N+2)``.
-    Each running sum equals, exactly, a sum of at most ``count`` truncated
-    primitives; each primitive is a sum of one tent per generation, of
-    height ``|a_n| w_n <= 3A 2^-q``; so they stay below ``count 3 (N+2) A
-    2^(N+2)`` quanta: the family ``(k + bitlen(N+2) + N + 4, N + 2)``.
-    Where ``martingale._lattice_quantum`` accepts both families at 53 bits,
-    both kernels work exactly, whatever their summation order.
+    At window generation ``n = 1 .. N + 2`` a parent spans ``2c = 2^(N + 3 -
+    n)`` grid cells.  Entry ``(i, r)`` of the ``(-1, 2c)`` array is the one
+    starting at ``t = (i - 1) 2c + r`` in the coordinates of ``f`` (zero
+    outside it): ``t`` in ``[-2c, max(M, 2c))``, whole periods that hold
+    every parent meeting a compact ``f`` in any translate.  A jump is child
+    slope minus parent slope, as in the translate-by-translate pipeline.
     """
+    M = values.size - 1
+    depth = M.bit_length() + 1
+    widths = _window_widths(depth - 2)
+    # f extended by zero over [-4M, 8M]; point x sits at index x + 4M
+    F = np.zeros(12 * M + 1)
+    F[4 * M : 5 * M + 1] = values
+    jumps = []
+    for n in range(1, depth + 1):
+        c = 1 << (depth - n)
+        P = 2 * c
+        end = max(M, P)
+        F0 = F[4 * M - P : 4 * M + end]
+        F1 = F[4 * M - P + c : 4 * M + end + c]
+        F2 = F[4 * M - P + 2 * c : 4 * M + end + 2 * c]
+        jumps.append(((F1 - F0) / widths[n] - (F2 - F0) / widths[n - 1]).reshape(-1, P))
+    return jumps
+
+
+def _lattice_exact(values: np.ndarray, jumps: list[np.ndarray], count: int) -> int | None:
+    """``None`` where the translate pipeline is exact in float64, else the
+    bits its widest intermediate needs.
+
+    Let the ``M + 1 = 2^N + 1`` samples be multiples of ``2^-q``, ``V =
+    max|f| = A 2^-q`` with ``A < 2^a``, and ``w_n = 2^(2 - n)`` the window
+    cell width at generation ``n``.  ``J_n`` is the largest ``|a_n|`` in
+    ``jumps[n - 1]``, which holds every parent of every translate; ``S =
+    sum_n J_n`` and ``H = sum_n J_n w_n``.  Real-number bounds, per
+    translate unless the class kernel is named:
+
+    * sample differences are multiples of ``2^-q`` below ``2A`` of them;
+      slopes ``W_n`` are those over ``w_n``, multiples of ``2^(n-2-q)``, and
+      ``W_0 = 0`` as ``f`` vanishes at both ends of the window;
+    * jumps ``a_n = W_n - W_(n-1)`` are multiples of ``2^(n-3-q)`` with
+      ``|a_n| <= 3V / w_n``, below ``6A`` of them: the families ``(3, 2)``
+      (``n = 1``, finest quantum) and ``(3, 1 - N)`` (``n = N + 2``,
+      largest).  Where they hold, every jump is exact, ``J_n`` is the exact
+      maximum, and a sibling pair's right jump is exactly ``-a_n``;
+    * truncated values ``B_n``, residuals ``W_n - B_n`` and their jumps sum
+      at most one jump per generation: at most ``S``.  An entry ``x`` of the
+      class kernel's difference array gathers, per generation, ``m`` times
+      the jumps at ``t = x`` and ``x - 2c`` (a class of ``m`` translates)
+      and ``-2 m'`` times the one at ``x - c`` (another), ``m + m' <=
+      count``; its running sums are summed leaf slopes, at most ``count S``.
+      All are multiples of ``Q_s = 2^-(q+2)`` below ``2 count S``;
+    * primitive values are multiples of ``Q_v = 2^-(q+N+2)``.  A truncated
+      primitive is one tent per generation, of height ``|a_n| w_n``, so at
+      most ``H``; its running sums over the translates (in translate order,
+      or the class kernel's second cumulative sum) at most ``count H``.
+      ``rough`` (their mean) and ``small = f - rough`` are multiples of ``Q_v
+      / count`` (or of ``2^-1074``, if coarser) below ``V + H``: ``small``
+      is exact, and ``rough + small == f``, where ``count (V + H) < 2^53
+      Q_v``, a bound that covers the running sums too.
+
+    A family below ``X`` on the quantum ``2^-(q + shift)`` is the pair ``(b
+    - a, shift)`` for the bit length ``b`` of ``X`` in quanta (``X`` summed
+    exactly).  Where ``martingale._lattice_quantum`` accepts the four at 53
+    bits, the class kernel and the translate-by-translate pipeline compute
+    every intermediate exactly, so with the same bits.  As ``J_n <= 3V /
+    w_n``, ``2 count S < 3A count 2^(N+4) Q_s`` and ``count (V + H) <= (3N +
+    7) A count 2^(N+2) Q_v``, so the former bounds through ``A`` alone, the
+    families ``(k + N + 7, 2)`` and ``(k + bitlen(N + 2) + N + 4, N + 2)``
+    for ``count = 2^k``, never accept more.
+    """
+    lattice = _lattice_exponents(values)
+    maxima = [float(np.abs(a).max()) for a in jumps]
+    if lattice is None or not np.isfinite(maxima).all():
+        return 0  # non-finite samples, or jumps that overflow
+    q, a = lattice
     N = (values.size - 1).bit_length() - 1
-    k = count.bit_length() - 1
-    slopes = (k + N + 7, 2)
-    primitives = (k + (N + 2).bit_length() + N + 4, N + 2)
-    return _lattice_quantum(values, 53, slopes, primitives) is not None
+    J = [Fraction(m) for m in maxima]
+    V = Fraction(float(np.abs(values).max()))
+    H = sum(j * Fraction(4, 2**n) for n, j in enumerate(J, 1))
+    families = [(3, 2), (3, 1 - N)]
+    for bound, shift in ((2 * count * sum(J), 2), (count * (V + H), N + 2)):
+        quanta = bound * Fraction(2) ** (q + shift)
+        bits = quanta.numerator.bit_length() - quanta.denominator.bit_length() + 1
+        families.append((bits - a, shift))
+    if _lattice_quantum(values, 53, *families) is not None:
+        return None
+    return a + max(growth for growth, _ in families)
 
 
 def _tree_exact(f: SampledFunction) -> bool:
@@ -348,43 +397,30 @@ def _tree_exact(f: SampledFunction) -> bool:
     return _lattice_quantum(f.values, 53, (N + 5, N + f.log2_spacing)) is not None
 
 
-def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):
+def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid: list[float]):
     """Summed rough parts and window seminorms, one residue class at a time.
 
-    A window parent cell of width ``2c`` grid cells starting at window point
-    ``s`` starts at ``t = s - offset`` in the coordinates of ``f``, so its
-    jumps depend only on ``t``, and ``t`` is fixed modulo ``2c`` by the
-    translate's class ``offset mod 2c``.  Its left jump ``a`` is computed
-    with the chunked kernel's expression, so keep decisions agree bit for
-    bit.  A kept pair integrates to a tent: slope ``a`` on ``[t, t + c)``
-    and ``-a`` on ``[t + c, t + 2c)``.  The rough parts' sum is therefore
-    one difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2
-    mult * a`` at ``t + c``, cumulated twice; a translate's seminorm is
-    twice the largest dropped jump of its class at any generation.  Exact
-    only where ``_lattice_exact`` holds (the right jump is then exactly
-    ``-a``).
+    ``jumps`` are the ``_window_jumps`` of an ``M``-cell function.  A window
+    parent of ``2c`` grid cells at window point ``s`` starts at ``t = s -
+    offset`` in the coordinates of ``f``, so its jumps depend only on ``t``,
+    fixed modulo ``2c`` by the translate's class ``offset mod 2c``.  Keep
+    decisions are taken on the left jump ``a``, as translate by translate,
+    and a kept pair integrates to a tent: slope ``a`` on ``[t, t + c)``,
+    ``-a`` on ``[t + c, t + 2c)``.  So the rough parts' sum is one
+    difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2 mult *
+    a`` at ``t + c``, cumulated twice; a translate's seminorm is twice the
+    largest dropped jump of its class.  These are the translate pipeline's
+    bits where ``_lattice_exact`` holds, and only there.
     Work O(|eps| (N 2^N + N count)).
     """
-    M = values.size - 1
-    N = M.bit_length() - 1
-    depth = N + 2
-    widths = _window_widths(N)
-    # f extended by zero over [-4M, 8M]; point x sits at index x + 4M
-    F = np.zeros(12 * M + 1)
-    F[4 * M : 5 * M + 1] = values
+    widths = _window_widths(M.bit_length() - 1)
     levels = []
-    for n in range(1, depth + 1):
-        c = 1 << (depth - n)
-        P = 2 * c
-        end = max(M, P)  # parents start at t in [-P, end), a whole number of periods
-        F0 = F[4 * M - P : 4 * M + end]
-        F1 = F[4 * M - P + c : 4 * M + end + c]
-        F2 = F[4 * M - P + 2 * c : 4 * M + end + 2 * c]
-        left = ((F1 - F0) / widths[n] - (F2 - F0) / widths[n - 1]).reshape(-1, P)
+    for left in jumps:
+        P = left.shape[1]
         # column r holds the parents t = r mod P, met by offsets = -r mod P
         mult = np.bincount(offsets % P, minlength=P)[(-np.arange(P)) % P]
         classes = (-offsets) % P
-        levels.append((c, P, end, np.abs(left), (left * mult).ravel(), classes))
+        levels.append((P // 2, P, left.size - P, np.abs(left), (left * mult).ravel(), classes))
 
     L = 4 * M  # the difference array covers points x in [-4M, M)
     acc = np.empty((len(eps_grid), M + 1))
@@ -402,51 +438,6 @@ def _class_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]
                 if stop > -P:
                     D[L - P + shift : L + stop + shift] += coef[: stop + P]
         seminorms[j] = 2.0 * best
-        primitive = np.cumsum(np.cumsum(D) * widths[depth])
+        primitive = np.cumsum(np.cumsum(D) * widths[-1])
         acc[j] = primitive[L - 1 :]
-    return acc, seminorms
-
-
-def _chunked_kernel(values: np.ndarray, offsets: np.ndarray, eps_grid: list[float]):
-    """Summed rough parts and window seminorms, translate by translate.
-
-    Translates go through in chunks of rows of a 2-D array; a chunk's window
-    martingale is built once and truncated at every level.  Rough parts are
-    summed one translate at a time in translate order, so the result does
-    not depend on the chunk size.  Work O(|eps| count 2^(N+3)).
-    """
-    points = values.size
-    N = (points - 1).bit_length() - 1
-    depth = N + 2  # the window [-1, 3) has 4 << N cells
-    window_points = (4 << N) + 1
-    widths = _window_widths(N)
-    rows = max(1, _CHUNK_SAMPLES // window_points)
-    acc = np.zeros((len(eps_grid), points))
-    seminorms = np.empty((len(eps_grid), offsets.size))
-    for first in range(0, offsets.size, rows):
-        chunk = offsets[first : first + rows]
-        g = np.zeros((len(chunk), window_points))
-        for row, offset in enumerate(chunk):
-            g[row, offset : offset + points] = values
-        # window slope martingale of every row, and its jumps, level by level
-        W = []
-        for n in range(depth + 1):
-            pts = g[:, :: 1 << (depth - n)]
-            W.append((pts[:, 1:] - pts[:, :-1]) / widths[n])
-        dW = [W[n] - np.repeat(W[n - 1], 2, axis=1) for n in range(1, depth + 1)]
-        for j, eps in enumerate(eps_grid):
-            # truncated martingale B and residual W - B, keeping one level
-            B = W[0].copy()
-            resid = np.zeros_like(B)
-            best = np.zeros(len(chunk))
-            for W_n, dW_n in zip(W[1:], dW):
-                B = _truncated_level(B, dW_n, eps / 2.0)
-                resid_n = W_n - B
-                jumps = np.abs(resid_n - np.repeat(resid, 2, axis=1))
-                best = np.maximum(best, jumps.max(axis=1))
-                resid = resid_n
-            seminorms[j, first : first + len(chunk)] = 2.0 * best
-            primitive = np.cumsum(B * widths[depth], axis=1)
-            for row, offset in enumerate(chunk):
-                acc[j] += primitive[row, offset - 1 : offset + points - 1]
     return acc, seminorms

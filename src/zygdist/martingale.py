@@ -39,29 +39,16 @@ def _log2_exact(fr: Fraction) -> int:
     return num.bit_length() - den.bit_length()
 
 
-def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
-    """The one lattice-exactness rule: ``q`` when every intermediate is exact.
-
-    Every finite ``values`` entry is an integer multiple of ``2^-q``, and
-    ``max|v| < 2^(a - q)`` with the smallest such ``q`` and ``a``.  A caller
-    describes each family of intermediates it computes from ``values`` by a
-    pair ``(growth, shift)``: its members are multiples of the quantum ``Q =
-    2^-(q + shift)`` below ``2^(a + growth)`` quanta.  Sums and differences
-    of multiples of ``Q >= 2^-1074`` below ``2^digits Q`` are exact in a type
-    with ``digits`` significant bits (53 for float64, 31 for int32 beside a
-    float64 scale), and so is scaling by a power of two that stays on such a
-    quantum.  So ``q`` is returned when, for every family, ``a + growth <=
-    digits`` (no rounding), ``q + shift <= 1074`` (no underflow) and ``a +
-    growth - (q + shift) <= 1023`` (no overflow); ``None`` when one of these
-    fails or a value is not finite.  All-zero values are exact, with ``q =
-    0``.  ``q`` may exceed 1023, so it is found with ``np.frexp`` and integer
-    arithmetic, one scan with the temporaries freed as it goes.
-    """
+def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
+    """The smallest ``(q, a)`` with every value a multiple of ``2^-q`` below
+    ``2^(a - q)``: ``(0, 0)`` if all are zero, ``None`` if one is not finite.
+    ``q`` may exceed 1023, so it is found with ``np.frexp`` and integer
+    arithmetic, one scan with the temporaries freed as it goes."""
     if not np.isfinite(values).all():
         return None
     nonzero = values[values != 0.0]
     if not nonzero.size:
-        return 0
+        return 0, 0
     mantissa, exponent = np.frexp(nonzero)  # |v| < 2^exponent
     del nonzero
     top = int(exponent.max())
@@ -76,7 +63,28 @@ def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
     exponent += np.frexp(lowest)[1]
     del lowest
     q = 54 - int(exponent.min())  # the largest 53 - exponent - t
-    a = top + q
+    return q, top + q
+
+
+def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
+    """The one lattice-exactness rule: ``q`` when every intermediate is exact.
+
+    With ``(q, a)`` the ``_lattice_exponents`` of ``values``, a caller
+    describes each family of intermediates it computes from ``values`` by a
+    pair ``(growth, shift)``: its members are multiples of the quantum ``Q =
+    2^-(q + shift)`` below ``2^(a + growth)`` quanta.  Sums and differences
+    of multiples of ``Q >= 2^-1074`` below ``2^digits Q`` are exact in a type
+    with ``digits`` significant bits (53 for float64, 31 for int32 beside a
+    float64 scale), and so is scaling by a power of two that stays on such a
+    quantum.  So ``q`` is returned when, for every family, ``a + growth <=
+    digits`` (no rounding), ``q + shift <= 1074`` (no underflow) and ``a +
+    growth - (q + shift) <= 1023`` (no overflow); ``None`` when one of these
+    fails or a value is not finite.  All-zero values have ``q = a = 0``.
+    """
+    lattice = _lattice_exponents(values)
+    if lattice is None:
+        return None
+    q, a = lattice
     for growth, shift in families:
         bits = a + growth
         if bits > digits or q + shift > 1074 or bits - (q + shift) > 1023:

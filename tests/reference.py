@@ -5,8 +5,8 @@ Scalar evaluators (one second difference, one box average, one cell
 deviation at a time, on exact ``Fraction`` geometry), loop versions of the
 batched kernels, reshape block reductions and two corner sums (bit order,
 and ``itertools.product`` order seeded by the first term) that the shared
-kernels must match bit for bit, the lattice-exactness formulas that each
-certificate used before they shared one rule, the paper-claim helpers
+kernels must match bit for bit, each certificate's lattice-exactness
+verdict restated without the shared rule, the paper-claim helpers
 (translation averaging, thresholded jump counts, window Parseval data, the
 averaging property) and the ``one_split_measure`` fixture.
 """
@@ -505,7 +505,7 @@ def window_parseval(S: DyadicMartingale, generation: int, index) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# the lattice-exactness formulas of each certificate before the shared rule
+# each certificate's lattice-exactness verdict, restated without the shared rule
 
 
 def lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
@@ -545,19 +545,43 @@ def tree_exact(f: SampledFunction) -> bool:
 
 
 def lattice_exact(values: np.ndarray, count: int) -> bool:
-    """``approximation._lattice_exact``."""
+    """``approximation._lattice_exact`` restated in integers, for samples
+    that vanish at both ends (the functions ``continuous_decompose`` takes).
+
+    With the samples as integers ``g = f 2^q`` (zero outside ``[0, M]``), a
+    window jump at generation ``n`` is ``2^(n-3-q)`` times a second
+    difference ``g(t) - 2 g(t + c) + g(t + 2c)`` of step ``c = 2^(N+2-n)``;
+    ``m_n`` is the largest over every ``t``.  Each family's bound is then an
+    integer number of quanta and its digits a bit length: the jumps ``6A``
+    quanta, the class-kernel sums ``2 count S`` with ``S = sum_n m_n 2^(n-1)``
+    quanta ``2^-(q+2)``, and the small part ``count (A 2^(N+2) + 2^(N+1)
+    sum_n m_n)`` quanta ``2^-(q+N+2)``.
+    """
     if not np.isfinite(values).all():
         return False
     lattice = lattice_exponents(values)
     if lattice is None:
         return True
     q, a = lattice
-    N = (values.size - 1).bit_length() - 1
-    k = count.bit_length() - 1
-    bits_slope = k + 2 + a + N + 5
-    bits_value = k + 2 + (N + 2).bit_length() + a + N + 2
-    return (
-        max(bits_slope, bits_value) <= 53
-        and q + N + 2 <= 1074
-        and bits_slope - (q + 2) <= 1023
+    M = values.size - 1
+    N = M.bit_length() - 1
+    g = [int(Fraction(v) * Fraction(2) ** q) for v in values.tolist()]
+    g = np.array([0] * (4 * M) + g + [0] * (4 * M), dtype=object)
+    m = []
+    for n in range(1, N + 3):
+        c = 1 << (N + 2 - n)
+        t = np.arange(4 * M - 2 * c, 5 * M + 1)  # the points t - 4M in [-2c, M]
+        second = g[t] - 2 * g[t + c] + g[t + 2 * c]
+        m.append(max(abs(x) for x in second.tolist()))
+    S = sum(m_n << (n - 1) for n, m_n in enumerate(m, 1))
+    A = max(abs(x) for x in g.tolist())
+    families = [
+        (a + 3, 2),  # jumps, finest quantum
+        (a + 3, 1 - N),  # jumps, largest magnitude
+        ((2 * count * S).bit_length(), 2),
+        ((count * ((A << (N + 2)) + (sum(m) << (N + 1)))).bit_length(), N + 2),
+    ]
+    return all(
+        bits <= 53 and q + shift <= 1074 and bits - (q + shift) <= 1023
+        for bits, shift in families
     )

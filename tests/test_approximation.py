@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from zygdist import approximation, functionals
 from zygdist.approximation import (
-    _chunked_kernel,
     _class_kernel,
     _lattice_exact,
     _tree_exact,
     _truncation_maxima,
+    _window_jumps,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
@@ -23,19 +23,23 @@ from zygdist.approximation import (
 )
 from zygdist.functionals import (
     default_eps_grid,
+    density_profile,
     levelset_tree_density,
     zygmund_seminorm,
 )
 from zygdist.cli import load_function, main
 from zygdist.generators import (
+    function_suite,
     hat_function,
     lacunary_function,
     parabola_function,
     random_jump_martingale,
     random_martingale,
+    single_branch_martingale,
 )
 from zygdist.martingale import (
     SampledFunction,
+    _lattice_quantum,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -108,6 +112,31 @@ def test_truncation_consistent_with_tree_density():
         lhs = bmo_norm(B, squared=True)
         rhs = star_norm(S) ** 2 * levelset_tree_density(f, eps, depth=8)
         assert lhs <= rhs
+
+
+def _invariant_cases(kind):
+    depth = 10
+    if kind == "random-jumps":
+        return [integrate(random_jump_martingale(depth, seed=s)) for s in range(20)]
+    if kind == "random-martingale":
+        return [integrate(random_martingale(depth, seed=s)) for s in range(20)]
+    return [lacunary_function(depth) if kind == "lacunary" else hat_function(depth)]
+
+
+@pytest.mark.parametrize("kind", ["random-jumps", "random-martingale", "lacunary", "hat"])
+def test_rough_bmo_is_sandwiched_by_the_tree_density(kind):
+    # The paper's truncation argument ties `decompose` to `distance-ibmo`: a
+    # kept pair is exactly a qualifying parent, and every kept jump lies in
+    # (eps/2, rough_star], so at every level of the default grid
+    # (eps/2)^2 D <= rough_bmo^2 <= rough_star^2 D, with D the tree density
+    # at full depth.  The random kinds run seeds 0-19 at depth 10.
+    for f in _invariant_cases(kind):
+        S = average_growth(f)
+        grid = [eps for eps in default_eps_grid(S) if eps > 0.0]
+        density = density_profile(S, grid, [f.depth]).values[0]
+        for parts, D in zip(dyadic_decompose(f, grid), density, strict=True):
+            energy = bmo_norm(parts.kept, squared=True)
+            assert (parts.eps / 2.0) ** 2 * D <= energy <= parts.rough_star**2 * D
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +394,9 @@ def test_lacunary_average_smoother_than_member():
     [
         (integrate(random_jump_martingale(6, seed=8)), 1),
         (integrate(random_jump_martingale(6, seed=8)), 8),
-        # 64 translates in chunks of 63 rows, then 1
         (integrate(random_jump_martingale(6, seed=8)), 64),
         (lacunary_function(6), 64),
-        # 512 translates in chunks of 7 rows, the last one short; values off
-        # the binary lattice, so sums round and their order shows
-        (SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0), 512),
+        (integrate(random_jump_martingale(9, seed=0)), 512),
     ],
 )
 def test_continuous_decompose_matches_loop_oracle(f, count):
@@ -403,6 +429,32 @@ def _offsets(f, count):
     return ((1 << f.depth) // count) * (2 * np.arange(count) + 1)
 
 
+def _certified(values, count):
+    return _lattice_exact(values, _window_jumps(values), count) is None
+
+
+def _former_certificate(values, count):
+    """The a-priori certificate the jump-maxima one replaced: every sum
+    bounded through ``max|f|`` alone, as the families ``(k + N + 7, 2)`` and
+    ``(k + bitlen(N + 2) + N + 4, N + 2)``."""
+    N = (values.size - 1).bit_length() - 1
+    k = count.bit_length() - 1
+    families = ((k + N + 7, 2), (k + (N + 2).bit_length() + N + 4, N + 2))
+    return _lattice_quantum(values, 53, *families) is not None
+
+
+def _assert_kernel_equals_loop(f, count, grid):
+    """``_class_kernel``, averaged, equals the translate loop bit for bit."""
+    rough, seminorms = _class_kernel(
+        1 << f.depth, _window_jumps(f.values), _offsets(f, count), grid
+    )
+    rough /= count
+    for j, eps in enumerate(grid):
+        rough_ref, _, seminorms_ref = continuous_decompose_loop(f, eps, count)
+        assert np.array_equal(rough[j], rough_ref)
+        assert np.array_equal(seminorms[j], seminorms_ref)
+
+
 def _lattice_cases(depth):
     return [
         integrate(random_jump_martingale(depth, delta=1 / 16, seed=7)),
@@ -419,7 +471,7 @@ def test_class_kernel_matches_loop_oracle(depth, count):
         if depth == 8 and count is None:
             grid = grid[::3]
         dec = continuous_decompose(f, grid, count=count)
-        assert _lattice_exact(f.values, dec.count)
+        assert _certified(f.values, dec.count)
         for j, eps in enumerate(grid):
             rough, small, seminorms = continuous_decompose_loop(f, eps, dec.count)
             assert np.array_equal(dec.rough[j].values, rough)
@@ -428,14 +480,23 @@ def test_class_kernel_matches_loop_oracle(depth, count):
 
 
 @pytest.mark.parametrize("count", [1024, 1, 8])
-def test_class_kernel_matches_chunked_kernel_at_depth_10(count):
+def test_class_kernel_matches_loop_oracle_at_depth_10(count):
     for f in _lattice_cases(10):
-        grid = _oracle_grid(f)[:: 3 if count == 1024 else 1]
-        assert _lattice_exact(f.values, count)
-        rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
-        rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
-        assert np.array_equal(rough, rough_ref)
-        assert np.array_equal(seminorms, seminorms_ref)
+        grid = _oracle_grid(f)[3:4] if count == 1024 else _oracle_grid(f)
+        assert _certified(f.values, count)
+        _assert_kernel_equals_loop(f, count, grid)
+
+
+@pytest.mark.parametrize("depth", [15, 16])
+def test_class_kernel_matches_loop_oracle_past_the_former_certificate(depth):
+    # random-jumps at depths 15 and 16: the former certificate refused the
+    # full translate count (the sobolev default), the jump maxima certify it
+    f = integrate(random_jump_martingale(depth, delta=1 / 16, seed=7))
+    assert _certified(f.values, 1 << depth)
+    assert not _former_certificate(f.values, 1 << depth)
+    norm = dyadic_zygmund_seminorm(f)
+    count = 64 if depth == 15 else 8
+    _assert_kernel_equals_loop(f, count, [norm / 4, norm / 64, 0.0])
 
 
 @st.composite
@@ -452,32 +513,56 @@ def _lattice_payloads(draw):
     return SampledFunction(values), count
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=_lattice_payloads(), exponents=st.lists(st.integers(-12, 3), max_size=4))
-def test_class_kernel_equals_chunked_kernel_on_lattice_payloads(case, exponents):
+def test_class_kernel_equals_loop_oracle_on_lattice_payloads(case, exponents):
     f, count = case
-    assume(_lattice_exact(f.values, count))
+    assume(_certified(f.values, count))
     scale = float(np.abs(f.values).max())
     grid = [scale * 2.0**e for e in exponents] + [0.0]
-    rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
-    rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
-    assert np.array_equal(rough, rough_ref)
-    assert np.array_equal(seminorms, seminorms_ref)
+    _assert_kernel_equals_loop(f, count, grid)
 
 
-def test_off_lattice_input_takes_the_chunked_kernel(monkeypatch):
+@settings(max_examples=200, deadline=None)
+@given(case=_lattice_payloads())
+def test_certificate_accepts_what_the_former_certificate_accepted(case):
+    f, count = case
+    if _former_certificate(f.values, count):
+        assert _certified(f.values, count)
+
+
+def test_certificate_accepts_the_generated_kinds_the_former_accepted():
+    accepted = 0
+    for depth in range(1, 15):
+        cases = [
+            integrate(random_jump_martingale(depth, delta=1 / 16, seed=7)),
+            integrate(random_jump_martingale(depth, delta=1 / 4, seed=3)),
+            integrate(single_branch_martingale(depth)),
+            *[f for _, f in function_suite(depth, seed=5) if f.compact],
+        ]
+        for f in cases:
+            jumps = _window_jumps(f.values)
+            for k in range(depth + 1):
+                if _former_certificate(f.values, 1 << k):
+                    accepted += 1
+                    assert _lattice_exact(f.values, jumps, 1 << k) is None
+    assert accepted > 400
+
+
+def test_off_lattice_input_reaches_no_kernel(monkeypatch):
     f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
-    assert not _lattice_exact(f.values, 512)
 
     def refuse(*args):
-        raise AssertionError("class kernel used off the lattice")
+        raise AssertionError("class kernel run outside its certificate")
 
     monkeypatch.setattr(approximation, "_class_kernel", refuse)
-    grid = [dyadic_zygmund_seminorm(f) / 8]
-    dec = continuous_decompose(f, grid, count=512)
-    rough, seminorms = _chunked_kernel(f.values, _offsets(f, 512), grid)
-    assert np.array_equal(dec.rough[0].values, rough[0] / 512)
-    assert np.array_equal(dec.window_small_seminorms, seminorms)
+    message = (
+        "input outside the class kernel's exactness certificate: "
+        "its sums need 82 bits, float64 has 53"
+    )
+    with pytest.raises(ValueError) as exc:
+        continuous_decompose(f, [dyadic_zygmund_seminorm(f) / 8], count=512)
+    assert str(exc.value) == message
 
 
 def test_class_kernel_exact_at_the_certificate_edge():
@@ -496,16 +581,12 @@ def test_class_kernel_exact_at_the_certificate_edge():
         return SampledFunction(values)
 
     shift = 0
-    while _lattice_exact(scaled(shift + 1).values, count):
+    while _certified(scaled(shift + 1).values, count):
         shift += 1
     assert shift > 10
     f = scaled(shift)
-    assert _lattice_exact(f.values, count)
-    grid = _oracle_grid(f)
-    rough, seminorms = _class_kernel(f.values, _offsets(f, count), grid)
-    rough_ref, seminorms_ref = _chunked_kernel(f.values, _offsets(f, count), grid)
-    assert np.array_equal(rough, rough_ref)
-    assert np.array_equal(seminorms, seminorms_ref)
+    assert _certified(f.values, count)
+    _assert_kernel_equals_loop(f, count, _oracle_grid(f))
 
 
 def test_certificate_refuses_a_lattice_input_the_class_kernel_rounds():
@@ -514,10 +595,11 @@ def test_certificate_refuses_a_lattice_input_the_class_kernel_rounds():
     numerators = np.random.default_rng(0).integers(-(1 << 43), 1 << 43, size=31) | 1
     f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
     grid = [float(np.abs(f.values).max()) * 2.0**j for j in range(0, -12, -1)]
-    rough, _ = _class_kernel(f.values, _offsets(f, 32), grid)
-    rough_ref, _ = _chunked_kernel(f.values, _offsets(f, 32), grid)
-    assert not np.array_equal(rough, rough_ref)
-    assert not _lattice_exact(f.values, 32)
+    rough, _ = _class_kernel(32, _window_jumps(f.values), _offsets(f, 32), grid)
+    rough /= 32
+    loop = [continuous_decompose_loop(f, eps, 32)[0] for eps in grid]
+    assert not np.array_equal(rough, np.array(loop))
+    assert not _certified(f.values, 32)
 
 
 @pytest.mark.parametrize(
@@ -532,6 +614,7 @@ def test_certificate_refuses_a_lattice_input_the_class_kernel_rounds():
 )
 def test_certificate_refuses_extreme_magnitudes(values):
     values = np.array(values)
-    for count in (1, 2, 4):
-        if (values.size - 1) % count == 0:
-            assert not _lattice_exact(values, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count in (1, 2, 4):
+            if (values.size - 1) % count == 0:
+                assert not _certified(values, count)

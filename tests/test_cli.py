@@ -374,6 +374,24 @@ def test_measure_command(tmp_path):
     assert norms["dyadic_zygmund"] > 0.0
 
 
+def test_measure_exits_on_masses_off_the_binary_lattice(tmp_path, capsys):
+    # cascade masses divided by 3 are off the binary lattice: the residual of
+    # a truncation is formed by float subtraction, and at this level its norm
+    # exceeds eps by one ulp; the `<=` check turns that into exit 2
+    path = tmp_path / "mu.json"
+    argv = ["--kind", "cascade", "--dim", "1", "--depth", "5", "--seed", "11"]
+    assert main(["generate", *argv, "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    payload["masses"] = [m / 3 for m in payload["masses"]]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["measure", "--in", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: residual deviation 0.24894205729166666 exceeds requested level "
+        "0.24894205729166663\n"
+    )
+
+
 def test_measure_builds_one_density_martingale(tmp_path, monkeypatch):
     mu_path = tmp_path / "mu.json"
     assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "8",
@@ -497,17 +515,20 @@ def test_sobolev_rejects_noncompact_input(tmp_path):
     assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize(
-    "depth, message",
-    [
-        (6, "window seminorm 0.010416666666666689 exceeds requested level "
-            "0.010416666666666685"),
-        (9, "decomposition failed to reproduce the input exactly"),
-    ],
-)
-def test_sobolev_exits_on_inputs_off_the_binary_lattice(tmp_path, capsys, depth, message):
-    # random-jumps values divided by 3 are off the binary lattice; the two
-    # per-level checks of `sobolev` hold only where the arithmetic is exact.
+_REFUSED = "error: input outside the class kernel's exactness certificate: its sums "
+
+
+@pytest.mark.parametrize("depth, bits", [(6, 74), (9, 82)])
+def test_sobolev_exits_on_inputs_off_the_binary_lattice(
+    tmp_path, capsys, monkeypatch, depth, bits
+):
+    # random-jumps values divided by 3 are off the binary lattice: the class
+    # kernel's certificate refuses them before any kernel runs, and names
+    # the bits their sums would need
+    def refuse(*args):
+        raise AssertionError("class kernel run outside its certificate")
+
+    monkeypatch.setattr(approximation, "_class_kernel", refuse)
     path = write_function(
         tmp_path, **{"--kind": "random-jumps", "--depth": str(depth), "--seed": "0"}
     )
@@ -516,7 +537,7 @@ def test_sobolev_exits_on_inputs_off_the_binary_lattice(tmp_path, capsys, depth,
     (tmp_path / "f.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["sobolev", "--in", path]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"{_REFUSED}need {bits} bits, float64 has 53\n"
     for command in ("decompose", "distance-ibmo"):
         assert run(tmp_path, command, "--in", path)[0] == EXIT_OK
 
@@ -548,29 +569,28 @@ def test_stability_ratio_growing_from_zero_is_null(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "values, message",
+    "values, why",
     [
-        ([0, 1e308, -1e308, 1e308, 0], "window seminorm nan exceeds requested level inf"),
-        ([0, 5e-324, 0, -5e-324, 0], "window seminorm 1e-323 exceeds requested level 5e-324"),
-        ([0, 1e300, 5e-324, 1, 0], "decomposition failed to reproduce the input exactly"),
+        ([0, 1e308, -1e308, 1e308, 0], "leave float64's exponent range"),
+        ([0, 5e-324, 0, -5e-324, 0], "leave float64's exponent range"),
+        ([0, 1e300, 5e-324, 1, 0], "need 2079 bits, float64 has 53"),
     ],
+    ids=["overflow", "subnormal", "both-ends"],
 )
-def test_sobolev_extreme_magnitudes_take_the_chunked_kernel(
-    tmp_path, capsys, monkeypatch, values, message
+def test_sobolev_refuses_extreme_magnitudes_up_front(
+    tmp_path, capsys, monkeypatch, values, why
 ):
-    # Overflow and subnormal quanta fail the exactness certificate, so these
-    # run on the translate-by-translate kernel and keep its exit and message.
+    # overflowing slopes and subnormal quanta fail the exactness
+    # certificate, so `sobolev` exits before any kernel runs
     def refuse(*args):
-        raise AssertionError("class kernel used outside its certificate")
+        raise AssertionError("class kernel run outside its certificate")
 
     monkeypatch.setattr(approximation, "_class_kernel", refuse)
     path = tmp_path / "extreme.json"
     payload = {"schema": SCHEMA, "kind": "function", "depth": 2, "values": values}
     path.write_text(json.dumps(payload))
-    with np.errstate(all="ignore"):
-        assert main(["sobolev", "--in", str(path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert main(["sobolev", "--in", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"{_REFUSED}{why}\n"
 
 
 @pytest.mark.parametrize("tau", ["-0.1", "nan"])

@@ -54,3 +54,29 @@ def test_every_export_is_reached_by_the_library():
             used |= _loaded_names(ast.parse(path.read_text()))
     unused = set(zygdist.__all__) - used - _benchmark_targets()
     assert not unused, f"exported but unused in src/zygdist: {sorted(unused)}"
+
+
+def _module_definitions(tree: ast.Module) -> set[str]:
+    """Functions, classes and constants that a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_module_level_name_is_read_by_the_library():
+    # a private helper or constant that no module of the library reads is
+    # dead code, or code kept in the library for tests alone
+    package = Path(zygdist.__file__).parent
+    defined, used = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= _module_definitions(tree)
+        used |= _loaded_names(tree)
+    exempt = {"__all__", "__version__"} | _benchmark_targets()
+    unread = defined - used - exempt
+    assert not unread, f"defined but never read in src/zygdist: {sorted(unread)}"

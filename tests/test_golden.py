@@ -29,6 +29,15 @@ GOLDEN = [
     ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"]),
     ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"]),
     ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"]),
+    *[
+        (
+            f"verify-{suite}",
+            None,
+            f"golden-verify-{suite}-report.json",
+            ["verify", "--suite", suite, "--seed", "7"],
+        )
+        for suite in ("lemmas", "predecessor", "bdg", "consistency")
+    ],
     (
         "generate-random-jumps",
         None,

@@ -22,7 +22,7 @@ from reference import (
     value_at_index,
     window_parseval,
 )
-from zygdist.approximation import _lattice_exact, _tree_exact
+from zygdist.approximation import _lattice_exact, _tree_exact, _window_jumps
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     hat_function,
@@ -278,16 +278,22 @@ def _lattice_inputs(draw):
 @given(_lattice_inputs())
 def test_one_lattice_rule_gives_each_certificate_its_former_verdict(drawn):
     # the sweep, the tree certificate and the class-kernel certificate each
-    # decide exactness through _lattice_quantum; each verdict equals the
-    # certificate's former formula, except that all-zero values now sweep
-    # int32 (q = 0) where the former sweep took float64
+    # decide exactness through _lattice_quantum; each verdict equals its
+    # restatement in reference.py (the sweep's and the tree's former
+    # formulas), except that all-zero values now sweep int32 (q = 0) where
+    # the former sweep took float64
     values, count, log2_spacing = drawn
     all_zero = not values.any()
     swept = _sweep_values(values)[0]
     assert (swept.dtype == np.int32) == (sweep_takes_int32(values) or all_zero)
     f = SampledFunction(values, log2_spacing=log2_spacing)
     assert _tree_exact(f) == tree_exact(f)
-    assert _lattice_exact(values, count) == lattice_exact(values, count)
+    # the class-kernel certificate reads window jumps of a compact function
+    compact = values.copy()
+    compact[[0, -1]] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = _lattice_exact(compact, _window_jumps(compact), count) is None
+    assert verdict == lattice_exact(compact, count)
     if np.isfinite(values).all():
         # with no family to bound, the rule returns the lattice's q
         expected = 0 if all_zero else lattice_exponents(values)[0]
