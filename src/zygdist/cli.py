@@ -502,6 +502,17 @@ _CLASSIFICATIONS = {
     "cascade": "multiplicative cascade: signed density splits",
 }
 
+# the generator options, the kinds that read each, and their argparse
+# options; every kind reads --depth and --seed, and any other option exits 2
+_KIND_FLAGS = {
+    "--dim": (("cascade",), {"type": int}),
+    "--thetas": (("cascade",), {"help": "comma-separated split sizes"}),
+    "--levels": (("weierstrass",), {"type": int}),
+    "--coefficient": (("lacunary",), {}),
+    "--ratio": (("lacunary",), {}),
+    "--delta": (("random-jumps", "single-branch"), {"help": "jump size, e.g. 1/16"}),
+}
+
 
 def _fraction(text: str, flag: str) -> Fraction:
     try:
@@ -511,10 +522,11 @@ def _fraction(text: str, flag: str) -> Fraction:
 
 
 def cmd_generate(_, args) -> tuple[dict, int]:
-    kind = args.kind
-    depth = args.depth
+    kind, depth = args.kind, args.depth
+    for flag, (kinds, _) in _KIND_FLAGS.items():  # an option not given is no attribute
+        _require(kind in kinds or not hasattr(args, flag[2:]), f"--kind {kind} reads no {flag}")
     _require(depth >= 1, "depth must be a positive integer")
-    dim = args.dim if kind == "cascade" else 1
+    dim = getattr(args, "dim", 1)
     _require(dim in (1, 2), "dim must be 1 or 2")
     # checked before anything is allocated: 2^24 cells is 128 MiB of float64
     _require(
@@ -527,12 +539,12 @@ def cmd_generate(_, args) -> tuple[dict, int]:
     try:
         if kind == "cascade":
             thetas = None
-            if args.thetas is not None:
+            if hasattr(args, "thetas"):
                 thetas = [_fraction(part, "--thetas") for part in args.thetas.split(",")]
                 metadata["thetas"] = [float(t) for t in thetas]
-            masses = cascade_measure(args.dim, depth, thetas=thetas, seed=args.seed)
-            metadata["dim"] = args.dim
-            payload = measure_payload(np.asarray(masses), args.dim, depth, metadata)
+            masses = cascade_measure(dim, depth, thetas=thetas, seed=args.seed)
+            metadata["dim"] = dim
+            payload = measure_payload(np.asarray(masses), dim, depth, metadata)
             load_measure(payload)  # never write a file that every command rejects
             return payload, EXIT_OK
         if kind == "linear":
@@ -542,22 +554,22 @@ def cmd_generate(_, args) -> tuple[dict, int]:
         elif kind == "square":
             f = parabola_function(depth)
         elif kind == "weierstrass":
-            f = weierstrass_function(depth, levels=args.levels)
-            if args.levels is not None:
+            f = weierstrass_function(depth, levels=getattr(args, "levels", None))
+            if hasattr(args, "levels"):
                 metadata["levels"] = args.levels
         elif kind == "lacunary":
-            coefficient = _fraction(args.coefficient, "--coefficient")
-            ratio = _fraction(args.ratio, "--ratio")
+            coefficient = _fraction(getattr(args, "coefficient", "1/2"), "--coefficient")
+            ratio = _fraction(getattr(args, "ratio", "1/2"), "--ratio")
             f = lacunary_function(depth, coefficient=coefficient, ratio=ratio)
             metadata["coefficient"] = float(coefficient)
             metadata["ratio"] = float(ratio)
         elif kind == "random-jumps":
-            delta = _fraction(args.delta or "1/16", "--delta")
+            delta = _fraction(getattr(args, "delta", "1/16"), "--delta")
             f = integrate(random_jump_martingale(depth, delta=delta, seed=args.seed))
             metadata["delta"] = float(delta)
             metadata["expected_distance_threshold"] = float(2 * delta)
         else:  # single-branch; argparse admits no other kind
-            delta = _fraction(args.delta or "1/2", "--delta")
+            delta = _fraction(getattr(args, "delta", "1/2"), "--delta")
             f = integrate(single_branch_martingale(depth, delta=delta))
             metadata["delta"] = float(delta)
             metadata["expected_distance_threshold"] = float(2 * delta)
@@ -638,12 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands["generate"]
     p.add_argument("--kind", required=True, choices=sorted(_CLASSIFICATIONS))
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--delta", help="jump size as a rational, e.g. 1/16")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--coefficient", default="1/2")
-    p.add_argument("--ratio", default="1/2")
-    p.add_argument("--thetas", help="comma-separated split sizes")
+    for flag, (_, options) in _KIND_FLAGS.items():
+        p.add_argument(flag, default=argparse.SUPPRESS, **options)
     return parser
 
 

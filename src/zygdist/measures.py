@@ -23,7 +23,6 @@ from zygdist.martingale import (
     DyadicMartingale,
     _block_reduce,
     _expand,
-    _lattice_quantum,
     _windowed_density,
     star_norm,
 )
@@ -160,55 +159,48 @@ def _centred_box_averages(ext: np.ndarray, side: int, r: int, scale: float) -> n
     return boxes
 
 
-def _monotone_boxes(mu: GridMeasure) -> bool:
-    """Whether computed centred box masses never decrease as a cube grows.
-
-    Every mass must be finite and non-negative, with a finite total.  In
-    1-d that suffices: a box mass is the one subtraction ``T[hi] - T[lo]``
-    of the summed-area table ``T``, a ``cumsum`` of non-negative floats,
-    which never decreases; a larger cube has a larger ``hi`` and a smaller
-    ``lo``, and rounding is monotone, so its mass is no smaller.  In more
-    dimensions the corner sums mix signs, so the masses must also lie on a
-    binary lattice where nothing rounds: a table entry is at most the total,
-    below ``2^(dim * depth)`` times the largest mass, and a partial corner
-    sum at most ``2^(dim - 1)`` times the total, which is the family
-    ``(dim * depth + dim - 1, 0)`` of ``martingale._lattice_quantum``.  The
-    box masses are then exact, hence monotone.
-    """
-    masses = mu.masses
-    if not (np.all(masses >= 0.0) and np.isfinite(mu.total)):
-        return False
-    if mu.dim == 1:
-        return True
-    family = (mu.dim * mu.depth + mu.dim - 1, 0)
-    return _lattice_quantum(masses, 53, family) is not None
-
-
 def _step_bounds(mu: GridMeasure, ext: np.ndarray, scales: list) -> list:
     """An upper bound on each step ``u = 1 .. side/2`` of the continuous sweep.
 
-    ``scales[r]`` is the scale ``s_r = (side / (2r))^dim`` that the box
-    averages at half-width ``r`` are multiplied by.  Where
-    ``_monotone_boxes`` holds, let ``D*(v)`` be the largest computed box
-    mass at half-width ``v``, for ``v = 1, 2, 4, ..., side``, and ``p(r)``
-    the smallest power of two ``>= r``:
+    ``scales[r]`` is the scale ``s_r = (side / (2r))^d`` of the masses at
+    half-width ``r``.  Let every mass be finite and non-negative with a finite
+    total ``t``, ``n = side``, ``eps = 2^-53``, and ``d n <= 2^40``.
 
-    * every box mass at ``r`` is at most the one at ``p(r)`` around the same
-      point, hence at most ``D*(p(r))``, and ``fl(D s_r)`` is monotone in
-      ``D``, so every box average at ``r`` lies in ``[0, fl(D*(p(r)) s_r)]``;
-    * ``|fl(a - b)| <= max(a, b)`` for ``a, b >= 0``, so step ``u``, the
-      largest ``|fl(A_u - A_2u)|``, is at most ``bound(u) = max(fl(D*(p(u))
-      s_u), fl(D*(p(2u)) s_2u))``.
+    * A sum of ``k`` non-negative terms, in any order, is off by at most
+      ``(k - 1) eps`` times their sum, so after ``d`` ``cumsum`` passes each
+      table entry is within ``d n eps t``.  A box mass adds ``2^d`` signed
+      entries in ``2^d - 1`` operations with partial sums at most
+      ``2^(d-1) t``, so it is within ``2^d (d n + 2^(d-1)) eps t`` of the
+      exact mass, to first order.  ``E = fl(2^d (d n + 2^d) t) 2^-52`` is at
+      least twice that, covering higher orders and the rounding of ``t`` and
+      ``E``: if the product with ``2^-52`` underflows, it rounds to a multiple
+      of ``2^-1074`` no smaller than the error, itself one.  An overflow
+      makes ``E``, and every bound, infinite.
+    * Exact masses are non-negative and grow with the cube.  With ``D*(v)``
+      the largest computed mass at ``v = 1, 2, 4, ..., n``, ``p(r)`` the
+      smallest power of two ``>= r`` and ``H(v)`` the float above
+      ``fl(D*(v) + 2E)``, a mass at ``r`` is within ``E`` of an exact mass
+      no larger than the one at ``p(r)`` around the same point, so it lies in
+      ``[-E, H(p(r))]``.  Rounding is monotone, so every box average at
+      ``r`` lies in ``[-lo_r, hi_r]``, ``lo_r = fl(E s_r)`` and
+      ``hi_r = fl(H(p(r)) s_r)``; step ``u``, the largest
+      ``|fl(A_u - A_2u)|``, is at most ``fl(max(hi_u, hi_2u) + lo_u)``, as
+      ``lo_r`` falls when ``r`` grows.
 
-    Elsewhere every bound is ``+inf``.  Costs ``depth + 1`` box arrays.
+    Signed masses or a non-finite total give ``+inf`` for every step.  Costs
+    ``depth + 1`` box arrays.
     """
-    side = 1 << mu.depth
-    caps = np.full(side, np.inf)  # caps[r - 1] bounds every box average at r
-    if _monotone_boxes(mu):
-        peaks = [_centred_box_masses(ext, side, 1 << j).max() for j in range(mu.depth + 1)]
-        # r in (2^(j-1), 2^j] reads D*(2^j)
-        caps = np.repeat(peaks, [1] + [1 << j for j in range(mu.depth)]) * scales[1:]
-    return np.maximum(caps[: side >> 1], caps[1::2]).tolist()
+    side, d, total = 1 << mu.depth, mu.dim, mu.total
+    half = side >> 1
+    if not (np.all(mu.masses >= 0.0) and np.isfinite(total)):
+        return [np.inf] * half
+    error = (1 << d) * (d * side + (1 << d)) * total * 2.0**-52
+    peaks = [_centred_box_masses(ext, side, 1 << j).max() for j in range(mu.depth + 1)]
+    scale = np.array(scales[1:])
+    # r in (2^(j-1), 2^j] reads H(2^j)
+    highs = np.nextafter(np.add(peaks, 2 * error), np.inf)
+    highs = np.repeat(highs, [1] + [1 << j for j in range(mu.depth)]) * scale
+    return (np.maximum(highs[:half], highs[1::2]) + error * scale[:half]).tolist()
 
 
 def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
@@ -225,11 +217,11 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     array forward as the next step's inner array.  A step whose
     ``_step_bounds`` entry is at most the best value so far cannot raise it
     and is skipped.  The maximum of the same differences is order-free, so
-    the result equals the step-by-step sweep bit for bit.  Without the
-    bound's certificate the sweep forms ``3 side / 4`` box arrays, with
-    ``O(2^(dim*depth) * 2^depth)`` work, on one extended summed-area table of
-    ``(3 * 2^depth + 1)^dim`` floats; with it, it formed 44 to 952 of the
-    12,288 on the 1-d depth-14 cascades of ``generate`` at seeds 0, 3, 7, 11.
+    the result equals the step-by-step sweep bit for bit.  On signed masses
+    or a non-finite total it forms ``3 side / 4`` box arrays, ``O(2^(dim*depth)
+    * 2^depth)`` work, on one summed-area table of ``(3 * 2^depth + 1)^dim``
+    floats; on ``generate`` cascades 44 to 952 of 12,288 at 1-d depth 14
+    (seeds 0, 3, 7, 11), and 17 of 768 at 2-d depth 10 (seed 7).
     """
     if mode == "dyadic":
         return star_norm(density_martingale(mu))

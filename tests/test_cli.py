@@ -1,8 +1,10 @@
 """Tests for the command surface, file schemas and report determinism."""
 
+import argparse
 import contextlib
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -221,6 +223,7 @@ def test_unknown_kind_rejected(tmp_path):
 # parameters a generator refuses, or cannot represent as a float, exit 2
 _BAD_PARAMETERS = {
     "delta-off-lattice": ["generate", "--kind", "random-jumps", "--delta", "1/3"],
+    "delta-empty": ["generate", "--kind", "single-branch", "--delta="],
     "ratio-not-dyadic": ["generate", "--kind", "lacunary", "--ratio", "1/3"],
     "thetas-out-of-range": ["generate", "--kind", "cascade", "--thetas", "1,1/2"],
     "thetas-wrong-length": ["generate", "--kind", "cascade", "--thetas", "1/2"],
@@ -266,17 +269,26 @@ _GENERATOR_FLAGS = {
     ),
     "--seed": st.one_of(st.integers().map(str), st.text(max_size=4)),
     "--levels": st.one_of(st.integers(-4, 2000).map(str), st.integers().map(str)),
+    "--dim": st.one_of(st.integers(-1, 4).map(str), st.text(max_size=2)),
 }
 
 
+def _kind_and_its_flags(kind):
+    """Values for the options ``kind`` reads (another kind's options exit 2
+    before any value is parsed; test_generate_takes_only_its_kinds_options)."""
+    own = {
+        flag: values for flag, values in _GENERATOR_FLAGS.items()
+        if flag == "--seed" or kind in cli._KIND_FLAGS[flag][0]
+    }
+    return st.tuples(st.just(kind), st.fixed_dictionaries({}, optional=own))
+
+
 @given(
-    kind=st.sampled_from(sorted(cli._CLASSIFICATIONS)),
+    kind_flags=st.sampled_from(sorted(cli._CLASSIFICATIONS)).flatmap(_kind_and_its_flags),
     depth=st.integers(1, 5),
-    flags=st.fixed_dictionaries(
-        {}, optional={flag: values for flag, values in _GENERATOR_FLAGS.items()}
-    ),
 )
-def test_generate_flags_exit_0_or_2(kind, depth, flags):
+def test_generate_flags_exit_0_or_2(kind_flags, depth):
+    kind, flags = kind_flags
     argv = ["generate", "--kind", kind, "--depth", str(depth), "--out", os.devnull]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     try:
@@ -284,6 +296,63 @@ def test_generate_flags_exit_0_or_2(kind, depth, flags):
     except SystemExit as exc:  # argparse refuses a value its type cannot parse
         code = exc.code
     assert code in (EXIT_OK, EXIT_INPUT)
+
+
+# a value of each generator option that its own kinds accept at depth 2
+_KIND_FLAG_VALUES = {
+    "--dim": "2", "--thetas": "1/4,1/8", "--levels": "3",
+    "--coefficient": "1/4", "--ratio": "1/4", "--delta": "1/4",
+}
+_KIND_FLAG_PAIRS = [
+    (kind, flag) for kind in sorted(cli._CLASSIFICATIONS) for flag in cli._KIND_FLAGS
+]
+
+
+@pytest.mark.parametrize(
+    "kind, flag", _KIND_FLAG_PAIRS, ids=[f"{k}{f}" for k, f in _KIND_FLAG_PAIRS]
+)
+def test_generate_takes_only_its_kinds_options(tmp_path, capsys, kind, flag):
+    out = tmp_path / "out.json"
+    argv = ["generate", "--kind", kind, "--depth", "2", "--seed", "3", "--out", str(out)]
+    assert main(argv) == EXIT_OK  # --seed is every kind's
+    out.unlink()
+    code = main([*argv, flag, _KIND_FLAG_VALUES[flag]])
+    if kind in cli._KIND_FLAGS[flag][0]:
+        assert code == EXIT_OK and out.exists()
+    else:
+        assert code == EXIT_INPUT and not out.exists()
+        assert capsys.readouterr().err == f"error: --kind {kind} reads no {flag}\n"
+
+
+def _readme_flags():
+    """The README's per-command flag table, and each generator kind's options
+    as its "Generator kinds" sentence lists them."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("| command         | flags besides `--out` and `--timing`")[1]
+    rows = re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", table.split("\n\n")[0], re.M)
+    commands = {name: set(re.findall(r"`(--[a-z-]+)`", flags)) for name, flags in rows}
+    sentence = text.split("Generator kinds: ")[1].split(". ")[0]
+    kinds = {
+        kind: set(re.findall(r"`(--[a-z-]+)`", options))
+        for kind, options in re.findall(r"`([a-z-]+)`(?: \(([^)]*)\))?", sentence)
+    }
+    return commands, kinds
+
+
+def test_readme_flag_tables_match_the_parser():
+    commands, kinds = _readme_flags()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings}
+        - {"-h", "--help", "--out", "--timing"}
+        for name, p in sub.choices.items()
+    }
+    assert kinds == {
+        kind: {f for f, (readers, _) in cli._KIND_FLAGS.items() if kind in readers}
+        for kind in cli._CLASSIFICATIONS
+    }
+    commands["generate"] |= set().union(*kinds.values())
+    assert commands == parsed
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import (
@@ -25,7 +25,14 @@ from zygdist.generators import (
     random_jump_martingale,
     weierstrass_function,
 )
-from zygdist.martingale import _block_reduce, integrate
+from zygdist import verification
+from zygdist.martingale import (
+    DyadicMartingale,
+    _block_reduce,
+    average_growth,
+    integrate,
+    star_norm,
+)
 from zygdist.measures import GridMeasure, density_martingale
 from zygdist.verification import (
     RatioReport,
@@ -101,6 +108,7 @@ sizes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
 
 
 @given(sizes, sizes, st.floats(min_value=0.0, max_value=1e3))
+@example(1.0, 1.1, 0.1)  # 1.1 / 1.0 == 1.0 + 0.1: bounded, and only under <=
 def test_bounded_is_the_three_case_rule(shallow, deep, tau):
     # 0 -> 0 is bounded, growth from 0 is not, otherwise the ratio decides
     if deep == 0.0:
@@ -335,3 +343,21 @@ def test_strichartz_consistency_no_mismatches():
 def test_strichartz_consistency_other_seed():
     report = verify_strichartz_consistency(depth=12, seed=42)
     assert report["mismatches"] == 0
+
+
+def test_strichartz_consistency_grid_starts_at_2_star_norm_over_64(monkeypatch):
+    grids = []
+    for name in ("cone_levelset_count", "density_profile"):
+        functional = getattr(verification, name)
+
+        def recorded(source, grid, depths, functional=functional):
+            grids.append((source, list(grid)))
+            return functional(source, grid, depths)
+
+        monkeypatch.setattr(verification, name, recorded)
+    verify_strichartz_consistency(depth=8, seed=0)
+    assert len(grids) == 10  # two functionals for each of five functions
+    for source, grid in grids:
+        S = source if isinstance(source, DyadicMartingale) else average_growth(source)
+        assert grid[0] == 2.0 * star_norm(S) * 2.0**-6
+        assert grid[-1] == 2.0 * star_norm(S) * 2.0
