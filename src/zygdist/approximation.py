@@ -111,9 +111,15 @@ def dyadic_decompose(
     seminorm of the small part is twice the largest surviving jump, hence at
     most ``eps``.  The slope martingale is built once for the whole grid,
     which defaults to ``default_eps_grid``.  Splittings are made as they are
-    consumed, so a caller holding one level at a time holds one level's
-    arrays.  Where ``_tree_exact`` holds, every level's ``rough_star`` comes
-    from one ``_truncation_maxima`` table; otherwise from ``star_norm``.
+    consumed.  The generator keeps the previous level's ``kept``, ``rough``
+    and ``small`` until it replaces each with the next level's, so a caller
+    that drops each level before asking for the next holds up to two
+    levels' arrays.  This is deliberate: deleting them after the ``yield``
+    lowered the depth-18 ``decompose`` peak by about 2 MiB but cost about
+    0.1 s, as the freed memory went back to the system and was faulted in
+    again on every level.  Where ``_tree_exact`` holds, every level's
+    ``rough_star`` comes from one ``_truncation_maxima`` table; otherwise
+    from ``star_norm``.
     """
     S = average_growth(f)
     if eps_grid is None:

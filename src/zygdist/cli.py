@@ -241,7 +241,10 @@ def _parse_eps_grid(text: str) -> list[float] | None:
     except ValueError:
         raise InputError(f"cannot parse level grid {text!r}") from None
     _require(bool(grid), "level grid must be non-empty")
-    _require(all(e >= 0.0 for e in grid), "grid levels must be non-negative")
+    _require(
+        all(0.0 <= e < math.inf for e in grid),
+        "--eps-grid levels must be finite and non-negative",
+    )
     return sorted(grid)
 
 
@@ -285,7 +288,7 @@ def cmd_seminorm(f: SampledFunction, args) -> tuple[dict, int]:
 def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, f.depth, 4)
     S = average_growth(f)
-    grid = _parse_eps_grid(args.eps_grid) or default_eps_grid(S)
+    grid = args.grid or default_eps_grid(S)
     tree = density_profile(S, grid, depths)
     del S  # the cone counts read the samples; free the martingale first
     cones = cone_levelset_count(f, grid, depths)
@@ -304,8 +307,8 @@ def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
 
 def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, f.depth, 4)
-    grid = _parse_eps_grid(args.eps_grid)  # None: the report's own default grid
-    report = distance_report(f, eps_grid=grid, depths=depths, tau=args.tau)
+    # args.grid is None for `auto`: the report's own default grid
+    report = distance_report(f, eps_grid=args.grid, depths=depths, tau=args.tau)
     profile = report.profile
     profile_rows = [
         [e, d, value]
@@ -350,7 +353,7 @@ def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
 
 def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
     rows = []
-    for parts in dyadic_decompose(f, _parse_eps_grid(args.eps_grid)):
+    for parts in dyadic_decompose(f, args.grid):
         eps = parts.eps
         if eps <= 0.0:
             continue
@@ -362,7 +365,7 @@ def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
             f"small-part seminorm {small_norm} exceeds requested level {eps}",
         )
         rows.append([eps, small_norm, parts.rough_star, bmo_norm(parts.kept)])
-        del parts  # free this level before the next one is built
+        del parts  # each array of this level is freed as the generator replaces it
     body = {
         "tables": {
             "decomposition": _table(
@@ -377,7 +380,7 @@ def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
 
 def cmd_sobolev(f: SampledFunction, args) -> tuple[dict, int]:
     _require(f.compact, "decomposition expects a compactly supported function")
-    grid = _parse_eps_grid(args.eps_grid) or default_eps_grid(f)
+    grid = args.grid or default_eps_grid(average_growth(f))
     grid = [eps for eps in grid if eps > 0.0]
     rows = []
     if grid:
@@ -415,16 +418,12 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, mu.depth, 2)
     S = density_martingale(mu)
     dyadic_norm = star_norm(S)
-    grid = _parse_eps_grid(args.eps_grid) or _geometric_grid(dyadic_norm, -20)
+    grid = args.grid or _geometric_grid(dyadic_norm, -20)
     norm_rows = [
         ["dyadic_zygmund", dyadic_norm],
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
     ]
-    density_rows = [
-        [e, d, measure_tree_levelset_density(S, e, depth=d)]
-        for e in grid
-        for d in depths
-    ]
+    tree = measure_tree_levelset_density(S, grid, depths)
     truncation_rows = []
     for eps in grid:
         if eps <= 0.0:
@@ -444,7 +443,7 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
                 norm_rows,
                 {"dyadic": "exact supremum over density splits"},
             ),
-            "tree_density": _table(["eps", "depth", "value"], density_rows, method),
+            "tree_density": _table(["eps", "depth", "value"], _profile_rows(tree), method),
             "truncation": _table(
                 ["eps", "residual_dyadic_norm"],
                 truncation_rows,
@@ -686,7 +685,12 @@ def main(argv: list[str] | None = None) -> int:
     # without NumPy's warnings on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            _require(parameters["tau"] >= 0.0, "--tau must be a non-negative number")
+            _require(
+                0.0 <= parameters["tau"] < math.inf,
+                "--tau must be a finite non-negative number",
+            )
+            if hasattr(args, "eps_grid"):  # checked before the input is read
+                args.grid = _parse_eps_grid(args.eps_grid)
             loaded = None
             if args.loads is not None:
                 payload, report["input_sha256"] = read_input(args.input)

@@ -25,9 +25,8 @@ import numpy as np
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _block_reduce,
     _lattice_quantum,
-    _windowed_density,
-    average_growth,
     star_norm,
 )
 
@@ -128,17 +127,10 @@ def box_square_energy(f: SampledFunction, depth: int | None = None) -> float:
     return total / (cells * spacing)
 
 
-def levelset_tree_density(source, eps: float, depth: int | None = None) -> float:
-    """Largest windowed measure of cells with large dyadic second difference.
-
-    A parent cell qualifies when its centred second difference (twice the
-    child jump of the slope martingale) exceeds ``eps``.  For each window
-    cell ``I`` of generation ``0..depth``, the lengths of qualifying parents
-    ``P`` with ``P`` inside ``I`` and ``generation(P) < depth`` are summed
-    and divided by ``|I|``; returns the maximum over windows, computed
-    bottom-up in one pass.  This is the one-entry ``density_profile``.
-    """
-    S = source if isinstance(source, DyadicMartingale) else average_growth(source)
+def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int | None = None) -> float:
+    """Largest windowed measure of cells with large dyadic second difference:
+    the one-entry ``density_profile`` of the slope martingale ``S`` at
+    ``eps`` and ``depth`` (default ``S.depth``)."""
     depth = S.depth if depth is None else depth
     return density_profile(S, [eps], [depth]).values[0][0]
 
@@ -163,26 +155,46 @@ class ThresholdEstimate:
     method: str = "depth-ratio"
 
 
-def density_profile(source, eps_grid, depths) -> DepthProfile:
+def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tabulate the tree level-set density over a level grid and several depths.
 
-    ``source`` is a sampled function or its prebuilt slope martingale.  The
-    parent sizes ``2 |left jump|`` are formed once per generation, down to
-    the deepest depth, and each (depth, level) entry is one bottom-up
-    ``martingale._windowed_density`` pass over them: O(2^N) for the sizes
-    plus O(2^depth) per entry, with ``2^depth`` floats of sizes held.
+    ``S`` is the slope martingale of a function.  A parent qualifies when
+    its centred second difference ``2 |a|`` (``a`` its left child's jump)
+    exceeds the level.  The table is ``_tree_profile``'s, shared with
+    measures.
+    """
+    return _tree_profile(S, _second_difference_size, eps_grid, depths)
+
+
+def _second_difference_size(S: DyadicMartingale, generation: int) -> np.ndarray:
+    return 2.0 * np.abs(S.jumps(generation + 1)[0::2])
+
+
+def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthProfile:
+    """Tree level-set densities of ``S`` at every (depth, level).
+
+    ``parent_size(S, m)`` is the size table of the generation-``m`` parents
+    (shape ``(2^m,) * S.dim``); a parent qualifies at level ``eps`` when its
+    size exceeds ``eps``.  For each window cell ``Q`` of generation
+    ``0..depth``, the volumes of the qualifying parents ``P`` inside ``Q``
+    with ``generation(P) < depth`` are summed and divided by ``|Q|``; an
+    entry is the maximum over windows.  The size tables are formed once,
+    down to the deepest depth, and each entry is one bottom-up window pass
+    over them: O(2^(dim N)) for the sizes plus O(2^(dim depth)) per entry.
     """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
-    S = source if isinstance(source, DyadicMartingale) else average_growth(source)
     for d in depths:
         if not 1 <= d <= S.depth:
             raise ValueError(f"depth must be in [1, {S.depth}]")
-    sizes = [2.0 * np.abs(S.jumps(m + 1)[0::2]) for m in range(max(depths, default=0))]
-    values = [
-        [_windowed_density(lambda m: sizes[m] > e, d, 1) for e in eps_grid]
-        for d in depths
-    ]
+    sizes = [parent_size(S, m) for m in range(max(depths, default=0))]
+    values = [[0.0] * len(eps_grid) for _ in depths]
+    for row, d in zip(values, depths):
+        for j, e in enumerate(eps_grid):
+            acc = np.zeros((1 << d,) * S.dim)
+            for m in range(d - 1, -1, -1):
+                acc = _block_reduce(acc, S.dim) + (sizes[m] > e) * 2.0 ** (-S.dim * m)
+                row[j] = max(row[j], float(acc.max()) * 2.0 ** (S.dim * m))
     return DepthProfile(depths=depths, eps=eps_grid, values=values)
 
 
@@ -296,14 +308,13 @@ def _geometric_grid(norm: float, lowest: int) -> list[float]:
     return [norm * 2.0 ** (j / 2) for j in range(lowest, 3)]
 
 
-def default_eps_grid(source) -> list[float]:
+def default_eps_grid(S: DyadicMartingale) -> list[float]:
     """Ascending geometric level grid tied to the dyadic seminorm of a function.
 
-    Runs from ``2^-10`` times to twice the seminorm in ``sqrt(2)`` steps (so
-    the seminorm itself is a grid point).  A function with zero seminorm gets
-    the single level 0, where every density already vanishes.  ``source`` is
-    the sampled function or its prebuilt slope martingale; the seminorm is
-    twice the martingale's star norm either way.
+    ``S`` is the function's slope martingale, and the seminorm is twice its
+    star norm.  The grid runs from ``2^-10`` times to twice the seminorm in
+    ``sqrt(2)`` steps (so the seminorm itself is a grid point).  A function
+    with zero seminorm gets the single level 0, where every density already
+    vanishes.
     """
-    S = source if isinstance(source, DyadicMartingale) else average_growth(source)
     return _geometric_grid(2.0 * star_norm(S), -20)

@@ -162,22 +162,6 @@ def _block_reduce(arr: np.ndarray, dim: int, op=np.add) -> np.ndarray:
     return arr
 
 
-def _windowed_density(qualifies, depth: int, dim: int) -> float:
-    """Largest windowed volume of qualifying cells, computed bottom-up.
-
-    ``qualifies(m)`` is the boolean field over generation-``m`` cells.  For
-    each window cell ``Q`` of generation ``0..depth``, the volumes of the
-    qualifying cells ``P`` inside ``Q`` with ``generation(P) < depth`` are
-    summed and divided by ``|Q|``; returns the maximum over windows.
-    """
-    best = 0.0
-    acc = np.zeros((1 << depth,) * dim)
-    for m in range(depth - 1, -1, -1):
-        acc = _block_reduce(acc, dim) + qualifies(m) * 2.0 ** (-dim * m)
-        best = max(best, float(acc.max()) * 2.0 ** (dim * m))
-    return best
-
-
 class DyadicMartingale:
     """Averaging martingale on the dyadic subdivisions of a root cell.
 

@@ -19,13 +19,8 @@ import itertools
 
 import numpy as np
 
-from zygdist.martingale import (
-    DyadicMartingale,
-    _block_reduce,
-    _expand,
-    _windowed_density,
-    star_norm,
-)
+from zygdist.functionals import DepthProfile, _tree_profile
+from zygdist.martingale import DyadicMartingale, _block_reduce, _expand, star_norm
 
 __all__ = [
     "GridMeasure",
@@ -257,36 +252,30 @@ def _parent_deviation(S: DyadicMartingale, generation: int) -> np.ndarray:
     return _block_reduce(np.abs(S.jumps(generation + 1)), S.dim, np.maximum)
 
 
-def measure_tree_levelset_density(source, eps: float, depth: int) -> float:
-    """Largest windowed measure of cells with a large child deviation.
+def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
+    """Tree level-set density of a measure at every (depth, level).
 
-    A cell ``P`` qualifies when the box average of one of its children
-    deviates from that of ``P`` by more than ``eps``.  For every
-    dyadic window ``Q`` of generation ``0..depth``, the volumes of
-    qualifying ``P`` inside ``Q`` with ``generation(P) < depth`` are summed
-    and divided by ``|Q|``; returns the maximum over windows.  ``source`` is
-    the measure or its prebuilt ``density_martingale``.
+    ``S`` is the measure's ``density_martingale``.  A cell qualifies when
+    the box average of one of its children deviates from its own by more
+    than the level (``_parent_deviation``).  The table is
+    ``functionals._tree_profile``'s, as for functions.
     """
-    S = source if isinstance(source, DyadicMartingale) else density_martingale(source)
-    if not 1 <= depth <= S.depth:
-        raise ValueError(f"depth must be in [1, {S.depth}]")
-    return _windowed_density(lambda m: _parent_deviation(S, m) > eps, depth, S.dim)
+    return _tree_profile(S, _parent_deviation, eps_grid, depths)
 
 
-def measure_truncate(source, eps: float) -> GridMeasure:
+def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     """Nearby measure keeping exactly the large-deviation refinements.
 
-    For each parent cell, the child fluctuations are kept in full when the
-    largest child deviation exceeds ``eps`` and dropped in full otherwise
-    (keeping all or none preserves the averaging structure).  Every dyadic
-    second difference of ``mu - result`` is then at most ``eps``.  ``source``
-    is the measure ``mu`` or its prebuilt ``density_martingale``.
+    ``S`` is the ``density_martingale`` of a measure ``mu``.  For each
+    parent cell, the child fluctuations are kept in full when the largest
+    child deviation (``_parent_deviation``) exceeds ``eps`` and dropped in
+    full otherwise (keeping all or none preserves the averaging structure).
+    Every dyadic second difference of ``mu - result`` is then at most
+    ``eps``.
     """
-    S = source if isinstance(source, DyadicMartingale) else density_martingale(source)
     d = S.dim
     level = S.levels[0].copy()
     for n in range(1, S.depth + 1):
-        dj = S.jumps(n)
-        keep = _expand(_block_reduce(np.abs(dj), d, np.maximum) > eps, d)
-        level = _expand(level, d) + keep * dj
+        keep = _expand(_parent_deviation(S, n - 1) > eps, d)
+        level = _expand(level, d) + keep * S.jumps(n)
     return GridMeasure(level * 2.0 ** (-d * S.depth))

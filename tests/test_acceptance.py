@@ -96,7 +96,7 @@ def test_02_truncation_guarantee():
     for i in range(100):
         S = random_martingale(10, seed=100 + i)
         f = integrate(S)
-        for eps in default_eps_grid(f):
+        for eps in default_eps_grid(average_growth(f)):
             B = truncate_jumps(S, eps / 2.0)
             b = integrate(B)
             residual = SampledFunction(
@@ -114,12 +114,12 @@ def test_03_bmo_square_bound():
     for _name, f in function_suite(SUITE_DEPTH, seed=SUITE_SEED):
         S = average_growth(f)
         star = star_norm(S)
-        grid = default_eps_grid(f) if star > 0.0 else [0.5]
+        grid = default_eps_grid(S) if star > 0.0 else [0.5]
         for eps in grid:
             if eps <= 0.0:
                 continue
             B = truncate_jumps(S, eps / 2.0)
-            density = levelset_tree_density(f, eps, depth=f.depth)
+            density = levelset_tree_density(S, eps, depth=f.depth)
             assert bmo_norm(B, squared=True) <= star * star * density
 
 
@@ -258,7 +258,7 @@ def test_12_measure_truncation_exhaustive():
             mu = GridMeasure(cascade_measure(dim, depth, seed=seed))
             norm = measure_zygmund_norm(mu, mode="dyadic")
             for eps in [norm * 2.0 ** (j / 2.0) for j in range(-4, 1)]:
-                residual = mu - measure_truncate(mu, eps)
+                residual = mu - measure_truncate(density_martingale(mu), eps)
                 S = density_martingale(residual)
                 for generation in range(depth):
                     # the per-parent deviation field carries delta2_max of
@@ -266,7 +266,7 @@ def test_12_measure_truncation_exhaustive():
                     deviations = _parent_deviation(S, generation)
                     assert float(deviations.max()) <= eps
             # pin the vectorised field to the per-cell reference evaluator
-            residual = mu - measure_truncate(mu, norm * 0.5)
+            residual = mu - measure_truncate(density_martingale(mu), norm * 0.5)
             S = density_martingale(residual)
             for generation in range(min(depth, 4)):
                 deviations = _parent_deviation(S, generation)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zygdist import approximation, functionals
+from zygdist import approximation
 from zygdist.approximation import (
     _class_kernel,
     _lattice_exact,
@@ -110,7 +110,7 @@ def test_truncation_consistent_with_tree_density():
         eps = star_norm(S)  # mid-range level
         B = truncate_jumps(S, eps / 2.0)
         lhs = bmo_norm(B, squared=True)
-        rhs = star_norm(S) ** 2 * levelset_tree_density(f, eps, depth=8)
+        rhs = star_norm(S) ** 2 * levelset_tree_density(S, eps, depth=8)
         assert lhs <= rhs
 
 
@@ -145,15 +145,15 @@ def test_rough_bmo_is_sandwiched_by_the_tree_density(kind):
 
 def test_grid_pipelines_build_the_slope_martingale_once(monkeypatch):
     f = integrate(random_jump_martingale(7, delta=1 / 16, seed=4))
-    grid = default_eps_grid(f)
+    grid = default_eps_grid(average_growth(f))
     builds = []
 
     def counted(g):
         builds.append(g)
         return average_growth(g)
 
-    for module in (approximation, functionals):
-        monkeypatch.setattr(module, "average_growth", counted)
+    # functionals takes the martingale only, so approximation builds every one
+    monkeypatch.setattr(approximation, "average_growth", counted)
     assert [part.eps for part in dyadic_decompose(f)] == grid
     assert len(builds) == 1
     assert distance_report(f).eps == grid

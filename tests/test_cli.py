@@ -674,6 +674,35 @@ def test_tau_must_be_non_negative(tmp_path, tau):
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
 
 
+@pytest.mark.parametrize(
+    "command", ["strichartz", "distance-ibmo", "decompose", "sobolev", "measure", "verify"]
+)
+def test_non_finite_levels_exit_2_before_any_work(capsys, monkeypatch, command):
+    # inf, and 1e400 which parses to inf, are refused before the input is
+    # read or a suite runs, with a message that names the flag
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in (
+        "read_input",
+        "run_lemma_suite",
+        "verify_predecessor_measure",
+        "verify_bdg",
+        "verify_strichartz_consistency",
+    ):
+        monkeypatch.setattr(cli, name, no_work)
+    _, _, loads, flags = next(entry for entry in cli._COMMANDS if entry[0] == command)
+    head = [command, "--in", "unread.json"] if loads else [command]
+    values = {"--eps-grid": ["inf", "1e400", "0.125,inf"], "--tau": ["inf", "1e400"]}
+    checked = 0
+    for flag in ("--eps-grid", "--tau"):
+        for value in values[flag] if flag in flags else ():
+            assert main([*head, flag, value]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(f"error: {flag} ")
+            checked += 1
+    assert checked  # every command here reads one of the two flags
+
+
 # argv that parses, per subcommand, and the flags it does not read (27 pairs)
 _ARGV = {
     "seminorm": ["seminorm", "--in", "f.json"],

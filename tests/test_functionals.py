@@ -287,17 +287,17 @@ def test_tree_density_matches_brute_force():
 def test_tree_density_random_jumps_exact_profile():
     delta = 1 / 16
     for depth in (6, 8):
-        f = integrate(random_jump_martingale(depth, delta=delta, seed=21))
+        S = average_growth(integrate(random_jump_martingale(depth, delta=delta, seed=21)))
         for eps in (0.0, delta, 2 * delta * (1 - 1e-9)):
-            assert levelset_tree_density(f, eps, depth=depth) == float(depth)
+            assert levelset_tree_density(S, eps, depth=depth) == float(depth)
         for eps in (2 * delta, 3 * delta):
-            assert levelset_tree_density(f, eps, depth=depth) == 0.0
+            assert levelset_tree_density(S, eps, depth=depth) == 0.0
 
 
 def test_tree_density_hat():
-    f = hat_function(8)
-    assert levelset_tree_density(f, 1.5, depth=8) == 1.0
-    assert levelset_tree_density(f, 2.0, depth=8) == 0.0
+    S = average_growth(hat_function(8))
+    assert levelset_tree_density(S, 1.5, depth=8) == 1.0
+    assert levelset_tree_density(S, 2.0, depth=8) == 0.0
 
 
 def test_tree_density_single_branch_bounded():
@@ -307,9 +307,9 @@ def test_tree_density_single_branch_bounded():
 
 
 def test_tree_density_lacunary_all_generations():
-    f = lacunary_function(8)
-    assert levelset_tree_density(f, 0.9, depth=8) == 8.0
-    assert levelset_tree_density(f, 1.0, depth=8) == 0.0
+    S = average_growth(lacunary_function(8))
+    assert levelset_tree_density(S, 0.9, depth=8) == 8.0
+    assert levelset_tree_density(S, 1.0, depth=8) == 0.0
 
 
 @settings(max_examples=25)
@@ -354,15 +354,10 @@ def test_estimate_threshold_inconclusive_and_growth_from_zero():
 
 def test_density_profile_random_jumps_threshold():
     delta = 1 / 16
-    f = integrate(random_jump_martingale(8, delta=delta, seed=2))
-    grid = default_eps_grid(f)
-    profile = density_profile(f, grid, depths=[6, 8])
+    S = average_growth(integrate(random_jump_martingale(8, delta=delta, seed=2)))
+    profile = density_profile(S, default_eps_grid(S), depths=[6, 8])
     est = estimate_threshold(profile)
     assert est.eps == 2 * delta
-    # a prebuilt slope martingale gives the same grid and the same profile
-    S = average_growth(f)
-    assert default_eps_grid(S) == grid
-    assert density_profile(S, grid, depths=[6, 8]).values == profile.values
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +405,7 @@ def test_cone_count_equals_per_level_oracle(depth):
     # and the / 3 inputs are off the binary lattice
     for _, f in function_suite(depth, seed=depth):
         for g in (f, _third(f)):
-            grid = default_eps_grid(g)[::4] + [0.0, 0.0, math.inf, -1.0]
+            grid = default_eps_grid(average_growth(g))[::4] + [0.0, 0.0, math.inf, -1.0]
             depths = [1, depth - 1, depth]
             table = cone_levelset_count(g, grid, depths).values
             assert table == _cone_table(g, grid, depths)
@@ -446,14 +441,13 @@ def test_lp_norm_constant_and_errors():
 
 
 def test_default_eps_grid_contains_seminorm():
-    f = hat_function(8)
-    grid = default_eps_grid(f)
+    grid = default_eps_grid(average_growth(hat_function(8)))
     assert len(grid) == 23
     assert grid == sorted(grid)
     assert 2.0 in grid
     assert grid[0] == pytest.approx(2.0 * 2.0**-10)
     assert grid[-1] == pytest.approx(4.0)
-    assert default_eps_grid(linear_function(6)) == [0.0]
+    assert default_eps_grid(average_growth(linear_function(6))) == [0.0]
 
 
 def test_second_difference_matches_dyadic_form():

@@ -1,6 +1,7 @@
 """Oracle and property tests for grid measures."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -184,7 +185,8 @@ def test_measure_zygmund_continuous_matches_loop_oracle(dim, depth):
 def test_measure_zygmund_continuous_matches_loop_oracle_signed(dim, depth):
     mu = _cascade(dim, depth, seed=7)
     # at depth 2 every split exceeds a quarter of the norm: all are kept, mu - kept is 0
-    signed = mu - measure_truncate(mu, measure_zygmund_norm(mu) / (2 if depth == 2 else 4))
+    level = measure_zygmund_norm(mu) / (2 if depth == 2 else 4)
+    signed = mu - measure_truncate(density_martingale(mu), level)
     assert signed.masses.min() < 0.0 < signed.masses.max()
     assert measure_zygmund_norm(signed, mode="continuous") == measure_zygmund_norm_loop(
         signed
@@ -408,7 +410,10 @@ def test_bound_prunes_off_the_lattice_and_in_3d(monkeypatch, masses):
 
 @pytest.mark.parametrize(
     "mu",
-    [_cascade(1, 8, seed=7) - measure_truncate(_cascade(1, 8, seed=7), 1.0)],
+    [
+        _cascade(1, 8, seed=7)
+        - measure_truncate(density_martingale(_cascade(1, 8, seed=7)), 1.0)
+    ],
     ids=["signed"],
 )
 def test_uncertified_measures_form_every_box_array(monkeypatch, mu):
@@ -471,12 +476,37 @@ def _brute_tree_density(mu, eps, depth):
 
 
 def test_tree_density_matches_brute_force():
+    # every (eps, depth) entry of one profile, depths 1 .. N
     for dim, depth in ((1, 5), (2, 3)):
         mu = _cascade(dim, depth, seed=4)
         norm = measure_zygmund_norm(mu, mode="dyadic")
-        for eps in (0.3 * norm, 0.9 * norm, 1.1 * norm):
-            fast = measure_tree_levelset_density(mu, eps, depth)
-            assert fast == _brute_tree_density(mu, eps, depth)
+        grid = [0.3 * norm, 0.9 * norm, 1.1 * norm]
+        depths = range(1, depth + 1)
+        profile = measure_tree_levelset_density(density_martingale(mu), grid, depths)
+        assert profile.depths == list(depths) and profile.eps == grid
+        for d, row in zip(depths, profile.values):
+            assert row == [_brute_tree_density(mu, eps, d) for eps in grid]
+
+
+def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
+    # one `measure` forms max(depths) deviation tables for the tree
+    # densities, and `depth` per positive level for the truncations
+    path = tmp_path / "mu.json"
+    argv = ["--kind", "cascade", "--dim", "1", "--depth", "14", "--seed", "7"]
+    assert main(["generate", *argv, "--out", str(path)]) == 0
+    tables = []
+    original = measures._parent_deviation
+
+    def counted(S, generation):
+        tables.append(generation)
+        return original(S, generation)
+
+    monkeypatch.setattr(measures, "_parent_deviation", counted)
+    out = tmp_path / "report.json"
+    assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
+    levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
+    assert levels == 23
+    assert len(tables) == 14 + levels * 14 == 336
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +515,11 @@ def test_tree_density_matches_brute_force():
 
 def test_truncate_identity_and_extremes():
     mu = _cascade(1, 6, seed=2)
-    everything = measure_truncate(mu, -1.0)
+    S = density_martingale(mu)
+    everything = measure_truncate(S, -1.0)
     assert np.array_equal(everything.masses, mu.masses)
     norm = measure_zygmund_norm(mu, mode="dyadic")
-    nothing = measure_truncate(mu, norm)
+    nothing = measure_truncate(S, norm)
     assert np.allclose(nothing.masses, mu.total / mu.masses.size, rtol=0, atol=1e-15)
 
 
@@ -497,7 +528,7 @@ def test_truncate_residual_deviations_exact():
         mu = _cascade(dim, depth, seed=14)
         norm = measure_zygmund_norm(mu, mode="dyadic")
         for eps in (0.3 * norm, 0.7 * norm):
-            nu = measure_truncate(mu, eps)
+            nu = measure_truncate(density_martingale(mu), eps)
             resid = mu - nu
             for m in range(depth):
                 for p in itertools.product(range(1 << m), repeat=dim):
@@ -510,20 +541,9 @@ def test_truncate_residual_deviations_exact():
                         assert dev == full
 
 
-def test_truncate_accepts_the_prebuilt_martingale():
-    for dim, depth in ((1, 7), (2, 4)):
-        mu = _cascade(dim, depth, seed=9)
-        S = density_martingale(mu)
-        norm = measure_zygmund_norm(mu, mode="dyadic")
-        for eps in (-1.0, 0.3 * norm, 0.7 * norm, norm):
-            assert np.array_equal(
-                measure_truncate(S, eps).masses, measure_truncate(mu, eps).masses
-            )
-
-
 def test_truncate_preserves_total():
     mu = _cascade(2, 4, seed=21)
-    nu = measure_truncate(mu, 0.2)
+    nu = measure_truncate(density_martingale(mu), 0.2)
     assert nu.total == pytest.approx(mu.total, abs=1e-14)
 
 
@@ -532,12 +552,13 @@ def test_truncated_oscillation_controlled_by_density():
     # times the tree level-set density, window by window.
     for dim, depth in ((1, 7), (2, 4)):
         mu = _cascade(dim, depth, seed=17)
+        S = density_martingale(mu)
         norm = measure_zygmund_norm(mu, mode="dyadic")
-        for eps in (0.4 * norm, 0.8 * norm):
-            nu = measure_truncate(mu, eps)
-            kept = density_martingale(nu)
-            lhs = bmo_norm(kept, squared=True)
-            rhs = norm**2 * measure_tree_levelset_density(mu, eps, depth)
+        grid = [0.4 * norm, 0.8 * norm]
+        (density,) = measure_tree_levelset_density(S, grid, [depth]).values
+        for eps, D in zip(grid, density):
+            lhs = bmo_norm(density_martingale(measure_truncate(S, eps)), squared=True)
+            rhs = norm**2 * D
             assert lhs <= rhs * (1 + 1e-12)
 
 
