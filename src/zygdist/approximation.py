@@ -13,6 +13,7 @@ window, integrate back and average.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,51 +93,61 @@ def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMar
 class DyadicDecomposition:
     """Splitting ``f = rough + small`` on the function's own dyadic grid.
 
-    ``rough_star`` is ``star_norm(kept)``, the largest kept jump.
+    ``eps`` lists the consecutive grid levels that keep exactly these
+    sibling pairs, and so share this splitting.  ``rough_star`` is
+    ``star_norm(kept)``, the largest kept jump.
     """
 
     rough: SampledFunction
     small: SampledFunction
     kept: DyadicMartingale
-    eps: float
+    eps: list[float]
     rough_star: float
 
 
 def dyadic_decompose(
     f: SampledFunction, eps_grid=None
 ) -> Iterator[DyadicDecomposition]:
-    """Split ``f`` at every level of ``eps_grid``, one splitting per level.
+    """Split ``f`` at every level of ``eps_grid``, one splitting per kept set.
 
     At level ``eps`` jumps above ``eps / 2`` go to the rough part; the
     seminorm of the small part is twice the largest surviving jump, hence at
     most ``eps``.  The slope martingale is built once for the whole grid,
-    which defaults to ``default_eps_grid``.  Splittings are made as they are
-    consumed.  The generator keeps the previous level's ``kept``, ``rough``
-    and ``small`` until it replaces each with the next level's, so a caller
-    that drops each level before asking for the next holds up to two
-    levels' arrays.  This is deliberate: deleting them after the ``yield``
-    lowered the depth-18 ``decompose`` peak by about 2 MiB but cost about
-    0.1 s, as the freed memory went back to the system and was faulted in
-    again on every level.  Where ``_tree_exact`` holds, every level's
-    ``rough_star`` comes from one ``_truncation_maxima`` table; otherwise
-    from ``star_norm``.
+    which defaults to ``default_eps_grid``.  Consecutive levels with the same
+    count of pair sizes ``|a| <= eps / 2`` (``_truncation_maxima``) keep the
+    same pairs and so have bit-identical splittings: they share one, whose
+    ``eps`` lists them, and the ``eps`` lists concatenate to the grid.  Cost:
+    O(2^N log 2^N) once plus O(2^N) per distinct kept set, at most
+    ``|eps_grid|`` of them.  Splittings are made as they are consumed.  The
+    generator keeps the previous splitting's ``kept``, ``rough`` and
+    ``small`` until it replaces each with the next one's, so a caller that
+    drops each splitting before asking for the next holds up to two
+    splittings' arrays.  This is deliberate: deleting them after the
+    ``yield`` lowered the depth-18 ``decompose`` peak by about 2 MiB but
+    cost about 0.1 s, as the freed memory went back to the system and was
+    faulted in again on every level.  Where ``_tree_exact`` holds,
+    ``rough_star`` comes from the same table; otherwise from ``star_norm``.
     """
     S = average_growth(f)
     if eps_grid is None:
         eps_grid = default_eps_grid(S)
     eps_grid = [float(eps) for eps in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    stars = _truncation_maxima(S, thresholds)[1] if _tree_exact(f) else None
-    for j, eps in enumerate(eps_grid):
+    _, stars, counts = _truncation_maxima(S, thresholds)
+    exact = _tree_exact(f)
+    j = 0
+    for _, run in itertools.groupby(counts):
+        stop = j + len(list(run))
         kept = truncate_jumps(S, thresholds[j])
         rough = integrate(kept)
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )
-        rough_star = star_norm(kept) if stars is None else stars[j]
+        rough_star = stars[j] if exact else star_norm(kept)
         yield DyadicDecomposition(
-            rough=rough, small=small, kept=kept, eps=eps, rough_star=rough_star
+            rough=rough, small=small, kept=kept, eps=eps_grid[j:stop], rough_star=rough_star
         )
+        j = stop
 
 
 @dataclass
@@ -163,8 +174,8 @@ def distance_report(
     estimated.  The slope martingale is built once and shared by all three.
     Where ``_tree_exact`` holds, the measured distances are read off one
     ``_truncation_maxima`` table, O(2^N log 2^N) once plus O(log 2^N) per
-    level; otherwise each level truncates and differences the martingale,
-    O(2^N) per level.
+    level; otherwise each distinct count of the table truncates and
+    differences the martingale once, O(2^N) per distinct kept set.
     """
     S = average_growth(f)
     if eps_grid is None:
@@ -173,13 +184,14 @@ def distance_report(
         depths = [max(1, S.depth - 4), S.depth]
     eps_grid = [float(e) for e in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    if _tree_exact(f):
-        dropped = _truncation_maxima(S, thresholds)[0]
-    else:
-        dropped = [
-            star_norm(martingale_difference(S, truncate_jumps(S, t)))
-            for t in thresholds
-        ]
+    dropped, _, counts = _truncation_maxima(S, thresholds)
+    if not _tree_exact(f):
+        # thresholds with one count keep the same pairs: truncate once per count
+        distance = {
+            count: star_norm(martingale_difference(S, truncate_jumps(S, t)))
+            for count, t in dict(zip(counts, thresholds)).items()
+        }
+        dropped = [distance[count] for count in counts]
     profile = density_profile(S, eps_grid, depths)
     return DistanceReport(
         eps=eps_grid,
@@ -189,8 +201,9 @@ def distance_report(
     )
 
 
-def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
-    """Largest dropped and largest kept jump of truncation at each threshold.
+def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list, list]:
+    """Largest dropped and largest kept jump of truncation at each threshold,
+    and the count of pairs it drops.
 
     A sibling pair is dropped at threshold ``t`` when its left jump has
     ``|a| <= t`` (``truncate_jumps``).  Where ``_tree_exact`` holds, each
@@ -201,8 +214,11 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     size ``<= t`` and the largest kept jump is the largest size, if it
     exceeds ``t``; a threshold dropping (keeping) no pair reads 0.0.  These
     are ``star_norm(S - B)`` and ``star_norm(B)`` for ``B = truncate_jumps(S,
-    t)``, bit for bit where ``_tree_exact`` holds, and not otherwise.  Work
-    O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P) per threshold.
+    t)``, bit for bit where ``_tree_exact`` holds, and not otherwise.  The
+    counts hold everywhere: they compare the floats ``truncate_jumps``
+    compares, so two thresholds with the same count keep the same pairs.
+    Work O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P) per
+    threshold.
     """
     sizes = np.empty((1 << S.depth) - 1)
     for n in range(1, S.depth + 1):
@@ -211,7 +227,7 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     dropped = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
     count = np.searchsorted(sizes, thresholds, side="right")
     kept = np.where(count < sizes.size, dropped[-1], 0.0)
-    return dropped[count].tolist(), kept.tolist()
+    return dropped[count].tolist(), kept.tolist(), count.tolist()
 
 
 @dataclass

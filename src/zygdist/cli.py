@@ -354,18 +354,21 @@ def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
 def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
     rows = []
     for parts in dyadic_decompose(f, args.grid):
-        eps = parts.eps
-        if eps <= 0.0:
+        levels = [eps for eps in parts.eps if eps > 0.0]
+        if not levels:
             continue
+        # the levels of a splitting share its arrays: one check and norm each
         identity = np.array_equal(parts.rough.values + parts.small.values, f.values)
         small_norm = dyadic_zygmund_seminorm(parts.small)
         _require(identity, "decomposition failed to reproduce the input exactly")
-        _require(
-            small_norm <= eps,
-            f"small-part seminorm {small_norm} exceeds requested level {eps}",
-        )
-        rows.append([eps, small_norm, parts.rough_star, bmo_norm(parts.kept)])
-        del parts  # each array of this level is freed as the generator replaces it
+        for eps in levels:
+            _require(
+                small_norm <= eps,
+                f"small-part seminorm {small_norm} exceeds requested level {eps}",
+            )
+        rough_bmo = bmo_norm(parts.kept)
+        rows.extend([eps, small_norm, parts.rough_star, rough_bmo] for eps in levels)
+        del parts  # each array of this splitting is freed as the generator replaces it
     body = {
         "tables": {
             "decomposition": _table(

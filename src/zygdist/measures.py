@@ -247,9 +247,9 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     return best
 
 
-def _parent_deviation(S: DyadicMartingale, generation: int) -> np.ndarray:
-    """Per-parent largest child jump magnitude at ``generation + 1``."""
-    return _block_reduce(np.abs(S.jumps(generation + 1)), S.dim, np.maximum)
+def _parent_deviation(dj: np.ndarray, dim: int) -> np.ndarray:
+    """Per-parent largest child jump magnitude of the ``dim``-d jump field ``dj``."""
+    return _block_reduce(np.abs(dj), dim, np.maximum)
 
 
 def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
@@ -260,7 +260,9 @@ def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> Dept
     than the level (``_parent_deviation``).  The table is
     ``functionals._tree_profile``'s, as for functions.
     """
-    return _tree_profile(S, _parent_deviation, eps_grid, depths)
+    return _tree_profile(
+        S, lambda S, m: _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths
+    )
 
 
 def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
@@ -276,6 +278,7 @@ def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     d = S.dim
     level = S.levels[0].copy()
     for n in range(1, S.depth + 1):
-        keep = _expand(_parent_deviation(S, n - 1) > eps, d)
-        level = _expand(level, d) + keep * S.jumps(n)
+        dj = S.jumps(n)  # formed once: the deviation and the kept jumps read it
+        keep = _expand(_parent_deviation(dj, d) > eps, d)
+        level = _expand(level, d) + keep * dj
     return GridMeasure(level * 2.0 ** (-d * S.depth))

@@ -24,6 +24,7 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     average_growth,
+    bmo_norm,
     integrate,
     star_norm,
 )
@@ -321,6 +322,43 @@ def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
         measured.append(2.0 * star_norm(martingale_difference(S, B)))
         stars.append(star_norm(B))
     return measured, stars
+
+
+def dyadic_decompose_loop(f: SampledFunction, eps_grid):
+    """``approximation.dyadic_decompose`` one level at a time.
+
+    Yields ``(eps, kept, rough, small, rough_star)`` for every level in grid
+    order: truncation of the slope martingale at ``eps / 2``, its primitive,
+    ``f`` minus it, and ``star_norm(kept)``, with no level shared.
+    """
+    S = average_growth(f)
+    for eps in eps_grid:
+        kept = truncate_jumps(S, float(eps) / 2.0)
+        rough = integrate(kept)
+        small = SampledFunction(
+            f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
+        )
+        yield float(eps), kept, rough, small, star_norm(kept)
+
+
+def decompose_rows_loop(f: SampledFunction, eps_grid) -> tuple[list, str | None]:
+    """The rows of ``decompose`` checked level by level, and the message of
+    the first failing check (``None`` if every level passes).
+
+    Levels ``<= 0`` are skipped; each other level checks ``rough + small ==
+    f`` and then ``small_norm <= eps`` on its own arrays.
+    """
+    rows = []
+    for eps, kept, rough, small, rough_star in dyadic_decompose_loop(f, eps_grid):
+        if eps <= 0.0:
+            continue
+        small_norm = 2.0 * star_norm(average_growth(small))
+        if not np.array_equal(rough.values + small.values, f.values):
+            return rows, "decomposition failed to reproduce the input exactly"
+        if not small_norm <= eps:
+            return rows, f"small-part seminorm {small_norm} exceeds requested level {eps}"
+        rows.append([eps, small_norm, rough_star, bmo_norm(kept)])
+    return rows, None
 
 
 def delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):

@@ -263,13 +263,13 @@ def test_12_measure_truncation_exhaustive():
                 for generation in range(depth):
                     # the per-parent deviation field carries delta2_max of
                     # every cell at this generation (identity checked below)
-                    deviations = _parent_deviation(S, generation)
+                    deviations = _parent_deviation(S.jumps(generation + 1), dim)
                     assert float(deviations.max()) <= eps
             # pin the vectorised field to the per-cell reference evaluator
             residual = mu - measure_truncate(density_martingale(mu), norm * 0.5)
             S = density_martingale(residual)
             for generation in range(min(depth, 4)):
-                deviations = _parent_deviation(S, generation)
+                deviations = _parent_deviation(S.jumps(generation + 1), dim)
                 for index in np.ndindex(*((1 << generation,) * dim)):
                     assert delta2_max(residual, generation, index) == deviations[index]
     assert time.monotonic() - start <= 30.0

@@ -1,6 +1,8 @@
 """Oracle and property tests for truncation and translation averaging."""
 
+import argparse
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from zygdist.functionals import (
     levelset_tree_density,
     zygmund_seminorm,
 )
-from zygdist.cli import load_function, main
+from zygdist.cli import InputError, cmd_decompose, load_function, main
 from zygdist.generators import (
     function_suite,
     hat_function,
@@ -49,6 +51,7 @@ from zygdist.martingale import (
 
 from reference import (
     continuous_decompose_loop,
+    decompose_rows_loop,
     is_martingale,
     translation_average,
     truncation_maxima_loop,
@@ -89,11 +92,17 @@ def test_truncate_extremes():
         assert np.all(nothing.jumps(n) == 0.0)
 
 
+def _per_level(f, grid=None):
+    """``(eps, splitting)`` for every level of the grid, in grid order."""
+    return [(eps, parts) for parts in dyadic_decompose(f, grid) for eps in parts.eps]
+
+
 def test_dyadic_decompose_identity_and_bound():
     f = integrate(random_martingale(8, seed=9))
     grid = (0.05, 0.2, 1.0)
-    for eps, dec in zip(grid, dyadic_decompose(f, grid), strict=True):
-        assert dec.eps == eps
+    levels = _per_level(f, grid)
+    assert [eps for eps, _ in levels] == list(grid)
+    for eps, dec in levels:
         assert np.array_equal(dec.rough.values + dec.small.values, f.values)
         assert dyadic_zygmund_seminorm(dec.small) <= eps
         dropped = martingale_difference(average_growth(f), dec.kept)
@@ -134,9 +143,9 @@ def test_rough_bmo_is_sandwiched_by_the_tree_density(kind):
         S = average_growth(f)
         grid = [eps for eps in default_eps_grid(S) if eps > 0.0]
         density = density_profile(S, grid, [f.depth]).values[0]
-        for parts, D in zip(dyadic_decompose(f, grid), density, strict=True):
+        for (eps, parts), D in zip(_per_level(f, grid), density, strict=True):
             energy = bmo_norm(parts.kept, squared=True)
-            assert (parts.eps / 2.0) ** 2 * D <= energy <= parts.rough_star**2 * D
+            assert (eps / 2.0) ** 2 * D <= energy <= parts.rough_star**2 * D
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +163,7 @@ def test_grid_pipelines_build_the_slope_martingale_once(monkeypatch):
 
     # functionals takes the martingale only, so approximation builds every one
     monkeypatch.setattr(approximation, "average_growth", counted)
-    assert [part.eps for part in dyadic_decompose(f)] == grid
+    assert [eps for eps, _ in _per_level(f)] == grid
     assert len(builds) == 1
     assert distance_report(f).eps == grid
     assert len(builds) == 2
@@ -204,22 +213,143 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
             measured, stars = truncation_maxima_loop(S, grid)
             report = distance_report(f, eps_grid=grid, depths=[depth])
             assert report.measured_distance == measured
-            assert [part.rough_star for part in dyadic_decompose(f, grid)] == stars
+            assert [part.rough_star for _, part in _per_level(f, grid)] == stars
 
 
 def test_refused_input_takes_the_truncation_loop(monkeypatch):
+    # outside the certificate only the table's counts are read: its maxima
+    # are replaced by None, which any read would fail on
     f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
     assert not _tree_exact(f)
 
-    def refuse(*args):
-        raise AssertionError("sorted table used outside its certificate")
+    def counts_only(S, thresholds):
+        return None, None, _truncation_maxima(S, thresholds)[2]
 
-    monkeypatch.setattr(approximation, "_truncation_maxima", refuse)
+    monkeypatch.setattr(approximation, "_truncation_maxima", counts_only)
     S = average_growth(f)
     grid = default_eps_grid(S)
     measured, stars = truncation_maxima_loop(S, grid)
     assert distance_report(f).measured_distance == measured
-    assert [part.rough_star for part in dyadic_decompose(f)] == stars
+    assert [part.rough_star for _, part in _per_level(f)] == stars
+
+
+# ---------------------------------------------------------------------------
+# one splitting per kept set against the level-by-level loop
+
+_FUNCTION_KINDS = [
+    "linear", "hat", "square", "weierstrass", "lacunary", "random-jumps", "single-branch",
+]
+
+
+def _off_lattice(depth):
+    return SampledFunction(integrate(random_jump_martingale(depth, seed=0)).values / 3.0)
+
+
+def _oracle_grids(S):
+    """The default grid, and one that is unsorted, repeats levels, holds 0
+    and puts thresholds on pair sizes |a| and one ulp below them."""
+    grid = default_eps_grid(S)
+    ties = _tie_levels(S)
+    below = [2.0 * np.nextafter(eps / 2.0, 0.0) for eps in ties]
+    mixed = grid[::-1] + [0.0] + ties[::-1] + below + grid[3:6] + grid[3:6] + ties[:2]
+    return [grid, mixed]
+
+
+def _grouped_rows(f, grid):
+    args = argparse.Namespace(grid=grid, eps_grid="oracle")
+    try:
+        body, _ = cmd_decompose(f, args)
+    except InputError as exc:
+        return None, str(exc)
+    return body["tables"]["decomposition"]["rows"], None
+
+
+def _assert_grouping_equals_the_loop(f):
+    S = average_growth(f)
+    for grid in _oracle_grids(S):
+        assert [eps for eps, _ in _per_level(f, grid)] == grid
+        rows, message = decompose_rows_loop(f, grid)
+        grouped, grouped_message = _grouped_rows(f, grid)
+        assert grouped_message == message
+        if message is None:
+            assert grouped == rows
+        measured, _ = truncation_maxima_loop(S, grid)
+        report = distance_report(f, eps_grid=grid, depths=[f.depth])
+        assert report.measured_distance == measured
+
+
+@pytest.mark.parametrize("kind", _FUNCTION_KINDS)
+def test_grouped_decompose_equals_the_level_loop(tmp_path, kind):
+    for depth in (1, 3, 6, 10):
+        _assert_grouping_equals_the_loop(_generated(tmp_path, kind, depth, 7))
+
+
+@pytest.mark.parametrize("depth", [6, 9])
+def test_grouped_decompose_equals_the_level_loop_off_the_lattice(depth):
+    f = _off_lattice(depth)
+    assert not _tree_exact(f)
+    _assert_grouping_equals_the_loop(f)
+
+
+def _counting_truncations(monkeypatch):
+    calls = []
+
+    def counted(S, threshold):
+        calls.append(threshold)
+        return truncate_jumps(S, threshold)
+
+    monkeypatch.setattr(approximation, "truncate_jumps", counted)
+    return calls
+
+
+def test_decompose_truncates_once_per_kept_set(tmp_path, monkeypatch):
+    # random-jumps has one jump size: the default grid's 23 levels keep
+    # either every pair or none
+    path = tmp_path / "f.json"
+    argv = ["--kind", "random-jumps", "--depth", "10", "--seed", "7", "--out", str(path)]
+    assert main(["generate", *argv]) == 0
+    calls = _counting_truncations(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["decompose", "--in", str(path), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["tables"]["decomposition"]["rows"]) == 23
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["square", "off-lattice"])
+def test_refused_distance_truncates_once_per_distinct_count(tmp_path, monkeypatch, kind):
+    f = _off_lattice(9) if kind == "off-lattice" else _generated(tmp_path, "square", 18, 7)
+    assert not _tree_exact(f)
+    S = average_growth(f)
+    grid = default_eps_grid(S)
+    # the count of pairs each threshold drops, from the jumps themselves
+    pairs = [np.abs(S.jumps(n)[0::2]) for n in range(1, S.depth + 1)]
+    counts = {sum(int((a <= eps / 2.0).sum()) for a in pairs) for eps in grid}
+    assert 1 < len(counts) < len(grid)
+    calls = _counting_truncations(monkeypatch)
+    distance_report(f, depths=[S.depth])
+    assert len(calls) == len(counts)
+
+
+def test_decompose_memory_holds_two_splittings(tmp_path):
+    # a caller that drops each splitting holds at most the previous one
+    # while the next is made: the slope martingale, two splittings' arrays
+    # (kept 2^(N+1), rough and small 2^N + 1 floats each) and the pair table
+    # (2^N floats) bound the peak above the input
+    N = 14
+    f = _generated(tmp_path, "lacunary", N, 7)
+    grid = default_eps_grid(average_growth(f))
+    args = argparse.Namespace(grid=grid, eps_grid="auto")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cmd_decompose(f, args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    floats = 2 << N  # the slope martingale
+    floats += 2 * ((2 << N) + 2 * ((1 << N) + 1))  # two splittings
+    floats += 1 << N  # the pair table
+    assert peak <= 8 * floats
 
 
 def test_tree_certificate_at_depth_18():
@@ -243,7 +373,7 @@ def test_sorted_maxima_exact_at_the_certificate_edge():
     assert shift > 10
     S = average_growth(scaled(shift))
     grid = default_eps_grid(S) + _tie_levels(S)
-    dropped, kept = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, kept, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
     assert ([2.0 * d for d in dropped], kept) == truncation_maxima_loop(S, grid)
 
 
@@ -254,7 +384,7 @@ def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
     f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
     S = average_growth(f)
     grid = default_eps_grid(S)
-    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] != truncation_maxima_loop(S, grid)[0]
     assert not _tree_exact(f)
 

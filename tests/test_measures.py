@@ -24,7 +24,13 @@ from reference import (
 )
 from zygdist.cli import main
 from zygdist.generators import cascade_measure
-from zygdist.martingale import SampledFunction, average_growth, bmo_norm, star_norm
+from zygdist.martingale import (
+    DyadicMartingale,
+    SampledFunction,
+    average_growth,
+    bmo_norm,
+    star_norm,
+)
 from zygdist import measures
 from zygdist.measures import (
     GridMeasure,
@@ -497,9 +503,9 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
     tables = []
     original = measures._parent_deviation
 
-    def counted(S, generation):
-        tables.append(generation)
-        return original(S, generation)
+    def counted(dj, dim):
+        tables.append(dj.size)
+        return original(dj, dim)
 
     monkeypatch.setattr(measures, "_parent_deviation", counted)
     out = tmp_path / "report.json"
@@ -521,6 +527,26 @@ def test_truncate_identity_and_extremes():
     norm = measure_zygmund_norm(mu, mode="dyadic")
     nothing = measure_truncate(S, norm)
     assert np.allclose(nothing.masses, mu.total / mu.masses.size, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 14), (2, 6)])
+def test_truncate_forms_each_jump_field_once(monkeypatch, dim, depth):
+    # one jump field per generation feeds both the keep mask and the kept
+    # jumps: `depth` calls, not 2 * depth
+    S = density_martingale(_cascade(dim, depth, seed=7))
+    eps = 0.5 * star_norm(S)
+    expected = measure_truncate(S, eps).masses
+    jumps = DyadicMartingale.jumps
+    calls = []
+
+    def counted(self, n):
+        calls.append(n)
+        return jumps(self, n)
+
+    monkeypatch.setattr(DyadicMartingale, "jumps", counted)
+    nu = measure_truncate(S, eps)
+    assert sorted(calls) == list(range(1, depth + 1))
+    assert np.array_equal(nu.masses, expected)
 
 
 def test_truncate_residual_deviations_exact():

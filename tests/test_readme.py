@@ -38,4 +38,4 @@ def test_readme_python_blocks_run_in_one_namespace():
                 checked.append(value)
             else:
                 exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
-    assert checked == [0.125, 0.125, 0.125, 256, (23, 256)]
+    assert checked == [0.125, 0.125, [20, 3], [0.125], 0.125, 256, (23, 256)]
