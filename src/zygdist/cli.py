@@ -264,10 +264,11 @@ def _profile_rows(profile) -> list:
 
 def cmd_seminorm(f: SampledFunction, args) -> tuple[dict, int]:
     growth = average_growth(f)
+    growth_star = star_norm(growth)
     rows = [
-        ["dyadic_zygmund", 2.0 * star_norm(growth)],
+        ["dyadic_zygmund", 2.0 * growth_star],
         ["grid_zygmund", zygmund_seminorm(f)],
-        ["growth_star", star_norm(growth)],
+        ["growth_star", growth_star],
         ["growth_bmo", bmo_norm(growth)],
     ]
     body = {

@@ -46,20 +46,85 @@ __all__ = [
 def zygmund_seminorm(f: SampledFunction) -> float:
     """Largest ``|second difference|`` over all interior grid pairs ``(x, h)``.
 
-    The sweep runs over every grid point ``x`` and step ``h = u * spacing``
-    with both ``x - h`` and ``x + h`` inside the sampled span: O(M^2) pairs
-    for ``M`` cells.  It sweeps the array of ``_sweep_values``, int32
-    numerators on a small binary lattice, and scales each step's maximum
-    back; the bits are those of the float64 sweep.
+    The value is that of the sweep over every grid point ``x`` and step
+    ``h = u * spacing`` with both ``x - h`` and ``x + h`` inside the sampled
+    span: O(M^2) pairs for ``M`` cells.  It sweeps the array ``v`` of
+    ``_sweep_values``, int32 numerators on a small binary lattice, and scales
+    each step's maximum back; the bits are those of the float64 sweep.
+
+    **Skipped steps.**  With ``d`` the first differences of ``v`` (the step-1
+    ``d1``) and ``W = max d - min d``, the exact second difference at centre
+    ``c`` moves by ``d(c+u) - d(c-u-1)``, in ``[-W, W]``, from step ``u`` to
+    ``u + 1``.  So if ``m_u`` is the largest computed ``|d2|`` at step ``u``,
+    every computed ``|d2|`` at step ``u + k`` is at most
+    ``T = m_u + k (W + E) + 2E``, with ``W`` as computed and ``E`` a bound on
+    how far a computed ``d2`` or ``W`` is from exact.  After sweeping step
+    ``u``, each later step ``u'`` is skipped while ``H * scale / (u' *
+    spacing)`` is at most the best value so far, with ``H >= T`` a float.
+    That is the sweep's own expression on a larger number, and rounding is
+    monotone, so a skipped step could not have raised the maximum: the result
+    is bit for bit that of the exhaustive sweep.  On int32 numerators ``T``
+    is an exact Python int and ``H`` is ``T`` rounded to a float.  On the
+    float64 path ``T`` is summed in floats, four roundings of non-negative
+    terms that leave it at least ``T (1 - 2^-53)^4``, and ``H`` is that sum
+    times ``1 + 2^-50``, rounded (below ``2^-1022`` the sums are exact).
+
+    **The slack E.**  On int32 numerators every difference is exact:
+    ``E = 0``.  On the float64 path, let ``V = max |v| <= 2^1021`` and
+    ``eps = 2^-53``.  No difference overflows (``|d2| <= 4V (1 + eps)^2``),
+    and each subtraction is exact up to a factor ``1 + delta``,
+    ``|delta| <= eps``, subnormal results included.  A ``d2`` is
+    ``(a(1 + a') - b(1 + b'))(1 + c')`` for exact ``a - b``, so it is within
+    ``eps (|a| + |b|) (2 + eps) + eps |a - b| <= 2^-50 V (1 + eps/2)``; each
+    computed ``d`` is within ``2 eps V`` and ``fl(max d - min d)`` within
+    ``4 eps V (1 + eps)`` of its exact value, so ``W`` is low by at most
+    ``2^-50 V (1 + eps/2)`` too.  ``E = 2^-49 V`` is twice that; where it
+    underflows, the errors are multiples of ``2^-1074`` below it and rounding
+    cannot drop it under them.  Larger or non-finite ``V`` gives ``E = inf``
+    and sweeps every step.
+
+    Profiles whose second differences grow with the step (``square``,
+    ``single-branch``) still sweep every step; the worst case stays O(M^2).
     """
     v, scale = _sweep_values(f.values)
     spacing = float(f.spacing)
+    last = (v.size - 1) // 2
     best = 0.0
-    for u in range(1, (v.size - 1) // 2 + 1):
+    u = 1
+    while u <= last:
         d1 = v[u:] - v[:-u]
-        d2 = d1[u:] - d1[:-u]
-        best = max(best, float(np.abs(d2).max()) * scale / (u * spacing))
+        if u == 1:
+            width, slack, lift = _step_growth(v, d1)
+        peak = _step_peak(d1, u)
+        best = max(best, peak * scale / (u * spacing))
+        floor = peak + 2 * slack
+        k = 1
+        while u + k <= last and (floor + k * width) * lift * scale / ((u + k) * spacing) <= best:
+            k += 1
+        u += k
     return best
+
+
+def _step_peak(d1: np.ndarray, u: int) -> int | float:
+    """Largest ``|d2|`` at step ``u`` from the step's first differences, as a
+    Python number (an int on int32 numerators)."""
+    return np.abs(d1[u:] - d1[:-u]).max().item()
+
+
+def _step_growth(v: np.ndarray, d1: np.ndarray) -> tuple:
+    """``W + E``, ``E`` and the rounding lift of ``zygmund_seminorm``'s step
+    bound, from the step-1 ``d1``.
+
+    Python numbers: on int32 numerators exact ints (``E = 0``, lift 1), else
+    floats, so a non-finite input gives ``inf`` or ``nan`` (no skip) without
+    a NumPy warning.
+    """
+    width = d1.max().item() - d1.min().item()
+    if v.dtype == np.int32:
+        return width, 0, 1
+    top = max(v.max().item(), -v.min().item())
+    slack = math.ldexp(top, -49) if top <= 2.0**1021 else math.inf
+    return width + slack, slack, 1 + 2.0**-50
 
 
 def _sweep_values(values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -18,7 +18,8 @@ from reference import (
     second_difference_dyadic,
     zygmund_seminorm_slices,
 )
-from zygdist import cli
+from zygdist import cli, functionals
+from zygdist.approximation import continuous_decompose
 from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
     DepthProfile,
@@ -226,6 +227,101 @@ def test_zygmund_seminorm_sweeps_int32_numerators_on_small_lattices(kind, flags,
     swept, scale = _sweep_values(_generated(kind, 0, *flags).values)
     assert swept.dtype == dtype
     assert (scale == 1.0) == (dtype == np.float64)
+
+
+# Inputs where the step bound skips most steps.  Only random-jumps depends on
+# the seed, so repeated files are swept once.  Each is also scaled off the
+# lattice, into subnormals, and toward overflow: the seminorm near 2^1022 with
+# the slack still finite.
+_SCALINGS = {
+    "as-is": lambda v, spacing: v,
+    "third": lambda v, spacing: v / 3,
+    "subnormal": lambda v, spacing: np.ldexp(v, -1030),
+    "near-overflow": lambda v, spacing: v / np.abs(v).max() * (2.0**1020 * spacing),
+}
+
+
+@pytest.mark.parametrize("scaling", _SCALINGS)
+@pytest.mark.parametrize("depth", [10, 11, 12, 13])
+@pytest.mark.parametrize("kind", _FUNCTION_KINDS)
+def test_zygmund_seminorm_equals_three_slice_form_where_steps_skip(kind, depth, scaling):
+    files = {}
+    for seed in range(4):
+        f = _generated(kind, seed, depth=depth)
+        files.setdefault(f.values.tobytes(), f)
+    for f in files.values():
+        values = _SCALINGS[scaling](f.values, float(f.spacing))
+        g = SampledFunction(values, left=f.left, log2_spacing=f.log2_spacing)
+        assert zygmund_seminorm(g) == zygmund_seminorm_slices(g)
+
+
+def test_zygmund_seminorm_on_continuous_small_parts_equals_three_slice_form():
+    # from depth 12 on, the finer levels' small parts leave the int32 lattice
+    f = _generated("random-jumps", 0, depth=12)
+    parts = continuous_decompose(f, default_eps_grid(average_growth(f)))
+    assert len(parts.small) == 23
+    dtypes = set()
+    for small in parts.small:
+        dtypes.add(_sweep_values(small.values)[0].dtype)
+        assert zygmund_seminorm(small) == zygmund_seminorm_slices(small)
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.float64)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(64, 2048),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["lattice", "normal", "noisy"]),
+    st.sampled_from([1.0, 1 / 3, 1e300, 1e-310, 2.0**-1030]),
+    st.integers(-12, 4),
+)
+def test_zygmund_seminorm_on_random_walks_equals_three_slice_form(size, seed, steps, factor, log2_spacing):
+    # long walks, where the bound skips, on the int32 and the float64 sweep
+    rng = np.random.default_rng(seed)
+    if steps == "lattice":
+        walk = np.cumsum(rng.integers(-64, 65, size)) / 64
+    else:
+        walk = np.cumsum(rng.standard_normal(size))
+        if steps == "noisy":
+            walk += rng.uniform(-1.0, 1.0, size)
+    f = SampledFunction(walk * factor, log2_spacing=log2_spacing)
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f)
+
+
+def test_zygmund_seminorm_slack_covers_rounded_differences():
+    # A ramp across zero: its six computed first differences agree (W = 0)
+    # and steps 1 and 2 read 0, but the exact differences do not agree, and
+    # step 3 reads 2^-22.  Without the slack E the bound would skip step 3.
+    values = [
+        -1440724231.4841251, -1035972774.4426864, -631221317.4012477, -226469860.35980907,
+        178281596.68162963, 583033053.7230684, 987784510.764507,
+    ]
+    f = SampledFunction(values, log2_spacing=0)
+    assert np.ptp(np.diff(f.values)) == 0.0
+    assert zygmund_seminorm(f) == zygmund_seminorm_slices(f) == 2.0**-22 / 3
+
+
+def _steps_swept(monkeypatch, f) -> int:
+    """How many steps ``zygmund_seminorm(f)`` sweeps."""
+    swept = []
+    step_peak = functionals._step_peak
+
+    def counting(d1, u):
+        swept.append(u)
+        return step_peak(d1, u)
+
+    monkeypatch.setattr(functionals, "_step_peak", counting)
+    zygmund_seminorm(f)
+    monkeypatch.undo()
+    return len(swept)
+
+
+def test_zygmund_seminorm_skips_on_the_grid_deep_input_and_not_on_square(monkeypatch):
+    # the benchmark's grid-deep input: random-jumps, delta 1/16, depth 15
+    f = _generated("random-jumps", 7, "--delta", "1/16", depth=15)
+    assert _steps_swept(monkeypatch, f) <= 64
+    # square's second differences grow with the step: every step is swept
+    assert _steps_swept(monkeypatch, _generated("square", 0)) == 512
 
 
 def test_dyadic_seminorm_below_full_sweep():
