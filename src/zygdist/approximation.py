@@ -125,16 +125,14 @@ def dyadic_decompose(
     splittings' arrays.  This is deliberate: deleting them after the
     ``yield`` lowered the depth-18 ``decompose`` peak by about 2 MiB but
     cost about 0.1 s, as the freed memory went back to the system and was
-    faulted in again on every level.  Where ``_tree_exact`` holds,
-    ``rough_star`` comes from the same table; otherwise from ``star_norm``.
+    faulted in again on every level.
     """
     S = average_growth(f)
     if eps_grid is None:
         eps_grid = default_eps_grid(S)
     eps_grid = [float(eps) for eps in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    _, stars, counts = _truncation_maxima(S, thresholds)
-    exact = _tree_exact(f)
+    _, counts = _truncation_maxima(S, thresholds)
     j = 0
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
@@ -143,10 +141,7 @@ def dyadic_decompose(
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )
-        rough_star = stars[j] if exact else star_norm(kept)
-        yield DyadicDecomposition(
-            rough=rough, small=small, kept=kept, eps=eps_grid[j:stop], rough_star=rough_star
-        )
+        yield DyadicDecomposition(rough, small, kept, eps_grid[j:stop], star_norm(kept))
         j = stop
 
 
@@ -160,18 +155,14 @@ class DistanceReport:
     estimate: ThresholdEstimate
 
 
-def distance_report(
-    f: SampledFunction,
-    eps_grid=None,
-    depths=None,
-    tau: float = 0.1,
-) -> DistanceReport:
+def distance_report(f: SampledFunction, eps_grid, depths, tau: float = 0.1) -> DistanceReport:
     """Distance-to-smooth report over a level grid.
 
     For each level the measured distance is the dyadic seminorm of the small
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
-    estimated.  The slope martingale is built once and shared by all three.
+    estimated.  An ``eps_grid`` of ``None`` is ``default_eps_grid``.  The
+    slope martingale is built once and shared by all three.
     Where ``_tree_exact`` holds, the measured distances are read off one
     ``_truncation_maxima`` table, O(2^N log 2^N) once plus O(log 2^N) per
     level; otherwise each distinct count of the table truncates and
@@ -180,11 +171,9 @@ def distance_report(
     S = average_growth(f)
     if eps_grid is None:
         eps_grid = default_eps_grid(S)
-    if depths is None:
-        depths = [max(1, S.depth - 4), S.depth]
     eps_grid = [float(e) for e in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    dropped, _, counts = _truncation_maxima(S, thresholds)
+    dropped, counts = _truncation_maxima(S, thresholds)
     if not _tree_exact(f):
         # thresholds with one count keep the same pairs: truncate once per count
         distance = {
@@ -201,24 +190,22 @@ def distance_report(
     )
 
 
-def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list, list]:
-    """Largest dropped and largest kept jump of truncation at each threshold,
-    and the count of pairs it drops.
+def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
+    """Largest dropped jump of truncation at each threshold, and the count
+    of pairs it drops.
 
     A sibling pair is dropped at threshold ``t`` when its left jump has
     ``|a| <= t`` (``truncate_jumps``).  Where ``_tree_exact`` holds, each
     parent slope is exactly the mean of its two children's, so the right
-    jump is exactly ``-a``; the jumps of ``S - B`` are then the dropped
-    pairs' ``±a`` and those of ``B`` the kept pairs' ``±a``.  After one sort
-    of every pair's ``|a|``, the largest dropped jump at ``t`` is the last
-    size ``<= t`` and the largest kept jump is the largest size, if it
-    exceeds ``t``; a threshold dropping (keeping) no pair reads 0.0.  These
-    are ``star_norm(S - B)`` and ``star_norm(B)`` for ``B = truncate_jumps(S,
-    t)``, bit for bit where ``_tree_exact`` holds, and not otherwise.  The
-    counts hold everywhere: they compare the floats ``truncate_jumps``
-    compares, so two thresholds with the same count keep the same pairs.
-    Work O(P log P) for the ``P = 2^N - 1`` pairs, plus O(log P) per
-    threshold.
+    jump is exactly ``-a``, and the jumps of ``S - B`` are the dropped
+    pairs' ``±a``.  After one sort of every pair's ``|a|``, the largest
+    dropped jump at ``t`` is the last size ``<= t``; a threshold dropping no
+    pair reads 0.0.  This is ``star_norm(S - B)`` for ``B =
+    truncate_jumps(S, t)``, bit for bit where ``_tree_exact`` holds, and not
+    otherwise.  The counts hold everywhere: they compare the floats
+    ``truncate_jumps`` compares, so two thresholds with the same count keep
+    the same pairs.  Work O(P log P) for the ``P = 2^N - 1`` pairs, plus
+    O(log P) per threshold.
     """
     sizes = np.empty((1 << S.depth) - 1)
     for n in range(1, S.depth + 1):
@@ -226,8 +213,7 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list, lis
     sizes.sort()
     dropped = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
     count = np.searchsorted(sizes, thresholds, side="right")
-    kept = np.where(count < sizes.size, dropped[-1], 0.0)
-    return dropped[count].tolist(), kept.tolist(), count.tolist()
+    return dropped[count].tolist(), count.tolist()
 
 
 @dataclass
@@ -245,17 +231,15 @@ class ContinuousDecomposition:
     window_small_seminorms: np.ndarray
 
 
-def continuous_decompose(
-    f: SampledFunction, eps_grid, count: int | None = None
-) -> ContinuousDecomposition:
+def continuous_decompose(f: SampledFunction, eps_grid) -> ContinuousDecomposition:
     """Split ``f`` at every level of ``eps_grid`` by averaging dyadic truncations.
 
-    ``count`` translates of ``f`` are placed on the enlarged window
-    ``[-1, 3)``; at each level ``eps`` their slope martingales are truncated
-    at ``eps / 2`` and integrated back, and the rough parts are read off at
-    the translated points and averaged.  The small part is ``f - rough``
-    exactly; every windowed small part has dyadic Zygmund seminorm at most
-    ``eps``, recorded per level and translate.
+    All ``count = 2^N`` translates of ``f`` are placed on the enlarged
+    window ``[-1, 3)``; at each level ``eps`` their slope martingales are
+    truncated at ``eps / 2`` and integrated back, and the rough parts are
+    read off at the translated points and averaged.  The small part is ``f -
+    rough`` exactly; every windowed small part has dyadic Zygmund seminorm at
+    most ``eps``, recorded per level and translate.
 
     ``_class_kernel`` handles the translates a residue class at a time, with
     the bits of truncating and integrating each one on its own and summing
@@ -268,23 +252,15 @@ def continuous_decompose(
         raise ValueError("decomposition expects a function on the unit interval")
     if not f.compact:
         raise ValueError("decomposition expects a compactly supported function")
-    N = f.depth
-    if count is None:
-        count = 1 << N
-    if count < 1 or ((1 << N) % count):
-        raise ValueError("count must divide the number of grid cells")
-    stride = (1 << N) // count
-    if stride & (stride - 1):
-        raise ValueError("count must be a power of two")
-
+    count = 1 << f.depth
     jumps = _window_jumps(f.values)
     bits = _lattice_exact(f.values, jumps, count)
     if bits is not None:
         why = f"need {bits} bits, float64 has 53" if bits > 53 else "leave float64's exponent range"
         raise ValueError(f"input outside the class kernel's exactness certificate: its sums {why}")
     eps_grid = [float(e) for e in eps_grid]
-    offsets = stride * (2 * np.arange(count) + 1)
-    acc, seminorms = _class_kernel(1 << N, jumps, offsets, eps_grid)
+    offsets = 2 * np.arange(count) + 1
+    acc, seminorms = _class_kernel(count, jumps, offsets, eps_grid)
     acc /= count
     rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
     small = [

@@ -383,26 +383,25 @@ def cmd_decompose(f: SampledFunction, args) -> tuple[dict, int]:
 
 
 def cmd_sobolev(f: SampledFunction, args) -> tuple[dict, int]:
-    _require(f.compact, "decomposition expects a compactly supported function")
     grid = args.grid or default_eps_grid(average_growth(f))
-    grid = [eps for eps in grid if eps > 0.0]
+    # even with no positive level, the decomposition's span, support and
+    # certificate rules decide whether the input is accepted
+    try:
+        parts = continuous_decompose(f, [eps for eps in grid if eps > 0.0])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     rows = []
-    if grid:
-        try:
-            parts = continuous_decompose(f, grid)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        for eps, rough, small, seminorms in zip(
-            parts.eps, parts.rough, parts.small, parts.window_small_seminorms
-        ):
-            window_max = max(seminorms, default=0.0)
-            _require(
-                window_max <= eps,
-                f"window seminorm {window_max} exceeds requested level {eps}",
-            )
-            identity = bool(np.array_equal(rough.values + small.values, f.values))
-            _require(identity, "decomposition failed to reproduce the input exactly")
-            rows.append([eps, window_max, zygmund_seminorm(small)])
+    for eps, rough, small, seminorms in zip(
+        parts.eps, parts.rough, parts.small, parts.window_small_seminorms
+    ):
+        window_max = max(seminorms, default=0.0)
+        _require(
+            window_max <= eps,
+            f"window seminorm {window_max} exceeds requested level {eps}",
+        )
+        identity = bool(np.array_equal(rough.values + small.values, f.values))
+        _require(identity, "decomposition failed to reproduce the input exactly")
+        rows.append([eps, window_max, zygmund_seminorm(small)])
     body = {
         "tables": {
             "window_decomposition": _table(
@@ -479,11 +478,11 @@ def cmd_verify(_, args) -> tuple[dict, int]:
                 passed &= all(report.level_ok) and report.total_ok
             body["predecessor"] = _jsonable(rows)
         if "bdg" in suites:
-            report = verify_bdg(count=100, depth=10, seed=args.seed)
+            report = verify_bdg(seed=args.seed)
             body["bdg"] = _jsonable(report)
             passed &= report["in_range"]
         if "consistency" in suites:
-            report = verify_strichartz_consistency(depth=12, seed=args.seed, tau=args.tau)
+            report = verify_strichartz_consistency(seed=args.seed, tau=args.tau)
             body["consistency"] = _jsonable(report)
             passed &= report["mismatches"] == 0
     except ValueError as exc:

@@ -167,7 +167,7 @@ def _second_difference(f: SampledFunction, x: np.ndarray, u):
     return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
 
 
-def box_square_energy(f: SampledFunction, depth: int | None = None) -> float:
+def box_square_energy(f: SampledFunction, depth: int) -> float:
     """Normalised square energy of second differences over a box lattice.
 
     Sums ``weight * d2(x, h)^2`` over the midpoint lattice of
@@ -177,8 +177,6 @@ def box_square_energy(f: SampledFunction, depth: int | None = None) -> float:
     the grid saturate).
     """
     cells = 1 << f.depth
-    if depth is None:
-        depth = max(cells.bit_length() - 2, 1)
     spacing = float(f.spacing)
     total = 0.0
     for n in range(depth):
@@ -192,11 +190,10 @@ def box_square_energy(f: SampledFunction, depth: int | None = None) -> float:
     return total / (cells * spacing)
 
 
-def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int | None = None) -> float:
+def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int) -> float:
     """Largest windowed measure of cells with large dyadic second difference:
     the one-entry ``density_profile`` of the slope martingale ``S`` at
-    ``eps`` and ``depth`` (default ``S.depth``)."""
-    depth = S.depth if depth is None else depth
+    ``eps`` and ``depth``."""
     return density_profile(S, [eps], [depth]).values[0][0]
 
 

@@ -42,10 +42,9 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
 
 
-def linear_function(depth: int, slope=1) -> SampledFunction:
-    """``f(x) = slope * x`` on [0, 1]: all second differences vanish."""
-    x = np.arange(2**depth + 1, dtype=np.float64) * 2.0 ** (-depth)
-    return SampledFunction(float(Fraction(slope)) * x)
+def linear_function(depth: int) -> SampledFunction:
+    """``f(x) = x`` on [0, 1]: all second differences vanish."""
+    return SampledFunction(np.arange(2**depth + 1, dtype=np.float64) * 2.0 ** (-depth))
 
 
 def hat_function(depth: int) -> SampledFunction:
@@ -75,9 +74,10 @@ def weierstrass_function(depth: int, levels: int | None = None) -> SampledFuncti
 
 
 def lacunary_function(
-    depth: int, coefficient=Fraction(1, 2), ratio=Fraction(1, 2), levels: int | None = None
+    depth: int, coefficient=Fraction(1, 2), ratio=Fraction(1, 2)
 ) -> SampledFunction:
-    """Triangle-wave series ``sum c r^n tri(2^n x)`` with dyadic ``c`` and ``r``.
+    """Triangle-wave series ``sum c r^n tri(2^n x)``, ``n < depth``, with
+    dyadic ``c`` and ``r``.
 
     ``tri`` is the distance to the nearest integer.  Each scale adds slope
     breaks of one size, so with ``r = 1/2`` every generation carries jumps of
@@ -88,13 +88,10 @@ def lacunary_function(
     for fr in (coefficient, ratio):
         if fr.denominator & (fr.denominator - 1):
             raise ValueError("coefficient and ratio must be dyadic rationals")
-    if levels is None:
-        levels = depth
-    levels = min(levels, depth)
     size = 2**depth
     i = np.arange(size + 1, dtype=np.int64)
     values = np.zeros(size + 1, dtype=np.float64)
-    for n in range(levels):
+    for n in range(depth):
         pos = (i << n) & (size - 1)  # 2^n x mod 1, in grid units
         tri = np.minimum(pos, size - pos).astype(np.float64) * 2.0 ** (-depth)
         values += float(coefficient * ratio**n) * tri

@@ -185,14 +185,14 @@ class DyadicMartingale:
         self.root = root
 
     @classmethod
-    def from_leaf(cls, leaf, root: RealInterval | None = None, dim: int = 1):
+    def from_leaf(cls, leaf, dim: int = 1):
         """Build the full martingale whose deepest level is ``leaf``."""
         leaf = np.asarray(leaf, dtype=np.float64)
         levels = [leaf]
         scale = float(2**dim)
         while levels[0].size > 1:
             levels.insert(0, _block_reduce(levels[0], dim) / scale)
-        return cls(levels, root=root, dim=dim)
+        return cls(levels, dim=dim)
 
     @property
     def depth(self) -> int:
@@ -270,7 +270,7 @@ def dyadic_zygmund_seminorm(f: SampledFunction) -> float:
     return 2.0 * star_norm(average_growth(f))
 
 
-def bmo_norm(S: DyadicMartingale, squared: bool = False) -> float:
+def bmo_norm(S: DyadicMartingale) -> float:
     """Windowed L2 jump density, maximised over all dyadic windows.
 
     For each cell ``I`` of any generation the energy of the jumps strictly
@@ -285,7 +285,7 @@ def bmo_norm(S: DyadicMartingale, squared: bool = False) -> float:
         dj = S.jumps(n)
         U = _block_reduce(U + dj * dj * 2.0 ** (-dim * n), dim)
         best = max(best, float(U.max()) * 2.0 ** (dim * (n - 1)))
-    return best if squared else math.sqrt(best)
+    return math.sqrt(best)
 
 
 def quadratic_characteristic(S: DyadicMartingale) -> np.ndarray:

@@ -83,6 +83,10 @@ def stability_factor(shallow: RatioReport, deep: RatioReport) -> float:
     return _growth_ratio(shallow.max_ratio, deep.max_ratio)
 
 
+# configurations each modulus check samples
+_SAMPLES = 10000
+
+
 def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.ndarray:
     """Integers in ``[lo, hi]`` with roughly log-uniform mass."""
     if hi < lo:
@@ -91,11 +95,11 @@ def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.nd
     return np.minimum(np.floor(np.exp(a)).astype(np.int64), hi)
 
 
-def _report(name, ratios, ok, config, samples, seed) -> RatioReport:
+def _report(name, ratios, ok, config, seed) -> RatioReport:
     ratios = np.where(ok, ratios, -np.inf)
     j = int(np.argmax(ratios))
     if not np.isfinite(ratios[j]):
-        return RatioReport(name, 0.0, {}, samples, seed)
+        return RatioReport(name, 0.0, {}, _SAMPLES, seed)
     return RatioReport(
         name,
         float(ratios[j]),
@@ -105,9 +109,7 @@ def _report(name, ratios, ok, config, samples, seed) -> RatioReport:
     )
 
 
-def check_second_difference_modulus(
-    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
-) -> RatioReport:
+def check_second_difference_modulus(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Joint modulus: moving both the centre and the step of a second
     difference changes it by at most the seminorm times
 
@@ -118,91 +120,85 @@ def check_second_difference_modulus(
     """
     rng = _rng(seed, 11)
     M = f.values.size - 1
-    u = _log_uniform(rng, 1, M // 4, samples)
-    g = _log_uniform(rng, 1, M // 4, samples)
+    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
+    g = _log_uniform(rng, 1, M // 4, _SAMPLES)
     up = u + g
-    s = _log_uniform(rng, 1, M // 2, samples)
+    s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     s = np.where(2 * s < up, s, 0)  # keep |x - t| < h'/2, else collapse to x = t
-    sign = rng.integers(0, 2, samples) * 2 - 1
-    ix = rng.integers(0, M + 1, samples)
+    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
+    ix = rng.integers(0, M + 1, _SAMPLES)
     it = ix + sign * s
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, it, up)
     ok = oka & okb & (up * 2 <= M)
     if norm == 0.0:
-        return RatioReport("second-difference-modulus", 0.0, {}, samples, seed)
+        return RatioReport("second-difference-modulus", 0.0, {}, _SAMPLES, seed)
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = (g / up) * (1.0 + np.log(up / g))
         term2 = np.where(s > 0, (s / up) * np.log(up / np.maximum(s, 1) + 1.0), 0.0)
         ratios = np.abs(d2a - d2b) / (norm * (term1 + term2))
     sp = float(f.spacing)
     config = {"x": ix * sp, "t": it * sp, "h": u * sp, "hp": up * sp}
-    return _report("second-difference-modulus", ratios, ok, config, samples, seed)
+    return _report("second-difference-modulus", ratios, ok, config, seed)
 
 
-def check_equal_step(
-    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
-) -> RatioReport:
+def check_equal_step(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Centre-translation modulus at a fixed step:
     ``|d2(x, h) - d2(t, h)| <= norm (|x-t|/h) log(h/|x-t| + 1)`` for
     ``0 < |x - t| < h/2``.
     """
     rng = _rng(seed, 12)
     M = f.values.size - 1
-    u = _log_uniform(rng, 3, M // 2, samples)
-    s = _log_uniform(rng, 1, M // 2, samples)
+    u = _log_uniform(rng, 3, M // 2, _SAMPLES)
+    s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ok_geom = 2 * s < u
-    sign = rng.integers(0, 2, samples) * 2 - 1
-    ix = rng.integers(0, M + 1, samples)
+    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
+    ix = rng.integers(0, M + 1, _SAMPLES)
     it = ix + sign * s
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, it, u)
     ok = oka & okb & ok_geom
     if norm == 0.0:
-        return RatioReport("equal-step-modulus", 0.0, {}, samples, seed)
+        return RatioReport("equal-step-modulus", 0.0, {}, _SAMPLES, seed)
     ratios = np.abs(d2a - d2b) / (norm * (s / u) * np.log(u / s + 1.0))
     sp = float(f.spacing)
     config = {"x": ix * sp, "t": it * sp, "h": u * sp}
-    return _report("equal-step-modulus", ratios, ok, config, samples, seed)
+    return _report("equal-step-modulus", ratios, ok, config, seed)
 
 
-def check_equal_centre(
-    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
-) -> RatioReport:
+def check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Step-change modulus at a fixed centre:
     ``|d2(x, h) - d2(x, h')| <= norm ((h'-h)/h') (1 + log(h'/(h'-h)))`` for
     ``0 < h < h'``.
     """
     rng = _rng(seed, 13)
     M = f.values.size - 1
-    u = _log_uniform(rng, 1, M // 4, samples)
-    g = _log_uniform(rng, 1, M // 4, samples)
+    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
+    g = _log_uniform(rng, 1, M // 4, _SAMPLES)
     up = u + g
-    ix = rng.integers(0, M + 1, samples)
+    ix = rng.integers(0, M + 1, _SAMPLES)
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, ix, up)
     ok = oka & okb & (up * 2 <= M)
     if norm == 0.0:
-        return RatioReport("equal-centre-modulus", 0.0, {}, samples, seed)
+        return RatioReport("equal-centre-modulus", 0.0, {}, _SAMPLES, seed)
     ratios = np.abs(d2a - d2b) / (norm * (g / up) * (1.0 + np.log(up / g)))
     sp = float(f.spacing)
     config = {"x": ix * sp, "h": u * sp, "hp": up * sp}
-    return _report("equal-centre-modulus", ratios, ok, config, samples, seed)
+    return _report("equal-centre-modulus", ratios, ok, config, seed)
 
 
-def check_first_difference(
-    f: SampledFunction, norm: float, samples: int = 10000, seed: int = 0
-) -> RatioReport:
+def check_first_difference(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Distant-translation bound for slopes:
     ``|d1(x, h) - d1(t, h)| <= norm log(|x-t|/h + 1)`` for ``|x - t| > h/2``.
     """
     rng = _rng(seed, 14)
     M = f.values.size - 1
-    u = _log_uniform(rng, 1, M // 4, samples)
-    s = _log_uniform(rng, 1, M // 2, samples)
+    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
+    s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ok_geom = 2 * s > u
-    sign = rng.integers(0, 2, samples) * 2 - 1
-    ix = rng.integers(0, M + 1, samples)
+    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
+    ix = rng.integers(0, M + 1, _SAMPLES)
     it = ix + sign * s
     v = f.values
     sp = float(f.spacing)
@@ -214,10 +210,10 @@ def check_first_difference(
     d1b = (b1 - b0) / (u * sp)
     ok = ok0 & ok1 & ok2 & ok3 & ok_geom
     if norm == 0.0:
-        return RatioReport("first-difference-modulus", 0.0, {}, samples, seed)
+        return RatioReport("first-difference-modulus", 0.0, {}, _SAMPLES, seed)
     ratios = np.abs(d1a - d1b) / (norm * np.log(s / u + 1.0))
     config = {"x": ix * sp, "t": it * sp, "h": u * sp}
-    return _report("first-difference-modulus", ratios, ok, config, samples, seed)
+    return _report("first-difference-modulus", ratios, ok, config, seed)
 
 
 def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
@@ -232,9 +228,7 @@ def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
     return total / vol
 
 
-def check_measure_modulus(
-    mu: GridMeasure, samples: int = 10000, seed: int = 0
-) -> RatioReport:
+def check_measure_modulus(mu: GridMeasure, seed: int) -> RatioReport:
     """Joint modulus for box-average second differences of a measure:
 
     ``|d2(x, h) - d2(t, h')| <= norm [ ((h'-h)/h)(1 + log(h/(h'-h) + 1))
@@ -244,38 +238,42 @@ def check_measure_modulus(
     rng = _rng(seed, 15)
     side = 1 << mu.depth
     norm = measure_zygmund_norm(mu, mode="dyadic")
-    w = _log_uniform(rng, 1, side // 4, samples)  # h = 2w cells
-    gp = _log_uniform(rng, 1, side // 2, samples)
+    w = _log_uniform(rng, 1, side // 4, _SAMPLES)  # h = 2w cells
+    gp = _log_uniform(rng, 1, side // 2, _SAMPLES)
     gp = np.minimum(gp, w)  # h' = 2(w + gp) <= 2h
-    s = _log_uniform(rng, 1, side // 2, samples)
+    s = _log_uniform(rng, 1, side // 2, _SAMPLES)
     s = np.where(s < w, s, 0)  # |x - t| < h/2, else collapse
-    centers = rng.integers(0, side + 1, size=(samples, mu.dim))
-    axis = rng.integers(0, mu.dim, samples)
-    sign = rng.integers(0, 2, samples) * 2 - 1
+    centers = rng.integers(0, side + 1, size=(_SAMPLES, mu.dim))
+    axis = rng.integers(0, mu.dim, _SAMPLES)
+    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
     translated = centers.copy()
-    translated[np.arange(samples), axis] += sign * s
+    translated[np.arange(_SAMPLES), axis] += sign * s
     d2a = _delta1_samples(mu, centers, w) - _delta1_samples(mu, centers, 2 * w)
     wp = w + gp
     d2b = _delta1_samples(mu, translated, wp) - _delta1_samples(mu, translated, 2 * wp)
     if norm == 0.0:
-        return RatioReport("measure-modulus", 0.0, {}, samples, seed)
+        return RatioReport("measure-modulus", 0.0, {}, _SAMPLES, seed)
     h = 2.0 * w
     dh = 2.0 * gp
     term1 = (dh / h) * (1.0 + np.log(h / dh + 1.0))
     term2 = np.where(s > 0, (s / h) * np.log(h / np.maximum(s, 1) + 1.0), 0.0)
     ratios = np.abs(d2a - d2b) / (norm * (term1 + term2))
-    ok = np.ones(samples, dtype=bool)
+    ok = np.ones(_SAMPLES, dtype=bool)
     config = {
         "x": centers[:, 0] / side,
         "h": h / side,
         "hp": 2.0 * wp / side,
         "shift": s / side,
     }
-    return _report("measure-modulus", ratios, ok, config, samples, seed)
+    return _report("measure-modulus", ratios, ok, config, seed)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive martingale-distance bound
+
+
+# the deepest generation of the cells the distance bound compares
+_MAX_GENERATION = 6
 
 
 def _unit_tree_cells(max_generation: int):
@@ -298,22 +296,22 @@ def _unit_tree_distance(max_generation: int) -> np.ndarray:
     return n + m - 2 * (p - split)
 
 
-def verify_dyadic_distance_bound(
-    count: int = 20, depth: int = 8, max_generation: int = 6, seed: int = 0
-) -> RatioReport:
+def verify_dyadic_distance_bound(seed: int = 0) -> RatioReport:
     """Exhaustive check that martingale values differ by at most the sup
     jump size times the tree distance between their cells, normalised so the
     seminorm (twice the sup jump) makes the bound hold with ratio <= 1.
+    Every pair of cells to generation 6 is compared on 20 depth-8
+    martingales, seeded ``seed`` onwards.
     """
-    cells = _unit_tree_cells(max_generation)
-    dist = _unit_tree_distance(max_generation)
+    cells = _unit_tree_cells(_MAX_GENERATION)
+    dist = _unit_tree_distance(_MAX_GENERATION)
     off_diag = dist > 0
     best = -1.0
     argmax: dict = {}
     pairs = 0
-    for i in range(count):
-        S = random_martingale(depth, seed=seed + i)
-        vals = np.concatenate([S.levels[n] for n in range(max_generation + 1)])
+    for i in range(20):
+        S = random_martingale(8, seed=seed + i)
+        vals = np.concatenate([S.levels[n] for n in range(_MAX_GENERATION + 1)])
         norm = 2.0 * star_norm(S)
         if norm == 0.0:
             continue
@@ -353,51 +351,52 @@ class PredecessorReport:
     total_ok: bool = False
 
 
-def verify_predecessor_measure(
-    R: int,
-    samples: int = 100000,
-    k_max: int = 10,
-    seed: int = 0,
-    generation: int = 20,
-) -> PredecessorReport:
+# the predecessor check: shifts drawn, the deepest level offset k counted,
+# and the generation of the fixed cell
+_PREDECESSOR_SAMPLES = 100000
+_K_MAX = 10
+_GENERATION = 20
+
+
+def verify_predecessor_measure(R: int, seed: int = 0) -> PredecessorReport:
     """Distribution of the common-ancestor generation under grid shifts.
 
-    A fixed cell ``[0, 2^-N)`` and its left neighbour are viewed in the
+    A fixed cell ``[0, 2^-20)`` and its left neighbour are viewed in the
     dyadic grid shifted by a uniform ``alpha`` in ``[-R, R)``; the smallest
     shifted cell containing both lies ``k`` generations up with shift-set
     measure about ``2^(1-k) * 2R``.  Checks the per-``k`` measure against
     ``2^(M+1) 2^(2-k)`` (with ``2^(M-1) < R <= 2^M``) inflated by three
-    standard errors, and that levels ``1..k_max`` capture the whole measure
-    to within one percent.
+    standard errors, and that levels ``1..10`` capture the whole measure
+    to within one percent, over 100,000 sampled shifts.
     """
     if R < 1:
         raise ValueError("R must be a positive integer")
-    if generation <= k_max + 1:
-        raise ValueError("generation must exceed k_max + 1")
     M_exp = (R - 1).bit_length()
     lattice = 40
     rng = _rng(seed, 16 + R)
-    a_int = rng.integers(-(R << lattice), R << lattice, size=samples, dtype=np.int64)
+    a_int = rng.integers(
+        -(R << lattice), R << lattice, size=_PREDECESSOR_SAMPLES, dtype=np.int64
+    )
     alpha = (a_int.astype(np.float64) + 0.5) * 2.0**-lattice
-    lo = alpha - 2.0**-generation
-    hi = alpha + 2.0**-generation
-    k_arr = np.full(samples, k_max + 1, dtype=np.int64)
-    for k in range(k_max, 0, -1):
-        scale = 2.0 ** (generation - k)
+    lo = alpha - 2.0**-_GENERATION
+    hi = alpha + 2.0**-_GENERATION
+    k_arr = np.full(_PREDECESSOR_SAMPLES, _K_MAX + 1, dtype=np.int64)
+    for k in range(_K_MAX, 0, -1):
+        scale = 2.0 ** (_GENERATION - k)
         contained = np.floor(lo * scale) == np.floor(hi * scale)
         k_arr[contained] = k
-    report = PredecessorReport(R=R, samples=samples, seed=seed)
+    report = PredecessorReport(R=R, samples=_PREDECESSOR_SAMPLES, seed=seed)
     covered = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, _K_MAX + 1):
         count = int(np.count_nonzero(k_arr == k))
         covered += count
-        empirical = 2.0 * R * count / samples
+        empirical = 2.0 * R * count / _PREDECESSOR_SAMPLES
         bound = 2.0 ** (M_exp + 1) * 2.0 ** (2 - k)
         se = 1.0 / math.sqrt(count) if count else 0.0
         report.empirical.append(empirical)
         report.bounds.append(bound)
         report.level_ok.append(count == 0 or empirical <= bound * (1.0 + 3.0 * se))
-    report.total = 2.0 * R * covered / samples
+    report.total = 2.0 * R * covered / _PREDECESSOR_SAMPLES
     report.total_ok = abs(report.total - 2.0 * R) <= 0.01 * 2.0 * R
     return report
 
@@ -406,16 +405,17 @@ def verify_predecessor_measure(
 # square-function two-sided bound
 
 
-def verify_bdg(count: int = 100, depth: int = 10, seed: int = 0) -> dict:
-    """Ratio of the maximal function to the quadratic characteristic in L2.
+def verify_bdg(seed: int = 0) -> dict:
+    """Ratio of the maximal function to the quadratic characteristic in L2,
+    over 100 depth-10 martingales seeded ``seed`` onwards.
 
     The terminal increment gives the lower bound 1 (orthogonality of the
     jumps); the running maximum of an L2 martingale is at most twice the
     terminal value in L2, giving the upper bound 2.
     """
     ratios = []
-    for i in range(count):
-        S = random_martingale(depth, seed=seed + i)
+    for i in range(100):
+        S = random_martingale(10, seed=seed + i)
         qc = lp_norm(quadratic_characteristic(S), 2.0)
         if qc == 0.0:
             continue
@@ -469,7 +469,7 @@ _FUNCTION_CHECKS = (
 )
 
 
-def run_lemma_suite(seed: int = 0, samples: int = 10000) -> dict:
+def run_lemma_suite(seed: int = 0) -> dict:
     """Sample every modulus estimate on the standard families at two grid
     depths and collect max ratios with their depth-doubling factors."""
     functions = [
@@ -488,14 +488,14 @@ def run_lemma_suite(seed: int = 0, samples: int = 10000) -> dict:
     reports = []
     passed = True
     for check, name, shallow, deep in cases:
-        low = check(*shallow, samples=samples, seed=seed + 1)
-        high = check(*deep, samples=samples, seed=seed + 2)
+        low = check(*shallow, seed=seed + 1)
+        high = check(*deep, seed=seed + 2)
         factor = stability_factor(low, high)
         high.name = f"{low.name}[{name}]"
         high.stability_factor = factor
         reports.append(high)
         passed &= math.isfinite(high.max_ratio) and factor <= 1.5
-    distance = verify_dyadic_distance_bound(count=20, depth=8, seed=seed)
+    distance = verify_dyadic_distance_bound(seed=seed)
     reports.append(distance)
     passed &= distance.max_ratio <= 1.0
     return {"reports": reports, "passed": bool(passed), "seed": seed}
@@ -509,9 +509,7 @@ def _bounded(shallow: float, deep: float, tau: float) -> bool:
     return _growth_ratio(shallow, deep) <= 1.0 + tau
 
 
-def verify_strichartz_consistency(
-    depth: int = 12, seed: int = 0, tau: float = 0.1
-) -> dict:
+def verify_strichartz_consistency(seed: int = 0, tau: float = 0.1) -> dict:
     """Boundedness of square energy, cone counts and tree density must agree.
 
     For each suite function, three verdicts are computed with the same
@@ -519,12 +517,13 @@ def verify_strichartz_consistency(
     size of the cone count field is bounded for every grid level; the tree
     level-set density is bounded for every grid level.  The three verdicts
     characterise the same smoothness class, so they must coincide function
-    by function.
+    by function.  The suite functions have depth 12, and every profile
+    compares depths 8 and 10.
     """
-    d_shallow, d_deep = depth - 4, depth - 2
+    d_shallow, d_deep = 8, 10
     results = {}
     mismatches = 0
-    for name, f in function_suite(depth, seed=seed):
+    for name, f in function_suite(12, seed=seed):
         if name == "weierstrass":
             continue  # not grid-quantised; excluded from exact suite checks
         S = average_growth(f)

@@ -224,7 +224,27 @@ def delta2_max(mu: GridMeasure, generation: int, index) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fixture
+# fixtures
+
+
+def sloped_line(depth: int, slope) -> SampledFunction:
+    """``f(x) = slope * x`` on [0, 1]: all second differences vanish."""
+    x = np.arange(2**depth + 1, dtype=np.float64) * 2.0 ** (-depth)
+    return SampledFunction(float(Fraction(slope)) * x)
+
+
+def lacunary_partial_sum(depth: int, levels: int) -> SampledFunction:
+    """The first ``levels`` terms ``2^-(n+1) tri(2^n x)`` of
+    ``lacunary_function(depth)``, ``tri`` the distance to the nearest
+    integer: jumps of size 1/2 at generations ``1 .. levels`` only."""
+    size = 2**depth
+    i = np.arange(size + 1, dtype=np.int64)
+    values = np.zeros(size + 1, dtype=np.float64)
+    for n in range(levels):
+        pos = (i << n) & (size - 1)  # 2^n x mod 1, in grid units
+        tri = np.minimum(pos, size - pos).astype(np.float64) * 2.0 ** (-depth)
+        values += 2.0 ** -(n + 1) * tri
+    return SampledFunction(values)
 
 
 def one_split_measure(dim: int, depth: int, theta=Fraction(1, 4)) -> np.ndarray:
@@ -482,6 +502,24 @@ def unit_tree_distance(a, b) -> int:
 
 # ---------------------------------------------------------------------------
 # paper-claim helpers
+
+
+def bmo_density(S: DyadicMartingale) -> float:
+    """The windowed jump energy density whose square root is ``bmo_norm``,
+    without its bottom-up carry: each cell ``I`` of generations ``0 .. N -
+    1`` sums ``jump^2 |J|`` over its proper descendants ``J`` on its own,
+    one generation at a time, and the largest sum over ``|I|`` is returned.
+    Exact where the squared jumps sum exactly, as on the generators'
+    lattices; ``bmo_norm(S) ** 2`` rounds twice more."""
+    dim, best = S.dim, 0.0
+    for m in range(S.depth):
+        energy = np.zeros((1 << m,) * dim)
+        for n in range(m + 1, S.depth + 1):
+            dj = S.jumps(n)
+            blocks = (dj * dj * 2.0 ** (-dim * n)).reshape((1 << m, 1 << (n - m)) * dim)
+            energy += blocks.sum(axis=tuple(range(1, 2 * dim, 2)))
+        best = max(best, float(energy.max()) * 2.0 ** (dim * m))
+    return best
 
 
 def translation_average(members, R: int) -> SampledFunction:

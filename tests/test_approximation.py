@@ -43,13 +43,13 @@ from zygdist.martingale import (
     SampledFunction,
     _lattice_quantum,
     average_growth,
-    bmo_norm,
     dyadic_zygmund_seminorm,
     integrate,
     star_norm,
 )
 
 from reference import (
+    bmo_density,
     continuous_decompose_loop,
     decompose_rows_loop,
     is_martingale,
@@ -118,7 +118,7 @@ def test_truncation_consistent_with_tree_density():
         f = integrate(S)
         eps = star_norm(S)  # mid-range level
         B = truncate_jumps(S, eps / 2.0)
-        lhs = bmo_norm(B, squared=True)
+        lhs = bmo_density(B)
         rhs = star_norm(S) ** 2 * levelset_tree_density(S, eps, depth=8)
         assert lhs <= rhs
 
@@ -144,7 +144,7 @@ def test_rough_bmo_is_sandwiched_by_the_tree_density(kind):
         grid = [eps for eps in default_eps_grid(S) if eps > 0.0]
         density = density_profile(S, grid, [f.depth]).values[0]
         for (eps, parts), D in zip(_per_level(f, grid), density, strict=True):
-            energy = bmo_norm(parts.kept, squared=True)
+            energy = bmo_density(parts.kept)
             assert (eps / 2.0) ** 2 * D <= energy <= parts.rough_star**2 * D
 
 
@@ -165,14 +165,14 @@ def test_grid_pipelines_build_the_slope_martingale_once(monkeypatch):
     monkeypatch.setattr(approximation, "average_growth", counted)
     assert [eps for eps, _ in _per_level(f)] == grid
     assert len(builds) == 1
-    assert distance_report(f).eps == grid
+    assert distance_report(f, None, [f.depth]).eps == grid
     assert len(builds) == 2
 
 
 def test_distance_report_bounds_and_estimate():
     delta = 1 / 16
     f = integrate(random_jump_martingale(9, delta=delta, seed=4))
-    rep = distance_report(f, depths=[7, 9])
+    rep = distance_report(f, None, [7, 9])
     for eps, dist in zip(rep.eps, rep.measured_distance):
         assert dist <= eps
     assert rep.estimate.eps == 2 * delta
@@ -223,13 +223,13 @@ def test_refused_input_takes_the_truncation_loop(monkeypatch):
     assert not _tree_exact(f)
 
     def counts_only(S, thresholds):
-        return None, None, _truncation_maxima(S, thresholds)[2]
+        return None, _truncation_maxima(S, thresholds)[1]
 
     monkeypatch.setattr(approximation, "_truncation_maxima", counts_only)
     S = average_growth(f)
     grid = default_eps_grid(S)
     measured, stars = truncation_maxima_loop(S, grid)
-    assert distance_report(f).measured_distance == measured
+    assert distance_report(f, None, [f.depth]).measured_distance == measured
     assert [part.rough_star for _, part in _per_level(f)] == stars
 
 
@@ -326,7 +326,7 @@ def test_refused_distance_truncates_once_per_distinct_count(tmp_path, monkeypatc
     counts = {sum(int((a <= eps / 2.0).sum()) for a in pairs) for eps in grid}
     assert 1 < len(counts) < len(grid)
     calls = _counting_truncations(monkeypatch)
-    distance_report(f, depths=[S.depth])
+    distance_report(f, None, [S.depth])
     assert len(calls) == len(counts)
 
 
@@ -373,8 +373,8 @@ def test_sorted_maxima_exact_at_the_certificate_edge():
     assert shift > 10
     S = average_growth(scaled(shift))
     grid = default_eps_grid(S) + _tie_levels(S)
-    dropped, kept, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
-    assert ([2.0 * d for d in dropped], kept) == truncation_maxima_loop(S, grid)
+    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
 
 
 def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
@@ -384,7 +384,7 @@ def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
     f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
     S = average_growth(f)
     grid = default_eps_grid(S)
-    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] != truncation_maxima_loop(S, grid)[0]
     assert not _tree_exact(f)
 
@@ -458,9 +458,9 @@ def test_translation_average_seminorm_stays_bounded():
 
 def test_continuous_decompose_exact_identity():
     f = integrate(random_jump_martingale(6, seed=8))
-    dec = continuous_decompose(f, [0.05], count=16)
+    dec = continuous_decompose(f, [0.05])
     assert np.array_equal(dec.rough[0].values + dec.small[0].values, f.values)
-    assert dec.window_small_seminorms[0].shape == (16,)
+    assert dec.window_small_seminorms[0].shape == (64,)
     assert np.all(dec.window_small_seminorms[0] <= 0.05)
 
 
@@ -476,7 +476,7 @@ def test_continuous_decompose_large_eps_keeps_nothing():
     # Above twice the sup jump nothing is kept: rough part is identically
     # zero (every window truncation drops all jumps, integrates to zero).
     f = integrate(random_jump_martingale(5, delta=1 / 16, seed=2))
-    dec = continuous_decompose(f, [1.0], count=8)
+    dec = continuous_decompose(f, [1.0])
     assert np.all(dec.rough[0].values == 0.0)
     assert np.array_equal(dec.small[0].values, f.values)
 
@@ -485,16 +485,19 @@ def test_continuous_decompose_small_eps_recovers_function():
     # Below the smallest nonzero jump scale everything is kept: each window
     # rough part reproduces the translate, so the average returns f.
     f = integrate(random_jump_martingale(5, delta=1 / 4, seed=7))
-    dec = continuous_decompose(f, [1e-9], count=8)
+    dec = continuous_decompose(f, [1e-9])
     assert np.allclose(dec.rough[0].values, f.values, rtol=0, atol=1e-15)
     assert np.all(np.abs(dec.small[0].values) <= 1e-15)
 
 
 def test_continuous_decompose_rejects_bad_input():
-    with pytest.raises(ValueError):
-        continuous_decompose(hat_function(5), [0.1], count=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="compactly supported"):
         continuous_decompose(SampledFunction(np.arange(9.0)), [0.1])
+    # a compact function on [0, 2], even with no level to work
+    two = SampledFunction([0.0, 0.5, 0.0, 0.25, 0.0], log2_spacing=-1)
+    for grid in ([0.1], []):
+        with pytest.raises(ValueError, match="unit interval"):
+            continuous_decompose(two, grid)
 
 
 @settings(max_examples=15)
@@ -506,7 +509,7 @@ def test_continuous_decompose_seminorm_never_worse_than_eps(seed):
     eps = 0.5 * dyadic_zygmund_seminorm(f)
     if eps == 0.0:
         return
-    dec = continuous_decompose(f, [eps], count=8)
+    dec = continuous_decompose(f, [eps])
     assert np.all(dec.window_small_seminorms[0] <= eps)
 
 
@@ -515,35 +518,8 @@ def test_lacunary_average_smoother_than_member():
     # continuous seminorm of the small part by more than a bounded factor.
     f = lacunary_function(6)
     eps = 0.5
-    dec = continuous_decompose(f, [eps], count=64)
+    dec = continuous_decompose(f, [eps])
     assert zygmund_seminorm(dec.small[0]) <= 4.0 * eps
-
-
-@pytest.mark.parametrize(
-    "f, count",
-    [
-        (integrate(random_jump_martingale(6, seed=8)), 1),
-        (integrate(random_jump_martingale(6, seed=8)), 8),
-        (integrate(random_jump_martingale(6, seed=8)), 64),
-        (lacunary_function(6), 64),
-        (integrate(random_jump_martingale(9, seed=0)), 512),
-    ],
-)
-def test_continuous_decompose_matches_loop_oracle(f, count):
-    # descending levels, with the seminorm itself (a threshold equal to the
-    # largest jumps) and the level 0 that keeps every nonzero jump
-    norm = dyadic_zygmund_seminorm(f)
-    grid = [norm * 2.0**j for j in range(1, -8, -1)] + [0.0]
-    if count == 512:
-        grid = grid[1::3]
-    dec = continuous_decompose(f, grid, count=count)
-    assert dec.eps == grid and dec.count == count
-    assert dec.window_small_seminorms.shape == (len(grid), count)
-    for j, eps in enumerate(grid):
-        rough, small, seminorms = continuous_decompose_loop(f, eps, count)
-        assert np.array_equal(dec.rough[j].values, rough)
-        assert np.array_equal(dec.small[j].values, small)
-        assert np.array_equal(dec.window_small_seminorms[j], seminorms)
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +569,41 @@ def _lattice_cases(depth):
     ]
 
 
-@pytest.mark.parametrize("count", [None, 1, 8])
-@pytest.mark.parametrize("depth", [4, 8])
+@pytest.mark.parametrize(
+    "f",
+    [
+        integrate(random_jump_martingale(6, seed=8)),
+        lacunary_function(6),
+        integrate(random_jump_martingale(9, seed=0)),
+        *[f for depth in (4, 8) for f in _lattice_cases(depth)],
+    ],
+)
+def test_continuous_decompose_matches_loop_oracle(f):
+    # descending levels, with the seminorm itself (a threshold equal to the
+    # largest jumps) and the level 0 that keeps every nonzero jump; the
+    # full translate count of the depth
+    count = 1 << f.depth
+    grid = _oracle_grid(f)
+    if f.depth >= 8:
+        grid = grid[1::3]
+    dec = continuous_decompose(f, grid)
+    assert _certified(f.values, count)
+    assert dec.eps == grid and dec.count == count
+    assert dec.window_small_seminorms.shape == (len(grid), count)
+    for j, eps in enumerate(grid):
+        rough, small, seminorms = continuous_decompose_loop(f, eps, count)
+        assert np.array_equal(dec.rough[j].values, rough)
+        assert np.array_equal(dec.small[j].values, small)
+        assert np.array_equal(dec.window_small_seminorms[j], seminorms)
+
+
+@pytest.mark.parametrize("count", [1, 8])
+@pytest.mark.parametrize("depth", [4, 6, 8])
 def test_class_kernel_matches_loop_oracle(depth, count):
+    # fewer translates than continuous_decompose takes, through the kernel
     for f in _lattice_cases(depth):
-        grid = _oracle_grid(f)
-        if depth == 8 and count is None:
-            grid = grid[::3]
-        dec = continuous_decompose(f, grid, count=count)
-        assert _certified(f.values, dec.count)
-        for j, eps in enumerate(grid):
-            rough, small, seminorms = continuous_decompose_loop(f, eps, dec.count)
-            assert np.array_equal(dec.rough[j].values, rough)
-            assert np.array_equal(dec.small[j].values, small)
-            assert np.array_equal(dec.window_small_seminorms[j], seminorms)
+        assert _certified(f.values, count)
+        _assert_kernel_equals_loop(f, count, _oracle_grid(f))
 
 
 @pytest.mark.parametrize("count", [1024, 1, 8])
@@ -691,7 +688,7 @@ def test_off_lattice_input_reaches_no_kernel(monkeypatch):
         "its sums need 82 bits, float64 has 53"
     )
     with pytest.raises(ValueError) as exc:
-        continuous_decompose(f, [dyadic_zygmund_seminorm(f) / 8], count=512)
+        continuous_decompose(f, [dyadic_zygmund_seminorm(f) / 8])
     assert str(exc.value) == message
 
 

@@ -584,6 +584,23 @@ def test_sobolev_rejects_noncompact_input(tmp_path):
     assert main(["sobolev", "--in", path, "--eps-grid", "1.0"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "values, grid",
+    [([0, 0.5, 0, 0.25, 0], None), ([0, 0.5, 0, 0.25, 0], "0"), ([0, 0, 0, 0, 0], None)],
+    ids=["default-grid", "zero-grid", "all-zero"],
+)
+def test_sobolev_refuses_a_span_two_file_under_every_grid(tmp_path, capsys, values, grid):
+    # depth 1 with five samples spans [0, 2]: refused whether or not the
+    # grid leaves a positive level to work (the all-zero grid is [0.0])
+    path = tmp_path / "span2.json"
+    payload = {"schema": SCHEMA, "kind": "function", "depth": 1, "values": values}
+    path.write_text(json.dumps(payload))
+    argv = ["sobolev", "--in", str(path)] + (["--eps-grid", grid] if grid else [])
+    assert main(argv) == EXIT_INPUT
+    message = "decomposition expects a function on the unit interval"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _REFUSED = "error: input outside the class kernel's exactness certificate: its sums "
 
 
@@ -605,8 +622,9 @@ def test_sobolev_exits_on_inputs_off_the_binary_lattice(
     payload["values"] = [v / 3 for v in payload["values"]]
     (tmp_path / "f.json").write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["sobolev", "--in", path]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"{_REFUSED}need {bits} bits, float64 has 53\n"
+    for grid in ("auto", "0"):  # refused even with no positive level to work
+        assert main(["sobolev", "--in", path, "--eps-grid", grid]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"{_REFUSED}need {bits} bits, float64 has 53\n"
     for command in ("decompose", "distance-ibmo"):
         assert run(tmp_path, command, "--in", path)[0] == EXIT_OK
 

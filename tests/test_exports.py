@@ -56,6 +56,88 @@ def test_every_export_is_reached_by_the_library():
     assert not unused, f"exported but unused in src/zygdist: {sorted(unused)}"
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name a call or decorator refers to: ``f``, ``x.f`` or ``f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _defaulted_parameters(tree: ast.Module) -> dict[str, dict[str, int | None]]:
+    """The public functions and methods of a module (a class's ``__init__``
+    under the class name; dataclasses, whose defaults are fields, left
+    out), each with its defaulted parameters and their call positions,
+    ``None`` for keyword-only ones."""
+    found = {}
+
+    def add(name, fn, bound):
+        args = fn.args
+        positional = [a.arg for a in args.args][bound:]
+        first = len(positional) - len(args.defaults)
+        params = {p: i for i, p in enumerate(positional) if i >= first}
+        params |= {a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d}
+        if params:
+            found[name] = params
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if any(_name(d) == "dataclass" for d in node.decorator_list):
+                continue
+            for item in node.body:  # methods and classmethods: skip self or cls
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    add(node.name, item, 1)
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    add(item.name, item, 1)
+    return found
+
+
+def _passed_parameters(trees) -> set[tuple]:
+    """``(callee, keyword)`` and ``(callee, position)`` for every argument
+    that a call in ``trees`` passes; positions after a ``*`` argument are
+    unknown, and so is what a ``**`` argument passes."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = _name(node.func)
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    passed.add((callee, i))
+                passed |= {(callee, k.arg) for k in node.keywords if k.arg}
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_the_library():
+    # a default that no call in the library overrides is a knob that only
+    # tests turn: it becomes a constant, or a required parameter where every
+    # call passes it (the modulus checks take ``seed``, as the lemma suite
+    # calls them through its table)
+    package = Path(zygdist.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    passed = _passed_parameters(trees)
+    # the benchmark drives its targets from outside (``cli.main(argv)``)
+    targets = _benchmark_targets()
+    bench = [
+        ast.parse(path.read_text())
+        for path in (ROOT / "bench").glob("*.py")
+        if not path.name.startswith("test_")
+    ]
+    passed |= {call for call in _passed_parameters(bench) if call[0] in targets}
+    unpassed = sorted(
+        f"{name}.{param}"
+        for tree in trees
+        for name, params in _defaulted_parameters(tree).items()
+        for param, position in params.items()
+        if (name, param) not in passed and (name, position) not in passed
+    )
+    assert not unpassed, f"defaults that no call in src/zygdist overrides: {unpassed}"
+
+
 def _module_definitions(tree: ast.Module) -> set[str]:
     """Functions, classes and constants that a module defines at top level."""
     names = set()

@@ -16,6 +16,7 @@ from reference import (
     index_of,
     second_difference,
     second_difference_dyadic,
+    sloped_line,
     zygmund_seminorm_slices,
 )
 from zygdist import cli, functionals
@@ -56,7 +57,7 @@ from zygdist.martingale import (
 
 
 def test_first_difference_linear_slope():
-    f = linear_function(6, slope=3.0)
+    f = sloped_line(6, 3)
     assert first_difference(f, Fraction(1, 4), Fraction(1, 8)) == 3.0
     with pytest.raises(ValueError):
         first_difference(f, Fraction(1, 4), 0)
@@ -97,7 +98,7 @@ def test_exceeds_level_strict():
 
 
 def test_zygmund_seminorm_oracles():
-    assert zygmund_seminorm(linear_function(8, slope=2.5)) == 0.0
+    assert zygmund_seminorm(sloped_line(8, 2.5)) == 0.0
     assert zygmund_seminorm(hat_function(8)) == 2.0
     assert zygmund_seminorm(parabola_function(8)) == 1.0
 
@@ -352,7 +353,7 @@ def test_box_energy_matches_lattice_reference():
 
 
 def test_box_energy_zero_for_linear():
-    assert box_square_energy(linear_function(8, slope=1.0), depth=6) == 0.0
+    assert box_square_energy(linear_function(8), depth=6) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def test_density_profile_random_jumps_threshold():
 
 
 def test_cone_zero_for_linear():
-    f = linear_function(7, slope=2.0)
+    f = sloped_line(7, 2)
     assert cone_levelset_count(f, [0.0], [5]).values == [[0.0]]
 
 

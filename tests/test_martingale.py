@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from reference import (
     block_max,
     block_sum,
+    bmo_density,
     index_of,
     is_martingale,
     lattice_exact,
     lattice_exponents,
     second_difference_dyadic,
+    sloped_line,
     sweep_takes_int32,
     thresholded_jump_count,
     tree_exact,
@@ -72,7 +74,7 @@ def test_average_growth_hat_oracle():
 
 
 def test_average_growth_linear_is_constant():
-    S = average_growth(linear_function(6, slope=Fraction(3, 4)))
+    S = average_growth(sloped_line(6, Fraction(3, 4)))
     for level in S.levels:
         assert np.all(level == 0.75)
     assert star_norm(S) == 0.0
@@ -137,7 +139,7 @@ def test_star_norm_random_jumps_exact():
 def test_bmo_norm_hat():
     S = average_growth(hat_function(6))
     # only the two generation-1 jumps contribute: density (1+1)/2 at the root
-    assert bmo_norm(S, squared=True) == 1.0
+    assert bmo_density(S) == 1.0
     assert bmo_norm(S) == 1.0
 
 
@@ -146,7 +148,8 @@ def test_bmo_norm_all_jumps():
     S = random_jump_martingale(depth, delta=Fraction(1, 4), seed=0)
     # every generation contributes jump^2 at full density: depth * delta^2
     expected = depth * 0.25**2
-    assert bmo_norm(S, squared=True) == expected
+    assert bmo_density(S) == expected
+    assert bmo_norm(S) == math.sqrt(expected)
 
 
 def test_bmo_norm_windows_see_local_bursts():
@@ -166,7 +169,8 @@ def test_bmo_norm_windows_see_local_bursts():
     density_root = sum(
         float((S.jumps(n) ** 2 * 2.0 ** (-n)).sum()) for n in range(1, S.depth + 1)
     )
-    assert bmo_norm(S, squared=True) == pytest.approx(4.0 * density_root)
+    assert bmo_density(S) == pytest.approx(4.0 * density_root)
+    assert bmo_norm(S) == math.sqrt(bmo_density(S))
 
 
 def test_quadratic_characteristic_and_counts():
@@ -201,7 +205,7 @@ def test_window_parseval_identity():
 def test_window_parseval_dim2():
     rng = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
     leaf = rng.integers(-8, 9, size=(8, 8)).astype(np.float64) / 16.0
-    S = DyadicMartingale.from_leaf(leaf, dim=2, root=None)
+    S = DyadicMartingale.from_leaf(leaf, dim=2)
     for gen, idx in [(0, (0, 0)), (1, (1, 0)), (2, (2, 3))]:
         energy, osc = window_parseval(S, gen, idx)
         assert energy == pytest.approx(osc, rel=1e-12, abs=1e-300)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    bmo_density,
     box_mass,
     cell_mass,
     delta1,
@@ -28,7 +29,6 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     average_growth,
-    bmo_norm,
     star_norm,
 )
 from zygdist import measures
@@ -583,7 +583,7 @@ def test_truncated_oscillation_controlled_by_density():
         grid = [0.4 * norm, 0.8 * norm]
         (density,) = measure_tree_levelset_density(S, grid, [depth]).values
         for eps, D in zip(grid, density):
-            lhs = bmo_norm(density_martingale(measure_truncate(S, eps)), squared=True)
+            lhs = bmo_density(density_martingale(measure_truncate(S, eps)))
             rhs = norm**2 * D
             assert lhs <= rhs * (1 + 1e-12)
 

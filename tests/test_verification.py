@@ -35,6 +35,7 @@ from zygdist.martingale import (
 )
 from zygdist.measures import GridMeasure, density_martingale
 from zygdist.verification import (
+    _SAMPLES,
     RatioReport,
     _bounded,
     _delta1_samples,
@@ -62,9 +63,9 @@ ALL_CHECKS = [
 ]
 
 
-def _run(check, f, **kwargs):
+def _run(check, f, seed):
     """A function check, measured against the function's own seminorm."""
-    return check(f, zygmund_seminorm(f), **kwargs)
+    return check(f, zygmund_seminorm(f), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_unit_tree_distance_matches_interval_distance():
 
 
 def test_distance_bound_holds_with_margin():
-    report = verify_dyadic_distance_bound(count=20, depth=8, seed=0)
+    report = verify_dyadic_distance_bound(seed=0)
     assert report.max_ratio <= 1.0
     # a parent/child pair carrying the largest jump realises exactly 1/2
     assert report.max_ratio == 0.5
@@ -158,8 +159,8 @@ def test_distance_bound_holds_with_margin():
 
 
 def test_distance_bound_deterministic():
-    a = verify_dyadic_distance_bound(count=5, depth=7, seed=3)
-    b = verify_dyadic_distance_bound(count=5, depth=7, seed=3)
+    a = verify_dyadic_distance_bound(seed=3)
+    b = verify_dyadic_distance_bound(seed=3)
     assert a.max_ratio == b.max_ratio and a.argmax == b.argmax
 
 
@@ -175,7 +176,7 @@ def test_modulus_ratios_finite(check):
         lacunary_function(8),
         integrate(random_jump_martingale(8, seed=1)),
     ]:
-        report = _run(check, f, samples=4000, seed=0)
+        report = _run(check, f, seed=0)
         assert math.isfinite(report.max_ratio)
         assert report.max_ratio >= 0.0
         assert report.samples > 0
@@ -184,8 +185,8 @@ def test_modulus_ratios_finite(check):
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_deterministic(check):
     f = lacunary_function(8)
-    a = _run(check, f, samples=2000, seed=7)
-    b = _run(check, f, samples=2000, seed=7)
+    a = _run(check, f, seed=7)
+    b = _run(check, f, seed=7)
     assert a.max_ratio == b.max_ratio and a.argmax == b.argmax
 
 
@@ -193,47 +194,47 @@ def test_modulus_deterministic(check):
 def test_modulus_scale_invariant(check):
     f = lacunary_function(8)
     g = type(f)(4.0 * f.values, left=f.left, log2_spacing=f.log2_spacing)
-    a = _run(check, f, samples=3000, seed=5)
-    b = _run(check, g, samples=3000, seed=5)
+    a = _run(check, f, seed=5)
+    b = _run(check, g, seed=5)
     assert a.max_ratio == pytest.approx(b.max_ratio, rel=1e-12)
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_zero_function(check):
-    report = _run(check, linear_function(8), samples=1000, seed=0)
+    report = _run(check, linear_function(8), seed=0)
     assert report.max_ratio == 0.0
 
 
 def test_modulus_noncompact_drops_outside_samples():
     f = weierstrass_function(8)
-    report = _run(check_second_difference_modulus, f, samples=5000, seed=0)
-    assert 0 < report.samples < 5000
+    report = _run(check_second_difference_modulus, f, seed=0)
+    assert 0 < report.samples < _SAMPLES
     assert math.isfinite(report.max_ratio)
 
 
 def test_equal_step_is_exact_zero_for_parabola():
     # the second difference of x^2 depends only on the step, never the centre
-    report = _run(check_equal_step, parabola_function(8), samples=4000, seed=2)
+    report = _run(check_equal_step, parabola_function(8), seed=2)
     assert report.max_ratio == 0.0
 
 
 def test_argmax_config_satisfies_constraints():
     f = lacunary_function(8)
-    report = _run(check_second_difference_modulus, f, samples=5000, seed=1)
+    report = _run(check_second_difference_modulus, f, seed=1)
     assert 0.0 < report.argmax["h"] < report.argmax["hp"]
     assert abs(report.argmax["x"] - report.argmax["t"]) < report.argmax["hp"] / 2
-    report = _run(check_equal_step, f, samples=5000, seed=1)
+    report = _run(check_equal_step, f, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert 0.0 < gap < report.argmax["h"] / 2
-    report = _run(check_first_difference, f, samples=5000, seed=1)
+    report = _run(check_first_difference, f, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert gap > report.argmax["h"] / 2
 
 
 def test_function_depth_doubling_stable():
     check = check_second_difference_modulus
-    shallow = _run(check, lacunary_function(5), samples=8000, seed=1)
-    deep = _run(check, lacunary_function(10), samples=8000, seed=2)
+    shallow = _run(check, lacunary_function(5), seed=1)
+    deep = _run(check, lacunary_function(10), seed=2)
     assert stability_factor(shallow, deep) <= 1.5
 
 
@@ -243,15 +244,15 @@ def test_function_depth_doubling_stable():
 
 def test_measure_modulus_uniform_is_zero():
     mu = GridMeasure(np.full(64, 1.0 / 64))
-    report = check_measure_modulus(mu, samples=2000, seed=0)
+    report = check_measure_modulus(mu, seed=0)
     assert report.max_ratio == 0.0
 
 
 def test_measure_modulus_finite_and_deterministic():
     for dim, depth in [(1, 6), (2, 4)]:
         mu = GridMeasure(cascade_measure(dim, depth, seed=3))
-        a = check_measure_modulus(mu, samples=3000, seed=4)
-        b = check_measure_modulus(mu, samples=3000, seed=4)
+        a = check_measure_modulus(mu, seed=4)
+        b = check_measure_modulus(mu, seed=4)
         assert math.isfinite(a.max_ratio) and a.max_ratio > 0.0
         assert a.max_ratio == b.max_ratio
 
@@ -259,15 +260,15 @@ def test_measure_modulus_finite_and_deterministic():
 def test_measure_modulus_single_split_bounded():
     # one deviating split of relative size theta: ratios stay of order one
     mu = GridMeasure(one_split_measure(1, 6, theta=0.25))
-    report = check_measure_modulus(mu, samples=5000, seed=0)
+    report = check_measure_modulus(mu, seed=0)
     assert 0.0 < report.max_ratio < 10.0
 
 
 def test_measure_depth_doubling_stable():
     mu_s = GridMeasure(cascade_measure(1, 5, seed=0))
     mu_d = GridMeasure(cascade_measure(1, 10, seed=0))
-    a = check_measure_modulus(mu_s, samples=8000, seed=1)
-    b = check_measure_modulus(mu_d, samples=8000, seed=2)
+    a = check_measure_modulus(mu_s, seed=1)
+    b = check_measure_modulus(mu_d, seed=2)
     assert stability_factor(a, b) <= 1.5
 
 
@@ -277,7 +278,7 @@ def test_measure_depth_doubling_stable():
 
 @pytest.mark.parametrize("R", [1, 2, 4])
 def test_predecessor_measure_bounds_and_total(R):
-    report = verify_predecessor_measure(R, samples=100000, seed=0)
+    report = verify_predecessor_measure(R, seed=0)
     assert all(report.level_ok)
     assert report.total_ok
     assert abs(report.total - 2.0 * R) <= 0.01 * 2.0 * R
@@ -285,13 +286,13 @@ def test_predecessor_measure_bounds_and_total(R):
 
 def test_predecessor_level_one_is_empty():
     # the finest possible ancestor requires exact edge alignment: measure zero
-    report = verify_predecessor_measure(2, samples=50000, seed=1)
+    report = verify_predecessor_measure(2, seed=1)
     assert report.empirical[0] == 0.0
 
 
 def test_predecessor_matches_halving_law():
     # the ancestor-generation measure halves per level: 2R * 2^(1-k)
-    report = verify_predecessor_measure(1, samples=100000, seed=2)
+    report = verify_predecessor_measure(1, seed=2)
     for k in range(2, 7):
         expected = 2.0 * 2.0 ** (1 - k)
         assert report.empirical[k - 1] == pytest.approx(expected, rel=0.1)
@@ -300,8 +301,6 @@ def test_predecessor_matches_halving_law():
 def test_predecessor_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_predecessor_measure(0)
-    with pytest.raises(ValueError):
-        verify_predecessor_measure(1, k_max=10, generation=11)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +308,14 @@ def test_predecessor_rejects_bad_arguments():
 
 
 def test_bdg_ratios_in_range():
-    report = verify_bdg(count=50, depth=9, seed=0)
-    assert report["count"] == 50
+    report = verify_bdg(seed=0)
+    assert report["count"] == 100
     assert report["in_range"]
     assert 1.0 <= report["min"] <= report["max"] <= 2.0
 
 
 def test_bdg_lower_bound_strict_for_random_walks():
-    report = verify_bdg(count=20, depth=8, seed=5)
+    report = verify_bdg(seed=5)
     assert report["min"] > 1.0
 
 
@@ -325,7 +324,7 @@ def test_bdg_lower_bound_strict_for_random_walks():
 
 
 def test_strichartz_consistency_no_mismatches():
-    report = verify_strichartz_consistency(depth=12, seed=0)
+    report = verify_strichartz_consistency(seed=0)
     assert report["mismatches"] == 0
     verdicts = report["verdicts"]
     expected = {
@@ -341,7 +340,7 @@ def test_strichartz_consistency_no_mismatches():
 
 
 def test_strichartz_consistency_other_seed():
-    report = verify_strichartz_consistency(depth=12, seed=42)
+    report = verify_strichartz_consistency(seed=42)
     assert report["mismatches"] == 0
 
 
@@ -355,7 +354,7 @@ def test_strichartz_consistency_grid_starts_at_2_star_norm_over_64(monkeypatch):
             return functional(source, grid, depths)
 
         monkeypatch.setattr(verification, name, recorded)
-    verify_strichartz_consistency(depth=8, seed=0)
+    verify_strichartz_consistency(seed=0)
     assert len(grids) == 10  # two functionals for each of five functions
     for source, grid in grids:
         S = source if isinstance(source, DyadicMartingale) else average_growth(source)
