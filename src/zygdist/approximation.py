@@ -198,11 +198,10 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     ``|a| <= t`` (``truncate_jumps``).  Where ``_tree_exact`` holds, each
     parent slope is exactly the mean of its two children's, so the right
     jump is exactly ``-a``, and the jumps of ``S - B`` are the dropped
-    pairs' ``±a``.  After one sort of every pair's ``|a|``, the largest
-    dropped jump at ``t`` is the last size ``<= t``; a threshold dropping no
-    pair reads 0.0.  This is ``star_norm(S - B)`` for ``B =
-    truncate_jumps(S, t)``, bit for bit where ``_tree_exact`` holds, and not
-    otherwise.  The counts hold everywhere: they compare the floats
+    pairs' ``±a``.  So the largest dropped jump at ``t`` is
+    ``_largest_at_most`` of every pair's ``|a|``: ``star_norm(S - B)`` for
+    ``B = truncate_jumps(S, t)``, bit for bit where ``_tree_exact`` holds,
+    and not otherwise.  The counts hold everywhere: they compare the floats
     ``truncate_jumps`` compares, so two thresholds with the same count keep
     the same pairs.  Work O(P log P) for the ``P = 2^N - 1`` pairs, plus
     O(log P) per threshold.
@@ -210,10 +209,17 @@ def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
     sizes = np.empty((1 << S.depth) - 1)
     for n in range(1, S.depth + 1):
         np.abs(S.jumps(n)[0::2], out=sizes[(1 << (n - 1)) - 1 : (1 << n) - 1])
+    return _largest_at_most(sizes, thresholds)
+
+
+def _largest_at_most(sizes: np.ndarray, levels) -> tuple[list, list]:
+    """The largest of ``sizes`` that is ``<= t`` at each level ``t`` (0.0
+    where none is), and how many are: one in-place sort of the 1-d array
+    ``sizes``, then a binary search per level."""
     sizes.sort()
-    dropped = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
-    count = np.searchsorted(sizes, thresholds, side="right")
-    return dropped[count].tolist(), count.tolist()
+    largest = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
+    count = np.searchsorted(sizes, levels, side="right")
+    return largest[count].tolist(), count.tolist()
 
 
 @dataclass

@@ -56,9 +56,9 @@ from zygdist.martingale import (
 )
 from zygdist.measures import (
     GridMeasure,
+    _residual_norms,
     density_martingale,
     measure_tree_levelset_density,
-    measure_truncate,
     measure_zygmund_norm,
 )
 from zygdist.verification import (
@@ -427,12 +427,9 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
         ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
     ]
     tree = measure_tree_levelset_density(S, grid, depths)
+    levels = [eps for eps in grid if eps > 0.0]
     truncation_rows = []
-    for eps in grid:
-        if eps <= 0.0:
-            continue
-        kept = measure_truncate(S, eps)
-        residual_norm = measure_zygmund_norm(mu - kept, mode="dyadic")
+    for eps, residual_norm in zip(levels, _residual_norms(mu, S, levels)):
         _require(
             residual_norm <= eps,
             f"residual deviation {residual_norm} exceeds requested level {eps}",

@@ -28,7 +28,12 @@ from zygdist.martingale import (
     integrate,
     star_norm,
 )
-from zygdist.measures import GridMeasure
+from zygdist.measures import (
+    GridMeasure,
+    density_martingale,
+    measure_truncate,
+    measure_zygmund_norm,
+)
 
 # ---------------------------------------------------------------------------
 # scalar differences of sampled functions
@@ -379,6 +384,35 @@ def decompose_rows_loop(f: SampledFunction, eps_grid) -> tuple[list, str | None]
             return rows, f"small-part seminorm {small_norm} exceeds requested level {eps}"
         rows.append([eps, small_norm, rough_star, bmo_norm(kept)])
     return rows, None
+
+
+def residual_norms_loop(mu: GridMeasure, levels) -> list[float]:
+    """Dyadic norm of ``mu`` minus its truncation, one level at a time:
+    truncate, subtract and take the norm of the residual, the loop that
+    ``measures._residual_norms`` must equal."""
+    S = density_martingale(mu)
+    return [
+        measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")
+        for eps in levels
+    ]
+
+
+def predecessor_levels_loop(shifts: np.ndarray) -> np.ndarray:
+    """``verification._predecessor_levels`` in ten float passes.
+
+    The shift ``alpha = (a + 1/2) 2^-40`` and the points ``alpha -+ 2^-20``
+    are formed in float64, and for ``k = 10 .. 1`` the points' floors at
+    the cell width ``2^(k - 20)`` are compared; the smallest ``k`` where
+    they agree is kept, and 11 where none does.
+    """
+    alpha = (shifts.astype(np.float64) + 0.5) * 2.0**-40
+    lo = alpha - 2.0**-20
+    hi = alpha + 2.0**-20
+    levels = np.full(shifts.size, 11, dtype=np.int64)
+    for k in range(10, 0, -1):
+        scale = 2.0 ** (20 - k)
+        levels[np.floor(lo * scale) == np.floor(hi * scale)] = k
+    return levels
 
 
 def delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):

@@ -461,26 +461,45 @@ def test_measure_exits_on_masses_off_the_binary_lattice(tmp_path, capsys):
     )
 
 
-def test_measure_builds_one_density_martingale(tmp_path, monkeypatch):
+def test_measure_exits_on_2d_masses_off_the_binary_lattice(tmp_path, capsys):
+    # the 2-d cascade at depth 5, seed 11, divided by 3: the certificate
+    # refuses it, and the truncation overshoots at the same level as in 1-d
+    path = tmp_path / "mu.json"
+    argv = ["--kind", "cascade", "--dim", "2", "--depth", "5", "--seed", "11"]
+    assert main(["generate", *argv, "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    payload["masses"] = [m / 3 for m in payload["masses"]]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["measure", "--in", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: residual deviation 0.24894205729166666 exceeds requested level "
+        "0.24894205729166663\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "depth, seed, builds", [("8", "2", 1), ("14", "7", 1 + 21)], ids=["certified", "refused"]
+)
+def test_measure_builds_one_density_martingale(tmp_path, monkeypatch, depth, seed, builds):
     mu_path = tmp_path / "mu.json"
-    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "8",
-                 "--seed", "2", "--out", str(mu_path)]) == EXIT_OK
+    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", depth,
+                 "--seed", seed, "--out", str(mu_path)]) == EXIT_OK
     build = measures.density_martingale
-    builds = []
+    made = []
 
     def counted(mu):
-        builds.append(mu)
+        made.append(mu)
         return build(mu)
 
     for module in (cli, measures):
         monkeypatch.setattr(module, "density_martingale", counted)
     code, report = run(tmp_path, "measure", "--in", str(mu_path))
     assert code == EXIT_OK
-    truncations = len(report["tables"]["truncation"]["rows"])
-    assert truncations > 1
-    # one for the norm, tree densities and truncations, plus one per
-    # residual norm
-    assert len(builds) == 1 + truncations
+    assert len(report["tables"]["truncation"]["rows"]) == 23
+    # one for the norm, tree densities and residual table; a refused input
+    # adds one per distinct count of dropped parents (21 of 23 levels here)
+    assert len(made) == builds
 
 
 def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):

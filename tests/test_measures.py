@@ -22,8 +22,10 @@ from reference import (
     measure_zygmund_norm_loop,
     measure_zygmund_steps,
     one_split_measure,
+    residual_norms_loop,
 )
 from zygdist.cli import main
+from zygdist.functionals import _geometric_grid
 from zygdist.generators import cascade_measure
 from zygdist.martingale import (
     DyadicMartingale,
@@ -443,10 +445,11 @@ def test_summed_area_table_built_on_first_read(tmp_path, monkeypatch):
     assert nu._table is not None
 
     # one `measure` call reads the input's table for the continuous norm;
-    # the truncations and residuals it builds never read theirs
+    # the truncations and residuals it builds on a refused input never read
+    # theirs
     path = tmp_path / "mu.json"
-    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "6",
-                 "--seed", "2", "--out", str(path)]) == 0
+    assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "14",
+                 "--seed", "7", "--out", str(path)]) == 0
     made = []
     init = GridMeasure.__init__
 
@@ -496,7 +499,8 @@ def test_tree_density_matches_brute_force():
 
 def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
     # one `measure` forms max(depths) deviation tables for the tree
-    # densities, and `depth` per positive level for the truncations
+    # densities, `depth` for the residual table and, on this refused input,
+    # `depth` per distinct count of dropped parents for the truncations
     path = tmp_path / "mu.json"
     argv = ["--kind", "cascade", "--dim", "1", "--depth", "14", "--seed", "7"]
     assert main(["generate", *argv, "--out", str(path)]) == 0
@@ -512,7 +516,7 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
     levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
     assert levels == 23
-    assert len(tables) == 14 + levels * 14 == 336
+    assert len(tables) == 14 + 14 + 21 * 14 == 322
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +590,88 @@ def test_truncated_oscillation_controlled_by_density():
             lhs = bmo_density(density_martingale(measure_truncate(S, eps)))
             rhs = norm**2 * D
             assert lhs <= rhs * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# residual norms from one sorted deviation table
+
+
+def _tie_levels(S):
+    """Levels exactly equal to some parent's deviation, at every generation."""
+    return sorted({
+        float(v)
+        for n in range(1, S.depth + 1)
+        for v in measures._parent_deviation(S.jumps(n), S.dim).ravel()[:4]
+    })
+
+
+def _residual_norms_counted(monkeypatch, mu, levels):
+    """``measures._residual_norms`` and the levels it truncated at."""
+    truncate = measures.measure_truncate
+    truncated = []
+
+    def counted(S, eps):
+        truncated.append(eps)
+        return truncate(S, eps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "measure_truncate", counted)
+        norms = measures._residual_norms(mu, density_martingale(mu), levels)
+    return norms, truncated
+
+
+@pytest.mark.parametrize("dim, depths", [(1, range(4, 11)), (2, range(2, 9))])
+def test_residual_table_equals_the_truncation_loop(monkeypatch, dim, depths):
+    # the certificate accepts every cascade here, and the table then equals
+    # the level-by-level loop, on the default grid and on tie levels
+    for depth in depths:
+        for seed in range(16):
+            mu = _cascade(dim, depth, seed)
+            S = density_martingale(mu)
+            grid = _geometric_grid(star_norm(S), -20) + _tie_levels(S)
+            norms, truncated = _residual_norms_counted(monkeypatch, mu, grid)
+            assert truncated == []
+            assert norms == residual_norms_loop(mu, grid)
+
+
+@pytest.mark.parametrize(
+    "dim, depth, seed, divisor, truncations",
+    [(2, 8, 7, 1, 0), (2, 8, 13, 1, 0), (1, 14, 7, 1, 21), (1, 5, 11, 3, 13), (2, 5, 11, 3, 13)],
+)
+def test_truncation_certificate_on_named_cascades(
+    monkeypatch, dim, depth, seed, divisor, truncations
+):
+    # accepted inputs truncate nowhere; a refused one truncates once per
+    # distinct count of dropped parents (21 of the 23 levels at 1-d depth
+    # 14), and both give the loop's norms
+    mu = GridMeasure(_cascade(dim, depth, seed).masses / divisor)
+    S = density_martingale(mu)
+    grid = _geometric_grid(star_norm(S), -20)
+    norms, truncated = _residual_norms_counted(monkeypatch, mu, grid)
+    assert norms == residual_norms_loop(mu, grid)
+    assert len(truncated) == truncations
+    if truncations:
+        deviations = np.concatenate(
+            [measures._parent_deviation(S.jumps(n), dim).ravel() for n in range(1, depth + 1)]
+        )
+        assert len({int((deviations <= eps).sum()) for eps in grid}) == truncations
+
+
+def test_truncation_certificate_refuses_a_kept_level_that_rounds(monkeypatch):
+    # Masses B = 2^50 - 1 in cells 0 and 4 and 9 in cell 5: the largest
+    # density is 8B = 2^53 - 8 quanta.  At level 9 the first split
+    # (deviation 9) is dropped and the splits below it are kept, so cell 0
+    # keeps 8B + 9 = 2^53 + 1 quanta, which rounds: the residual norm is
+    # 8.875, not the table's 9.  The kept levels' growth N * top is what
+    # refuses it.
+    B = 2.0**50 - 1
+    mu = GridMeasure(np.array([B, 0, 0, 0, B, 9, 0, 0]))
+    S = density_martingale(mu)
+    assert residual_norms_loop(mu, [9.0]) == [8.875]
+    assert not measures._truncation_exact(mu, S, 9.0)
+    assert measures._truncation_exact(mu, S, 0.0)
+    norms, truncated = _residual_norms_counted(monkeypatch, mu, [8.0, 9.0])
+    assert (norms, truncated) == ([0.0, 8.875], [8.0, 9.0])
 
 
 def test_one_dimensional_reduction_matches_martingale_star():

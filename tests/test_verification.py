@@ -12,6 +12,7 @@ from reference import (
     block_sum,
     delta1_samples,
     one_split_measure,
+    predecessor_levels_loop,
     unit_tree_distance,
 )
 from zygdist.functionals import zygmund_seminorm
@@ -40,6 +41,7 @@ from zygdist.verification import (
     _bounded,
     _delta1_samples,
     _log_uniform,
+    _predecessor_levels,
     _unit_tree_cells,
     _unit_tree_distance,
     check_equal_centre,
@@ -296,6 +298,43 @@ def test_predecessor_matches_halving_law():
     for k in range(2, 7):
         expected = 2.0 * 2.0 ** (1 - k)
         assert report.empirical[k - 1] == pytest.approx(expected, rel=0.1)
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 4, 8])
+def test_predecessor_levels_equal_the_float_loop(monkeypatch, R):
+    # the integer pass gives the ten float passes' levels, and so their report
+    for seed in range(40):
+        drawn = []
+
+        def loop(shifts):
+            drawn.append((shifts, predecessor_levels_loop(shifts)))
+            return drawn[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "_predecessor_levels", loop)
+            expected = verify_predecessor_measure(R, seed=seed)
+        ((shifts, levels),) = drawn
+        assert np.array_equal(_predecessor_levels(shifts), levels)
+        assert verify_predecessor_measure(R, seed=seed) == expected
+
+
+@pytest.mark.parametrize("R", [1, 2, 8])
+def test_predecessor_levels_across_zero_and_at_both_ends(R):
+    # shifts whose two points straddle 0 (lo ^ hi < 0: no cell holds both),
+    # land on it, or sit at the first and last shifts of [-R, R)
+    edge, half = R << 40, 1 << 20
+    near_zero = np.arange(-4 * half, 4 * half, 4099)
+    hand_built = [-half - 1, -half, -half + 1, -1, 0, half - 1, half, half + 1]
+    ends = [-edge, -edge + 1, -edge + half, edge - half - 1, edge - half, edge - 1]
+    shifts = np.concatenate((near_zero, hand_built, ends)).astype(np.int64)
+    levels = _predecessor_levels(shifts)
+    assert np.array_equal(levels, predecessor_levels_loop(shifts))
+    straddling = ((shifts - half) ^ (shifts + half)) < 0
+    assert straddling.sum() > 500 and (levels[straddling] == 11).all()
+    # the ends of [-R, R) are multiples of the coarsest width: no cell holds
+    # a pair around one or ending on one; a pair starting on one or ending
+    # just below one is held two generations up
+    assert levels[-len(ends):].tolist() == [11, 11, 2, 2, 11, 11]
 
 
 def test_predecessor_rejects_bad_arguments():
