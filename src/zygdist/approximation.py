@@ -14,6 +14,7 @@ window, integrate back and average.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from zygdist.martingale import (
     SampledFunction,
     _lattice_exponents,
     _lattice_quantum,
+    _quanta_bits,
     average_growth,
     integrate,
     star_norm,
@@ -63,7 +65,7 @@ def truncate_jumps(S: DyadicMartingale, threshold: float) -> DyadicMartingale:
     levels = [S.levels[0].copy()]
     for n in range(1, S.depth + 1):
         levels.append(_truncated_level(levels[-1], S.jumps(n), threshold))
-    return DyadicMartingale(levels, root=S.root, dim=S.dim)
+    return DyadicMartingale(levels)
 
 
 def _truncated_level(parent: np.ndarray, dj: np.ndarray, threshold: float) -> np.ndarray:
@@ -84,9 +86,7 @@ def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMar
     """Levelwise difference ``S - B`` (a martingale when both are)."""
     if S.depth != B.depth or S.dim != B.dim:
         raise ValueError("martingales must share depth and dimension")
-    return DyadicMartingale(
-        [a - b for a, b in zip(S.levels, B.levels)], root=S.root, dim=S.dim
-    )
+    return DyadicMartingale([a - b for a, b in zip(S.levels, B.levels)], dim=S.dim)
 
 
 @dataclass
@@ -137,7 +137,7 @@ def dyadic_decompose(
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
         kept = truncate_jumps(S, thresholds[j])
-        rough = integrate(kept)
+        rough = integrate(kept, f.left, f.log2_spacing)
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )
@@ -278,7 +278,7 @@ def continuous_decompose(f: SampledFunction, eps_grid) -> ContinuousDecompositio
 
 def _window_widths(N: int) -> list[float]:
     """Cell widths of the window ``[-1, 3)`` at generations ``0 .. N + 2``."""
-    return [float(Fraction(4, 2**n)) for n in range(N + 3)]
+    return [math.ldexp(1.0, 2 - n) for n in range(N + 3)]
 
 
 def _window_jumps(values: np.ndarray) -> list[np.ndarray]:
@@ -363,12 +363,11 @@ def _lattice_exact(values: np.ndarray, jumps: list[np.ndarray], count: int) -> i
     J = [Fraction(m) for m in maxima]
     V = Fraction(float(np.abs(values).max()))
     H = sum(j * Fraction(4, 2**n) for n, j in enumerate(J, 1))
-    families = [(3, 2), (3, 1 - N)]
-    for bound, shift in ((2 * count * sum(J), 2), (count * (V + H), N + 2)):
-        quanta = bound * Fraction(2) ** (q + shift)
-        bits = quanta.numerator.bit_length() - quanta.denominator.bit_length() + 1
-        families.append((bits - a, shift))
-    if _lattice_quantum(values, 53, *families) is not None:
+    families = [(3, 2), (3, 1 - N)] + [
+        (_quanta_bits(bound, q + shift) - a, shift)
+        for bound, shift in ((2 * count * sum(J), 2), (count * (V + H), N + 2))
+    ]
+    if _lattice_quantum(lattice, 53, *families) is not None:
         return None
     return a + max(growth for growth, _ in families)
 
@@ -398,7 +397,8 @@ def _tree_exact(f: SampledFunction) -> bool:
     and ``_truncation_maxima`` equals the truncation loop bit for bit.
     """
     N = f.depth
-    return _lattice_quantum(f.values, 53, (N + 5, N + f.log2_spacing)) is not None
+    lattice = _lattice_exponents(f.values)
+    return _lattice_quantum(lattice, 53, (N + 5, N + f.log2_spacing)) is not None
 
 
 def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid: list[float]):

@@ -7,7 +7,9 @@ Reports are byte-identical for identical input and seed: wall-clock time is
 only included when explicitly requested.
 
 Exit codes: 0 success; 2 malformed input or violated invariant; 3 threshold
-estimate inconclusive at the requested depths (profiles are still emitted).
+estimate inconclusive at the requested depths (profiles are still emitted);
+4 a verification suite found a violated estimate (its report, with its
+witnesses and ``"passed": false``, is still emitted).
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ SCHEMA = "zygdist/1"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_VIOLATED = 4
 
 
 class InputError(Exception):
@@ -197,26 +200,8 @@ def measure_payload(masses: np.ndarray, dim: int, depth: int, metadata: dict) ->
 # report plumbing
 
 
-def _jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, Fraction)):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 def _table(columns: list[str], rows: list, method: dict) -> dict:
-    return {"columns": columns, "rows": _jsonable(rows), "method": _jsonable(method)}
+    return {"columns": columns, "rows": rows, "method": method}
 
 
 def _parse_depths(text: str | None, depth: int, back: int) -> list[int]:
@@ -465,7 +450,7 @@ def cmd_verify(_, args) -> tuple[dict, int]:
     try:
         if "lemmas" in suites:
             suite = run_lemma_suite(seed=args.seed)
-            body["ratio_reports"] = _jsonable(suite["reports"])
+            body["ratio_reports"] = suite["reports"]
             passed &= suite["passed"]
         if "predecessor" in suites:
             rows = []
@@ -473,21 +458,19 @@ def cmd_verify(_, args) -> tuple[dict, int]:
                 report = verify_predecessor_measure(R, seed=args.seed)
                 rows.append(report)
                 passed &= all(report.level_ok) and report.total_ok
-            body["predecessor"] = _jsonable(rows)
+            body["predecessor"] = rows
         if "bdg" in suites:
             report = verify_bdg(seed=args.seed)
-            body["bdg"] = _jsonable(report)
+            body["bdg"] = report
             passed &= report["in_range"]
         if "consistency" in suites:
             report = verify_strichartz_consistency(seed=args.seed, tau=args.tau)
-            body["consistency"] = _jsonable(report)
+            body["consistency"] = report
             passed &= report["mismatches"] == 0
     except ValueError as exc:
         raise InputError(str(exc)) from None
     body["passed"] = bool(passed)
-    if not passed:
-        raise InputError("verification suite found a violated estimate")
-    return body, EXIT_OK
+    return body, EXIT_OK if passed else EXIT_VIOLATED
 
 
 _CLASSIFICATIONS = {
@@ -654,11 +637,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _encode(value):
+    """What JSON has no type for: a dataclass as its fields, a NumPy array,
+    int or bool as the Python value (NumPy floats are floats already)."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+
+
 def _serialise(report: dict) -> str:
     """The report as sorted, indented JSON; exit 2 on a non-finite number,
     which JSON cannot carry."""
     try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_encode) + "\n"
     except ValueError:
         raise InputError("a report value is not finite") from None
 

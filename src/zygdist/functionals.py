@@ -26,6 +26,7 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
+    _lattice_exponents,
     _lattice_quantum,
     star_norm,
 )
@@ -143,7 +144,7 @@ def _sweep_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     sample instead of 8.  Every other input (``a > 29``, near overflow or
     non-finite) is swept as is, at scale 1.
     """
-    q = _lattice_quantum(values, 31, (2, 0))
+    q = _lattice_quantum(_lattice_exponents(values), 31, (2, 0))
     if q is None:
         return values, 1.0
     return np.ldexp(values, q).astype(np.int32), math.ldexp(1.0, -q)

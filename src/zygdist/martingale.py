@@ -31,14 +31,6 @@ __all__ = [
 ]
 
 
-def _log2_exact(fr: Fraction) -> int:
-    """Exponent e with fr == 2**e, or raise if fr is not a power of two."""
-    num, den = fr.numerator, fr.denominator
-    if num <= 0 or num & (num - 1) or den & (den - 1):
-        raise ValueError(f"{fr} is not a power of two")
-    return num.bit_length() - den.bit_length()
-
-
 def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
     """The smallest ``(q, a)`` with every value a multiple of ``2^-q`` below
     ``2^(a - q)``: ``(0, 0)`` if all are zero, ``None`` if one is not finite.
@@ -66,12 +58,13 @@ def _lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
     return q, top + q
 
 
-def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
+def _lattice_quantum(lattice: tuple[int, int] | None, digits: int, *families) -> int | None:
     """The one lattice-exactness rule: ``q`` when every intermediate is exact.
 
-    With ``(q, a)`` the ``_lattice_exponents`` of ``values``, a caller
-    describes each family of intermediates it computes from ``values`` by a
-    pair ``(growth, shift)``: its members are multiples of the quantum ``Q =
+    ``lattice`` is the ``(q, a)`` that ``_lattice_exponents`` gives for some
+    values (``None`` when one is not finite).  A caller describes each
+    family of intermediates it computes from those values by a pair
+    ``(growth, shift)``: its members are multiples of the quantum ``Q =
     2^-(q + shift)`` below ``2^(a + growth)`` quanta.  Sums and differences
     of multiples of ``Q >= 2^-1074`` below ``2^digits Q`` are exact in a type
     with ``digits`` significant bits (53 for float64, 31 for int32 beside a
@@ -79,9 +72,8 @@ def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
     quantum.  So ``q`` is returned when, for every family, ``a + growth <=
     digits`` (no rounding), ``q + shift <= 1074`` (no underflow) and ``a +
     growth - (q + shift) <= 1023`` (no overflow); ``None`` when one of these
-    fails or a value is not finite.  All-zero values have ``q = a = 0``.
+    fails or ``lattice`` is ``None``.  All-zero values have ``q = a = 0``.
     """
-    lattice = _lattice_exponents(values)
     if lattice is None:
         return None
     q, a = lattice
@@ -90,6 +82,13 @@ def _lattice_quantum(values: np.ndarray, digits: int, *families) -> int | None:
         if bits > digits or q + shift > 1074 or bits - (q + shift) > 1023:
             return None
     return q
+
+
+def _quanta_bits(bound, q: int) -> int:
+    """A ``b`` with the non-negative real ``bound`` below ``2^b`` quanta of
+    ``2^-q``, counted exactly in :class:`fractions.Fraction` arithmetic."""
+    quanta = Fraction(bound) * Fraction(2) ** q
+    return quanta.numerator.bit_length() - quanta.denominator.bit_length() + 1
 
 
 class SampledFunction:
@@ -167,22 +166,19 @@ class DyadicMartingale:
 
     ``levels[n]`` holds the value on each generation-``n`` cell (shape
     ``(2^n,) * dim``); the value on a cell is the mean of its ``2^dim``
-    children.  ``root`` records the real footprint of the root cell for
-    1-d function martingales; d-dim measure martingales use the unit cube.
+    children.  The cells carry no real geometry: ``integrate`` takes the
+    grid a 1-d martingale is read on.
     """
 
-    __slots__ = ("levels", "dim", "root")
+    __slots__ = ("levels", "dim")
 
-    def __init__(self, levels, root: RealInterval | None = None, dim: int = 1):
+    def __init__(self, levels, dim: int = 1):
         levels = [np.asarray(a, dtype=np.float64) for a in levels]
         for n, level in enumerate(levels):
             if level.shape != (2**n,) * dim:
                 raise ValueError(f"level {n} has shape {level.shape}")
-        if root is None and dim == 1:
-            root = RealInterval(0, 1)
         self.levels = levels
         self.dim = dim
-        self.root = root
 
     @classmethod
     def from_leaf(cls, leaf, dim: int = 1):
@@ -231,30 +227,32 @@ class DyadicMartingale:
 def average_growth(f: SampledFunction) -> DyadicMartingale:
     """Martingale of mean slopes of ``f`` over the dyadic cells of its span."""
     depth = f.depth
-    span = f.span
     levels = []
     for n in range(depth + 1):
         stride = 1 << (depth - n)
         pts = f.values[::stride]
-        width = float(span.length / (1 << n))
+        width = math.ldexp(1.0, depth - n + f.log2_spacing)  # span / 2^n
         levels.append((pts[1:] - pts[:-1]) / width)
-    return DyadicMartingale(levels, root=span)
+    return DyadicMartingale(levels)
 
 
-def integrate(S: DyadicMartingale) -> SampledFunction:
-    """Primitive of the leaf field, pinned to 0 at the left end of the root.
+def integrate(S: DyadicMartingale, left=0, log2_spacing: int | None = None) -> SampledFunction:
+    """Primitive of the leaf field on the grid ``left + i 2^log2_spacing``,
+    pinned to 0 at ``left``.
 
-    Inverts :func:`average_growth` for functions vanishing at the root's left
-    endpoint: increments across leaf cells are leaf value times leaf width.
+    Inverts :func:`average_growth` for functions vanishing at ``left``:
+    increments across leaf cells are leaf value times leaf width.  The grid
+    defaults to ``2^depth`` cells on ``[left, left + 1]``.
     """
-    if S.dim != 1 or S.root is None:
-        raise ValueError("integrate needs a rooted 1-d martingale")
-    leaf_width = S.root.length / (1 << S.depth)
+    if S.dim != 1:
+        raise ValueError("integrate needs a 1-d martingale")
+    if log2_spacing is None:
+        log2_spacing = -S.depth
     values = np.empty(S.leaf.size + 1)
     values[0] = 0.0
-    np.multiply(S.leaf, float(leaf_width), out=values[1:])
+    np.multiply(S.leaf, math.ldexp(1.0, log2_spacing), out=values[1:])
     np.cumsum(values[1:], out=values[1:])  # in place: one leaf-sized array
-    return SampledFunction(values, left=S.root.left, log2_spacing=_log2_exact(leaf_width))
+    return SampledFunction(values, left=left, log2_spacing=log2_spacing)
 
 
 def star_norm(S: DyadicMartingale) -> float:

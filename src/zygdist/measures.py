@@ -28,6 +28,7 @@ from zygdist.martingale import (
     _expand,
     _lattice_exponents,
     _lattice_quantum,
+    _quanta_bits,
     star_norm,
 )
 
@@ -361,13 +362,8 @@ def _truncation_exact(mu: GridMeasure, S: DyadicMartingale, top: float) -> bool:
         return False
     q, a = lattice
     d, N = S.dim, S.depth
-
-    def bits(bound) -> int:  # quanta of 2^-q: the bound is below 2^bits of them
-        quanta = Fraction(bound) * Fraction(2) ** q
-        return quanta.numerator.bit_length() - quanta.denominator.bit_length() + 1
-
-    sums = bits(total)
-    kept = bits(Fraction(float(S.leaf.max())) + N * Fraction(top))
-    residual = bits((N << d) * Fraction(top))
+    sums = _quanta_bits(total, q)
+    kept = _quanta_bits(Fraction(float(S.leaf.max())) + N * Fraction(top), q)
+    residual = _quanta_bits((N << d) * Fraction(top), q)
     families = [(sums - a, -d * N), (max(sums + d, kept, residual) - a, 0), (kept - a, d * N)]
-    return _lattice_quantum(mu.masses, 53, *families) is not None
+    return _lattice_quantum(lattice, 53, *families) is not None

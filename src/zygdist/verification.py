@@ -30,10 +30,6 @@ from zygdist.generators import (
     _rng,
     cascade_measure,
     function_suite,
-    hat_function,
-    lacunary_function,
-    parabola_function,
-    random_jump_martingale,
     random_martingale,
 )
 from zygdist.martingale import (
@@ -451,18 +447,16 @@ def verify_bdg(seed: int = 0) -> dict:
 
 def lemma_function_family(depth: int, seed: int = 0):
     """Grid-quantised functions spanning the regularity spectrum, used to
-    sample the modulus estimates at a given depth."""
+    sample the modulus estimates at a given depth: ``function_suite``
+    without its flat and off-lattice members, plus a recentred random walk."""
     walk = random_martingale(depth, seed=seed)
-    recentred = DyadicMartingale(
-        [lvl - walk.root_value for lvl in walk.levels], root=walk.root
-    )
-    return [
-        ("hat", hat_function(depth)),
-        ("parabola", parabola_function(depth)),
-        ("lacunary", lacunary_function(depth)),
-        ("random-jumps", integrate(random_jump_martingale(depth, seed=seed))),
-        ("random-walk", integrate(recentred)),
+    recentred = DyadicMartingale([lvl - walk.root_value for lvl in walk.levels])
+    suite = [
+        (name, f)
+        for name, f in function_suite(depth, seed=seed)
+        if name not in ("linear", "weierstrass")
     ]
+    return suite + [("random-walk", integrate(recentred))]
 
 
 def lemma_measure_family(seed: int = 0, doubled: bool = False):

@@ -328,7 +328,7 @@ def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
         W = average_growth(g)
         B = truncate_jumps(W, eps / 2.0)
         seminorms[i] = 2.0 * star_norm(martingale_difference(W, B))
-        acc += integrate(B).values[offset : offset + (1 << N) + 1]
+        acc += integrate(B, g.left, g.log2_spacing).values[offset : offset + (1 << N) + 1]
     acc /= count
     return acc, f.values - acc, seminorms
 
@@ -359,7 +359,7 @@ def dyadic_decompose_loop(f: SampledFunction, eps_grid):
     S = average_growth(f)
     for eps in eps_grid:
         kept = truncate_jumps(S, float(eps) / 2.0)
-        rough = integrate(kept)
+        rough = integrate(kept, f.left, f.log2_spacing)
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )

@@ -18,6 +18,7 @@ from zygdist.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_VIOLATED,
     SCHEMA,
     InputError,
     build_parser,
@@ -30,6 +31,7 @@ from zygdist.cli import (
 from zygdist.functionals import default_eps_grid, density_profile
 from zygdist.generators import hat_function
 from zygdist.martingale import DyadicMartingale, average_growth
+from zygdist.verification import verify_bdg
 
 
 def run(tmp_path, *argv):
@@ -697,6 +699,23 @@ def test_sobolev_refuses_extreme_magnitudes_up_front(
     path.write_text(json.dumps(payload))
     assert main(["sobolev", "--in", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"{_REFUSED}{why}\n"
+
+
+def test_failing_verify_writes_its_witnesses_and_exits_4(tmp_path, monkeypatch):
+    # a violated estimate is a finding, not bad input: the report keeps the
+    # failing suite's numbers and says "passed": false
+    def out_of_range(seed):
+        report = verify_bdg(seed=seed)
+        report["in_range"] = False
+        return report
+
+    monkeypatch.setattr(cli, "verify_bdg", out_of_range)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "bdg", "--seed", "3", "--out", str(out)]) == EXIT_VIOLATED
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert report["bdg"] == {**verify_bdg(seed=3), "in_range": False}
+    assert report["bdg"]["count"] == 100
 
 
 @pytest.mark.parametrize("tau", ["-0.1", "nan"])

@@ -10,13 +10,20 @@ Every ``generate`` kind has a case except ``weierstrass``: its values come
 from ``np.cos`` and are not on the binary lattice, so they may differ in the
 last bits between NumPy builds, and ``verify_strichartz_consistency``
 excludes it from its exact checks for the same reason.
+
+Two inputs sit off the unit interval: ``golden-offset-input.json`` spans
+``[-1, 1]`` (``left = -1``, span 2) and ``golden-wide-input.json`` spans
+``[3, 7]`` (``left = 3``, span 4).  Their samples are those of
+``integrate(random_jump_martingale(7, seed=7))`` and
+``integrate(random_martingale(7, seed=7))``, written with depths 6 and 5, so
+cell widths and the primitive's grid come from the file's own span.
 """
 
 from pathlib import Path
 
 import pytest
 
-from zygdist.cli import EXIT_OK, main
+from zygdist.cli import EXIT_INPUT, EXIT_OK, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -65,6 +72,16 @@ GOLDEN = [
         "golden-generate-cascade-1d.json",
         ["generate", "--kind", "cascade", "--dim", "1", "--depth", "6", "--seed", "7"],
     ),
+    *[
+        (
+            f"{grid}-{command}",
+            f"golden-{grid}-input.json",
+            f"golden-{grid}-{command}-report.json",
+            [command],
+        )
+        for grid in ("offset", "wide")
+        for command in ("seminorm", "strichartz", "distance-ibmo", "decompose")
+    ],
 ]
 
 
@@ -77,3 +94,12 @@ def test_golden_report_bytes(tmp_path, source, expected, argv):
     code = main([*argv, *inputs, "--out", str(out)])
     assert code == EXIT_OK
     assert out.read_bytes() == (DOCS / expected).read_bytes()
+
+
+@pytest.mark.parametrize("grid", ["offset", "wide"])
+def test_sobolev_refuses_the_off_unit_goldens(tmp_path, grid, capsys):
+    out = tmp_path / "report.json"
+    argv = ["sobolev", "--in", str(DOCS / f"golden-{grid}-input.json"), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert not out.exists()
+    assert "decomposition expects a function on the unit interval" in capsys.readouterr().err

@@ -41,6 +41,7 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
+    _lattice_exponents,
     _lattice_quantum,
     average_growth,
     bmo_norm,
@@ -122,8 +123,8 @@ def test_integrate_roundtrips_with_average_growth():
 
 def test_integrate_on_offset_root():
     levels = [np.array([1.0]), np.array([2.0, 0.0])]
-    S = DyadicMartingale(levels, root=RealInterval(-1, 3))
-    f = integrate(S)
+    # two leaf cells of width 2 on [-1, 3)
+    f = integrate(DyadicMartingale(levels), left=-1, log2_spacing=1)
     assert f.left == -1
     assert f.values[0] == 0.0
     assert f.values[-1] == pytest.approx(4.0)  # mean slope 1 over length 4
@@ -301,6 +302,6 @@ def test_one_lattice_rule_gives_each_certificate_its_former_verdict(drawn):
     if np.isfinite(values).all():
         # with no family to bound, the rule returns the lattice's q
         expected = 0 if all_zero else lattice_exponents(values)[0]
-        assert _lattice_quantum(values, 53) == expected
+        assert _lattice_quantum(_lattice_exponents(values), 53) == expected
     else:
-        assert _lattice_quantum(values, 53) is None
+        assert _lattice_quantum(_lattice_exponents(values), 53) is None

@@ -123,6 +123,12 @@ def test_bounded_is_the_three_case_rule(shallow, deep, tau):
     assert _bounded(shallow, deep, tau) is expected
 
 
+def test_bounded_admits_a_ratio_of_exactly_one_plus_tau():
+    # 5 / 4 == 1 + 1/4 with every value representable: bounded only under <=
+    assert _bounded(4.0, 5.0, 0.25) is True
+    assert _bounded(4.0, 5.0, 0.125) is False
+
+
 def test_log_uniform_range_and_coverage():
     rng = _rng(0, 99)
     values = _log_uniform(rng, 1, 64, 20000)
