@@ -8,10 +8,12 @@ and ``itertools.product`` order seeded by the first term) that the shared
 kernels must match bit for bit, each certificate's lattice-exactness
 verdict restated without the shared rule, the paper-claim helpers
 (translation averaging, thresholded jump counts, window Parseval data, the
-averaging property) and the ``one_split_measure`` fixture.
+averaging property), the ``one_split_measure`` fixture and the standard
+library's JSON encoding that the report writer must match byte for byte.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -695,3 +697,12 @@ def lattice_exact(values: np.ndarray, count: int) -> bool:
         bits <= 53 and q + shift <= 1074 and bits - (q + shift) <= 1023
         for bits, shift in families
     )
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+
+
+def reference_json(value) -> str:
+    """The report bytes of ``value`` through the standard library encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"

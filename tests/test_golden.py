@@ -9,7 +9,13 @@ order or the report layout fails the gate.  A case without an input file
 Every ``generate`` kind has a case except ``weierstrass``: its values come
 from ``np.cos`` and are not on the binary lattice, so they may differ in the
 last bits between NumPy builds, and ``verify_strichartz_consistency``
-excludes it from its exact checks for the same reason.
+excludes it from its exact checks for the same reason.  Its file is instead
+checked against the reference encoding of its own parsed contents.
+
+The benchmark's inputs (``generate`` at seed 7: random jumps at depths 15
+and 18, cascades at 1-d depth 14 and 2-d depth 8) are too large to check in,
+so their sha256 digests are pinned here; these are the files whose many
+repeated samples the report writer formats once each.
 
 Two inputs sit off the unit interval: ``golden-offset-input.json`` spans
 ``[-1, 1]`` (``left = -1``, span 2) and ``golden-wide-input.json`` spans
@@ -19,10 +25,13 @@ Two inputs sit off the unit interval: ``golden-offset-input.json`` spans
 cell widths and the primitive's grid come from the file's own span.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from reference import reference_json
 from zygdist.cli import EXIT_INPUT, EXIT_OK, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -103,3 +112,40 @@ def test_sobolev_refuses_the_off_unit_goldens(tmp_path, grid, capsys):
     assert main(argv) == EXIT_INPUT
     assert not out.exists()
     assert "decomposition expects a function on the unit interval" in capsys.readouterr().err
+
+
+BENCH_INPUTS = [
+    (
+        ["random-jumps", "--delta", "1/16", "--depth", "15"],
+        "62a35a3cfb82218d20dd81f0c1b1900ab3242aad2676674142fce8695c92a9f8",
+    ),
+    (
+        ["random-jumps", "--delta", "1/16", "--depth", "18"],
+        "ec73302b674a0708bf1b50d2328ac9e892cbd47ff55d1801d0fd5fac13ee50f8",
+    ),
+    (
+        ["cascade", "--dim", "1", "--depth", "14"],
+        "f02e34f7a212061edacbe16b28fb1161843b1d540cfcb1cd1dc199abdb942cea",
+    ),
+    (
+        ["cascade", "--dim", "2", "--depth", "8"],
+        "707f63c8d76ac86de1e2f04f4dfb4f7b9e0b1bda97dd9d31db0a6845dc82b153",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, digest", BENCH_INPUTS, ids=["jumps-15", "jumps-18", "cascade-1d-14", "cascade-2d-8"]
+)
+def test_generated_bench_input_digest(tmp_path, kind, digest):
+    out = tmp_path / "input.json"
+    assert main(["generate", "--kind", *kind, "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_weierstrass_file_is_the_reference_encoding_of_its_contents(tmp_path):
+    # its last bits follow the NumPy build, so the file is checked against itself
+    out = tmp_path / "input.json"
+    assert main(["generate", "--kind", "weierstrass", "--depth", "12", "--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    assert text == reference_json(json.loads(text))
