@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -526,7 +527,7 @@ def cmd_generate(_, args) -> tuple[dict, int]:
                 metadata["thetas"] = [float(t) for t in thetas]
             masses = cascade_measure(dim, depth, thetas=thetas, seed=args.seed)
             metadata["dim"] = dim
-            payload = measure_payload(np.asarray(masses), dim, depth, metadata)
+            payload = measure_payload(masses, dim, depth, metadata)
             load_measure(payload)  # never write a file that every command rejects
             return payload, EXIT_OK
         if kind == "linear":
@@ -637,21 +638,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _encode(value):
-    """What JSON has no type for: a dataclass as its fields, a NumPy array,
-    int or bool as the Python value (NumPy floats are floats already)."""
-    if is_dataclass(value):
-        return asdict(value)
+# a float list this long is written from its table of distinct values: from
+# about 64 items the table's fixed cost is less than the reprs it saves
+_TABLE_MIN = 64
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as the bytes of ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` nested at ``indent`` (a newline and spaces), with
+    dataclasses as their fields and NumPy values as Python values."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("non-finite float")
+        return float.__repr__(value)
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+        return _json(value.tolist(), indent)
+    if is_dataclass(value):
+        return _json(asdict(value), indent)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        pairs = sorted(value.items())
+        items = [encode_basestring_ascii(key) + ": " + _json(v, inner) for key, v in pairs]
+    elif not isinstance(value, (list, tuple)):
+        raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+    elif len(value) >= _TABLE_MIN and set(map(type, value)) == {float}:
+        # each distinct float64 bit pattern is formatted once; -0.0 keeps its sign
+        bits, inverse = np.unique(np.array(value).view(np.uint64), return_inverse=True)
+        table = bits.view(np.float64)
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite float")
+        reprs = np.array(list(map(float.__repr__, table.tolist())), dtype=object)
+        items = reprs[inverse].tolist()
+    else:
+        items = [_json(item, inner) for item in value]
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _serialise(report: dict) -> str:
     """The report as sorted, indented JSON; exit 2 on a non-finite number,
     which JSON cannot carry."""
     try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_encode) + "\n"
+        return _json(report, "\n") + "\n"
     except ValueError:
         raise InputError("a report value is not finite") from None
 
