@@ -3,9 +3,11 @@
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_json
 from zygdist import approximation, cli, measures
 from zygdist.cli import (
     EXIT_INCONCLUSIVE,
@@ -589,6 +592,85 @@ def test_report_is_schema_versioned_and_sorted(tmp_path):
     assert report["input_sha256"]
 
 
+# ---------------------------------------------------------------------------
+# report encoding: the writer against the standard library's bytes
+
+
+@dataclass
+class _Witness:
+    name: str
+    values: list
+
+
+# floats whose reprs take each form: signed zero, subnormal, exponent
+# notation both ways and a short decimal
+_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1]
+_FLOAT = st.sampled_from(_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀') | st.characters())
+
+
+def _plain(strategy):
+    """Values that the standard library encodes as they are."""
+    return strategy.map(lambda value: (value, value))
+
+
+# long lists repeat a few floats, so the writer's table of distinct values
+# holds fewer entries than the list; ints among them keep the int form
+_LONG = cli._TABLE_MIN
+_LONG_FLOATS = st.lists(st.sampled_from(_FLOATS) | _FLOAT, min_size=_LONG, max_size=200)
+_LONG_MIXED = st.lists(st.sampled_from(_FLOATS) | st.integers(-3, 3), min_size=_LONG, max_size=100)
+
+
+def _matrix(shape):
+    """A 2-d float64 array of ``shape`` and its rows as lists."""
+    rows, cols = shape
+
+    def pair(xs):
+        return np.array(xs).reshape(shape), [xs[r * cols : (r + 1) * cols] for r in range(rows)]
+
+    cells = st.lists(st.sampled_from(_FLOATS), min_size=rows * cols, max_size=rows * cols)
+    return cells.map(pair)
+
+
+# (value, what the standard library is given for it)
+_LEAVES = st.one_of(
+    _plain(st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _FLOAT | _TEXT),
+    _plain(_LONG_FLOATS | _LONG_MIXED | st.just([])),
+    _plain(st.just({})),
+    _FLOAT.map(lambda x: (np.float64(x), x)),
+    st.integers(-(2**63), 2**63 - 1).map(lambda i: (np.int64(i), i)),
+    st.booleans().map(lambda b: (np.bool_(b), b)),
+    (_LONG_FLOATS | st.lists(_FLOAT, max_size=8)).map(lambda xs: (np.array(xs), xs)),
+    st.tuples(st.integers(0, 3), st.integers(0, 80)).flatmap(_matrix),
+    st.builds(
+        lambda name, xs: (_Witness(name, xs), {"name": name, "values": xs}),
+        _TEXT,
+        st.lists(_FLOAT, max_size=4),
+    ),
+)
+
+
+def _containers(children):
+    def unzip(pairs):
+        return [value for value, _ in pairs], [plain for _, plain in pairs]
+
+    def unzip_dict(pairs):
+        return {k: v for k, (v, _) in pairs.items()}, {k: p for k, (_, p) in pairs.items()}
+
+    return st.one_of(
+        st.lists(children, max_size=4).map(unzip),
+        st.lists(children, max_size=4).map(unzip).map(lambda vp: (tuple(vp[0]), vp[1])),
+        st.dictionaries(_TEXT, children, max_size=4).map(unzip_dict),
+    )
+
+
+@given(case=st.recursive(_LEAVES, _containers, max_leaves=10))
+@example(case=([0.0, -0.0] * _LONG, [0.0, -0.0] * _LONG))
+def test_writer_bytes_are_the_reference_encoding(case):
+    value, plain = case
+    assert cli._serialise(value) == reference_json(plain)
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "zygdist/1", "kind": "function", "depth": 3, "values": [1, 2]}')
@@ -865,6 +947,24 @@ def test_report_that_overflows_exits_2_and_writes_nothing(tmp_path, capsys, comm
     out = tmp_path / "report.json"
     argv = [command, "--in", _write_payload(tmp_path, _HUGE_VALUES), "--out", str(out)]
     assert main(argv) == EXIT_INPUT
+    assert "report value is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a long float list (written from its table of distinct values) and a float64
+# array, each not finite at a later position, and a bare number
+_NON_FINITE = {
+    "list": [0.25] * (_LONG + 8) + [math.nan, 0.25],
+    "array": np.concatenate([np.full(_LONG + 8, -0.0), [math.inf]]),
+    "scalar": -math.inf,
+}
+
+
+@pytest.mark.parametrize("witness", _NON_FINITE.values(), ids=_NON_FINITE)
+def test_non_finite_witness_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, witness):
+    monkeypatch.setattr(cli, "verify_bdg", lambda seed: {"in_range": True, "witness": witness})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "bdg", "--out", str(out)]) == EXIT_INPUT
     assert "report value is not finite" in capsys.readouterr().err
     assert not out.exists()
 
