@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -25,6 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from zygdist.approximation import (
     continuous_decompose,
@@ -91,17 +92,49 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
+# orjson builds nested arrays and objects by recursion, and a valid file
+# nested about 10^5 levels deep overflows the C stack
+_MAX_NESTING = 1000
+_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"?', re.DOTALL)
+
+
+def _nests_too_deep(raw: bytes) -> bool:
+    """Whether the arrays and objects of the JSON text ``raw`` nest more than
+    ``_MAX_NESTING`` levels deep.
+
+    Text with no more opening brackets than that passes on one count of
+    them.  Otherwise the brackets outside strings are summed in order: exact
+    up to the first syntax error, where decoding stops.
+    """
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _MAX_NESTING:
+        return False
+    codes = np.frombuffer(_JSON_STRING.sub(b"", raw), dtype=np.uint8)
+    steps = ((codes == ord("[")) | (codes == ord("{"))).astype(np.int64)
+    steps -= (codes == ord("]")) | (codes == ord("}"))
+    return int(steps.cumsum().max(initial=0)) > _MAX_NESTING
+
+
 def read_input(path: str):
-    """Load an input document, returning the payload and its byte digest."""
+    """Load an input document, returning the payload and its byte digest.
+
+    The file must be UTF-8 without a byte order mark (RFC 8259 section 8.1)
+    and strict JSON: ``NaN``, ``Infinity``, numbers beyond float range and
+    unpaired surrogate escapes are refused.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from None
     digest = hashlib.sha256(raw).hexdigest()
+    _require(
+        not _nests_too_deep(raw),
+        f"input is not valid JSON: it nests more than {_MAX_NESTING} levels deep",
+    )
     try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from None
     _require(isinstance(payload, dict), "input document must be a JSON object")
     _require(payload.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
@@ -139,7 +172,8 @@ def load_function(payload: dict) -> SampledFunction:
     _require(_is_int(left), "left endpoint must be an integer")
     values = payload.get("values")
     _require(isinstance(values, list) and values, "values must be a non-empty array")
-    span, rem = divmod(len(values) - 1, 1 << depth)
+    # no list holds 2^64 entries: past that, 2^depth is not built
+    span, rem = divmod(len(values) - 1, 1 << depth) if depth <= 64 else (0, len(values) - 1)
     _require(
         rem == 0 and span >= 1,
         f"values length {len(values)} must be span*2^depth + 1",
@@ -158,7 +192,9 @@ def load_measure(payload: dict) -> GridMeasure:
     _require(_is_int(depth) and depth >= 1, "depth must be an integer >= 1")
     masses = payload.get("masses")
     _require(isinstance(masses, list) and masses, "masses must be a non-empty array")
-    cells = 1 << (dim * depth)
+    bits = dim * depth
+    # no list holds 2^64 entries: past that, 2^(dim*depth) is named, not built
+    cells = 1 << bits if bits <= 64 else f"2^{bits}"
     _require(
         len(masses) == cells,
         f"masses length {len(masses)} must equal 2^(dim*depth) = {cells}",
@@ -169,7 +205,7 @@ def load_measure(payload: dict) -> GridMeasure:
     with np.errstate(over="ignore"):
         total = float(array.sum())
     _require(
-        math.isfinite(total * 2.0 ** (dim * depth)),
+        math.isfinite(total * 2.0**bits),
         "masses overflow: their total times 2^(dim*depth) must be finite",
     )
     return GridMeasure(array.reshape((1 << depth,) * dim))
