@@ -23,6 +23,7 @@ import numpy as np
 
 from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
+    _DEFAULT_TAU,
     DepthProfile,
     ThresholdEstimate,
     default_eps_grid,
@@ -155,7 +156,9 @@ class DistanceReport:
     estimate: ThresholdEstimate
 
 
-def distance_report(f: SampledFunction, eps_grid, depths, tau: float = 0.1) -> DistanceReport:
+def distance_report(
+    f: SampledFunction, eps_grid, depths, tau: float = _DEFAULT_TAU
+) -> DistanceReport:
     """Distance-to-smooth report over a level grid.
 
     For each level the measured distance is the dyadic seminorm of the small

@@ -33,6 +33,7 @@ from zygdist.approximation import (
     dyadic_decompose,
 )
 from zygdist.functionals import (
+    _DEFAULT_TAU,
     _geometric_grid,
     box_square_energy,
     cone_levelset_count,
@@ -242,9 +243,9 @@ def _table(columns: list[str], rows: list, method: dict) -> dict:
 
 
 def _parse_depths(text: str | None, depth: int, back: int) -> list[int]:
-    """Depths from ``--depths``, or ``[max(1, depth - back), depth]`` without it."""
+    """Depths from ``--depths``, or the set of ``max(1, depth - back)`` and ``depth``."""
     if text is None:
-        return [max(1, depth - back), depth]
+        return sorted({max(1, depth - back), depth})
     try:
         depths = sorted({int(part) for part in text.split(",") if part.strip()})
     except ValueError:
@@ -330,6 +331,7 @@ def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
 
 def cmd_distance(f: SampledFunction, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, f.depth, 4)
+    _require(len(depths) >= 2, "distance-ibmo compares at least two distinct depths")
     # args.grid is None for `auto`: the report's own default grid
     report = distance_report(f, eps_grid=args.grid, depths=depths, tau=args.tau)
     profile = report.profile
@@ -606,7 +608,7 @@ def cmd_generate(_, args) -> tuple[dict, int]:
 
 # Every report prints these in ``parameters``; a command without the flag
 # prints the default.
-_REPORTED_DEFAULTS = {"seed": 0, "tau": 0.1, "interpolate": False}
+_REPORTED_DEFAULTS = {"seed": 0, "tau": _DEFAULT_TAU, "interpolate": False}
 
 _FLAGS = {
     "--seed": {"type": int, "default": _REPORTED_DEFAULTS["seed"]},
@@ -653,11 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="include wall time (makes reports differ between runs)",
-        )
+        if name != "generate":  # generate writes an input file, not a report
+            p.add_argument("--timing", action="store_true", help="add the wall time to the report")
         p.set_defaults(handler=handler, loads=loads)
         commands[name] = p
 
@@ -769,8 +768,8 @@ def main(argv: list[str] | None = None) -> int:
                 report = body
             else:
                 report.update(body)
-            if args.timing:
-                report["wall_time_s"] = time.monotonic() - start
+                if args.timing:
+                    report["wall_time_s"] = time.monotonic() - start
             text = _serialise(report)
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)

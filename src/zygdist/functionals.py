@@ -261,6 +261,10 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
     return DepthProfile(depths=depths, eps=eps_grid, values=values)
 
 
+# the default tolerance ``tau`` of the depth-growth rule
+_DEFAULT_TAU = 0.1
+
+
 def _growth_ratio(shallow: float, deep: float) -> float:
     if deep == 0.0:
         return 1.0
@@ -269,13 +273,19 @@ def _growth_ratio(shallow: float, deep: float) -> float:
     return deep / shallow
 
 
-def estimate_threshold(profile: DepthProfile, tau: float = 0.1) -> ThresholdEstimate:
+def _bounded(shallow: float, deep: float, tau: float) -> bool:
+    """The depth-growth rule: ``deep / shallow <= 1 + tau`` (0 to 0 is
+    bounded, growth from 0 is not)."""
+    return _growth_ratio(shallow, deep) <= 1.0 + tau
+
+
+def estimate_threshold(profile: DepthProfile, tau: float = _DEFAULT_TAU) -> ThresholdEstimate:
     """Smallest grid level whose profile no longer grows with depth.
 
-    A level is stable when value[deepest] / value[shallowest] <= 1 + tau
-    (0/0 counts as stable, growth from zero as unstable).  Returns the first
-    stable level of the ascending grid, or ``None`` when every level still
-    grows — the finite-depth data is then inconclusive.
+    A level is stable when its shallowest and deepest values pass
+    ``_bounded``.  Returns the first stable level of the ascending grid, or
+    ``None`` when every level still grows — the finite-depth data is then
+    inconclusive.
     """
     order = sorted(range(len(profile.eps)), key=lambda j: profile.eps[j])
     shallow_row = profile.values[profile.depths.index(min(profile.depths))]
@@ -284,9 +294,8 @@ def estimate_threshold(profile: DepthProfile, tau: float = 0.1) -> ThresholdEsti
     stable = [False] * len(order)
     chosen = None
     for j in order:
-        r = _growth_ratio(shallow_row[j], deep_row[j])
-        ratios[j] = r
-        stable[j] = r <= 1.0 + tau
+        ratios[j] = _growth_ratio(shallow_row[j], deep_row[j])
+        stable[j] = _bounded(shallow_row[j], deep_row[j], tau)
         if stable[j] and chosen is None:
             chosen = profile.eps[j]
     return ThresholdEstimate(eps=chosen, ratios=ratios, stable=stable, tau=tau)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
-from zygdist.dyadic import RealInterval, _coerce
+from zygdist.dyadic import _coerce
 from zygdist.functionals import _cone_samples
 from zygdist.martingale import (
     DyadicMartingale,
@@ -91,15 +91,17 @@ def exceeds_level(f: SampledFunction, x, h, eps: float) -> bool:
     return abs(second_difference(f, x, h)) > eps
 
 
-def second_difference_dyadic(f: SampledFunction, cell: RealInterval) -> float:
-    """Second difference of ``f`` centred on a cell, at half the cell length.
+def second_difference_dyadic(f: SampledFunction, cell: tuple[int, int]) -> float:
+    """Second difference of ``f`` centred on the cell ``(n, j)``, the interval
+    ``[j 2^-n, (j + 1) 2^-n)``, at half the cell length.
 
     For the cell ``[a, b)`` with midpoint ``m`` and ``h = (b - a)/2`` this is
     ``(f(b) - 2 f(m) + f(a)) / h``, evaluated as a difference of one-sided
     slopes so it matches the jump arithmetic bit for bit: it equals twice the
     jump of ``average_growth`` on the right child (minus twice the left).
     """
-    a, b = cell.left, cell.right
+    n, j = cell
+    a, b = Fraction(j, 1 << n), Fraction(j + 1, 1 << n)
     m = (a + b) / 2
     va = value_at_index(f, index_of(f, a))
     vm = value_at_index(f, index_of(f, m))
@@ -573,7 +575,7 @@ def translation_average(members, R: int) -> SampledFunction:
     acc = np.zeros(((1 + 2 * R) << N) + 1)
     for i in range(M):
         member = members[i]
-        if member.values.size != (1 << N) + 1 or member.span != RealInterval(0, 1):
+        if member.values.size != (1 << N) + 1 or (member.left, member.right) != (0, 1):
             raise ValueError("family members must share the unit-interval grid")
         base = (2 * R << N) - 2 * i - 1
         acc[base : base + (1 << N) + 1] += member.values

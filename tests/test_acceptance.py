@@ -61,9 +61,9 @@ from zygdist.measures import (
     measure_zygmund_norm,
 )
 from zygdist.verification import (
+    _verify_dyadic_distance_bound,
     run_lemma_suite,
     verify_bdg,
-    verify_dyadic_distance_bound,
     verify_predecessor_measure,
     verify_strichartz_consistency,
 )
@@ -136,7 +136,7 @@ def test_04_window_parseval():
 
 def test_05_distance_bound_exhaustive():
     start = time.monotonic()
-    report = verify_dyadic_distance_bound(seed=0)
+    report = _verify_dyadic_distance_bound(seed=0)
     assert report.samples == 20 * 127 * 126  # all ordered cell pairs, 20 functions
     assert report.max_ratio <= 1.0
     assert time.monotonic() - start <= 10.0

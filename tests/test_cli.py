@@ -333,7 +333,7 @@ def _readme_flags():
     """The README's per-command flag table, and each generator kind's options
     as its "Generator kinds" sentence lists them."""
     text = (Path(__file__).parent.parent / "README.md").read_text()
-    table = text.split("| command         | flags besides `--out` and `--timing`")[1]
+    table = text.split("| command         | flags besides `--out`")[1]
     rows = re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", table.split("\n\n")[0], re.M)
     commands = {name: set(re.findall(r"`(--[a-z-]+)`", flags)) for name, flags in rows}
     sentence = text.split("Generator kinds: ")[1].split(". ")[0]
@@ -348,10 +348,11 @@ def test_readme_flag_tables_match_the_parser():
     commands, kinds = _readme_flags()
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     parsed = {
-        name: {o for a in p._actions for o in a.option_strings}
-        - {"-h", "--help", "--out", "--timing"}
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help", "--out"}
         for name, p in sub.choices.items()
     }
+    # every command but generate, whose output is an input file, takes --timing
+    assert [name for name, flags in parsed.items() if "--timing" not in flags] == ["generate"]
     assert kinds == {
         kind: {f for f, (readers, _) in cli._KIND_FLAGS.items() if kind in readers}
         for kind in cli._CLASSIFICATIONS
@@ -841,7 +842,7 @@ def test_non_finite_levels_exit_2_before_any_work(capsys, monkeypatch, command):
     assert checked  # every command here reads one of the two flags
 
 
-# argv that parses, per subcommand, and the flags it does not read (27 pairs)
+# argv that parses, per subcommand, and the flags it does not read (28 pairs)
 _ARGV = {
     "seminorm": ["seminorm", "--in", "f.json"],
     "strichartz": ["strichartz", "--in", "f.json"],
@@ -860,7 +861,7 @@ _UNREAD = {
     "sobolev": ["--seed", "--depths", "--tau", "--interpolate"],
     "measure": ["--seed", "--tau", "--interpolate"],
     "verify": ["--depths", "--eps-grid", "--interpolate"],
-    "generate": ["--depths", "--eps-grid", "--tau", "--interpolate"],
+    "generate": ["--depths", "--eps-grid", "--tau", "--interpolate", "--timing"],
 }
 _FLAG_VALUES = {"--seed": ["3"], "--depths": ["2,4"], "--eps-grid": ["0.5"], "--tau": ["0.2"]}
 _UNREAD_PAIRS = [(command, flag) for command, flags in _UNREAD.items() for flag in flags]
@@ -900,6 +901,31 @@ def test_one_depth_rule(tmp_path, capsys, command, depths, message):
 
 
 @pytest.mark.parametrize(
+    "kind, depth, argv",
+    [("random-jumps", "9", ["--depths", "9"]), ("hat", "1", [])],
+    ids=["one-depth-listed", "depth-1-default"],
+)
+def test_threshold_needs_two_depths(tmp_path, capsys, kind, depth, argv):
+    # one depth has no growth to measure: every level would read as stable,
+    # and the threshold as the bottom of the level grid
+    path = write_function(tmp_path, **{"--kind": kind, "--depth": depth})
+    capsys.readouterr()
+    assert main(["distance-ibmo", "--in", path, *argv]) == EXIT_INPUT
+    message = "error: distance-ibmo compares at least two distinct depths\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("command, kind", [("strichartz", "hat"), ("measure", "cascade")])
+def test_default_depths_never_repeat(tmp_path, command, kind):
+    path = write_function(tmp_path, **{"--kind": kind, "--depth": "1"})
+    code, report = run(tmp_path, command, "--in", path)
+    assert code == EXIT_OK
+    tree = report["tables"]["tree_density"]
+    assert tree["method"]["depths"] == [1]
+    assert len({e for e, _, _ in tree["rows"]}) == len(tree["rows"])  # one row per level
+
+
+@pytest.mark.parametrize(
     "command, kind", [("seminorm", "function"), ("measure", "measure")]
 )
 def test_main_resolves_the_loader_when_called(tmp_path, monkeypatch, command, kind):
@@ -927,7 +953,7 @@ _FUNCTION = {"schema": SCHEMA, "kind": "function", "depth": 1}
 _MEASURE = {"schema": SCHEMA, "kind": "measure", "dim": 1, "depth": 1}
 _STRING_VALUES = dict(_FUNCTION, values=[0, "x", 0])
 _NESTED_MASSES = dict(_MEASURE, masses=[[0.5, 0.1], [0.5]])
-_HUGE_VALUES = dict(_FUNCTION, values=[0, 1e308, -1e308])
+_HUGE_VALUES = dict(_FUNCTION, depth=2, values=[0, 1e308, -1e308, 1e308, 0])
 _NEGATIVE_MASSES = dict(_MEASURE, depth=2, masses=[0.5, -0.25, 0.5, 0.25])
 # finite masses whose densities (mass times 2^(dim*depth)) overflow to inf
 _HUGE_MASSES = dict(

@@ -36,7 +36,7 @@ def test_real_interval_is_exact():
 #
 # Cells ``(n, j)`` stand for ``[j 2^-n, (j + 1) 2^-n)``.  The tree relations
 # are checked on exact ``Fraction`` intervals and against the distance matrix
-# that ``verify_dyadic_distance_bound`` uses.
+# that ``verification._verify_dyadic_distance_bound`` uses.
 
 _DEPTH = 6
 

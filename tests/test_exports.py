@@ -3,6 +3,7 @@ nothing that only tests reach."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -54,6 +55,26 @@ def test_every_export_is_reached_by_the_library():
             used |= _loaded_names(ast.parse(path.read_text()))
     unused = set(zygdist.__all__) - used - _benchmark_targets()
     assert not unused, f"exported but unused in src/zygdist: {sorted(unused)}"
+
+
+def test_every_exported_function_is_read_outside_its_module():
+    # a public function that only its own module reads is one of that
+    # module's parts; classes are exempt, as their instances are the results
+    package = Path(zygdist.__file__).parent
+    reads = {
+        f"zygdist.{path.stem}": _loaded_names(ast.parse(path.read_text()))
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    exports = [getattr(zygdist, name) for name in zygdist.__all__]
+    internal = {
+        f.__name__
+        for f in exports
+        if inspect.isfunction(f)
+        and not any(f.__name__ in used for module, used in reads.items() if module != f.__module__)
+    }
+    internal -= _benchmark_targets()
+    assert not internal, f"exported functions read only in their own module: {sorted(internal)}"
 
 
 def _name(node: ast.AST) -> str | None:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -21,9 +21,10 @@ from reference import (
 )
 from zygdist import cli, functionals
 from zygdist.approximation import continuous_decompose
-from zygdist.dyadic import RealInterval
 from zygdist.functionals import (
     DepthProfile,
+    _bounded,
+    _growth_ratio,
     _sweep_values,
     box_square_energy,
     cone_levelset_count,
@@ -438,6 +439,45 @@ def test_estimate_threshold_picks_first_stable_level():
     assert est.method == "depth-ratio"
 
 
+def test_growth_ratio_rules():
+    assert _growth_ratio(0.0, 0.0) == 1.0
+    assert _growth_ratio(0.0, 2.0) == math.inf
+    assert _growth_ratio(2.0, 3.0) == 1.5
+    # a value that falls to zero at the deeper depth does not grow
+    assert _growth_ratio(2.0, 0.0) == 1.0
+
+
+sizes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+
+
+@given(sizes, sizes, st.floats(min_value=0.0, max_value=1e3))
+@example(1.0, 1.1, 0.1)  # 1.1 / 1.0 == 1.0 + 0.1: bounded, and only under <=
+def test_bounded_is_the_three_case_rule(shallow, deep, tau):
+    # 0 -> 0 is bounded, growth from 0 is not, otherwise the ratio decides
+    if deep == 0.0:
+        expected = True
+    elif shallow == 0.0:
+        expected = False
+    else:
+        expected = deep / shallow <= 1.0 + tau
+    assert _bounded(shallow, deep, tau) is expected
+
+
+def test_bounded_admits_a_ratio_of_exactly_one_plus_tau():
+    # 5 / 4 == 1 + 1/4 with every value representable: bounded only under <=
+    assert _bounded(4.0, 5.0, 0.25) is True
+    assert _bounded(4.0, 5.0, 0.125) is False
+
+
+def test_estimate_threshold_admits_a_ratio_of_exactly_one_plus_tau():
+    # the level whose profile goes 4 -> 5 is stable at tau = 1/4 only
+    profile = DepthProfile(depths=[4, 8], eps=[0.5, 1.0], values=[[4.0, 0.0], [5.0, 1.0]])
+    est = estimate_threshold(profile, tau=0.25)
+    assert (est.eps, est.ratios, est.stable) == (0.5, [1.25, math.inf], [True, False])
+    est = estimate_threshold(profile, tau=0.125)
+    assert (est.eps, est.stable) == (None, [False, False])
+
+
 def test_estimate_threshold_inconclusive_and_growth_from_zero():
     profile = DepthProfile(
         depths=[4, 8],
@@ -552,8 +592,7 @@ def test_second_difference_matches_dyadic_form():
     S = average_growth(f)
     for n in (0, 2, 5):
         for j in (0, (1 << n) - 1):
-            cell = RealInterval(Fraction(j, 1 << n), Fraction(j + 1, 1 << n))
-            h = cell.length / 2
-            d2 = second_difference(f, cell.left + h, h)
-            assert d2 == second_difference_dyadic(f, cell)
+            h = Fraction(1, 2 << n)
+            d2 = second_difference(f, Fraction(j, 1 << n) + h, h)
+            assert d2 == second_difference_dyadic(f, (n, j))
             assert d2 == 2.0 * S.jumps(n + 1)[2 * j + 1]

@@ -94,14 +94,13 @@ def test_second_difference_matches_twice_the_jump():
     S = average_growth(f)
     for n in range(0, 8):
         for j in sorted({0, (2**n) // 2, 2**n - 1}):
-            cell = RealInterval(Fraction(j, 1 << n), Fraction(j + 1, 1 << n))
-            d2 = second_difference_dyadic(f, cell)
+            d2 = second_difference_dyadic(f, (n, j))
             right_child_jump = S.jumps(n + 1)[2 * j + 1]
             assert d2 == 2.0 * right_child_jump
 
 
 def test_second_difference_dyadic_hat():
-    assert second_difference_dyadic(hat_function(5), RealInterval(0, 1)) == -2.0
+    assert second_difference_dyadic(hat_function(5), (0, 0)) == -2.0
 
 
 def test_averaging_property_validates():

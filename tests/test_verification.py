@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from reference import (
     block_max,
@@ -15,7 +13,7 @@ from reference import (
     predecessor_levels_loop,
     unit_tree_distance,
 )
-from zygdist.functionals import zygmund_seminorm
+from zygdist.functionals import _bounded, zygmund_seminorm
 from zygdist.generators import (
     _rng,
     cascade_measure,
@@ -37,31 +35,28 @@ from zygdist.martingale import (
 from zygdist.measures import GridMeasure, density_martingale
 from zygdist.verification import (
     _SAMPLES,
-    RatioReport,
-    _bounded,
+    _check_equal_centre,
+    _check_equal_step,
+    _check_first_difference,
+    _check_measure_modulus,
+    _check_second_difference_modulus,
     _delta1_samples,
+    _lemma_measure_family,
     _log_uniform,
     _predecessor_levels,
     _unit_tree_cells,
     _unit_tree_distance,
-    check_equal_centre,
-    check_equal_step,
-    check_first_difference,
-    check_measure_modulus,
-    check_second_difference_modulus,
-    lemma_measure_family,
-    stability_factor,
+    _verify_dyadic_distance_bound,
     verify_bdg,
-    verify_dyadic_distance_bound,
     verify_predecessor_measure,
     verify_strichartz_consistency,
 )
 
 ALL_CHECKS = [
-    check_second_difference_modulus,
-    check_equal_step,
-    check_equal_centre,
-    check_first_difference,
+    _check_second_difference_modulus,
+    _check_equal_step,
+    _check_equal_centre,
+    _check_first_difference,
 ]
 
 
@@ -74,23 +69,11 @@ def _run(check, f, seed):
 # helpers
 
 
-def test_stability_factor_rules():
-    a = RatioReport("a", 0.0, {}, 1, 0)
-    b = RatioReport("b", 0.0, {}, 1, 0)
-    c = RatioReport("c", 2.0, {}, 1, 0)
-    d = RatioReport("d", 3.0, {}, 1, 0)
-    assert stability_factor(a, b) == 1.0
-    assert stability_factor(a, c) == math.inf
-    assert stability_factor(c, d) == 1.5
-    # a maximum that falls to zero at the deeper grid does not grow
-    assert stability_factor(c, a) == 1.0
-
-
 @pytest.mark.parametrize("doubled", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_shared_kernels_match_the_oracles_on_lemma_cascades(seed, doubled):
     rng = np.random.default_rng(seed)
-    for _, mu in lemma_measure_family(seed=seed, doubled=doubled):
+    for _, mu in _lemma_measure_family(seed=seed, doubled=doubled):
         d, side = mu.dim, 1 << mu.depth
         S = density_martingale(mu)
         for n in range(1, S.depth + 1):
@@ -105,28 +88,6 @@ def test_shared_kernels_match_the_oracles_on_lemma_cascades(seed, doubled):
         assert np.array_equal(
             _delta1_samples(mu, centers, half), delta1_samples(mu, centers, half)
         )
-
-
-sizes = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
-
-
-@given(sizes, sizes, st.floats(min_value=0.0, max_value=1e3))
-@example(1.0, 1.1, 0.1)  # 1.1 / 1.0 == 1.0 + 0.1: bounded, and only under <=
-def test_bounded_is_the_three_case_rule(shallow, deep, tau):
-    # 0 -> 0 is bounded, growth from 0 is not, otherwise the ratio decides
-    if deep == 0.0:
-        expected = True
-    elif shallow == 0.0:
-        expected = False
-    else:
-        expected = deep / shallow <= 1.0 + tau
-    assert _bounded(shallow, deep, tau) is expected
-
-
-def test_bounded_admits_a_ratio_of_exactly_one_plus_tau():
-    # 5 / 4 == 1 + 1/4 with every value representable: bounded only under <=
-    assert _bounded(4.0, 5.0, 0.25) is True
-    assert _bounded(4.0, 5.0, 0.125) is False
 
 
 def test_log_uniform_range_and_coverage():
@@ -159,7 +120,7 @@ def test_unit_tree_distance_matches_interval_distance():
 
 
 def test_distance_bound_holds_with_margin():
-    report = verify_dyadic_distance_bound(seed=0)
+    report = _verify_dyadic_distance_bound(seed=0)
     assert report.max_ratio <= 1.0
     # a parent/child pair carrying the largest jump realises exactly 1/2
     assert report.max_ratio == 0.5
@@ -167,8 +128,8 @@ def test_distance_bound_holds_with_margin():
 
 
 def test_distance_bound_deterministic():
-    a = verify_dyadic_distance_bound(seed=3)
-    b = verify_dyadic_distance_bound(seed=3)
+    a = _verify_dyadic_distance_bound(seed=3)
+    b = _verify_dyadic_distance_bound(seed=3)
     assert a.max_ratio == b.max_ratio and a.argmax == b.argmax
 
 
@@ -215,35 +176,35 @@ def test_modulus_zero_function(check):
 
 def test_modulus_noncompact_drops_outside_samples():
     f = weierstrass_function(8)
-    report = _run(check_second_difference_modulus, f, seed=0)
+    report = _run(_check_second_difference_modulus, f, seed=0)
     assert 0 < report.samples < _SAMPLES
     assert math.isfinite(report.max_ratio)
 
 
 def test_equal_step_is_exact_zero_for_parabola():
     # the second difference of x^2 depends only on the step, never the centre
-    report = _run(check_equal_step, parabola_function(8), seed=2)
+    report = _run(_check_equal_step, parabola_function(8), seed=2)
     assert report.max_ratio == 0.0
 
 
 def test_argmax_config_satisfies_constraints():
     f = lacunary_function(8)
-    report = _run(check_second_difference_modulus, f, seed=1)
+    report = _run(_check_second_difference_modulus, f, seed=1)
     assert 0.0 < report.argmax["h"] < report.argmax["hp"]
     assert abs(report.argmax["x"] - report.argmax["t"]) < report.argmax["hp"] / 2
-    report = _run(check_equal_step, f, seed=1)
+    report = _run(_check_equal_step, f, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert 0.0 < gap < report.argmax["h"] / 2
-    report = _run(check_first_difference, f, seed=1)
+    report = _run(_check_first_difference, f, seed=1)
     gap = abs(report.argmax["x"] - report.argmax["t"])
     assert gap > report.argmax["h"] / 2
 
 
 def test_function_depth_doubling_stable():
-    check = check_second_difference_modulus
+    check = _check_second_difference_modulus
     shallow = _run(check, lacunary_function(5), seed=1)
     deep = _run(check, lacunary_function(10), seed=2)
-    assert stability_factor(shallow, deep) <= 1.5
+    assert _bounded(shallow.max_ratio, deep.max_ratio, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +213,15 @@ def test_function_depth_doubling_stable():
 
 def test_measure_modulus_uniform_is_zero():
     mu = GridMeasure(np.full(64, 1.0 / 64))
-    report = check_measure_modulus(mu, seed=0)
+    report = _check_measure_modulus(mu, seed=0)
     assert report.max_ratio == 0.0
 
 
 def test_measure_modulus_finite_and_deterministic():
     for dim, depth in [(1, 6), (2, 4)]:
         mu = GridMeasure(cascade_measure(dim, depth, seed=3))
-        a = check_measure_modulus(mu, seed=4)
-        b = check_measure_modulus(mu, seed=4)
+        a = _check_measure_modulus(mu, seed=4)
+        b = _check_measure_modulus(mu, seed=4)
         assert math.isfinite(a.max_ratio) and a.max_ratio > 0.0
         assert a.max_ratio == b.max_ratio
 
@@ -268,16 +229,16 @@ def test_measure_modulus_finite_and_deterministic():
 def test_measure_modulus_single_split_bounded():
     # one deviating split of relative size theta: ratios stay of order one
     mu = GridMeasure(one_split_measure(1, 6, theta=0.25))
-    report = check_measure_modulus(mu, seed=0)
+    report = _check_measure_modulus(mu, seed=0)
     assert 0.0 < report.max_ratio < 10.0
 
 
 def test_measure_depth_doubling_stable():
     mu_s = GridMeasure(cascade_measure(1, 5, seed=0))
     mu_d = GridMeasure(cascade_measure(1, 10, seed=0))
-    a = check_measure_modulus(mu_s, seed=1)
-    b = check_measure_modulus(mu_d, seed=2)
-    assert stability_factor(a, b) <= 1.5
+    a = _check_measure_modulus(mu_s, seed=1)
+    b = _check_measure_modulus(mu_d, seed=2)
+    assert _bounded(a.max_ratio, b.max_ratio, 0.5)
 
 
 # ---------------------------------------------------------------------------
