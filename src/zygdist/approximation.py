@@ -60,27 +60,19 @@ def truncate_jumps(S: DyadicMartingale, threshold: float) -> DyadicMartingale:
     applied to both, so the result is again a martingale (sibling jumps of a
     valid martingale cancel).  Kept jumps are copied bit for bit; dropped
     ones are zeroed, which bounds every jump of ``S - B`` by ``threshold``.
+    Each level is the truncated parent level plus the kept jumps.
     """
     if S.dim != 1:
         raise ValueError("jump truncation is one-dimensional; see measure truncation")
     levels = [S.levels[0].copy()]
     for n in range(1, S.depth + 1):
-        levels.append(_truncated_level(levels[-1], S.jumps(n), threshold))
+        dj = S.jumps(n)
+        keep = np.abs(dj[0::2]) > threshold
+        level = np.empty_like(dj)
+        np.add(levels[-1], keep * dj[0::2], out=level[0::2])
+        np.add(levels[-1], keep * dj[1::2], out=level[1::2])
+        levels.append(level)
     return DyadicMartingale(levels)
-
-
-def _truncated_level(parent: np.ndarray, dj: np.ndarray, threshold: float) -> np.ndarray:
-    """Next level of a truncated martingale: ``parent`` plus the kept jumps.
-
-    A sibling pair's jumps ``dj`` are kept when the left child's exceeds
-    ``threshold`` and zeroed otherwise.  Works along the last axis, so each
-    row of 2-D arrays is truncated on its own.
-    """
-    keep = np.abs(dj[..., 0::2]) > threshold
-    level = np.empty_like(dj)
-    np.add(parent, keep * dj[..., 0::2], out=level[..., 0::2])
-    np.add(parent, keep * dj[..., 1::2], out=level[..., 1::2])
-    return level
 
 
 def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMartingale:

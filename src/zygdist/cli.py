@@ -478,12 +478,12 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
+# the verification suites, in the order ``--suite all`` runs them
+_SUITES = ("lemmas", "predecessor", "bdg", "consistency")
+
+
 def cmd_verify(_, args) -> tuple[dict, int]:
-    suites = (
-        ["lemmas", "predecessor", "bdg", "consistency"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     body: dict = {"suites": suites}
     passed = True
     try:
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands["verify"].add_argument(
         "--suite",
         default="all",
-        choices=["lemmas", "predecessor", "bdg", "consistency", "all"],
+        choices=[*_SUITES, "all"],
     )
     p = commands["generate"]
     p.add_argument("--kind", required=True, choices=sorted(_CLASSIFICATIONS))

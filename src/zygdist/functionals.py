@@ -285,8 +285,10 @@ def estimate_threshold(profile: DepthProfile, tau: float = _DEFAULT_TAU) -> Thre
     A level is stable when its shallowest and deepest values pass
     ``_bounded``.  Returns the first stable level of the ascending grid, or
     ``None`` when every level still grows — the finite-depth data is then
-    inconclusive.
+    inconclusive.  A profile of fewer than two distinct depths shows no
+    growth either way: no level is stable, and the result is ``None``.
     """
+    compared = len(set(profile.depths)) > 1
     order = sorted(range(len(profile.eps)), key=lambda j: profile.eps[j])
     shallow_row = profile.values[profile.depths.index(min(profile.depths))]
     deep_row = profile.values[profile.depths.index(max(profile.depths))]
@@ -295,7 +297,7 @@ def estimate_threshold(profile: DepthProfile, tau: float = _DEFAULT_TAU) -> Thre
     chosen = None
     for j in order:
         ratios[j] = _growth_ratio(shallow_row[j], deep_row[j])
-        stable[j] = _bounded(shallow_row[j], deep_row[j], tau)
+        stable[j] = compared and _bounded(shallow_row[j], deep_row[j], tau)
         if stable[j] and chosen is None:
             chosen = profile.eps[j]
     return ThresholdEstimate(eps=chosen, ratios=ratios, stable=stable, tau=tau)

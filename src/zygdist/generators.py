@@ -1,4 +1,5 @@
-"""Seeded generators for functions, martingales and measures used in tests.
+"""Seeded generators for functions, martingales and measures: the inputs of
+``zygdist generate``, the families ``zygdist verify`` samples, and test data.
 
 Every stochastic generator quantises its draws to the 2^-16 dyadic lattice
 (or coarser), so sums, differences and power-of-two rescalings of generated

@@ -11,6 +11,7 @@ characteristic, maximal function) are all read off the jump field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -205,19 +206,18 @@ class DyadicMartingale:
     def jumps(self, n: int) -> np.ndarray:
         """Jump field at generation ``n >= 1``: value minus parent value.
 
-        In 1-d the left and right children are subtracted from the parent
-        level in two strided passes into one output, so no expanded copy of
-        the parent is built; d-dim fields subtract the expanded parent.
-        Either way each entry is the one subtraction ``child - parent``.
+        Each child corner (every second cell along each axis, from offset 0
+        or 1) is subtracted from the parent level in one strided pass into
+        one output, so no expanded copy of the parent is built.  Each entry
+        is the one subtraction ``child - parent``.
         """
         if not 1 <= n <= self.depth:
             raise ValueError(f"no jumps at generation {n}")
         child, parent = self.levels[n], self.levels[n - 1]
-        if self.dim != 1:
-            return child - _expand(parent, self.dim)
         out = np.empty_like(child)
-        np.subtract(child[0::2], parent, out=out[0::2])
-        np.subtract(child[1::2], parent, out=out[1::2])
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            cells = tuple(slice(c, None, 2) for c in corner)
+            np.subtract(child[cells], parent, out=out[cells])
         return out
 
     def __repr__(self):

@@ -80,18 +80,32 @@ def _log_uniform(rng: np.random.Generator, lo: int, hi: int, size: int) -> np.nd
     return np.minimum(np.floor(np.exp(a)).astype(np.int64), hi)
 
 
-def _report(name, ratios, ok, config, seed) -> RatioReport:
+def _report(name, ratios, ok, config, unit, seed) -> RatioReport:
+    """The largest ratio where ``ok`` holds, with its witness: ``config``
+    is in grid units, and ``unit`` is one grid unit in real units."""
     ratios = np.where(ok, ratios, -np.inf)
     j = int(np.argmax(ratios))
     if not np.isfinite(ratios[j]):
-        return RatioReport(name, 0.0, {}, _SAMPLES, seed)
+        return _zero_report(name, seed)
     return RatioReport(
         name,
         float(ratios[j]),
-        {key: float(val[j]) for key, val in config.items()},
+        {key: float(val[j]) * unit for key, val in config.items()},
         int(np.count_nonzero(ok)),
         seed,
     )
+
+
+def _zero_report(name, seed) -> RatioReport:
+    return RatioReport(name, 0.0, {}, _SAMPLES, seed)
+
+
+def _translates(rng: np.random.Generator, M: int, s: np.ndarray):
+    """Centres ``x`` drawn on the grid ``0..M`` and ``t = x +- s``, each
+    sign drawn uniformly."""
+    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
+    ix = rng.integers(0, M + 1, _SAMPLES)
+    return ix, ix + sign * s
 
 
 def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int) -> RatioReport:
@@ -103,6 +117,8 @@ def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int)
     for ``0 < h < h'`` and ``|x - t| < h'/2``.  ``norm`` is
     ``zygmund_seminorm(f)``, as in the three checks below.
     """
+    if norm == 0.0:
+        return _zero_report("second-difference-modulus", seed)
     rng = _rng(seed, 11)
     M = f.values.size - 1
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
@@ -110,21 +126,16 @@ def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int)
     up = u + g
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     s = np.where(2 * s < up, s, 0)  # keep |x - t| < h'/2, else collapse to x = t
-    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
-    ix = rng.integers(0, M + 1, _SAMPLES)
-    it = ix + sign * s
+    ix, it = _translates(rng, M, s)
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, it, up)
     ok = oka & okb & (up * 2 <= M)
-    if norm == 0.0:
-        return RatioReport("second-difference-modulus", 0.0, {}, _SAMPLES, seed)
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = (g / up) * (1.0 + np.log(up / g))
         term2 = np.where(s > 0, (s / up) * np.log(up / np.maximum(s, 1) + 1.0), 0.0)
         ratios = np.abs(d2a - d2b) / (norm * (term1 + term2))
-    sp = float(f.spacing)
-    config = {"x": ix * sp, "t": it * sp, "h": u * sp, "hp": up * sp}
-    return _report("second-difference-modulus", ratios, ok, config, seed)
+    config = {"x": ix, "t": it, "h": u, "hp": up}
+    return _report("second-difference-modulus", ratios, ok, config, float(f.spacing), seed)
 
 
 def _check_equal_step(f: SampledFunction, norm: float, seed: int) -> RatioReport:
@@ -132,23 +143,19 @@ def _check_equal_step(f: SampledFunction, norm: float, seed: int) -> RatioReport
     ``|d2(x, h) - d2(t, h)| <= norm (|x-t|/h) log(h/|x-t| + 1)`` for
     ``0 < |x - t| < h/2``.
     """
+    if norm == 0.0:
+        return _zero_report("equal-step-modulus", seed)
     rng = _rng(seed, 12)
     M = f.values.size - 1
     u = _log_uniform(rng, 3, M // 2, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
-    ok_geom = 2 * s < u
-    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
-    ix = rng.integers(0, M + 1, _SAMPLES)
-    it = ix + sign * s
+    ix, it = _translates(rng, M, s)
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, it, u)
-    ok = oka & okb & ok_geom
-    if norm == 0.0:
-        return RatioReport("equal-step-modulus", 0.0, {}, _SAMPLES, seed)
+    ok = oka & okb & (2 * s < u)
     ratios = np.abs(d2a - d2b) / (norm * (s / u) * np.log(u / s + 1.0))
-    sp = float(f.spacing)
-    config = {"x": ix * sp, "t": it * sp, "h": u * sp}
-    return _report("equal-step-modulus", ratios, ok, config, seed)
+    config = {"x": ix, "t": it, "h": u}
+    return _report("equal-step-modulus", ratios, ok, config, float(f.spacing), seed)
 
 
 def _check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioReport:
@@ -156,6 +163,8 @@ def _check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioRepo
     ``|d2(x, h) - d2(x, h')| <= norm ((h'-h)/h') (1 + log(h'/(h'-h)))`` for
     ``0 < h < h'``.
     """
+    if norm == 0.0:
+        return _zero_report("equal-centre-modulus", seed)
     rng = _rng(seed, 13)
     M = f.values.size - 1
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
@@ -165,26 +174,22 @@ def _check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioRepo
     d2a, oka = _second_difference(f, ix, u)
     d2b, okb = _second_difference(f, ix, up)
     ok = oka & okb & (up * 2 <= M)
-    if norm == 0.0:
-        return RatioReport("equal-centre-modulus", 0.0, {}, _SAMPLES, seed)
     ratios = np.abs(d2a - d2b) / (norm * (g / up) * (1.0 + np.log(up / g)))
-    sp = float(f.spacing)
-    config = {"x": ix * sp, "h": u * sp, "hp": up * sp}
-    return _report("equal-centre-modulus", ratios, ok, config, seed)
+    config = {"x": ix, "h": u, "hp": up}
+    return _report("equal-centre-modulus", ratios, ok, config, float(f.spacing), seed)
 
 
 def _check_first_difference(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Distant-translation bound for slopes:
     ``|d1(x, h) - d1(t, h)| <= norm log(|x-t|/h + 1)`` for ``|x - t| > h/2``.
     """
+    if norm == 0.0:
+        return _zero_report("first-difference-modulus", seed)
     rng = _rng(seed, 14)
     M = f.values.size - 1
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
-    ok_geom = 2 * s > u
-    sign = rng.integers(0, 2, _SAMPLES) * 2 - 1
-    ix = rng.integers(0, M + 1, _SAMPLES)
-    it = ix + sign * s
+    ix, it = _translates(rng, M, s)
     v = f.values
     sp = float(f.spacing)
     a0, ok0 = _gather(v, ix, f.compact)
@@ -193,12 +198,10 @@ def _check_first_difference(f: SampledFunction, norm: float, seed: int) -> Ratio
     b1, ok3 = _gather(v, it + u, f.compact)
     d1a = (a1 - a0) / (u * sp)
     d1b = (b1 - b0) / (u * sp)
-    ok = ok0 & ok1 & ok2 & ok3 & ok_geom
-    if norm == 0.0:
-        return RatioReport("first-difference-modulus", 0.0, {}, _SAMPLES, seed)
+    ok = ok0 & ok1 & ok2 & ok3 & (2 * s > u)
     ratios = np.abs(d1a - d1b) / (norm * np.log(s / u + 1.0))
-    config = {"x": ix * sp, "t": it * sp, "h": u * sp}
-    return _report("first-difference-modulus", ratios, ok, config, seed)
+    config = {"x": ix, "t": it, "h": u}
+    return _report("first-difference-modulus", ratios, ok, config, sp, seed)
 
 
 def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
@@ -213,16 +216,18 @@ def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
     return total / vol
 
 
-def _check_measure_modulus(mu: GridMeasure, seed: int) -> RatioReport:
+def _check_measure_modulus(mu: GridMeasure, norm: float, seed: int) -> RatioReport:
     """Joint modulus for box-average second differences of a measure:
 
     ``|d2(x, h) - d2(t, h')| <= norm [ ((h'-h)/h)(1 + log(h/(h'-h) + 1))
     + (|x-t|/h) log(h/|x-t| + 1) ]`` for ``h < h' <= 2h``, ``|x-t| < h/2``,
-    with ``t`` an axis translate of ``x``.
+    with ``t`` an axis translate of ``x``.  ``norm`` is the dyadic
+    ``measure_zygmund_norm(mu)``.
     """
+    if norm == 0.0:
+        return _zero_report("measure-modulus", seed)
     rng = _rng(seed, 15)
     side = 1 << mu.depth
-    norm = measure_zygmund_norm(mu, mode="dyadic")
     w = _log_uniform(rng, 1, side // 4, _SAMPLES)  # h = 2w cells
     gp = _log_uniform(rng, 1, side // 2, _SAMPLES)
     gp = np.minimum(gp, w)  # h' = 2(w + gp) <= 2h
@@ -236,21 +241,14 @@ def _check_measure_modulus(mu: GridMeasure, seed: int) -> RatioReport:
     d2a = _delta1_samples(mu, centers, w) - _delta1_samples(mu, centers, 2 * w)
     wp = w + gp
     d2b = _delta1_samples(mu, translated, wp) - _delta1_samples(mu, translated, 2 * wp)
-    if norm == 0.0:
-        return RatioReport("measure-modulus", 0.0, {}, _SAMPLES, seed)
     h = 2.0 * w
     dh = 2.0 * gp
     term1 = (dh / h) * (1.0 + np.log(h / dh + 1.0))
     term2 = np.where(s > 0, (s / h) * np.log(h / np.maximum(s, 1) + 1.0), 0.0)
     ratios = np.abs(d2a - d2b) / (norm * (term1 + term2))
     ok = np.ones(_SAMPLES, dtype=bool)
-    config = {
-        "x": centers[:, 0] / side,
-        "h": h / side,
-        "hp": 2.0 * wp / side,
-        "shift": s / side,
-    }
-    return _report("measure-modulus", ratios, ok, config, seed)
+    config = {"x": centers[:, 0], "h": h, "hp": 2.0 * wp, "shift": s}
+    return _report("measure-modulus", ratios, ok, config, 1 / side, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +446,9 @@ def _lemma_function_family(depth: int, seed: int):
     return suite + [("random-walk", integrate(recentred))]
 
 
-def _lemma_measure_family(seed: int, doubled: bool = False):
+def _lemma_measure_family(scale: int, seed: int):
     """Cascade measures (two one-dimensional, one planar) for the measure
-    modulus; ``doubled`` selects grids twice as deep."""
-    scale = 2 if doubled else 1
+    modulus, at depths 5, 5 and 4 times ``scale``."""
     return [
         ("cascade-1d-a", GridMeasure(cascade_measure(1, 5 * scale, seed=seed))),
         ("cascade-1d-b", GridMeasure(cascade_measure(1, 5 * scale, seed=seed + 1))),
@@ -467,22 +464,20 @@ _FUNCTION_CHECKS = (
 )
 
 
+def _normed(norm, family, sizes, seed):
+    """``(name, (x, norm(x)), (y, norm(y)))`` for each member of ``family``,
+    drawn as ``x`` at the first size and as ``y`` at the second."""
+    shallow, deep = (family(size, seed) for size in sizes)
+    return [(name, (x, norm(x)), (y, norm(y))) for (name, x), (_, y) in zip(shallow, deep)]
+
+
 def run_lemma_suite(seed: int = 0) -> dict:
     """Sample every modulus estimate on the standard families at two grid
     depths and collect max ratios with their depth-doubling factors."""
-    functions = [
-        (name, (f, zygmund_seminorm(f)), (g, zygmund_seminorm(g)))
-        for (name, f), (_, g) in zip(
-            _lemma_function_family(6, seed=seed), _lemma_function_family(12, seed=seed)
-        )
-    ]
-    cases = [(check, *function) for check in _FUNCTION_CHECKS for function in functions]
-    cases += [
-        (_check_measure_modulus, name, (mu,), (nu,))
-        for (name, mu), (_, nu) in zip(
-            _lemma_measure_family(seed=seed), _lemma_measure_family(seed=seed, doubled=True)
-        )
-    ]
+    functions = _normed(zygmund_seminorm, _lemma_function_family, (6, 12), seed)
+    measures = _normed(measure_zygmund_norm, _lemma_measure_family, (1, 2), seed)
+    cases = [(check, *f) for check in _FUNCTION_CHECKS for f in functions]
+    cases += [(_check_measure_modulus, *mu) for mu in measures]
     reports = []
     passed = True
     for check, name, shallow, deep in cases:

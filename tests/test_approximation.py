@@ -180,6 +180,16 @@ def test_distance_report_bounds_and_estimate():
     assert rep.estimate.method == "depth-ratio"
 
 
+def test_one_depth_profile_gives_no_threshold():
+    # one row is both the shallowest and the deepest: no growth is measured
+    f = integrate(random_jump_martingale(9, delta=Fraction(1, 16), seed=7))
+    assert distance_report(f, None, [5, 9]).estimate.eps == 0.125
+    for depths in ([9], [9, 9]):
+        estimate = distance_report(f, None, depths).estimate
+        assert estimate.eps is None
+        assert not any(estimate.stable)
+
+
 # ---------------------------------------------------------------------------
 # sorted truncation maxima against the truncation loop
 

@@ -4,7 +4,9 @@ Each pair in ``docs/`` was produced by the CLI command listed here, the
 input by ``zygdist generate`` at seed 7; any change to the numbers, their
 order or the report layout fails the gate.  A case without an input file
 (``verify``, ``generate``) compares the command's output alone; two
-``generate`` cases reproduce checked-in inputs of other cases.
+``generate`` cases reproduce checked-in inputs of other cases.  Each case
+also names its exit code: ``verify --suite lemmas --seed 29`` finds a
+violated estimate (exit 4), and its report pins the witnesses it prints.
 
 Every ``generate`` kind has a case except ``weierstrass``: its values come
 from ``np.cos`` and are not on the binary lattice, so they may differ in the
@@ -32,25 +34,33 @@ from pathlib import Path
 import pytest
 
 from reference import reference_json
-from zygdist.cli import EXIT_INPUT, EXIT_OK, main
+from zygdist.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATED, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 GOLDEN = [
-    ("distance-ibmo", "golden-input.json", "golden-report.json", ["distance-ibmo", "--depths", "6,7,8"]),
-    ("sobolev", "golden-sobolev-input.json", "golden-sobolev-report.json", ["sobolev"]),
-    ("measure-1d", "golden-measure-1d-input.json", "golden-measure-1d-report.json", ["measure"]),
-    ("measure-2d", "golden-measure-2d-input.json", "golden-measure-2d-report.json", ["measure"]),
-    ("seminorm", "golden-input.json", "golden-seminorm-report.json", ["seminorm"]),
-    ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"]),
-    ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"]),
-    ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"]),
+    ("distance-ibmo", "golden-input.json", "golden-report.json", ["distance-ibmo", "--depths", "6,7,8"], EXIT_OK),
+    ("sobolev", "golden-sobolev-input.json", "golden-sobolev-report.json", ["sobolev"], EXIT_OK),
+    ("measure-1d", "golden-measure-1d-input.json", "golden-measure-1d-report.json", ["measure"], EXIT_OK),
+    ("measure-2d", "golden-measure-2d-input.json", "golden-measure-2d-report.json", ["measure"], EXIT_OK),
+    ("seminorm", "golden-input.json", "golden-seminorm-report.json", ["seminorm"], EXIT_OK),
+    ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"], EXIT_OK),
+    ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"], EXIT_OK),
+    ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"], EXIT_OK),
+    (
+        "verify-lemmas-seed29",
+        None,
+        "golden-verify-lemmas-seed29-report.json",
+        ["verify", "--suite", "lemmas", "--seed", "29"],
+        EXIT_VIOLATED,
+    ),
     *[
         (
             f"verify-{suite}",
             None,
             f"golden-verify-{suite}-report.json",
             ["verify", "--suite", suite, "--seed", "7"],
+            EXIT_OK,
         )
         for suite in ("lemmas", "predecessor", "bdg", "consistency")
     ],
@@ -59,12 +69,14 @@ GOLDEN = [
         None,
         "golden-sobolev-input.json",
         ["generate", "--kind", "random-jumps", "--depth", "6", "--seed", "7"],
+        EXIT_OK,
     ),
     (
         "generate-cascade-2d",
         None,
         "golden-measure-2d-input.json",
         ["generate", "--kind", "cascade", "--dim", "2", "--depth", "4", "--seed", "7"],
+        EXIT_OK,
     ),
     *[
         (
@@ -72,6 +84,7 @@ GOLDEN = [
             None,
             f"golden-generate-{kind}.json",
             ["generate", "--kind", kind, "--depth", "6", "--seed", "7"],
+            EXIT_OK,
         )
         for kind in ("linear", "hat", "square", "lacunary", "single-branch")
     ],
@@ -80,6 +93,7 @@ GOLDEN = [
         None,
         "golden-generate-cascade-1d.json",
         ["generate", "--kind", "cascade", "--dim", "1", "--depth", "6", "--seed", "7"],
+        EXIT_OK,
     ),
     *[
         (
@@ -87,6 +101,7 @@ GOLDEN = [
             f"golden-{grid}-input.json",
             f"golden-{grid}-{command}-report.json",
             [command],
+            EXIT_OK,
         )
         for grid in ("offset", "wide")
         for command in ("seminorm", "strichartz", "distance-ibmo", "decompose")
@@ -95,13 +110,12 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "source, expected, argv", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+    "source, expected, argv, code", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
 )
-def test_golden_report_bytes(tmp_path, source, expected, argv):
+def test_golden_report_bytes(tmp_path, source, expected, argv, code):
     out = tmp_path / "report.json"
     inputs = [] if source is None else ["--in", str(DOCS / source)]
-    code = main([*argv, *inputs, "--out", str(out)])
-    assert code == EXIT_OK
+    assert main([*argv, *inputs, "--out", str(out)]) == code
     assert out.read_bytes() == (DOCS / expected).read_bytes()
 
 

@@ -27,6 +27,7 @@ from reference import (
 from zygdist.approximation import _lattice_exact, _tree_exact, _window_jumps
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
+    cascade_measure,
     hat_function,
     lacunary_function,
     linear_function,
@@ -37,10 +38,12 @@ from zygdist.generators import (
     weierstrass_function,
 )
 from zygdist.functionals import _sweep_values
+from zygdist.measures import GridMeasure, density_martingale
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
+    _expand,
     _lattice_exponents,
     _lattice_quantum,
     average_growth,
@@ -87,6 +90,14 @@ def test_sibling_jumps_are_opposite():
     for n in range(1, S.depth + 1):
         dj = S.jumps(n)
         assert np.array_equal(dj[0::2], -dj[1::2])
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 10), (2, 5), (3, 3)])
+def test_jumps_equal_the_expanded_parent_difference(dim, depth):
+    S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=dim)))
+    for n in range(1, S.depth + 1):
+        expected = S.levels[n] - _expand(S.levels[n - 1], dim)
+        assert S.jumps(n).tobytes() == expected.tobytes()
 
 
 def test_second_difference_matches_twice_the_jump():

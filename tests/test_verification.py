@@ -32,7 +32,7 @@ from zygdist.martingale import (
     integrate,
     star_norm,
 )
-from zygdist.measures import GridMeasure, density_martingale
+from zygdist.measures import GridMeasure, density_martingale, measure_zygmund_norm
 from zygdist.verification import (
     _SAMPLES,
     _check_equal_centre,
@@ -52,28 +52,39 @@ from zygdist.verification import (
     verify_strichartz_consistency,
 )
 
-ALL_CHECKS = [
+FUNCTION_CHECKS = [
     _check_second_difference_modulus,
     _check_equal_step,
     _check_equal_centre,
     _check_first_difference,
 ]
+ALL_CHECKS = FUNCTION_CHECKS + [_check_measure_modulus]
 
 
-def _run(check, f, seed):
-    """A function check, measured against the function's own seminorm."""
-    return check(f, zygmund_seminorm(f), seed)
+def _run(check, x, seed):
+    """A check, measured against its object's own norm: the seminorm of a
+    function, the dyadic norm of a measure."""
+    if isinstance(x, GridMeasure):
+        return check(x, measure_zygmund_norm(x), seed)
+    return check(x, zygmund_seminorm(x), seed)
+
+
+def _subject(check):
+    """An object with nonzero norm for ``check``."""
+    if check is _check_measure_modulus:
+        return GridMeasure(cascade_measure(2, 4, seed=3))
+    return lacunary_function(8)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("seed", range(10))
-def test_shared_kernels_match_the_oracles_on_lemma_cascades(seed, doubled):
+def test_shared_kernels_match_the_oracles_on_lemma_cascades(seed, scale):
     rng = np.random.default_rng(seed)
-    for _, mu in _lemma_measure_family(seed=seed, doubled=doubled):
+    for _, mu in _lemma_measure_family(scale, seed):
         d, side = mu.dim, 1 << mu.depth
         S = density_martingale(mu)
         for n in range(1, S.depth + 1):
@@ -137,7 +148,7 @@ def test_distance_bound_deterministic():
 # modulus checks
 
 
-@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("check", FUNCTION_CHECKS)
 def test_modulus_ratios_finite(check):
     for f in [
         hat_function(8),
@@ -153,13 +164,23 @@ def test_modulus_ratios_finite(check):
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_deterministic(check):
-    f = lacunary_function(8)
-    a = _run(check, f, seed=7)
-    b = _run(check, f, seed=7)
-    assert a.max_ratio == b.max_ratio and a.argmax == b.argmax
+    # one seed gives one report, witness and sample count included
+    x = _subject(check)
+    a = _run(check, x, seed=7)
+    assert a.max_ratio > 0.0 and a.argmax
+    assert _run(check, x, seed=7) == a
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
+def test_modulus_zero_norm_gives_the_zero_report(check):
+    report = check(_subject(check), 0.0, seed=7)
+    assert report.max_ratio == 0.0
+    assert report.samples == _SAMPLES
+    assert report.argmax == {}
+    assert report.seed == 7
+
+
+@pytest.mark.parametrize("check", FUNCTION_CHECKS)
 def test_modulus_scale_invariant(check):
     f = lacunary_function(8)
     g = type(f)(4.0 * f.values, left=f.left, log2_spacing=f.log2_spacing)
@@ -168,7 +189,7 @@ def test_modulus_scale_invariant(check):
     assert a.max_ratio == pytest.approx(b.max_ratio, rel=1e-12)
 
 
-@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("check", FUNCTION_CHECKS)
 def test_modulus_zero_function(check):
     report = _run(check, linear_function(8), seed=0)
     assert report.max_ratio == 0.0
@@ -200,6 +221,23 @@ def test_argmax_config_satisfies_constraints():
     assert gap > report.argmax["h"] / 2
 
 
+def test_lemma_suite_computes_each_norm_once(monkeypatch):
+    # five functions and three measures, each drawn at two depths
+    seen = {"zygmund_seminorm": [], "measure_zygmund_norm": []}
+    for name, norms in seen.items():
+        norm = getattr(verification, name)
+
+        def recorded(x, norm=norm, norms=norms):
+            norms.append(x)
+            return norm(x)
+
+        monkeypatch.setattr(verification, name, recorded)
+    verification.run_lemma_suite(seed=0)
+    for norms, count in zip(seen.values(), (10, 6)):
+        assert len(norms) == count
+        assert len({id(x) for x in norms}) == count
+
+
 def test_function_depth_doubling_stable():
     check = _check_second_difference_modulus
     shallow = _run(check, lacunary_function(5), seed=1)
@@ -213,15 +251,15 @@ def test_function_depth_doubling_stable():
 
 def test_measure_modulus_uniform_is_zero():
     mu = GridMeasure(np.full(64, 1.0 / 64))
-    report = _check_measure_modulus(mu, seed=0)
+    report = _run(_check_measure_modulus, mu, seed=0)
     assert report.max_ratio == 0.0
 
 
 def test_measure_modulus_finite_and_deterministic():
     for dim, depth in [(1, 6), (2, 4)]:
         mu = GridMeasure(cascade_measure(dim, depth, seed=3))
-        a = _check_measure_modulus(mu, seed=4)
-        b = _check_measure_modulus(mu, seed=4)
+        a = _run(_check_measure_modulus, mu, seed=4)
+        b = _run(_check_measure_modulus, mu, seed=4)
         assert math.isfinite(a.max_ratio) and a.max_ratio > 0.0
         assert a.max_ratio == b.max_ratio
 
@@ -229,15 +267,15 @@ def test_measure_modulus_finite_and_deterministic():
 def test_measure_modulus_single_split_bounded():
     # one deviating split of relative size theta: ratios stay of order one
     mu = GridMeasure(one_split_measure(1, 6, theta=0.25))
-    report = _check_measure_modulus(mu, seed=0)
+    report = _run(_check_measure_modulus, mu, seed=0)
     assert 0.0 < report.max_ratio < 10.0
 
 
 def test_measure_depth_doubling_stable():
     mu_s = GridMeasure(cascade_measure(1, 5, seed=0))
     mu_d = GridMeasure(cascade_measure(1, 10, seed=0))
-    a = _check_measure_modulus(mu_s, seed=1)
-    b = _check_measure_modulus(mu_d, seed=2)
+    a = _run(_check_measure_modulus, mu_s, seed=1)
+    b = _run(_check_measure_modulus, mu_d, seed=2)
     assert _bounded(a.max_ratio, b.max_ratio, 0.5)
 
 
