@@ -168,6 +168,40 @@ def _second_difference(f: SampledFunction, x: np.ndarray, u):
     return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
 
 
+def _zero_padded(f: SampledFunction) -> tuple[np.ndarray, int]:
+    """The samples with ``w = 3 * 2^(N-2)`` zeros on each side, and ``w``.
+
+    ``w`` is the widest step of the cone and box lattices, so every sample
+    they read is an element of this one copy, the zero extension that
+    ``_second_difference`` reads beyond the ends included.
+    """
+    width = (3 << f.depth) >> 2
+    padded = np.zeros(f.values.size + 2 * width)
+    padded[width : width + f.values.size] = f.values
+    return padded, width
+
+
+def _sliced_second_difference(f: SampledFunction, padded, width: int, centres: range, t: int):
+    """``_second_difference(f, centres, t)`` for the grid indices of the
+    ``range`` ``centres``, from three strided slices of ``_zero_padded(f)``.
+
+    The same expression on the same samples gives the same bits, without the
+    index arrays, clips and selects of the gathers.  On non-compact input a
+    centre is valid when ``centre - t >= 0`` and ``centre + t`` is at most
+    the last index.
+    """
+    l, c, r = (
+        padded[width + centres.start + k : width + centres.stop + k : centres.step]
+        for k in (-t, 0, t)
+    )
+    d2 = ((r - c) - (c - l)) / (t * float(f.spacing))
+    ok = np.ones(d2.size, dtype=bool)
+    if not f.compact:
+        ok[: len(range(centres.start, t, centres.step))] = False
+        ok[len(range(centres.start, f.values.size - t, centres.step)) :] = False
+    return d2, ok
+
+
 def box_square_energy(f: SampledFunction, depth: int) -> float:
     """Normalised square energy of second differences over a box lattice.
 
@@ -175,17 +209,18 @@ def box_square_energy(f: SampledFunction, depth: int) -> float:
     ``I x (0, |I|]``, ``I`` the sampled span, down to ``depth`` layers and
     divides by ``|I|``.  Layers whose sample step falls under the grid
     resolution are not representable and stop the sum (profiles deeper than
-    the grid saturate).
+    the grid saturate).  Layer ``n``'s centres ``(2i + 1) q`` and their
+    ``+-3q`` neighbours are strided slices of ``_zero_padded(f)``.
     """
     cells = 1 << f.depth
     spacing = float(f.spacing)
+    padded, width = _zero_padded(f)
     total = 0.0
     for n in range(depth):
         if cells >> (n + 2) == 0:
             break
         q = cells >> (n + 2)
-        centers = (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
-        d2, ok = _second_difference(f, centers, 3 * q)
+        d2, ok = _sliced_second_difference(f, padded, width, range(q, cells, 2 * q), 3 * q)
         weight = 2 * q * spacing * math.log(2.0)
         total += weight * float((d2 * d2 * ok).sum())
     return total / (cells * spacing)
@@ -233,6 +268,10 @@ def _second_difference_size(S: DyadicMartingale, generation: int) -> np.ndarray:
     return 2.0 * np.abs(S.jumps(generation + 1)[0::2])
 
 
+# levels times window cells of one ``_tree_profile`` accumulator: 512 KiB
+_TREE_BLOCK = 1 << 16
+
+
 def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthProfile:
     """Tree level-set densities of ``S`` at every (depth, level).
 
@@ -244,20 +283,39 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
     entry is the maximum over windows.  The size tables are formed once,
     down to the deepest depth, and each entry is one bottom-up window pass
     over them: O(2^(dim N)) for the sizes plus O(2^(dim depth)) per entry.
+
+    At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
+    dim (d - 1))`` levels at once, in one accumulator of at most
+    ``_TREE_BLOCK`` float64 window sums (one level at a time from ``dim (d -
+    1) >= 16`` on).  Every sum is exact: its terms are volumes ``2^-(dim
+    m)``, ``m < d``, so it is a multiple of ``2^-(dim (d - 1))`` below ``d``
+    windows' volume, with fewer than 53 significant bits, in any order of
+    addition.  So are its maximum and the power-of-two rescaling; the table
+    is that of one level at a time.
     """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
     for d in depths:
         if not 1 <= d <= S.depth:
             raise ValueError(f"depth must be in [1, {S.depth}]")
+    dim = S.dim
     sizes = [parent_size(S, m) for m in range(max(depths, default=0))]
-    values = [[0.0] * len(eps_grid) for _ in depths]
-    for row, d in zip(values, depths):
-        for j, e in enumerate(eps_grid):
-            acc = np.zeros((1 << d,) * S.dim)
+    levels = np.array(eps_grid)
+    values = []
+    for d in depths:
+        block = max(1, _TREE_BLOCK >> dim * (d - 1))
+        row = np.zeros(levels.size)
+        for lo in range(0, levels.size, block):
+            eps = levels[lo : lo + block].reshape((-1,) + (1,) * dim)
+            peak = row[lo : lo + block]
+            acc = np.zeros(eps.shape[:1] + sizes[d - 1].shape)
             for m in range(d - 1, -1, -1):
-                acc = _block_reduce(acc, S.dim) + (sizes[m] > e) * 2.0 ** (-S.dim * m)
-                row[j] = max(row[j], float(acc.max()) * 2.0 ** (S.dim * m))
+                if m < d - 1:  # sum each window's children; .T puts levels last
+                    acc = _block_reduce(acc.T, dim).T
+                np.add(acc, 2.0 ** (-dim * m), out=acc, where=sizes[m] > eps)
+                top = acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (dim * m)
+                np.maximum(peak, top, out=peak)
+        values.append(row.tolist())
     return DepthProfile(depths=depths, eps=eps_grid, values=values)
 
 
@@ -310,13 +368,15 @@ def _cone_samples(f: SampledFunction, depth: int):
     ``t = 3u`` grid units with ``u = 2^(N-n-2)``; for an apex at grid index
     ``a`` the slab ``|x - s| < t`` is covered by three cells of width ``2u``
     centred at ``a - 2u, a, a + 2u``, each carrying ``ds dt/t^2`` mass 4/9.
-    Layers stop at ``N - 2``, the last one with ``u >= 1``.
+    Layers stop at ``N - 2``, the last one with ``u >= 1``.  Every layer
+    reads three slices of one ``_zero_padded`` copy of the samples.
     """
     N = f.depth
-    s = np.arange(f.values.size, dtype=np.int64)
+    padded, width = _zero_padded(f)
+    every = range(f.values.size)
     for n in range(min(depth, N - 1)):
         u = 1 << (N - n - 2)
-        yield (u, *_second_difference(f, s, 3 * u))
+        yield (u, *_sliced_second_difference(f, padded, width, every, 3 * u))
 
 
 def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
@@ -330,10 +390,17 @@ def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
     mass depends only on the number ``k`` of qualifying samples: it is
     ``mass[k]``, the sequential sum of ``k`` copies of 4/9.  So the layers
     are formed once, for the deepest depth, and each adds its qualifying
-    samples into one ``uint8`` counter per (level, leaf).
+    samples into one ``uint8`` counter per (level, leaf).  A layer compares
+    its samples with every level once, into one mask; the three apex offsets
+    add shifted slices of that mask.  An entry is then
+    ``squares[c].mean() ** 0.5`` (gathered by ``take``) with ``squares =
+    sqrt(mass) ** 2`` formed once: the elements and the expression of
+    ``lp_norm(sqrt(mass)[c], 2)``.
 
-    Cost: O(N 2^N) gathers plus O(|eps| N 2^N) byte compares, with
-    ``2 |eps| 2^N`` bytes of counters and compare mask.
+    Cost: O(N 2^N) slice reads plus O(|eps| N 2^N) byte compares, one
+    compare per (level, sample) and layer.  Memory: ``2 |eps| (2^N + 1)``
+    bytes of counters and compare mask, plus the padded copy of about
+    ``2.5 * 2^N`` float64.
     """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)
@@ -342,26 +409,22 @@ def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
     M = 1 << f.depth
     eps = np.array(eps_grid)[:, None]
     counts = np.zeros((len(eps_grid), M), dtype=np.uint8)
-    hit = np.empty(counts.shape, dtype=bool)
+    hit = np.empty((len(eps_grid), M + 1), dtype=bool)
     mass = np.cumsum(np.r_[0.0, np.full(3 * deepest, 4.0 / 9.0)])  # sequential
-    root = np.sqrt(mass)
+    squares = np.sqrt(mass) ** 2
     norms = {}
     if 0 in layers:
-        norms[0] = [lp_norm(root[c], 2.0) for c in counts]
+        norms[0] = [float(squares.take(c).mean() ** 0.5) for c in counts]
     for n, (u, d2, ok) in enumerate(_cone_samples(f, deepest), start=1):
         mag = np.abs(d2, out=d2)
         mag[~ok] = -np.inf  # an invalid sample never qualifies
+        np.greater(mag, eps, out=hit)
         # apex a reads sample a + offset; off the grid it reads nothing
-        for apexes, samples in (
-            (slice(2 * u, M), slice(0, M - 2 * u)),  # offset -2u
-            (slice(0, M), slice(0, M)),  # offset 0
-            (slice(0, M - 2 * u + 1), slice(2 * u, M + 1)),  # offset 2u
-        ):
-            counted, qualifies = counts[:, apexes], hit[:, apexes]
-            np.greater(mag[samples], eps, out=qualifies)
-            counted += qualifies
+        counts[:, 2 * u :] += hit[:, : M - 2 * u]  # offset -2u
+        counts += hit[:, :M]  # offset 0
+        counts[:, : M - 2 * u + 1] += hit[:, 2 * u :]  # offset 2u
         if n in layers:
-            norms[n] = [lp_norm(root[c], 2.0) for c in counts]
+            norms[n] = [float(squares.take(c).mean() ** 0.5) for c in counts]
     return DepthProfile(
         depths=depths, eps=eps_grid, values=[norms[n] for n in layers]
     )

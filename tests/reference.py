@@ -21,7 +21,7 @@ import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
 from zygdist.dyadic import _coerce
-from zygdist.functionals import _cone_samples
+from zygdist.functionals import _second_difference
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
@@ -290,18 +290,31 @@ def zygmund_seminorm_slices(f: SampledFunction) -> float:
     return best
 
 
+def cone_samples_gathered(f: SampledFunction, depth: int):
+    """``functionals._cone_samples`` through index gathers: layer ``n``'s
+    ``(u, d2, ok)`` from ``_second_difference`` at every grid index with
+    step ``3u``, ``u = 2^(N-n-2)``, for the first ``min(depth, N - 1)``
+    layers."""
+    N = f.depth
+    s = np.arange(f.values.size, dtype=np.int64)
+    for n in range(min(depth, N - 1)):
+        u = 1 << (N - n - 2)
+        yield (u, *_second_difference(f, s, 3 * u))
+
+
 def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
     """Per-leaf sqrt of the cone mass of ``|d2| > eps``, one level at a time.
 
-    Every (layer, offset) sample of a leaf's cone adds ``(4/9) * val`` to its
-    mass, ``val`` being 1.0 when the sample is inside the grid, valid and
-    above ``eps``, else 0.0; ``lp_norm(cone_field(f, eps, d), 2)`` is the
-    ``cone_levelset_count`` table entry at ``(d, eps)``.
+    Every (layer, offset) sample of a leaf's cone (``cone_samples_gathered``)
+    adds ``(4/9) * val`` to its mass, ``val`` being 1.0 when the sample is
+    inside the grid, valid and above ``eps``, else 0.0;
+    ``lp_norm(cone_field(f, eps, d), 2)`` is the ``cone_levelset_count``
+    table entry at ``(d, eps)``.
     """
     N = f.depth
     acc = np.zeros(1 << N)
     apex = np.arange(1 << N, dtype=np.int64)
-    for u, d2, ok in _cone_samples(f, depth):
+    for u, d2, ok in cone_samples_gathered(f, depth):
         for offset in (-2 * u, 0, 2 * u):
             s = apex + offset
             inside = (s >= 0) & (s < d2.size)
@@ -309,6 +322,46 @@ def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
             val = (np.abs(d2[s]) > eps).astype(np.float64) * ok[s] * inside
             acc += (4.0 / 9.0) * val
     return np.sqrt(acc)
+
+
+def box_energy_gathered(f: SampledFunction, depth: int) -> float:
+    """``box_square_energy`` with each layer's centres ``(2i + 1) q`` and
+    their ``+-3q`` neighbours read through ``_second_difference``'s index
+    gathers, in the kernel's order of operations."""
+    cells = 1 << f.depth
+    spacing = float(f.spacing)
+    total = 0.0
+    for n in range(depth):
+        q = cells >> (n + 2)
+        if q == 0:
+            break
+        centers = (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
+        d2, ok = _second_difference(f, centers, 3 * q)
+        weight = 2 * q * spacing * math.log(2.0)
+        total += weight * float((d2 * d2 * ok).sum())
+    return total / (cells * spacing)
+
+
+def tree_profile_loop(S: DyadicMartingale, parent_size, eps_grid, depths) -> list[list[float]]:
+    """``functionals._tree_profile``'s table, one (depth, level) at a time.
+
+    For each entry, one bottom-up pass over the windows: the generation-``m``
+    window sums are the ``block_sum`` of the generation-``m + 1`` ones plus
+    the volume ``2^-(dim m)`` of each qualifying parent, and the entry is the
+    largest window sum divided by its window's volume.
+    """
+    dim = S.dim
+    sizes = [parent_size(S, m) for m in range(max(depths, default=0))]
+    table = []
+    for d in depths:
+        row = [0.0] * len(eps_grid)
+        for j, e in enumerate(eps_grid):
+            acc = np.zeros((1 << d,) * dim)
+            for m in range(d - 1, -1, -1):
+                acc = block_sum(acc, dim) + (sizes[m] > e) * 2.0 ** (-dim * m)
+                row[j] = max(row[j], float(acc.max()) * 2.0 ** (dim * m))
+        table.append(row)
+    return table
 
 
 def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):

@@ -1,6 +1,7 @@
 """Oracle and property tests for second-difference functionals."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    box_energy_gathered,
     box_lattice,
     cone_field,
     exceeds_level,
@@ -17,6 +19,7 @@ from reference import (
     second_difference,
     second_difference_dyadic,
     sloped_line,
+    tree_profile_loop,
     zygmund_seminorm_slices,
 )
 from zygdist import cli, functionals
@@ -25,7 +28,9 @@ from zygdist.functionals import (
     DepthProfile,
     _bounded,
     _growth_ratio,
+    _second_difference_size,
     _sweep_values,
+    _tree_profile,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -36,6 +41,7 @@ from zygdist.functionals import (
     zygmund_seminorm,
 )
 from zygdist.generators import (
+    cascade_measure,
     function_suite,
     hat_function,
     lacunary_function,
@@ -44,6 +50,7 @@ from zygdist.generators import (
     random_jump_martingale,
     random_martingale,
     single_branch_martingale,
+    weierstrass_function,
 )
 from zygdist.martingale import (
     SampledFunction,
@@ -51,6 +58,19 @@ from zygdist.martingale import (
     dyadic_zygmund_seminorm,
     integrate,
 )
+from zygdist.measures import GridMeasure, _parent_deviation, density_martingale
+
+
+def _third(f):
+    return SampledFunction(f.values / 3.0, left=f.left, log2_spacing=f.log2_spacing)
+
+
+def _off_compact(f):
+    """``f + 0.25 + x/2``: non-zero at both ends, so not compact."""
+    x = float(f.left) + np.arange(f.values.size) * float(f.spacing)
+    g = SampledFunction(f.values + 0.25 + x / 2, left=f.left, log2_spacing=f.log2_spacing)
+    assert not g.compact
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +377,16 @@ def test_box_energy_zero_for_linear():
     assert box_square_energy(linear_function(8), depth=6) == 0.0
 
 
+@pytest.mark.parametrize("depth", [1, 2, 5, 9, 12])
+def test_box_energy_equals_gathered_oracle(depth):
+    # the strided slices of the padded copy read what the index gathers
+    # read, zero extension and the non-compact edge mask included
+    for _, f in function_suite(depth, seed=depth):
+        for g in (f, _third(f), _off_compact(f)):
+            for d in range(1, depth + 2):
+                assert box_square_energy(g, d) == box_energy_gathered(g, d)
+
+
 # ---------------------------------------------------------------------------
 # tree functional
 
@@ -420,6 +450,62 @@ def test_tree_density_monotone(seed):
     assert levelset_tree_density(S, 0.3 * norm, depth=7) >= levelset_tree_density(
         S, 0.3 * norm, depth=4
     )
+
+
+def _descending_grid(S, parent_size):
+    """23 of the parents' own sizes (levels where `>` and `>=` differ)
+    and 0, a duplicate, inf and -1, in descending order."""
+    sizes = np.unique(np.concatenate([parent_size(S, m).ravel() for m in range(S.depth)]))
+    picks = sizes[np.linspace(0, sizes.size - 1, 23).astype(int)].tolist()
+    return sorted(picks + [0.0, 0.0, math.inf, -1.0], reverse=True)
+
+
+def _cascade_deviation(S, m):
+    return _parent_deviation(S.jumps(m + 1), S.dim)
+
+
+@pytest.mark.parametrize(
+    "source, dim, depth, depths",
+    [
+        ("weierstrass", 1, 9, [1, 4, 9]),
+        ("random-jumps", 1, 9, [2, 9]),
+        ("cascade", 1, 9, [1, 5, 9]),
+        ("cascade", 2, 5, [1, 3, 5]),
+        # one block, partial last blocks, then one level at a time
+        ("weierstrass", 1, 17, [12, 13, 15, 17]),
+        ("cascade", 1, 17, [12, 13, 15, 17]),
+        ("cascade", 2, 9, [6, 7, 8, 9]),
+    ],
+)
+def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
+    if source == "cascade":
+        S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=depth)))
+        parent_size = _cascade_deviation
+    else:
+        f = weierstrass_function(depth) if source == "weierstrass" else _generated(source, depth=depth)
+        S = average_growth(f)
+        parent_size = _second_difference_size
+    grid = _descending_grid(S, parent_size)
+    if depth > 10:
+        blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
+        assert blocks[0] >= len(grid) and blocks[-1] == 1
+        assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
+    table = _tree_profile(S, parent_size, grid, depths).values
+    assert table == tree_profile_loop(S, parent_size, grid, depths)
+
+
+def test_tree_profile_accumulator_stays_within_one_block():
+    # 2-d at depth 8: blocks of 4 levels of 2^14 window sums (512 KiB); one
+    # block of all 64 levels would take 8 MiB
+    S = density_martingale(GridMeasure(cascade_measure(2, 8, seed=3)))
+    grid = np.linspace(0.0, 0.5, 64).tolist()
+    tracemalloc.start()
+    try:
+        _tree_profile(S, _cascade_deviation, grid, [8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +617,19 @@ def _cone_table(f, grid, depths):
     return [[lp_norm(cone_field(f, e, d), 2.0) for e in grid] for d in depths]
 
 
-def _third(f):
-    return SampledFunction(f.values / 3.0, left=f.left, log2_spacing=f.log2_spacing)
-
-
 @pytest.mark.parametrize("depth", range(3, 13))
 def test_cone_count_equals_per_level_oracle(depth):
     # grids with 0, a duplicate, inf and a level below every |d2|; depths
     # 1, N - 1 and N (N - 1 and N share the deepest layer); weierstrass
-    # and the / 3 inputs are off the binary lattice
-    for _, f in function_suite(depth, seed=depth):
-        for g in (f, _third(f)):
-            grid = default_eps_grid(average_growth(g))[::4] + [0.0, 0.0, math.inf, -1.0]
-            depths = [1, depth - 1, depth]
-            table = cone_levelset_count(g, grid, depths).values
-            assert table == _cone_table(g, grid, depths)
+    # and the / 3 inputs are off the binary lattice, and random-jumps plus
+    # 0.25 + x/2 is not compact
+    suite = function_suite(depth, seed=depth)
+    inputs = [g for _, f in suite for g in (f, _third(f))]
+    for g in inputs + [_off_compact(dict(suite)["random-jumps"])]:
+        grid = default_eps_grid(average_growth(g))[::4] + [0.0, 0.0, math.inf, -1.0]
+        depths = [1, depth - 1, depth]
+        table = cone_levelset_count(g, grid, depths).values
+        assert table == _cone_table(g, grid, depths)
 
 
 @settings(max_examples=60, deadline=None)
