@@ -316,7 +316,7 @@ def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
     tree = density_profile(S, grid, depths)
     del S  # the cone counts read the samples; free the martingale first
     cones = cone_levelset_count(f, grid, depths)
-    energy_rows = [[d, box_square_energy(f, depth=d)] for d in depths]
+    energy_rows = [[d, e] for d, e in zip(depths, box_square_energy(f, depths))]
     method = {"depths": depths, "eps_grid": args.eps_grid}
     columns = ["eps", "depth", "value"]
     body = {

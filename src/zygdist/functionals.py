@@ -150,80 +150,67 @@ def _sweep_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ldexp(values, q).astype(np.int32), math.ldexp(1.0, -q)
 
 
-def _gather(values: np.ndarray, idx: np.ndarray, compact: bool):
-    """Samples at integer indices with zero extension or a validity mask."""
-    valid = (idx >= 0) & (idx < values.size)
-    out = values[np.clip(idx, 0, values.size - 1)]
-    if compact:
-        return np.where(valid, out, 0.0), np.ones_like(valid)
-    return np.where(valid, out, 0.0), valid
+def _zero_padded(f: SampledFunction, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples with ``width`` zeros on each side, and where a sample exists.
 
-
-def _second_difference(f: SampledFunction, x: np.ndarray, u):
-    """Second differences at grid indices ``x`` with steps ``u`` (grid units),
-    divided by the step, and the mask of those whose samples all exist."""
-    c, okc = _gather(f.values, x, f.compact)
-    l, okl = _gather(f.values, x - u, f.compact)
-    r, okr = _gather(f.values, x + u, f.compact)
-    return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
-
-
-def _zero_padded(f: SampledFunction) -> tuple[np.ndarray, int]:
-    """The samples with ``w = 3 * 2^(N-2)`` zeros on each side, and ``w``.
-
-    ``w`` is the widest step of the cone and box lattices, so every sample
-    they read is an element of this one copy, the zero extension that
-    ``_second_difference`` reads beyond the ends included.
+    ``exists`` is ``True`` on the grid and, beyond the ends, ``f.compact``: a
+    compact function is 0 there, any other has no sample.  This is the one
+    place that decides what a read past the ends sees.
     """
+    padded = np.pad(f.values, width)
+    exists = np.pad(np.ones(f.values.size, dtype=bool), width, constant_values=f.compact)
+    return padded, exists
+
+
+def _second_difference(f: SampledFunction, padded, exists, reads, t):
+    """Second differences divided by the step ``t`` (grid units), and where
+    all three samples exist: ``reads`` indexes both arrays of
+    ``_zero_padded(f, width)`` at the offsets ``-t``, ``0`` and ``+t``."""
+    (l, el), (c, ec), (r, er) = ((padded[k], exists[k]) for k in reads)
+    return ((r - c) - (c - l)) / (t * float(f.spacing)), el & ec & er
+
+
+def _sliced(width: int, x: range, t: int) -> list[slice]:
+    """``_second_difference`` reads at the ``range`` ``x``, as strided slices."""
+    return [slice(width + x.start + k, width + x.stop + k, x.step) for k in (-t, 0, t)]
+
+
+def _indexed(width: int, x: np.ndarray, t) -> list[np.ndarray]:
+    """``_second_difference`` reads at the index array ``x``, as index arrays."""
+    return [width + x + k for k in (-t, 0, t)]
+
+
+def _lattice_padded(f: SampledFunction) -> tuple[int, np.ndarray, np.ndarray]:
+    """``_zero_padded(f, w)`` and ``w = 3 * 2^(N-2)``, the widest step of the
+    cone and box lattices."""
     width = (3 << f.depth) >> 2
-    padded = np.zeros(f.values.size + 2 * width)
-    padded[width : width + f.values.size] = f.values
-    return padded, width
+    return width, *_zero_padded(f, width)
 
 
-def _sliced_second_difference(f: SampledFunction, padded, width: int, centres: range, t: int):
-    """``_second_difference(f, centres, t)`` for the grid indices of the
-    ``range`` ``centres``, from three strided slices of ``_zero_padded(f)``.
-
-    The same expression on the same samples gives the same bits, without the
-    index arrays, clips and selects of the gathers.  On non-compact input a
-    centre is valid when ``centre - t >= 0`` and ``centre + t`` is at most
-    the last index.
-    """
-    l, c, r = (
-        padded[width + centres.start + k : width + centres.stop + k : centres.step]
-        for k in (-t, 0, t)
-    )
-    d2 = ((r - c) - (c - l)) / (t * float(f.spacing))
-    ok = np.ones(d2.size, dtype=bool)
-    if not f.compact:
-        ok[: len(range(centres.start, t, centres.step))] = False
-        ok[len(range(centres.start, f.values.size - t, centres.step)) :] = False
-    return d2, ok
-
-
-def box_square_energy(f: SampledFunction, depth: int) -> float:
-    """Normalised square energy of second differences over a box lattice.
+def box_square_energy(f: SampledFunction, depths) -> list[float]:
+    """Normalised square energy of second differences over a box lattice, at
+    each of ``depths``.
 
     Sums ``weight * d2(x, h)^2`` over the midpoint lattice of
-    ``I x (0, |I|]``, ``I`` the sampled span, down to ``depth`` layers and
+    ``I x (0, |I|]``, ``I`` the sampled span, down to ``d`` layers and
     divides by ``|I|``.  Layers whose sample step falls under the grid
-    resolution are not representable and stop the sum (profiles deeper than
-    the grid saturate).  Layer ``n``'s centres ``(2i + 1) q`` and their
-    ``+-3q`` neighbours are strided slices of ``_zero_padded(f)``.
+    resolution are not representable: past ``N - 1`` layers profiles
+    saturate.  The layers are walked once, and the value at ``d`` is the
+    running total after ``d`` of them.  Layer ``n``'s centres ``(2i + 1) q``
+    and their ``+-3q`` neighbours are slices of ``_lattice_padded(f)``.
     """
     cells = 1 << f.depth
     spacing = float(f.spacing)
-    padded, width = _zero_padded(f)
-    total = 0.0
-    for n in range(depth):
-        if cells >> (n + 2) == 0:
-            break
+    width, padded, exists = _lattice_padded(f)
+    layers = [max(0, min(d, f.depth - 1)) for d in depths]
+    totals = [0.0]
+    for n in range(max(layers, default=0)):
         q = cells >> (n + 2)
-        d2, ok = _sliced_second_difference(f, padded, width, range(q, cells, 2 * q), 3 * q)
+        reads = _sliced(width, range(q, cells, 2 * q), 3 * q)
+        d2, ok = _second_difference(f, padded, exists, reads, 3 * q)
         weight = 2 * q * spacing * math.log(2.0)
-        total += weight * float((d2 * d2 * ok).sum())
-    return total / (cells * spacing)
+        totals.append(totals[-1] + weight * float((d2 * d2 * ok).sum()))
+    return [totals[n] / (cells * spacing) for n in layers]
 
 
 def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int) -> float:
@@ -369,14 +356,14 @@ def _cone_samples(f: SampledFunction, depth: int):
     ``a`` the slab ``|x - s| < t`` is covered by three cells of width ``2u``
     centred at ``a - 2u, a, a + 2u``, each carrying ``ds dt/t^2`` mass 4/9.
     Layers stop at ``N - 2``, the last one with ``u >= 1``.  Every layer
-    reads three slices of one ``_zero_padded`` copy of the samples.
+    reads three slices of ``_lattice_padded(f)``.
     """
     N = f.depth
-    padded, width = _zero_padded(f)
+    width, padded, exists = _lattice_padded(f)
     every = range(f.values.size)
     for n in range(min(depth, N - 1)):
         u = 1 << (N - n - 2)
-        yield (u, *_sliced_second_difference(f, padded, width, every, 3 * u))
+        yield (u, *_second_difference(f, padded, exists, _sliced(width, every, 3 * u), 3 * u))
 
 
 def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
@@ -400,7 +387,7 @@ def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
     Cost: O(N 2^N) slice reads plus O(|eps| N 2^N) byte compares, one
     compare per (level, sample) and layer.  Memory: ``2 |eps| (2^N + 1)``
     bytes of counters and compare mask, plus the padded copy of about
-    ``2.5 * 2^N`` float64.
+    ``2.5 * 2^N`` float64 and its ``exists`` mask of ``2.5 * 2^N`` bytes.
     """
     eps_grid = [float(e) for e in eps_grid]
     depths = list(depths)

@@ -111,15 +111,7 @@ def random_jump_martingale(depth: int, delta=Fraction(1, 16), seed: int = 0) -> 
         raise ValueError("delta must be a multiple of 2^-16")
     d = float(delta)
     rng = _rng(seed, _TAG_JUMP_SIGNS)
-    levels = [np.zeros(1)]
-    for n in range(depth):
-        signs = rng.integers(0, 2, size=2**n).astype(np.float64) * 2.0 - 1.0
-        parent = levels[-1]
-        child = np.empty(2 ** (n + 1))
-        child[0::2] = parent + signs * d
-        child[1::2] = parent - signs * d
-        levels.append(child)
-    return DyadicMartingale(levels)
+    return _split_martingale(0.0, (_signs(rng, 2**n) * d for n in range(depth)))
 
 
 def random_martingale(depth: int, seed: int = 0) -> DyadicMartingale:
@@ -131,18 +123,9 @@ def random_martingale(depth: int, seed: int = 0) -> DyadicMartingale:
     """
     rng = _rng(seed, _TAG_JUMP_SIZES)
     root = float(rng.integers(-(2**8), 2**8 + 1) * Fraction(1, 256))
-    levels = [np.full(1, root)]
-    for n in range(depth):
-        steps = rng.integers(0, _JUMP_STEPS + 1, size=2**n)
-        magnitude = steps.astype(np.float64) * 2.0**-14
-        signs = rng.integers(0, 2, size=2**n).astype(np.float64) * 2.0 - 1.0
-        jump = magnitude * signs
-        parent = levels[-1]
-        child = np.empty(2 ** (n + 1))
-        child[0::2] = parent + jump
-        child[1::2] = parent - jump
-        levels.append(child)
-    return DyadicMartingale(levels)
+    steps = (rng.integers(0, _JUMP_STEPS + 1, size=2**n) for n in range(depth))
+    # each generation draws its steps, then its signs
+    return _split_martingale(root, (k * 2.0**-14 * _signs(rng, k.size) for k in steps))
 
 
 def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartingale:
@@ -153,12 +136,23 @@ def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartinga
     maximal function equals ``depth * delta`` on the leftmost leaf.
     """
     d = float(Fraction(delta))
-    levels = [np.zeros(1)]
-    for n in range(depth):
+    return _split_martingale(0.0, (np.r_[d, np.zeros(2**n - 1)] for n in range(depth)))
+
+
+def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+
+
+def _split_martingale(root: float, jumps) -> DyadicMartingale:
+    """Martingale from ``root`` whose generation-``n`` parents split by the
+    ``n``-th entry of ``jumps``: left child parent + jump, right child
+    parent - jump, so every split keeps the averaging property exactly."""
+    levels = [np.full(1, root)]
+    for jump in jumps:
         parent = levels[-1]
-        child = np.repeat(parent, 2)
-        child[0] = parent[0] + d
-        child[1] = parent[0] - d
+        child = np.empty(2 * parent.size)
+        child[0::2] = parent + jump
+        child[1::2] = parent - jump
         levels.append(child)
     return DyadicMartingale(levels)
 

@@ -19,10 +19,11 @@ import numpy as np
 from zygdist.functionals import (
     _DEFAULT_TAU,
     _bounded,
-    _gather,
     _geometric_grid,
     _growth_ratio,
+    _indexed,
     _second_difference,
+    _zero_padded,
     box_square_energy,
     cone_levelset_count,
     density_profile,
@@ -108,6 +109,15 @@ def _translates(rng: np.random.Generator, M: int, s: np.ndarray):
     return ix, ix + sign * s
 
 
+def _lemma_table(f: SampledFunction) -> tuple[int, np.ndarray, np.ndarray]:
+    """``M`` cells and ``_zero_padded(f, M)``, the table of the function
+    checks.  Every index they read lies in ``[-M, 2M]``: the widest is
+    ``_check_equal_step``'s ``t +- u`` with ``t = x +- s``, ``x`` in
+    ``[0, M]`` and ``s``, ``u`` at most ``M/2``."""
+    M = f.values.size - 1
+    return M, *_zero_padded(f, M)
+
+
 def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int) -> RatioReport:
     """Joint modulus: moving both the centre and the step of a second
     difference changes it by at most the seminorm times
@@ -120,15 +130,15 @@ def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int)
     if norm == 0.0:
         return _zero_report("second-difference-modulus", seed)
     rng = _rng(seed, 11)
-    M = f.values.size - 1
+    M, padded, exists = _lemma_table(f)
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
     g = _log_uniform(rng, 1, M // 4, _SAMPLES)
     up = u + g
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     s = np.where(2 * s < up, s, 0)  # keep |x - t| < h'/2, else collapse to x = t
     ix, it = _translates(rng, M, s)
-    d2a, oka = _second_difference(f, ix, u)
-    d2b, okb = _second_difference(f, it, up)
+    d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
+    d2b, okb = _second_difference(f, padded, exists, _indexed(M, it, up), up)
     ok = oka & okb & (up * 2 <= M)
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = (g / up) * (1.0 + np.log(up / g))
@@ -146,12 +156,12 @@ def _check_equal_step(f: SampledFunction, norm: float, seed: int) -> RatioReport
     if norm == 0.0:
         return _zero_report("equal-step-modulus", seed)
     rng = _rng(seed, 12)
-    M = f.values.size - 1
+    M, padded, exists = _lemma_table(f)
     u = _log_uniform(rng, 3, M // 2, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ix, it = _translates(rng, M, s)
-    d2a, oka = _second_difference(f, ix, u)
-    d2b, okb = _second_difference(f, it, u)
+    d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
+    d2b, okb = _second_difference(f, padded, exists, _indexed(M, it, u), u)
     ok = oka & okb & (2 * s < u)
     ratios = np.abs(d2a - d2b) / (norm * (s / u) * np.log(u / s + 1.0))
     config = {"x": ix, "t": it, "h": u}
@@ -166,13 +176,13 @@ def _check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioRepo
     if norm == 0.0:
         return _zero_report("equal-centre-modulus", seed)
     rng = _rng(seed, 13)
-    M = f.values.size - 1
+    M, padded, exists = _lemma_table(f)
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
     g = _log_uniform(rng, 1, M // 4, _SAMPLES)
     up = u + g
     ix = rng.integers(0, M + 1, _SAMPLES)
-    d2a, oka = _second_difference(f, ix, u)
-    d2b, okb = _second_difference(f, ix, up)
+    d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
+    d2b, okb = _second_difference(f, padded, exists, _indexed(M, ix, up), up)
     ok = oka & okb & (up * 2 <= M)
     ratios = np.abs(d2a - d2b) / (norm * (g / up) * (1.0 + np.log(up / g)))
     config = {"x": ix, "h": u, "hp": up}
@@ -186,19 +196,14 @@ def _check_first_difference(f: SampledFunction, norm: float, seed: int) -> Ratio
     if norm == 0.0:
         return _zero_report("first-difference-modulus", seed)
     rng = _rng(seed, 14)
-    M = f.values.size - 1
+    M, padded, exists = _lemma_table(f)
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ix, it = _translates(rng, M, s)
-    v = f.values
     sp = float(f.spacing)
-    a0, ok0 = _gather(v, ix, f.compact)
-    a1, ok1 = _gather(v, ix + u, f.compact)
-    b0, ok2 = _gather(v, it, f.compact)
-    b1, ok3 = _gather(v, it + u, f.compact)
-    d1a = (a1 - a0) / (u * sp)
-    d1b = (b1 - b0) / (u * sp)
-    ok = ok0 & ok1 & ok2 & ok3 & (2 * s > u)
+    reads = M + np.stack([ix, ix + u, it, it + u])
+    d1a, d1b = (padded[reads[1::2]] - padded[reads[::2]]) / (u * sp)
+    ok = exists[reads].all(axis=0) & (2 * s > u)
     ratios = np.abs(d1a - d1b) / (norm * np.log(s / u + 1.0))
     config = {"x": ix, "t": it, "h": u}
     return _report("first-difference-modulus", ratios, ok, config, sp, seed)
@@ -517,11 +522,7 @@ def verify_strichartz_consistency(seed: int = 0, tau: float = _DEFAULT_TAU) -> d
             continue  # not grid-quantised; excluded from exact suite checks
         S = average_growth(f)
         grid = _geometric_grid(2.0 * star_norm(S), -12)
-        energy_ok = _bounded(
-            box_square_energy(f, depth=d_shallow),
-            box_square_energy(f, depth=d_deep),
-            tau,
-        )
+        energy_ok = _bounded(*box_square_energy(f, [d_shallow, d_deep]), tau)
         cone = cone_levelset_count(f, grid, [d_shallow, d_deep]).values
         tree = density_profile(S, grid, [d_shallow, d_deep]).values
         cone_ok = all(_bounded(a, b, tau) for a, b in zip(*cone))

@@ -2,14 +2,16 @@
 test-only helpers that the paper-claim tests call.
 
 Scalar evaluators (one second difference, one box average, one cell
-deviation at a time, on exact ``Fraction`` geometry), loop versions of the
-batched kernels, reshape block reductions and two corner sums (bit order,
-and ``itertools.product`` order seeded by the first term) that the shared
-kernels must match bit for bit, each certificate's lattice-exactness
-verdict restated without the shared rule, the paper-claim helpers
-(translation averaging, thresholded jump counts, window Parseval data, the
-averaging property), the ``one_split_measure`` fixture and the standard
-library's JSON encoding that the report writer must match byte for byte.
+deviation at a time, on exact ``Fraction`` geometry), the gathered
+second-difference reader (``np.clip`` and ``np.where``) behind the cone and
+box oracles, loop versions of the batched kernels, reshape block
+reductions and two corner sums (bit order, and ``itertools.product`` order
+seeded by the first term) that the shared kernels must match bit for bit,
+each certificate's lattice-exactness verdict restated without the shared
+rule, the paper-claim helpers (translation averaging, thresholded jump
+counts, window Parseval data, the averaging property), the
+``one_split_measure`` fixture and the standard library's JSON encoding that
+the report writer must match byte for byte.
 """
 
 import itertools
@@ -21,7 +23,6 @@ import numpy as np
 
 from zygdist.approximation import martingale_difference, truncate_jumps
 from zygdist.dyadic import _coerce
-from zygdist.functionals import _second_difference
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
@@ -290,16 +291,36 @@ def zygmund_seminorm_slices(f: SampledFunction) -> float:
     return best
 
 
+def gather(values: np.ndarray, idx: np.ndarray, compact: bool):
+    """Samples at integer indices, 0 beyond the ends, and the mask of those
+    that exist: every index of a compact function, else those in range."""
+    valid = (idx >= 0) & (idx < values.size)
+    out = values[np.clip(idx, 0, values.size - 1)]
+    if compact:
+        return np.where(valid, out, 0.0), np.ones_like(valid)
+    return np.where(valid, out, 0.0), valid
+
+
+def second_difference_gathered(f: SampledFunction, x: np.ndarray, u):
+    """Second differences at grid indices ``x`` with steps ``u`` (grid
+    units), divided by the step, and the mask of those whose samples all
+    exist, read by ``gather``: the oracle of the library's padded table."""
+    c, okc = gather(f.values, x, f.compact)
+    l, okl = gather(f.values, x - u, f.compact)
+    r, okr = gather(f.values, x + u, f.compact)
+    return ((r - c) - (c - l)) / (u * float(f.spacing)), okc & okl & okr
+
+
 def cone_samples_gathered(f: SampledFunction, depth: int):
     """``functionals._cone_samples`` through index gathers: layer ``n``'s
-    ``(u, d2, ok)`` from ``_second_difference`` at every grid index with
-    step ``3u``, ``u = 2^(N-n-2)``, for the first ``min(depth, N - 1)``
+    ``(u, d2, ok)`` from ``second_difference_gathered`` at every grid index
+    with step ``3u``, ``u = 2^(N-n-2)``, for the first ``min(depth, N - 1)``
     layers."""
     N = f.depth
     s = np.arange(f.values.size, dtype=np.int64)
     for n in range(min(depth, N - 1)):
         u = 1 << (N - n - 2)
-        yield (u, *_second_difference(f, s, 3 * u))
+        yield (u, *second_difference_gathered(f, s, 3 * u))
 
 
 def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
@@ -326,8 +347,8 @@ def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
 
 def box_energy_gathered(f: SampledFunction, depth: int) -> float:
     """``box_square_energy`` with each layer's centres ``(2i + 1) q`` and
-    their ``+-3q`` neighbours read through ``_second_difference``'s index
-    gathers, in the kernel's order of operations."""
+    their ``+-3q`` neighbours read through ``second_difference_gathered``,
+    in the kernel's order of operations."""
     cells = 1 << f.depth
     spacing = float(f.spacing)
     total = 0.0
@@ -336,7 +357,7 @@ def box_energy_gathered(f: SampledFunction, depth: int) -> float:
         if q == 0:
             break
         centers = (2 * np.arange(1 << (n + 1), dtype=np.int64) + 1) * q
-        d2, ok = _second_difference(f, centers, 3 * q)
+        d2, ok = second_difference_gathered(f, centers, 3 * q)
         weight = 2 * q * spacing * math.log(2.0)
         total += weight * float((d2 * d2 * ok).sum())
     return total / (cells * spacing)

@@ -18,6 +18,7 @@ from reference import (
     index_of,
     second_difference,
     second_difference_dyadic,
+    second_difference_gathered,
     sloped_line,
     tree_profile_loop,
     zygmund_seminorm_slices,
@@ -28,9 +29,12 @@ from zygdist.functionals import (
     DepthProfile,
     _bounded,
     _growth_ratio,
+    _indexed,
+    _second_difference,
     _second_difference_size,
     _sweep_values,
     _tree_profile,
+    _zero_padded,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -368,23 +372,42 @@ def _brute_box_energy(f, interval, depth):
 
 def test_box_energy_matches_lattice_reference():
     for _, f in function_suite(6, seed=2):
-        fast = box_square_energy(f, depth=4)
+        (fast,) = box_square_energy(f, [4])
         brute = _brute_box_energy(f, f.span, depth=4)
         assert fast == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_box_energy_zero_for_linear():
-    assert box_square_energy(linear_function(8), depth=6) == 0.0
+    assert box_square_energy(linear_function(8), [6]) == [0.0]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 5, 9, 12])
 def test_box_energy_equals_gathered_oracle(depth):
     # the strided slices of the padded copy read what the index gathers
-    # read, zero extension and the non-compact edge mask included
+    # read, zero extension and the non-compact edge mask included; one
+    # unsorted depth list, with a duplicate, 0 and depths past N
+    depths = [depth + 1, 0, *range(depth, 0, -1), 1, depth + 3]
     for _, f in function_suite(depth, seed=depth):
         for g in (f, _third(f), _off_compact(f)):
-            for d in range(1, depth + 2):
-                assert box_square_energy(g, d) == box_energy_gathered(g, d)
+            values = box_square_energy(g, depths)
+            assert values == [box_energy_gathered(g, d) for d in depths]
+
+
+@pytest.mark.parametrize("depth", [2, 6])
+def test_index_reader_equals_gathered_oracle(depth):
+    # every centre in [-M/2, 3M/2] with every step up to M/2: reads from
+    # exactly -M to exactly 2M, on compact and non-compact input
+    suite = dict(function_suite(depth, seed=depth))
+    M = 1 << depth
+    grid = np.meshgrid(np.arange(-M // 2, 3 * M // 2 + 1), np.arange(1, M // 2 + 1))
+    x, u = (a.ravel() for a in grid)
+    assert (x - u).min() == -M and (x + u).max() == 2 * M
+    for f in (suite["random-jumps"], suite["parabola"], _off_compact(suite["random-jumps"])):
+        padded, exists = _zero_padded(f, M)
+        d2, ok = _second_difference(f, padded, exists, _indexed(M, x, u), u)
+        want, want_ok = second_difference_gathered(f, x, u)
+        assert np.array_equal(d2, want) and np.array_equal(ok, want_ok)
+        assert ok.all() == f.compact
 
 
 # ---------------------------------------------------------------------------

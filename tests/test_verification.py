@@ -11,9 +11,10 @@ from reference import (
     delta1_samples,
     one_split_measure,
     predecessor_levels_loop,
+    second_difference_gathered,
     unit_tree_distance,
 )
-from zygdist.functionals import _bounded, zygmund_seminorm
+from zygdist.functionals import _bounded, _indexed, _second_difference, zygmund_seminorm
 from zygdist.generators import (
     _rng,
     cascade_measure,
@@ -42,6 +43,7 @@ from zygdist.verification import (
     _check_second_difference_modulus,
     _delta1_samples,
     _lemma_measure_family,
+    _lemma_table,
     _log_uniform,
     _predecessor_levels,
     _unit_tree_cells,
@@ -200,6 +202,20 @@ def test_modulus_noncompact_drops_outside_samples():
     report = _run(_check_second_difference_modulus, f, seed=0)
     assert 0 < report.samples < _SAMPLES
     assert math.isfinite(report.max_ratio)
+
+
+@pytest.mark.parametrize("kind", ["parabola", "random-jumps"])
+def test_lemma_table_holds_the_widest_reads(kind):
+    # _check_equal_step's t -+ u, with t = x -+ s, x in {0, M} and
+    # s = u = M/2, reads exactly -M and 2M; parabola is not compact
+    f = parabola_function(5) if kind == "parabola" else integrate(random_jump_martingale(5))
+    M, padded, exists = _lemma_table(f)
+    t = np.array([0, M]) + np.array([-1, 1]) * (M // 2)
+    u = np.full(2, M // 2)
+    d2, ok = _second_difference(f, padded, exists, _indexed(M, t, u), u)
+    want, want_ok = second_difference_gathered(f, t, u)
+    assert np.array_equal(d2, want) and np.array_equal(ok, want_ok)
+    assert ok.all() == f.compact
 
 
 def test_equal_step_is_exact_zero_for_parabola():
