@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -84,15 +86,24 @@ def zygmund_seminorm(f: SampledFunction) -> float:
     cannot drop it under them.  Larger or non-finite ``V`` gives ``E = inf``
     and sweeps every step.
 
-    Profiles whose second differences grow with the step (``square``,
-    ``single-branch``) still sweep every step; the worst case stays O(M^2).
+    **The widest-step seed.**  The widest step ``M/2`` (one centre) is swept
+    first and seeds ``best``; the loop then runs from step 1 as above and
+    does not sweep it again.  The maximum is order-free, and every skip
+    still compares a true bound with a computed value, so the bits stay
+    those of the exhaustive sweep.  Profiles whose second differences grow
+    with the step (``square``, the parabola) peak at the widest step, which
+    then rules out most of the others; elsewhere the seed costs one step.
+    ``single-branch``, whose largest ``|d2| / h`` is the same at every step,
+    still sweeps every step: the worst case stays O(M^2).
     """
     v, scale = _sweep_values(f.values)
     spacing = float(f.spacing)
     last = (v.size - 1) // 2
     best = 0.0
+    if last >= 1:  # the widest step first: one d2, a seed for every skip
+        best = max(best, _step_peak(v[last:] - v[:-last], last) * scale / (last * spacing))
     u = 1
-    while u <= last:
+    while u < last:
         d1 = v[u:] - v[:-u]
         if u == 1:
             width, slack, lift = _step_growth(v, d1)
@@ -100,7 +111,7 @@ def zygmund_seminorm(f: SampledFunction) -> float:
         best = max(best, peak * scale / (u * spacing))
         floor = peak + 2 * slack
         k = 1
-        while u + k <= last and (floor + k * width) * lift * scale / ((u + k) * spacing) <= best:
+        while u + k < last and (floor + k * width) * lift * scale / ((u + k) * spacing) <= best:
             k += 1
         u += k
     return best
@@ -164,20 +175,31 @@ def _zero_padded(f: SampledFunction, width: int) -> tuple[np.ndarray, np.ndarray
 
 def _second_difference(f: SampledFunction, padded, exists, reads, t):
     """Second differences divided by the step ``t`` (grid units), and where
-    all three samples exist: ``reads`` indexes both arrays of
-    ``_zero_padded(f, width)`` at the offsets ``-t``, ``0`` and ``+t``."""
-    (l, el), (c, ec), (r, er) = ((padded[k], exists[k]) for k in reads)
-    return ((r - c) - (c - l)) / (t * float(f.spacing)), el & ec & er
+    all three samples exist: ``reads`` are three readers of the last axis of
+    both arrays of ``_zero_padded(f, width)``, or of a stack of them, at the
+    offsets ``-t``, ``0`` and ``+t``."""
+    left, centre, right = reads
+    c = centre(padded)
+    d2 = right(padded) - c
+    d2 -= c - left(padded)  # (r - c) - (c - l), with two reads alive at a time
+    d2 /= t * float(f.spacing)
+    return d2, left(exists) & centre(exists) & right(exists)
 
 
-def _sliced(width: int, x: range, t: int) -> list[slice]:
-    """``_second_difference`` reads at the ``range`` ``x``, as strided slices."""
-    return [slice(width + x.start + k, width + x.stop + k, x.step) for k in (-t, 0, t)]
+def _sliced(width: int, x: range, t: int) -> list:
+    """``_second_difference`` reads at the ``range`` ``x``: strided slices,
+    views of the table."""
+    return [
+        itemgetter((..., slice(width + x.start + k, width + x.stop + k, x.step)))
+        for k in (-t, 0, t)
+    ]
 
 
-def _indexed(width: int, x: np.ndarray, t) -> list[np.ndarray]:
-    """``_second_difference`` reads at the index array ``x``, as index arrays."""
-    return [width + x + k for k in (-t, 0, t)]
+def _indexed(width: int, x: np.ndarray, t) -> list:
+    """``_second_difference`` reads at the index array ``x``: gathers along
+    the last axis by ``take``, about three times as fast on a stack of
+    tables as ``table[..., index]``."""
+    return [partial(np.take, indices=width + x + k, axis=-1) for k in (-t, 0, t)]
 
 
 def _lattice_padded(f: SampledFunction) -> tuple[int, np.ndarray, np.ndarray]:

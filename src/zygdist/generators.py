@@ -111,7 +111,8 @@ def random_jump_martingale(depth: int, delta=Fraction(1, 16), seed: int = 0) -> 
         raise ValueError("delta must be a multiple of 2^-16")
     d = float(delta)
     rng = _rng(seed, _TAG_JUMP_SIGNS)
-    return _split_martingale(0.0, (_signs(rng, 2**n) * d for n in range(depth)))
+    jumps = (_signs(rng.integers(0, 2, size=2**n)) * d for n in range(depth))
+    return DyadicMartingale(_split_martingale(np.zeros(1), jumps))
 
 
 def random_martingale(depth: int, seed: int = 0) -> DyadicMartingale:
@@ -121,11 +122,27 @@ def random_martingale(depth: int, seed: int = 0) -> DyadicMartingale:
     ``{0, 2^-14, ..., 1/4}`` and a sign; the two children move by opposite
     amounts, preserving the averaging property exactly.
     """
-    rng = _rng(seed, _TAG_JUMP_SIZES)
-    root = float(rng.integers(-(2**8), 2**8 + 1) * Fraction(1, 256))
-    steps = (rng.integers(0, _JUMP_STEPS + 1, size=2**n) for n in range(depth))
-    # each generation draws its steps, then its signs
-    return _split_martingale(root, (k * 2.0**-14 * _signs(rng, k.size) for k in steps))
+    return DyadicMartingale([level[0] for level in _random_martingale_levels(depth, [seed])])
+
+
+def _random_martingale_levels(depth: int, seeds) -> list[np.ndarray]:
+    """The levels of ``random_martingale(depth, seed)`` for each of
+    ``seeds``, stacked: level ``n`` has shape ``(len(seeds), 2^n)``.
+
+    Each seed draws from its own stream in one order: the root, then the
+    steps and then the signs of each generation.  The draws are scaled and
+    split for the whole stack at once; every value is exact.
+    """
+    roots, draws = [], []
+    for seed in seeds:
+        rng = _rng(seed, _TAG_JUMP_SIZES)
+        roots.append(rng.integers(-(2**8), 2**8 + 1))
+        for n in range(depth):
+            steps = rng.integers(0, _JUMP_STEPS + 1, size=2**n)
+            draws.append((steps, rng.integers(0, 2, size=2**n)))
+    generations = (zip(*draws[n::depth]) for n in range(depth))  # seed-major draws
+    jumps = (np.stack(k) * 2.0**-14 * _signs(np.stack(b)) for k, b in generations)
+    return _split_martingale(np.array(roots, dtype=np.float64)[:, None] / 256, jumps)
 
 
 def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartingale:
@@ -136,25 +153,28 @@ def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartinga
     maximal function equals ``depth * delta`` on the leftmost leaf.
     """
     d = float(Fraction(delta))
-    return _split_martingale(0.0, (np.r_[d, np.zeros(2**n - 1)] for n in range(depth)))
+    jumps = (np.r_[d, np.zeros(2**n - 1)] for n in range(depth))
+    return DyadicMartingale(_split_martingale(np.zeros(1), jumps))
 
 
-def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """Drawn bits 0 and 1 as the signs -1.0 and +1.0."""
+    return bits * 2.0 - 1.0
 
 
-def _split_martingale(root: float, jumps) -> DyadicMartingale:
-    """Martingale from ``root`` whose generation-``n`` parents split by the
-    ``n``-th entry of ``jumps``: left child parent + jump, right child
-    parent - jump, so every split keeps the averaging property exactly."""
-    levels = [np.full(1, root)]
+def _split_martingale(root: np.ndarray, jumps) -> list[np.ndarray]:
+    """Levels from ``root`` (shape ``(..., 1)``) whose generation-``n``
+    parents split by the ``n``-th entry of ``jumps``: left child parent +
+    jump, right child parent - jump, so every split keeps the averaging
+    property exactly.  Leading axes stack martingales."""
+    levels = [root]
     for jump in jumps:
         parent = levels[-1]
-        child = np.empty(2 * parent.size)
-        child[0::2] = parent + jump
-        child[1::2] = parent - jump
+        child = np.empty(parent.shape[:-1] + (2 * parent.shape[-1],))
+        child[..., 0::2] = parent + jump
+        child[..., 1::2] = parent - jump
         levels.append(child)
-    return DyadicMartingale(levels)
+    return levels
 
 
 def function_suite(depth: int, seed: int = 0) -> list[tuple[str, SampledFunction]]:

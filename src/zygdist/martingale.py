@@ -5,8 +5,8 @@ interval induces a martingale whose value on a cell is the average growth
 (slope) of the function there.  Jumps of that martingale encode second-order
 differences of the function: the second difference across a parent cell
 equals twice the jump picked up by either child, with opposite signs on the
-two siblings.  The functionals below (star norm, dyadic BMO norm, quadratic
-characteristic, maximal function) are all read off the jump field.
+two siblings.  The functionals below (star norm, dyadic BMO norm) are read
+off the jump field.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "bmo_norm",
     "dyadic_zygmund_seminorm",
     "integrate",
-    "maximal_function",
-    "quadratic_characteristic",
     "star_norm",
 ]
 
@@ -145,12 +143,10 @@ class SampledFunction:
         )
 
 
-def _expand(arr: np.ndarray, dim: int, factor: int = 2) -> np.ndarray:
-    """Repeat each entry ``factor`` times along every axis."""
-    if factor == 1:
-        return arr
+def _expand(arr: np.ndarray, dim: int) -> np.ndarray:
+    """Repeat each entry twice along every axis."""
     for axis in range(dim):
-        arr = np.repeat(arr, factor, axis=axis)
+        arr = np.repeat(arr, 2, axis=axis)
     return arr
 
 
@@ -284,21 +280,3 @@ def bmo_norm(S: DyadicMartingale) -> float:
         U = _block_reduce(U + dj * dj * 2.0 ** (-dim * n), dim)
         best = max(best, float(U.max()) * 2.0 ** (dim * (n - 1)))
     return math.sqrt(best)
-
-
-def quadratic_characteristic(S: DyadicMartingale) -> np.ndarray:
-    """Per-leaf square function: sqrt of the summed squared jumps above the leaf."""
-    acc = np.zeros_like(S.levels[-1])
-    for n in range(1, S.depth + 1):
-        dj = S.jumps(n)
-        acc += _expand(dj * dj, S.dim, 1 << (S.depth - n))
-    return np.sqrt(acc)
-
-
-def maximal_function(S: DyadicMartingale) -> np.ndarray:
-    """Per-leaf maximal deviation ``max_n |S_n - S_0|`` of the value sequence."""
-    acc = np.zeros_like(S.levels[-1])
-    for n in range(1, S.depth + 1):
-        dev = np.abs(S.levels[n] - S.root_value)
-        np.maximum(acc, _expand(dev, S.dim, 1 << (S.depth - n)), out=acc)
-    return acc

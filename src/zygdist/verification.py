@@ -31,6 +31,7 @@ from zygdist.functionals import (
     zygmund_seminorm,
 )
 from zygdist.generators import (
+    _random_martingale_levels,
     _rng,
     cascade_measure,
     function_suite,
@@ -38,11 +39,8 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     DyadicMartingale,
-    SampledFunction,
     average_growth,
     integrate,
-    maximal_function,
-    quadratic_characteristic,
     star_norm,
 )
 from zygdist.measures import GridMeasure, _corner_sum, measure_zygmund_norm
@@ -101,6 +99,22 @@ def _zero_report(name, seed) -> RatioReport:
     return RatioReport(name, 0.0, {}, _SAMPLES, seed)
 
 
+def _reports(name, norms, gaps, factors, ok, config, unit, seed) -> list[RatioReport]:
+    """One report per member, from its row of ``gaps`` and ``ok``: the
+    ratios ``gap / (norm * factor_1 * factor_2 ...)``, multiplied left to
+    right as written, or the zero report for a member of norm 0."""
+    first, *rest = factors
+    bound = np.asarray(norms, dtype=np.float64)[:, None] * first
+    for factor in rest:
+        bound *= factor
+    with np.errstate(divide="ignore", invalid="ignore"):  # norm-0 rows go unread
+        ratios = np.divide(gaps, bound, out=bound)
+    return [
+        _zero_report(name, seed) if norm == 0.0 else _report(name, r, k, config, unit, seed)
+        for norm, r, k in zip(norms, ratios, ok)
+    ]
+
+
 def _translates(rng: np.random.Generator, M: int, s: np.ndarray):
     """Centres ``x`` drawn on the grid ``0..M`` and ``t = x +- s``, each
     sign drawn uniformly."""
@@ -109,104 +123,116 @@ def _translates(rng: np.random.Generator, M: int, s: np.ndarray):
     return ix, ix + sign * s
 
 
-def _lemma_table(f: SampledFunction) -> tuple[int, np.ndarray, np.ndarray]:
-    """``M`` cells and ``_zero_padded(f, M)``, the table of the function
-    checks.  Every index they read lies in ``[-M, 2M]``: the widest is
-    ``_check_equal_step``'s ``t +- u`` with ``t = x +- s``, ``x`` in
-    ``[0, M]`` and ``s``, ``u`` at most ``M/2``."""
-    M = f.values.size - 1
-    return M, *_zero_padded(f, M)
+def _step_pairs(rng: np.random.Generator, M: int):
+    """Steps ``h = u`` and ``h' = u + g`` in grid units, ``u`` and ``g`` in
+    ``[1, M/4]``: so ``h < h' <= M/2``."""
+    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
+    g = _log_uniform(rng, 1, M // 4, _SAMPLES)
+    return u, g, u + g
 
 
-def _check_second_difference_modulus(f: SampledFunction, norm: float, seed: int) -> RatioReport:
+def _lemma_table(fs) -> tuple[int, np.ndarray, np.ndarray]:
+    """``M`` cells and the members' ``_zero_padded(f, M)`` tables, stacked
+    in arrays of shape ``(len(fs), 3M + 1)``: the table of the function
+    checks.  The members share one grid of ``M`` cells.  Every index the
+    checks read lies in ``[-M, 2M]``: the widest is ``_check_equal_step``'s
+    ``t +- u`` with ``t = x +- s``, ``x`` in ``[0, M]`` and ``s``, ``u`` at
+    most ``M/2``."""
+    M = fs[0].values.size - 1
+    padded, exists = zip(*(_zero_padded(f, M) for f in fs))
+    return M, np.stack(padded), np.stack(exists)
+
+
+# Each function check takes members ``fs`` on one grid with their norms
+# ``zygmund_seminorm(f)``, draws one configuration set from its seed and
+# returns one report per member.  The draws do not depend on the members,
+# so a member's report is that of a one-member call.
+
+
+def _check_second_difference_modulus(fs, norms, seed: int) -> list[RatioReport]:
     """Joint modulus: moving both the centre and the step of a second
     difference changes it by at most the seminorm times
 
     ``((h'-h)/h') (1 + log(h'/(h'-h))) + (|x-t|/h') log(h'/|x-t| + 1)``
 
-    for ``0 < h < h'`` and ``|x - t| < h'/2``.  ``norm`` is
-    ``zygmund_seminorm(f)``, as in the three checks below.
+    for ``0 < h < h'`` and ``|x - t| < h'/2``; the steps are drawn with
+    ``h' <= M/2`` (``_step_pairs``).
     """
-    if norm == 0.0:
-        return _zero_report("second-difference-modulus", seed)
     rng = _rng(seed, 11)
-    M, padded, exists = _lemma_table(f)
-    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
-    g = _log_uniform(rng, 1, M // 4, _SAMPLES)
-    up = u + g
+    M, padded, exists = _lemma_table(fs)
+    u, g, up = _step_pairs(rng, M)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     s = np.where(2 * s < up, s, 0)  # keep |x - t| < h'/2, else collapse to x = t
     ix, it = _translates(rng, M, s)
+    f = fs[0]
     d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
     d2b, okb = _second_difference(f, padded, exists, _indexed(M, it, up), up)
-    ok = oka & okb & (up * 2 <= M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = (g / up) * (1.0 + np.log(up / g))
-        term2 = np.where(s > 0, (s / up) * np.log(up / np.maximum(s, 1) + 1.0), 0.0)
-        ratios = np.abs(d2a - d2b) / (norm * (term1 + term2))
+    term1 = (g / up) * (1.0 + np.log(up / g))
+    term2 = np.where(s > 0, (s / up) * np.log(up / np.maximum(s, 1) + 1.0), 0.0)
     config = {"x": ix, "t": it, "h": u, "hp": up}
-    return _report("second-difference-modulus", ratios, ok, config, float(f.spacing), seed)
+    return _reports(
+        "second-difference-modulus", norms, np.abs(d2a - d2b), [term1 + term2],
+        oka & okb, config, float(f.spacing), seed,
+    )
 
 
-def _check_equal_step(f: SampledFunction, norm: float, seed: int) -> RatioReport:
+def _check_equal_step(fs, norms, seed: int) -> list[RatioReport]:
     """Centre-translation modulus at a fixed step:
     ``|d2(x, h) - d2(t, h)| <= norm (|x-t|/h) log(h/|x-t| + 1)`` for
     ``0 < |x - t| < h/2``.
     """
-    if norm == 0.0:
-        return _zero_report("equal-step-modulus", seed)
     rng = _rng(seed, 12)
-    M, padded, exists = _lemma_table(f)
+    M, padded, exists = _lemma_table(fs)
     u = _log_uniform(rng, 3, M // 2, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ix, it = _translates(rng, M, s)
+    f = fs[0]
     d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
     d2b, okb = _second_difference(f, padded, exists, _indexed(M, it, u), u)
-    ok = oka & okb & (2 * s < u)
-    ratios = np.abs(d2a - d2b) / (norm * (s / u) * np.log(u / s + 1.0))
     config = {"x": ix, "t": it, "h": u}
-    return _report("equal-step-modulus", ratios, ok, config, float(f.spacing), seed)
+    return _reports(
+        "equal-step-modulus", norms, np.abs(d2a - d2b), [s / u, np.log(u / s + 1.0)],
+        oka & okb & (2 * s < u), config, float(f.spacing), seed,
+    )
 
 
-def _check_equal_centre(f: SampledFunction, norm: float, seed: int) -> RatioReport:
+def _check_equal_centre(fs, norms, seed: int) -> list[RatioReport]:
     """Step-change modulus at a fixed centre:
     ``|d2(x, h) - d2(x, h')| <= norm ((h'-h)/h') (1 + log(h'/(h'-h)))`` for
-    ``0 < h < h'``.
+    ``0 < h < h'``; the steps are drawn with ``h' <= M/2`` (``_step_pairs``).
     """
-    if norm == 0.0:
-        return _zero_report("equal-centre-modulus", seed)
     rng = _rng(seed, 13)
-    M, padded, exists = _lemma_table(f)
-    u = _log_uniform(rng, 1, M // 4, _SAMPLES)
-    g = _log_uniform(rng, 1, M // 4, _SAMPLES)
-    up = u + g
+    M, padded, exists = _lemma_table(fs)
+    u, g, up = _step_pairs(rng, M)
     ix = rng.integers(0, M + 1, _SAMPLES)
+    f = fs[0]
     d2a, oka = _second_difference(f, padded, exists, _indexed(M, ix, u), u)
     d2b, okb = _second_difference(f, padded, exists, _indexed(M, ix, up), up)
-    ok = oka & okb & (up * 2 <= M)
-    ratios = np.abs(d2a - d2b) / (norm * (g / up) * (1.0 + np.log(up / g)))
     config = {"x": ix, "h": u, "hp": up}
-    return _report("equal-centre-modulus", ratios, ok, config, float(f.spacing), seed)
+    return _reports(
+        "equal-centre-modulus", norms, np.abs(d2a - d2b), [g / up, 1.0 + np.log(up / g)],
+        oka & okb, config, float(f.spacing), seed,
+    )
 
 
-def _check_first_difference(f: SampledFunction, norm: float, seed: int) -> RatioReport:
+def _check_first_difference(fs, norms, seed: int) -> list[RatioReport]:
     """Distant-translation bound for slopes:
     ``|d1(x, h) - d1(t, h)| <= norm log(|x-t|/h + 1)`` for ``|x - t| > h/2``.
     """
-    if norm == 0.0:
-        return _zero_report("first-difference-modulus", seed)
     rng = _rng(seed, 14)
-    M, padded, exists = _lemma_table(f)
+    M, padded, exists = _lemma_table(fs)
     u = _log_uniform(rng, 1, M // 4, _SAMPLES)
     s = _log_uniform(rng, 1, M // 2, _SAMPLES)
     ix, it = _translates(rng, M, s)
-    sp = float(f.spacing)
+    sp = float(fs[0].spacing)
     reads = M + np.stack([ix, ix + u, it, it + u])
-    d1a, d1b = (padded[reads[1::2]] - padded[reads[::2]]) / (u * sp)
-    ok = exists[reads].all(axis=0) & (2 * s > u)
-    ratios = np.abs(d1a - d1b) / (norm * np.log(s / u + 1.0))
+    d1 = (padded.take(reads[1::2], axis=-1) - padded.take(reads[::2], axis=-1)) / (u * sp)
+    ok = exists.take(reads, axis=-1).all(axis=-2) & (2 * s > u)
     config = {"x": ix, "t": it, "h": u}
-    return _report("first-difference-modulus", ratios, ok, config, sp, seed)
+    return _reports(
+        "first-difference-modulus", norms, np.abs(d1[..., 0, :] - d1[..., 1, :]),
+        [np.log(s / u + 1.0)], ok, config, sp, seed,
+    )
 
 
 def _delta1_samples(mu: GridMeasure, centers: np.ndarray, half: np.ndarray):
@@ -408,6 +434,10 @@ def _predecessor_levels(shifts: np.ndarray) -> np.ndarray:
 # square-function two-sided bound
 
 
+# martingales per BDG stack: 20 x 1024 leaves keeps each array at 160 KiB
+_BDG_STACK = 20
+
+
 def verify_bdg(seed: int = 0) -> dict:
     """Ratio of the maximal function to the quadratic characteristic in L2,
     over 100 depth-10 martingales seeded ``seed`` onwards.
@@ -416,14 +446,7 @@ def verify_bdg(seed: int = 0) -> dict:
     jumps); the running maximum of an L2 martingale is at most twice the
     terminal value in L2, giving the upper bound 2.
     """
-    ratios = []
-    for i in range(100):
-        S = random_martingale(10, seed=seed + i)
-        qc = lp_norm(quadratic_characteristic(S), 2.0)
-        if qc == 0.0:
-            continue
-        ratios.append(lp_norm(maximal_function(S), 2.0) / qc)
-    ratios = np.array(ratios)
+    ratios = np.array(_bdg_ratios(seed))
     return {
         "count": int(ratios.size),
         "min": float(ratios.min()),
@@ -431,6 +454,32 @@ def verify_bdg(seed: int = 0) -> dict:
         "in_range": bool(np.all((ratios >= 1.0) & (ratios <= 2.0))),
         "seed": seed,
     }
+
+
+def _bdg_ratios(seed: int) -> list[float]:
+    """``verify_bdg``'s ratios, one per martingale of nonzero quadratic
+    characteristic, in seed order.
+
+    The martingales run in stacks of ``_BDG_STACK``, from the root down.
+    Each leaf's squared jumps are summed in generation order and its
+    deviations ``|S_n - S_0|`` folded by ``max``, at generation size: ``acc
+    = repeat(acc, 2) + dj * dj``.  Each norm is ``lp_norm`` of one row.
+    """
+    ratios = []
+    for lo in range(seed, seed + 100, _BDG_STACK):
+        levels = _random_martingale_levels(10, range(lo, lo + _BDG_STACK))
+        root = levels[0]
+        square = np.zeros_like(root)
+        deviation = np.zeros_like(root)
+        for parent, child in zip(levels, levels[1:]):
+            dj = child - np.repeat(parent, 2, axis=-1)
+            square = np.repeat(square, 2, axis=-1) + dj * dj
+            deviation = np.maximum(np.repeat(deviation, 2, axis=-1), np.abs(child - root))
+        for sq, dev in zip(np.sqrt(square), deviation):
+            qc = lp_norm(sq, 2.0)
+            if qc != 0.0:
+                ratios.append(lp_norm(dev, 2.0) / qc)
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -469,25 +518,29 @@ _FUNCTION_CHECKS = (
 )
 
 
-def _normed(norm, family, sizes, seed):
-    """``(name, (x, norm(x)), (y, norm(y)))`` for each member of ``family``,
-    drawn as ``x`` at the first size and as ``y`` at the second."""
-    shallow, deep = (family(size, seed) for size in sizes)
-    return [(name, (x, norm(x)), (y, norm(y))) for (name, x), (_, y) in zip(shallow, deep)]
+def _normed(norm, family, size, seed):
+    """Names, members and norms of ``family`` drawn at ``size``."""
+    names, members = zip(*family(size, seed))
+    return names, members, [norm(x) for x in members]
 
 
 def run_lemma_suite(seed: int = 0) -> dict:
     """Sample every modulus estimate on the standard families at two grid
-    depths and collect max ratios with their depth-doubling factors."""
-    functions = _normed(zygmund_seminorm, _lemma_function_family, (6, 12), seed)
-    measures = _normed(measure_zygmund_norm, _lemma_measure_family, (1, 2), seed)
-    cases = [(check, *f) for check in _FUNCTION_CHECKS for f in functions]
-    cases += [(_check_measure_modulus, *mu) for mu in measures]
+    depths and collect max ratios with their depth-doubling factors.  A
+    function check runs once per depth for the whole family."""
+    names, *shallow = _normed(zygmund_seminorm, _lemma_function_family, 6, seed)
+    _, *deep = _normed(zygmund_seminorm, _lemma_function_family, 12, seed)
+    cases = []
+    for check in _FUNCTION_CHECKS:
+        cases += zip(names, check(*shallow, seed + 1), check(*deep, seed + 2))
+    names, *shallow = _normed(measure_zygmund_norm, _lemma_measure_family, 1, seed)
+    _, *deep = _normed(measure_zygmund_norm, _lemma_measure_family, 2, seed)
+    for name, low, high in zip(names, zip(*shallow), zip(*deep)):
+        low, high = _check_measure_modulus(*low, seed + 1), _check_measure_modulus(*high, seed + 2)
+        cases.append((name, low, high))
     reports = []
     passed = True
-    for check, name, shallow, deep in cases:
-        low = check(*shallow, seed=seed + 1)
-        high = check(*deep, seed=seed + 2)
+    for name, low, high in cases:
         high.name = f"{low.name}[{name}]"
         high.stability_factor = _growth_ratio(low.max_ratio, high.max_ratio)
         reports.append(high)

@@ -9,9 +9,10 @@ reductions and two corner sums (bit order, and ``itertools.product`` order
 seeded by the first term) that the shared kernels must match bit for bit,
 each certificate's lattice-exactness verdict restated without the shared
 rule, the paper-claim helpers (translation averaging, thresholded jump
-counts, window Parseval data, the averaging property), the
-``one_split_measure`` fixture and the standard library's JSON encoding that
-the report writer must match byte for byte.
+counts, window Parseval data, the averaging property, the quadratic
+characteristic and the maximal function), the per-seed generation loop of
+a random martingale, the ``one_split_measure`` fixture and the standard
+library's JSON encoding that the report writer must match byte for byte.
 """
 
 import itertools
@@ -632,6 +633,50 @@ def bmo_density(S: DyadicMartingale) -> float:
             energy += blocks.sum(axis=tuple(range(1, 2 * dim, 2)))
         best = max(best, float(energy.max()) * 2.0 ** (dim * m))
     return best
+
+
+def _spread(arr: np.ndarray, dim: int, factor: int) -> np.ndarray:
+    """Each entry repeated ``factor`` times along every axis."""
+    for axis in range(dim):
+        arr = np.repeat(arr, factor, axis=axis)
+    return arr
+
+
+def quadratic_characteristic(S: DyadicMartingale) -> np.ndarray:
+    """Per-leaf square function: sqrt of the summed squared jumps above the
+    leaf, added generation by generation at leaf size."""
+    acc = np.zeros_like(S.levels[-1])
+    for n in range(1, S.depth + 1):
+        dj = S.jumps(n)
+        acc += _spread(dj * dj, S.dim, 1 << (S.depth - n))
+    return np.sqrt(acc)
+
+
+def maximal_function(S: DyadicMartingale) -> np.ndarray:
+    """Per-leaf maximal deviation ``max_n |S_n - S_0|`` of the value
+    sequence, folded generation by generation at leaf size."""
+    acc = np.zeros_like(S.levels[-1])
+    for n in range(1, S.depth + 1):
+        dev = np.abs(S.levels[n] - S.root_value)
+        np.maximum(acc, _spread(dev, S.dim, 1 << (S.depth - n)), out=acc)
+    return acc
+
+
+def random_martingale_loop(depth: int, seed: int) -> list[np.ndarray]:
+    """The levels of ``random_martingale(depth, seed)``, drawn and split one
+    generation at a time: the root, then each generation's steps and signs
+    from the ``(seed, 2)`` Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
+    levels = [np.full(1, float(rng.integers(-256, 257) * Fraction(1, 256)))]
+    for n in range(depth):
+        steps = rng.integers(0, 4097, size=2**n)
+        signs = rng.integers(0, 2, size=2**n).astype(np.float64) * 2.0 - 1.0
+        jump = steps * 2.0**-14 * signs
+        child = np.empty(2 ** (n + 1))
+        child[0::2] = levels[-1] + jump
+        child[1::2] = levels[-1] - jump
+        levels.append(child)
+    return levels
 
 
 def translation_average(members, R: int) -> SampledFunction:

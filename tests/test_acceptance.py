@@ -23,6 +23,7 @@ from reference import (
     bmo_density,
     delta2_max,
     lacunary_partial_sum,
+    quadratic_characteristic,
     thresholded_jump_count,
     translation_average,
     window_parseval,
@@ -50,7 +51,6 @@ from zygdist.martingale import (
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
-    quadratic_characteristic,
     star_norm,
 )
 from zygdist.measures import (

@@ -342,12 +342,28 @@ def _steps_swept(monkeypatch, f) -> int:
     return len(swept)
 
 
-def test_zygmund_seminorm_skips_on_the_grid_deep_input_and_not_on_square(monkeypatch):
-    # the benchmark's grid-deep input: random-jumps, delta 1/16, depth 15
+def test_zygmund_seminorm_skips_on_the_grid_deep_input_and_not_on_single_branch(monkeypatch):
+    # the benchmark's grid-deep input: random-jumps, delta 1/16, depth 15:
+    # the widest step, then 39 from step 1
     f = _generated("random-jumps", 7, "--delta", "1/16", depth=15)
-    assert _steps_swept(monkeypatch, f) <= 64
-    # square's second differences grow with the step: every step is swept
-    assert _steps_swept(monkeypatch, _generated("square", 0)) == 512
+    assert _steps_swept(monkeypatch, f) == 40
+    # single-branch's largest second difference is the same at every step:
+    # every step is swept, the widest one once
+    assert _steps_swept(monkeypatch, _generated("single-branch", 0)) == 512
+
+
+def test_zygmund_seminorm_widest_step_seed_pins(monkeypatch):
+    # second differences growing with the step peak at the widest one,
+    # which rules out most others; where they do not grow, the seed costs
+    # one step
+    assert _steps_swept(monkeypatch, parabola_function(12)) == 15
+    assert _steps_swept(monkeypatch, _generated("square", 0)) == 12
+    assert _steps_swept(monkeypatch, hat_function(12)) == 2
+    assert _steps_swept(monkeypatch, linear_function(12)) == 2
+    # one cell has no step, two or three cells only the widest
+    for cells in (1, 2, 3):
+        f = SampledFunction(np.arange(cells + 1.0) ** 2, log2_spacing=0)
+        assert _steps_swept(monkeypatch, f) == cells // 2
 
 
 def test_dyadic_seminorm_below_full_sweep():

@@ -16,6 +16,8 @@ from reference import (
     is_martingale,
     lattice_exact,
     lattice_exponents,
+    maximal_function,
+    quadratic_characteristic,
     second_difference_dyadic,
     sloped_line,
     sweep_takes_int32,
@@ -50,8 +52,6 @@ from zygdist.martingale import (
     bmo_norm,
     dyadic_zygmund_seminorm,
     integrate,
-    maximal_function,
-    quadratic_characteristic,
     star_norm,
 )
 

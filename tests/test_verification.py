@@ -9,13 +9,23 @@ from reference import (
     block_max,
     block_sum,
     delta1_samples,
+    maximal_function,
     one_split_measure,
     predecessor_levels_loop,
+    quadratic_characteristic,
+    random_martingale_loop,
     second_difference_gathered,
     unit_tree_distance,
 )
-from zygdist.functionals import _bounded, _indexed, _second_difference, zygmund_seminorm
+from zygdist.functionals import (
+    _bounded,
+    _indexed,
+    _second_difference,
+    lp_norm,
+    zygmund_seminorm,
+)
 from zygdist.generators import (
+    _random_martingale_levels,
     _rng,
     cascade_measure,
     hat_function,
@@ -23,6 +33,7 @@ from zygdist.generators import (
     linear_function,
     parabola_function,
     random_jump_martingale,
+    random_martingale,
     weierstrass_function,
 )
 from zygdist import verification
@@ -36,12 +47,14 @@ from zygdist.martingale import (
 from zygdist.measures import GridMeasure, density_martingale, measure_zygmund_norm
 from zygdist.verification import (
     _SAMPLES,
+    _bdg_ratios,
     _check_equal_centre,
     _check_equal_step,
     _check_first_difference,
     _check_measure_modulus,
     _check_second_difference_modulus,
     _delta1_samples,
+    _lemma_function_family,
     _lemma_measure_family,
     _lemma_table,
     _log_uniform,
@@ -63,12 +76,20 @@ FUNCTION_CHECKS = [
 ALL_CHECKS = FUNCTION_CHECKS + [_check_measure_modulus]
 
 
+def _checked(check, x, norm, seed):
+    """The report of a check on one object: a one-member batch for the
+    function checks, the object itself for the measure check."""
+    if isinstance(x, GridMeasure):
+        return check(x, norm, seed)
+    (report,) = check([x], [norm], seed)
+    return report
+
+
 def _run(check, x, seed):
     """A check, measured against its object's own norm: the seminorm of a
     function, the dyadic norm of a measure."""
-    if isinstance(x, GridMeasure):
-        return check(x, measure_zygmund_norm(x), seed)
-    return check(x, zygmund_seminorm(x), seed)
+    norm = measure_zygmund_norm(x) if isinstance(x, GridMeasure) else zygmund_seminorm(x)
+    return _checked(check, x, norm, seed)
 
 
 def _subject(check):
@@ -175,7 +196,7 @@ def test_modulus_deterministic(check):
 
 @pytest.mark.parametrize("check", ALL_CHECKS)
 def test_modulus_zero_norm_gives_the_zero_report(check):
-    report = check(_subject(check), 0.0, seed=7)
+    report = _checked(check, _subject(check), 0.0, seed=7)
     assert report.max_ratio == 0.0
     assert report.samples == _SAMPLES
     assert report.argmax == {}
@@ -207,15 +228,20 @@ def test_modulus_noncompact_drops_outside_samples():
 @pytest.mark.parametrize("kind", ["parabola", "random-jumps"])
 def test_lemma_table_holds_the_widest_reads(kind):
     # _check_equal_step's t -+ u, with t = x -+ s, x in {0, M} and
-    # s = u = M/2, reads exactly -M and 2M; parabola is not compact
-    f = parabola_function(5) if kind == "parabola" else integrate(random_jump_martingale(5))
-    M, padded, exists = _lemma_table(f)
+    # s = u = M/2, reads exactly -M and 2M; parabola is not compact.  Each
+    # row of the stacked table reads as its own member does.
+    members = {"parabola": parabola_function(5), "random-jumps": integrate(random_jump_martingale(5))}
+    f = members.pop(kind)
+    stack = [f, *members.values()]
+    M, padded, exists = _lemma_table(stack)
+    assert padded.shape == exists.shape == (2, 3 * M + 1)
     t = np.array([0, M]) + np.array([-1, 1]) * (M // 2)
     u = np.full(2, M // 2)
     d2, ok = _second_difference(f, padded, exists, _indexed(M, t, u), u)
-    want, want_ok = second_difference_gathered(f, t, u)
-    assert np.array_equal(d2, want) and np.array_equal(ok, want_ok)
-    assert ok.all() == f.compact
+    for row, member in enumerate(stack):
+        want, want_ok = second_difference_gathered(member, t, u)
+        assert np.array_equal(d2[row], want) and np.array_equal(ok[row], want_ok)
+    assert ok[0].all() == f.compact
 
 
 def test_equal_step_is_exact_zero_for_parabola():
@@ -252,6 +278,64 @@ def test_lemma_suite_computes_each_norm_once(monkeypatch):
     for norms, count in zip(seen.values(), (10, 6)):
         assert len(norms) == count
         assert len({id(x) for x in norms}) == count
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+@pytest.mark.parametrize("check", FUNCTION_CHECKS)
+def test_batched_check_equals_its_one_member_batches(check, depth):
+    # one draw for the whole family: each member's report is that of a
+    # one-member call; linear (norm 0) mid-stack gets the zero report and
+    # leaves the others as they are
+    family = [f for _, f in _lemma_function_family(depth, seed=3)]
+    family.insert(2, linear_function(depth))
+    norms = [zygmund_seminorm(f) for f in family]
+    assert norms[2] == 0.0 and all(norms[:2] + norms[3:])
+    batch = check(family, norms, seed=4)
+    assert len(batch) == len(family)
+    for f, norm, report in zip(family, norms, batch):
+        assert report == _checked(check, f, norm, seed=4)
+    assert batch[2] == verification._zero_report(batch[2].name, 4)
+
+
+@pytest.mark.parametrize("check", FUNCTION_CHECKS)
+def test_zero_norm_member_is_never_read(monkeypatch, check):
+    # dividing by a zero norm gives only inf and nan, which _report would
+    # also turn into the zero report; the row is not handed to it at all
+    rows = []
+    report = verification._report
+
+    def recorded(name, ratios, *args):
+        rows.append(ratios)
+        return report(name, ratios, *args)
+
+    monkeypatch.setattr(verification, "_report", recorded)
+    f = lacunary_function(8)
+    batch = check([f, f], [0.0, zygmund_seminorm(f)], seed=7)
+    assert batch[0] == verification._zero_report(batch[0].name, 7)
+    assert batch[1].max_ratio > 0.0
+    (ratios,) = rows
+    assert np.isfinite(ratios).all()
+
+
+@pytest.mark.parametrize("M", [64, 4096])
+@pytest.mark.parametrize("check", [_check_second_difference_modulus, _check_equal_centre])
+def test_step_pairs_stay_within_half_the_grid(monkeypatch, check, M):
+    # h' = u + g with u, g <= M/4: every drawn step reads inside the grid's
+    # half width, so no sample needs masking for it
+    steps = []
+    second_difference = verification._second_difference
+
+    def recorded(f, padded, exists, reads, t):
+        steps.append(t)
+        return second_difference(f, padded, exists, reads, t)
+
+    monkeypatch.setattr(verification, "_second_difference", recorded)
+    f = integrate(random_jump_martingale(M.bit_length() - 1, seed=1))
+    for seed in range(5):
+        _run(check, f, seed)
+    assert len(steps) == 10
+    for t in steps:
+        assert t.min() >= 1 and 2 * t.max() <= M
 
 
 def test_function_depth_doubling_stable():
@@ -377,6 +461,32 @@ def test_bdg_ratios_in_range():
 def test_bdg_lower_bound_strict_for_random_walks():
     report = verify_bdg(seed=5)
     assert report["min"] > 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 5, 35, 61])
+def test_bdg_ratios_equal_the_leaf_size_reference(seed):
+    # the stacked, top-down sums and maxima give the bits of the leaf-size
+    # functionals on each martingale, norm by norm
+    expected = []
+    for i in range(100):
+        S = DyadicMartingale(random_martingale_loop(10, seed + i))
+        qc = lp_norm(quadratic_characteristic(S), 2.0)
+        if qc != 0.0:
+            expected.append(lp_norm(maximal_function(S), 2.0) / qc)
+    assert np.array(_bdg_ratios(seed)).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 10])
+def test_random_martingale_levels_equal_the_per_seed_loop(depth):
+    seeds = [0, 1, 35, 2**63 + 5]
+    levels = _random_martingale_levels(depth, seeds)
+    assert len(levels) == depth + 1
+    for i, seed in enumerate(seeds):
+        loop = random_martingale_loop(depth, seed)
+        single = random_martingale(depth, seed).levels
+        for n in range(depth + 1):
+            assert levels[n].shape == (len(seeds), 2**n)
+            assert levels[n][i].tobytes() == loop[n].tobytes() == single[n].tobytes()
 
 
 # ---------------------------------------------------------------------------
