@@ -1,9 +1,10 @@
 """Approximants built by jump truncation and grid-translation averaging.
 
 The rough/small splitting of a sampled function works on its slope
-martingale: jumps whose magnitude exceeds a threshold are kept (they form
-the rough part, of bounded mean oscillation), the rest are dropped, so the
-remainder has dyadic Zygmund seminorm at most twice the threshold.
+martingale: the jumps of parents whose largest child jump exceeds a
+threshold are kept (they form the rough part, of bounded mean oscillation),
+the rest are dropped, so the remainder has dyadic Zygmund seminorm at most
+twice the threshold.  Measures are truncated by the same function.
 
 Dyadic truncation is grid-biased; averaging the small parts produced on a
 family of translated grids removes the bias.  ``continuous_decompose`` runs
@@ -35,6 +36,7 @@ from zygdist.martingale import (
     SampledFunction,
     _lattice_exponents,
     _lattice_quantum,
+    _parent_deviation,
     _quanta_bits,
     average_growth,
     integrate,
@@ -54,25 +56,26 @@ __all__ = [
 
 
 def truncate_jumps(S: DyadicMartingale, threshold: float) -> DyadicMartingale:
-    """Keep exactly the jumps with magnitude above ``threshold``.
+    """Keep exactly the jumps of the parents whose size, the largest child
+    ``|jump|`` (``_parent_deviation``), exceeds ``threshold``, in any ``dim``.
 
-    The decision for a sibling pair is taken on the left child's jump and
-    applied to both, so the result is again a martingale (sibling jumps of a
-    valid martingale cancel).  Kept jumps are copied bit for bit; dropped
-    ones are zeroed, which bounds every jump of ``S - B`` by ``threshold``.
-    Each level is the truncated parent level plus the kept jumps.
+    All ``2^dim`` children share the decision, so the result is again a
+    martingale.  Kept jumps are copied bit for bit; dropped ones are zeroed,
+    which bounds every jump of ``S - B`` by ``threshold`` where the
+    arithmetic is exact.  Each level is its jump field, masked and plus the
+    truncated parent level in place, one strided child corner at a time as
+    in ``DyadicMartingale.jumps``: no expanded copy of the parent.
     """
-    if S.dim != 1:
-        raise ValueError("jump truncation is one-dimensional; see measure truncation")
     levels = [S.levels[0].copy()]
     for n in range(1, S.depth + 1):
-        dj = S.jumps(n)
-        keep = np.abs(dj[0::2]) > threshold
-        level = np.empty_like(dj)
-        np.add(levels[-1], keep * dj[0::2], out=level[0::2])
-        np.add(levels[-1], keep * dj[1::2], out=level[1::2])
+        level = S.jumps(n)  # formed once: the sizes and the kept jumps read it
+        keep = _parent_deviation(level, S.dim) > threshold
+        for corner in itertools.product((0, 1), repeat=S.dim):
+            cells = tuple(slice(c, None, 2) for c in corner)
+            np.multiply(level[cells], keep, out=level[cells])
+            np.add(level[cells], levels[-1], out=level[cells])
         levels.append(level)
-    return DyadicMartingale(levels)
+    return DyadicMartingale(levels, dim=S.dim)
 
 
 def martingale_difference(S: DyadicMartingale, B: DyadicMartingale) -> DyadicMartingale:
@@ -107,7 +110,7 @@ def dyadic_decompose(
     seminorm of the small part is twice the largest surviving jump, hence at
     most ``eps``.  The slope martingale is built once for the whole grid,
     which defaults to ``default_eps_grid``.  Consecutive levels with the same
-    count of pair sizes ``|a| <= eps / 2`` (``_truncation_maxima``) keep the
+    count of parent sizes ``<= eps / 2`` (``_truncation_maxima``) keep the
     same pairs and so have bit-identical splittings: they share one, whose
     ``eps`` lists them, and the ``eps`` lists concatenate to the grid.  Cost:
     O(2^N log 2^N) once plus O(2^N) per distinct kept set, at most
@@ -186,34 +189,29 @@ def distance_report(
 
 
 def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
-    """Largest dropped jump of truncation at each threshold, and the count
-    of pairs it drops.
+    """The dropped-size table: the largest parent size that truncation at
+    each threshold drops, and the count of parents it drops.
 
-    A sibling pair is dropped at threshold ``t`` when its left jump has
-    ``|a| <= t`` (``truncate_jumps``).  Where ``_tree_exact`` holds, each
-    parent slope is exactly the mean of its two children's, so the right
-    jump is exactly ``-a``, and the jumps of ``S - B`` are the dropped
-    pairs' ``±a``.  So the largest dropped jump at ``t`` is
-    ``_largest_at_most`` of every pair's ``|a|``: ``star_norm(S - B)`` for
-    ``B = truncate_jumps(S, t)``, bit for bit where ``_tree_exact`` holds,
-    and not otherwise.  The counts hold everywhere: they compare the floats
-    ``truncate_jumps`` compares, so two thresholds with the same count keep
-    the same pairs.  Work O(P log P) for the ``P = 2^N - 1`` pairs, plus
-    O(log P) per threshold.
+    A parent is dropped at threshold ``t`` when its size, the largest child
+    ``|jump|`` (``_parent_deviation``), is ``<= t`` (``truncate_jumps``).
+    Where truncation and the difference ``S - B`` round nothing, a kept
+    parent leaves no jump in ``S - B`` and a dropped one its own jumps, so
+    the largest dropped size at ``t`` is ``star_norm(S - B)`` for ``B =
+    truncate_jumps(S, t)``, bit for bit (``_tree_exact`` for functions,
+    ``measures._truncation_exact`` for measures); not otherwise.  The
+    counts hold everywhere: they compare the floats ``truncate_jumps``
+    compares, so two thresholds with the same count keep the same parents.
+    The sizes fill one array a generation at a time, sorted in place, and
+    each threshold is one binary search (0.0 where nothing is dropped): work
+    O(P log P) for the ``P`` parents, plus O(log P) per threshold.
     """
-    sizes = np.empty((1 << S.depth) - 1)
+    ends = np.cumsum([0] + [1 << S.dim * n for n in range(S.depth)])  # per generation
+    sizes = np.empty(ends[-1])
     for n in range(1, S.depth + 1):
-        np.abs(S.jumps(n)[0::2], out=sizes[(1 << (n - 1)) - 1 : (1 << n) - 1])
-    return _largest_at_most(sizes, thresholds)
-
-
-def _largest_at_most(sizes: np.ndarray, levels) -> tuple[list, list]:
-    """The largest of ``sizes`` that is ``<= t`` at each level ``t`` (0.0
-    where none is), and how many are: one in-place sort of the 1-d array
-    ``sizes``, then a binary search per level."""
+        sizes[ends[n - 1] : ends[n]] = _parent_deviation(S.jumps(n), S.dim).ravel()
     sizes.sort()
     largest = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
-    count = np.searchsorted(sizes, levels, side="right")
+    count = np.searchsorted(sizes, thresholds, side="right")
     return largest[count].tolist(), count.tolist()
 
 
@@ -386,10 +384,9 @@ def _tree_exact(f: SampledFunction) -> bool:
     Every quantity is a multiple of ``Q`` below ``2^(a+N+5)`` quanta: the
     family ``(N + 5, s)``.  Where ``martingale._lattice_quantum`` accepts it
     at 53 bits, ``truncate_jumps``, ``martingale_difference`` and their
-    jumps are exact.  Then a parent slope is exactly the mean of its
-    children's, so a pair's right jump is exactly minus its left one; a
-    dropped pair's residual jumps are its own jumps, a kept pair's are 0;
-    and ``_truncation_maxima`` equals the truncation loop bit for bit.
+    jumps are exact.  Then a dropped pair's residual jumps are its own
+    jumps, a kept pair's are 0, and ``_truncation_maxima`` (the larger
+    child's ``|jump|`` per pair) equals the truncation loop bit for bit.
     """
     N = f.depth
     lattice = _lattice_exponents(f.values)
@@ -403,7 +400,8 @@ def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid
     parent of ``2c`` grid cells at window point ``s`` starts at ``t = s -
     offset`` in the coordinates of ``f``, so its jumps depend only on ``t``,
     fixed modulo ``2c`` by the translate's class ``offset mod 2c``.  Keep
-    decisions are taken on the left jump ``a``, as translate by translate,
+    decisions are taken on the left jump ``a``, the parent size of
+    ``truncate_jumps`` where ``_lattice_exact`` makes the right jump ``-a``,
     and a kept pair integrates to a tent: slope ``a`` on ``[t, t + c)``,
     ``-a`` on ``[t + c, t + 2c)``.  So the rough parts' sum is one
     difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2 mult *

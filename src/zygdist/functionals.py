@@ -30,6 +30,7 @@ from zygdist.martingale import (
     _block_reduce,
     _lattice_exponents,
     _lattice_quantum,
+    _parent_deviation,
     star_norm,
 )
 
@@ -266,15 +267,14 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tabulate the tree level-set density over a level grid and several depths.
 
     ``S`` is the slope martingale of a function.  A parent qualifies when
-    its centred second difference ``2 |a|`` (``a`` its left child's jump)
-    exceeds the level.  The table is ``_tree_profile``'s, shared with
+    its centred second difference, twice its size ``_parent_deviation``,
+    exceeds the level; on the binary lattice that is ``2 |a|`` for ``a``
+    its left child's jump.  The table is ``_tree_profile``'s, shared with
     measures.
     """
-    return _tree_profile(S, _second_difference_size, eps_grid, depths)
-
-
-def _second_difference_size(S: DyadicMartingale, generation: int) -> np.ndarray:
-    return 2.0 * np.abs(S.jumps(generation + 1)[0::2])
+    return _tree_profile(
+        S, lambda S, m: 2.0 * _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths
+    )
 
 
 # levels times window cells of one ``_tree_profile`` accumulator: 512 KiB

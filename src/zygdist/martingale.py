@@ -143,19 +143,20 @@ class SampledFunction:
         )
 
 
-def _expand(arr: np.ndarray, dim: int) -> np.ndarray:
-    """Repeat each entry twice along every axis."""
-    for axis in range(dim):
-        arr = np.repeat(arr, 2, axis=axis)
-    return arr
-
-
 def _block_reduce(arr: np.ndarray, dim: int, op=np.add) -> np.ndarray:
     """Reduce 2x...x2 blocks with the binary ``op``, halving every axis."""
     for axis in range(dim):
         head = (slice(None),) * axis
         arr = op(arr[head + (slice(0, None, 2),)], arr[head + (slice(1, None, 2),)])
     return arr
+
+
+def _parent_deviation(dj: np.ndarray, dim: int) -> np.ndarray:
+    """The one parent-size rule: the largest child ``|jump|`` of each parent
+    of the ``dim``-d jump field ``dj`` (``|left|`` where a 1-d parent is
+    exactly its children's mean).  Truncation and the tree level sets both
+    compare it with their level."""
+    return _block_reduce(np.abs(dj), dim, np.maximum)
 
 
 class DyadicMartingale:

@@ -20,14 +20,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from zygdist.approximation import _largest_at_most
+from zygdist.approximation import _truncation_maxima, truncate_jumps
 from zygdist.functionals import DepthProfile, _tree_profile
 from zygdist.martingale import (
     DyadicMartingale,
-    _block_reduce,
-    _expand,
     _lattice_exponents,
     _lattice_quantum,
+    _parent_deviation,
     _quanta_bits,
     star_norm,
 )
@@ -257,11 +256,6 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
     return best
 
 
-def _parent_deviation(dj: np.ndarray, dim: int) -> np.ndarray:
-    """Per-parent largest child jump magnitude of the ``dim``-d jump field ``dj``."""
-    return _block_reduce(np.abs(dj), dim, np.maximum)
-
-
 def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tree level-set density of a measure at every (depth, level).
 
@@ -276,42 +270,28 @@ def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> Dept
 
 
 def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
-    """Nearby measure keeping exactly the large-deviation refinements.
-
-    ``S`` is the ``density_martingale`` of a measure ``mu``.  For each
-    parent cell, the child fluctuations are kept in full when the largest
-    child deviation (``_parent_deviation``) exceeds ``eps`` and dropped in
-    full otherwise (keeping all or none preserves the averaging structure).
-    Every dyadic second difference of ``mu - result`` is then at most
-    ``eps`` where the arithmetic is exact.  On inputs that
+    """Nearby measure keeping exactly the large-deviation refinements: the
+    masses of ``truncate_jumps(S, eps)`` for the ``density_martingale`` ``S``
+    of a measure ``mu``.  Every dyadic second difference of ``mu - result``
+    is at most ``eps`` where the arithmetic is exact.  On inputs that
     ``_truncation_exact`` certifies, ``_residual_norms`` reads the norms of
     these residuals off one table and does not call this function.
     """
-    d = S.dim
-    level = S.levels[0].copy()
-    for n in range(1, S.depth + 1):
-        dj = S.jumps(n)  # formed once: the deviation and the kept jumps read it
-        keep = _expand(_parent_deviation(dj, d) > eps, d)
-        level = _expand(level, d) + keep * dj
-    return GridMeasure(level * 2.0 ** (-d * S.depth))
+    return GridMeasure(truncate_jumps(S, eps).leaf * 2.0 ** (-S.dim * S.depth))
 
 
 def _residual_norms(mu: GridMeasure, S: DyadicMartingale, levels) -> list[float]:
     """``measure_zygmund_norm(mu - measure_truncate(S, eps), "dyadic")`` at
     each level ``eps``, for ``S = density_martingale(mu)``.
 
-    A parent is dropped at ``eps`` when its deviation is ``<= eps``, so
-    ``_largest_at_most`` of every parent's deviation gives, per level, the
-    largest dropped deviation and the count of dropped parents.  Where
+    ``approximation._truncation_maxima`` gives, per level, the largest
+    dropped parent deviation and the count of dropped parents.  Where
     ``_truncation_exact`` holds, that largest deviation is the residual norm
     bit for bit: O(P log P) for the ``P`` parents, plus O(log P) per level.
     Elsewhere the levels with one count drop the same parents, and each
     count truncates and takes the residual's norm once.
     """
-    sizes = np.concatenate(
-        [_parent_deviation(S.jumps(n), S.dim).ravel() for n in range(1, S.depth + 1)]
-    )
-    largest, counts = _largest_at_most(sizes, levels)
+    largest, counts = _truncation_maxima(S, levels)
     if _truncation_exact(mu, S, max(largest, default=0.0)):
         return largest
     residual = {

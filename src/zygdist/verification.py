@@ -315,7 +315,7 @@ def _verify_dyadic_distance_bound(seed: int) -> RatioReport:
     jump size times the tree distance between their cells, normalised so the
     seminorm (twice the sup jump) makes the bound hold with ratio <= 1.
     Every pair of cells to generation 6 is compared on 20 depth-8
-    martingales, seeded ``seed`` onwards.
+    martingales, seeded ``seed`` onwards and drawn in one stack.
     """
     cells = _unit_tree_cells(_MAX_GENERATION)
     dist = _unit_tree_distance(_MAX_GENERATION)
@@ -323,8 +323,9 @@ def _verify_dyadic_distance_bound(seed: int) -> RatioReport:
     best = -1.0
     argmax: dict = {}
     pairs = 0
+    levels = _random_martingale_levels(8, range(seed, seed + 20))
     for i in range(20):
-        S = random_martingale(8, seed=seed + i)
+        S = DyadicMartingale([level[i] for level in levels])
         vals = np.concatenate([S.levels[n] for n in range(_MAX_GENERATION + 1)])
         norm = 2.0 * star_norm(S)
         if norm == 0.0:

@@ -136,6 +136,14 @@ def block_max(arr: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
+def expand(arr: np.ndarray, dim: int) -> np.ndarray:
+    """Repeat each entry twice along every axis: a parent level at its
+    children's shape."""
+    for axis in range(dim):
+        arr = np.repeat(arr, 2, axis=axis)
+    return arr
+
+
 def is_martingale(S: DyadicMartingale) -> bool:
     """Whether every level is, up to rounding, the block mean of the next."""
     return all(

@@ -40,6 +40,7 @@ from zygdist.generators import (
     single_branch_martingale,
 )
 from zygdist.martingale import (
+    DyadicMartingale,
     SampledFunction,
     _lattice_exponents,
     _lattice_quantum,
@@ -68,7 +69,7 @@ def test_truncate_keeps_large_jumps_bitwise():
     B = truncate_jumps(S, thr)
     for n in range(1, 9):
         dj_s, dj_b = S.jumps(n), B.jumps(n)
-        kept = np.repeat(np.abs(dj_s[0::2]) > thr, 2)
+        kept = np.repeat(np.maximum(abs(dj_s[0::2]), abs(dj_s[1::2])) > thr, 2)
         assert np.array_equal(dj_b[kept], dj_s[kept])
         assert np.all(dj_b[~kept] == 0.0)
     assert is_martingale(B)
@@ -91,6 +92,18 @@ def test_truncate_extremes():
     nothing = truncate_jumps(S, star_norm(S))
     for n in range(1, 7):
         assert np.all(nothing.jumps(n) == 0.0)
+
+
+def test_truncate_decides_a_pair_on_its_larger_jump():
+    # off the exact-mean lattice a sibling pair can have |a| <= t < |b|: the
+    # pair is kept, so S - B has no jump above t (deciding on the left jump
+    # alone would drop it and leave the jump |b| = 0.5 > t)
+    S = DyadicMartingale([[0.0], [0.25, -0.5], [0.375, 0.125, -0.5, -0.5]])
+    t = 0.25
+    B = truncate_jumps(S, t)
+    assert np.array_equal(B.levels[1], S.levels[1])
+    assert np.array_equal(B.levels[2], [0.25, 0.25, -0.5, -0.5])
+    assert star_norm(martingale_difference(S, B)) <= t
 
 
 def _per_level(f, grid=None):
@@ -217,7 +230,7 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
             f = _generated(tmp_path, kind, depth, seed)
             assert _tree_exact(f)
             S = average_growth(f)
-            # the table's premise: sibling jumps cancel exactly
+            # on the lattice sibling jumps cancel exactly: a pair's size is |left|
             for n in range(1, depth + 1):
                 assert np.array_equal(S.jumps(n)[1::2], -S.jumps(n)[0::2])
             grid = default_eps_grid(S) + _tie_levels(S)
@@ -332,8 +345,11 @@ def test_refused_distance_truncates_once_per_distinct_count(tmp_path, monkeypatc
     assert not _tree_exact(f)
     S = average_growth(f)
     grid = default_eps_grid(S)
-    # the count of pairs each threshold drops, from the jumps themselves
-    pairs = [np.abs(S.jumps(n)[0::2]) for n in range(1, S.depth + 1)]
+    # the count of pairs each threshold drops, from the jumps themselves: a
+    # pair's size is its larger |jump|
+    pairs = [
+        np.maximum(abs(S.jumps(n)[0::2]), abs(S.jumps(n)[1::2])) for n in range(1, S.depth + 1)
+    ]
     counts = {sum(int((a <= eps / 2.0).sum()) for a in pairs) for eps in grid}
     assert 1 < len(counts) < len(grid)
     calls = _counting_truncations(monkeypatch)

@@ -31,7 +31,6 @@ from zygdist.functionals import (
     _growth_ratio,
     _indexed,
     _second_difference,
-    _second_difference_size,
     _sweep_values,
     _tree_profile,
     _zero_padded,
@@ -58,11 +57,12 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     SampledFunction,
+    _parent_deviation,
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
 )
-from zygdist.measures import GridMeasure, _parent_deviation, density_martingale
+from zygdist.measures import GridMeasure, density_martingale
 
 
 def _third(f):
@@ -437,8 +437,9 @@ def _brute_tree_density(S, eps, depth):
             total = 0.0
             for m in range(g, depth):
                 width = 1 << (m - g)
-                jumps = S.jumps(m + 1)[0::2][k * width : (k + 1) * width]
-                total += np.count_nonzero(2.0 * np.abs(jumps) > eps) * 2.0**-m
+                dj = S.jumps(m + 1)
+                sizes = np.maximum(abs(dj[0::2]), abs(dj[1::2]))[k * width : (k + 1) * width]
+                total += np.count_nonzero(2.0 * sizes > eps) * 2.0**-m
             best = max(best, total * 2.0**g)
     return best
 
@@ -501,6 +502,11 @@ def _descending_grid(S, parent_size):
 
 def _cascade_deviation(S, m):
     return _parent_deviation(S.jumps(m + 1), S.dim)
+
+
+def _second_difference_size(S, m):
+    """``density_profile``'s parent sizes: twice the deviation."""
+    return 2.0 * _parent_deviation(S.jumps(m + 1), S.dim)
 
 
 @pytest.mark.parametrize(

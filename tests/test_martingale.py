@@ -12,6 +12,7 @@ from reference import (
     block_max,
     block_sum,
     bmo_density,
+    expand,
     index_of,
     is_martingale,
     lattice_exact,
@@ -45,7 +46,6 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
-    _expand,
     _lattice_exponents,
     _lattice_quantum,
     average_growth,
@@ -96,7 +96,7 @@ def test_sibling_jumps_are_opposite():
 def test_jumps_equal_the_expanded_parent_difference(dim, depth):
     S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=dim)))
     for n in range(1, S.depth + 1):
-        expected = S.levels[n] - _expand(S.levels[n - 1], dim)
+        expected = S.levels[n] - expand(S.levels[n - 1], dim)
         assert S.jumps(n).tobytes() == expected.tobytes()
 
 

@@ -25,15 +25,17 @@ from reference import (
     residual_norms_loop,
 )
 from zygdist.cli import main
-from zygdist.functionals import _geometric_grid
-from zygdist.generators import cascade_measure
+from zygdist.functionals import _geometric_grid, default_eps_grid, density_profile
+from zygdist.generators import cascade_measure, random_jump_martingale, random_martingale
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     average_growth,
+    integrate,
     star_norm,
 )
-from zygdist import measures
+from zygdist import approximation, functionals, martingale, measures
+from zygdist.approximation import distance_report
 from zygdist.measures import (
     GridMeasure,
     density_martingale,
@@ -500,18 +502,21 @@ def test_tree_density_matches_brute_force():
 def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
     # one `measure` forms max(depths) deviation tables for the tree
     # densities, `depth` for the residual table and, on this refused input,
-    # `depth` per distinct count of dropped parents for the truncations
+    # `depth` per distinct count of dropped parents for the truncations,
+    # all through the one parent-size helper, counted in every module that
+    # binds it
     path = tmp_path / "mu.json"
     argv = ["--kind", "cascade", "--dim", "1", "--depth", "14", "--seed", "7"]
     assert main(["generate", *argv, "--out", str(path)]) == 0
     tables = []
-    original = measures._parent_deviation
+    original = martingale._parent_deviation
 
     def counted(dj, dim):
         tables.append(dj.size)
         return original(dj, dim)
 
-    monkeypatch.setattr(measures, "_parent_deviation", counted)
+    for module in (approximation, functionals, martingale, measures):
+        monkeypatch.setattr(module, "_parent_deviation", counted)
     out = tmp_path / "report.json"
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
     levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
@@ -672,6 +677,28 @@ def test_truncation_certificate_refuses_a_kept_level_that_rounds(monkeypatch):
     assert measures._truncation_exact(mu, S, 0.0)
     norms, truncated = _residual_norms_counted(monkeypatch, mu, [8.0, 9.0])
     assert (norms, truncated) == ([0.0, 8.875], [8.0, 9.0])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("draw", [random_jump_martingale, random_martingale])
+def test_functions_are_one_dimensional_increment_measures(draw, seed):
+    # the increments of f are a 1-d measure whose density martingale is the
+    # slope martingale of f; the tree profile and the truncation residuals
+    # of the two then agree with `==`, the function side at twice the level
+    f = integrate(draw(10, seed=seed))
+    mu = GridMeasure(np.diff(f.values))
+    A, S = average_growth(f), density_martingale(mu)
+    assert len(S.levels) == len(A.levels)
+    assert all(np.array_equal(s, a) for s, a in zip(S.levels, A.levels))
+    grid = default_eps_grid(A)
+    depths = [5, 10]
+    doubled = [2.0 * e for e in grid]
+    assert measure_tree_levelset_density(S, grid, depths).values == (
+        density_profile(A, doubled, depths).values
+    )
+    residuals = measures._residual_norms(mu, S, [e / 2.0 for e in grid])
+    report = distance_report(f, grid, depths)
+    assert [2.0 * r for r in residuals] == report.measured_distance
 
 
 def test_one_dimensional_reduction_matches_martingale_star():
