@@ -128,7 +128,7 @@ def dyadic_decompose(
         eps_grid = default_eps_grid(S)
     eps_grid = [float(eps) for eps in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    _, counts = _truncation_maxima(S, thresholds)
+    _, counts, _ = _truncation_maxima(S, thresholds)
     j = 0
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
@@ -161,24 +161,20 @@ def distance_report(
     density is profiled over ``depths`` and the stability threshold
     estimated.  An ``eps_grid`` of ``None`` is ``default_eps_grid``.  The
     slope martingale is built once and shared by all three.
-    Where ``_tree_exact`` holds, the measured distances are read off one
-    ``_truncation_maxima`` table, O(2^N log 2^N) once plus O(log 2^N) per
-    level; otherwise each distinct count of the table truncates and
-    differences the martingale once, O(2^N) per distinct kept set.
+    The measured distances are ``_residual_table``'s: read off one
+    ``_truncation_maxima`` table where ``_table_exact`` holds, O(2^N log
+    2^N) once plus O(log 2^N) per level; otherwise each distinct count of
+    the table truncates and differences the martingale once, O(2^N) per
+    distinct kept set.
     """
     S = average_growth(f)
     if eps_grid is None:
         eps_grid = default_eps_grid(S)
     eps_grid = [float(e) for e in eps_grid]
     thresholds = [eps / 2.0 for eps in eps_grid]
-    dropped, counts = _truncation_maxima(S, thresholds)
-    if not _tree_exact(f):
-        # thresholds with one count keep the same pairs: truncate once per count
-        distance = {
-            count: star_norm(martingale_difference(S, truncate_jumps(S, t)))
-            for count, t in dict(zip(counts, thresholds)).items()
-        }
-        dropped = [distance[count] for count in counts]
+    dropped = _residual_table(
+        S, thresholds, lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t)))
+    )
     profile = density_profile(S, eps_grid, depths)
     return DistanceReport(
         eps=eps_grid,
@@ -188,31 +184,106 @@ def distance_report(
     )
 
 
-def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list]:
+def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list, list]:
     """The dropped-size table: the largest parent size that truncation at
-    each threshold drops, and the count of parents it drops.
+    each threshold drops, and the count of parents it drops; and the
+    largest parent size of each generation ``1 .. N``.
 
     A parent is dropped at threshold ``t`` when its size, the largest child
     ``|jump|`` (``_parent_deviation``), is ``<= t`` (``truncate_jumps``).
-    Where truncation and the difference ``S - B`` round nothing, a kept
-    parent leaves no jump in ``S - B`` and a dropped one its own jumps, so
-    the largest dropped size at ``t`` is ``star_norm(S - B)`` for ``B =
-    truncate_jumps(S, t)``, bit for bit (``_tree_exact`` for functions,
-    ``measures._truncation_exact`` for measures); not otherwise.  The
-    counts hold everywhere: they compare the floats ``truncate_jumps``
-    compares, so two thresholds with the same count keep the same parents.
-    The sizes fill one array a generation at a time, sorted in place, and
-    each threshold is one binary search (0.0 where nothing is dropped): work
-    O(P log P) for the ``P`` parents, plus O(log P) per threshold.
+    Where truncation and the residual round nothing (``_table_exact``), a
+    kept parent leaves no jump in the residual and a dropped one its own
+    jumps, so the largest dropped size at ``t`` is the residual's norm, bit
+    for bit; not otherwise.  The counts hold everywhere: they compare the
+    floats ``truncate_jumps`` compares, so two thresholds with the same
+    count keep the same parents.  The sizes fill one array a generation at
+    a time, sorted in place, and each threshold is one binary search (0.0
+    where nothing is dropped): work O(P log P) for the ``P`` parents, plus
+    O(log P) per threshold.
     """
     ends = np.cumsum([0] + [1 << S.dim * n for n in range(S.depth)])  # per generation
     sizes = np.empty(ends[-1])
+    peaks = []
     for n in range(1, S.depth + 1):
-        sizes[ends[n - 1] : ends[n]] = _parent_deviation(S.jumps(n), S.dim).ravel()
+        generation = sizes[ends[n - 1] : ends[n]]
+        generation[:] = _parent_deviation(S.jumps(n), S.dim).ravel()
+        peaks.append(float(generation.max()))
     sizes.sort()
     largest = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
     count = np.searchsorted(sizes, thresholds, side="right")
-    return largest[count].tolist(), count.tolist()
+    return largest[count].tolist(), count.tolist(), peaks
+
+
+def _residual_table(S: DyadicMartingale, thresholds, residual_norm) -> list[float]:
+    """The residual norm at each threshold: the dropped-size table where
+    ``_table_exact`` holds, else ``residual_norm(t)``.
+
+    ``residual_norm`` is the caller's own: ``star_norm(S - truncate_jumps(S,
+    t))`` for a function, the dyadic norm of ``mu`` minus its truncation for
+    a measure.  Thresholds with one count of dropped parents drop the same
+    parents, so it runs once per distinct count.
+    """
+    largest, counts, peaks = _truncation_maxima(S, thresholds)
+    if _table_exact(S, peaks, max(largest, default=0.0)):
+        return largest
+    norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
+    return [norms[count] for count in counts]
+
+
+def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
+    """Whether truncating ``S`` and taking the residual's norm rounds
+    nothing, at every threshold whose largest dropped size is at most
+    ``top``, for a function's residual and a measure's alike.
+
+    ``peaks[n - 1]`` is the largest parent size of generation ``n``
+    (``_truncation_maxima``).  Level ``n`` of ``S`` holds multiples of
+    ``2^-q_n`` (``_lattice_exponents``) of absolute value at most ``M_n``;
+    ``2^-q`` is the finest of these quanta over the nonzero levels, so every
+    quantity below is a multiple of it.  Real-number bounds, ``n = 1 ..
+    N``, in dimension ``d``:
+
+    * jumps ``S_n - S_(n-1)``: one that rounds has exact operands, so its
+      exact value, and by monotone rounding its computed one, is at least
+      ``2^53`` quanta.  Where ``peaks[n - 1]`` is below that, every jump is
+      exact and at most ``peaks[n - 1]``;
+    * a dropped jump is at most its parent's size, so at most ``top``.  The
+      residual level ``R_n``, the dropped jumps above a cell, is at most
+      ``r_n = sum_(m<=n) min(peaks[m - 1], top)``, and the kept level ``B_n =
+      S_n - R_n`` at most ``M_n + r_n``.  The residual's block sums add
+      ``2^d`` values of ``R_n``: at most ``2^d r_n``.  The kept and residual
+      masses of a measure are ``B_N`` and ``R_N`` times ``2^-dN``, on the
+      quantum ``2^-(q + dN)``;
+    * a measure's ``S`` is ``DyadicMartingale.from_leaf``'s: level ``n - 1``
+      is the block sum of level ``n`` over ``2^d``, its partial sums
+      multiples of ``2^-q_n`` at most ``2^d M_n``.  Where these are exact,
+      so is the mean, a cell's mass times ``2^(d(n-1))`` and so a multiple
+      of ``2^-1074``.  Then ``S`` is an exact martingale, and so are the
+      kept and residual ones.
+
+    Where ``martingale._lattice_quantum`` accepts these families at 53 bits,
+    ``truncate_jumps``, ``martingale_difference``, the masses of
+    ``measures.measure_truncate``, their subtraction and the residual's
+    block means and jumps are exact.  A kept parent then leaves no residual
+    jump and a dropped one its own jumps, so ``star_norm(S - B)`` for a
+    function and the residual's dyadic norm for a measure are the largest
+    dropped size, bit for bit.  A function's residual needs no block means:
+    for its slope martingale the means' families only refuse more.
+    """
+    d, N = S.dim, S.depth
+    lattices = [_lattice_exponents(level) for level in S.levels]
+    if None in lattices or not np.isfinite(peaks).all():
+        return False
+    residual = bound = Fraction(0)
+    for level, (q_n, _), peak in zip(S.levels[1:], lattices[1:], peaks):
+        residual += Fraction(min(peak, top))
+        extent = Fraction(float(max(level.max(), -level.min())))
+        bound = max(bound, Fraction(peak), extent + residual, residual * 2**d)
+        means = _quanta_bits(extent * 2**d, q_n)
+        if _lattice_quantum((q_n, 0), 53, (means, 0)) is None:
+            return False
+    q = max((q_n for q_n, a_n in lattices if a_n), default=0)
+    bits = _quanta_bits(bound, q)
+    return _lattice_quantum((q, 0), 53, (bits, 0), (bits, d * N)) is not None
 
 
 @dataclass
@@ -363,34 +434,6 @@ def _lattice_exact(values: np.ndarray, jumps: list[np.ndarray], count: int) -> i
     if _lattice_quantum(lattice, 53, *families) is not None:
         return None
     return a + max(growth for growth, _ in families)
-
-
-def _tree_exact(f: SampledFunction) -> bool:
-    """Whether truncating the slope martingale of ``f`` rounds nothing.
-
-    Let the ``2^N + 1`` values of ``f`` be integer multiples of ``2^-q``
-    with ``max|f| = A 2^-q`` and ``A < 2^a``, and let the span have length
-    ``2^s``, so the generation-``n`` cell width is ``w_n = 2^(s - n)``.
-    Take the quantum ``Q = 2^-(q + s)``.  Real-number bounds, ``n <= N``:
-
-    * slopes ``S_n`` are sample differences (below ``2^(a+1)`` multiples of
-      ``2^-q``) divided by ``w_n``: multiples of ``2^n Q``, ``|S_n| <
-      2^(a+n+1) Q``;
-    * jumps ``|a_n| <= |S_n| + |S_(n-1)| < 3 2^(a+n) Q``;
-    * truncated values ``|B_n| <= |S_0| + sum_m |a_m| < 2^(a+n+3) Q``;
-    * residuals ``|S_n - B_n| < 2^(a+n+4) Q`` and their jumps
-      ``< 2^(a+n+5) Q``; the jumps of ``B`` are at most those of ``S``.
-
-    Every quantity is a multiple of ``Q`` below ``2^(a+N+5)`` quanta: the
-    family ``(N + 5, s)``.  Where ``martingale._lattice_quantum`` accepts it
-    at 53 bits, ``truncate_jumps``, ``martingale_difference`` and their
-    jumps are exact.  Then a dropped pair's residual jumps are its own
-    jumps, a kept pair's are 0, and ``_truncation_maxima`` (the larger
-    child's ``|jump|`` per pair) equals the truncation loop bit for bit.
-    """
-    N = f.depth
-    lattice = _lattice_exponents(f.values)
-    return _lattice_quantum(lattice, 53, (N + 5, N + f.log2_spacing)) is not None
 
 
 def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid: list[float]):

@@ -16,20 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from zygdist.approximation import _truncation_maxima, truncate_jumps
+from zygdist.approximation import _residual_table, truncate_jumps
 from zygdist.functionals import DepthProfile, _tree_profile
-from zygdist.martingale import (
-    DyadicMartingale,
-    _lattice_exponents,
-    _lattice_quantum,
-    _parent_deviation,
-    _quanta_bits,
-    star_norm,
-)
+from zygdist.martingale import DyadicMartingale, _parent_deviation, star_norm
 
 __all__ = [
     "GridMeasure",
@@ -274,76 +266,18 @@ def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     masses of ``truncate_jumps(S, eps)`` for the ``density_martingale`` ``S``
     of a measure ``mu``.  Every dyadic second difference of ``mu - result``
     is at most ``eps`` where the arithmetic is exact.  On inputs that
-    ``_truncation_exact`` certifies, ``_residual_norms`` reads the norms of
-    these residuals off one table and does not call this function.
+    ``approximation._table_exact`` certifies, ``_residual_norms`` reads the
+    norms of these residuals off one table and does not call this function.
     """
     return GridMeasure(truncate_jumps(S, eps).leaf * 2.0 ** (-S.dim * S.depth))
 
 
 def _residual_norms(mu: GridMeasure, S: DyadicMartingale, levels) -> list[float]:
     """``measure_zygmund_norm(mu - measure_truncate(S, eps), "dyadic")`` at
-    each level ``eps``, for ``S = density_martingale(mu)``.
-
-    ``approximation._truncation_maxima`` gives, per level, the largest
-    dropped parent deviation and the count of dropped parents.  Where
-    ``_truncation_exact`` holds, that largest deviation is the residual norm
-    bit for bit: O(P log P) for the ``P`` parents, plus O(log P) per level.
-    Elsewhere the levels with one count drop the same parents, and each
-    count truncates and takes the residual's norm once.
+    each level ``eps``, for ``S = density_martingale(mu)``: read off
+    ``approximation._residual_table``, which truncates only where
+    ``_table_exact`` refuses, once per distinct count of dropped parents.
     """
-    largest, counts = _truncation_maxima(S, levels)
-    if _truncation_exact(mu, S, max(largest, default=0.0)):
-        return largest
-    residual = {
-        count: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")
-        for count, eps in dict(zip(counts, levels)).items()
-    }
-    return [residual[count] for count in counts]
-
-
-def _truncation_exact(mu: GridMeasure, S: DyadicMartingale, top: float) -> bool:
-    """Whether truncating ``mu`` and taking the residual's dyadic norm rounds
-    nothing, at every level whose dropped deviations are at most ``top``.
-
-    Let the masses be non-negative multiples of ``2^-q`` with total ``T``,
-    ``S = density_martingale(mu)`` of depth ``N`` in dimension ``d``, and
-    ``M`` its largest leaf density.  Real-number bounds, ``n <= N``:
-
-    * level ``n`` and its block sums are cell masses times ``2^(dn)``:
-      multiples of ``2^(dn - q)`` at most ``T 2^(dn)``, so ``T 2^q`` quanta
-      at every ``n``, and the halvings between levels are exact.  The first
-      block sum that rounds has exact operands, so its exact value, and by
-      monotone rounding its computed one, is at least ``2^53`` of its quanta.
-      Sums of non-negative terms and halvings keep that bound up to ``S_0``,
-      which is then at least ``2^53`` quanta of ``2^-q``.  So where the
-      family of ``S_0`` fits, ``S`` is exact and ``S_0 = T``;
-    * jumps ``S_n - S_(n-1)`` of non-negative levels are multiples of
-      ``2^(d(n-1) - q)`` at most ``T 2^(dn)``: ``T 2^(q+d)`` quanta;
-    * a dropped jump is at most its parent's deviation, so at most ``top``.
-      The kept levels ``K_n = S_n - R_n``, with ``R_n`` the at most ``n``
-      dropped jumps above a cell, are multiples of ``2^-q`` at most ``M + N
-      top``, as a mean is at most its largest child (``S_n <= M``).  The kept
-      masses ``K_N 2^-(dN)`` and the residual masses ``R_N 2^-(dN)`` are
-      below as many quanta of ``2^-(q + dN)``;
-    * the residual's block sums add at most ``2^d`` values ``R_n``:
-      multiples of ``2^-q`` at most ``2^d N top``.
-
-    Where ``martingale._lattice_quantum`` accepts these families at 53 bits,
-    ``measure_truncate``, the subtraction and ``density_martingale`` of the
-    residual are exact.  A kept parent then leaves no residual jump and a
-    dropped one its own jumps, so the residual's dyadic norm is the largest
-    dropped deviation, bit for bit.  On ``generate`` cascades the residual
-    family is the widest: 46 bits at 2-d depth 8 (seed 7).  The 1-d ones at
-    depth 14 are refused by their total alone, ``2^54`` to ``2^62`` quanta.
-    """
-    lattice = _lattice_exponents(mu.masses)
-    total = S.root_value
-    if lattice is None or not np.isfinite(total) or np.any(mu.masses < 0.0):
-        return False
-    q, a = lattice
-    d, N = S.dim, S.depth
-    sums = _quanta_bits(total, q)
-    kept = _quanta_bits(Fraction(float(S.leaf.max())) + N * Fraction(top), q)
-    residual = _quanta_bits((N << d) * Fraction(top), q)
-    families = [(sums - a, -d * N), (max(sums + d, kept, residual) - a, 0), (kept - a, d * N)]
-    return _lattice_quantum(lattice, 53, *families) is not None
+    return _residual_table(
+        S, levels, lambda eps: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")
+    )

@@ -8,7 +8,8 @@ box oracles, loop versions of the batched kernels, reshape block
 reductions and two corner sums (bit order, and ``itertools.product`` order
 seeded by the first term) that the shared kernels must match bit for bit,
 each certificate's lattice-exactness verdict restated without the shared
-rule, the paper-claim helpers (translation averaging, thresholded jump
+rule (and the two former dropped-size rules the table certificate must
+accept), the paper-claim helpers (translation averaging, thresholded jump
 counts, window Parseval data, the averaging property, the quadratic
 characteristic and the maximal function), the per-seed generation loop of
 a random martingale, the ``one_split_measure`` fixture and the standard
@@ -426,7 +427,7 @@ def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
     Each level truncates ``S`` at ``eps / 2`` and takes twice the star norm
     of ``S - B`` and the star norm of ``B``: the loop that
     ``approximation._truncation_maxima`` must equal where
-    ``approximation._tree_exact`` holds, and the path taken where it does not.
+    ``approximation._table_exact`` holds, and the path taken where it does not.
     """
     measured, stars = [], []
     for eps in eps_grid:
@@ -476,7 +477,8 @@ def decompose_rows_loop(f: SampledFunction, eps_grid) -> tuple[list, str | None]
 def residual_norms_loop(mu: GridMeasure, levels) -> list[float]:
     """Dyadic norm of ``mu`` minus its truncation, one level at a time:
     truncate, subtract and take the norm of the residual, the loop that
-    ``measures._residual_norms`` must equal."""
+    ``approximation._truncation_maxima`` must equal where
+    ``approximation._table_exact`` holds, and the path taken where it does not."""
     S = density_martingale(mu)
     return [
         measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")
@@ -746,7 +748,8 @@ def window_parseval(S: DyadicMartingale, generation: int, index) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# each certificate's lattice-exactness verdict, restated without the shared rule
+# each certificate's lattice-exactness verdict, restated without the shared rule,
+# and the former dropped-size rules
 
 
 def lattice_exponents(values: np.ndarray) -> tuple[int, int] | None:
@@ -772,7 +775,9 @@ def sweep_takes_int32(values: np.ndarray) -> bool:
 
 
 def tree_exact(f: SampledFunction) -> bool:
-    """``approximation._tree_exact``."""
+    """The former function rule of the dropped-size table: every
+    intermediate a multiple of ``2^-(q + s)`` below ``2^(a + N + 5)`` of
+    them, for a span of length ``2^s``."""
     if not np.isfinite(f.values).all():
         return False
     lattice = lattice_exponents(f.values)
@@ -783,6 +788,36 @@ def tree_exact(f: SampledFunction) -> bool:
     s = N + f.log2_spacing
     bits = a + N + 5
     return bits <= 53 and q + s <= 1074 and bits - (q + s) <= 1023
+
+
+def truncation_exact(mu: GridMeasure, top: float) -> bool:
+    """The former measure rule of the dropped-size table, at levels whose
+    largest dropped deviation is at most ``top``: non-negative masses
+    ``k 2^-q`` with ``k < 2^a``, total ``T`` and largest density ``M`` at
+    depth ``N`` in dimension ``d``; the block sums are multiples of
+    ``2^(dN - q)`` below ``T 2^q`` of them, the jumps below ``T 2^(q + d)``
+    quanta ``2^-q``, the kept levels below ``(M + N top) 2^q`` (and the kept
+    masses below as many quanta ``2^-(q + dN)``), the residual's block sums
+    below ``2^d N top 2^q``."""
+    masses = mu.masses
+    S = density_martingale(mu)
+    if not np.isfinite(masses).all() or not math.isfinite(S.root_value) or (masses < 0.0).any():
+        return False
+    lattice = lattice_exponents(masses)
+    q, a = lattice if lattice is not None else (0, 0)
+    d, N = mu.dim, mu.depth
+
+    def bits(bound):  # a b with bound < 2^b quanta 2^-q
+        quanta = Fraction(bound) * Fraction(2) ** q
+        return quanta.numerator.bit_length() - quanta.denominator.bit_length() + 1
+
+    sums = bits(S.root_value)
+    kept = bits(Fraction(float(S.leaf.max())) + N * Fraction(top))
+    widest = max(sums + d, kept, bits((N << d) * Fraction(top)))
+    families = [(sums, -d * N), (widest, 0), (kept, d * N)]
+    return all(
+        b <= 53 and q + shift <= 1074 and b - (q + shift) <= 1023 for b, shift in families
+    )
 
 
 def lattice_exact(values: np.ndarray, count: int) -> bool:

@@ -14,7 +14,7 @@ from zygdist import approximation
 from zygdist.approximation import (
     _class_kernel,
     _lattice_exact,
-    _tree_exact,
+    _table_exact,
     _truncation_maxima,
     _window_jumps,
     continuous_decompose,
@@ -220,6 +220,23 @@ def _tie_levels(S):
                    for a in np.abs(S.jumps(n)[0:8:2])})
 
 
+def _tree_certified(f, grid=None):
+    """``_table_exact``'s verdict on the slope martingale of ``f`` at the
+    levels ``grid`` (``default_eps_grid`` if None), as ``distance_report``
+    asks it."""
+    S = average_growth(f)
+    grid = default_eps_grid(S) if grid is None else grid
+    largest, _, peaks = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    return _table_exact(S, peaks, max(largest, default=0.0))
+
+
+def _52_bit_numerators(depth):
+    """Odd 52-bit numerators at every inner sample, 0 at both ends: on the
+    lattice, but truncation rounds."""
+    numerators = np.random.default_rng(0).integers(-(1 << 52), 1 << 52, size=(1 << depth) - 1)
+    return SampledFunction(np.concatenate(([0.0], (numerators | 1).astype(np.float64), [0.0])))
+
+
 @pytest.mark.parametrize(
     "kind", ["linear", "hat", "square", "lacunary", "random-jumps", "single-branch"]
 )
@@ -228,12 +245,12 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
     for depth in range(2, 11):
         for seed in range(5) if kind == "random-jumps" else [0]:
             f = _generated(tmp_path, kind, depth, seed)
-            assert _tree_exact(f)
             S = average_growth(f)
             # on the lattice sibling jumps cancel exactly: a pair's size is |left|
             for n in range(1, depth + 1):
                 assert np.array_equal(S.jumps(n)[1::2], -S.jumps(n)[0::2])
             grid = default_eps_grid(S) + _tie_levels(S)
+            assert _tree_certified(f, grid)
             measured, stars = truncation_maxima_loop(S, grid)
             report = distance_report(f, eps_grid=grid, depths=[depth])
             assert report.measured_distance == measured
@@ -241,13 +258,15 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
 
 
 def test_refused_input_takes_the_truncation_loop(monkeypatch):
-    # outside the certificate only the table's counts are read: its maxima
-    # are replaced by None, which any read would fail on
+    # outside the certificate no size of the table reaches a measured
+    # distance: the patched table's sizes are inf, which the certificate
+    # reads as the largest dropped size and still refuses
     f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
-    assert not _tree_exact(f)
+    assert not _tree_certified(f)
 
     def counts_only(S, thresholds):
-        return None, _truncation_maxima(S, thresholds)[1]
+        largest, counts, peaks = _truncation_maxima(S, thresholds)
+        return [np.inf] * len(largest), counts, peaks
 
     monkeypatch.setattr(approximation, "_truncation_maxima", counts_only)
     S = average_growth(f)
@@ -311,7 +330,7 @@ def test_grouped_decompose_equals_the_level_loop(tmp_path, kind):
 @pytest.mark.parametrize("depth", [6, 9])
 def test_grouped_decompose_equals_the_level_loop_off_the_lattice(depth):
     f = _off_lattice(depth)
-    assert not _tree_exact(f)
+    assert not _tree_certified(f)
     _assert_grouping_equals_the_loop(f)
 
 
@@ -339,10 +358,10 @@ def test_decompose_truncates_once_per_kept_set(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("kind", ["square", "off-lattice"])
-def test_refused_distance_truncates_once_per_distinct_count(tmp_path, monkeypatch, kind):
-    f = _off_lattice(9) if kind == "off-lattice" else _generated(tmp_path, "square", 18, 7)
-    assert not _tree_exact(f)
+@pytest.mark.parametrize("kind", ["52-bit", "off-lattice"])
+def test_refused_distance_truncates_once_per_distinct_count(monkeypatch, kind):
+    f = _off_lattice(9) if kind == "off-lattice" else _52_bit_numerators(9)
+    assert not _tree_certified(f)
     S = average_growth(f)
     grid = default_eps_grid(S)
     # the count of pairs each threshold drops, from the jumps themselves: a
@@ -379,9 +398,32 @@ def test_decompose_memory_holds_two_splittings(tmp_path):
     assert peak <= 8 * floats
 
 
-def test_tree_certificate_at_depth_18():
-    assert _tree_exact(integrate(random_jump_martingale(18, delta=1 / 16, seed=7)))
-    assert not _tree_exact(parabola_function(18))
+def test_tree_certificate_at_depth_18(tmp_path):
+    # random-jumps passed the former function rule too; square and the
+    # parabola, which it refused, now pass, and their table equals the loop;
+    # the parabola divided by 3 is refused
+    assert _tree_certified(integrate(random_jump_martingale(18, delta=1 / 16, seed=7)))
+    for f in (_generated(tmp_path, "square", 18, 7), parabola_function(18)):
+        assert _tree_certified(f)
+        S = average_growth(f)
+        grid = default_eps_grid(S)
+        dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+        assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
+    assert not _tree_certified(SampledFunction(parabola_function(18).values / 3.0))
+
+
+def test_table_certificate_skips_the_quantum_of_zero_levels():
+    # the hat times 2^80 has slopes +-2^80 and a zero root slope (it vanishes
+    # at both ends); the zero level's quantum (q = 0) is no constraint, so
+    # every intermediate sits on the slopes' quantum 2^80 and the input is
+    # accepted, with the loop's table
+    f = SampledFunction(hat_function(10).values * 2.0**80)
+    S = average_growth(f)
+    grid = default_eps_grid(S) + _tie_levels(S)
+    assert not S.levels[0].any()
+    assert _tree_certified(f, grid)
+    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
 
 
 def test_sorted_maxima_exact_at_the_certificate_edge():
@@ -394,26 +436,29 @@ def test_sorted_maxima_exact_at_the_certificate_edge():
         values = (numerators * 2.0**shift + 1.0) * 2.0**-30
         return SampledFunction(np.concatenate(([0.0], values, [0.0])))
 
+    def levels(f):
+        S = average_growth(f)
+        return default_eps_grid(S) + _tie_levels(S)
+
     shift = 0
-    while _tree_exact(scaled(shift + 1)):
+    while _tree_certified(scaled(shift + 1), levels(scaled(shift + 1))):
         shift += 1
     assert shift > 10
     S = average_growth(scaled(shift))
-    grid = default_eps_grid(S) + _tie_levels(S)
-    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    grid = levels(scaled(shift))
+    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
 
 
 def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
     # 52-bit odd numerators at depth 5: truncation rounds, the residual's
     # jumps are no longer the dropped jumps, and the certificate refuses.
-    numerators = np.random.default_rng(0).integers(-(1 << 52), 1 << 52, size=31) | 1
-    f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
+    f = _52_bit_numerators(5)
     S = average_growth(f)
     grid = default_eps_grid(S)
-    dropped, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] != truncation_maxima_loop(S, grid)[0]
-    assert not _tree_exact(f)
+    assert not _tree_certified(f, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -485,12 +485,19 @@ def test_measure_exits_on_2d_masses_off_the_binary_lattice(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "depth, seed, builds", [("8", "2", 1), ("14", "7", 1 + 21)], ids=["certified", "refused"]
+    "depth, seed, divisor, builds",
+    [("8", "2", 1, 1), ("14", "7", 1, 1), ("14", "7", 3, 1 + 21)],
+    ids=["certified", "certified-14", "refused"],
 )
-def test_measure_builds_one_density_martingale(tmp_path, monkeypatch, depth, seed, builds):
+def test_measure_builds_one_density_martingale(
+    tmp_path, monkeypatch, depth, seed, divisor, builds
+):
     mu_path = tmp_path / "mu.json"
     assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", depth,
                  "--seed", seed, "--out", str(mu_path)]) == EXIT_OK
+    payload = json.loads(mu_path.read_text())
+    payload["masses"] = [m / divisor for m in payload["masses"]]
+    mu_path.write_text(json.dumps(payload))
     build = measures.density_martingale
     made = []
 
@@ -504,7 +511,8 @@ def test_measure_builds_one_density_martingale(tmp_path, monkeypatch, depth, see
     assert code == EXIT_OK
     assert len(report["tables"]["truncation"]["rows"]) == 23
     # one for the norm, tree densities and residual table; a refused input
-    # adds one per distinct count of dropped parents (21 of 23 levels here)
+    # (masses divided by 3) adds one per distinct count of dropped parents
+    # (21 of 23 levels here)
     assert len(made) == builds
 
 

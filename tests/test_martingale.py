@@ -19,15 +19,23 @@ from reference import (
     lattice_exponents,
     maximal_function,
     quadratic_characteristic,
+    residual_norms_loop,
     second_difference_dyadic,
     sloped_line,
     sweep_takes_int32,
     thresholded_jump_count,
     tree_exact,
+    truncation_exact,
+    truncation_maxima_loop,
     value_at_index,
     window_parseval,
 )
-from zygdist.approximation import _lattice_exact, _tree_exact, _window_jumps
+from zygdist.approximation import (
+    _lattice_exact,
+    _table_exact,
+    _truncation_maxima,
+    _window_jumps,
+)
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     cascade_measure,
@@ -40,7 +48,7 @@ from zygdist.generators import (
     single_branch_martingale,
     weierstrass_function,
 )
-from zygdist.functionals import _sweep_values
+from zygdist.functionals import _geometric_grid, _sweep_values, default_eps_grid
 from zygdist.measures import GridMeasure, density_martingale
 from zygdist.martingale import (
     DyadicMartingale,
@@ -48,6 +56,7 @@ from zygdist.martingale import (
     _block_reduce,
     _lattice_exponents,
     _lattice_quantum,
+    _parent_deviation,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -289,20 +298,48 @@ def _lattice_inputs(draw):
     return values, count, log2_spacing
 
 
+def _table_verdict(S, levels):
+    """``_table_exact`` on ``S`` at ``levels``, as ``_residual_table`` asks
+    it, and the largest dropped size at each level."""
+    largest, _, peaks = _truncation_maxima(S, levels)
+    return _table_exact(S, peaks, max(largest, default=0.0)), largest
+
+
+def _extreme(values):
+    """Nonzero samples below 2^-1000 or above 2^995.  Near the subnormal
+    range the table certificate may refuse what the former function rule
+    took: it also bounds a measure's kept masses, on a quantum ``2^N`` times
+    finer than the coarsest slope's.  Every such refusal seen in 20,000
+    draws had a sample below 2^-1000; near overflow the families differ
+    from the former rule's too, so that range is left out as well."""
+    magnitudes = np.abs(values[values != 0.0])
+    return magnitudes.size > 0 and (magnitudes.min() < 2.0**-1000 or magnitudes.max() > 2.0**995)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_lattice_inputs())
 def test_one_lattice_rule_gives_each_certificate_its_former_verdict(drawn):
-    # the sweep, the tree certificate and the class-kernel certificate each
-    # decide exactness through _lattice_quantum; each verdict equals its
-    # restatement in reference.py (the sweep's and the tree's former
-    # formulas), except that all-zero values now sweep int32 (q = 0) where
-    # the former sweep took float64
+    # the sweep, the table certificate and the class-kernel certificate each
+    # decide exactness through _lattice_quantum; the sweep's and the class
+    # kernel's verdicts equal their restatements in reference.py (the
+    # sweep's former formula), except that all-zero values now sweep int32
+    # (q = 0) where the former sweep took float64.  The table certificate
+    # accepts what the former function rule (reference.tree_exact) did,
+    # outside _extreme, and where it accepts the table is the loop's.
     values, count, log2_spacing = drawn
     all_zero = not values.any()
     swept = _sweep_values(values)[0]
     assert (swept.dtype == np.int32) == (sweep_takes_int32(values) or all_zero)
     f = SampledFunction(values, log2_spacing=log2_spacing)
-    assert _tree_exact(f) == tree_exact(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = average_growth(f)
+        ties = [_parent_deviation(S.jumps(n), 1)[:2] for n in range(1, S.depth + 1)]
+        grid = default_eps_grid(S) + [2.0 * float(a) for a in np.concatenate(ties)]
+        accepted, largest = _table_verdict(S, [eps / 2.0 for eps in grid])
+    if tree_exact(f) and not _extreme(values):
+        assert accepted
+    if accepted:
+        assert [2.0 * d for d in largest] == truncation_maxima_loop(S, grid)[0]
     # the class-kernel certificate reads window jumps of a compact function
     compact = values.copy()
     compact[[0, -1]] = 0.0
@@ -315,3 +352,49 @@ def test_one_lattice_rule_gives_each_certificate_its_former_verdict(drawn):
         assert _lattice_quantum(_lattice_exponents(values), 53) == expected
     else:
         assert _lattice_quantum(_lattice_exponents(values), 53) is None
+
+
+@st.composite
+def _measure_inputs(draw):
+    """Masses ``k 2^-q`` on a 1-d or 2-d grid, with numerators of 0-53
+    bits below ``2^top``, often near the digit budget, some sparse and some
+    signed (a function's increments are), and ``top`` drawn often near
+    overflow and the subnormal range."""
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(0, 6 if dim == 1 else 3))
+    cells = 1 << dim * depth
+    bits = draw(st.one_of(st.integers(0, 53), st.integers(44, 53)))
+    low = -(2**bits) + 1 if draw(st.booleans()) else 0
+    ks = draw(st.lists(st.integers(low, max(2**bits - 1, 0)), min_size=cells, max_size=cells))
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        ks = [k if keep else 0 for k, keep in zip(ks, kept)]
+    top = draw(
+        st.one_of(
+            st.integers(-1074, 1024), st.integers(990, 1024), st.integers(-1074, -1000)
+        )
+    )
+    with np.errstate(over="ignore"):
+        masses = np.ldexp(np.array(ks, dtype=np.float64), top - bits)
+    return masses.reshape((1 << depth,) * dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_inputs())
+def test_table_certificate_accepts_what_the_former_measure_rule_accepted(masses):
+    # the former measure rule (reference.truncation_exact) implies the table
+    # certificate's verdict, and where that accepts, the table is both the
+    # measure loop's and the function loop's at twice the level
+    mu = GridMeasure(masses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = density_martingale(mu)
+        norm = star_norm(S)
+        grid = _geometric_grid(norm, -20) if np.isfinite(norm) else [1.0]
+        ties = [_parent_deviation(S.jumps(n), S.dim).ravel()[:2] for n in range(1, S.depth + 1)]
+        levels = [eps for eps in grid if eps > 0.0] + [float(a) for a in np.concatenate([[]] + ties)]
+        accepted, largest = _table_verdict(S, levels)
+        if truncation_exact(mu, max(largest, default=0.0)):
+            assert accepted
+    if accepted:
+        assert largest == residual_norms_loop(mu, levels)
+        assert [2.0 * d for d in largest] == truncation_maxima_loop(S, [2.0 * e for e in levels])[0]

@@ -447,11 +447,14 @@ def test_summed_area_table_built_on_first_read(tmp_path, monkeypatch):
     assert nu._table is not None
 
     # one `measure` call reads the input's table for the continuous norm;
-    # the truncations and residuals it builds on a refused input never read
-    # theirs
+    # the truncations and residuals it builds on a refused input (masses
+    # divided by 3) never read theirs
     path = tmp_path / "mu.json"
     assert main(["generate", "--kind", "cascade", "--dim", "1", "--depth", "14",
                  "--seed", "7", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["masses"] = [m / 3.0 for m in payload["masses"]]
+    path.write_text(json.dumps(payload))
     made = []
     init = GridMeasure.__init__
 
@@ -499,15 +502,20 @@ def test_tree_density_matches_brute_force():
             assert row == [_brute_tree_density(mu, eps, d) for eps in grid]
 
 
-def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
+@pytest.mark.parametrize("divisor", [1, 3])
+def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, divisor):
     # one `measure` forms max(depths) deviation tables for the tree
-    # densities, `depth` for the residual table and, on this refused input,
-    # `depth` per distinct count of dropped parents for the truncations,
-    # all through the one parent-size helper, counted in every module that
-    # binds it
+    # densities, `depth` for the residual table and, on a refused input
+    # (masses divided by 3), `depth` per distinct count of dropped parents
+    # (21 of the 23 levels) for the truncations, all through the one
+    # parent-size helper, counted in every module that binds it; the
+    # certificate forms none
     path = tmp_path / "mu.json"
     argv = ["--kind", "cascade", "--dim", "1", "--depth", "14", "--seed", "7"]
     assert main(["generate", *argv, "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["masses"] = [m / divisor for m in payload["masses"]]
+    path.write_text(json.dumps(payload))
     tables = []
     original = martingale._parent_deviation
 
@@ -521,7 +529,7 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch):
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
     levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
     assert levels == 23
-    assert len(tables) == 14 + 14 + 21 * 14 == 322
+    assert len(tables) == 14 + 14 + (21 * 14 if divisor == 3 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +649,21 @@ def test_residual_table_equals_the_truncation_loop(monkeypatch, dim, depths):
 
 @pytest.mark.parametrize(
     "dim, depth, seed, divisor, truncations",
-    [(2, 8, 7, 1, 0), (2, 8, 13, 1, 0), (1, 14, 7, 1, 21), (1, 5, 11, 3, 13), (2, 5, 11, 3, 13)],
+    [
+        (2, 8, 7, 1, 0),
+        (2, 8, 13, 1, 0),
+        (1, 14, 7, 1, 0),
+        (2, 10, 7, 1, 0),
+        (1, 5, 11, 3, 13),
+        (2, 5, 11, 3, 13),
+    ],
 )
 def test_truncation_certificate_on_named_cascades(
     monkeypatch, dim, depth, seed, divisor, truncations
 ):
-    # accepted inputs truncate nowhere; a refused one truncates once per
-    # distinct count of dropped parents (21 of the 23 levels at 1-d depth
-    # 14), and both give the loop's norms
+    # accepted inputs truncate nowhere; a refused one (masses divided by 3)
+    # truncates once per distinct count of dropped parents (13 of the 23
+    # levels at depth 5), and both give the loop's norms
     mu = GridMeasure(_cascade(dim, depth, seed).masses / divisor)
     S = density_martingale(mu)
     grid = _geometric_grid(star_norm(S), -20)
@@ -667,16 +682,120 @@ def test_truncation_certificate_refuses_a_kept_level_that_rounds(monkeypatch):
     # density is 8B = 2^53 - 8 quanta.  At level 9 the first split
     # (deviation 9) is dropped and the splits below it are kept, so cell 0
     # keeps 8B + 9 = 2^53 + 1 quanta, which rounds: the residual norm is
-    # 8.875, not the table's 9.  The kept levels' growth N * top is what
-    # refuses it.
+    # 8.875, not the table's 9.  The kept levels' growth, the dropped sizes
+    # above a cell, is what refuses it.
     B = 2.0**50 - 1
     mu = GridMeasure(np.array([B, 0, 0, 0, B, 9, 0, 0]))
     S = density_martingale(mu)
     assert residual_norms_loop(mu, [9.0]) == [8.875]
-    assert not measures._truncation_exact(mu, S, 9.0)
-    assert measures._truncation_exact(mu, S, 0.0)
+    _, _, peaks = approximation._truncation_maxima(S, [])
+    assert not approximation._table_exact(S, peaks, 9.0)
+    assert approximation._table_exact(S, peaks, 0.0)
     norms, truncated = _residual_norms_counted(monkeypatch, mu, [8.0, 9.0])
     assert (norms, truncated) == ([0.0, 8.875], [8.0, 9.0])
+
+
+def _refused_and_read_off_the_loop(masses, levels, table, loop):
+    """The certificate refuses ``masses`` at ``levels``, where the table
+    would read ``table`` but the measure loop gives ``loop``, and the
+    residual norms are the loop's."""
+    mu = GridMeasure(masses)
+    S = density_martingale(mu)
+    largest, _, peaks = approximation._truncation_maxima(S, levels)
+    assert largest == table
+    assert residual_norms_loop(mu, levels) == loop
+    assert not approximation._table_exact(S, peaks, max(largest))
+    assert measures._residual_norms(mu, S, levels) == loop
+
+
+def test_table_certificate_refuses_a_jump_that_rounds():
+    # 2-d densities a, -a, -a and -(a - 1), a = 2^51 - 1: the block mean is
+    # (-2^52 + 3) / 4, exact, but a's jump, 6 * 2^51 - 7 quarters, needs 54
+    # bits.  Every other family fits; the jumps' family refuses.  The table
+    # drops nothing at level 1, yet the loops' residuals are 0.1875
+    # (measure) and 0.25 (function) there.
+    a = 2**51 - 1
+    densities = np.array([[a, -a], [-a, -(a - 1)]], dtype=np.float64)
+    _refused_and_read_off_the_loop(densities / 4, [1.0], [0.0], [0.1875])
+
+
+def test_table_certificate_refuses_block_means_that_round():
+    # 1-d densities 2^52 + 1 and 2^52 + 2: their sum 2^53 + 3 rounds, so
+    # the root is not their mean and the residual has a mean of -0.5; only
+    # the means' family (twice the largest density) refuses
+    _refused_and_read_off_the_loop(np.array([2.0**51 + 0.5, 2.0**51 + 1]), [1.0], [1.0], [0.5])
+
+
+def test_table_certificate_refuses_dropped_jumps_that_stack():
+    # Densities with root s = 2^52 + 1: at level 6 the jumps 5 (generation
+    # 1) and 6 (generation 2) above cell 0 are dropped and its jump 2^52 is
+    # kept, so cell 0 keeps s + 2^52 = 2^53 + 1, which rounds.  The kept
+    # levels' bound is the largest density 2^53 - 10 plus the dropped sizes
+    # 5 + 6 + 6 of the three generations; half of them would not refuse.
+    s = 2**52 + 1
+    leaf = np.array([2**53 - 10, -10, s + 1, s + 1, s + 5, s + 5, s + 5, s + 5], dtype=np.float64)
+    _refused_and_read_off_the_loop(leaf / 8, [6.0], [6.0], [5.75])
+
+
+def test_table_certificate_refuses_kept_masses_that_underflow():
+    # one mass of 4 * 2^-1074 in the last of 8 cells: at level 2^-1072 the
+    # root split is dropped, and the kept densities, odd multiples of
+    # 4 * 2^-1074, give kept masses of -0.5, 0.5 and 3.5 quanta 2^-1074,
+    # which round; the kept masses' family (the quantum 2^-(q + dN)) refuses
+    masses = np.zeros(8)
+    masses[7] = 4 * 2.0**-1074
+    _refused_and_read_off_the_loop(masses, [2.0**-1072], [2.0**-1072], [0.0])
+
+
+def test_table_certificate_refuses_residual_block_sums_that_overflow():
+    # In units u = 2^1019: a 2-d depth-6 martingale from the root -3 whose
+    # (0, 0) cell climbs by dropped jumps of 2 (siblings -0.75, -0.75,
+    # -0.5) at generations 1, 2, 4 and 5 and falls by a kept -1.5 (siblings
+    # 2.5, -0.5, -0.5) at generation 3, every other split flat.  At level 2
+    # its residual is 8 = 2^1022.  The means' bound 4 * 3.75 and the kept
+    # levels' 3.75 + 10 (five generations of dropped sizes at most 2) stay
+    # below 2^1023 = 16 u; only the residual's block sums, 4 * 8 u =
+    # 2^1024, overflow, and the loop's norm is inf.
+    u = 2.0**1019
+    up = [2.0, -0.75, -0.75, -0.5]
+    level = np.array([[-3.0]])
+    for jumps in (up, up, [-1.5, 2.5, -0.5, -0.5], up, up, [0.0] * 4):
+        level = np.repeat(np.repeat(level, 2, axis=0), 2, axis=1)
+        level[:2, :2] += np.array(jumps).reshape(2, 2, order="F")
+    mu = GridMeasure(level * u * 2.0**-12)
+    S = density_martingale(mu)
+    largest, _, peaks = approximation._truncation_maxima(S, [2 * u])
+    assert largest == [2 * u]
+    assert not approximation._table_exact(S, peaks, 2 * u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert residual_norms_loop(mu, [2 * u]) == [np.inf]
+        assert measures._residual_norms(mu, S, [2 * u]) == [np.inf]
+
+
+def test_table_certificate_caps_each_generation_at_its_largest_size(monkeypatch):
+    # densities x, x, 0, 0 with x = 2^51 + 1, on the quantum 1/2 of the
+    # root: at level x / 2 every split is dropped, and the dropped sizes
+    # above a cell are the root's x / 2 and the second generation's 0, so
+    # the kept levels stay below x + x / 2 < 2^52; the level itself twice
+    # (2x = 2^52 + 2) would refuse.  The input is accepted and truncates
+    # nowhere.
+    x = 2.0**51 + 1
+    mu = GridMeasure(np.array([x, x, 0.0, 0.0]) / 4)
+    norms, truncated = _residual_norms_counted(monkeypatch, mu, [x / 2])
+    assert (norms, truncated) == ([x / 2], [])
+    assert norms == residual_norms_loop(mu, [x / 2])
+
+
+def test_table_certificate_refuses_jumps_that_overflow():
+    # every level is finite, but a jump, 1.7e308 minus the mean -4.25e307,
+    # overflows: the certificate refuses before it bounds anything
+    big = 1.7e308
+    mu = GridMeasure(np.array([[big, -big], [-big, 0.0]]) / 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = density_martingale(mu)
+        largest, _, peaks = approximation._truncation_maxima(S, [1.0])
+    assert peaks == [np.inf]
+    assert not approximation._table_exact(S, peaks, max(largest))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
