@@ -270,7 +270,9 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     its centred second difference, twice its size ``_parent_deviation``,
     exceeds the level; on the binary lattice that is ``2 |a|`` for ``a``
     its left child's jump.  The table is ``_tree_profile``'s, shared with
-    measures.
+    measures: one sort of the sizes, then one window pass per depth and
+    distinct non-empty qualifying set, O(P log P + (sets) 2^depth) for
+    ``P`` parents.
     """
     return _tree_profile(
         S, lambda S, m: 2.0 * _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths
@@ -290,8 +292,16 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
     ``0..depth``, the volumes of the qualifying parents ``P`` inside ``Q``
     with ``generation(P) < depth`` are summed and divided by ``|Q|``; an
     entry is the maximum over windows.  The size tables are formed once,
-    down to the deepest depth, and each entry is one bottom-up window pass
-    over them: O(2^(dim N)) for the sizes plus O(2^(dim depth)) per entry.
+    down to the deepest depth, and one sorted copy of them gives each
+    level's count of qualifying parents.  Within a generation the
+    qualifying sets are nested in the level, so two levels with one count
+    qualify the same parents in every generation and share a row: a level
+    with count 0 gets zeros, and each distinct non-zero count runs one
+    bottom-up window pass at each depth.  Cost: O(P log P) for the sort of
+    the ``P`` sizes plus O(2^(dim depth)) per distinct non-empty set and
+    depth.  (A NaN size, from overflowing slopes, sorts last and adds one
+    to every count but a NaN level's; so a non-zero count can still have
+    an all-zero row.)
 
     At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
     dim (d - 1))`` levels at once, in one accumulator of at most
@@ -309,14 +319,22 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
             raise ValueError(f"depth must be in [1, {S.depth}]")
     dim = S.dim
     sizes = [parent_size(S, m) for m in range(max(depths, default=0))]
-    levels = np.array(eps_grid)
+    flat = np.concatenate([s.ravel() for s in sizes] or [np.empty(0)])
+    flat.sort()
+    counts = (flat.size - np.searchsorted(flat, eps_grid, side="right")).tolist()
+    del flat
+    reps = {}  # the first level of each count stands for its set
+    for count, level in zip(counts, eps_grid):
+        reps.setdefault(count, level)
+    reps.pop(0, None)  # an empty set has a zero row and no pass
+    levels = np.array(list(reps.values()))
     values = []
     for d in depths:
         block = max(1, _TREE_BLOCK >> dim * (d - 1))
-        row = np.zeros(levels.size)
+        peaks = np.zeros(levels.size)
         for lo in range(0, levels.size, block):
             eps = levels[lo : lo + block].reshape((-1,) + (1,) * dim)
-            peak = row[lo : lo + block]
+            peak = peaks[lo : lo + block]
             acc = np.zeros(eps.shape[:1] + sizes[d - 1].shape)
             for m in range(d - 1, -1, -1):
                 if m < d - 1:  # sum each window's children; .T puts levels last
@@ -324,7 +342,8 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
                 np.add(acc, 2.0 ** (-dim * m), out=acc, where=sizes[m] > eps)
                 top = acc.reshape(len(acc), -1).max(axis=1) * 2.0 ** (dim * m)
                 np.maximum(peak, top, out=peak)
-        values.append(row.tolist())
+        row = dict(zip(reps, peaks.tolist()))
+        values.append([row.get(count, 0.0) for count in counts])
     return DepthProfile(depths=depths, eps=eps_grid, values=values)
 
 

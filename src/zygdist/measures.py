@@ -254,7 +254,9 @@ def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> Dept
     ``S`` is the measure's ``density_martingale``.  A cell qualifies when
     the box average of one of its children deviates from its own by more
     than the level (``_parent_deviation``).  The table is
-    ``functionals._tree_profile``'s, as for functions.
+    ``functionals._tree_profile``'s, as for functions: one sort of the
+    ``P`` sizes, then one window pass per depth and distinct non-empty
+    qualifying set, O(P log P + (sets) 2^(dim depth)).
     """
     return _tree_profile(
         S, lambda S, m: _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths

@@ -61,6 +61,7 @@ from zygdist.martingale import (
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
+    star_norm,
 )
 from zygdist.measures import GridMeasure, density_martingale
 
@@ -509,6 +510,24 @@ def _second_difference_size(S, m):
     return 2.0 * _parent_deviation(S.jumps(m + 1), S.dim)
 
 
+def _profile_case(source, dim, depth):
+    """The martingale, parent-size rule and level grid of a tree-profile case."""
+    if source == "cascade":
+        S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=depth)))
+        return S, _cascade_deviation, _descending_grid(S, _cascade_deviation)
+    if source == "overflow":
+        # slopes of +-1.7e308 samples overflow: inf and NaN parent sizes
+        v = np.random.default_rng(1).choice([1.7e308, -1.7e308], (1 << depth) + 1)
+        S = average_growth(SampledFunction(v, left=0, log2_spacing=-depth))
+        return S, _second_difference_size, [0.0, math.inf, math.nan, -1.0]
+    if source.startswith("default "):
+        S = average_growth(_generated(source.split()[1], depth=depth))
+        return S, _second_difference_size, default_eps_grid(S)
+    f = weierstrass_function(depth) if source == "weierstrass" else _generated(source, depth=depth)
+    S = average_growth(f)
+    return S, _second_difference_size, _descending_grid(S, _second_difference_size)
+
+
 @pytest.mark.parametrize(
     "source, dim, depth, depths",
     [
@@ -520,23 +539,52 @@ def _second_difference_size(S, m):
         ("weierstrass", 1, 17, [12, 13, 15, 17]),
         ("cascade", 1, 17, [12, 13, 15, 17]),
         ("cascade", 2, 9, [6, 7, 8, 9]),
+        # one set shared by 20 levels, and 3 empty levels
+        ("default random-jumps", 1, 10, [1, 4, 10]),
+        # the grid [0.0]: every size is 0, so every level is empty
+        ("default linear", 1, 10, [1, 10]),
+        ("overflow", 1, 5, [1, 3, 5]),
     ],
 )
 def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
-    if source == "cascade":
-        S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=depth)))
-        parent_size = _cascade_deviation
-    else:
-        f = weierstrass_function(depth) if source == "weierstrass" else _generated(source, depth=depth)
-        S = average_growth(f)
-        parent_size = _second_difference_size
-    grid = _descending_grid(S, parent_size)
-    if depth > 10:
-        blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
-        assert blocks[0] >= len(grid) and blocks[-1] == 1
-        assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
-    table = _tree_profile(S, parent_size, grid, depths).values
-    assert table == tree_profile_loop(S, parent_size, grid, depths)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow case
+        S, parent_size, grid = _profile_case(source, dim, depth)
+        if depth > 10:
+            blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
+            assert blocks[0] >= len(grid) and blocks[-1] == 1
+            assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
+        table = _tree_profile(S, parent_size, grid, depths).values
+        assert table == tree_profile_loop(S, parent_size, grid, depths)
+
+
+def test_tree_profile_runs_one_pass_per_distinct_nonempty_set(monkeypatch):
+    # a pass at depth d reduces its levels' window sums d - 1 times, levels last
+    reduced = []
+    block_reduce = functionals._block_reduce
+
+    def counting(arr, dim, op=np.add):
+        reduced.append(arr.shape[-1])
+        return block_reduce(arr, dim, op)
+
+    monkeypatch.setattr(functionals, "_block_reduce", counting)
+    S = average_growth(_generated("random-jumps", depth=10))
+    grid = default_eps_grid(S)
+    for d in range(2, 11):
+        reduced.clear()
+        row = density_profile(S, grid, [d]).values[0]
+        assert row.count(0.0) == 3 and len(set(row)) == 2
+        assert sum(reduced) == d - 1
+    payload, _ = cli.cmd_generate(
+        None,
+        cli.build_parser().parse_args(
+            ["generate", "--kind", "cascade", "--dim", "2", "--depth", "8", "--seed", "7"]
+        ),
+    )
+    S = density_martingale(cli.load_measure(payload))
+    grid = functionals._geometric_grid(star_norm(S), -20)
+    reduced.clear()
+    _tree_profile(S, _cascade_deviation, grid, [8])
+    assert len(grid) == 23 and sum(reduced) == 13 * 7
 
 
 def test_tree_profile_accumulator_stays_within_one_block():
