@@ -27,7 +27,7 @@ from zygdist.functionals import (
     _DEFAULT_TAU,
     DepthProfile,
     ThresholdEstimate,
-    default_eps_grid,
+    _level_thresholds,
     density_profile,
     estimate_threshold,
 )
@@ -106,28 +106,25 @@ def dyadic_decompose(
 ) -> Iterator[DyadicDecomposition]:
     """Split ``f`` at every level of ``eps_grid``, one splitting per kept set.
 
-    At level ``eps`` jumps above ``eps / 2`` go to the rough part; the
-    seminorm of the small part is twice the largest surviving jump, hence at
-    most ``eps``.  The slope martingale is built once for the whole grid,
-    which defaults to ``default_eps_grid``.  Consecutive levels with the same
-    count of parent sizes ``<= eps / 2`` (``_truncation_maxima``) keep the
-    same pairs and so have bit-identical splittings: they share one, whose
-    ``eps`` lists them, and the ``eps`` lists concatenate to the grid.  Cost:
-    O(2^N log 2^N) once plus O(2^N) per distinct kept set, at most
-    ``|eps_grid|`` of them.  Splittings are made as they are consumed.  The
-    generator keeps the previous splitting's ``kept``, ``rough`` and
-    ``small`` until it replaces each with the next one's, so a caller that
-    drops each splitting before asking for the next holds up to two
-    splittings' arrays.  This is deliberate: deleting them after the
-    ``yield`` lowered the depth-18 ``decompose`` peak by about 2 MiB but
-    cost about 0.1 s, as the freed memory went back to the system and was
-    faulted in again on every level.
+    At level ``eps`` jumps above its threshold ``t`` (``_level_thresholds``)
+    go to the rough part; the seminorm of the small part is twice the
+    largest surviving jump, hence at most ``eps``.  The slope martingale is
+    built once for the whole grid, which defaults to ``default_eps_grid``.
+    Consecutive levels with the same count of parent sizes ``<= t``
+    (``_truncation_maxima``) keep the same pairs and so have bit-identical
+    splittings: they share one, whose ``eps`` lists them, and the ``eps``
+    lists concatenate to the grid.  Cost: O(2^N log 2^N) once plus O(2^N)
+    per distinct kept set, at most ``|eps_grid|`` of them.  Splittings are
+    made as they are consumed.  The generator keeps the previous splitting's
+    ``kept``, ``rough`` and ``small`` until it replaces each with the next
+    one's, so a caller that drops each splitting before asking for the next
+    holds up to two splittings' arrays.  This is deliberate: deleting them
+    after the ``yield`` lowered the depth-18 ``decompose`` peak by about 2
+    MiB but cost about 0.1 s, as the freed memory went back to the system
+    and was faulted in again on every level.
     """
     S = average_growth(f)
-    if eps_grid is None:
-        eps_grid = default_eps_grid(S)
-    eps_grid = [float(eps) for eps in eps_grid]
-    thresholds = [eps / 2.0 for eps in eps_grid]
+    eps_grid, thresholds = _level_thresholds(eps_grid, S)
     _, counts, _ = _truncation_maxima(S, thresholds)
     j = 0
     for _, run in itertools.groupby(counts):
@@ -159,8 +156,9 @@ def distance_report(
     For each level the measured distance is the dyadic seminorm of the small
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
-    estimated.  An ``eps_grid`` of ``None`` is ``default_eps_grid``.  The
-    slope martingale is built once and shared by all three.
+    estimated, both at the ``_level_thresholds`` of ``eps_grid`` (``None``
+    is ``default_eps_grid``).  The slope martingale is built once and shared
+    by all three; the profile forms the parent sizes a second time.
     The measured distances are ``_residual_table``'s: read off one
     ``_truncation_maxima`` table where ``_table_exact`` holds, O(2^N log
     2^N) once plus O(log 2^N) per level; otherwise each distinct count of
@@ -168,10 +166,7 @@ def distance_report(
     distinct kept set.
     """
     S = average_growth(f)
-    if eps_grid is None:
-        eps_grid = default_eps_grid(S)
-    eps_grid = [float(e) for e in eps_grid]
-    thresholds = [eps / 2.0 for eps in eps_grid]
+    eps_grid, thresholds = _level_thresholds(eps_grid, S)
     dropped = _residual_table(
         S, thresholds, lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t)))
     )
@@ -306,10 +301,10 @@ def continuous_decompose(f: SampledFunction, eps_grid) -> ContinuousDecompositio
 
     All ``count = 2^N`` translates of ``f`` are placed on the enlarged
     window ``[-1, 3)``; at each level ``eps`` their slope martingales are
-    truncated at ``eps / 2`` and integrated back, and the rough parts are
-    read off at the translated points and averaged.  The small part is ``f -
-    rough`` exactly; every windowed small part has dyadic Zygmund seminorm at
-    most ``eps``, recorded per level and translate.
+    truncated at its ``_level_thresholds`` threshold, integrated back, and
+    the rough parts read off at the translated points and averaged.  The
+    small part is ``f - rough`` exactly; every windowed small part has
+    dyadic Zygmund seminorm at most ``eps``, per level and translate.
 
     ``_class_kernel`` handles the translates a residue class at a time, with
     the bits of truncating and integrating each one on its own and summing
@@ -328,9 +323,9 @@ def continuous_decompose(f: SampledFunction, eps_grid) -> ContinuousDecompositio
     if bits is not None:
         why = f"need {bits} bits, float64 has 53" if bits > 53 else "leave float64's exponent range"
         raise ValueError(f"input outside the class kernel's exactness certificate: its sums {why}")
-    eps_grid = [float(e) for e in eps_grid]
+    eps_grid, thresholds = _level_thresholds(eps_grid)
     offsets = 2 * np.arange(count) + 1
-    acc, seminorms = _class_kernel(count, jumps, offsets, eps_grid)
+    acc, seminorms = _class_kernel(count, jumps, offsets, thresholds)
     acc /= count
     rough = [SampledFunction(a, left=f.left, log2_spacing=f.log2_spacing) for a in acc]
     small = [
@@ -436,17 +431,17 @@ def _lattice_exact(values: np.ndarray, jumps: list[np.ndarray], count: int) -> i
     return a + max(growth for growth, _ in families)
 
 
-def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid: list[float]):
+def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, thresholds: list[float]):
     """Summed rough parts and window seminorms, one residue class at a time.
 
     ``jumps`` are the ``_window_jumps`` of an ``M``-cell function.  A window
     parent of ``2c`` grid cells at window point ``s`` starts at ``t = s -
     offset`` in the coordinates of ``f``, so its jumps depend only on ``t``,
     fixed modulo ``2c`` by the translate's class ``offset mod 2c``.  Keep
-    decisions are taken on the left jump ``a``, the parent size of
-    ``truncate_jumps`` where ``_lattice_exact`` makes the right jump ``-a``,
-    and a kept pair integrates to a tent: slope ``a`` on ``[t, t + c)``,
-    ``-a`` on ``[t + c, t + 2c)``.  So the rough parts' sum is one
+    decisions compare the left jump's ``|a|``, the parent size where
+    ``_lattice_exact`` makes the right jump ``-a``, with the levels'
+    ``_level_thresholds``; a kept pair integrates to a tent: slope ``a`` on
+    ``[t, t + c)``, ``-a`` on ``[t + c, t + 2c)``.  So the rough parts' sum is one
     difference array, ``mult * a`` at ``t`` and ``t + 2c`` and ``-2 mult *
     a`` at ``t + c``, cumulated twice; a translate's seminorm is twice the
     largest dropped jump of its class.  These are the translate pipeline's
@@ -463,13 +458,13 @@ def _class_kernel(M: int, jumps: list[np.ndarray], offsets: np.ndarray, eps_grid
         levels.append((P // 2, P, left.size - P, np.abs(left), (left * mult).ravel(), classes))
 
     L = 4 * M  # the difference array covers points x in [-4M, M)
-    acc = np.empty((len(eps_grid), M + 1))
-    seminorms = np.empty((len(eps_grid), offsets.size))
-    for j, eps in enumerate(eps_grid):
+    acc = np.empty((len(thresholds), M + 1))
+    seminorms = np.empty((len(thresholds), offsets.size))
+    for j, threshold in enumerate(thresholds):
         D = np.zeros(5 * M)
         best = np.zeros(offsets.size)
         for c, P, end, size, weighted, classes in levels:
-            keep = size > eps / 2.0
+            keep = size > threshold
             dropped = np.where(keep, 0.0, size).max(axis=0)
             best = np.maximum(best, dropped[classes])
             kept = weighted * keep.ravel()

@@ -312,10 +312,9 @@ def cmd_seminorm(f: SampledFunction, args) -> tuple[dict, int]:
 def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, f.depth, 4)
     S = average_growth(f)
-    grid = args.grid or default_eps_grid(S)
-    tree = density_profile(S, grid, depths)
+    tree = density_profile(S, args.grid, depths)  # None for `auto`: the default grid
     del S  # the cone counts read the samples; free the martingale first
-    cones = cone_levelset_count(f, grid, depths)
+    cones = cone_levelset_count(f, tree.eps, depths)
     energy_rows = [[d, e] for d, e in zip(depths, box_square_energy(f, depths))]
     method = {"depths": depths, "eps_grid": args.eps_grid}
     columns = ["eps", "depth", "value"]

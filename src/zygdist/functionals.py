@@ -18,7 +18,7 @@ when its deepest value is within a factor ``1 + tau`` of its shallowest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import itemgetter
 
@@ -268,40 +268,36 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
 
     ``S`` is the slope martingale of a function.  A parent qualifies when
     its centred second difference, twice its size ``_parent_deviation``,
-    exceeds the level; on the binary lattice that is ``2 |a|`` for ``a``
-    its left child's jump.  The table is ``_tree_profile``'s, shared with
-    measures: one sort of the sizes, then one window pass per depth and
-    distinct non-empty qualifying set, O(P log P + (sets) 2^depth) for
-    ``P`` parents.
+    exceeds the level, so when its size exceeds the level's threshold
+    (``_level_thresholds``): the table is ``_tree_profile``'s at the
+    thresholds, with the levels as its ``eps``.
     """
-    return _tree_profile(
-        S, lambda S, m: 2.0 * _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths
-    )
+    eps_grid, thresholds = _level_thresholds(eps_grid, S)
+    return replace(_tree_profile(S, thresholds, depths), eps=eps_grid)
 
 
 # levels times window cells of one ``_tree_profile`` accumulator: 512 KiB
 _TREE_BLOCK = 1 << 16
 
 
-def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthProfile:
+def _tree_profile(S: DyadicMartingale, thresholds, depths) -> DepthProfile:
     """Tree level-set densities of ``S`` at every (depth, level).
 
-    ``parent_size(S, m)`` is the size table of the generation-``m`` parents
-    (shape ``(2^m,) * S.dim``); a parent qualifies at level ``eps`` when its
-    size exceeds ``eps``.  For each window cell ``Q`` of generation
-    ``0..depth``, the volumes of the qualifying parents ``P`` inside ``Q``
-    with ``generation(P) < depth`` are summed and divided by ``|Q|``; an
-    entry is the maximum over windows.  The size tables are formed once,
-    down to the deepest depth, and one sorted copy of them gives each
-    level's count of qualifying parents.  Within a generation the
-    qualifying sets are nested in the level, so two levels with one count
-    qualify the same parents in every generation and share a row: a level
-    with count 0 gets zeros, and each distinct non-zero count runs one
-    bottom-up window pass at each depth.  Cost: O(P log P) for the sort of
-    the ``P`` sizes plus O(2^(dim depth)) per distinct non-empty set and
-    depth.  (A NaN size, from overflowing slopes, sorts last and adds one
-    to every count but a NaN level's; so a non-zero count can still have
-    an all-zero row.)
+    A parent qualifies at level ``eps`` when its size ``_parent_deviation``
+    exceeds ``eps`` (a function's levels arrive as ``_level_thresholds``).
+    For each window cell ``Q`` of generation ``0..depth``, the volumes of
+    the qualifying parents ``P`` inside ``Q`` with ``generation(P) < depth``
+    are summed and divided by ``|Q|``; an entry is the maximum over windows.
+    The size tables are formed once, down to the deepest depth, and one
+    sorted copy of them gives each level's count of qualifying parents.
+    Within a generation the qualifying sets are nested in the level, so two
+    levels with one count qualify the same parents in every generation and
+    share a row: a level with count 0 gets zeros, and each distinct non-zero
+    count runs one bottom-up window pass at each depth.  Cost: O(P log P)
+    for the sort of the ``P`` sizes plus O(2^(dim depth)) per distinct
+    non-empty set and depth.  (A NaN size, from overflowing slopes, sorts
+    last and adds one to every count but a NaN level's; so a non-zero count
+    can still have an all-zero row.)
 
     At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
     dim (d - 1))`` levels at once, in one accumulator of at most
@@ -312,19 +308,19 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
     addition.  So are its maximum and the power-of-two rescaling; the table
     is that of one level at a time.
     """
-    eps_grid = [float(e) for e in eps_grid]
+    thresholds = [float(t) for t in thresholds]
     depths = list(depths)
     for d in depths:
         if not 1 <= d <= S.depth:
             raise ValueError(f"depth must be in [1, {S.depth}]")
     dim = S.dim
-    sizes = [parent_size(S, m) for m in range(max(depths, default=0))]
+    sizes = [_parent_deviation(S.jumps(m + 1), dim) for m in range(max(depths, default=0))]
     flat = np.concatenate([s.ravel() for s in sizes] or [np.empty(0)])
     flat.sort()
-    counts = (flat.size - np.searchsorted(flat, eps_grid, side="right")).tolist()
+    counts = (flat.size - np.searchsorted(flat, thresholds, side="right")).tolist()
     del flat
     reps = {}  # the first level of each count stands for its set
-    for count, level in zip(counts, eps_grid):
+    for count, level in zip(counts, thresholds):
         reps.setdefault(count, level)
     reps.pop(0, None)  # an empty set has a zero row and no pass
     levels = np.array(list(reps.values()))
@@ -344,7 +340,7 @@ def _tree_profile(S: DyadicMartingale, parent_size, eps_grid, depths) -> DepthPr
                 np.maximum(peak, top, out=peak)
         row = dict(zip(reps, peaks.tolist()))
         values.append([row.get(count, 0.0) for count in counts])
-    return DepthProfile(depths=depths, eps=eps_grid, values=values)
+    return DepthProfile(depths=depths, eps=thresholds, values=values)
 
 
 # the default tolerance ``tau`` of the depth-growth rule
@@ -483,3 +479,17 @@ def default_eps_grid(S: DyadicMartingale) -> list[float]:
     vanishes.
     """
     return _geometric_grid(2.0 * star_norm(S), -20)
+
+
+def _level_thresholds(eps_grid, S: DyadicMartingale | None = None) -> tuple[list, list]:
+    """A function's levels as floats (``None`` is ``default_eps_grid(S)``),
+    and the parent-size threshold of each: the largest float ``t`` with ``2 t
+    <= eps``, so a parent's second difference, twice its size, exceeds
+    ``eps`` exactly when its size exceeds ``t``, on every float.  That is
+    ``eps / 2``, one float lower where it rounded up (``eps = m 2^-1074 <
+    2^-1021``, ``m = 3 mod 4``).  No other code halves a function's level."""
+    if eps_grid is None:
+        eps_grid = default_eps_grid(S)
+    eps_grid = [float(eps) for eps in eps_grid]
+    halves = [(eps / 2.0, eps) for eps in eps_grid]
+    return eps_grid, [math.nextafter(t, -math.inf) if 2 * t > eps else t for t, eps in halves]

@@ -21,7 +21,7 @@ import numpy as np
 
 from zygdist.approximation import _residual_table, truncate_jumps
 from zygdist.functionals import DepthProfile, _tree_profile
-from zygdist.martingale import DyadicMartingale, _parent_deviation, star_norm
+from zygdist.martingale import DyadicMartingale, star_norm
 
 __all__ = [
     "GridMeasure",
@@ -253,14 +253,10 @@ def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> Dept
 
     ``S`` is the measure's ``density_martingale``.  A cell qualifies when
     the box average of one of its children deviates from its own by more
-    than the level (``_parent_deviation``).  The table is
-    ``functionals._tree_profile``'s, as for functions: one sort of the
-    ``P`` sizes, then one window pass per depth and distinct non-empty
-    qualifying set, O(P log P + (sets) 2^(dim depth)).
+    than the level (``_parent_deviation``), so the table is
+    ``functionals._tree_profile``'s at the levels themselves, unhalved.
     """
-    return _tree_profile(
-        S, lambda S, m: _parent_deviation(S.jumps(m + 1), S.dim), eps_grid, depths
-    )
+    return _tree_profile(S, eps_grid, depths)
 
 
 def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:

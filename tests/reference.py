@@ -395,11 +395,24 @@ def tree_profile_loop(S: DyadicMartingale, parent_size, eps_grid, depths) -> lis
     return table
 
 
+def level_threshold(eps: float) -> float:
+    """The parent-size threshold of a function's level ``eps``: the largest
+    float ``t`` with ``2 t <= eps``, found in ``Fraction`` arithmetic (not by
+    ``functionals._level_thresholds``).  Non-finite levels are their own
+    thresholds."""
+    eps = float(eps)
+    if not math.isfinite(eps):
+        return eps
+    half = Fraction(eps) / 2
+    t = float(half)  # the nearest float, one below where that is above
+    return math.nextafter(t, -math.inf) if Fraction(t) > half else t
+
+
 def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
     """One level of ``continuous_decompose``, one translate at a time.
 
     Returns ``(rough, small, window_small_seminorms)`` as arrays.  Each
-    translate's window martingale is built, truncated at ``eps / 2``,
+    translate's window martingale is built, truncated at ``level_threshold``,
     differenced and integrated by the library's scalar functions, and the
     rough parts are summed in translate order.
     """
@@ -414,7 +427,7 @@ def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
         g_vals[offset : offset + (1 << N) + 1] = f.values
         g = SampledFunction(g_vals, left=-1, log2_spacing=f.log2_spacing)
         W = average_growth(g)
-        B = truncate_jumps(W, eps / 2.0)
+        B = truncate_jumps(W, level_threshold(eps))
         seminorms[i] = 2.0 * star_norm(martingale_difference(W, B))
         acc += integrate(B, g.left, g.log2_spacing).values[offset : offset + (1 << N) + 1]
     acc /= count
@@ -424,14 +437,14 @@ def continuous_decompose_loop(f: SampledFunction, eps: float, count: int):
 def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
     """Measured distance and rough star norm at every level, by truncation.
 
-    Each level truncates ``S`` at ``eps / 2`` and takes twice the star norm
-    of ``S - B`` and the star norm of ``B``: the loop that
+    Each level truncates ``S`` at ``level_threshold(eps)`` and takes twice
+    the star norm of ``S - B`` and the star norm of ``B``: the loop that
     ``approximation._truncation_maxima`` must equal where
     ``approximation._table_exact`` holds, and the path taken where it does not.
     """
     measured, stars = [], []
     for eps in eps_grid:
-        B = truncate_jumps(S, eps / 2.0)
+        B = truncate_jumps(S, level_threshold(eps))
         measured.append(2.0 * star_norm(martingale_difference(S, B)))
         stars.append(star_norm(B))
     return measured, stars
@@ -441,12 +454,12 @@ def dyadic_decompose_loop(f: SampledFunction, eps_grid):
     """``approximation.dyadic_decompose`` one level at a time.
 
     Yields ``(eps, kept, rough, small, rough_star)`` for every level in grid
-    order: truncation of the slope martingale at ``eps / 2``, its primitive,
-    ``f`` minus it, and ``star_norm(kept)``, with no level shared.
+    order: truncation of the slope martingale at ``level_threshold``, its
+    primitive, ``f`` minus it, and ``star_norm(kept)``, with no level shared.
     """
     S = average_growth(f)
     for eps in eps_grid:
-        kept = truncate_jumps(S, float(eps) / 2.0)
+        kept = truncate_jumps(S, level_threshold(eps))
         rough = integrate(kept, f.left, f.log2_spacing)
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing

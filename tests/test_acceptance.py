@@ -48,6 +48,7 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     SampledFunction,
+    _parent_deviation,
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
@@ -55,7 +56,6 @@ from zygdist.martingale import (
 )
 from zygdist.measures import (
     GridMeasure,
-    _parent_deviation,
     density_martingale,
     measure_truncate,
     measure_zygmund_norm,

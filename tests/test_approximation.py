@@ -24,6 +24,7 @@ from zygdist.approximation import (
     truncate_jumps,
 )
 from zygdist.functionals import (
+    _level_thresholds,
     default_eps_grid,
     density_profile,
     levelset_tree_density,
@@ -226,7 +227,7 @@ def _tree_certified(f, grid=None):
     asks it."""
     S = average_growth(f)
     grid = default_eps_grid(S) if grid is None else grid
-    largest, _, peaks = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    largest, _, peaks = _truncation_maxima(S, _level_thresholds(grid)[1])
     return _table_exact(S, peaks, max(largest, default=0.0))
 
 
@@ -624,7 +625,7 @@ def _former_certificate(values, count):
 def _assert_kernel_equals_loop(f, count, grid):
     """``_class_kernel``, averaged, equals the translate loop bit for bit."""
     rough, seminorms = _class_kernel(
-        1 << f.depth, _window_jumps(f.values), _offsets(f, count), grid
+        1 << f.depth, _window_jumps(f.values), _offsets(f, count), _level_thresholds(grid)[1]
     )
     rough /= count
     for j, eps in enumerate(grid):
@@ -794,7 +795,9 @@ def test_certificate_refuses_a_lattice_input_the_class_kernel_rounds():
     numerators = np.random.default_rng(0).integers(-(1 << 43), 1 << 43, size=31) | 1
     f = SampledFunction(np.concatenate(([0.0], numerators.astype(np.float64), [0.0])))
     grid = [float(np.abs(f.values).max()) * 2.0**j for j in range(0, -12, -1)]
-    rough, _ = _class_kernel(32, _window_jumps(f.values), _offsets(f, 32), grid)
+    rough, _ = _class_kernel(
+        32, _window_jumps(f.values), _offsets(f, 32), _level_thresholds(grid)[1]
+    )
     rough /= 32
     loop = [continuous_decompose_loop(f, eps, 32)[0] for eps in grid]
     assert not np.array_equal(rough, np.array(loop))

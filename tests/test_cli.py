@@ -51,6 +51,21 @@ def write_function(tmp_path, name="f.json", **kwargs):
     return str(path)
 
 
+def write_values(tmp_path, values, name="f.json"):
+    """Write a function file holding ``values`` (``2^depth + 1`` samples)."""
+    path = tmp_path / name
+    depth = (len(values) - 2).bit_length()
+    payload = {"schema": SCHEMA, "kind": "function", "depth": depth, "values": values}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+# every parent has size 2^-1073 and second difference 2^-1072 = 2e-323: at
+# the level 1.5e-323 all qualify and must be kept, but eps / 2 rounds up to
+# 2^-1073, which would drop them
+_SUBNORMAL_PARENTS = [0.0, 0.0, 5e-324, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # schemas
 
@@ -374,17 +389,29 @@ def test_seminorm_linear_is_zero(tmp_path):
     assert values["grid_zygmund"] == 0.0
 
 
-def test_distance_estimate_hits_oracle(tmp_path):
-    path = write_function(
-        tmp_path, **{"--kind": "random-jumps", "--depth": "10", "--delta": "1/16"}
-    )
-    code, report = run(tmp_path, "distance-ibmo", "--in", path, "--depths", "6,10")
+@pytest.mark.parametrize(
+    "values, depths, grid, threshold",
+    [(None, [6, 10], "auto", 0.125), (_SUBNORMAL_PARENTS, [1, 2], "1.5e-323,1", 1.0)],
+    ids=["random-jumps", "subnormal"],
+)
+def test_distance_estimate_hits_oracle(tmp_path, values, depths, grid, threshold):
+    if values is None:
+        path = write_function(
+            tmp_path, **{"--kind": "random-jumps", "--depth": "10", "--delta": "1/16"}
+        )
+    else:
+        path = write_values(tmp_path, values)
+    code, report = run(tmp_path, "distance-ibmo", "--in", path,
+                       "--depths", ",".join(map(str, depths)), "--eps-grid", grid)
     assert code == EXIT_OK
-    assert report["estimates"]["threshold"]["value"] == 0.125
+    assert report["estimates"]["threshold"]["value"] == threshold
     method = report["estimates"]["threshold"]["method"]
-    assert method["tau"] == 0.1 and method["depths"] == [6, 10]
+    assert method["tau"] == 0.1 and method["depths"] == depths
     for eps, depth, value in report["tables"]["density_profile"]["rows"]:
-        assert value == (depth if eps < 0.125 else 0.0)
+        assert value == (depth if eps < threshold else 0.0)
+    # a parent the density counts is kept, so the distance is within its level
+    for eps, distance in report["tables"]["measured_distance"]["rows"]:
+        assert distance <= eps
 
 
 def test_distance_inconclusive_exit_code(tmp_path):
@@ -408,20 +435,45 @@ def test_distance_interpolation_tag(tmp_path):
     assert "log-midpoint" in report["estimates"]["threshold"]["method"]["rule"]
 
 
-def test_decompose_respects_requested_levels(tmp_path):
-    path = write_function(tmp_path, **{"--kind": "lacunary", "--depth": "8"})
-    code, report = run(tmp_path, "decompose", "--in", path, "--eps-grid", "0.25,0.5,1.0")
+@pytest.mark.parametrize(
+    "values, grid",
+    [(None, "0.25,0.5,1.0"), (_SUBNORMAL_PARENTS, "1.5e-323")],
+    ids=["lacunary", "subnormal"],
+)
+def test_decompose_respects_requested_levels(tmp_path, values, grid):
+    if values is None:
+        path = write_function(tmp_path, **{"--kind": "lacunary", "--depth": "8"})
+    else:
+        path = write_values(tmp_path, values)
+    code, report = run(tmp_path, "decompose", "--in", path, "--eps-grid", grid)
     assert code == EXIT_OK
-    for eps, small, _star, _bmo in report["tables"]["decomposition"]["rows"]:
+    rows = report["tables"]["decomposition"]["rows"]
+    assert len(rows) == len(grid.split(","))
+    for eps, small, _star, _bmo in rows:
         assert small <= eps
 
 
-def test_sobolev_window_bounds(tmp_path):
-    path = write_function(tmp_path, **{"--kind": "hat", "--depth": "8"})
-    code, report = run(tmp_path, "sobolev", "--in", path, "--eps-grid", "0.5,2.0")
+# 2^-1071 in the middle of a depth-1 file: window jumps of size 2^-1073 to
+# 2^-1070.  At 3.5e-323 = 7 * 2^-1074 and 7.4e-323 = 15 * 2^-1074, eps / 2
+# rounds up onto the size 2^-1072, resp. 2^-1071, which must be kept
+@pytest.mark.parametrize(
+    "values, grid",
+    [
+        (None, "0.5,2.0"),
+        ([0.0, 2.0**-1071, 0.0], "3.5e-323"),
+        ([0.0, 2.0**-1071, 0.0], "7.4e-323"),
+    ],
+    ids=["hat", "subnormal-7", "subnormal-15"],
+)
+def test_sobolev_window_bounds(tmp_path, values, grid):
+    if values is None:
+        path = write_function(tmp_path, **{"--kind": "hat", "--depth": "8"})
+    else:
+        path = write_values(tmp_path, values)
+    code, report = run(tmp_path, "sobolev", "--in", path, "--eps-grid", grid)
     assert code == EXIT_OK
     rows = report["tables"]["window_decomposition"]["rows"]
-    assert len(rows) == 2
+    assert len(rows) == len(grid.split(","))
     for eps, window_max, _small in rows:
         assert window_max <= eps
 

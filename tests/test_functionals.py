@@ -30,6 +30,7 @@ from zygdist.functionals import (
     _bounded,
     _growth_ratio,
     _indexed,
+    _level_thresholds,
     _second_difference,
     _sweep_values,
     _tree_profile,
@@ -56,6 +57,7 @@ from zygdist.generators import (
     weierstrass_function,
 )
 from zygdist.martingale import (
+    DyadicMartingale,
     SampledFunction,
     _parent_deviation,
     average_growth,
@@ -510,22 +512,38 @@ def _second_difference_size(S, m):
     return 2.0 * _parent_deviation(S.jumps(m + 1), S.dim)
 
 
+# subnormal levels whose halves round up (m 2^-1074, m = 3 mod 4)
+_ROUNDING_LEVELS = [3 * 2.0**-1074, 7 * 2.0**-1074, 2.0**-1022 + 3 * 2.0**-1074]
+
+
 def _profile_case(source, dim, depth):
-    """The martingale, parent-size rule and level grid of a tree-profile case."""
+    """The martingale, parent-size rule, level grid and ``_tree_profile``
+    thresholds of a tree-profile case."""
     if source == "cascade":
         S = density_martingale(GridMeasure(cascade_measure(dim, depth, seed=depth)))
-        return S, _cascade_deviation, _descending_grid(S, _cascade_deviation)
+        grid = _descending_grid(S, _cascade_deviation)
+        return S, _cascade_deviation, grid, grid
     if source == "overflow":
         # slopes of +-1.7e308 samples overflow: inf and NaN parent sizes
         v = np.random.default_rng(1).choice([1.7e308, -1.7e308], (1 << depth) + 1)
         S = average_growth(SampledFunction(v, left=0, log2_spacing=-depth))
-        return S, _second_difference_size, [0.0, math.inf, math.nan, -1.0]
-    if source.startswith("default "):
+        grid = [0.0, math.inf, math.nan, -1.0]
+    elif source == "subnormal":
+        # parent sizes of a few times 2^-1074, on both sides of the rounding levels
+        leaf = np.random.default_rng(depth).integers(-6, 7, 1 << depth) * 2.0**-1074
+        S = DyadicMartingale.from_leaf(leaf)
+        grid = [k * 2.0**-1074 for k in range(12)]
+    elif source.startswith("default "):
         S = average_growth(_generated(source.split()[1], depth=depth))
-        return S, _second_difference_size, default_eps_grid(S)
-    f = weierstrass_function(depth) if source == "weierstrass" else _generated(source, depth=depth)
-    S = average_growth(f)
-    return S, _second_difference_size, _descending_grid(S, _second_difference_size)
+        grid = default_eps_grid(S)
+    elif source == "weierstrass":
+        S = average_growth(weierstrass_function(depth))
+        grid = _descending_grid(S, _second_difference_size)
+    else:
+        S = average_growth(_generated(source, depth=depth))
+        grid = _descending_grid(S, _second_difference_size)
+    grid = grid + _ROUNDING_LEVELS
+    return S, _second_difference_size, grid, _level_thresholds(grid)[1]
 
 
 @pytest.mark.parametrize(
@@ -544,16 +562,17 @@ def _profile_case(source, dim, depth):
         # the grid [0.0]: every size is 0, so every level is empty
         ("default linear", 1, 10, [1, 10]),
         ("overflow", 1, 5, [1, 3, 5]),
+        ("subnormal", 1, 8, [1, 4, 8]),
     ],
 )
 def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow case
-        S, parent_size, grid = _profile_case(source, dim, depth)
+        S, parent_size, grid, thresholds = _profile_case(source, dim, depth)
         if depth > 10:
             blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
             assert blocks[0] >= len(grid) and blocks[-1] == 1
             assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
-        table = _tree_profile(S, parent_size, grid, depths).values
+        table = _tree_profile(S, thresholds, depths).values
         assert table == tree_profile_loop(S, parent_size, grid, depths)
 
 
@@ -583,7 +602,7 @@ def test_tree_profile_runs_one_pass_per_distinct_nonempty_set(monkeypatch):
     S = density_martingale(cli.load_measure(payload))
     grid = functionals._geometric_grid(star_norm(S), -20)
     reduced.clear()
-    _tree_profile(S, _cascade_deviation, grid, [8])
+    _tree_profile(S, grid, [8])
     assert len(grid) == 23 and sum(reduced) == 13 * 7
 
 
@@ -594,11 +613,31 @@ def test_tree_profile_accumulator_stays_within_one_block():
     grid = np.linspace(0.0, 0.5, 64).tolist()
     tracemalloc.start()
     try:
-        _tree_profile(S, _cascade_deviation, grid, [8])
+        _tree_profile(S, grid, [8])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_level_thresholds_are_the_largest_halves():
+    # t is the largest float with 2 t <= eps, checked in exact arithmetic:
+    # subnormal levels (where eps / 2 rounds up at m = 3 mod 4), the bottom
+    # of the normal range, normal levels, 0, -1, inf and NaN
+    q = 2.0**-1074
+    rng = np.random.default_rng(0)
+    normal = (rng.random(40) * 2.0 ** rng.integers(-1021, 1023, 40)).tolist()
+    levels = [k * q for k in range(65)] + [2.0**-1022 + k * q for k in range(65)]
+    levels += normal + [1.0, 0.1, 2.0**-1021, 1.7976931348623157e308, -q, -3 * q, -1.0]
+    grid, thresholds = _level_thresholds(levels + [math.inf, math.nan])
+    assert grid[:-1] == levels + [math.inf] and math.isnan(grid[-1])
+    for eps, t in zip(levels, thresholds):
+        assert 2 * Fraction(t) <= Fraction(eps) < 2 * Fraction(math.nextafter(t, math.inf))
+    assert thresholds[-2] == math.inf and math.isnan(thresholds[-1])
+    stepped = [k for k in range(65) if thresholds[k] != levels[k] / 2.0]
+    assert stepped == list(range(3, 65, 4))
+    S = average_growth(_generated("random-jumps", depth=8))
+    assert _level_thresholds(None, S) == _level_thresholds(default_eps_grid(S))
 
 
 # ---------------------------------------------------------------------------

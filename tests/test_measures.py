@@ -523,7 +523,7 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, 
         tables.append(dj.size)
         return original(dj, dim)
 
-    for module in (approximation, functionals, martingale, measures):
+    for module in (approximation, functionals, martingale):
         monkeypatch.setattr(module, "_parent_deviation", counted)
     out = tmp_path / "report.json"
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
@@ -614,7 +614,7 @@ def _tie_levels(S):
     return sorted({
         float(v)
         for n in range(1, S.depth + 1)
-        for v in measures._parent_deviation(S.jumps(n), S.dim).ravel()[:4]
+        for v in martingale._parent_deviation(S.jumps(n), S.dim).ravel()[:4]
     })
 
 
@@ -672,7 +672,7 @@ def test_truncation_certificate_on_named_cascades(
     assert len(truncated) == truncations
     if truncations:
         deviations = np.concatenate(
-            [measures._parent_deviation(S.jumps(n), dim).ravel() for n in range(1, depth + 1)]
+            [martingale._parent_deviation(S.jumps(n), dim).ravel() for n in range(1, depth + 1)]
         )
         assert len({int((deviations <= eps).sum()) for eps in grid}) == truncations
 
