@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +27,19 @@ from zygdist.functionals import (
     _DEFAULT_TAU,
     DepthProfile,
     ThresholdEstimate,
+    _checked_depths,
     _level_thresholds,
-    density_profile,
+    _tree_profile,
     estimate_threshold,
 )
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _dropped,
     _lattice_exponents,
     _lattice_quantum,
     _parent_deviation,
+    _parent_sizes,
     _quanta_bits,
     average_growth,
     integrate,
@@ -108,14 +111,15 @@ def dyadic_decompose(
 
     At level ``eps`` jumps above its threshold ``t`` (``_level_thresholds``)
     go to the rough part; the seminorm of the small part is twice the
-    largest surviving jump, hence at most ``eps``.  The slope martingale is
-    built once for the whole grid, which defaults to ``default_eps_grid``.
+    largest surviving jump, hence at most ``eps``.  The slope martingale
+    is built once for the whole grid, which defaults to ``default_eps_grid``.
     Consecutive levels with the same count of parent sizes ``<= t``
-    (``_truncation_maxima``) keep the same pairs and so have bit-identical
-    splittings: they share one, whose ``eps`` lists them, and the ``eps``
-    lists concatenate to the grid.  Cost: O(2^N log 2^N) once plus O(2^N)
-    per distinct kept set, at most ``|eps_grid|`` of them.  Splittings are
-    made as they are consumed.  The generator keeps the previous splitting's
+    (``_dropped`` of the ``_parent_sizes``, freed before the first
+    splitting) keep the same pairs and so have bit-identical splittings:
+    they share one, whose ``eps`` lists them, and the ``eps`` lists
+    concatenate to the grid.  Cost: O(2^N log 2^N) once plus O(2^N) per
+    distinct kept set, at most ``|eps_grid|`` of them.  Splittings are made
+    as they are consumed.  The generator keeps the previous splitting's
     ``kept``, ``rough`` and ``small`` until it replaces each with the next
     one's, so a caller that drops each splitting before asking for the next
     holds up to two splittings' arrays.  This is deliberate: deleting them
@@ -125,7 +129,7 @@ def dyadic_decompose(
     """
     S = average_growth(f)
     eps_grid, thresholds = _level_thresholds(eps_grid, S)
-    _, counts, _ = _truncation_maxima(S, thresholds)
+    _, counts = _dropped(_parent_sizes(S), thresholds)
     j = 0
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
@@ -157,20 +161,22 @@ def distance_report(
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
     estimated, both at the ``_level_thresholds`` of ``eps_grid`` (``None``
-    is ``default_eps_grid``).  The slope martingale is built once and shared
-    by all three; the profile forms the parent sizes a second time.
+    is ``default_eps_grid``).  The slope martingale and its ``_parent_sizes``
+    (all ``N`` generations) are formed once and shared by all three.
     The measured distances are ``_residual_table``'s: read off one
-    ``_truncation_maxima`` table where ``_table_exact`` holds, O(2^N log
-    2^N) once plus O(log 2^N) per level; otherwise each distinct count of
-    the table truncates and differences the martingale once, O(2^N) per
-    distinct kept set.
+    ``_dropped`` table where ``_table_exact`` holds, O(2^N log 2^N) once
+    plus O(log 2^N) per level; otherwise each distinct count of the table
+    truncates and differences the martingale once, O(2^N) per distinct kept
+    set.
     """
     S = average_growth(f)
     eps_grid, thresholds = _level_thresholds(eps_grid, S)
+    depths = _checked_depths(S, depths)
+    sizes = _parent_sizes(S)
     dropped = _residual_table(
-        S, thresholds, lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t)))
+        S, sizes, thresholds, lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t)))
     )
-    profile = density_profile(S, eps_grid, depths)
+    profile = replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
     return DistanceReport(
         eps=eps_grid,
         measured_distance=[2.0 * d for d in dropped],
@@ -179,46 +185,18 @@ def distance_report(
     )
 
 
-def _truncation_maxima(S: DyadicMartingale, thresholds) -> tuple[list, list, list]:
-    """The dropped-size table: the largest parent size that truncation at
-    each threshold drops, and the count of parents it drops; and the
-    largest parent size of each generation ``1 .. N``.
-
-    A parent is dropped at threshold ``t`` when its size, the largest child
-    ``|jump|`` (``_parent_deviation``), is ``<= t`` (``truncate_jumps``).
-    Where truncation and the residual round nothing (``_table_exact``), a
-    kept parent leaves no jump in the residual and a dropped one its own
-    jumps, so the largest dropped size at ``t`` is the residual's norm, bit
-    for bit; not otherwise.  The counts hold everywhere: they compare the
-    floats ``truncate_jumps`` compares, so two thresholds with the same
-    count keep the same parents.  The sizes fill one array a generation at
-    a time, sorted in place, and each threshold is one binary search (0.0
-    where nothing is dropped): work O(P log P) for the ``P`` parents, plus
-    O(log P) per threshold.
+def _residual_table(S: DyadicMartingale, sizes, thresholds, residual_norm) -> list[float]:
+    """The residual norm at each threshold: the largest dropped size
+    (``_dropped``) of ``sizes``, the ``_parent_sizes`` of all ``N``
+    generations, where ``_table_exact`` holds (truncation and the residual
+    round nothing, so a kept parent leaves no residual jump and a dropped
+    one its own), else ``residual_norm(t)``, the caller's own:
+    ``star_norm(S - truncate_jumps(S, t))`` for a function, the dyadic norm
+    of ``mu`` minus its truncation for a measure.  Thresholds with one count
+    drop the same parents, so it runs once per distinct count.
     """
-    ends = np.cumsum([0] + [1 << S.dim * n for n in range(S.depth)])  # per generation
-    sizes = np.empty(ends[-1])
-    peaks = []
-    for n in range(1, S.depth + 1):
-        generation = sizes[ends[n - 1] : ends[n]]
-        generation[:] = _parent_deviation(S.jumps(n), S.dim).ravel()
-        peaks.append(float(generation.max()))
-    sizes.sort()
-    largest = np.concatenate(([0.0], sizes))  # entry k: the k-th smallest size
-    count = np.searchsorted(sizes, thresholds, side="right")
-    return largest[count].tolist(), count.tolist(), peaks
-
-
-def _residual_table(S: DyadicMartingale, thresholds, residual_norm) -> list[float]:
-    """The residual norm at each threshold: the dropped-size table where
-    ``_table_exact`` holds, else ``residual_norm(t)``.
-
-    ``residual_norm`` is the caller's own: ``star_norm(S - truncate_jumps(S,
-    t))`` for a function, the dyadic norm of ``mu`` minus its truncation for
-    a measure.  Thresholds with one count of dropped parents drop the same
-    parents, so it runs once per distinct count.
-    """
-    largest, counts, peaks = _truncation_maxima(S, thresholds)
+    largest, counts = _dropped(sizes, thresholds)
+    peaks = [float(s.max()) for s in sizes]
     if _table_exact(S, peaks, max(largest, default=0.0)):
         return largest
     norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
@@ -230,8 +208,8 @@ def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
     nothing, at every threshold whose largest dropped size is at most
     ``top``, for a function's residual and a measure's alike.
 
-    ``peaks[n - 1]`` is the largest parent size of generation ``n``
-    (``_truncation_maxima``).  Level ``n`` of ``S`` holds multiples of
+    ``peaks[n - 1]`` is the largest size in generation ``n``'s
+    ``_parent_sizes`` table.  Level ``n`` of ``S`` holds multiples of
     ``2^-q_n`` (``_lattice_exponents``) of absolute value at most ``M_n``;
     ``2^-q`` is the finest of these quanta over the nonzero levels, so every
     quantity below is a multiple of it.  Real-number bounds, ``n = 1 ..

@@ -28,9 +28,10 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
+    _dropped,
     _lattice_exponents,
     _lattice_quantum,
-    _parent_deviation,
+    _parent_sizes,
     star_norm,
 )
 
@@ -267,37 +268,46 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tabulate the tree level-set density over a level grid and several depths.
 
     ``S`` is the slope martingale of a function.  A parent qualifies when
-    its centred second difference, twice its size ``_parent_deviation``,
-    exceeds the level, so when its size exceeds the level's threshold
-    (``_level_thresholds``): the table is ``_tree_profile``'s at the
-    thresholds, with the levels as its ``eps``.
+    its centred second difference, twice its size, exceeds the level, so
+    when its size exceeds the level's threshold (``_level_thresholds``):
+    the table is ``_tree_profile``'s at the thresholds, with the levels as
+    its ``eps``, on ``_parent_sizes`` down to the deepest depth, formed once.
     """
     eps_grid, thresholds = _level_thresholds(eps_grid, S)
-    return replace(_tree_profile(S, thresholds, depths), eps=eps_grid)
+    depths = _checked_depths(S, depths)
+    sizes = _parent_sizes(S, max(depths, default=0))
+    return replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
+
+
+def _checked_depths(S: DyadicMartingale, depths) -> list[int]:
+    """``depths`` as a list, each checked to be in ``[1, N]`` before any table is formed."""
+    depths = list(depths)
+    if not all(1 <= d <= S.depth for d in depths):
+        raise ValueError(f"depth must be in [1, {S.depth}]")
+    return depths
 
 
 # levels times window cells of one ``_tree_profile`` accumulator: 512 KiB
 _TREE_BLOCK = 1 << 16
 
 
-def _tree_profile(S: DyadicMartingale, thresholds, depths) -> DepthProfile:
-    """Tree level-set densities of ``S`` at every (depth, level).
+def _tree_profile(sizes, thresholds, depths) -> DepthProfile:
+    """Tree level-set densities at every (depth, level) from ``_parent_sizes``.
 
     A parent qualifies at level ``eps`` when its size ``_parent_deviation``
     exceeds ``eps`` (a function's levels arrive as ``_level_thresholds``).
     For each window cell ``Q`` of generation ``0..depth``, the volumes of
     the qualifying parents ``P`` inside ``Q`` with ``generation(P) < depth``
     are summed and divided by ``|Q|``; an entry is the maximum over windows.
-    The size tables are formed once, down to the deepest depth, and one
-    sorted copy of them gives each level's count of qualifying parents.
-    Within a generation the qualifying sets are nested in the level, so two
-    levels with one count qualify the same parents in every generation and
-    share a row: a level with count 0 gets zeros, and each distinct non-zero
-    count runs one bottom-up window pass at each depth.  Cost: O(P log P)
-    for the sort of the ``P`` sizes plus O(2^(dim depth)) per distinct
-    non-empty set and depth.  (A NaN size, from overflowing slopes, sorts
-    last and adds one to every count but a NaN level's; so a non-zero count
-    can still have an all-zero row.)
+    A level's qualifying parents are the ``P`` sizes down to the deepest
+    depth less its ``_dropped`` ones.  Within a generation the qualifying
+    sets are nested in the level, so two levels with one dropped count
+    qualify the same parents in every generation and share a row: a level
+    that drops all ``P`` gets zeros, and each other distinct count runs one
+    bottom-up window pass at each depth.  Cost: O(P log P) for the sort
+    plus O(2^(dim depth)) per distinct non-empty set and depth.  (A NaN
+    size, from overflowing slopes, is dropped only at a NaN level; so a
+    level that drops fewer than ``P`` can still have an all-zero row.)
 
     At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
     dim (d - 1))`` levels at once, in one accumulator of at most
@@ -309,23 +319,14 @@ def _tree_profile(S: DyadicMartingale, thresholds, depths) -> DepthProfile:
     is that of one level at a time.
     """
     thresholds = [float(t) for t in thresholds]
-    depths = list(depths)
-    for d in depths:
-        if not 1 <= d <= S.depth:
-            raise ValueError(f"depth must be in [1, {S.depth}]")
-    dim = S.dim
-    sizes = [_parent_deviation(S.jumps(m + 1), dim) for m in range(max(depths, default=0))]
-    flat = np.concatenate([s.ravel() for s in sizes] or [np.empty(0)])
-    flat.sort()
-    counts = (flat.size - np.searchsorted(flat, thresholds, side="right")).tolist()
-    del flat
-    reps = {}  # the first level of each count stands for its set
-    for count, level in zip(counts, thresholds):
-        reps.setdefault(count, level)
-    reps.pop(0, None)  # an empty set has a zero row and no pass
+    sizes = sizes[: max(depths, default=0)]
+    _, counts = _dropped(sizes, thresholds)
+    reps = dict(zip(counts, thresholds))  # the last level of each count stands for its set
+    reps.pop(sum(s.size for s in sizes), None)  # nothing qualifies: a zero row and no pass
     levels = np.array(list(reps.values()))
     values = []
     for d in depths:
+        dim = sizes[d - 1].ndim
         block = max(1, _TREE_BLOCK >> dim * (d - 1))
         peaks = np.zeros(levels.size)
         for lo in range(0, levels.size, block):

@@ -159,6 +159,24 @@ def _parent_deviation(dj: np.ndarray, dim: int) -> np.ndarray:
     return _block_reduce(np.abs(dj), dim, np.maximum)
 
 
+def _parent_sizes(S: DyadicMartingale, generations: int | None = None) -> list[np.ndarray]:
+    """The ``_parent_deviation`` of each generation ``1 .. generations`` (default ``N``)."""
+    last = S.depth if generations is None else generations
+    return [_parent_deviation(S.jumps(n), S.dim) for n in range(1, last + 1)]
+
+
+def _dropped(sizes: list[np.ndarray], thresholds) -> tuple[list[float], list[int]]:
+    """Per threshold ``t``, the largest size ``<= t`` in the tables ``sizes``
+    (0.0 where none is) and their count, by one binary search in one sorted
+    flat copy (NaN sorts last): the parents truncation at ``t`` drops and the
+    tree density does not count, so thresholds with one count drop the same
+    parents.  Work O(P log P) for the ``P`` sizes plus O(log P) per threshold."""
+    flat = np.concatenate([s.ravel() for s in sizes] or [np.empty(0)])
+    flat.sort()
+    counts = np.searchsorted(flat, thresholds, side="right").tolist()
+    return [float(flat[count - 1]) if count > 0 else 0.0 for count in counts], counts
+
+
 class DyadicMartingale:
     """Averaging martingale on the dyadic subdivisions of a root cell.
 

@@ -20,8 +20,8 @@ import itertools
 import numpy as np
 
 from zygdist.approximation import _residual_table, truncate_jumps
-from zygdist.functionals import DepthProfile, _tree_profile
-from zygdist.martingale import DyadicMartingale, star_norm
+from zygdist.functionals import DepthProfile, _checked_depths, _tree_profile
+from zygdist.martingale import DyadicMartingale, _parent_sizes, star_norm
 
 __all__ = [
     "GridMeasure",
@@ -251,12 +251,13 @@ def measure_zygmund_norm(mu: GridMeasure, mode: str = "dyadic") -> float:
 def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tree level-set density of a measure at every (depth, level).
 
-    ``S`` is the measure's ``density_martingale``.  A cell qualifies when
-    the box average of one of its children deviates from its own by more
-    than the level (``_parent_deviation``), so the table is
-    ``functionals._tree_profile``'s at the levels themselves, unhalved.
+    ``S`` is the measure's ``density_martingale``.  A cell qualifies when a
+    child's box average deviates from its own by more than the level, so
+    the table is ``_tree_profile``'s at the levels themselves, unhalved, on
+    the ``_parent_sizes`` down to the deepest depth, formed once per call.
     """
-    return _tree_profile(S, eps_grid, depths)
+    depths = _checked_depths(S, depths)
+    return _tree_profile(_parent_sizes(S, max(depths, default=0)), eps_grid, depths)
 
 
 def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
@@ -277,5 +278,6 @@ def _residual_norms(mu: GridMeasure, S: DyadicMartingale, levels) -> list[float]
     ``_table_exact`` refuses, once per distinct count of dropped parents.
     """
     return _residual_table(
-        S, levels, lambda eps: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")
+        S, _parent_sizes(S), levels,
+        lambda eps: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic"),
     )

@@ -439,7 +439,7 @@ def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
 
     Each level truncates ``S`` at ``level_threshold(eps)`` and takes twice
     the star norm of ``S - B`` and the star norm of ``B``: the loop that
-    ``approximation._truncation_maxima`` must equal where
+    the dropped-size table ``martingale._dropped`` must equal where
     ``approximation._table_exact`` holds, and the path taken where it does not.
     """
     measured, stars = [], []
@@ -490,7 +490,7 @@ def decompose_rows_loop(f: SampledFunction, eps_grid) -> tuple[list, str | None]
 def residual_norms_loop(mu: GridMeasure, levels) -> list[float]:
     """Dyadic norm of ``mu`` minus its truncation, one level at a time:
     truncate, subtract and take the norm of the residual, the loop that
-    ``approximation._truncation_maxima`` must equal where
+    the dropped-size table ``martingale._dropped`` must equal where
     ``approximation._table_exact`` holds, and the path taken where it does not."""
     S = density_martingale(mu)
     return [

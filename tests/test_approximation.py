@@ -15,7 +15,6 @@ from zygdist.approximation import (
     _class_kernel,
     _lattice_exact,
     _table_exact,
-    _truncation_maxima,
     _window_jumps,
     continuous_decompose,
     distance_report,
@@ -43,8 +42,10 @@ from zygdist.generators import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _dropped,
     _lattice_exponents,
     _lattice_quantum,
+    _parent_sizes,
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
@@ -227,8 +228,9 @@ def _tree_certified(f, grid=None):
     asks it."""
     S = average_growth(f)
     grid = default_eps_grid(S) if grid is None else grid
-    largest, _, peaks = _truncation_maxima(S, _level_thresholds(grid)[1])
-    return _table_exact(S, peaks, max(largest, default=0.0))
+    sizes = _parent_sizes(S)
+    largest, _ = _dropped(sizes, _level_thresholds(grid)[1])
+    return _table_exact(S, [float(s.max()) for s in sizes], max(largest, default=0.0))
 
 
 def _52_bit_numerators(depth):
@@ -253,7 +255,8 @@ def test_sorted_maxima_equal_the_truncation_loop(tmp_path, kind):
             grid = default_eps_grid(S) + _tie_levels(S)
             assert _tree_certified(f, grid)
             measured, stars = truncation_maxima_loop(S, grid)
-            report = distance_report(f, eps_grid=grid, depths=[depth])
+            # the profile reads generation 1 only; the residual table all of them
+            report = distance_report(f, eps_grid=grid, depths=[1])
             assert report.measured_distance == measured
             assert [part.rough_star for _, part in _per_level(f, grid)] == stars
 
@@ -265,11 +268,11 @@ def test_refused_input_takes_the_truncation_loop(monkeypatch):
     f = SampledFunction(integrate(random_jump_martingale(9, seed=0)).values / 3.0)
     assert not _tree_certified(f)
 
-    def counts_only(S, thresholds):
-        largest, counts, peaks = _truncation_maxima(S, thresholds)
-        return [np.inf] * len(largest), counts, peaks
+    def counts_only(sizes, thresholds):
+        largest, counts = _dropped(sizes, thresholds)
+        return [np.inf] * len(largest), counts
 
-    monkeypatch.setattr(approximation, "_truncation_maxima", counts_only)
+    monkeypatch.setattr(approximation, "_dropped", counts_only)
     S = average_growth(f)
     grid = default_eps_grid(S)
     measured, stars = truncation_maxima_loop(S, grid)
@@ -408,7 +411,7 @@ def test_tree_certificate_at_depth_18(tmp_path):
         assert _tree_certified(f)
         S = average_growth(f)
         grid = default_eps_grid(S)
-        dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+        dropped, _ = _dropped(_parent_sizes(S), [eps / 2.0 for eps in grid])
         assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
     assert not _tree_certified(SampledFunction(parabola_function(18).values / 3.0))
 
@@ -423,7 +426,7 @@ def test_table_certificate_skips_the_quantum_of_zero_levels():
     grid = default_eps_grid(S) + _tie_levels(S)
     assert not S.levels[0].any()
     assert _tree_certified(f, grid)
-    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _ = _dropped(_parent_sizes(S), [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
 
 
@@ -447,7 +450,7 @@ def test_sorted_maxima_exact_at_the_certificate_edge():
     assert shift > 10
     S = average_growth(scaled(shift))
     grid = levels(scaled(shift))
-    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _ = _dropped(_parent_sizes(S), [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] == truncation_maxima_loop(S, grid)[0]
 
 
@@ -457,7 +460,7 @@ def test_tree_certificate_refuses_a_lattice_input_the_table_rounds():
     f = _52_bit_numerators(5)
     S = average_growth(f)
     grid = default_eps_grid(S)
-    dropped, _, _ = _truncation_maxima(S, [eps / 2.0 for eps in grid])
+    dropped, _ = _dropped(_parent_sizes(S), [eps / 2.0 for eps in grid])
     assert [2.0 * d for d in dropped] != truncation_maxima_loop(S, grid)[0]
     assert not _tree_certified(f, grid)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from reference import reference_json
 from zygdist import approximation, cli, measures
+from zygdist.approximation import dyadic_decompose
 from zygdist.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -536,6 +537,24 @@ def test_measure_exits_on_2d_masses_off_the_binary_lattice(tmp_path, capsys):
     )
 
 
+def test_decompose_exits_where_integrate_rounds_subnormal_slopes(tmp_path, capsys):
+    # kept slopes times the spacing 2^-4 fall off the 2^-1074 lattice and
+    # `integrate` rounds them: the rough part ends at 5e-324, not 0.  The
+    # identity still holds (subnormal subtraction is exact), so the level
+    # check is the one that exits, at eps = 27 * 2^-1074
+    ks = [0, -2, -3, -1, 0, 4, 7, -7, 7, 1, -2, 3, 1, -4, -3, 4, 0]
+    path = write_values(tmp_path, [k * 2.0**-1074 for k in ks])
+    f = load_function(json.loads(Path(path).read_text()))
+    (parts,) = dyadic_decompose(f, [1.33e-322])
+    assert parts.rough.values[-1] == 5e-324
+    assert np.array_equal(parts.rough.values + parts.small.values, f.values)
+    capsys.readouterr()
+    assert main(["decompose", "--in", path, "--eps-grid", "1.33e-322"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: small-part seminorm 1.6e-322 exceeds requested level 1.33e-322\n"
+    )
+
+
 @pytest.mark.parametrize(
     "depth, seed, divisor, builds",
     [("8", "2", 1, 1), ("14", "7", 1, 1), ("14", "7", 3, 1 + 21)],
@@ -571,7 +590,8 @@ def test_measure_builds_one_density_martingale(
 def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     # On a certified input the measured distances come from one sorted table
     # of sibling pairs: no truncation, and each generation's jumps are taken
-    # three times (default grid, table, tree densities).
+    # twice (default grid, and the one parent-size table that the residual
+    # table and the tree densities share).
     N = 10
     path = write_function(tmp_path, **{"--kind": "random-jumps", "--depth": str(N)})
     jumps = DyadicMartingale.jumps
@@ -589,7 +609,7 @@ def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     code, report = run(tmp_path, "distance-ibmo", "--in", path)
     assert code == EXIT_OK
     assert len(report["tables"]["measured_distance"]["rows"]) > 1
-    assert len(calls) <= 3 * N
+    assert len(calls) <= 2 * N
 
     # the tree densities take each generation's jumps once, not once per
     # (eps, depth)

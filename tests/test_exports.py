@@ -183,3 +183,20 @@ def test_every_module_level_name_is_read_by_the_library():
     exempt = {"__all__", "__version__"} | _benchmark_targets()
     unread = defined - used - exempt
     assert not unread, f"defined but never read in src/zygdist: {sorted(unread)}"
+
+
+def test_parent_sizes_are_formed_in_one_place():
+    # the parent-size rule is applied where the tables are formed,
+    # `martingale._parent_sizes`, and by `truncate_jumps` to the jumps it
+    # already holds; every other reader takes the tables it is passed
+    package = Path(zygdist.__file__).parent
+    callers = []
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            callers += [
+                f"{path.stem}.{owner}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and _name(node) == "_parent_deviation"
+            ]
+    assert sorted(callers) == ["approximation.truncate_jumps", "martingale._parent_sizes"]

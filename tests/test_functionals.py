@@ -24,7 +24,7 @@ from reference import (
     zygmund_seminorm_slices,
 )
 from zygdist import cli, functionals
-from zygdist.approximation import continuous_decompose
+from zygdist.approximation import continuous_decompose, distance_report
 from zygdist.functionals import (
     DepthProfile,
     _bounded,
@@ -60,12 +60,13 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _parent_deviation,
+    _parent_sizes,
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
     star_norm,
 )
-from zygdist.measures import GridMeasure, density_martingale
+from zygdist.measures import GridMeasure, density_martingale, measure_tree_levelset_density
 
 
 def _third(f):
@@ -572,7 +573,7 @@ def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
             blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
             assert blocks[0] >= len(grid) and blocks[-1] == 1
             assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
-        table = _tree_profile(S, thresholds, depths).values
+        table = _tree_profile(_parent_sizes(S), thresholds, depths).values
         assert table == tree_profile_loop(S, parent_size, grid, depths)
 
 
@@ -601,9 +602,29 @@ def test_tree_profile_runs_one_pass_per_distinct_nonempty_set(monkeypatch):
     )
     S = density_martingale(cli.load_measure(payload))
     grid = functionals._geometric_grid(star_norm(S), -20)
-    reduced.clear()
-    _tree_profile(S, grid, [8])
-    assert len(grid) == 23 and sum(reduced) == 13 * 7
+    assert len(grid) == 23
+    # all 8 generations' tables: a shallower profile groups its levels on
+    # the generations it reads, 9 sets at depth 5 where all 8 give 13
+    for d, sets in [(8, 13), (5, 9)]:
+        reduced.clear()
+        _tree_profile(_parent_sizes(S), grid, [d])
+        assert sum(reduced) == sets * (d - 1)
+
+
+@pytest.mark.parametrize("depth", [0, 9])
+def test_tree_profile_depths_are_checked_before_any_table(depth):
+    # depth 0 and N + 1 are refused by the depth rule, not by `jumps` at a
+    # generation the martingale does not have
+    f = _generated("random-jumps", depth=8)
+    S = density_martingale(GridMeasure(cascade_measure(1, 8, seed=1)))
+    calls = [
+        lambda: density_profile(average_growth(f), None, [depth]),
+        lambda: measure_tree_levelset_density(S, [0.5], [depth]),
+        lambda: distance_report(f, None, [1, depth]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^depth must be in \[1, 8\]$"):
+            call()
 
 
 def test_tree_profile_accumulator_stays_within_one_block():
@@ -613,7 +634,7 @@ def test_tree_profile_accumulator_stays_within_one_block():
     grid = np.linspace(0.0, 0.5, 64).tolist()
     tracemalloc.start()
     try:
-        _tree_profile(S, grid, [8])
+        _tree_profile(_parent_sizes(S), grid, [8])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -33,7 +33,6 @@ from reference import (
 from zygdist.approximation import (
     _lattice_exact,
     _table_exact,
-    _truncation_maxima,
     _window_jumps,
 )
 from zygdist.dyadic import RealInterval
@@ -54,9 +53,11 @@ from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
     _block_reduce,
+    _dropped,
     _lattice_exponents,
     _lattice_quantum,
     _parent_deviation,
+    _parent_sizes,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -301,8 +302,9 @@ def _lattice_inputs(draw):
 def _table_verdict(S, levels):
     """``_table_exact`` on ``S`` at ``levels``, as ``_residual_table`` asks
     it, and the largest dropped size at each level."""
-    largest, _, peaks = _truncation_maxima(S, levels)
-    return _table_exact(S, peaks, max(largest, default=0.0)), largest
+    sizes = _parent_sizes(S)
+    largest, _ = _dropped(sizes, levels)
+    return _table_exact(S, [float(s.max()) for s in sizes], max(largest, default=0.0)), largest
 
 
 def _extreme(values):

@@ -34,7 +34,7 @@ from zygdist.martingale import (
     integrate,
     star_norm,
 )
-from zygdist import approximation, functionals, martingale, measures
+from zygdist import approximation, martingale, measures
 from zygdist.approximation import distance_report
 from zygdist.measures import (
     GridMeasure,
@@ -508,8 +508,11 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, 
     # densities, `depth` for the residual table and, on a refused input
     # (masses divided by 3), `depth` per distinct count of dropped parents
     # (21 of the 23 levels) for the truncations, all through the one
-    # parent-size helper, counted in every module that binds it; the
-    # certificate forms none
+    # parent-size rule, counted in every module that binds it; the
+    # certificate forms none.  One `distance-ibmo` forms `depth` tables,
+    # shared by its residual table and its tree densities, plus `depth`
+    # per distinct count (2 of the 23 levels) on a refused input (values
+    # divided by 3).
     path = tmp_path / "mu.json"
     argv = ["--kind", "cascade", "--dim", "1", "--depth", "14", "--seed", "7"]
     assert main(["generate", *argv, "--out", str(path)]) == 0
@@ -523,13 +526,22 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, 
         tables.append(dj.size)
         return original(dj, dim)
 
-    for module in (approximation, functionals, martingale):
+    for module in (approximation, martingale):
         monkeypatch.setattr(module, "_parent_deviation", counted)
     out = tmp_path / "report.json"
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
     levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
     assert levels == 23
     assert len(tables) == 14 + 14 + (21 * 14 if divisor == 3 else 0)
+
+    argv = ["--kind", "random-jumps", "--depth", "10", "--seed", "7"]
+    assert main(["generate", *argv, "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["values"] = [v / divisor for v in payload["values"]]
+    path.write_text(json.dumps(payload))
+    tables.clear()
+    assert main(["distance-ibmo", "--in", str(path), "--out", str(out)]) == 0
+    assert len(tables) == 10 + (2 * 10 if divisor == 3 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +630,13 @@ def _tie_levels(S):
     })
 
 
+def _largest_and_peaks(S, levels):
+    """The largest dropped size at each level and each generation's largest
+    parent size, as ``approximation._residual_table`` reads them."""
+    sizes = martingale._parent_sizes(S)
+    return martingale._dropped(sizes, levels)[0], [float(s.max()) for s in sizes]
+
+
 def _residual_norms_counted(monkeypatch, mu, levels):
     """``measures._residual_norms`` and the levels it truncated at."""
     truncate = measures.measure_truncate
@@ -688,7 +707,7 @@ def test_truncation_certificate_refuses_a_kept_level_that_rounds(monkeypatch):
     mu = GridMeasure(np.array([B, 0, 0, 0, B, 9, 0, 0]))
     S = density_martingale(mu)
     assert residual_norms_loop(mu, [9.0]) == [8.875]
-    _, _, peaks = approximation._truncation_maxima(S, [])
+    _, peaks = _largest_and_peaks(S, [])
     assert not approximation._table_exact(S, peaks, 9.0)
     assert approximation._table_exact(S, peaks, 0.0)
     norms, truncated = _residual_norms_counted(monkeypatch, mu, [8.0, 9.0])
@@ -701,7 +720,7 @@ def _refused_and_read_off_the_loop(masses, levels, table, loop):
     residual norms are the loop's."""
     mu = GridMeasure(masses)
     S = density_martingale(mu)
-    largest, _, peaks = approximation._truncation_maxima(S, levels)
+    largest, peaks = _largest_and_peaks(S, levels)
     assert largest == table
     assert residual_norms_loop(mu, levels) == loop
     assert not approximation._table_exact(S, peaks, max(largest))
@@ -764,7 +783,7 @@ def test_table_certificate_refuses_residual_block_sums_that_overflow():
         level[:2, :2] += np.array(jumps).reshape(2, 2, order="F")
     mu = GridMeasure(level * u * 2.0**-12)
     S = density_martingale(mu)
-    largest, _, peaks = approximation._truncation_maxima(S, [2 * u])
+    largest, peaks = _largest_and_peaks(S, [2 * u])
     assert largest == [2 * u]
     assert not approximation._table_exact(S, peaks, 2 * u)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -793,7 +812,7 @@ def test_table_certificate_refuses_jumps_that_overflow():
     mu = GridMeasure(np.array([[big, -big], [-big, 0.0]]) / 4)
     with np.errstate(over="ignore", invalid="ignore"):
         S = density_martingale(mu)
-        largest, _, peaks = approximation._truncation_maxima(S, [1.0])
+        largest, peaks = _largest_and_peaks(S, [1.0])
     assert peaks == [np.inf]
     assert not approximation._table_exact(S, peaks, max(largest))
 
