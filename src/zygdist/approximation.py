@@ -40,6 +40,7 @@ from zygdist.martingale import (
     _lattice_quantum,
     _parent_deviation,
     _parent_sizes,
+    _peaks,
     _quanta_bits,
     average_growth,
     integrate,
@@ -111,25 +112,27 @@ def dyadic_decompose(
 
     At level ``eps`` jumps above its threshold ``t`` (``_level_thresholds``)
     go to the rough part; the seminorm of the small part is twice the
-    largest surviving jump, hence at most ``eps``.  The slope martingale
-    is built once for the whole grid, which defaults to ``default_eps_grid``.
-    Consecutive levels with the same count of parent sizes ``<= t``
-    (``_dropped`` of the ``_parent_sizes``, freed before the first
-    splitting) keep the same pairs and so have bit-identical splittings:
-    they share one, whose ``eps`` lists them, and the ``eps`` lists
-    concatenate to the grid.  Cost: O(2^N log 2^N) once plus O(2^N) per
-    distinct kept set, at most ``|eps_grid|`` of them.  Splittings are made
-    as they are consumed.  The generator keeps the previous splitting's
-    ``kept``, ``rough`` and ``small`` until it replaces each with the next
-    one's, so a caller that drops each splitting before asking for the next
-    holds up to two splittings' arrays.  This is deliberate: deleting them
-    after the ``yield`` lowered the depth-18 ``decompose`` peak by about 2
-    MiB but cost about 0.1 s, as the freed memory went back to the system
-    and was faulted in again on every level.
+    largest surviving jump, hence at most ``eps``.  The slope martingale is
+    built once for the whole grid, which defaults to ``default_eps_grid``
+    (read off the ``_peaks`` of the ``_parent_sizes``).  Consecutive levels
+    with the same count of parent sizes ``<= t`` (``_dropped`` of those
+    tables, freed before the first splitting) keep the same pairs and so
+    have bit-identical splittings: they share one, whose ``eps`` lists them,
+    and the ``eps`` lists concatenate to the grid.  Cost: O(2^N log 2^N)
+    once plus O(2^N) per distinct kept set, at most ``|eps_grid|`` of them.
+    Splittings are made as they are consumed.  The generator keeps the
+    previous splitting's ``kept``, ``rough`` and ``small`` until it replaces
+    each with the next one's, so a caller that drops each splitting before
+    asking for the next holds up to two splittings' arrays.  This is
+    deliberate: deleting them after the ``yield`` lowered the depth-18
+    ``decompose`` peak by about 2 MiB but cost about 0.1 s, as the freed
+    memory went back to the system and was faulted in again on every level.
     """
     S = average_growth(f)
-    eps_grid, thresholds = _level_thresholds(eps_grid, S)
-    _, counts = _dropped(_parent_sizes(S), thresholds)
+    sizes = _parent_sizes(S)
+    eps_grid, thresholds = _level_thresholds(eps_grid, _peaks(sizes)[1])
+    _, counts = _dropped(sizes, thresholds)
+    del sizes
     j = 0
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
@@ -160,9 +163,11 @@ def distance_report(
     For each level the measured distance is the dyadic seminorm of the small
     part left by truncation at that level; alongside, the tree level-set
     density is profiled over ``depths`` and the stability threshold
-    estimated, both at the ``_level_thresholds`` of ``eps_grid`` (``None``
-    is ``default_eps_grid``).  The slope martingale and its ``_parent_sizes``
-    (all ``N`` generations) are formed once and shared by all three.
+    estimated, both at the ``_level_thresholds`` of ``eps_grid``.  The slope
+    martingale and its ``_parent_sizes`` (all ``N`` generations) are formed
+    once, after the depths are checked, and shared by all three; their
+    ``_peaks`` give the default grid (``eps_grid=None``, ``default_eps_grid``)
+    and the certificate's maxima.
     The measured distances are ``_residual_table``'s: read off one
     ``_dropped`` table where ``_table_exact`` holds, O(2^N log 2^N) once
     plus O(log 2^N) per level; otherwise each distinct count of the table
@@ -170,11 +175,13 @@ def distance_report(
     set.
     """
     S = average_growth(f)
-    eps_grid, thresholds = _level_thresholds(eps_grid, S)
     depths = _checked_depths(S, depths)
     sizes = _parent_sizes(S)
+    peaks, star = _peaks(sizes)
+    eps_grid, thresholds = _level_thresholds(eps_grid, star)
     dropped = _residual_table(
-        S, sizes, thresholds, lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t)))
+        S, sizes, peaks, thresholds,
+        lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t))),
     )
     profile = replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
     return DistanceReport(
@@ -185,18 +192,18 @@ def distance_report(
     )
 
 
-def _residual_table(S: DyadicMartingale, sizes, thresholds, residual_norm) -> list[float]:
+def _residual_table(S: DyadicMartingale, sizes, peaks, thresholds, residual_norm) -> list[float]:
     """The residual norm at each threshold: the largest dropped size
     (``_dropped``) of ``sizes``, the ``_parent_sizes`` of all ``N``
-    generations, where ``_table_exact`` holds (truncation and the residual
-    round nothing, so a kept parent leaves no residual jump and a dropped
-    one its own), else ``residual_norm(t)``, the caller's own:
-    ``star_norm(S - truncate_jumps(S, t))`` for a function, the dyadic norm
-    of ``mu`` minus its truncation for a measure.  Thresholds with one count
-    drop the same parents, so it runs once per distinct count.
+    generations with their ``_peaks``, where ``_table_exact`` holds
+    (truncation and the residual round nothing, so a kept parent leaves no
+    residual jump and a dropped one its own), else ``residual_norm(t)``,
+    the caller's own: ``star_norm(S - truncate_jumps(S, t))`` for a
+    function, the dyadic norm of ``mu`` minus its truncation for a measure.
+    Thresholds with one count drop the same parents, so it runs once per
+    distinct count.
     """
     largest, counts = _dropped(sizes, thresholds)
-    peaks = [float(s.max()) for s in sizes]
     if _table_exact(S, peaks, max(largest, default=0.0)):
         return largest
     norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}

@@ -35,6 +35,7 @@ from zygdist.approximation import (
 from zygdist.functionals import (
     _DEFAULT_TAU,
     _geometric_grid,
+    _tree_profile,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -53,6 +54,8 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     SampledFunction,
+    _parent_sizes,
+    _peaks,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -63,7 +66,6 @@ from zygdist.measures import (
     GridMeasure,
     _residual_norms,
     density_martingale,
-    measure_tree_levelset_density,
     measure_zygmund_norm,
 )
 from zygdist.verification import (
@@ -443,16 +445,15 @@ def cmd_sobolev(f: SampledFunction, args) -> tuple[dict, int]:
 def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, mu.depth, 2)
     S = density_martingale(mu)
-    dyadic_norm = star_norm(S)
+    grid_norm = measure_zygmund_norm(mu, mode="continuous")
+    sizes = _parent_sizes(S)  # formed once, after the continuous norm's arrays are freed
+    peaks, dyadic_norm = _peaks(sizes)  # star_norm(S), bit for bit
     grid = args.grid or _geometric_grid(dyadic_norm, -20)
-    norm_rows = [
-        ["dyadic_zygmund", dyadic_norm],
-        ["grid_zygmund", measure_zygmund_norm(mu, mode="continuous")],
-    ]
-    tree = measure_tree_levelset_density(S, grid, depths)
+    norm_rows = [["dyadic_zygmund", dyadic_norm], ["grid_zygmund", grid_norm]]
+    tree = _tree_profile(sizes, grid, depths)  # unhalved levels, as measure_tree_levelset_density
     levels = [eps for eps in grid if eps > 0.0]
     truncation_rows = []
-    for eps, residual_norm in zip(levels, _residual_norms(mu, S, levels)):
+    for eps, residual_norm in zip(levels, _residual_norms(mu, S, sizes, peaks, levels)):
         _require(
             residual_norm <= eps,
             f"residual deviation {residual_norm} exceeds requested level {eps}",

@@ -273,7 +273,9 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     the table is ``_tree_profile``'s at the thresholds, with the levels as
     its ``eps``, on ``_parent_sizes`` down to the deepest depth, formed once.
     """
-    eps_grid, thresholds = _level_thresholds(eps_grid, S)
+    if eps_grid is None:
+        eps_grid = default_eps_grid(S)
+    eps_grid, thresholds = _level_thresholds(eps_grid)
     depths = _checked_depths(S, depths)
     sizes = _parent_sizes(S, max(depths, default=0))
     return replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
@@ -479,18 +481,19 @@ def default_eps_grid(S: DyadicMartingale) -> list[float]:
     with zero seminorm gets the single level 0, where every density already
     vanishes.
     """
-    return _geometric_grid(2.0 * star_norm(S), -20)
+    return _level_thresholds(None, star_norm(S))[0]
 
 
-def _level_thresholds(eps_grid, S: DyadicMartingale | None = None) -> tuple[list, list]:
-    """A function's levels as floats (``None`` is ``default_eps_grid(S)``),
-    and the parent-size threshold of each: the largest float ``t`` with ``2 t
-    <= eps``, so a parent's second difference, twice its size, exceeds
-    ``eps`` exactly when its size exceeds ``t``, on every float.  That is
-    ``eps / 2``, one float lower where it rounded up (``eps = m 2^-1074 <
-    2^-1021``, ``m = 3 mod 4``).  No other code halves a function's level."""
+def _level_thresholds(eps_grid, star: float | None = None) -> tuple[list, list]:
+    """A function's levels as floats (``None`` is the default grid of a
+    slope martingale with star norm ``star``), and the parent-size threshold
+    of each: the largest float ``t`` with ``2 t <= eps``, so a parent's
+    second difference, twice its size, exceeds ``eps`` exactly when its
+    size exceeds ``t``, on every float.  That is ``eps / 2``, one float
+    lower where it rounded up (``eps = m 2^-1074 < 2^-1021``, ``m = 3 mod
+    4``).  No other code halves a function's level."""
     if eps_grid is None:
-        eps_grid = default_eps_grid(S)
+        eps_grid = _geometric_grid(2.0 * star, -20)
     eps_grid = [float(eps) for eps in eps_grid]
     halves = [(eps / 2.0, eps) for eps in eps_grid]
     return eps_grid, [math.nextafter(t, -math.inf) if 2 * t > eps else t for t, eps in halves]

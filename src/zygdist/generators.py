@@ -6,7 +6,9 @@ Every stochastic generator quantises its draws to the 2^-16 dyadic lattice
 data are exact in IEEE-754 arithmetic and bit-level identities can be
 asserted downstream.  Randomness comes from counter-based Philox streams
 keyed by ``(seed, field tag)`` with a fixed draw order, so every object is
-reproducible from its seed alone.
+reproducible from its seed under one NumPy (NEP 19 does not fix
+``Generator`` streams across versions: the goldens and the loop-equality
+tests check them).  ``random_martingale`` draws a seed's stream in one call.
 """
 
 from __future__ import annotations
@@ -129,20 +131,25 @@ def _random_martingale_levels(depth: int, seeds) -> list[np.ndarray]:
     """The levels of ``random_martingale(depth, seed)`` for each of
     ``seeds``, stacked: level ``n`` has shape ``(len(seeds), 2^n)``.
 
-    Each seed draws from its own stream in one order: the root, then the
-    steps and then the signs of each generation.  The draws are scaled and
-    split for the whole stack at once; every value is exact.
+    Each seed's stream is one ``integers`` call over per-value bounds: the
+    root, then each generation's steps and then its signs.  Its bits are
+    those of one call per piece: below 2^32 - 1 NumPy draws every value
+    from the next 32-bit Philox words by Lemire's method, for array bounds
+    and sized draws alike.  The stack is scaled and split at once; every
+    value is exact.
     """
-    roots, draws = [], []
-    for seed in seeds:
-        rng = _rng(seed, _TAG_JUMP_SIZES)
-        roots.append(rng.integers(-(2**8), 2**8 + 1))
-        for n in range(depth):
-            steps = rng.integers(0, _JUMP_STEPS + 1, size=2**n)
-            draws.append((steps, rng.integers(0, 2, size=2**n)))
-    generations = (zip(*draws[n::depth]) for n in range(depth))  # seed-major draws
-    jumps = (np.stack(k) * 2.0**-14 * _signs(np.stack(b)) for k, b in generations)
-    return _split_martingale(np.array(roots, dtype=np.float64)[:, None] / 256, jumps)
+    highs = np.concatenate([[2**8], *(np.repeat([_JUMP_STEPS, 1], 2**n) for n in range(depth))])
+    lows = np.zeros_like(highs)
+    lows[0] = -(2**8)
+    draws = np.empty((len(seeds), highs.size), dtype=np.int64)
+    for row, seed in zip(draws, seeds):
+        row[:] = _rng(seed, _TAG_JUMP_SIZES).integers(lows, highs, endpoint=True)
+    jumps = (
+        draws[:, 2 ** (n + 1) - 1 : 3 * 2**n - 1] * 2.0**-14
+        * _signs(draws[:, 3 * 2**n - 1 : 2 ** (n + 2) - 1])
+        for n in range(depth)
+    )
+    return _split_martingale(draws[:, :1] / 256, jumps)
 
 
 def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartingale:

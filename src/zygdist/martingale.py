@@ -165,6 +165,15 @@ def _parent_sizes(S: DyadicMartingale, generations: int | None = None) -> list[n
     return [_parent_deviation(S.jumps(n), S.dim) for n in range(1, last + 1)]
 
 
+def _peaks(sizes: list[np.ndarray]) -> tuple[list[float], float]:
+    """Each table's largest size, and their ``max`` from 0.0: over all ``N``
+    ``_parent_sizes`` tables, ``star_norm(S)`` bit for bit, as both fold the
+    generations' largest ``|jump|`` (NaN carried by ``.max()``, passed over
+    by ``max``)."""
+    peaks = [float(s.max()) for s in sizes]
+    return peaks, max([0.0, *peaks])
+
+
 def _dropped(sizes: list[np.ndarray], thresholds) -> tuple[list[float], list[int]]:
     """Per threshold ``t``, the largest size ``<= t`` in the tables ``sizes``
     (0.0 where none is) and their count, by one binary search in one sorted

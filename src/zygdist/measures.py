@@ -271,13 +271,14 @@ def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     return GridMeasure(truncate_jumps(S, eps).leaf * 2.0 ** (-S.dim * S.depth))
 
 
-def _residual_norms(mu: GridMeasure, S: DyadicMartingale, levels) -> list[float]:
+def _residual_norms(mu: GridMeasure, S: DyadicMartingale, sizes, peaks, levels) -> list[float]:
     """``measure_zygmund_norm(mu - measure_truncate(S, eps), "dyadic")`` at
-    each level ``eps``, for ``S = density_martingale(mu)``: read off
+    each level ``eps``, for ``S = density_martingale(mu)`` with its
+    ``_parent_sizes`` and their ``_peaks``: read off
     ``approximation._residual_table``, which truncates only where
     ``_table_exact`` refuses, once per distinct count of dropped parents.
     """
     return _residual_table(
-        S, _parent_sizes(S), levels,
+        S, sizes, peaks, levels,
         lambda eps: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic"),
     )

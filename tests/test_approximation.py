@@ -46,6 +46,7 @@ from zygdist.martingale import (
     _lattice_exponents,
     _lattice_quantum,
     _parent_sizes,
+    _peaks,
     average_growth,
     dyadic_zygmund_seminorm,
     integrate,
@@ -230,7 +231,7 @@ def _tree_certified(f, grid=None):
     grid = default_eps_grid(S) if grid is None else grid
     sizes = _parent_sizes(S)
     largest, _ = _dropped(sizes, _level_thresholds(grid)[1])
-    return _table_exact(S, [float(s.max()) for s in sizes], max(largest, default=0.0))
+    return _table_exact(S, _peaks(sizes)[0], max(largest, default=0.0))
 
 
 def _52_bit_numerators(depth):
@@ -278,6 +279,30 @@ def test_refused_input_takes_the_truncation_loop(monkeypatch):
     measured, stars = truncation_maxima_loop(S, grid)
     assert distance_report(f, None, [f.depth]).measured_distance == measured
     assert [part.rough_star for _, part in _per_level(f)] == stars
+
+
+def test_default_grid_read_off_the_tables_where_slopes_overflow():
+    # samples of +-1e308 give slopes of +-inf, so the jump fields hold inf
+    # and NaN (inf - inf), and the tables' maxima NaN in some generations
+    # and inf in others; the fold of the maxima from 0.0 keeps the running
+    # value against NaN, as `star_norm` does, so it is the star norm and
+    # `distance_report` and `dyadic_decompose` get `default_eps_grid`
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(40):
+        f = SampledFunction(rng.choice([0.0, 0.5, -1e308, 1e308], size=2**5 + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = average_growth(f)
+            peaks, star = _peaks(_parent_sizes(S))
+            assert star == star_norm(S) and not np.isnan(star)
+            for n, peak in enumerate(peaks, 1):
+                largest = float(np.abs(S.jumps(n)).max())
+                assert peak == largest or np.isnan(peak) and np.isnan(largest)
+            grid = default_eps_grid(S)
+            assert distance_report(f, None, [1, S.depth]).eps == grid
+            assert [eps for part in dyadic_decompose(f) for eps in part.eps] == grid
+        seen |= {"nan" if np.isnan(p) else "inf" if np.isinf(p) else "finite" for p in peaks}
+    assert seen == {"nan", "inf", "finite"}
 
 
 # ---------------------------------------------------------------------------

@@ -590,8 +590,8 @@ def test_measure_builds_one_density_martingale(
 def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     # On a certified input the measured distances come from one sorted table
     # of sibling pairs: no truncation, and each generation's jumps are taken
-    # twice (default grid, and the one parent-size table that the residual
-    # table and the tree densities share).
+    # once, for the one parent-size table that the default grid, the
+    # residual table and the tree densities share.
     N = 10
     path = write_function(tmp_path, **{"--kind": "random-jumps", "--depth": str(N)})
     jumps = DyadicMartingale.jumps
@@ -609,7 +609,7 @@ def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     code, report = run(tmp_path, "distance-ibmo", "--in", path)
     assert code == EXIT_OK
     assert len(report["tables"]["measured_distance"]["rows"]) > 1
-    assert len(calls) <= 2 * N
+    assert sorted(calls) == list(range(1, N + 1))
 
     # the tree densities take each generation's jumps once, not once per
     # (eps, depth)

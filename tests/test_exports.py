@@ -188,15 +188,36 @@ def test_every_module_level_name_is_read_by_the_library():
 def test_parent_sizes_are_formed_in_one_place():
     # the parent-size rule is applied where the tables are formed,
     # `martingale._parent_sizes`, and by `truncate_jumps` to the jumps it
-    # already holds; every other reader takes the tables it is passed
+    # already holds; every other reader takes the tables it is passed.  A
+    # function that forms all N tables of a martingale reads its star norm
+    # and default grid off their `_peaks`, not by a second jump pass
+    # through `star_norm` or `default_eps_grid` of that martingale
     package = Path(zygdist.__file__).parent
-    callers = []
+    callers, holders, second_pass = [], set(), []
     for path in package.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", "<module>")
-            callers += [
-                f"{path.stem}.{owner}"
-                for node in ast.walk(top)
-                if isinstance(node, ast.Call) and _name(node) == "_parent_deviation"
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
+            callers += [owner for node in calls if _name(node) == "_parent_deviation"]
+            formed = {
+                node.args[0].id
+                for node in calls
+                if _name(node) == "_parent_sizes"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Name)
+            }
+            if formed:
+                holders.add(owner)
+            second_pass += [
+                owner
+                for node in calls
+                if _name(node) in ("star_norm", "default_eps_grid")
+                and any(isinstance(a, ast.Name) and a.id in formed for a in node.args)
             ]
     assert sorted(callers) == ["approximation.truncate_jumps", "martingale._parent_sizes"]
+    assert holders == {
+        "approximation.distance_report",
+        "approximation.dyadic_decompose",
+        "cli.cmd_measure",
+    }
+    assert second_pass == []

@@ -658,7 +658,7 @@ def test_level_thresholds_are_the_largest_halves():
     stepped = [k for k in range(65) if thresholds[k] != levels[k] / 2.0]
     assert stepped == list(range(3, 65, 4))
     S = average_growth(_generated("random-jumps", depth=8))
-    assert _level_thresholds(None, S) == _level_thresholds(default_eps_grid(S))
+    assert _level_thresholds(None, star_norm(S)) == _level_thresholds(default_eps_grid(S))
 
 
 # ---------------------------------------------------------------------------

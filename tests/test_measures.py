@@ -504,11 +504,11 @@ def test_tree_density_matches_brute_force():
 
 @pytest.mark.parametrize("divisor", [1, 3])
 def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, divisor):
-    # one `measure` forms max(depths) deviation tables for the tree
-    # densities, `depth` for the residual table and, on a refused input
-    # (masses divided by 3), `depth` per distinct count of dropped parents
-    # (21 of the 23 levels) for the truncations, all through the one
-    # parent-size rule, counted in every module that binds it; the
+    # one `measure` forms `depth` deviation tables, shared by its dyadic
+    # norm, default grid, tree densities and residual table, and, on a
+    # refused input (masses divided by 3), `depth` per distinct count of
+    # dropped parents (21 of the 23 levels) for the truncations, all through
+    # the one parent-size rule, counted in every module that binds it; the
     # certificate forms none.  One `distance-ibmo` forms `depth` tables,
     # shared by its residual table and its tree densities, plus `depth`
     # per distinct count (2 of the 23 levels) on a refused input (values
@@ -532,7 +532,7 @@ def test_measure_forms_each_deviation_table_once_per_use(tmp_path, monkeypatch, 
     assert main(["measure", "--in", str(path), "--out", str(out)]) == 0
     levels = len(json.loads(out.read_text())["tables"]["truncation"]["rows"])
     assert levels == 23
-    assert len(tables) == 14 + 14 + (21 * 14 if divisor == 3 else 0)
+    assert len(tables) == 14 + (21 * 14 if divisor == 3 else 0)
 
     argv = ["--kind", "random-jumps", "--depth", "10", "--seed", "7"]
     assert main(["generate", *argv, "--out", str(path)]) == 0
@@ -637,6 +637,12 @@ def _largest_and_peaks(S, levels):
     return martingale._dropped(sizes, levels)[0], [float(s.max()) for s in sizes]
 
 
+def _residual_norms(mu, S, levels):
+    """``measures._residual_norms`` on the tables that ``cmd_measure`` passes it."""
+    sizes = martingale._parent_sizes(S)
+    return measures._residual_norms(mu, S, sizes, martingale._peaks(sizes)[0], levels)
+
+
 def _residual_norms_counted(monkeypatch, mu, levels):
     """``measures._residual_norms`` and the levels it truncated at."""
     truncate = measures.measure_truncate
@@ -648,7 +654,7 @@ def _residual_norms_counted(monkeypatch, mu, levels):
 
     with monkeypatch.context() as patch:
         patch.setattr(measures, "measure_truncate", counted)
-        norms = measures._residual_norms(mu, density_martingale(mu), levels)
+        norms = _residual_norms(mu, density_martingale(mu), levels)
     return norms, truncated
 
 
@@ -724,7 +730,7 @@ def _refused_and_read_off_the_loop(masses, levels, table, loop):
     assert largest == table
     assert residual_norms_loop(mu, levels) == loop
     assert not approximation._table_exact(S, peaks, max(largest))
-    assert measures._residual_norms(mu, S, levels) == loop
+    assert _residual_norms(mu, S, levels) == loop
 
 
 def test_table_certificate_refuses_a_jump_that_rounds():
@@ -788,7 +794,7 @@ def test_table_certificate_refuses_residual_block_sums_that_overflow():
     assert not approximation._table_exact(S, peaks, 2 * u)
     with np.errstate(over="ignore", invalid="ignore"):
         assert residual_norms_loop(mu, [2 * u]) == [np.inf]
-        assert measures._residual_norms(mu, S, [2 * u]) == [np.inf]
+        assert _residual_norms(mu, S, [2 * u]) == [np.inf]
 
 
 def test_table_certificate_caps_each_generation_at_its_largest_size(monkeypatch):
@@ -834,7 +840,7 @@ def test_functions_are_one_dimensional_increment_measures(draw, seed):
     assert measure_tree_levelset_density(S, grid, depths).values == (
         density_profile(A, doubled, depths).values
     )
-    residuals = measures._residual_norms(mu, S, [e / 2.0 for e in grid])
+    residuals = _residual_norms(mu, S, [e / 2.0 for e in grid])
     report = distance_report(f, grid, depths)
     assert [2.0 * r for r in residuals] == report.measured_distance
 

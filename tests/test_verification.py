@@ -36,7 +36,7 @@ from zygdist.generators import (
     random_martingale,
     weierstrass_function,
 )
-from zygdist import verification
+from zygdist import generators, verification
 from zygdist.martingale import (
     DyadicMartingale,
     _block_reduce,
@@ -476,9 +476,11 @@ def test_bdg_ratios_equal_the_leaf_size_reference(seed):
     assert np.array(_bdg_ratios(seed)).tobytes() == np.array(expected).tobytes()
 
 
-@pytest.mark.parametrize("depth", [0, 1, 4, 10])
-def test_random_martingale_levels_equal_the_per_seed_loop(depth):
-    seeds = [0, 1, 35, 2**63 + 5]
+@pytest.mark.parametrize("depth", [0, 1, 4, 10, 12])
+@pytest.mark.parametrize("seeds", [[0, 1, 35, 2**63 + 5, 2**64 - 1], [2**64 - 1]])
+def test_random_martingale_levels_equal_the_per_seed_loop(depth, seeds):
+    # one draw over per-value bounds per seed gives the bits of one draw per
+    # generation's steps and signs: this pins that under the installed NumPy
     levels = _random_martingale_levels(depth, seeds)
     assert len(levels) == depth + 1
     for i, seed in enumerate(seeds):
@@ -487,6 +489,26 @@ def test_random_martingale_levels_equal_the_per_seed_loop(depth):
         for n in range(depth + 1):
             assert levels[n].shape == (len(seeds), 2**n)
             assert levels[n][i].tobytes() == loop[n].tobytes() == single[n].tobytes()
+
+
+def test_bdg_draws_each_martingale_in_one_call(monkeypatch):
+    # each of the 100 martingales draws its whole stream from its own
+    # (seed, 2) generator in one `integers` call
+    ratios = _bdg_ratios(3)
+    drawn = []
+
+    class Counted:
+        def __init__(self, seed, tag):
+            self.rng, self.key, self.calls = _rng(seed, tag), (seed, tag), 0
+            drawn.append(self)
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "_rng", Counted)
+    assert _bdg_ratios(3) == ratios
+    assert [(d.key, d.calls) for d in drawn] == [((seed, 2), 1) for seed in range(3, 103)]
 
 
 # ---------------------------------------------------------------------------
