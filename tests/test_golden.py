@@ -43,6 +43,15 @@ GOLDEN = [
     ("sobolev", "golden-sobolev-input.json", "golden-sobolev-report.json", ["sobolev"], EXIT_OK),
     ("measure-1d", "golden-measure-1d-input.json", "golden-measure-1d-report.json", ["measure"], EXIT_OK),
     ("measure-2d", "golden-measure-2d-input.json", "golden-measure-2d-report.json", ["measure"], EXIT_OK),
+    # level 0 gets tree rows but no truncation row; 0.2255859375 is a parent
+    # size, which neither qualifies nor is kept; 2.5 is above the star norm
+    (
+        "measure-1d-eps-grid",
+        "golden-measure-1d-input.json",
+        "golden-measure-1d-eps-grid-report.json",
+        ["measure", "--eps-grid", "0,5e-324,0.2255859375,2.5", "--depths", "3,8"],
+        EXIT_OK,
+    ),
     ("seminorm", "golden-input.json", "golden-seminorm-report.json", ["seminorm"], EXIT_OK),
     ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"], EXIT_OK),
     ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"], EXIT_OK),
