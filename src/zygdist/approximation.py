@@ -161,53 +161,52 @@ def distance_report(
     """Distance-to-smooth report over a level grid.
 
     For each level the measured distance is the dyadic seminorm of the small
-    part left by truncation at that level; alongside, the tree level-set
-    density is profiled over ``depths`` and the stability threshold
-    estimated, both at the ``_level_thresholds`` of ``eps_grid``.  The slope
-    martingale and its ``_parent_sizes`` (all ``N`` generations) are formed
-    once, after the depths are checked, and shared by all three; their
-    ``_peaks`` give the default grid (``eps_grid=None``, ``default_eps_grid``)
-    and the certificate's maxima.
-    The measured distances are ``_residual_table``'s: read off one
-    ``_dropped`` table where ``_table_exact`` holds, O(2^N log 2^N) once
-    plus O(log 2^N) per level; otherwise each distinct count of the table
-    truncates and differences the martingale once, O(2^N) per distinct kept
-    set.
+    part left by truncation at that level, twice the residual's star norm;
+    alongside, the tree level-set density is profiled over ``depths`` and
+    the stability threshold estimated.  All three come from one
+    ``_level_set_tables`` call on the slope martingale at ``scale = 2``,
+    whose fallback residual is ``star_norm(S - truncate_jumps(S, t))``.
     """
     S = average_growth(f)
-    depths = _checked_depths(S, depths)
-    sizes = _parent_sizes(S)
-    peaks, star = _peaks(sizes)
-    eps_grid, thresholds = _level_thresholds(eps_grid, star)
-    dropped = _residual_table(
-        S, sizes, peaks, thresholds,
+    _, profile, residuals = _level_set_tables(
+        S, eps_grid, depths, 2.0,
         lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t))),
     )
-    profile = replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
     return DistanceReport(
-        eps=eps_grid,
-        measured_distance=[2.0 * d for d in dropped],
+        eps=profile.eps,
+        measured_distance=[2.0 * r for r in residuals],
         profile=profile,
         estimate=estimate_threshold(profile, tau=tau),
     )
 
 
-def _residual_table(S: DyadicMartingale, sizes, peaks, thresholds, residual_norm) -> list[float]:
-    """The residual norm at each threshold: the largest dropped size
-    (``_dropped``) of ``sizes``, the ``_parent_sizes`` of all ``N``
-    generations with their ``_peaks``, where ``_table_exact`` holds
-    (truncation and the residual round nothing, so a kept parent leaves no
-    residual jump and a dropped one its own), else ``residual_norm(t)``,
-    the caller's own: ``star_norm(S - truncate_jumps(S, t))`` for a
-    function, the dyadic norm of ``mu`` minus its truncation for a measure.
-    Thresholds with one count drop the same parents, so it runs once per
-    distinct count.
+def _level_set_tables(S: DyadicMartingale, eps_grid, depths, scale: float, residual_norm):
+    """``(star, profile, residuals)`` of any martingale ``S`` whose parent's
+    level is ``scale`` times its size: 2 for a function's slope martingale
+    (its second difference), 1 for a measure's density martingale.
+
+    After the depths are checked, the ``_parent_sizes`` of all ``N``
+    generations are formed once.  Their ``_peaks`` give the star norm, the
+    default grid (``eps_grid=None``) and the certificate's maxima;
+    ``_level_thresholds`` turns the levels into thresholds.  ``profile`` is
+    ``_tree_profile``'s at the thresholds, with the levels as its ``eps``.
+    The residual norm at threshold ``t`` is the largest dropped size
+    (``_dropped``) where ``_table_exact`` holds (truncation and the residual
+    round nothing, so a kept parent leaves no residual jump and a dropped one
+    its own): O(2^N log 2^N) once plus O(log 2^N) per level.  Otherwise it
+    is the caller's ``residual_norm(t)``, once per distinct count of dropped
+    parents, O(2^N) each.
     """
-    largest, counts = _dropped(sizes, thresholds)
-    if _table_exact(S, peaks, max(largest, default=0.0)):
-        return largest
-    norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
-    return [norms[count] for count in counts]
+    depths = _checked_depths(S, depths)
+    sizes = _parent_sizes(S)
+    peaks, star = _peaks(sizes)
+    eps_grid, thresholds = _level_thresholds(eps_grid, star, scale)
+    residuals, counts = _dropped(sizes, thresholds)
+    if not _table_exact(S, peaks, max(residuals, default=0.0)):
+        norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
+        residuals = [norms[count] for count in counts]
+    profile = replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
+    return star, profile, residuals
 
 
 def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:

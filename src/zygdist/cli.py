@@ -28,14 +28,13 @@ import numpy as np
 import orjson
 
 from zygdist.approximation import (
+    _level_set_tables,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
 )
 from zygdist.functionals import (
     _DEFAULT_TAU,
-    _geometric_grid,
-    _tree_profile,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,
@@ -54,8 +53,6 @@ from zygdist.generators import (
 )
 from zygdist.martingale import (
     SampledFunction,
-    _parent_sizes,
-    _peaks,
     average_growth,
     bmo_norm,
     dyadic_zygmund_seminorm,
@@ -64,7 +61,7 @@ from zygdist.martingale import (
 )
 from zygdist.measures import (
     GridMeasure,
-    _residual_norms,
+    _residual_norm,
     density_martingale,
     measure_zygmund_norm,
 )
@@ -446,19 +443,17 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
     depths = _parse_depths(args.depths, mu.depth, 2)
     S = density_martingale(mu)
     grid_norm = measure_zygmund_norm(mu, mode="continuous")
-    sizes = _parent_sizes(S)  # formed once, after the continuous norm's arrays are freed
-    peaks, dyadic_norm = _peaks(sizes)  # star_norm(S), bit for bit
-    grid = args.grid or _geometric_grid(dyadic_norm, -20)
+    # the tables are formed after the continuous norm's arrays are freed
+    dyadic_norm, tree, residuals = _level_set_tables(
+        S, args.grid, depths, 1.0, lambda eps: _residual_norm(mu, S, eps)
+    )
     norm_rows = [["dyadic_zygmund", dyadic_norm], ["grid_zygmund", grid_norm]]
-    tree = _tree_profile(sizes, grid, depths)  # unhalved levels, as measure_tree_levelset_density
-    levels = [eps for eps in grid if eps > 0.0]
-    truncation_rows = []
-    for eps, residual_norm in zip(levels, _residual_norms(mu, S, sizes, peaks, levels)):
+    truncation_rows = [[eps, r] for eps, r in zip(tree.eps, residuals) if eps > 0.0]
+    for eps, residual_norm in truncation_rows:
         _require(
             residual_norm <= eps,
             f"residual deviation {residual_norm} exceeds requested level {eps}",
         )
-        truncation_rows.append([eps, residual_norm])
     method = {"depths": depths, "eps_grid": args.eps_grid}
     body = {
         "tables": {

@@ -32,6 +32,7 @@ from zygdist.martingale import (
     _lattice_exponents,
     _lattice_quantum,
     _parent_sizes,
+    _peaks,
     star_norm,
 )
 
@@ -271,13 +272,13 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     its centred second difference, twice its size, exceeds the level, so
     when its size exceeds the level's threshold (``_level_thresholds``):
     the table is ``_tree_profile``'s at the thresholds, with the levels as
-    its ``eps``, on ``_parent_sizes`` down to the deepest depth, formed once.
+    its ``eps``, on ``_parent_sizes`` formed once: down to the deepest depth,
+    or all ``N`` for the default grid (``None``), read off their ``_peaks``.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid(S)
-    eps_grid, thresholds = _level_thresholds(eps_grid)
     depths = _checked_depths(S, depths)
-    sizes = _parent_sizes(S, max(depths, default=0))
+    sizes = _parent_sizes(S, S.depth if eps_grid is None else max(depths, default=0))
+    star = _peaks(sizes)[1] if eps_grid is None else None
+    eps_grid, thresholds = _level_thresholds(eps_grid, star)
     return replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
 
 
@@ -484,16 +485,19 @@ def default_eps_grid(S: DyadicMartingale) -> list[float]:
     return _level_thresholds(None, star_norm(S))[0]
 
 
-def _level_thresholds(eps_grid, star: float | None = None) -> tuple[list, list]:
-    """A function's levels as floats (``None`` is the default grid of a
-    slope martingale with star norm ``star``), and the parent-size threshold
-    of each: the largest float ``t`` with ``2 t <= eps``, so a parent's
-    second difference, twice its size, exceeds ``eps`` exactly when its
-    size exceeds ``t``, on every float.  That is ``eps / 2``, one float
-    lower where it rounded up (``eps = m 2^-1074 < 2^-1021``, ``m = 3 mod
-    4``).  No other code halves a function's level."""
+def _level_thresholds(eps_grid, star: float | None = None, scale: float = 2.0) -> tuple[list, list]:
+    """Levels as floats (``None`` is the default grid of a martingale with
+    star norm ``star``), and the parent-size threshold of each, where a
+    parent's level is ``scale`` times its size: the largest float ``t`` with
+    ``scale t <= eps``, so the level exceeds ``eps`` exactly when the size
+    exceeds ``t``, on every float.  That is ``eps / scale``, one float lower
+    where ``scale t > eps``.  A function's level is its second difference,
+    twice its slope martingale's size (``scale = 2``): ``eps / 2`` rounds up
+    at ``eps = m 2^-1074 < 2^-1021``, ``m = 3 mod 4``.  A measure's is its
+    density martingale's size (``scale = 1``): ``t`` is ``eps``, bit for
+    bit.  No other code turns a level into a threshold."""
     if eps_grid is None:
-        eps_grid = _geometric_grid(2.0 * star, -20)
+        eps_grid = _geometric_grid(scale * star, -20)
     eps_grid = [float(eps) for eps in eps_grid]
-    halves = [(eps / 2.0, eps) for eps in eps_grid]
-    return eps_grid, [math.nextafter(t, -math.inf) if 2 * t > eps else t for t, eps in halves]
+    parts = [(eps / scale, eps) for eps in eps_grid]
+    return eps_grid, [math.nextafter(t, -math.inf) if scale * t > eps else t for t, eps in parts]

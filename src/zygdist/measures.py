@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from zygdist.approximation import _residual_table, truncate_jumps
+from zygdist.approximation import truncate_jumps
 from zygdist.functionals import DepthProfile, _checked_depths, _tree_profile
 from zygdist.martingale import DyadicMartingale, _parent_sizes, star_norm
 
@@ -265,20 +265,13 @@ def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     masses of ``truncate_jumps(S, eps)`` for the ``density_martingale`` ``S``
     of a measure ``mu``.  Every dyadic second difference of ``mu - result``
     is at most ``eps`` where the arithmetic is exact.  On inputs that
-    ``approximation._table_exact`` certifies, ``_residual_norms`` reads the
-    norms of these residuals off one table and does not call this function.
+    ``approximation._table_exact`` certifies, ``_level_set_tables`` reads
+    the norms of these residuals off one table and calls neither
+    ``_residual_norm`` nor this function.
     """
     return GridMeasure(truncate_jumps(S, eps).leaf * 2.0 ** (-S.dim * S.depth))
 
 
-def _residual_norms(mu: GridMeasure, S: DyadicMartingale, sizes, peaks, levels) -> list[float]:
-    """``measure_zygmund_norm(mu - measure_truncate(S, eps), "dyadic")`` at
-    each level ``eps``, for ``S = density_martingale(mu)`` with its
-    ``_parent_sizes`` and their ``_peaks``: read off
-    ``approximation._residual_table``, which truncates only where
-    ``_table_exact`` refuses, once per distinct count of dropped parents.
-    """
-    return _residual_table(
-        S, sizes, peaks, levels,
-        lambda eps: measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic"),
-    )
+def _residual_norm(mu: GridMeasure, S: DyadicMartingale, eps: float) -> float:
+    """``measure``'s residual rule: the dyadic norm of ``mu`` less its truncation."""
+    return measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")

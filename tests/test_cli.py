@@ -611,6 +611,13 @@ def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     assert len(report["tables"]["measured_distance"]["rows"]) > 1
     assert sorted(calls) == list(range(1, N + 1))
 
+    # `strichartz` reads its default grid off the tables of its tree
+    # densities (default depths down to N), not off a star-norm pass
+    calls.clear()
+    code, _ = run(tmp_path, "strichartz", "--in", path)
+    assert code == EXIT_OK
+    assert sorted(calls) == list(range(1, N + 1))
+
     # the tree densities take each generation's jumps once, not once per
     # (eps, depth)
     S = average_growth(load_function(json.loads(Path(path).read_text())))

@@ -215,9 +215,27 @@ def test_parent_sizes_are_formed_in_one_place():
                 and any(isinstance(a, ast.Name) and a.id in formed for a in node.args)
             ]
     assert sorted(callers) == ["approximation.truncate_jumps", "martingale._parent_sizes"]
-    assert holders == {
-        "approximation.distance_report",
-        "approximation.dyadic_decompose",
-        "cli.cmd_measure",
-    }
+    assert holders == {"approximation._level_set_tables", "approximation.dyadic_decompose"}
     assert second_pass == []
+
+
+def test_cli_reads_the_level_set_tables_through_one_pipeline():
+    # `distance-ibmo` and `measure` take the tables, default grid,
+    # thresholds and tree profile from `approximation._level_set_tables`;
+    # `cli` neither imports nor reads the helpers that wire them by hand
+    tree = ast.parse((Path(zygdist.__file__).parent / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    helpers = {
+        "_parent_sizes",
+        "_peaks",
+        "_dropped",
+        "_tree_profile",
+        "_geometric_grid",
+        "_level_thresholds",
+    }
+    assert not (imported | _loaded_names(tree)) & helpers

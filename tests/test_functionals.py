@@ -659,6 +659,13 @@ def test_level_thresholds_are_the_largest_halves():
     assert stepped == list(range(3, 65, 4))
     S = average_growth(_generated("random-jumps", depth=8))
     assert _level_thresholds(None, star_norm(S)) == _level_thresholds(default_eps_grid(S))
+    # at scale 1, a measure's rule, every threshold is its level bit for bit
+    # (NaN's too), and the default grid is the star norm's own
+    grid, thresholds = _level_thresholds(levels + [math.inf, math.nan], None, 1.0)
+    assert np.array_equal(np.array(thresholds).view(np.uint64), np.array(grid).view(np.uint64))
+    assert grid[:-1] == levels + [math.inf] and math.isnan(grid[-1])
+    star = star_norm(S)
+    assert _level_thresholds(None, star, 1.0)[0] == functionals._geometric_grid(star, -20)
 
 
 # ---------------------------------------------------------------------------

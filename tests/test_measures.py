@@ -632,19 +632,20 @@ def _tie_levels(S):
 
 def _largest_and_peaks(S, levels):
     """The largest dropped size at each level and each generation's largest
-    parent size, as ``approximation._residual_table`` reads them."""
+    parent size, as ``approximation._level_set_tables`` reads them."""
     sizes = martingale._parent_sizes(S)
     return martingale._dropped(sizes, levels)[0], [float(s.max()) for s in sizes]
 
 
 def _residual_norms(mu, S, levels):
-    """``measures._residual_norms`` on the tables that ``cmd_measure`` passes it."""
-    sizes = martingale._parent_sizes(S)
-    return measures._residual_norms(mu, S, sizes, martingale._peaks(sizes)[0], levels)
+    """The residual norms that ``cmd_measure`` reads off ``_level_set_tables``."""
+    return approximation._level_set_tables(
+        S, levels, [], 1.0, lambda eps: measures._residual_norm(mu, S, eps)
+    )[2]
 
 
 def _residual_norms_counted(monkeypatch, mu, levels):
-    """``measures._residual_norms`` and the levels it truncated at."""
+    """``_residual_norms`` and the levels it truncated at."""
     truncate = measures.measure_truncate
     truncated = []
 
