@@ -15,10 +15,12 @@ witnesses and ``"passed": false``, is still emitted).
 from __future__ import annotations
 
 import argparse
+import array
 import hashlib
 import math
 import re
 import sys
+import threading
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -120,25 +122,39 @@ def read_input(path: str):
 
     The file must be UTF-8 without a byte order mark (RFC 8259 section 8.1)
     and strict JSON: ``NaN``, ``Infinity``, numbers beyond float range and
-    unpaired surrogate escapes are refused.
+    unpaired surrogate escapes are refused.  The sha256 of the raw bytes is
+    taken on one helper thread while this one checks the nesting and
+    decodes, and is joined before any return or refusal; ``hashlib``
+    releases the GIL on buffers of 2 KiB or more.  Where no thread can
+    start, the bytes are hashed here.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
-    _require(
-        not _nests_too_deep(raw),
-        f"input is not valid JSON: it nests more than {_MAX_NESTING} levels deep",
-    )
+    digest = hashlib.sha256()
+    helper = threading.Thread(target=digest.update, args=(raw,))
     try:
-        payload = orjson.loads(raw)
-    except orjson.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}") from None
-    _require(isinstance(payload, dict), "input document must be a JSON object")
-    _require(payload.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    return payload, digest
+        helper.start()
+    except RuntimeError:
+        helper = None
+        digest.update(raw)
+    try:
+        _require(
+            not _nests_too_deep(raw),
+            f"input is not valid JSON: it nests more than {_MAX_NESTING} levels deep",
+        )
+        try:
+            payload = orjson.loads(raw)
+        except orjson.JSONDecodeError as exc:
+            raise InputError(f"input is not valid JSON: {exc}") from None
+        _require(isinstance(payload, dict), "input document must be a JSON object")
+        _require(payload.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
+    finally:
+        if helper is not None:
+            helper.join()
+    return payload, digest.hexdigest()
 
 
 def _is_int(value) -> bool:
@@ -147,20 +163,24 @@ def _is_int(value) -> bool:
 
 
 def _number_array(entries: list, name: str) -> np.ndarray:
-    """The JSON array ``entries`` as a flat float64 array of finite numbers.
+    """The JSON array ``entries`` as a flat, writable float64 array of finite
+    numbers.
 
-    Every entry must be a JSON number (``int`` or ``float``): strings,
-    booleans, nulls and lists fail one scan of the entry types, and integers
-    beyond float range the one conversion (exit 2).
+    Every entry must be a JSON number (``int`` or ``float``).  One C pass,
+    ``array.array("d", entries)``, converts them: strings, nulls, lists and
+    objects fail it with ``TypeError`` and integers beyond float range with
+    ``OverflowError`` (exit 2).  A boolean converts to exactly 0.0 or 1.0, so
+    only the entries equal to those have their type read.
     """
-    numbers = set(map(type, entries)) <= {int, float}
+    message = f"{name} must be an array of numbers"
     try:
-        array = np.asarray(entries, dtype=np.float64) if numbers else None
-    except OverflowError:
-        array = None
-    _require(array is not None, f"{name} must be an array of numbers")
-    _require(bool(np.all(np.isfinite(array))), f"{name} must all be finite")
-    return array
+        samples = np.frombuffer(array.array("d", entries), dtype=np.float64)
+    except (TypeError, OverflowError):
+        raise InputError(message) from None
+    zeros_and_ones = np.flatnonzero((samples == 0.0) | (samples == 1.0)).tolist()
+    _require(bool not in {type(entries[i]) for i in zeros_and_ones}, message)
+    _require(bool(np.all(np.isfinite(samples))), f"{name} must all be finite")
+    return samples
 
 
 def load_function(payload: dict) -> SampledFunction:

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -677,7 +679,23 @@ def test_report_is_schema_versioned_and_sorted(tmp_path):
     report = json.loads(text)
     assert report["schema"] == SCHEMA
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
-    assert report["input_sha256"]
+    assert report["input_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_the_digest_is_taken_here_when_no_thread_starts(tmp_path, monkeypatch):
+    starts = []
+
+    def refuse(thread):
+        starts.append(thread)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    out = tmp_path / "report.json"
+    argv = ["distance-ibmo", "--depths", "6,7,8", "--in", str(docs / "golden-input.json")]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert len(starts) == 1
+    assert out.read_bytes() == (docs / "golden-report.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Input files are decoded by one reader, ``cli.read_input``: the float64
 bits it yields, and the exit-2 outcome of every file it refuses."""
 
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +102,40 @@ def test_a_valid_file_nested_past_the_decoder_stack_exits_2(tmp_path):
     assert child.stderr.count("\n") == 1 and child.stdout == ""
 
 
+class _SlowDigest:
+    """A sha256 whose update outlasts the decoding of a small file."""
+
+    def __init__(self):
+        self._digest = hashlib.sha256()
+
+    def update(self, data):
+        time.sleep(0.02)
+        self._digest.update(data)
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
+
+
+def test_reads_leave_no_thread_running(tmp_path, monkeypatch):
+    # the digest's helper thread is joined on every return and refusal
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=_SlowDigest))
+    before = threading.active_count()
+    path = tmp_path / "input.json"
+    path.write_text(_function())
+    _, digest = read_input(str(path))
+    assert threading.active_count() == before
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    for raw in (
+        _function(tail=f', "metadata": {_nested(cli._MAX_NESTING)}'),
+        _function("0, 1,"),
+        _function().replace("zygdist/1", "zygdist/2"),
+    ):
+        path.write_text(raw)
+        with pytest.raises(InputError):
+            read_input(str(path))
+        assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # a depth too large for the data
 
@@ -175,6 +213,29 @@ def test_non_finite_tokens_exit_2(tmp_path, capsys, command, file, token):
     raw = file(f"0, {token}, 0" if file is _function else f"0.5, {token}")
     err = _refused(tmp_path, capsys, raw.encode(), command)
     assert err.startswith("error: input is not valid JSON: ")
+
+
+# a boolean converts to exactly 0.0 or 1.0, so it hides among those values
+_BOOLEANS = {
+    "false-among-zeros": ("0.0, 0.0, 0.0, false, 0.0, 0.0, 0.0, 0.0", "0.0"),
+    "true-beside-ones": ("1.0, 1.0, true, 1.0, 0.5, 0.5, 0.5, 0.5", "1.0"),
+}
+
+
+@pytest.mark.parametrize("entries, last", _BOOLEANS.values(), ids=_BOOLEANS)
+def test_booleans_among_equal_numbers_exit_2(tmp_path, capsys, entries, last):
+    # eight masses; a function file takes one more value
+    raw = _function(f"{entries}, {last}", head='"depth": 3')
+    assert _refused(tmp_path, capsys, raw.encode()) == "error: values must be an array of numbers\n"
+    raw = _measure(entries, head='"dim": 1, "depth": 3')
+    assert _refused(tmp_path, capsys, raw.encode(), "measure") == "error: masses must be an array of numbers\n"
+
+
+def test_number_arrays_are_writable_contiguous_float64():
+    samples = cli._number_array([0, 1, 0.5, -2, 1.0, 0.0], "values")
+    assert samples.dtype == np.float64 and samples.ndim == 1
+    assert samples.flags.writeable and samples.flags.c_contiguous
+    assert samples.tolist() == [0.0, 1.0, 0.5, -2.0, 1.0, 0.0]
 
 
 # integers outside [-2^63, 2^64) decode as floats, which no integer field takes
@@ -272,6 +333,9 @@ def _files(draw):
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_files())
 @example(text=_file("function", '"depth": 5', _SPECIAL + ["-" + t for t in _SPECIAL] + ["1"]))
+# integer and float zeros and ones only: every entry has its type read
+@example(text=_file("function", '"depth": 3', ["0", "1", "0.0", "1.0", "-0", "-0.0", "1", "0", "1.0"]))
+@example(text=_file("measure", '"dim": 2, "depth": 1', ["0", "1.0", "0.0", "1"]))
 def test_decoded_samples_have_the_bits_of_the_stdlib_decoder(tmp_path, text):
     path = tmp_path / "input.json"
     path.write_text(text)
