@@ -54,6 +54,15 @@ GOLDEN = [
     ),
     ("seminorm", "golden-input.json", "golden-seminorm-report.json", ["seminorm"], EXIT_OK),
     ("strichartz", "golden-input.json", "golden-strichartz-report.json", ["strichartz"], EXIT_OK),
+    # 0.125 is the input's exact second difference, a tie that does not
+    # qualify; 5e-324 is the smallest subnormal
+    (
+        "strichartz-eps-grid",
+        "golden-input.json",
+        "golden-strichartz-eps-grid-report.json",
+        ["strichartz", "--depths", "2,5", "--eps-grid", "0,5e-324,0.0625,0.125,0.25"],
+        EXIT_OK,
+    ),
     ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"], EXIT_OK),
     ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"], EXIT_OK),
     (
