@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +27,8 @@ from zygdist.functionals import (
     _DEFAULT_TAU,
     DepthProfile,
     ThresholdEstimate,
-    _checked_depths,
+    _level_set_tables,
     _level_thresholds,
-    _tree_profile,
     estimate_threshold,
 )
 from zygdist.martingale import (
@@ -178,91 +177,6 @@ def distance_report(
         profile=profile,
         estimate=estimate_threshold(profile, tau=tau),
     )
-
-
-def _level_set_tables(S: DyadicMartingale, eps_grid, depths, scale: float, residual_norm):
-    """``(star, profile, residuals)`` of any martingale ``S`` whose parent's
-    level is ``scale`` times its size: 2 for a function's slope martingale
-    (its second difference), 1 for a measure's density martingale.
-
-    After the depths are checked, the ``_parent_sizes`` of all ``N``
-    generations are formed once.  Their ``_peaks`` give the star norm, the
-    default grid (``eps_grid=None``) and the certificate's maxima;
-    ``_level_thresholds`` turns the levels into thresholds.  ``profile`` is
-    ``_tree_profile``'s at the thresholds, with the levels as its ``eps``.
-    The residual norm at threshold ``t`` is the largest dropped size
-    (``_dropped``) where ``_table_exact`` holds (truncation and the residual
-    round nothing, so a kept parent leaves no residual jump and a dropped one
-    its own): O(2^N log 2^N) once plus O(log 2^N) per level.  Otherwise it
-    is the caller's ``residual_norm(t)``, once per distinct count of dropped
-    parents, O(2^N) each.
-    """
-    depths = _checked_depths(S, depths)
-    sizes = _parent_sizes(S)
-    peaks, star = _peaks(sizes)
-    eps_grid, thresholds = _level_thresholds(eps_grid, star, scale)
-    residuals, counts = _dropped(sizes, thresholds)
-    if not _table_exact(S, peaks, max(residuals, default=0.0)):
-        norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
-        residuals = [norms[count] for count in counts]
-    profile = replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
-    return star, profile, residuals
-
-
-def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
-    """Whether truncating ``S`` and taking the residual's norm rounds
-    nothing, at every threshold whose largest dropped size is at most
-    ``top``, for a function's residual and a measure's alike.
-
-    ``peaks[n - 1]`` is the largest size in generation ``n``'s
-    ``_parent_sizes`` table.  Level ``n`` of ``S`` holds multiples of
-    ``2^-q_n`` (``_lattice_exponents``) of absolute value at most ``M_n``;
-    ``2^-q`` is the finest of these quanta over the nonzero levels, so every
-    quantity below is a multiple of it.  Real-number bounds, ``n = 1 ..
-    N``, in dimension ``d``:
-
-    * jumps ``S_n - S_(n-1)``: one that rounds has exact operands, so its
-      exact value, and by monotone rounding its computed one, is at least
-      ``2^53`` quanta.  Where ``peaks[n - 1]`` is below that, every jump is
-      exact and at most ``peaks[n - 1]``;
-    * a dropped jump is at most its parent's size, so at most ``top``.  The
-      residual level ``R_n``, the dropped jumps above a cell, is at most
-      ``r_n = sum_(m<=n) min(peaks[m - 1], top)``, and the kept level ``B_n =
-      S_n - R_n`` at most ``M_n + r_n``.  The residual's block sums add
-      ``2^d`` values of ``R_n``: at most ``2^d r_n``.  The kept and residual
-      masses of a measure are ``B_N`` and ``R_N`` times ``2^-dN``, on the
-      quantum ``2^-(q + dN)``;
-    * a measure's ``S`` is ``DyadicMartingale.from_leaf``'s: level ``n - 1``
-      is the block sum of level ``n`` over ``2^d``, its partial sums
-      multiples of ``2^-q_n`` at most ``2^d M_n``.  Where these are exact,
-      so is the mean, a cell's mass times ``2^(d(n-1))`` and so a multiple
-      of ``2^-1074``.  Then ``S`` is an exact martingale, and so are the
-      kept and residual ones.
-
-    Where ``martingale._lattice_quantum`` accepts these families at 53 bits,
-    ``truncate_jumps``, ``martingale_difference``, the masses of
-    ``measures.measure_truncate``, their subtraction and the residual's
-    block means and jumps are exact.  A kept parent then leaves no residual
-    jump and a dropped one its own jumps, so ``star_norm(S - B)`` for a
-    function and the residual's dyadic norm for a measure are the largest
-    dropped size, bit for bit.  A function's residual needs no block means:
-    for its slope martingale the means' families only refuse more.
-    """
-    d, N = S.dim, S.depth
-    lattices = [_lattice_exponents(level) for level in S.levels]
-    if None in lattices or not np.isfinite(peaks).all():
-        return False
-    residual = bound = Fraction(0)
-    for level, (q_n, _), peak in zip(S.levels[1:], lattices[1:], peaks):
-        residual += Fraction(min(peak, top))
-        extent = Fraction(float(max(level.max(), -level.min())))
-        bound = max(bound, Fraction(peak), extent + residual, residual * 2**d)
-        means = _quanta_bits(extent * 2**d, q_n)
-        if _lattice_quantum((q_n, 0), 53, (means, 0)) is None:
-            return False
-    q = max((q_n for q_n, a_n in lattices if a_n), default=0)
-    bits = _quanta_bits(bound, q)
-    return _lattice_quantum((q, 0), 53, (bits, 0), (bits, d * N)) is not None
 
 
 @dataclass

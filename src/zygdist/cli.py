@@ -30,13 +30,13 @@ import numpy as np
 import orjson
 
 from zygdist.approximation import (
-    _level_set_tables,
     continuous_decompose,
     distance_report,
     dyadic_decompose,
 )
 from zygdist.functionals import (
     _DEFAULT_TAU,
+    _level_set_tables,
     box_square_energy,
     cone_levelset_count,
     default_eps_grid,

@@ -18,7 +18,8 @@ when its deepest value is within a factor ``1 + tau`` of its shallowest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
@@ -33,6 +34,7 @@ from zygdist.martingale import (
     _lattice_quantum,
     _parent_sizes,
     _peaks,
+    _quanta_bits,
     star_norm,
 )
 
@@ -269,48 +271,127 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
     """Tabulate the tree level-set density over a level grid and several depths.
 
     ``S`` is the slope martingale of a function.  A parent qualifies when
-    its centred second difference, twice its size, exceeds the level, so
-    when its size exceeds the level's threshold (``_level_thresholds``):
-    the table is ``_tree_profile``'s at the thresholds, with the levels as
-    its ``eps``, on ``_parent_sizes`` formed once: down to the deepest depth,
-    or all ``N`` for the default grid (``None``), read off their ``_peaks``.
+    its centred second difference, twice its size, exceeds the level: the
+    profile of ``_level_set_tables`` at ``scale = 2``, whose ``None`` grid
+    is ``default_eps_grid(S)``.
     """
-    depths = _checked_depths(S, depths)
-    sizes = _parent_sizes(S, S.depth if eps_grid is None else max(depths, default=0))
-    star = _peaks(sizes)[1] if eps_grid is None else None
-    eps_grid, thresholds = _level_thresholds(eps_grid, star)
-    return replace(_tree_profile(sizes, thresholds, depths), eps=eps_grid)
+    return _level_set_tables(S, eps_grid, depths, 2.0)[1]
 
 
-def _checked_depths(S: DyadicMartingale, depths) -> list[int]:
-    """``depths`` as a list, each checked to be in ``[1, N]`` before any table is formed."""
+def _level_set_tables(S: DyadicMartingale, eps_grid, depths, scale: float, residual_norm=None):
+    """``(star, profile, residuals)`` of any martingale ``S`` whose parent's
+    level is ``scale`` times its size: 2 for a function's slope martingale
+    (its second difference), 1 for a measure's density martingale.
+
+    After the depths are checked to lie in ``[1, N]``, the
+    ``_parent_sizes`` of all ``N`` generations are formed once.  Their
+    ``_peaks`` give the star norm, the default grid (``eps_grid=None``) and
+    the certificate's maxima; ``_level_thresholds`` turns the levels into
+    thresholds.  ``profile`` holds ``_tree_profile``'s rows at the
+    thresholds, with the levels as its ``eps``.  Without ``residual_norm``
+    the residuals are ``None``, with no ``_dropped`` table and no
+    certificate.  With it, the residual norm at threshold
+    ``t`` is the largest dropped size (``_dropped``) where ``_table_exact``
+    holds (truncation and the residual round nothing, so a kept parent
+    leaves no residual jump and a dropped one its own): O(2^N log 2^N) once
+    plus O(log 2^N) per level.  Otherwise it is the caller's
+    ``residual_norm(t)``, once per distinct count of dropped parents, O(2^N)
+    each.
+    """
     depths = list(depths)
     if not all(1 <= d <= S.depth for d in depths):
         raise ValueError(f"depth must be in [1, {S.depth}]")
-    return depths
+    sizes = _parent_sizes(S)
+    peaks, star = _peaks(sizes)
+    eps_grid, thresholds = _level_thresholds(eps_grid, star, scale)
+    residuals = None
+    if residual_norm is not None:
+        residuals, counts = _dropped(sizes, thresholds)
+        if not _table_exact(S, peaks, max(residuals, default=0.0)):
+            norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
+            residuals = [norms[count] for count in counts]
+    profile = DepthProfile(depths, eps_grid, _tree_profile(sizes, thresholds, depths))
+    return star, profile, residuals
+
+
+def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
+    """Whether truncating ``S`` and taking the residual's norm rounds
+    nothing, at every threshold whose largest dropped size is at most
+    ``top``, for a function's residual and a measure's alike.
+
+    ``peaks[n - 1]`` is the largest size in generation ``n``'s
+    ``_parent_sizes`` table.  Level ``n`` of ``S`` holds multiples of
+    ``2^-q_n`` (``_lattice_exponents``) of absolute value at most ``M_n``;
+    ``2^-q`` is the finest of these quanta over the nonzero levels, so every
+    quantity below is a multiple of it.  Real-number bounds, ``n = 1 ..
+    N``, in dimension ``d``:
+
+    * jumps ``S_n - S_(n-1)``: one that rounds has exact operands, so its
+      exact value, and by monotone rounding its computed one, is at least
+      ``2^53`` quanta.  Where ``peaks[n - 1]`` is below that, every jump is
+      exact and at most ``peaks[n - 1]``;
+    * a dropped jump is at most its parent's size, so at most ``top``.  The
+      residual level ``R_n``, the dropped jumps above a cell, is at most
+      ``r_n = sum_(m<=n) min(peaks[m - 1], top)``, and the kept level ``B_n =
+      S_n - R_n`` at most ``M_n + r_n``.  The residual's block sums add
+      ``2^d`` values of ``R_n``: at most ``2^d r_n``.  The kept and residual
+      masses of a measure are ``B_N`` and ``R_N`` times ``2^-dN``, on the
+      quantum ``2^-(q + dN)``;
+    * a measure's ``S`` is ``DyadicMartingale.from_leaf``'s: level ``n - 1``
+      is the block sum of level ``n`` over ``2^d``, its partial sums
+      multiples of ``2^-q_n`` at most ``2^d M_n``.  Where these are exact,
+      so is the mean, a cell's mass times ``2^(d(n-1))`` and so a multiple
+      of ``2^-1074``.  Then ``S`` is an exact martingale, and so are the
+      kept and residual ones.
+
+    Where ``martingale._lattice_quantum`` accepts these families at 53 bits,
+    ``approximation.truncate_jumps``, ``approximation.martingale_difference``,
+    the masses of ``measures.measure_truncate``, their subtraction and the
+    residual's block means and jumps are exact.  A kept parent then leaves
+    no residual jump and a dropped one its own jumps, so ``star_norm(S - B)``
+    for a function and the residual's dyadic norm for a measure are the
+    largest dropped size, bit for bit.  A function's residual needs no block
+    means: for its slope martingale the means' families only refuse more.
+    """
+    d, N = S.dim, S.depth
+    lattices = [_lattice_exponents(level) for level in S.levels]
+    if None in lattices or not np.isfinite(peaks).all():
+        return False
+    residual = bound = Fraction(0)
+    for level, (q_n, _), peak in zip(S.levels[1:], lattices[1:], peaks):
+        residual += Fraction(min(peak, top))
+        extent = Fraction(float(max(level.max(), -level.min())))
+        bound = max(bound, Fraction(peak), extent + residual, residual * 2**d)
+        means = _quanta_bits(extent * 2**d, q_n)
+        if _lattice_quantum((q_n, 0), 53, (means, 0)) is None:
+            return False
+    q = max((q_n for q_n, a_n in lattices if a_n), default=0)
+    bits = _quanta_bits(bound, q)
+    return _lattice_quantum((q, 0), 53, (bits, 0), (bits, d * N)) is not None
 
 
 # levels times window cells of one ``_tree_profile`` accumulator: 512 KiB
 _TREE_BLOCK = 1 << 16
 
 
-def _tree_profile(sizes, thresholds, depths) -> DepthProfile:
-    """Tree level-set densities at every (depth, level) from ``_parent_sizes``.
+def _tree_profile(sizes, thresholds, depths) -> list[list[float]]:
+    """Tree level-set densities from ``_parent_sizes``: one row per depth,
+    one entry per threshold.
 
-    A parent qualifies at level ``eps`` when its size ``_parent_deviation``
-    exceeds ``eps`` (a function's levels arrive as ``_level_thresholds``).
-    For each window cell ``Q`` of generation ``0..depth``, the volumes of
-    the qualifying parents ``P`` inside ``Q`` with ``generation(P) < depth``
-    are summed and divided by ``|Q|``; an entry is the maximum over windows.
-    A level's qualifying parents are the ``P`` sizes down to the deepest
-    depth less its ``_dropped`` ones.  Within a generation the qualifying
-    sets are nested in the level, so two levels with one dropped count
-    qualify the same parents in every generation and share a row: a level
-    that drops all ``P`` gets zeros, and each other distinct count runs one
+    A parent qualifies at a threshold (``_level_thresholds``) when its size
+    ``_parent_deviation`` exceeds it.  For each window cell ``Q`` of
+    generation ``0..depth``, the volumes of the qualifying parents ``P``
+    inside ``Q`` with ``generation(P) < depth`` are summed and divided by
+    ``|Q|``; an entry is the maximum over windows.  A threshold's qualifying
+    parents are the ``P`` sizes down to the deepest depth less its
+    ``_dropped`` ones.  Within a generation the qualifying sets are nested
+    in the threshold, so two thresholds with one dropped count qualify the
+    same parents in every generation and share an entry: a threshold that
+    drops all ``P`` gets zeros, and each other distinct count runs one
     bottom-up window pass at each depth.  Cost: O(P log P) for the sort
     plus O(2^(dim depth)) per distinct non-empty set and depth.  (A NaN
-    size, from overflowing slopes, is dropped only at a NaN level; so a
-    level that drops fewer than ``P`` can still have an all-zero row.)
+    size, from overflowing slopes, is dropped only at a NaN threshold; so
+    one that drops fewer than ``P`` can still have an all-zero column.)
 
     At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
     dim (d - 1))`` levels at once, in one accumulator of at most
@@ -321,7 +402,6 @@ def _tree_profile(sizes, thresholds, depths) -> DepthProfile:
     addition.  So are its maximum and the power-of-two rescaling; the table
     is that of one level at a time.
     """
-    thresholds = [float(t) for t in thresholds]
     sizes = sizes[: max(depths, default=0)]
     _, counts = _dropped(sizes, thresholds)
     reps = dict(zip(counts, thresholds))  # the last level of each count stands for its set
@@ -344,7 +424,7 @@ def _tree_profile(sizes, thresholds, depths) -> DepthProfile:
                 np.maximum(peak, top, out=peak)
         row = dict(zip(reps, peaks.tolist()))
         values.append([row.get(count, 0.0) for count in counts])
-    return DepthProfile(depths=depths, eps=thresholds, values=values)
+    return values
 
 
 # the default tolerance ``tau`` of the depth-growth rule

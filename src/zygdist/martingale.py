@@ -159,10 +159,9 @@ def _parent_deviation(dj: np.ndarray, dim: int) -> np.ndarray:
     return _block_reduce(np.abs(dj), dim, np.maximum)
 
 
-def _parent_sizes(S: DyadicMartingale, generations: int | None = None) -> list[np.ndarray]:
-    """The ``_parent_deviation`` of each generation ``1 .. generations`` (default ``N``)."""
-    last = S.depth if generations is None else generations
-    return [_parent_deviation(S.jumps(n), S.dim) for n in range(1, last + 1)]
+def _parent_sizes(S: DyadicMartingale) -> list[np.ndarray]:
+    """The ``_parent_deviation`` of each generation ``1 .. N``."""
+    return [_parent_deviation(S.jumps(n), S.dim) for n in range(1, S.depth + 1)]
 
 
 def _peaks(sizes: list[np.ndarray]) -> tuple[list[float], float]:

@@ -20,8 +20,8 @@ import itertools
 import numpy as np
 
 from zygdist.approximation import truncate_jumps
-from zygdist.functionals import DepthProfile, _checked_depths, _tree_profile
-from zygdist.martingale import DyadicMartingale, _parent_sizes, star_norm
+from zygdist.functionals import DepthProfile, _level_set_tables
+from zygdist.martingale import DyadicMartingale, star_norm
 
 __all__ = [
     "GridMeasure",
@@ -252,12 +252,11 @@ def measure_tree_levelset_density(S: DyadicMartingale, eps_grid, depths) -> Dept
     """Tree level-set density of a measure at every (depth, level).
 
     ``S`` is the measure's ``density_martingale``.  A cell qualifies when a
-    child's box average deviates from its own by more than the level, so
-    the table is ``_tree_profile``'s at the levels themselves, unhalved, on
-    the ``_parent_sizes`` down to the deepest depth, formed once per call.
+    child's box average deviates from its own by more than the level: the
+    profile of ``_level_set_tables`` at ``scale = 1``, as ``measure`` reads
+    it, whose ``None`` grid is ``measure``'s default.
     """
-    depths = _checked_depths(S, depths)
-    return _tree_profile(_parent_sizes(S, max(depths, default=0)), eps_grid, depths)
+    return _level_set_tables(S, eps_grid, depths, 1.0)[1]
 
 
 def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
@@ -265,7 +264,7 @@ def measure_truncate(S: DyadicMartingale, eps: float) -> GridMeasure:
     masses of ``truncate_jumps(S, eps)`` for the ``density_martingale`` ``S``
     of a measure ``mu``.  Every dyadic second difference of ``mu - result``
     is at most ``eps`` where the arithmetic is exact.  On inputs that
-    ``approximation._table_exact`` certifies, ``_level_set_tables`` reads
+    ``functionals._table_exact`` certifies, ``_level_set_tables`` reads
     the norms of these residuals off one table and calls neither
     ``_residual_norm`` nor this function.
     """

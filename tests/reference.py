@@ -440,7 +440,7 @@ def truncation_maxima_loop(S, eps_grid) -> tuple[list[float], list[float]]:
     Each level truncates ``S`` at ``level_threshold(eps)`` and takes twice
     the star norm of ``S - B`` and the star norm of ``B``: the loop that
     the dropped-size table ``martingale._dropped`` must equal where
-    ``approximation._table_exact`` holds, and the path taken where it does not.
+    ``functionals._table_exact`` holds, and the path taken where it does not.
     """
     measured, stars = [], []
     for eps in eps_grid:
@@ -491,7 +491,7 @@ def residual_norms_loop(mu: GridMeasure, levels) -> list[float]:
     """Dyadic norm of ``mu`` minus its truncation, one level at a time:
     truncate, subtract and take the norm of the residual, the loop that
     the dropped-size table ``martingale._dropped`` must equal where
-    ``approximation._table_exact`` holds, and the path taken where it does not."""
+    ``functionals._table_exact`` holds, and the path taken where it does not."""
     S = density_martingale(mu)
     return [
         measure_zygmund_norm(mu - measure_truncate(S, eps), mode="dyadic")

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zygdist import approximation
+from zygdist import approximation, functionals
 from zygdist.approximation import (
     _class_kernel,
     _lattice_exact,
-    _table_exact,
     _window_jumps,
     continuous_decompose,
     distance_report,
@@ -24,6 +23,7 @@ from zygdist.approximation import (
 )
 from zygdist.functionals import (
     _level_thresholds,
+    _table_exact,
     default_eps_grid,
     density_profile,
     levelset_tree_density,
@@ -274,6 +274,7 @@ def test_refused_input_takes_the_truncation_loop(monkeypatch):
         return [np.inf] * len(largest), counts
 
     monkeypatch.setattr(approximation, "_dropped", counts_only)
+    monkeypatch.setattr(functionals, "_dropped", counts_only)
     S = average_growth(f)
     grid = default_eps_grid(S)
     measured, stars = truncation_maxima_loop(S, grid)

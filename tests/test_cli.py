@@ -621,13 +621,13 @@ def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     assert sorted(calls) == list(range(1, N + 1))
 
     # the tree densities take each generation's jumps once, not once per
-    # (eps, depth)
+    # (eps, depth): all N tables, as for the default grid
     S = average_growth(load_function(json.loads(Path(path).read_text())))
     grid = default_eps_grid(S)
     calls.clear()
     profile = density_profile(S, grid, [6, 8])
     assert len(profile.values) == 2 and len(profile.values[0]) == len(grid) > 1
-    assert sorted(calls) == list(range(1, 9))
+    assert sorted(calls) == list(range(1, N + 1))
 
 
 def test_verify_suites(tmp_path):

@@ -191,14 +191,22 @@ def test_parent_sizes_are_formed_in_one_place():
     # already holds; every other reader takes the tables it is passed.  A
     # function that forms all N tables of a martingale reads its star norm
     # and default grid off their `_peaks`, not by a second jump pass
-    # through `star_norm` or `default_eps_grid` of that martingale
+    # through `star_norm` or `default_eps_grid` of that martingale.  Every
+    # call forms all N tables: it passes the martingale and nothing else.
+    # The pipeline alone certifies its residual table
     package = Path(zygdist.__file__).parent
-    callers, holders, second_pass = [], set(), []
+    callers, holders, second_pass, arities, certifiers = [], set(), [], [], set()
     for path in package.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
             callers += [owner for node in calls if _name(node) == "_parent_deviation"]
+            arities += [
+                (len(node.args), len(node.keywords))
+                for node in calls
+                if _name(node) == "_parent_sizes"
+            ]
+            certifiers |= {owner for node in calls if _name(node) == "_table_exact"}
             formed = {
                 node.args[0].id
                 for node in calls
@@ -215,21 +223,17 @@ def test_parent_sizes_are_formed_in_one_place():
                 and any(isinstance(a, ast.Name) and a.id in formed for a in node.args)
             ]
     assert sorted(callers) == ["approximation.truncate_jumps", "martingale._parent_sizes"]
-    assert holders == {"approximation._level_set_tables", "approximation.dyadic_decompose"}
+    assert holders == {"functionals._level_set_tables", "approximation.dyadic_decompose"}
+    assert set(arities) == {(1, 0)}
+    assert certifiers == {"functionals._level_set_tables"}
     assert second_pass == []
 
 
 def test_cli_reads_the_level_set_tables_through_one_pipeline():
     # `distance-ibmo` and `measure` take the tables, default grid,
-    # thresholds and tree profile from `approximation._level_set_tables`;
-    # `cli` neither imports nor reads the helpers that wire them by hand
-    tree = ast.parse((Path(zygdist.__file__).parent / "cli.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    # thresholds and tree profile from `functionals._level_set_tables`, and
+    # so does `measure_tree_levelset_density`; neither `cli` nor `measures`
+    # imports or reads the helpers that wire them by hand
     helpers = {
         "_parent_sizes",
         "_peaks",
@@ -238,4 +242,12 @@ def test_cli_reads_the_level_set_tables_through_one_pipeline():
         "_geometric_grid",
         "_level_thresholds",
     }
-    assert not (imported | _loaded_names(tree)) & helpers
+    for module in ("cli.py", "measures.py"):
+        tree = ast.parse((Path(zygdist.__file__).parent / module).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not (imported | _loaded_names(tree)) & helpers, module

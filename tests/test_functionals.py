@@ -573,7 +573,7 @@ def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
             blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
             assert blocks[0] >= len(grid) and blocks[-1] == 1
             assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
-        table = _tree_profile(_parent_sizes(S), thresholds, depths).values
+        table = _tree_profile(_parent_sizes(S), thresholds, depths)
         assert table == tree_profile_loop(S, parent_size, grid, depths)
 
 

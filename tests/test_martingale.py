@@ -30,11 +30,7 @@ from reference import (
     value_at_index,
     window_parseval,
 )
-from zygdist.approximation import (
-    _lattice_exact,
-    _table_exact,
-    _window_jumps,
-)
+from zygdist.approximation import _lattice_exact, _window_jumps
 from zygdist.dyadic import RealInterval
 from zygdist.generators import (
     cascade_measure,
@@ -47,7 +43,7 @@ from zygdist.generators import (
     single_branch_martingale,
     weierstrass_function,
 )
-from zygdist.functionals import _geometric_grid, _sweep_values, default_eps_grid
+from zygdist.functionals import _geometric_grid, _sweep_values, _table_exact, default_eps_grid
 from zygdist.measures import GridMeasure, density_martingale
 from zygdist.martingale import (
     DyadicMartingale,
@@ -300,7 +296,7 @@ def _lattice_inputs(draw):
 
 
 def _table_verdict(S, levels):
-    """``_table_exact`` on ``S`` at ``levels``, as ``_residual_table`` asks
+    """``_table_exact`` on ``S`` at ``levels``, as ``functionals._level_set_tables`` asks
     it, and the largest dropped size at each level."""
     sizes = _parent_sizes(S)
     largest, _ = _dropped(sizes, levels)

@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from reference import (
     one_split_measure,
     residual_norms_loop,
 )
-from zygdist.cli import main
+from zygdist.cli import load_measure, main
 from zygdist.functionals import _geometric_grid, default_eps_grid, density_profile
 from zygdist.generators import cascade_measure, random_jump_martingale, random_martingale
 from zygdist.martingale import (
@@ -34,7 +35,7 @@ from zygdist.martingale import (
     integrate,
     star_norm,
 )
-from zygdist import approximation, martingale, measures
+from zygdist import approximation, functionals, martingale, measures
 from zygdist.approximation import distance_report
 from zygdist.measures import (
     GridMeasure,
@@ -617,6 +618,20 @@ def test_truncated_oscillation_controlled_by_density():
             assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_tree_density_wrapper_is_the_measure_commands_profile():
+    # `None` is `measure`'s default grid, the scale-1 one: the wrapper's
+    # rows are the golden report's `tree_density` rows at its depths
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    mu = load_measure(json.loads((docs / "golden-measure-1d-input.json").read_text()))
+    table = json.loads((docs / "golden-measure-1d-report.json").read_text())["tables"]
+    depths = table["tree_density"]["method"]["depths"]
+    profile = measure_tree_levelset_density(density_martingale(mu), None, depths)
+    rows = [
+        [e, d, row[j]] for j, e in enumerate(profile.eps) for d, row in zip(depths, profile.values)
+    ]
+    assert rows == table["tree_density"]["rows"]
+
+
 # ---------------------------------------------------------------------------
 # residual norms from one sorted deviation table
 
@@ -632,14 +647,14 @@ def _tie_levels(S):
 
 def _largest_and_peaks(S, levels):
     """The largest dropped size at each level and each generation's largest
-    parent size, as ``approximation._level_set_tables`` reads them."""
+    parent size, as ``functionals._level_set_tables`` reads them."""
     sizes = martingale._parent_sizes(S)
     return martingale._dropped(sizes, levels)[0], [float(s.max()) for s in sizes]
 
 
 def _residual_norms(mu, S, levels):
     """The residual norms that ``cmd_measure`` reads off ``_level_set_tables``."""
-    return approximation._level_set_tables(
+    return functionals._level_set_tables(
         S, levels, [], 1.0, lambda eps: measures._residual_norm(mu, S, eps)
     )[2]
 
@@ -715,8 +730,8 @@ def test_truncation_certificate_refuses_a_kept_level_that_rounds(monkeypatch):
     S = density_martingale(mu)
     assert residual_norms_loop(mu, [9.0]) == [8.875]
     _, peaks = _largest_and_peaks(S, [])
-    assert not approximation._table_exact(S, peaks, 9.0)
-    assert approximation._table_exact(S, peaks, 0.0)
+    assert not functionals._table_exact(S, peaks, 9.0)
+    assert functionals._table_exact(S, peaks, 0.0)
     norms, truncated = _residual_norms_counted(monkeypatch, mu, [8.0, 9.0])
     assert (norms, truncated) == ([0.0, 8.875], [8.0, 9.0])
 
@@ -730,7 +745,7 @@ def _refused_and_read_off_the_loop(masses, levels, table, loop):
     largest, peaks = _largest_and_peaks(S, levels)
     assert largest == table
     assert residual_norms_loop(mu, levels) == loop
-    assert not approximation._table_exact(S, peaks, max(largest))
+    assert not functionals._table_exact(S, peaks, max(largest))
     assert _residual_norms(mu, S, levels) == loop
 
 
@@ -792,7 +807,7 @@ def test_table_certificate_refuses_residual_block_sums_that_overflow():
     S = density_martingale(mu)
     largest, peaks = _largest_and_peaks(S, [2 * u])
     assert largest == [2 * u]
-    assert not approximation._table_exact(S, peaks, 2 * u)
+    assert not functionals._table_exact(S, peaks, 2 * u)
     with np.errstate(over="ignore", invalid="ignore"):
         assert residual_norms_loop(mu, [2 * u]) == [np.inf]
         assert _residual_norms(mu, S, [2 * u]) == [np.inf]
@@ -821,7 +836,7 @@ def test_table_certificate_refuses_jumps_that_overflow():
         S = density_martingale(mu)
         largest, peaks = _largest_and_peaks(S, [1.0])
     assert peaks == [np.inf]
-    assert not approximation._table_exact(S, peaks, max(largest))
+    assert not functionals._table_exact(S, peaks, max(largest))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
