@@ -296,8 +296,9 @@ def _lattice_inputs(draw):
 
 
 def _table_verdict(S, levels):
-    """``_table_exact`` on ``S`` at ``levels``, as ``functionals._level_set_tables`` asks
-    it, and the largest dropped size at each level."""
+    """``_table_exact`` on ``S`` at ``levels``, as
+    ``functionals._level_set_tables`` asks it, and the largest dropped size
+    at each level."""
     sizes = _parent_sizes(S)
     largest, _ = _dropped(sizes, levels)
     return _table_exact(S, [float(s.max()) for s in sizes], max(largest, default=0.0)), largest
