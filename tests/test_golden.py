@@ -64,6 +64,15 @@ GOLDEN = [
         EXIT_OK,
     ),
     ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"], EXIT_OK),
+    # two kept sets: 5e-324 and 0.0625 keep every pair; 0.125 ties with the
+    # sizes of 1/16 and keeps none, as does 0.25; level 0 gets no row
+    (
+        "decompose-eps-grid",
+        "golden-input.json",
+        "golden-decompose-eps-grid-report.json",
+        ["decompose", "--eps-grid", "0,5e-324,0.0625,0.125,0.25"],
+        EXIT_OK,
+    ),
     ("verify", None, "golden-verify-report.json", ["verify", "--suite", "all", "--seed", "7"], EXIT_OK),
     (
         "verify-lemmas-seed29",
