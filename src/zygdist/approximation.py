@@ -34,12 +34,9 @@ from zygdist.functionals import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
-    _dropped,
     _lattice_exponents,
     _lattice_quantum,
     _parent_deviation,
-    _parent_sizes,
-    _peaks,
     _quanta_bits,
     average_growth,
     integrate,
@@ -111,14 +108,14 @@ def dyadic_decompose(
 
     At level ``eps`` jumps above its threshold ``t`` (``_level_thresholds``)
     go to the rough part; the seminorm of the small part is twice the
-    largest surviving jump, hence at most ``eps``.  The slope martingale is
-    built once for the whole grid, which defaults to ``default_eps_grid``
-    (read off the ``_peaks`` of the ``_parent_sizes``).  Consecutive levels
-    with the same count of parent sizes ``<= t`` (``_dropped`` of those
-    tables, freed before the first splitting) keep the same pairs and so
-    have bit-identical splittings: they share one, whose ``eps`` lists them,
-    and the ``eps`` lists concatenate to the grid.  Cost: O(2^N log 2^N)
-    once plus O(2^N) per distinct kept set, at most ``|eps_grid|`` of them.
+    largest surviving jump, hence at most ``eps``.  One
+    ``_level_set_tables`` call at ``scale = 2`` with no depths gives the
+    grid (default ``default_eps_grid``), thresholds and counts of dropped
+    parents; its tables are freed before the first splitting.  Consecutive
+    levels with one count keep the same pairs and so have bit-identical
+    splittings: they share one, whose ``eps`` lists them, and the ``eps``
+    lists concatenate to the grid.  Cost: O(2^N log 2^N) once plus O(2^N)
+    per distinct kept set, at most ``|eps_grid|`` of them.
     Splittings are made as they are consumed.  The generator keeps the
     previous splitting's ``kept``, ``rough`` and ``small`` until it replaces
     each with the next one's, so a caller that drops each splitting before
@@ -128,10 +125,7 @@ def dyadic_decompose(
     memory went back to the system and was faulted in again on every level.
     """
     S = average_growth(f)
-    sizes = _parent_sizes(S)
-    eps_grid, thresholds = _level_thresholds(eps_grid, _peaks(sizes)[1])
-    _, counts = _dropped(sizes, thresholds)
-    del sizes
+    _, profile, _, thresholds, counts = _level_set_tables(S, eps_grid, [], 2.0)
     j = 0
     for _, run in itertools.groupby(counts):
         stop = j + len(list(run))
@@ -140,7 +134,7 @@ def dyadic_decompose(
         small = SampledFunction(
             f.values - rough.values, left=f.left, log2_spacing=f.log2_spacing
         )
-        yield DyadicDecomposition(rough, small, kept, eps_grid[j:stop], star_norm(kept))
+        yield DyadicDecomposition(rough, small, kept, profile.eps[j:stop], star_norm(kept))
         j = stop
 
 
@@ -167,7 +161,7 @@ def distance_report(
     whose fallback residual is ``star_norm(S - truncate_jumps(S, t))``.
     """
     S = average_growth(f)
-    _, profile, residuals = _level_set_tables(
+    _, profile, residuals, _, _ = _level_set_tables(
         S, eps_grid, depths, 2.0,
         lambda t: star_norm(martingale_difference(S, truncate_jumps(S, t))),
     )

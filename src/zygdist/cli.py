@@ -464,7 +464,7 @@ def cmd_measure(mu: GridMeasure, args) -> tuple[dict, int]:
     S = density_martingale(mu)
     grid_norm = measure_zygmund_norm(mu, mode="continuous")
     # the tables are formed after the continuous norm's arrays are freed
-    dyadic_norm, tree, residuals = _level_set_tables(
+    dyadic_norm, tree, residuals, _, _ = _level_set_tables(
         S, args.grid, depths, 1.0, lambda eps: _residual_norm(mu, S, eps)
     )
     norm_rows = [["dyadic_zygmund", dyadic_norm], ["grid_zygmund", grid_norm]]

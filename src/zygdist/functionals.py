@@ -243,7 +243,8 @@ def box_square_energy(f: SampledFunction, depths) -> list[float]:
 def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int) -> float:
     """Largest windowed measure of cells with large dyadic second difference:
     the one-entry ``density_profile`` of the slope martingale ``S`` at
-    ``eps`` and ``depth``."""
+    ``eps`` and ``depth``.  A call sorts all ``N`` parent-size tables,
+    O(2^N log 2^N); read a whole grid with one ``density_profile`` call."""
     return density_profile(S, [eps], [depth]).values[0][0]
 
 
@@ -279,24 +280,24 @@ def density_profile(S: DyadicMartingale, eps_grid, depths) -> DepthProfile:
 
 
 def _level_set_tables(S: DyadicMartingale, eps_grid, depths, scale: float, residual_norm=None):
-    """``(star, profile, residuals)`` of any martingale ``S`` whose parent's
-    level is ``scale`` times its size: 2 for a function's slope martingale
-    (its second difference), 1 for a measure's density martingale.
+    """``(star, profile, residuals, thresholds, counts)`` of any martingale
+    ``S`` whose parent's level is ``scale`` times its size: 2 for a
+    function's slope martingale (its second difference), 1 for a measure's
+    density martingale.  The only reader of the parent-size tables.
 
     After the depths are checked to lie in ``[1, N]``, the
     ``_parent_sizes`` of all ``N`` generations are formed once.  Their
     ``_peaks`` give the star norm, the default grid (``eps_grid=None``) and
     the certificate's maxima; ``_level_thresholds`` turns the levels into
-    thresholds.  ``profile`` holds ``_tree_profile``'s rows at the
-    thresholds, with the levels as its ``eps``.  Without ``residual_norm``
-    the residuals are ``None``, with no ``_dropped`` table and no
-    certificate.  With it, the residual norm at threshold
-    ``t`` is the largest dropped size (``_dropped``) where ``_table_exact``
-    holds (truncation and the residual round nothing, so a kept parent
-    leaves no residual jump and a dropped one its own): O(2^N log 2^N) once
-    plus O(log 2^N) per level.  Otherwise it is the caller's
-    ``residual_norm(t)``, once per distinct count of dropped parents, O(2^N)
-    each.
+    ``thresholds``.  One ``_dropped`` sort gives per threshold the largest
+    dropped size and ``counts``, the dropped parents of all ``N`` tables.
+    ``profile`` holds ``_tree_profile``'s rows, with the levels as its
+    ``eps``.  Without ``residual_norm`` the residuals are ``None``.  With
+    it, the residual norm at ``t`` is the largest dropped size where
+    ``_table_exact`` holds (truncation and the residual round nothing, so a
+    kept parent leaves no residual jump and a dropped one its own), else
+    the caller's ``residual_norm(t)``, once per distinct count, O(2^N)
+    each.  Cost: O(2^N log 2^N) once plus O(log 2^N) per level.
     """
     depths = list(depths)
     if not all(1 <= d <= S.depth for d in depths):
@@ -304,14 +305,14 @@ def _level_set_tables(S: DyadicMartingale, eps_grid, depths, scale: float, resid
     sizes = _parent_sizes(S)
     peaks, star = _peaks(sizes)
     eps_grid, thresholds = _level_thresholds(eps_grid, star, scale)
-    residuals = None
-    if residual_norm is not None:
-        residuals, counts = _dropped(sizes, thresholds)
-        if not _table_exact(S, peaks, max(residuals, default=0.0)):
-            norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
-            residuals = [norms[count] for count in counts]
-    profile = DepthProfile(depths, eps_grid, _tree_profile(sizes, thresholds, depths))
-    return star, profile, residuals
+    residuals, counts = _dropped(sizes, thresholds)
+    if residual_norm is None:
+        residuals = None
+    elif not _table_exact(S, peaks, max(residuals, default=0.0)):
+        norms = {count: residual_norm(t) for count, t in dict(zip(counts, thresholds)).items()}
+        residuals = [norms[count] for count in counts]
+    profile = DepthProfile(depths, eps_grid, _tree_profile(sizes, thresholds, counts, depths))
+    return star, profile, residuals, thresholds, counts
 
 
 def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
@@ -374,24 +375,25 @@ def _table_exact(S: DyadicMartingale, peaks: list, top: float) -> bool:
 _TREE_BLOCK = 1 << 16
 
 
-def _tree_profile(sizes, thresholds, depths) -> list[list[float]]:
-    """Tree level-set densities from ``_parent_sizes``: one row per depth,
-    one entry per threshold.
+def _tree_profile(sizes, thresholds, counts, depths) -> list[list[float]]:
+    """Tree level-set densities from all ``N`` ``_parent_sizes`` tables:
+    one row per depth, one entry per threshold.
 
     A parent qualifies at a threshold (``_level_thresholds``) when its size
     ``_parent_deviation`` exceeds it.  For each window cell ``Q`` of
     generation ``0..depth``, the volumes of the qualifying parents ``P``
     inside ``Q`` with ``generation(P) < depth`` are summed and divided by
-    ``|Q|``; an entry is the maximum over windows.  A threshold's qualifying
-    parents are the ``P`` sizes down to the deepest depth less its
-    ``_dropped`` ones.  Within a generation the qualifying sets are nested
-    in the threshold, so two thresholds with one dropped count qualify the
-    same parents in every generation and share an entry: a threshold that
-    drops all ``P`` gets zeros, and each other distinct count runs one
-    bottom-up window pass at each depth.  Cost: O(P log P) for the sort
-    plus O(2^(dim depth)) per distinct non-empty set and depth.  (A NaN
-    size, from overflowing slopes, is dropped only at a NaN threshold; so
-    one that drops fewer than ``P`` can still have an all-zero column.)
+    ``|Q|``; an entry is the maximum over windows.  ``counts`` holds each
+    threshold's ``_dropped`` count over all ``N`` tables.  Within a
+    generation the qualifying sets are nested in the threshold, so two
+    thresholds with one count qualify the same parents in every generation
+    and share an entry: a threshold that drops every parent gets zeros, and
+    each other distinct count runs one bottom-up window pass at each depth.
+    Cost: O(2^(dim depth)) per distinct non-empty set and depth; the sort is
+    the caller's.  (A count short of every parent can still give an
+    all-zero column: a NaN size, from overflowing slopes, is dropped only at
+    a NaN threshold, and a set's parents may all lie in generations the
+    depth does not read.)
 
     At depth ``d`` the pass runs on a block of ``max(1, _TREE_BLOCK >>
     dim (d - 1))`` levels at once, in one accumulator of at most
@@ -402,8 +404,6 @@ def _tree_profile(sizes, thresholds, depths) -> list[list[float]]:
     addition.  So are its maximum and the power-of-two rescaling; the table
     is that of one level at a time.
     """
-    sizes = sizes[: max(depths, default=0)]
-    _, counts = _dropped(sizes, thresholds)
     reps = dict(zip(counts, thresholds))  # the last level of each count stands for its set
     reps.pop(sum(s.size for s in sizes), None)  # nothing qualifies: a zero row and no pass
     levels = np.array(list(reps.values()))

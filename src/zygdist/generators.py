@@ -69,6 +69,8 @@ def weierstrass_function(depth: int, levels: int | None = None) -> SampledFuncti
     """
     if levels is None:
         levels = max(1, min(depth - 1, 12))
+    if levels < 1:
+        raise ValueError("levels must be a positive integer")
     x = np.arange(2**depth + 1, dtype=np.float64) * 2.0 ** (-depth)
     values = np.zeros_like(x)
     for n in range(1, levels + 1):
@@ -109,8 +111,8 @@ def random_jump_martingale(depth: int, delta=Fraction(1, 16), seed: int = 0) -> 
     differences of size ``2 delta`` across every parent cell.
     """
     delta = Fraction(delta)
-    if (delta * 2**16).denominator != 1:
-        raise ValueError("delta must be a multiple of 2^-16")
+    if delta < 0 or (delta * 2**16).denominator != 1:
+        raise ValueError("delta must be a nonnegative multiple of 2^-16")
     d = float(delta)
     rng = _rng(seed, _TAG_JUMP_SIGNS)
     jumps = (_signs(rng.integers(0, 2, size=2**n)) * d for n in range(depth))
@@ -159,6 +161,8 @@ def single_branch_martingale(depth: int, delta=Fraction(1, 2)) -> DyadicMartinga
     averaging property), and everything off the branch stays constant.  The
     maximal function equals ``depth * delta`` on the leftmost leaf.
     """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     d = float(Fraction(delta))
     jumps = (np.r_[d, np.zeros(2**n - 1)] for n in range(depth))
     return DyadicMartingale(_split_martingale(np.zeros(1), jumps))

@@ -273,7 +273,6 @@ def test_refused_input_takes_the_truncation_loop(monkeypatch):
         largest, counts = _dropped(sizes, thresholds)
         return [np.inf] * len(largest), counts
 
-    monkeypatch.setattr(approximation, "_dropped", counts_only)
     monkeypatch.setattr(functionals, "_dropped", counts_only)
     S = average_growth(f)
     grid = default_eps_grid(S)

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_json
-from zygdist import approximation, cli, measures
+from zygdist import approximation, cli, functionals, measures
 from zygdist.approximation import dyadic_decompose
 from zygdist.cli import (
     EXIT_INCONCLUSIVE,
@@ -252,6 +253,12 @@ _BAD_PARAMETERS = {
     "thetas-wrong-length": ["generate", "--kind", "cascade", "--thetas", "1/2"],
     "delta-too-large": ["generate", "--kind", "random-jumps", "--delta", "1" + "0" * 400],
     "levels-overflow": ["generate", "--kind", "weierstrass", "--levels", "1100"],
+    # a negative jump size would claim a negative threshold, and no cosine
+    # term leaves the zero function
+    "delta-negative-random-jumps": ["generate", "--kind", "random-jumps", "--delta=-1/16"],
+    "delta-negative-single-branch": ["generate", "--kind", "single-branch", "--delta=-1/2"],
+    "levels-zero": ["generate", "--kind", "weierstrass", "--levels", "0"],
+    "levels-negative": ["generate", "--kind", "weierstrass", "--levels=-3"],
     # 2^n overflows to inf and inf * 0 is NaN at x = 0: no file is written
     "levels-nan-1022": ["generate", "--kind", "weierstrass", "--levels", "1022"],
     "levels-nan-1023": ["generate", "--kind", "weierstrass", "--levels", "1023"],
@@ -628,6 +635,45 @@ def test_distance_reads_one_jump_pass(tmp_path, monkeypatch):
     profile = density_profile(S, grid, [6, 8])
     assert len(profile.values) == 2 and len(profile.values[0]) == len(grid) > 1
     assert sorted(calls) == list(range(1, N + 1))
+
+
+@pytest.mark.parametrize("command", ["distance-ibmo", "measure", "strichartz", "decompose"])
+def test_each_level_set_command_sorts_its_tables_once(tmp_path, monkeypatch, command):
+    # the grid, thresholds, residual table, tree profile and kept-set
+    # grouping all read one `_dropped` sort of the parent-size tables
+    kind = ["cascade", "--dim", "1"] if command == "measure" else ["random-jumps"]
+    path = tmp_path / "input.json"
+    assert main(["generate", "--kind", *kind, "--depth", "8", "--out", str(path)]) == EXIT_OK
+    dropped = functionals._dropped
+    calls = []
+
+    def counted(sizes, thresholds):
+        calls.append(len(thresholds))
+        return dropped(sizes, thresholds)
+
+    monkeypatch.setattr(functionals, "_dropped", counted)
+    code, _ = run(tmp_path, command, "--in", str(path))
+    assert code == EXIT_OK
+    assert len(calls) == 1 and calls[0] > 1
+
+
+_LATTICE_KINDS = ["linear", "hat", "square", "lacunary", "random-jumps", "single-branch"]
+
+
+def test_decompose_small_seminorm_is_the_measured_distance(tmp_path):
+    # `decompose` groups its levels on the counts `distance-ibmo` reads its
+    # residual table at, so each splitting's small part has the measured
+    # distance of its levels, bit for bit (`linear`'s one level, 0, has no row)
+    rows = 0
+    for kind, depth, seed in itertools.product(_LATTICE_KINDS, ("6", "9", "12"), ("3", "7")):
+        path = write_function(tmp_path, **{"--kind": kind, "--depth": depth, "--seed": seed})
+        _, distance = run(tmp_path, "distance-ibmo", "--in", path)
+        measured = dict(distance["tables"]["measured_distance"]["rows"])
+        _, parts = run(tmp_path, "decompose", "--in", path)
+        for eps, small, *_ in parts["tables"]["decomposition"]["rows"]:
+            assert small == measured[eps], (kind, depth, seed, eps)
+            rows += 1
+    assert rows == 690
 
 
 def test_verify_suites(tmp_path):

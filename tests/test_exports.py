@@ -188,14 +188,14 @@ def test_every_module_level_name_is_read_by_the_library():
 def test_parent_sizes_are_formed_in_one_place():
     # the parent-size rule is applied where the tables are formed,
     # `martingale._parent_sizes`, and by `truncate_jumps` to the jumps it
-    # already holds; every other reader takes the tables it is passed.  A
-    # function that forms all N tables of a martingale reads its star norm
-    # and default grid off their `_peaks`, not by a second jump pass
-    # through `star_norm` or `default_eps_grid` of that martingale.  Every
-    # call forms all N tables: it passes the martingale and nothing else.
-    # The pipeline alone certifies its residual table
+    # already holds.  The level-set pipeline alone forms all N tables (it
+    # passes the martingale and nothing else), reads their `_peaks` and
+    # sorts them with `_dropped`; every other reader takes what it returns.
+    # No function reads a star norm or default grid of a martingale whose
+    # tables it formed by a second jump pass through `star_norm` or
+    # `default_eps_grid`.  The pipeline alone certifies its residual table
     package = Path(zygdist.__file__).parent
-    callers, holders, second_pass, arities, certifiers = [], set(), [], [], set()
+    callers, readers, second_pass, arities, certifiers = [], set(), [], [], set()
     for path in package.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
@@ -206,6 +206,9 @@ def test_parent_sizes_are_formed_in_one_place():
                 for node in calls
                 if _name(node) == "_parent_sizes"
             ]
+            readers |= {
+                owner for node in calls if _name(node) in ("_parent_sizes", "_peaks", "_dropped")
+            }
             certifiers |= {owner for node in calls if _name(node) == "_table_exact"}
             formed = {
                 node.args[0].id
@@ -214,8 +217,6 @@ def test_parent_sizes_are_formed_in_one_place():
                 and len(node.args) == 1
                 and isinstance(node.args[0], ast.Name)
             }
-            if formed:
-                holders.add(owner)
             second_pass += [
                 owner
                 for node in calls
@@ -223,7 +224,7 @@ def test_parent_sizes_are_formed_in_one_place():
                 and any(isinstance(a, ast.Name) and a.id in formed for a in node.args)
             ]
     assert sorted(callers) == ["approximation.truncate_jumps", "martingale._parent_sizes"]
-    assert holders == {"functionals._level_set_tables", "approximation.dyadic_decompose"}
+    assert readers == {"functionals._level_set_tables"}
     assert set(arities) == {(1, 0)}
     assert certifiers == {"functionals._level_set_tables"}
     assert second_pass == []

@@ -59,6 +59,7 @@ from zygdist.generators import (
 from zygdist.martingale import (
     DyadicMartingale,
     SampledFunction,
+    _dropped,
     _parent_deviation,
     _parent_sizes,
     average_growth,
@@ -573,7 +574,8 @@ def test_tree_profile_equals_per_level_loop(source, dim, depth, depths):
             blocks = [max(1, functionals._TREE_BLOCK >> dim * (d - 1)) for d in depths]
             assert blocks[0] >= len(grid) and blocks[-1] == 1
             assert any(1 < b < len(grid) and len(grid) % b for b in blocks)
-        table = _tree_profile(_parent_sizes(S), thresholds, depths)
+        sizes = _parent_sizes(S)
+        table = _tree_profile(sizes, thresholds, _dropped(sizes, thresholds)[1], depths)
         assert table == tree_profile_loop(S, parent_size, grid, depths)
 
 
@@ -603,12 +605,18 @@ def test_tree_profile_runs_one_pass_per_distinct_nonempty_set(monkeypatch):
     S = density_martingale(cli.load_measure(payload))
     grid = functionals._geometric_grid(star_norm(S), -20)
     assert len(grid) == 23
-    # all 8 generations' tables: a shallower profile groups its levels on
-    # the generations it reads, 9 sets at depth 5 where all 8 give 13
-    for d, sets in [(8, 13), (5, 9)]:
+    # levels are grouped on all 8 generations' tables, at every depth: 13
+    # non-empty sets, where the 5 generations a depth-5 profile reads would
+    # give 9; the 14th count drops every parent and runs no pass
+    sizes = _parent_sizes(S)
+    counts = _dropped(sizes, grid)[1]
+    shallow = _dropped(sizes[:5], grid)[1]
+    assert len(set(counts)) == 14 and max(counts) == sum(s.size for s in sizes)
+    assert len(set(shallow)) == 10 and max(shallow) == sum(s.size for s in sizes[:5])
+    for d in (8, 5):
         reduced.clear()
-        _tree_profile(_parent_sizes(S), grid, [d])
-        assert sum(reduced) == sets * (d - 1)
+        _tree_profile(sizes, grid, counts, [d])
+        assert sum(reduced) == 13 * (d - 1)
 
 
 @pytest.mark.parametrize("depth", [0, 9])
@@ -634,7 +642,8 @@ def test_tree_profile_accumulator_stays_within_one_block():
     grid = np.linspace(0.0, 0.5, 64).tolist()
     tracemalloc.start()
     try:
-        _tree_profile(_parent_sizes(S), grid, [8])
+        sizes = _parent_sizes(S)
+        _tree_profile(sizes, grid, _dropped(sizes, grid)[1], [8])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
