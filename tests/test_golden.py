@@ -63,6 +63,14 @@ GOLDEN = [
         ["strichartz", "--depths", "2,5", "--eps-grid", "0,5e-324,0.0625,0.125,0.25"],
         EXIT_OK,
     ),
+    # depth 1 reads one layer; 7 and 8 read the same N - 1 = 7 layers
+    (
+        "strichartz-depths",
+        "golden-input.json",
+        "golden-strichartz-depths-report.json",
+        ["strichartz", "--depths", "1,7,8", "--eps-grid", "0,0.0625,0.125"],
+        EXIT_OK,
+    ),
     ("decompose", "golden-input.json", "golden-decompose-report.json", ["decompose"], EXIT_OK),
     # two kept sets: 5e-324 and 0.0625 keep every pair; 0.125 ties with the
     # sizes of 1/16 and keeps none, as does 0.25; level 0 gets no row
