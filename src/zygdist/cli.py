@@ -6,10 +6,11 @@ all carry their method parameters (grid, depths, stabilisation threshold).
 Reports are byte-identical for identical input and seed: wall-clock time is
 only included when explicitly requested.
 
-Exit codes: 0 success; 2 malformed input or violated invariant; 3 threshold
-estimate inconclusive at the requested depths (profiles are still emitted);
-4 a verification suite found a violated estimate (its report, with its
-witnesses and ``"passed": false``, is still emitted).
+Exit codes: 0 success; 2 malformed input, violated invariant or a request
+too large for memory; 3 threshold estimate inconclusive at the requested
+depths (profiles are still emitted); 4 a verification suite found a violated
+estimate (its report, with its witnesses and ``"passed": false``, is still
+emitted).
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from zygdist.approximation import (
 )
 from zygdist.functionals import (
     _DEFAULT_TAU,
+    _cone_lattice,
     _level_set_tables,
-    box_square_energy,
-    cone_levelset_count,
     default_eps_grid,
     density_profile,
     zygmund_seminorm,
@@ -333,8 +333,8 @@ def cmd_strichartz(f: SampledFunction, args) -> tuple[dict, int]:
     S = average_growth(f)
     tree = density_profile(S, args.grid, depths)  # None for `auto`: the default grid
     del S  # the cone counts read the samples; free the martingale first
-    cones = cone_levelset_count(f, tree.eps, depths)
-    energy_rows = [[d, e] for d, e in zip(depths, box_square_energy(f, depths))]
+    cones, energies = _cone_lattice(f, tree.eps, depths)
+    energy_rows = [[d, e] for d, e in zip(depths, energies)]
     method = {"depths": depths, "eps_grid": args.eps_grid}
     columns = ["eps", "depth", "value"]
     body = {
@@ -788,6 +788,9 @@ def main(argv: list[str] | None = None) -> int:
             text = _serialise(report)
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except MemoryError as exc:  # NumPy's message names the array it could not allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return EXIT_INPUT
     _emit(text, args.out)
     return code

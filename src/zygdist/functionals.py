@@ -191,13 +191,10 @@ def _second_difference(f: SampledFunction, padded, exists, reads, t):
     return d2, left(exists) & centre(exists) & right(exists)
 
 
-def _sliced(width: int, x: range, t: int) -> list:
-    """``_second_difference`` reads at the ``range`` ``x``: strided slices,
+def _sliced(width: int, size: int, t: int) -> list:
+    """``_second_difference`` reads at the points ``0 .. size - 1``: slices,
     views of the table."""
-    return [
-        itemgetter((..., slice(width + x.start + k, width + x.stop + k, x.step)))
-        for k in (-t, 0, t)
-    ]
+    return [itemgetter((..., slice(width + k, width + size + k))) for k in (-t, 0, t)]
 
 
 def _indexed(width: int, x: np.ndarray, t) -> list:
@@ -205,39 +202,6 @@ def _indexed(width: int, x: np.ndarray, t) -> list:
     the last axis by ``take``, about three times as fast on a stack of
     tables as ``table[..., index]``."""
     return [partial(np.take, indices=width + x + k, axis=-1) for k in (-t, 0, t)]
-
-
-def _lattice_padded(f: SampledFunction) -> tuple[int, np.ndarray, np.ndarray]:
-    """``_zero_padded(f, w)`` and ``w = 3 * 2^(N-2)``, the widest step of the
-    cone and box lattices."""
-    width = (3 << f.depth) >> 2
-    return width, *_zero_padded(f, width)
-
-
-def box_square_energy(f: SampledFunction, depths) -> list[float]:
-    """Normalised square energy of second differences over a box lattice, at
-    each of ``depths``.
-
-    Sums ``weight * d2(x, h)^2`` over the midpoint lattice of
-    ``I x (0, |I|]``, ``I`` the sampled span, down to ``d`` layers and
-    divides by ``|I|``.  Layers whose sample step falls under the grid
-    resolution are not representable: past ``N - 1`` layers profiles
-    saturate.  The layers are walked once, and the value at ``d`` is the
-    running total after ``d`` of them.  Layer ``n``'s centres ``(2i + 1) q``
-    and their ``+-3q`` neighbours are slices of ``_lattice_padded(f)``.
-    """
-    cells = 1 << f.depth
-    spacing = float(f.spacing)
-    width, padded, exists = _lattice_padded(f)
-    layers = [max(0, min(d, f.depth - 1)) for d in depths]
-    totals = [0.0]
-    for n in range(max(layers, default=0)):
-        q = cells >> (n + 2)
-        reads = _sliced(width, range(q, cells, 2 * q), 3 * q)
-        d2, ok = _second_difference(f, padded, exists, reads, 3 * q)
-        weight = 2 * q * spacing * math.log(2.0)
-        totals.append(totals[-1] + weight * float((d2 * d2 * ok).sum()))
-    return [totals[n] / (cells * spacing) for n in layers]
 
 
 def levelset_tree_density(S: DyadicMartingale, eps: float, depth: int) -> float:
@@ -469,41 +433,52 @@ def estimate_threshold(profile: DepthProfile, tau: float = _DEFAULT_TAU) -> Thre
     return ThresholdEstimate(eps=chosen, ratios=ratios, stable=stable, tau=tau)
 
 
-def _cone_samples(f: SampledFunction, depth: int):
-    """Per-layer second differences on the three-cell cone lattice.
-
-    Layer ``n`` represents aperture heights ``[2^-(n+1), 2^-n)`` by
-    ``t = 3u`` grid units with ``u = 2^(N-n-2)``; for an apex at grid index
-    ``a`` the slab ``|x - s| < t`` is covered by three cells of width ``2u``
-    centred at ``a - 2u, a, a + 2u``, each carrying ``ds dt/t^2`` mass 4/9.
-    Layers stop at ``N - 2``, the last one with ``u >= 1``.  Every layer
-    reads three slices of ``_lattice_padded(f)``.
-    """
-    N = f.depth
-    width, padded, exists = _lattice_padded(f)
-    every = range(f.values.size)
-    for n in range(min(depth, N - 1)):
-        u = 1 << (N - n - 2)
-        yield (u, *_second_difference(f, padded, exists, _sliced(width, every, 3 * u), 3 * u))
+def box_square_energy(f: SampledFunction, depths) -> list[float]:
+    """Normalised square energy of second differences over a box lattice, at
+    each of ``depths``: the energies of ``_cone_lattice`` on an empty level
+    grid."""
+    return _cone_lattice(f, [], depths)[1]
 
 
 def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
-    """L2 size of the cone count field of ``|d2| > eps`` at every (depth, level).
+    """L2 size of the cone count field of ``|d2| > eps`` at every (depth,
+    level): the profile of ``_cone_lattice``."""
+    return _cone_lattice(f, eps_grid, depths)[0]
 
-    Leaf ``a`` collects mass 4/9 from each (layer, offset) sample of its cone
-    (``_cone_samples``, first ``depth`` layers) whose ``|d2|`` exceeds
+
+def _cone_lattice(f: SampledFunction, eps_grid, depths) -> tuple[DepthProfile, list[float]]:
+    """The cone count profile and the box energies of ``f``, from one walk of
+    the lattice layers.  The only reader of the cone and box lattices.
+
+    **Layers.**  Layer ``n`` represents aperture heights ``[2^-(n+1),
+    2^-n)`` by the step ``t = 3u`` grid units with ``u = 2^(N-n-2)``.
+    Layers stop at ``N - 2``, the last one with ``u >= 1``: past ``N - 1``
+    layers profiles saturate, and depth ``d`` reads ``min(d, N - 1)``
+    layers.  One ``_zero_padded`` copy of width ``3 * 2^(N-2)``, the widest
+    step, holds every read; each layer forms its second differences ``d2``
+    once, at every apex, from three slices of it.
+
+    **Box energy.**  Sums ``weight * d2(x, h)^2`` over the midpoint lattice
+    of ``I x (0, |I|]``, ``I`` the sampled span, and divides by ``|I|``:
+    layer ``n``'s centres ``(2i + 1) u`` are the view ``d2[u:M:2u]``, read
+    before the count overwrites ``d2``.  The value at ``d`` is the running
+    total after ``d`` layers.
+
+    **Cone counts.**  For an apex at grid index ``a`` the slab ``|x - s| <
+    t`` is covered by three cells of width ``2u`` centred at ``a - 2u, a, a
+    + 2u``, each carrying ``ds dt/t^2`` mass 4/9.  Leaf ``a`` collects mass
+    4/9 from each (layer, offset) sample of its cone whose ``|d2|`` exceeds
     ``eps``; its field value is the square root of that mass, and the table
     holds ``lp_norm(field, 2)``.  Summed sample by sample in a fixed order,
     with 0.0 for a sample that does not qualify (which changes nothing), the
     mass depends only on the number ``k`` of qualifying samples: it is
-    ``mass[k]``, the sequential sum of ``k`` copies of 4/9.  So the layers
-    are formed once, for the deepest depth, and each adds its qualifying
-    samples into one ``uint8`` counter per (level, leaf).  A layer compares
-    its samples with every level once, into one mask; the three apex offsets
-    add shifted slices of that mask.  An entry is then
-    ``squares[c].mean() ** 0.5`` (gathered by ``take``) with ``squares =
-    sqrt(mass) ** 2`` formed once: the elements and the expression of
-    ``lp_norm(sqrt(mass)[c], 2)``.
+    ``mass[k]``, the sequential sum of ``k`` copies of 4/9.  So each layer
+    adds its qualifying samples into one ``uint8`` counter per (level,
+    leaf).  A layer compares its samples with every level once, into one
+    mask; the three apex offsets add shifted slices of that mask.  An entry
+    is then ``squares[c].mean() ** 0.5`` (gathered by ``take``) with
+    ``squares = sqrt(mass) ** 2`` formed once: the elements and the
+    expression of ``lp_norm(sqrt(mass)[c], 2)``.
 
     Cost: O(N 2^N) slice reads plus O(|eps| N 2^N) byte compares, one
     compare per (level, sample) and layer.  Memory: ``2 |eps| (2^N + 1)``
@@ -515,15 +490,25 @@ def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
     layers = [max(0, min(d, f.depth - 1)) for d in depths]
     deepest = max(layers, default=0)
     M = 1 << f.depth
+    spacing = float(f.spacing)
+    width = (3 << f.depth) >> 2
+    padded, exists = _zero_padded(f, width)
     eps = np.array(eps_grid)[:, None]
     counts = np.zeros((len(eps_grid), M), dtype=np.uint8)
     hit = np.empty((len(eps_grid), M + 1), dtype=bool)
     mass = np.cumsum(np.r_[0.0, np.full(3 * deepest, 4.0 / 9.0)])  # sequential
     squares = np.sqrt(mass) ** 2
     norms = {}
+    totals = [0.0]
     if 0 in layers:
         norms[0] = [float(squares.take(c).mean() ** 0.5) for c in counts]
-    for n, (u, d2, ok) in enumerate(_cone_samples(f, deepest), start=1):
+    for n in range(1, deepest + 1):  # norms[n] and totals[n]: after n layers
+        u = M >> (n + 1)  # 2^(N-n-1): the docstring's layer n - 1
+        reads = _sliced(width, M + 1, 3 * u)
+        d2, ok = _second_difference(f, padded, exists, reads, 3 * u)
+        box, inside = d2[u:M : 2 * u], ok[u:M : 2 * u]
+        weight = 2 * u * spacing * math.log(2.0)
+        totals.append(totals[-1] + weight * float((box * box * inside).sum()))
         mag = np.abs(d2, out=d2)
         mag[~ok] = -np.inf  # an invalid sample never qualifies
         np.greater(mag, eps, out=hit)
@@ -533,9 +518,8 @@ def cone_levelset_count(f: SampledFunction, eps_grid, depths) -> DepthProfile:
         counts[:, : M - 2 * u + 1] += hit[:, 2 * u :]  # offset 2u
         if n in layers:
             norms[n] = [float(squares.take(c).mean() ** 0.5) for c in counts]
-    return DepthProfile(
-        depths=depths, eps=eps_grid, values=[norms[n] for n in layers]
-    )
+    cones = DepthProfile(depths=depths, eps=eps_grid, values=[norms[n] for n in layers])
+    return cones, [totals[n] / (M * spacing) for n in layers]
 
 
 def lp_norm(leaf_field: np.ndarray, p: float) -> float:

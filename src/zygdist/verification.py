@@ -19,13 +19,12 @@ import numpy as np
 from zygdist.functionals import (
     _DEFAULT_TAU,
     _bounded,
+    _cone_lattice,
     _geometric_grid,
     _growth_ratio,
     _indexed,
     _second_difference,
     _zero_padded,
-    box_square_energy,
-    cone_levelset_count,
     density_profile,
     lp_norm,
     zygmund_seminorm,
@@ -576,10 +575,10 @@ def verify_strichartz_consistency(seed: int = 0, tau: float = _DEFAULT_TAU) -> d
             continue  # not grid-quantised; excluded from exact suite checks
         S = average_growth(f)
         grid = _geometric_grid(2.0 * star_norm(S), -12)
-        energy_ok = _bounded(*box_square_energy(f, [d_shallow, d_deep]), tau)
-        cone = cone_levelset_count(f, grid, [d_shallow, d_deep]).values
+        cone, energy = _cone_lattice(f, grid, [d_shallow, d_deep])
+        energy_ok = _bounded(*energy, tau)
         tree = density_profile(S, grid, [d_shallow, d_deep]).values
-        cone_ok = all(_bounded(a, b, tau) for a, b in zip(*cone))
+        cone_ok = all(_bounded(a, b, tau) for a, b in zip(*cone.values))
         tree_ok = all(_bounded(a, b, tau) for a, b in zip(*tree))
         results[name] = {
             "energy_bounded": energy_ok,

@@ -322,10 +322,10 @@ def second_difference_gathered(f: SampledFunction, x: np.ndarray, u):
 
 
 def cone_samples_gathered(f: SampledFunction, depth: int):
-    """``functionals._cone_samples`` through index gathers: layer ``n``'s
-    ``(u, d2, ok)`` from ``second_difference_gathered`` at every grid index
-    with step ``3u``, ``u = 2^(N-n-2)``, for the first ``min(depth, N - 1)``
-    layers."""
+    """The layers ``functionals._cone_lattice`` walks, through index
+    gathers: layer ``n``'s ``(u, d2, ok)`` from ``second_difference_gathered``
+    at every grid index with step ``3u``, ``u = 2^(N-n-2)``, for the first
+    ``min(depth, N - 1)`` layers."""
     N = f.depth
     s = np.arange(f.values.size, dtype=np.int64)
     for n in range(min(depth, N - 1)):
@@ -358,7 +358,7 @@ def cone_field(f: SampledFunction, eps: float, depth: int) -> np.ndarray:
 def box_energy_gathered(f: SampledFunction, depth: int) -> float:
     """``box_square_energy`` with each layer's centres ``(2i + 1) q`` and
     their ``+-3q`` neighbours read through ``second_difference_gathered``,
-    in the kernel's order of operations."""
+    in ``functionals._cone_lattice``'s order of operations."""
     cells = 1 << f.depth
     spacing = float(f.spacing)
     total = 0.0

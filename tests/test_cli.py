@@ -546,6 +546,23 @@ def test_measure_exits_on_2d_masses_off_the_binary_lattice(tmp_path, capsys):
     )
 
 
+def test_strichartz_exits_2_when_its_levels_exhaust_memory(tmp_path, monkeypatch, capsys):
+    # a level grid too long for memory fails where NumPy allocates the
+    # counters: one error line with NumPy's message, exit 2, no report
+    message = "Unable to allocate 313. MiB for an array with shape (20000, 16385) and data type bool"
+
+    def exhausted(f, eps_grid, depths):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cone_lattice", exhausted)
+    source = Path(__file__).resolve().parent.parent / "docs" / "golden-input.json"
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["strichartz", "--in", str(source), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
 def test_decompose_exits_where_integrate_rounds_subnormal_slopes(tmp_path, capsys):
     # kept slopes times the spacing 2^-4 fall off the 2^-1074 lattice and
     # `integrate` rounds them: the rough part ends at 5e-324, not 0.  The

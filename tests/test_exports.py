@@ -230,6 +230,20 @@ def test_parent_sizes_are_formed_in_one_place():
     assert second_pass == []
 
 
+def test_samples_are_padded_in_two_places():
+    # the cone counts and the box energy read one padded copy, made by
+    # their pipeline `functionals._cone_lattice`; the lemma checks stack
+    # their own in `verification._lemma_table`
+    package = Path(zygdist.__file__).parent
+    callers = []
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
+            callers += [owner for node in calls if _name(node) == "_zero_padded"]
+    assert sorted(callers) == ["functionals._cone_lattice", "verification._lemma_table"]
+
+
 def test_cli_reads_the_level_set_tables_through_one_pipeline():
     # `distance-ibmo` and `measure` take the tables, default grid,
     # thresholds and tree profile from `functionals._level_set_tables`, and

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ from zygdist.martingale import (
     star_norm,
 )
 from zygdist.measures import GridMeasure, density_martingale, measure_tree_levelset_density
+from zygdist.verification import verify_strichartz_consistency
 
 
 def _third(f):
@@ -816,6 +818,46 @@ def test_cone_count_oracle_property(depth, seed, which, third, exponents, extra,
     g = _third(f) if third else f
     grid = [dyadic_zygmund_seminorm(g) * 2.0 ** (j / 2) for j in exponents] + extra
     assert cone_levelset_count(g, grid, depths).values == _cone_table(g, grid, depths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    which=st.integers(0, 5),
+    third=st.booleans(),
+    depths=st.lists(st.integers(0, 12), max_size=4),
+)
+def test_cone_lattice_readers_property(depth, seed, which, third, depths):
+    # the public readers are the pipeline's tables, and the box energies do
+    # not depend on the levels the cone counts compare with
+    _, f = function_suite(depth, seed=seed)[which]
+    g = _third(f) if third else f
+    grid = default_eps_grid(average_growth(g))
+    cones, energies = functionals._cone_lattice(g, grid, depths)
+    assert cone_levelset_count(g, grid, depths) == cones
+    assert box_square_energy(g, depths) == energies
+    for levels in ([], grid[:1]):
+        assert functionals._cone_lattice(g, levels, depths)[1] == energies
+
+
+def test_cone_lattice_pads_the_samples_once(tmp_path, monkeypatch):
+    # the cone counts and the box energy share one walk: a strichartz run,
+    # and each function of the consistency check, makes one padded copy
+    widths = []
+
+    def counted(f, width):
+        widths.append(width)
+        return _zero_padded(f, width)
+
+    monkeypatch.setattr(functionals, "_zero_padded", counted)
+    source = Path(__file__).resolve().parent.parent / "docs" / "golden-input.json"
+    argv = ["strichartz", "--in", str(source), "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert widths == [3 << 6]  # 3 * 2^(N-2) at depth 8
+    widths.clear()
+    verify_strichartz_consistency(seed=7)
+    assert len(widths) == 5  # the suite's functions but weierstrass
 
 
 # ---------------------------------------------------------------------------

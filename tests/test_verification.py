@@ -538,7 +538,7 @@ def test_strichartz_consistency_other_seed():
 
 def test_strichartz_consistency_grid_starts_at_2_star_norm_over_64(monkeypatch):
     grids = []
-    for name in ("cone_levelset_count", "density_profile"):
+    for name in ("_cone_lattice", "density_profile"):
         functional = getattr(verification, name)
 
         def recorded(source, grid, depths, functional=functional):
